@@ -269,8 +269,7 @@ fn sweep_geo_error(results: &mut Ablations) {
     println!("extreme error smears failures across regions and loses the signal.\n");
 }
 
-fn main() {
-    let args = RunArgs::parse();
+pub fn run(args: &RunArgs) {
     let mut results = Ablations::default();
     sweep_image_cap(&mut results, args.seed);
     sweep_detector_p(&mut results);

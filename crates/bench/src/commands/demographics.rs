@@ -14,7 +14,7 @@ use encore::coordination::SchedulingStrategy;
 use encore::delivery::OriginSite;
 use netsim::geo::{country, World};
 use netsim::network::Network;
-use population::{run_deployment, Analytics, Audience, DeploymentConfig};
+use population::{Analytics, Audience, DeploymentConfig, WorldEngine, WorldRecipe};
 use serde::Serialize;
 use sim_core::{SimDuration, SimRng};
 
@@ -30,8 +30,7 @@ struct Demographics {
     top_countries: Vec<(String, usize)>,
 }
 
-fn main() {
-    let args = RunArgs::parse();
+pub fn run(args: &RunArgs) {
     let mut net = Network::new(World::builtin());
     add_image_server(&mut net, "target.example", 400);
     let origin = OriginSite::academic("professor.university.edu");
@@ -44,12 +43,15 @@ fn main() {
 
     let mut rng = SimRng::new(args.seed);
     // "The site saw 1,171 visits during course of the month" → ~42/day.
-    let config = DeploymentConfig {
+    let recipe = WorldRecipe::deployment(DeploymentConfig {
         duration: SimDuration::from_days(28),
         visits_per_day_per_weight: 42.0,
         ..DeploymentConfig::default()
-    };
-    let log = run_deployment(&mut net, &mut sys, &Audience::academic(), &config, &mut rng);
+    });
+    let audience = Audience::academic();
+    let log = WorldEngine::from_recipe(&mut net, &mut sys, &audience, &recipe, &mut rng)
+        .run()
+        .log;
     let analytics = Analytics::from_visits(&log);
 
     let filtering = [

@@ -26,7 +26,7 @@ use encore::tasks::MeasurementTask;
 use encore::{DetectorConfig, FilteringDetector, GeoDb};
 use netsim::geo::World;
 use netsim::network::Network;
-use population::{run_deployment, Audience, DeploymentConfig};
+use population::{Audience, DeploymentConfig, WorldEngine, WorldRecipe};
 use serde::Serialize;
 use sim_core::{SimDuration, SimRng};
 use std::collections::BTreeMap;
@@ -42,8 +42,7 @@ struct DetectionResult {
     false_detections: usize,
 }
 
-fn main() {
-    let args = RunArgs::parse();
+pub fn run(args: &RunArgs) {
     let world = World::with_long_tail(170);
     let mut net = Network::new(world.clone());
 
@@ -85,16 +84,17 @@ fn main() {
     let mut rng = SimRng::new(args.seed);
     let audience = Audience::world(&world);
     // Seven months in the paper; the default here is a scaled run that
-    // still yields tens of thousands of measurements. `--days` /
-    // `ENCORE_DAYS`
+    // still yields tens of thousands of measurements. `--days`
     // overrides.
     let days: u64 = args.days(60);
-    let config = DeploymentConfig {
+    let recipe = WorldRecipe::deployment(DeploymentConfig {
         duration: SimDuration::from_days(days),
         visits_per_day_per_weight: 35.0,
         ..DeploymentConfig::default()
-    };
-    let log = run_deployment(&mut net, &mut sys, &audience, &config, &mut rng);
+    });
+    let log = WorldEngine::from_recipe(&mut net, &mut sys, &audience, &recipe, &mut rng)
+        .run()
+        .log;
 
     let geo = GeoDb::from_allocator(&net.allocator);
     let detector = FilteringDetector::new(DetectorConfig {

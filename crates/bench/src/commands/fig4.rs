@@ -30,8 +30,7 @@ struct Fig4 {
     cdf_le_1kb: Vec<(f64, f64)>,
 }
 
-fn main() {
-    let args = RunArgs::parse();
+pub fn run(args: &RunArgs) {
     let mut pw = PaperWorld::build(&WebConfig::default(), args.seed);
     let hars = pw.fetch_corpus_hars();
     let generator = TaskGenerator::default();

@@ -22,8 +22,7 @@ struct Fig5 {
     cdf_kb: Vec<(f64, f64)>,
 }
 
-fn main() {
-    let args = RunArgs::parse();
+pub fn run(args: &RunArgs) {
     let mut pw = PaperWorld::build(&WebConfig::default(), args.seed);
     let hars = pw.fetch_corpus_hars();
 

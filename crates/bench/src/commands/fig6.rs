@@ -28,8 +28,7 @@ struct Fig6 {
     cdf_le_100kb: Vec<(f64, f64)>,
 }
 
-fn main() {
-    let args = RunArgs::parse();
+pub fn run(args: &RunArgs) {
     let mut pw = PaperWorld::build(&WebConfig::default(), args.seed);
     let hars = pw.fetch_corpus_hars();
     let generator = TaskGenerator::default();

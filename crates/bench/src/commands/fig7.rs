@@ -29,8 +29,7 @@ struct Fig7 {
     frac_cached_under_50ms: f64,
 }
 
-fn main() {
-    let args = RunArgs::parse();
+pub fn run(args: &RunArgs) {
     let world = World::with_long_tail(170);
     let mut net = Network::new(world.clone());
     net.add_server(

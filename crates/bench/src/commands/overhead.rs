@@ -25,8 +25,7 @@ struct Overhead {
     image_task_overhead_fraction_of_page: f64,
 }
 
-fn main() {
-    let args = RunArgs::parse();
+pub fn run(args: &RunArgs) {
     let snippet = render_snippet("coordinator.encore-repro.net");
 
     // Typical fetched bytes per task type, from the generated task pool.

@@ -11,11 +11,10 @@ use encore::reports::{country_reports, render_markdown};
 use encore::{FilteringDetector, GeoDb};
 use netsim::geo::World;
 use netsim::network::Network;
-use population::{run_deployment, Audience, DeploymentConfig};
+use population::{Audience, DeploymentConfig, WorldEngine, WorldRecipe};
 use sim_core::{SimDuration, SimRng};
 
-fn main() {
-    let args = RunArgs::parse();
+pub fn run(args: &RunArgs) {
     let world = World::with_long_tail(170);
     let mut net = Network::new(world.clone());
     install_image_targets(&mut net, &SAFE_TARGETS);
@@ -28,18 +27,13 @@ fn main() {
         volunteer_origins("origin", 8, 2.0),
     );
     let mut rng = SimRng::new(args.seed);
-    let config = DeploymentConfig {
+    let recipe = WorldRecipe::deployment(DeploymentConfig {
         duration: SimDuration::from_days(21),
         visits_per_day_per_weight: 30.0,
         ..DeploymentConfig::default()
-    };
-    run_deployment(
-        &mut net,
-        &mut sys,
-        &Audience::world(&world),
-        &config,
-        &mut rng,
-    );
+    });
+    let audience = Audience::world(&world);
+    WorldEngine::from_recipe(&mut net, &mut sys, &audience, &recipe, &mut rng).run();
 
     let geo = GeoDb::from_allocator(&net.allocator);
     let reports = country_reports(

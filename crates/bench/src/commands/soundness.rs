@@ -27,7 +27,7 @@ use encore::tasks::{
 use encore::GeoDb;
 use netsim::geo::{country, World};
 use netsim::network::Network;
-use population::{run_deployment, Audience, DeploymentConfig};
+use population::{Audience, DeploymentConfig, WorldEngine, WorldRecipe};
 use serde::Serialize;
 use sim_core::{SimDuration, SimRng};
 use std::collections::BTreeMap;
@@ -77,8 +77,7 @@ struct Soundness {
     us_image_fp_rate: f64,
 }
 
-fn main() {
-    let args = RunArgs::parse();
+pub fn run(args: &RunArgs) {
     let world = World::with_long_tail(170);
     let mut net = Network::new(world.clone());
     let tb = Testbed::install(&mut net);
@@ -101,12 +100,12 @@ fn main() {
 
     let mut rng = SimRng::new(args.seed);
     let audience = Audience::world(&world);
-    let config = DeploymentConfig {
+    let recipe = WorldRecipe::deployment(DeploymentConfig {
         duration: SimDuration::from_days(90), // the paper's three months
         visits_per_day_per_weight: 40.0,
         ..DeploymentConfig::default()
-    };
-    let _log = run_deployment(&mut net, &mut sys, &audience, &config, &mut rng);
+    });
+    WorldEngine::from_recipe(&mut net, &mut sys, &audience, &recipe, &mut rng).run();
 
     let geo = GeoDb::from_allocator(&net.allocator);
     let records = sys.collection.records();

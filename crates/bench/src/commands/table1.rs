@@ -54,8 +54,7 @@ fn spec_for(task_type: TaskType, tb: &Testbed, v: FilterVariety) -> TaskSpec {
     }
 }
 
-fn main() {
-    let args = RunArgs::parse();
+pub fn run(args: &RunArgs) {
     let mut matrix = Vec::new();
     let mut detects: BTreeMap<(TaskType, Engine), (bool, usize)> = BTreeMap::new();
 

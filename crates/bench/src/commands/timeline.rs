@@ -14,34 +14,31 @@
 //! per-day world rebuilds — and the windowed detector localises both
 //! transitions to the correct day.
 //!
-//! `--shards N` (or `ENCORE_SHARDS`) runs the same recipe across N
-//! shards: the timeline broadcasts to every shard, arrivals thin 1/N,
-//! and the merged collection feeds one detector. `--transport
-//! {threads,process}` (or `ENCORE_TRANSPORT`) picks the shard backend —
-//! in-process OS threads (the default) or worker processes speaking the
-//! length-prefixed frame protocol via `bench`'s `shard_worker` binary;
-//! both are byte-identical, so every check below is
-//! transport-independent. At one shard the run is byte-identical to the
-//! serial engine (CI diffs `results/timeline.json` against
-//! `tests/golden/timeline.json`); at more shards the *verdict* — onset
-//! day, lift day — must still match the serial golden, which this
-//! binary checks itself when `--golden PATH`-less CI hands it
-//! `tests/golden/timeline.json` via the default path.
+//! `--shards N` runs the same recipe across N shards: the timeline
+//! broadcasts to every shard, arrivals thin 1/N, and the merged
+//! collection feeds one detector. `--transport {threads,process}` picks
+//! the shard backend — in-process OS threads (the default) or worker
+//! processes (this binary re-executed in its shard-worker role) speaking
+//! the length-prefixed frame protocol; both are byte-identical, so every
+//! check below is transport-independent. At one shard the run is
+//! byte-identical to the serial engine (CI diffs `results/timeline.json`
+//! against `tests/golden/timeline.json`); at more shards the *verdict* —
+//! onset day, lift day — must still match the serial golden, which this
+//! command checks itself against the copy compiled into the binary.
 //!
-//! `--streaming` (or `ENCORE_STREAMING`) re-runs the same recipe with
-//! bounded-memory analytics: workers ship one count-min/reservoir/
+//! `--streaming` re-runs the same recipe with bounded-memory analytics: workers ship one count-min/reservoir/
 //! window-matrix sketch frame each instead of record chunks, the
 //! verdict is judged from the merged matrices, and the same
 //! serial-golden gate applies — streaming may change memory, never the
 //! verdict. Results are written under `timeline_streaming*` so exact
 //! golden diffs are untouched.
 
+use super::{gate_on_serial_golden, run_world, TIMELINE_GOLDEN};
 use bench::fixtures::RunArgs;
 use bench::print_table;
-use bench::specs::{BenchWorldSpec, SHARD_WORKER};
+use bench::specs::BenchWorldSpec;
 use bench::world_fixture::{self, TimelineJudgment, LIFT_DAY, ONSET_DAY, TARGET};
 use netsim::geo::country;
-use population::transport::TransportKind;
 use population::RollupSeries;
 use serde::{Deserialize, Serialize};
 
@@ -56,20 +53,20 @@ struct Timeline {
     visits: u64,
 }
 
-/// The verdict fields of a previously written timeline artifact — what a
-/// sharded run must agree with the serial golden on.
-#[derive(Deserialize)]
-struct GoldenVerdict {
+/// The verdict fields of a timeline artifact — what a sharded or
+/// streaming run must agree with the serial golden on.
+#[derive(Debug, PartialEq, Deserialize)]
+struct Verdict {
     onset_day: Option<u64>,
     lift_day: Option<u64>,
 }
 
-fn main() {
-    let args = RunArgs::parse();
-    let shards = args.shards(1);
-    let days = args.days(30);
-    let transport = args.transport(TransportKind::Threads);
-    let streaming = args.streaming(false);
+/// Days the serial golden was recorded at.
+const GOLDEN_DAYS: u64 = 30;
+
+pub fn run(args: &RunArgs) {
+    let (shards, transport, streaming) = (args.shards, args.transport, args.streaming);
+    let days = args.days(GOLDEN_DAYS);
 
     // High enough that Turkey's daily measurement cell clears the
     // detector's minimum-n guard with day-level statistical power.
@@ -78,13 +75,7 @@ fn main() {
         rate: 150.0,
         streaming,
     };
-    let run = match transport.run(SHARD_WORKER, &spec, shards, args.seed) {
-        Ok(run) => run,
-        Err(err) => {
-            eprintln!("timeline: {transport} transport failed: {err}");
-            std::process::exit(1);
-        }
-    };
+    let run = run_world("timeline", &spec, args);
 
     let TimelineJudgment {
         days: day_rows,
@@ -119,9 +110,8 @@ fn main() {
     println!(
         "=== timeline: Turkey blocks {TARGET} on day {ONSET_DAY}, lifts on day {LIFT_DAY} ==="
     );
-    // The effective configuration is printed so a stray `ENCORE_*`
-    // variable (or flag) is immediately visible when a golden diff
-    // fails.
+    // The effective configuration is printed so a stray flag is
+    // immediately visible when a golden diff fails.
     println!(
         "({} visits over {days} days, seed {:#x}, across {} shard(s) on the {transport} \
          transport, {} analytics; {} policy events; one detector window per day)\n",
@@ -188,55 +178,13 @@ fn main() {
         },
     );
 
-    // Sharded and streaming runs gate themselves against the serial
-    // golden: detector verdicts (onset/lift localisation) are required
-    // to be invariant across shard counts *and* analytics modes, even
-    // though the sampled visit stream (sharding) and the retained state
-    // (streaming) are not. The golden was recorded at the default
-    // (days, seed), so the gate only engages there — a `--days 5` run
-    // legitimately never sees the day-10 onset and must not be reported
-    // as drift.
-    let golden_parameters = days == 30 && args.seed == bench::DEFAULT_SEED;
-    let gated = shards > 1 || streaming;
-    if gated && !golden_parameters {
-        eprintln!(
-            "[non-default days/seed: skipping the serial-golden verdict check, \
-             which is only meaningful at days=30, seed={:#x}]",
-            bench::DEFAULT_SEED
-        );
-    }
-    if gated && golden_parameters {
-        let golden_path = std::path::Path::new("tests/golden/timeline.json");
-        match std::fs::read_to_string(golden_path) {
-            Ok(json) => match serde_json::from_str::<GoldenVerdict>(&json) {
-                Ok(golden) => {
-                    if golden.onset_day != onset_day || golden.lift_day != lift_day {
-                        eprintln!(
-                            "VERDICT DRIFT at {shards} shards: serial golden localises \
-                             onset={:?} lift={:?}, this run localises onset={onset_day:?} \
-                             lift={lift_day:?}",
-                            golden.onset_day, golden.lift_day
-                        );
-                        std::process::exit(1);
-                    }
-                    println!(
-                        "\n[{shards}-shard verdict matches the serial golden: \
-                         onset day {onset_day:?}, lift day {lift_day:?}]"
-                    );
-                }
-                Err(e) => {
-                    // At golden parameters the gate must never pass
-                    // vacuously — an unreadable golden is a failure,
-                    // not a skip (CI runs from the repo root where the
-                    // golden is always present).
-                    eprintln!("VERDICT GATE BROKEN: golden verdict unreadable: {e:?}");
-                    std::process::exit(1);
-                }
-            },
-            Err(e) => {
-                eprintln!("VERDICT GATE BROKEN: no serial golden at {golden_path:?}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
+    gate_on_serial_golden(
+        args,
+        (days, GOLDEN_DAYS),
+        || serde_json::from_str(TIMELINE_GOLDEN).expect("the embedded golden parses"),
+        &Verdict {
+            onset_day,
+            lift_day,
+        },
+    );
 }

@@ -2,7 +2,7 @@
 //! "world report" over a seeded `websim::corpus::Corpus`.
 //!
 //! Encore's deployment (paper §7) observed real censorship from real
-//! vantage points over months; this binary is the simulated analogue at
+//! vantage points over months; this command is the simulated analogue at
 //! full ambition: a Zipf-popularity synthetic web with scale-free
 //! cross-links, a ten-country demographic mix, the standing 2014
 //! registry regimes (CN/IR/PK), a scheduled Turkish block
@@ -16,34 +16,26 @@
 //! `--shards N` / `--transport {threads,process}` run the identical
 //! recipe distributed; at one shard CI byte-diffs
 //! `results/world_report.json` against `tests/golden/world_report.json`
-//! (blessed by `tests/world_report.rs`), and at more shards this binary
-//! gates itself on verdict equality with that serial golden (censor
-//! verdicts and the zero-false-positive disruption count must be
-//! shard-invariant).
+//! (blessed by `tests/world_report.rs`), and at more shards this command
+//! gates itself on verdict equality with that serial golden, compiled
+//! into the binary (censor verdicts and the zero-false-positive
+//! disruption count must be shard-invariant).
 
+use super::{gate_on_serial_golden, run_world, WORLD_REPORT_GOLDEN};
 use bench::corpus_fixture::{
     self, WorldReport, DAYS, OUTAGE_START, RATE, REDESIGN_DAY, RU_IP_BLOCK_DAY, RU_RST_DAY,
     RU_STAND_DOWN_DAY, TR_BLOCK_LIFT, TR_BLOCK_ONSET,
 };
 use bench::fixtures::RunArgs;
 use bench::print_table;
-use bench::specs::{BenchWorldSpec, SHARD_WORKER};
-use population::transport::TransportKind;
+use bench::specs::BenchWorldSpec;
 
-fn main() {
-    let args = RunArgs::parse();
-    let shards = args.shards(1);
+pub fn run(args: &RunArgs) {
+    let (shards, transport) = (args.shards, args.transport);
     let days = args.days(DAYS);
-    let transport = args.transport(TransportKind::Threads);
 
     let spec = BenchWorldSpec::Corpus { days, rate: RATE };
-    let run = match transport.run(SHARD_WORKER, &spec, shards, args.seed) {
-        Ok(run) => run,
-        Err(err) => {
-            eprintln!("world_report: {transport} transport failed: {err}");
-            std::process::exit(1);
-        }
-    };
+    let run = run_world("world_report", &spec, args);
     let report = corpus_fixture::report(&run, shards, days, args.seed);
 
     println!(
@@ -104,49 +96,14 @@ fn main() {
     };
     args.write_results(&name, &report);
 
-    // Sharded runs gate themselves against the serial golden, exactly
-    // like the timeline binary: the sampled visit stream differs per
-    // shard count, but every verdict must not. The golden is recorded at
-    // the default (days, seed), so the gate engages only there.
-    let golden_parameters = days == DAYS && args.seed == bench::DEFAULT_SEED;
-    if shards > 1 && !golden_parameters {
-        eprintln!(
-            "[non-default days/seed: skipping the serial-golden verdict check, \
-             which is only meaningful at days={DAYS}, seed={:#x}]",
-            bench::DEFAULT_SEED
-        );
-    }
-    if shards > 1 && golden_parameters {
-        let golden_path = std::path::Path::new("tests/golden/world_report.json");
-        match std::fs::read_to_string(golden_path) {
-            Ok(json) => match serde_json::from_str::<WorldReport>(&json) {
-                Ok(golden) => {
-                    if golden.verdicts != report.verdicts {
-                        eprintln!(
-                            "VERDICT DRIFT at {shards} shards: serial golden verdicts\n\
-                             {:#?}\nthis run\n{:#?}",
-                            golden.verdicts, report.verdicts
-                        );
-                        std::process::exit(1);
-                    }
-                    println!(
-                        "\n[{shards}-shard verdicts match the serial golden across all \
-                         {} tracked pairs]",
-                        report.verdicts.pairs.len()
-                    );
-                }
-                Err(e) => {
-                    // At golden parameters the gate must never pass
-                    // vacuously — an unreadable golden is a failure,
-                    // not a skip (CI runs from the repo root).
-                    eprintln!("VERDICT GATE BROKEN: golden verdict unreadable: {e:?}");
-                    std::process::exit(1);
-                }
-            },
-            Err(e) => {
-                eprintln!("VERDICT GATE BROKEN: no serial golden at {golden_path:?}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
+    gate_on_serial_golden(
+        args,
+        (days, DAYS),
+        || {
+            serde_json::from_str::<WorldReport>(WORLD_REPORT_GOLDEN)
+                .expect("the embedded golden parses")
+                .verdicts
+        },
+        &report.verdicts,
+    );
 }

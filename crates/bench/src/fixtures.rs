@@ -1,12 +1,11 @@
-//! Shared Network/EncoreSystem scenario builders for the experiment
-//! binaries.
+//! Shared Network/EncoreSystem scenario builders and the one argument
+//! parser for the `bench` commands.
 //!
-//! Before this module every `src/bin/*.rs` hand-rolled the same setup:
-//! a constant-image server per measurement target, a favicon task pool
-//! over those targets, and an `EncoreSystem::deploy` with US-hosted
-//! infrastructure. Copy-pasted fixtures drift — one binary's world stops
-//! being another's — so the pieces live here once and the binaries
-//! compose them.
+//! Every experiment needs the same setup: a constant-image server per
+//! measurement target, a favicon task pool over those targets, and an
+//! `EncoreSystem::deploy` with US-hosted infrastructure. Copy-pasted
+//! fixtures drift — one command's world stops being another's — so the
+//! pieces live here once and the commands compose them.
 
 use encore::coordination::SchedulingStrategy;
 use encore::delivery::OriginSite;
@@ -19,26 +18,65 @@ use population::transport::TransportKind;
 use serde::Serialize;
 use std::path::PathBuf;
 
-/// Shared CLI/env argument handling for every `src/bin/*.rs` experiment
-/// binary — one parser instead of thirteen hand-rolled `std::env::var`
-/// snippets.
+/// One `bench` subcommand: what `bench <name>` runs and which flags it
+/// reads.
+pub struct Command {
+    /// The `<command>` word on the command line.
+    pub name: &'static str,
+    /// One line for the usage text.
+    pub about: &'static str,
+    /// The flags this command reads on top of `--seed` and `--out`,
+    /// which every command reads.
+    pub flags: &'static [&'static str],
+    /// The command's entry point.
+    pub run: fn(&RunArgs),
+}
+
+/// Every flag `bench` knows: name, value placeholder, usage line. One
+/// spelling per knob — there is no environment mirror.
+const FLAGS: &[(&str, &str, &str)] = &[
+    (
+        "--seed",
+        "N",
+        "root seed, decimal or the 0x-hex form runs print",
+    ),
+    (
+        "--out",
+        "DIR",
+        "directory JSON results are written to [results]",
+    ),
+    ("--shards", "N", "shards the world runs across [1]"),
+    ("--days", "N", "simulated days [the command's own default]"),
+    (
+        "--transport",
+        "T",
+        "shard backend, threads or process [threads]",
+    ),
+    (
+        "--streaming",
+        "",
+        "bounded-memory analytics (negate: --streaming=false)",
+    ),
+    ("--cases", "N", "simcheck case budget [200]"),
+    (
+        "--replay",
+        "CLASS:SEED",
+        "re-run one simcheck case, e.g. detector:0x1b2c",
+    ),
+];
+
+/// The flags every command reads.
+const COMMON_FLAGS: &[&str] = &["--seed", "--out"];
+
+/// The one argument parser of the `bench` binary: `bench <command>
+/// [--flag value | --flag=value]...`.
 ///
-/// Each knob reads, in priority order: a CLI flag (`--seed N`,
-/// `--visits N`, `--shards N`, `--days N`, `--topology N`, `--out DIR`,
-/// `--min-speedup X`; `--flag=value` also accepted), then the
-/// corresponding `ENCORE_*` environment variable (`ENCORE_SEED`,
-/// `ENCORE_VISITS`, `ENCORE_SHARDS`, `ENCORE_DAYS`, `ENCORE_TOPOLOGY`,
-/// `ENCORE_OUT`, `ENCORE_MIN_SPEEDUP`), then the binary's default.
-/// Unknown flags are ignored so harness wrappers can pass extra
-/// arguments through; supplied-but-unparseable values warn on stderr
-/// before falling back. Seeds accept both decimal and the `0x…` hex
-/// form the binaries print. `--topology`, `--transport
-/// {threads,process}` (`ENCORE_TRANSPORT`), `--streaming[=BOOL]`
-/// (`ENCORE_STREAMING`), and `--window DAYS` (`ENCORE_WINDOW`) are
-/// stricter: a malformed value is a hard error (exit 2), because
-/// silently dropping it would run the benchmark on a flat un-routed
-/// world, the wrong shard backend, or the wrong analytics pipeline —
-/// and report numbers for an experiment nobody asked for.
+/// Nothing is ever ignored or defaulted silently: an unknown command, an
+/// unknown flag, a flag the chosen command does not read, a missing
+/// value, or a malformed value is an error (usage on stderr, exit 2) —
+/// running `--transprot process` or `--shard 2` on the default backend
+/// and reporting its numbers would be a result for an experiment nobody
+/// asked for.
 ///
 /// `--streaming` is a presence flag: bare it means `true`, and an
 /// explicit value uses the `--streaming=false` spelling (a
@@ -47,328 +85,121 @@ use std::path::PathBuf;
 pub struct RunArgs {
     /// Root experiment seed.
     pub seed: u64,
-    visits: Option<u64>,
-    shards: Option<usize>,
+    /// Shard count (at least 1).
+    pub shards: usize,
+    /// Shard backend.
+    pub transport: TransportKind,
+    /// Constant-memory streaming analytics instead of the exact log.
+    pub streaming: bool,
+    /// simcheck case budget.
+    pub cases: usize,
+    /// `simcheck --replay`: the one case to regenerate.
+    pub replay: Option<(simcheck::CaseClass, u64)>,
     days: Option<u64>,
-    reps: Option<usize>,
-    min_speedup: Option<f64>,
-    topology: Option<u64>,
-    transport: Option<TransportKind>,
-    streaming: Option<bool>,
-    window_days: Option<u64>,
     out_dir: PathBuf,
 }
 
 impl RunArgs {
-    /// Parse from the process's actual CLI arguments and environment.
-    /// Structurally invalid configurations (`--shards 0`, a negative
-    /// `--days`) are rejected with a clear error and exit code 2 — a
-    /// run that cannot mean anything must not silently run as something
-    /// else.
-    pub fn parse() -> RunArgs {
-        match RunArgs::from_sources(std::env::args().skip(1), |key| std::env::var(key).ok()) {
-            Ok(args) => args,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    fn from_sources(
-        args: impl IntoIterator<Item = String>,
-        env: impl Fn(&str) -> Option<String>,
-    ) -> Result<RunArgs, String> {
-        let mut values: std::collections::BTreeMap<&'static str, String> =
-            std::collections::BTreeMap::new();
-        let flags = [
-            ("--seed", "seed"),
-            ("--visits", "visits"),
-            ("--shards", "shards"),
-            ("--days", "days"),
-            ("--reps", "reps"),
-            ("--min-speedup", "min_speedup"),
-            ("--topology", "topology"),
-            ("--transport", "transport"),
-            ("--window", "window"),
-            ("--out", "out"),
-        ];
-        let mut it = args.into_iter().peekable();
-        while let Some(arg) = it.next() {
-            // --streaming is a presence flag: bare means true; an
-            // explicit value must use the `=` spelling so it can never
-            // swallow the next flag.
-            if arg == "--streaming" {
-                values.insert("streaming", "true".to_string());
-                continue;
-            }
-            if let Some(v) = arg.strip_prefix("--streaming=") {
-                values.insert("streaming", v.to_string());
-                continue;
-            }
-            for (flag, key) in flags {
-                if arg == flag {
-                    // Never consume another flag as this flag's value —
-                    // `--seed --shards 4` must not silently swallow
-                    // `--shards`.
-                    match it.peek() {
-                        Some(v) if !v.starts_with("--") => {
-                            values.insert(key, v.clone());
-                            it.next();
-                        }
-                        _ => eprintln!("[{flag} given without a value, ignoring]"),
-                    }
-                } else if let Some(v) = arg.strip_prefix(&format!("{flag}=")) {
-                    values.insert(key, v.to_string());
-                }
-            }
-        }
-        let envs = [
-            ("ENCORE_SEED", "seed"),
-            ("ENCORE_VISITS", "visits"),
-            ("ENCORE_SHARDS", "shards"),
-            ("ENCORE_DAYS", "days"),
-            ("ENCORE_REPS", "reps"),
-            ("ENCORE_MIN_SPEEDUP", "min_speedup"),
-            ("ENCORE_TOPOLOGY", "topology"),
-            ("ENCORE_TRANSPORT", "transport"),
-            ("ENCORE_STREAMING", "streaming"),
-            ("ENCORE_WINDOW", "window"),
-            ("ENCORE_OUT", "out"),
-        ];
-        for (var, key) in envs {
-            if !values.contains_key(key) {
-                if let Some(v) = env(var) {
-                    values.insert(key, v);
-                }
-            }
-        }
-        // A supplied-but-unparseable value is warned about, never
-        // silently replaced by the default — a run that claims a seed
-        // must actually use it or say it did not.
-        fn parsed<T: std::str::FromStr>(
-            values: &std::collections::BTreeMap<&'static str, String>,
-            key: &'static str,
-        ) -> Option<T> {
-            let raw = values.get(key)?;
-            match raw.parse() {
-                Ok(v) => Some(v),
-                Err(_) => {
-                    eprintln!("[ignoring unparseable {key} value {raw:?}, using the default]");
-                    None
-                }
-            }
-        }
-        // Binaries print seeds in hex, so `--seed 0xe7c02015` round-trips.
-        let seed = values.get("seed").and_then(|raw| {
-            let parsed = match raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
-                Some(hex) => u64::from_str_radix(hex, 16),
-                None => raw.parse(),
-            };
-            match parsed {
-                Ok(v) => Some(v),
-                Err(_) => {
-                    eprintln!("[ignoring unparseable seed value {raw:?}, using the default]");
-                    None
-                }
-            }
-        });
-        // Structural validation: these values cannot describe a runnable
-        // experiment, so they are hard errors rather than warn-and-default
-        // fallbacks. Anything with a leading '-' is an attempted negative,
-        // not parse noise — unsigned knobs have no legitimate '-' form.
-        let negative = |key: &'static str| {
-            values
-                .get(key)
-                .is_some_and(|raw| raw.trim_start().starts_with('-'))
-        };
-        // The negative check runs *before* parsed(), which would first
-        // print a contradictory "ignoring, using the default" warning
-        // for a value the run is about to hard-reject.
-        if negative("shards") {
-            return Err(format!(
-                "--shards/ENCORE_SHARDS must be at least 1 (got {}): a run needs \
-                 at least one shard to execute on",
-                values["shards"]
-            ));
-        }
-        let shards: Option<usize> = parsed(&values, "shards");
-        if shards == Some(0) {
-            return Err(
-                "--shards/ENCORE_SHARDS must be at least 1 (got 0): a run needs \
-                 at least one shard to execute on"
-                    .to_string(),
-            );
-        }
-        if negative("days") {
-            return Err(format!(
-                "--days/ENCORE_DAYS must be non-negative (got {}): a world \
-                 cannot run for a negative span",
-                values["days"]
-            ));
-        }
-        if negative("reps") {
-            return Err(format!(
-                "--reps/ENCORE_REPS must be at least 1 (got {}): a benchmark \
-                 needs at least one repetition to time",
-                values["reps"]
-            ));
-        }
-        let reps: Option<usize> = parsed(&values, "reps");
-        if reps == Some(0) {
-            return Err(
-                "--reps/ENCORE_REPS must be at least 1 (got 0): a benchmark \
-                 needs at least one repetition to time"
-                    .to_string(),
-            );
-        }
-        // A topology seed selects an entire routed world. Unlike the
-        // other knobs, a malformed value must not warn-and-default: the
-        // run would silently measure a flat (un-routed) network and
-        // report numbers for a different experiment. Hex accepted, same
-        // as --seed.
-        let topology = match values.get("topology") {
-            None => None,
-            Some(raw) => {
-                let parsed = match raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
-                    Some(hex) => u64::from_str_radix(hex, 16),
-                    None => raw.parse(),
-                };
-                match parsed {
-                    Ok(v) => Some(v),
-                    Err(_) => {
-                        return Err(format!(
-                            "--topology/ENCORE_TOPOLOGY must be a topology seed \
-                             (decimal or 0x-hex u64, got {raw:?}): a malformed seed \
-                             cannot select a routed world"
-                        ));
-                    }
-                }
-            }
-        };
-        // Like --topology, a malformed transport must not warn-and-
-        // default: the whole point of the flag is to pin *which* shard
-        // backend produced the numbers. Running threads under a
-        // misspelled `--transport proces` would gate the wrong backend.
-        let transport = match values.get("transport") {
-            None => None,
-            Some(raw) => match raw.parse::<TransportKind>() {
-                Ok(v) => Some(v),
-                Err(_) => {
-                    return Err(format!(
-                        "--transport/ENCORE_TRANSPORT must be \"threads\" or \"process\" \
-                         (got {raw:?}): a malformed transport cannot select a shard backend"
-                    ));
-                }
-            },
-        };
-        // Streaming selects an entire analytics pipeline; like the
-        // transport, a malformed value must not silently run the other
-        // pipeline and report its numbers.
-        let streaming = match values.get("streaming") {
-            None => None,
-            Some(raw) => match raw.as_str() {
-                "true" | "1" | "on" | "yes" => Some(true),
-                "false" | "0" | "off" | "no" => Some(false),
-                _ => {
-                    return Err(format!(
-                        "--streaming/ENCORE_STREAMING must be a boolean (got {raw:?}): \
-                         it selects between the exact and constant-memory analytics \
-                         pipelines"
-                    ));
-                }
-            },
-        };
-        // The analytics window sizes every streaming structure, so a
-        // malformed or zero span is a hard error, not a warn-and-default.
-        let window_days = match values.get("window") {
-            None => None,
-            Some(raw) => match raw.parse::<u64>() {
-                Ok(0) => {
-                    return Err("--window/ENCORE_WINDOW must be at least 1 day (got 0): a \
-                         zero-width analytics window can never close"
-                        .to_string());
-                }
-                Ok(v) => Some(v),
-                Err(_) => {
-                    return Err(format!(
-                        "--window/ENCORE_WINDOW must be a whole number of days \
-                         (got {raw:?}): the analytics window sizes every streaming \
-                         structure"
-                    ));
-                }
-            },
-        };
-        Ok(RunArgs {
-            seed: seed.unwrap_or(crate::DEFAULT_SEED),
-            visits: parsed(&values, "visits"),
-            shards,
-            days: parsed(&values, "days"),
-            reps,
-            min_speedup: parsed(&values, "min_speedup"),
-            topology,
-            transport,
-            streaming,
-            window_days,
-            out_dir: values
-                .get("out")
-                .map_or_else(|| PathBuf::from("results"), PathBuf::from),
+    /// Parse the process's actual CLI arguments against `commands`, or
+    /// print the error and the usage text and exit with code 2.
+    pub fn parse(commands: &[Command]) -> (&Command, RunArgs) {
+        RunArgs::from_args(commands, std::env::args().skip(1)).unwrap_or_else(|msg| {
+            eprintln!("error: {msg}\n\n{}", usage(commands));
+            std::process::exit(2);
         })
     }
 
-    /// Visit count, with a per-binary default.
-    pub fn visits(&self, default: u64) -> u64 {
-        self.visits.unwrap_or(default)
+    fn from_args(
+        commands: &[Command],
+        args: impl IntoIterator<Item = String>,
+    ) -> Result<(&Command, RunArgs), String> {
+        let mut it = args.into_iter();
+        let name = it.next().ok_or("no command given")?;
+        let command = commands
+            .iter()
+            .find(|c| c.name == name)
+            .ok_or_else(|| format!("unknown command {name:?}"))?;
+        let mut run = RunArgs {
+            seed: crate::DEFAULT_SEED,
+            shards: 1,
+            transport: TransportKind::Threads,
+            streaming: false,
+            cases: 200,
+            replay: None,
+            days: None,
+            out_dir: PathBuf::from("results"),
+        };
+        while let Some(arg) = it.next() {
+            let (flag, inline) = match arg.split_once('=') {
+                Some((flag, value)) => (flag, Some(value.to_string())),
+                None => (arg.as_str(), None),
+            };
+            if !FLAGS.iter().any(|(known, ..)| *known == flag) {
+                return Err(format!("unknown flag {arg:?}"));
+            }
+            if !COMMON_FLAGS.contains(&flag) && !command.flags.contains(&flag) {
+                return Err(format!("`{name}` does not read {flag}"));
+            }
+            let value = match inline {
+                Some(value) => value,
+                None if flag == "--streaming" => "true".to_string(),
+                // Never consume another flag as this flag's value.
+                None => it
+                    .next()
+                    .filter(|v| !v.starts_with("--"))
+                    .ok_or_else(|| format!("{flag} needs a value"))?,
+            };
+            match flag {
+                "--seed" => {
+                    run.seed = parse_seed(&value).ok_or_else(|| {
+                        format!("--seed must be a decimal or 0x-hex u64 (got {value:?})")
+                    })?;
+                }
+                "--out" => run.out_dir = PathBuf::from(value),
+                "--shards" => {
+                    run.shards = value.parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
+                        format!(
+                            "--shards must be at least 1 (got {value}): a run needs at least \
+                             one shard to execute on"
+                        )
+                    })?;
+                }
+                "--days" => {
+                    run.days = Some(value.parse().map_err(|_| {
+                        format!("--days must be a non-negative whole number (got {value})")
+                    })?);
+                }
+                "--transport" => {
+                    run.transport = value.parse().map_err(|err| format!("--transport: {err}"))?;
+                }
+                "--streaming" => {
+                    run.streaming = match value.as_str() {
+                        "true" | "1" | "on" | "yes" => true,
+                        "false" | "0" | "off" | "no" => false,
+                        _ => return Err(format!("--streaming must be a boolean (got {value:?})")),
+                    };
+                }
+                "--cases" => {
+                    run.cases = value.parse().map_err(|_| {
+                        format!("--cases must be a whole number of worlds (got {value:?})")
+                    })?;
+                }
+                "--replay" => {
+                    let (class, seed) = value.split_once(':').unwrap_or((&value, ""));
+                    let case = simcheck::CaseClass::from_name(class).zip(parse_seed(seed));
+                    run.replay = Some(case.ok_or_else(|| {
+                        format!("--replay must be CLASS:SEED like detector:0x1b2c (got {value:?})")
+                    })?);
+                }
+                _ => unreachable!("every entry of FLAGS is parsed above"),
+            }
+        }
+        Ok((command, run))
     }
 
-    /// Timing repetitions per configuration, with a per-binary default.
-    /// Benchmarks report the *minimum* wall time over the repetitions:
-    /// timing noise on a shared machine is one-sided (steal and
-    /// frequency dips only ever add time), so the minimum is the
-    /// estimator closest to the true cost.
-    pub fn reps(&self, default: usize) -> usize {
-        self.reps.unwrap_or(default).max(1)
-    }
-
-    /// Shard count, with a per-binary default (clamped to at least 1).
-    pub fn shards(&self, default: usize) -> usize {
-        self.shards.unwrap_or(default).max(1)
-    }
-
-    /// Simulated days, with a per-binary default.
+    /// Simulated days, with a per-command default.
     pub fn days(&self, default: u64) -> u64 {
         self.days.unwrap_or(default)
-    }
-
-    /// Throughput-gate override, with a machine-derived default.
-    pub fn min_speedup(&self, default: f64) -> f64 {
-        self.min_speedup.unwrap_or(default)
-    }
-
-    /// AS-topology seed (`--topology`/`ENCORE_TOPOLOGY`), with a
-    /// per-binary default. `None` default = flat un-routed network.
-    pub fn topology(&self, default: Option<u64>) -> Option<u64> {
-        self.topology.or(default)
-    }
-
-    /// Shard backend (`--transport`/`ENCORE_TRANSPORT`), with a
-    /// per-binary default (the world bins default to
-    /// [`TransportKind::Threads`]).
-    pub fn transport(&self, default: TransportKind) -> TransportKind {
-        self.transport.unwrap_or(default)
-    }
-
-    /// Constant-memory streaming analytics
-    /// (`--streaming[=BOOL]`/`ENCORE_STREAMING`), with a per-binary
-    /// default (the world bins default to exact mode).
-    pub fn streaming(&self, default: bool) -> bool {
-        self.streaming.unwrap_or(default)
-    }
-
-    /// Streaming analytics window in days
-    /// (`--window DAYS`/`ENCORE_WINDOW`), with a per-binary default.
-    pub fn window_days(&self, default: u64) -> u64 {
-        self.window_days.unwrap_or(default)
     }
 
     /// Directory JSON artifacts are written to (default `results/`).
@@ -378,8 +209,42 @@ impl RunArgs {
 
     /// Write an experiment's JSON artifact as `<out>/<name>.json`.
     pub fn write_results<T: Serialize>(&self, name: &str, value: &T) {
-        crate::write_results_to(&self.out_dir, name, value);
+        if std::fs::create_dir_all(&self.out_dir).is_err() {
+            return;
+        }
+        let path = self.out_dir.join(format!("{name}.json"));
+        if let Ok(json) = serde_json::to_string_pretty(value) {
+            let _ = std::fs::write(&path, json);
+            eprintln!("[written {path:?}]");
+        }
     }
+}
+
+/// Seeds are printed in hex, so `--seed 0xe7c02015` round-trips.
+fn parse_seed(raw: &str) -> Option<u64> {
+    match raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => raw.parse().ok(),
+    }
+}
+
+/// The usage text: every command with the flags it reads, then every
+/// flag.
+fn usage(commands: &[Command]) -> String {
+    let mut text = String::from("usage: bench <command> [--flag value | --flag=value]...\n");
+    text.push_str("\ncommands (each also reads --seed and --out):\n");
+    for c in commands {
+        text.push_str(&format!("  {:<13} {}", c.name, c.about));
+        if !c.flags.is_empty() {
+            text.push_str(&format!(" [{}]", c.flags.join(" ")));
+        }
+        text.push('\n');
+    }
+    text.push_str("\nflags:\n");
+    for (flag, value, help) in FLAGS {
+        text.push_str(&format!("  {:<20} {help}\n", format!("{flag} {value}")));
+    }
+    text
 }
 
 /// Install a US-hosted server answering every request with a constant
@@ -476,211 +341,201 @@ mod tests {
         }
     }
 
-    fn try_args(cli: &[&str], env_pairs: &[(&str, &str)]) -> Result<RunArgs, String> {
-        let env_pairs: Vec<(String, String)> = env_pairs
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect();
-        RunArgs::from_sources(cli.iter().map(|s| s.to_string()), move |key| {
-            env_pairs
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v.clone())
-        })
+    fn noop(_: &RunArgs) {}
+
+    /// A table shaped like the binary's: a world command reading every
+    /// run flag, the simcheck flags, and a command reading only the
+    /// common pair.
+    const COMMANDS: &[Command] = &[
+        Command {
+            name: "timeline",
+            about: "",
+            flags: &["--shards", "--days", "--transport", "--streaming"],
+            run: noop,
+        },
+        Command {
+            name: "simcheck",
+            about: "",
+            flags: &["--cases", "--replay"],
+            run: noop,
+        },
+        Command {
+            name: "table1",
+            about: "",
+            flags: &[],
+            run: noop,
+        },
+    ];
+
+    fn try_args(cli: &[&str]) -> Result<RunArgs, String> {
+        RunArgs::from_args(COMMANDS, cli.iter().map(|s| s.to_string())).map(|(_, args)| args)
     }
 
     #[test]
-    fn run_args_priority_is_cli_then_env_then_default() {
-        let args = |cli: &[&str], env_pairs: &[(&str, &str)]| {
-            try_args(cli, env_pairs).expect("valid configuration")
-        };
+    fn run_args_flags_override_defaults() {
+        let args = |cli: &[&str]| try_args(cli).expect("valid configuration");
 
         // Defaults.
-        let a = args(&[], &[]);
+        let a = args(&["timeline"]);
         assert_eq!(a.seed, crate::DEFAULT_SEED);
-        assert_eq!(a.visits(100), 100);
-        assert_eq!(a.shards(1), 1);
+        assert_eq!(a.shards, 1);
+        assert_eq!(a.days(30), 30);
         assert_eq!(a.out_dir(), std::path::Path::new("results"));
 
-        // Env overrides defaults.
-        let a = args(&[], &[("ENCORE_SEED", "7"), ("ENCORE_VISITS", "500")]);
-        assert_eq!(a.seed, 7);
-        assert_eq!(a.visits(100), 500);
-
-        // CLI overrides env; both --flag v and --flag=v forms.
-        let a = args(
-            &["--seed", "9", "--shards=4", "--out", "elsewhere"],
-            &[("ENCORE_SEED", "7"), ("ENCORE_SHARDS", "2")],
-        );
+        // Both --flag v and --flag=v forms.
+        let a = args(&[
+            "timeline",
+            "--seed",
+            "9",
+            "--shards=4",
+            "--out",
+            "elsewhere",
+        ]);
         assert_eq!(a.seed, 9);
-        assert_eq!(a.shards(1), 4);
+        assert_eq!(a.shards, 4);
         assert_eq!(a.out_dir(), std::path::Path::new("elsewhere"));
 
-        // Unknown flags and malformed values fall through harmlessly.
-        let a = args(&["--bench", "--visits", "not-a-number"], &[]);
-        assert_eq!(a.visits(123), 123);
+        // The dispatcher gets the command the first word names.
+        let (command, _) =
+            RunArgs::from_args(COMMANDS, ["table1".to_string()]).expect("known command");
+        assert_eq!(command.name, "table1");
+
+        // A malformed value is an error, never a silent default.
+        let err = try_args(&["timeline", "--seed", "not-a-number"]).unwrap_err();
+        assert!(err.contains("not-a-number"), "error must echo: {err}");
 
         // A flag with a missing value never swallows the next flag.
-        let a = args(&["--seed", "--shards", "4"], &[]);
-        assert_eq!(a.seed, crate::DEFAULT_SEED);
-        assert_eq!(a.shards(1), 4);
+        let err = try_args(&["timeline", "--seed", "--shards", "4"]).unwrap_err();
+        assert!(err.contains("--seed needs a value"), "unclear error: {err}");
+        let err = try_args(&["timeline", "--days"]).unwrap_err();
+        assert!(err.contains("--days needs a value"), "unclear error: {err}");
 
-        // Hex seeds round-trip from the form the binaries print.
-        let a = args(&["--seed", "0x3039"], &[]);
-        assert_eq!(a.seed, 12345);
-        let a = args(&[], &[("ENCORE_SEED", "0XE7C02015")]);
-        assert_eq!(a.seed, 0xE7C0_2015);
+        // Hex seeds round-trip from the form the commands print.
+        assert_eq!(args(&["timeline", "--seed", "0x3039"]).seed, 12345);
+        assert_eq!(args(&["table1", "--seed=0XE7C02015"]).seed, 0xE7C0_2015);
+
+        // The simcheck flags ride the same parse.
+        let a = args(&["simcheck", "--cases", "12", "--replay", "detector:0x1b2c"]);
+        assert_eq!(a.cases, 12);
+        assert_eq!(a.replay, Some((simcheck::CaseClass::Detector, 0x1b2c)));
+        assert_eq!(args(&["simcheck"]).cases, 200);
+        for bad in ["detector", "nonsense:7", "detector:0xZZ"] {
+            let err = try_args(&["simcheck", "--replay", bad]).unwrap_err();
+            assert!(err.contains(bad), "error must echo the value: {err}");
+        }
+    }
+
+    #[test]
+    fn run_args_reject_unknown_commands_flags_and_unread_flags() {
+        // The silent-misrun cases: each of these used to run the default
+        // backend or shard count and report its numbers.
+        let err = try_args(&["timeline", "--transprot", "process"]).unwrap_err();
+        assert!(err.contains("unknown flag \"--transprot\""), "{err}");
+        let err = try_args(&["timeline", "--shard=2"]).unwrap_err();
+        assert!(err.contains("unknown flag \"--shard=2\""), "{err}");
+        let err = try_args(&["timeline", "stray"]).unwrap_err();
+        assert!(err.contains("unknown flag \"stray\""), "{err}");
+
+        // No command, or one that does not exist.
+        let err = try_args(&[]).unwrap_err();
+        assert!(err.contains("no command"), "{err}");
+        let err = try_args(&["timelime"]).unwrap_err();
+        assert!(err.contains("unknown command \"timelime\""), "{err}");
+        let err = try_args(&["--seed", "7"]).unwrap_err();
+        assert!(err.contains("unknown command"), "{err}");
+
+        // A real flag the chosen command does not read.
+        let err = try_args(&["table1", "--shards", "2"]).unwrap_err();
+        assert!(err.contains("`table1` does not read --shards"), "{err}");
+        let err = try_args(&["timeline", "--cases", "5"]).unwrap_err();
+        assert!(err.contains("`timeline` does not read --cases"), "{err}");
+        let err = try_args(&["simcheck", "--streaming"]).unwrap_err();
+        assert!(
+            err.contains("`simcheck` does not read --streaming"),
+            "{err}"
+        );
+
+        // The usage text names every command and every flag.
+        let text = usage(COMMANDS);
+        for c in COMMANDS {
+            assert!(text.contains(c.name), "usage lacks {}: {text}", c.name);
+        }
+        for (flag, ..) in FLAGS {
+            assert!(text.contains(flag), "usage lacks {flag}: {text}");
+        }
     }
 
     #[test]
     fn run_args_reject_zero_shards_and_negative_days() {
         // `--shards 0` is a structural impossibility: hard error, not a
-        // silent clamp or warn-and-default.
-        let err = try_args(&["--shards", "0"], &[]).unwrap_err();
+        // silent clamp.
+        let err = try_args(&["timeline", "--shards", "0"]).unwrap_err();
         assert!(err.contains("at least 1"), "unclear error: {err}");
-        // The env spelling is rejected identically.
-        let err = try_args(&[], &[("ENCORE_SHARDS", "0")]).unwrap_err();
-        assert!(err.contains("at least 1"), "unclear error: {err}");
-
-        // Negative shard counts are rejected like zero, not
-        // warn-and-defaulted as parse noise.
-        let err = try_args(&[], &[("ENCORE_SHARDS", "-2")]).unwrap_err();
+        let err = try_args(&["timeline", "--shards", "-2"]).unwrap_err();
         assert!(err.contains("at least 1"), "unclear error: {err}");
         assert!(err.contains("-2"), "error must echo the value: {err}");
 
-        // Negative day spans are impossible worlds, not parse noise —
-        // even with trailing junk, a leading '-' is an attempted negative.
-        let err = try_args(&["--days", "-5"], &[]).unwrap_err();
+        // Negative day spans are impossible worlds.
+        let err = try_args(&["timeline", "--days", "-5"]).unwrap_err();
         assert!(err.contains("non-negative"), "unclear error: {err}");
         assert!(err.contains("-5"), "error must echo the value: {err}");
-        let err = try_args(&[], &[("ENCORE_DAYS", "-1")]).unwrap_err();
+        let err = try_args(&["timeline", "--days=-5x"]).unwrap_err();
         assert!(err.contains("non-negative"), "unclear error: {err}");
-        let err = try_args(&["--days", "-5x"], &[]).unwrap_err();
-        assert!(err.contains("non-negative"), "unclear error: {err}");
+        let err = try_args(&["timeline", "--days", "soon"]).unwrap_err();
+        assert!(err.contains("soon"), "error must echo the value: {err}");
 
         // Nearby valid values still parse.
-        assert_eq!(try_args(&["--shards", "1"], &[]).unwrap().shards(8), 1);
-        assert_eq!(try_args(&["--days", "0"], &[]).unwrap().days(30), 0);
-        // Genuinely unparseable garbage keeps the warn-and-default path.
-        assert_eq!(try_args(&["--days", "soon"], &[]).unwrap().days(30), 30);
-    }
-
-    #[test]
-    fn run_args_topology_accepts_seeds_and_hard_rejects_garbage() {
-        // Absent everywhere → the binary's default.
-        let a = try_args(&[], &[]).unwrap();
-        assert_eq!(a.topology(None), None);
-        assert_eq!(a.topology(Some(9)), Some(9));
-
-        // CLI decimal and the 0x-hex form the binaries print; CLI
-        // overrides env, env overrides the default.
-        let a = try_args(&["--topology", "42"], &[]).unwrap();
-        assert_eq!(a.topology(None), Some(42));
-        let a = try_args(&["--topology=0x2A"], &[("ENCORE_TOPOLOGY", "7")]).unwrap();
-        assert_eq!(a.topology(None), Some(42));
-        let a = try_args(&[], &[("ENCORE_TOPOLOGY", "0XBEEF")]).unwrap();
-        assert_eq!(a.topology(None), Some(0xBEEF));
-
-        // Malformed topology seeds are hard errors, not warn-and-default
-        // like --seed: defaulting would benchmark a flat un-routed world
-        // under a flag that promised a routed one.
-        let err = try_args(&["--topology", "lattice"], &[]).unwrap_err();
-        assert!(err.contains("--topology/ENCORE_TOPOLOGY"), "unclear: {err}");
-        assert!(err.contains("lattice"), "error must echo the value: {err}");
-        let err = try_args(&[], &[("ENCORE_TOPOLOGY", "-3")]).unwrap_err();
-        assert!(err.contains("topology seed"), "unclear: {err}");
-        let err = try_args(&["--topology", "0xZZ"], &[]).unwrap_err();
-        assert!(err.contains("0xZZ"), "error must echo the value: {err}");
+        assert_eq!(try_args(&["timeline", "--shards", "1"]).unwrap().shards, 1);
+        assert_eq!(try_args(&["timeline", "--days", "0"]).unwrap().days(30), 0);
     }
 
     #[test]
     fn run_args_transport_accepts_backends_and_hard_rejects_garbage() {
-        // Absent everywhere → the binary's default.
-        let a = try_args(&[], &[]).unwrap();
-        assert_eq!(a.transport(TransportKind::Threads), TransportKind::Threads);
-        assert_eq!(a.transport(TransportKind::Process), TransportKind::Process);
-
-        // Both spellings, CLI over env.
-        let a = try_args(&["--transport", "process"], &[]).unwrap();
-        assert_eq!(a.transport(TransportKind::Threads), TransportKind::Process);
-        let a = try_args(&["--transport=threads"], &[("ENCORE_TRANSPORT", "process")]).unwrap();
-        assert_eq!(a.transport(TransportKind::Process), TransportKind::Threads);
-        let a = try_args(&[], &[("ENCORE_TRANSPORT", "process")]).unwrap();
-        assert_eq!(a.transport(TransportKind::Threads), TransportKind::Process);
-
-        // Malformed backends are hard errors, matching --topology: a
-        // typo must not silently gate the default backend.
-        let err = try_args(&["--transport", "proces"], &[]).unwrap_err();
-        assert!(
-            err.contains("--transport/ENCORE_TRANSPORT"),
-            "unclear: {err}"
+        assert_eq!(
+            try_args(&["timeline"]).unwrap().transport,
+            TransportKind::Threads
         );
-        assert!(err.contains("proces"), "error must echo the value: {err}");
-        let err = try_args(&[], &[("ENCORE_TRANSPORT", "Threads")]).unwrap_err();
-        assert!(err.contains("Threads"), "error must echo the value: {err}");
-        let err = try_args(&["--transport=sockets"], &[]).unwrap_err();
-        assert!(err.contains("sockets"), "error must echo the value: {err}");
+        let a = try_args(&["timeline", "--transport", "process"]).unwrap();
+        assert_eq!(a.transport, TransportKind::Process);
+        let a = try_args(&["timeline", "--transport=threads"]).unwrap();
+        assert_eq!(a.transport, TransportKind::Threads);
+
+        // A typo must not silently gate the default backend.
+        for bad in ["proces", "Threads", "sockets"] {
+            let err = try_args(&["timeline", "--transport", bad]).unwrap_err();
+            assert!(err.contains("--transport"), "unclear: {err}");
+            assert!(err.contains(bad), "error must echo the value: {err}");
+        }
     }
 
     #[test]
     fn run_args_streaming_flag_parses_and_hard_rejects_garbage() {
-        // Absent everywhere → the binary's default.
-        let a = try_args(&[], &[]).unwrap();
-        assert!(!a.streaming(false));
-        assert!(a.streaming(true));
+        assert!(!try_args(&["timeline"]).unwrap().streaming);
 
         // Bare presence flag means true — and never swallows the next
         // flag as its value.
-        let a = try_args(&["--streaming", "--shards", "4"], &[]).unwrap();
-        assert!(a.streaming(false));
-        assert_eq!(a.shards(1), 4);
+        let a = try_args(&["timeline", "--streaming", "--shards", "4"]).unwrap();
+        assert!(a.streaming);
+        assert_eq!(a.shards, 4);
 
-        // Explicit value via the `=` spelling; CLI over env.
-        let a = try_args(&["--streaming=false"], &[("ENCORE_STREAMING", "true")]).unwrap();
-        assert!(!a.streaming(true));
-        let a = try_args(&[], &[("ENCORE_STREAMING", "1")]).unwrap();
-        assert!(a.streaming(false));
-        let a = try_args(&[], &[("ENCORE_STREAMING", "off")]).unwrap();
-        assert!(!a.streaming(true));
-
-        // A malformed boolean is a hard error: it must not silently
-        // benchmark the other analytics pipeline.
-        let err = try_args(&["--streaming=maybe"], &[]).unwrap_err();
+        // Explicit value via the `=` spelling.
         assert!(
-            err.contains("--streaming/ENCORE_STREAMING"),
-            "unclear: {err}"
+            !try_args(&["timeline", "--streaming=false"])
+                .unwrap()
+                .streaming
         );
+        assert!(try_args(&["timeline", "--streaming=1"]).unwrap().streaming);
+        assert!(
+            !try_args(&["timeline", "--streaming=off"])
+                .unwrap()
+                .streaming
+        );
+
+        // A malformed boolean is a hard error: it must not silently run
+        // the other analytics pipeline.
+        let err = try_args(&["timeline", "--streaming=maybe"]).unwrap_err();
+        assert!(err.contains("--streaming"), "unclear: {err}");
         assert!(err.contains("maybe"), "error must echo the value: {err}");
-        let err = try_args(&[], &[("ENCORE_STREAMING", "2")]).unwrap_err();
-        assert!(err.contains("\"2\""), "error must echo the value: {err}");
-    }
-
-    #[test]
-    fn run_args_window_parses_days_and_hard_rejects_garbage() {
-        // Absent everywhere → the binary's default.
-        let a = try_args(&[], &[]).unwrap();
-        assert_eq!(a.window_days(7), 7);
-
-        // Both spellings; CLI over env.
-        let a = try_args(&["--window", "3"], &[("ENCORE_WINDOW", "9")]).unwrap();
-        assert_eq!(a.window_days(7), 3);
-        let a = try_args(&["--window=14"], &[]).unwrap();
-        assert_eq!(a.window_days(7), 14);
-        let a = try_args(&[], &[("ENCORE_WINDOW", "2")]).unwrap();
-        assert_eq!(a.window_days(7), 2);
-
-        // Zero, negative, and garbage windows are hard errors — the
-        // window sizes every streaming structure.
-        let err = try_args(&["--window", "0"], &[]).unwrap_err();
-        assert!(err.contains("at least 1 day"), "unclear: {err}");
-        let err = try_args(&["--window", "-2"], &[]).unwrap_err();
-        assert!(err.contains("-2"), "error must echo the value: {err}");
-        let err = try_args(&[], &[("ENCORE_WINDOW", "fortnight")]).unwrap_err();
-        assert!(err.contains("--window/ENCORE_WINDOW"), "unclear: {err}");
-        assert!(
-            err.contains("fortnight"),
-            "error must echo the value: {err}"
-        );
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! Shared experiment-harness plumbing: world construction, result
 //! tables, and JSON output.
 //!
-//! Every experiment binary in `src/bin/` regenerates one table or figure
-//! from the paper (see DESIGN.md's per-experiment index). Binaries print
-//! a human-readable table to stdout *and* write the same data as JSON
-//! under `results/`, so EXPERIMENTS.md can be regenerated and diffed.
+//! The crate's one binary, `bench <command>` (`src/main.rs`), regenerates
+//! one table or figure from the paper per command (see DESIGN.md's
+//! per-experiment index). Commands print a human-readable table to
+//! stdout *and* write the same data as JSON under `results/`. The
+//! fixture modules below are shared with `tests/` and `benchmark/`.
+
+#![forbid(unsafe_code)]
 
 pub mod fixtures;
 pub mod specs;
@@ -15,16 +18,15 @@ use encore::pipeline::{GenerationConfig, PatternExpander, TargetFetcher, TaskGen
 use encore::tasks::MeasurementTask;
 use netsim::geo::{country, IspClass, World};
 use netsim::network::Network;
-use serde::Serialize;
 use sim_core::{SimRng, SimTime};
 use websim::generator::{social_site, SyntheticWeb, WebConfig};
 use websim::har::Har;
 use websim::site::SiteHandler;
 use websim::{SearchIndex, UrlPattern};
 
-/// Default root seed for all experiments (override with `ENCORE_SEED`
-/// or `--seed`; see [`fixtures::RunArgs`], the single CLI/env parser
-/// every experiment binary goes through).
+/// Default root seed for all experiments (override with `--seed`; see
+/// [`fixtures::RunArgs`], the single argument parser every `bench`
+/// command goes through).
 pub const DEFAULT_SEED: u64 = 0x0000_E7C0_2015;
 
 /// A fully built paper-world: network + corpus + social sites + index.
@@ -117,13 +119,11 @@ impl PaperWorld {
     }
 }
 
-/// The shared censored-world fixture for the sharded-engine scale runs
-/// and the shard-equivalence determinism harness.
+/// The shared censored-world fixture for the streaming workloads of
+/// `benchmark/` and the shard-equivalence determinism harness.
 ///
-/// One definition serves the `scale` binary, the `scale` criterion
-/// bench, and `tests/shard_equivalence.rs`, so the scenario CI gates on
-/// is provably the scenario the harness proves equivalent — three
-/// hand-synchronised copies would drift.
+/// One definition serves both, so the scenario the benchmark measures is
+/// provably the scenario `tests/shard_equivalence.rs` proves equivalent.
 pub mod shard_fixture {
     use censor::registry::{install_world_censors, SAFE_TARGETS};
     use encore::coordination::SchedulingStrategy;
@@ -202,9 +202,10 @@ pub mod shard_fixture {
 /// ([`population::WorldEngine::from_recipe`]) or across N cores
 /// ([`population::run_sharded_world`]).
 ///
-/// One definition serves the `timeline` and `world_scale` binaries and
-/// `tests/world_shard_equivalence.rs`, so the scenario CI gates on is
-/// provably the scenario the harness proves shard-invariant.
+/// One definition serves `bench timeline`, the `timeline_450k_*`
+/// workloads of `benchmark/`, and `tests/world_shard_equivalence.rs`, so
+/// the scenario CI gates on is provably the scenario the harness proves
+/// shard-invariant.
 pub mod world_fixture {
     use censor::policy::{CensorPolicy, Mechanism};
     use censor::timeline::{CensorSpec, PolicyChange, PolicyTimeline};
@@ -323,7 +324,7 @@ pub mod world_fixture {
     /// The §7.2 windowed detector's verdict on one (country, domain)
     /// pair over a run's collected records: the per-day flag series and
     /// the localised onset/lift days. The single definition both the
-    /// timeline binary and the shard-equivalence harness compare.
+    /// timeline command and the shard-equivalence harness compare.
     #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
     pub struct TimelineJudgment {
         /// `(day, result measurements, flagged)` per detector window.
@@ -505,9 +506,8 @@ pub mod adaptive_fixture {
 /// [`BLOCK_ONSET`] and never flag days 8–9.
 ///
 /// One definition serves `tests/congested_world.rs` (golden snapshot +
-/// 1-vs-2-shard verdict check) and the `topology_scale` bench binary,
-/// so the scenario CI gates on is provably the scenario the harness
-/// checks.
+/// 1-vs-2-shard verdict check), so the scenario CI gates on is provably
+/// the scenario the harness checks.
 pub mod congested_fixture {
     use censor::policy::{CensorPolicy, Mechanism};
     use censor::timeline::{CensorSpec, PolicyChange, PolicyTimeline};
@@ -636,8 +636,8 @@ pub mod congested_fixture {
 /// countries, pairing each censoring country with enough healthy regions
 /// for the cross-region control to work.
 ///
-/// One definition serves the `world_report` binary and
-/// `tests/world_report.rs` (golden byte-pin + 2-shard verdict check), so
+/// One definition serves `bench world_report`, `benchmark/`'s flagship
+/// workload, and `tests/world_report.rs` (golden byte-pin + 2-shard verdict check), so
 /// the scenario CI gates on is provably the scenario the harness checks.
 pub mod corpus_fixture {
     use browser::Engine;
@@ -1010,8 +1010,8 @@ pub mod corpus_fixture {
         }
     }
 
-    /// The flagship golden artifact. One definition serves the
-    /// `world_report` binary (CI byte-diffs `results/world_report.json`
+    /// The flagship golden artifact. One definition serves
+    /// `bench world_report` (CI byte-diffs `results/world_report.json`
     /// against `tests/golden/world_report.json`) and
     /// `tests/world_report.rs` (which blesses and byte-pins that
     /// golden), so the two gates can never disagree about the shape.
@@ -1053,24 +1053,6 @@ pub mod corpus_fixture {
             corpus_domains: corpus.domains().iter().map(|d| d.to_string()).collect(),
             verdicts: judge(&run.collection.records, &run.geo, days),
         }
-    }
-}
-
-/// Write an experiment's JSON artifact under `results/`. Binaries should
-/// prefer [`fixtures::RunArgs::write_results`], which honours `--out`.
-pub fn write_results<T: Serialize>(name: &str, value: &T) {
-    write_results_to(std::path::Path::new("results"), name, value);
-}
-
-/// Write an experiment's JSON artifact as `<dir>/<name>.json`.
-pub fn write_results_to<T: Serialize>(dir: &std::path::Path, name: &str, value: &T) {
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    if let Ok(json) = serde_json::to_string_pretty(value) {
-        let _ = std::fs::write(&path, json);
-        eprintln!("[written {path:?}]");
     }
 }
 

@@ -1,12 +1,12 @@
-//! Serializable world specs for the experiment binaries — the
+//! Serializable world specs for the `bench` commands — the
 //! process-transport counterpart of the fixture modules.
 //!
 //! A [`population::transport::WorldSpec`] must cross a process boundary
 //! as bytes, so it cannot carry the fixture closures directly. Instead
 //! [`BenchWorldSpec`] names a fixture plus its parameters; the worker
-//! process (`src/bin/shard_worker.rs`) rebuilds exactly the world the
-//! coordinator described by calling the same deterministic fixture
-//! functions. Both transport backends therefore execute identical
+//! process (the `bench` binary re-executed in its [`SHARD_ROLE`])
+//! rebuilds exactly the world the coordinator described by calling the
+//! same deterministic fixture functions. Both transport backends therefore execute identical
 //! worlds — the byte-equivalence the transport suite and simcheck's
 //! transport oracle prove.
 
@@ -101,8 +101,12 @@ impl WorldSpec for BenchWorldSpec {
     }
 }
 
-/// The worker-binary name [`BenchWorldSpec`] runs are dispatched to.
-pub const SHARD_WORKER: &str = "shard_worker";
+/// The `bench` worker role that runs `worker_main::<BenchWorldSpec>()`:
+/// `ProcessTransport::new(bench_exe).with_role(SHARD_ROLE)`.
+pub const SHARD_ROLE: &str = "shard-worker";
+/// The `bench` worker role that runs
+/// `worker_main::<simcheck::CaseSpec>()` for simcheck's transport oracle.
+pub const CASE_ROLE: &str = "case-worker";
 
 #[cfg(test)]
 mod tests {

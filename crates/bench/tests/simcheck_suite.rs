@@ -1,11 +1,16 @@
 //! The generative differential harness, at tier-1 scale.
 //!
-//! CI runs the full budget (`cargo run --release -p bench --bin
-//! simcheck -- --cases 200`); this suite keeps a smaller always-on
-//! budget inside `cargo test` so the invariants are exercised on every
-//! local run too, plus proptest-driven spot properties over the
-//! generator/oracle pair.
+//! CI runs the full budget (`cargo run --release -p bench -- simcheck
+//! --cases 200`); this suite keeps a smaller always-on budget inside
+//! `cargo test` so the invariants are exercised on every local run too,
+//! plus proptest-driven spot properties over the generator/oracle pair.
+//!
+//! The transport oracle's workers are the `bench` binary itself
+//! (`CARGO_BIN_EXE_bench`, which `cargo test` always builds) in its
+//! case-worker role.
 
+use bench::specs::CASE_ROLE;
+use population::ProcessTransport;
 use proptest::prelude::*;
 use simcheck::generator::{CaseClass, CaseStrategy, WorldCase};
 use simcheck::{check_case, run_budget, SimCheckConfig};
@@ -30,7 +35,8 @@ fn small_budget_upholds_all_invariants() {
         root_seed: 0x7157_C0DE,
         regression_path: None,
     };
-    let report = run_budget(&config);
+    let workers = ProcessTransport::new(env!("CARGO_BIN_EXE_bench").into()).with_role(CASE_ROLE);
+    let report = run_budget(&config, &workers);
     assert_eq!(report.cases_run, 12);
     assert_eq!(report.detector_cases, 3);
     assert_eq!(report.congestion_cases, 1);
@@ -41,7 +47,7 @@ fn small_budget_upholds_all_invariants() {
     );
     assert_eq!(
         report.transport_cases, 3,
-        "the transport oracle must run (is the case_worker binary built?)"
+        "the transport oracle must run on every 4th case"
     );
     assert!(
         report.censored_cases >= 3,

@@ -7,8 +7,8 @@
 //! only admissible if it is provably invisible: same merged outcome,
 //! same collection store, same GeoIP database, byte for byte. Three
 //! levels are enforced here, on the `bench::world_fixture`
-//! Turkey-timeline scenario (the same fixture `timeline` and
-//! `transport_scale` gate on in CI):
+//! Turkey-timeline scenario (the same fixture `bench timeline` gates on
+//! in CI):
 //!
 //! 1. **Lockstep with the serial engine** — a 1-shard process-backend
 //!    run is byte-identical to `WorldEngine::from_recipe(..).run()` on
@@ -16,20 +16,28 @@
 //! 2. **Backend equivalence** — at 2 and 8 shards the process backend
 //!    reproduces the thread backend exactly: merged outcome, per-shard
 //!    reports, collection snapshot, serialized GeoIP database, and the
-//!    serialized JSON of the whole outcome.
+//!    serialized JSON of the whole outcome — with at most two outcomes
+//!    ever resident on the coordinator, whatever the shard count.
 //! 3. **Typed failure paths** — a missing worker binary, a worker that
 //!    exits without streaming, and a worker that writes garbage all
-//!    surface as typed `TransportError`s, never a panic or a hang.
+//!    surface as typed `TransportError`s, never a panic or a hang; and
+//!    from the other side, a real worker process handed a closed or
+//!    truncated stdin answers with a decodable ERROR frame and exit 1.
 //!
-//! The worker binary is `bench`'s `shard_worker`, located next to this
-//! test executable the same way the production coordinator locates it.
+//! The worker is the `bench` binary itself (`CARGO_BIN_EXE_bench`, which
+//! `cargo test` always builds) re-executed in a worker role, exactly as
+//! `bench timeline --transport process` re-executes itself.
 
-use bench::specs::{BenchWorldSpec, SHARD_WORKER};
-use encore_repro::population::transport::{
-    sibling_worker, ProcessTransport, ShardTransport, ThreadTransport, TransportError, WorldSpec,
+use bench::specs::{BenchWorldSpec, CASE_ROLE, SHARD_ROLE};
+use population::transport::{
+    ProcessTransport, ShardTransport, ThreadTransport, TransportError, WorldSpec, KIND_ERROR,
+    KIND_SPEC,
 };
-use encore_repro::population::{ShardContext, WorldEngine};
-use encore_repro::sim_core::SimRng;
+use population::{ShardContext, WorldEngine};
+use sim_core::frame::{encode_frame, read_frame};
+use sim_core::SimRng;
+use std::io::Write;
+use std::process::{Command, Stdio};
 
 const SEED: u64 = 0x7A_57;
 const DAYS: u64 = 6;
@@ -42,17 +50,11 @@ fn spec() -> BenchWorldSpec {
     }
 }
 
-/// The production worker-discovery path, with a clear failure if the
-/// worker binary has not been built (`cargo build -p bench --bins`, or
-/// any workspace-wide build/test, produces it next to this test).
+/// The `bench` binary cargo built for this test run.
+const BENCH_EXE: &str = env!("CARGO_BIN_EXE_bench");
+
 fn process_transport() -> ProcessTransport {
-    let worker = sibling_worker(SHARD_WORKER).unwrap_or_else(|| {
-        panic!(
-            "shard_worker binary not found next to the test executable; \
-             build it first: cargo build -p bench --bins"
-        )
-    });
-    ProcessTransport::new(worker)
+    ProcessTransport::new(BENCH_EXE.into()).with_role(SHARD_ROLE)
 }
 
 #[test]
@@ -105,9 +107,16 @@ fn process_backend_matches_threads_at_2_and_8_shards() {
         let threads_run = ThreadTransport
             .run(&spec, shards, SEED)
             .expect("thread transport runs");
-        let process_run = process
-            .run(&spec, shards, SEED)
+        let (process_run, stats) = process
+            .run_with_stats(&spec, shards, SEED)
             .expect("process transport runs");
+        // The streaming-merge guarantee: the running accumulator plus
+        // the one shard being drained, independent of shard count.
+        assert!(
+            stats.peak_resident_outcomes <= 2,
+            "{} outcomes resident at {shards} shards",
+            stats.peak_resident_outcomes
+        );
 
         assert_eq!(
             process_run.outcome, threads_run.outcome,
@@ -206,4 +215,50 @@ fn worker_that_writes_garbage_is_a_typed_error() {
         ),
         "expected a frame/protocol error, got: {err}"
     );
+}
+
+/// Spawn the real `bench` binary in `role`, feed it `stdin` and close
+/// the pipe, and return its exit code and everything it wrote to stdout.
+fn run_worker_role(role: &str, stdin: &[u8]) -> (Option<i32>, Vec<u8>) {
+    let mut child = Command::new(BENCH_EXE)
+        .arg(role)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("the bench binary spawns");
+    child
+        .stdin
+        .take()
+        .expect("stdin piped")
+        .write_all(stdin)
+        .expect("worker reads its stdin");
+    let output = child.wait_with_output().expect("worker exits");
+    (output.status.code(), output.stdout)
+}
+
+#[test]
+fn worker_roles_answer_bad_input_with_an_error_frame_and_exit_1() {
+    // `worker_main`'s error path through a real process, in both roles:
+    // a coordinator that closes the pipe at once, and one that dies
+    // mid-way through the spec frame.
+    let mut truncated = encode_frame(KIND_SPEC, &serde::bin::to_vec(&spec()));
+    truncated.truncate(truncated.len() - 3);
+    for role in [SHARD_ROLE, CASE_ROLE] {
+        for (what, stdin) in [
+            ("closed stdin", &[][..]),
+            ("truncated spec", &truncated[..]),
+        ] {
+            let (code, stdout) = run_worker_role(role, stdin);
+            assert_eq!(code, Some(1), "{role} on {what}: exit code");
+            let mut stream: &[u8] = &stdout;
+            let frame = read_frame(&mut stream, 1 << 20)
+                .unwrap_or_else(|err| panic!("{role} on {what}: undecodable reply: {err}"))
+                .unwrap_or_else(|| panic!("{role} on {what}: empty stdout"));
+            assert_eq!(frame.kind, KIND_ERROR, "{role} on {what}: frame kind");
+            let detail = String::from_utf8(frame.payload).expect("UTF-8 error detail");
+            assert!(detail.contains("spec"), "{role} on {what}: {detail}");
+            assert!(stream.is_empty(), "{role} on {what}: bytes after ERROR");
+        }
+    }
 }

@@ -1339,7 +1339,7 @@ impl CollectionServer {
     /// Approximate resident bytes of the analytics state: in exact mode
     /// the record log (which grows with every visit); in streaming mode
     /// the sketch + reservoir + window cells + open-window state (which
-    /// do not). The `memory_scale` gate graphs this across visit counts.
+    /// do not).
     pub fn resident_analytics_bytes(&self) -> usize {
         let store = self.store.borrow();
         match store.streaming.as_deref() {
@@ -1942,6 +1942,15 @@ mod tests {
             at_3600 < at_600 + 64 * 1024,
             "streaming state must stay bounded: {at_600} -> {at_3600}"
         );
+        // The footprint bound a shard ships to the coordinator, and
+        // nothing shed on the default ingest queue to get there.
+        let stats = server.snapshot().streaming.expect("streaming mode");
+        assert!(
+            stats.resident_bytes() <= 8 << 20,
+            "streaming analytics footprint: {} bytes",
+            stats.resident_bytes()
+        );
+        assert_eq!(server.drops().total(), 0, "{:?}", server.drops());
     }
 
     #[test]

@@ -500,8 +500,9 @@ impl StreamingStats {
     }
 
     /// Approximate resident bytes of the streaming analytics state
-    /// (sketch counters, reservoir entries, window cells). Used by the
-    /// `memory_scale` gate; intentionally excludes transient scratch.
+    /// (sketch counters, reservoir entries, window cells). The
+    /// footprint the streaming bound is stated on; intentionally
+    /// excludes transient scratch.
     pub fn resident_bytes(&self) -> usize {
         let reservoir: usize = self
             .reservoir

@@ -19,21 +19,16 @@
 //! never touches DNS/TCP/HTTP stages itself, it only orchestrates
 //! [`encore::system::EncoreSystem::run_visit`] calls.
 //!
-//! Since the event-engine refactor, [`run_visit_batch`] is a thin
-//! wrapper over [`crate::world::WorldEngine`] in batch mode: arrivals
-//! are self-scheduling events on the world's queue. The wrapper is
-//! bit-identical to the pre-engine loop for any fixed seed
-//! (`tests/world_engine_equivalence.rs` enforces this against a
-//! verbatim copy of the legacy implementation).
+//! A batch is an arrival mode of the world engine
+//! ([`crate::world::WorldRecipe::batch`]): arrivals are self-scheduling
+//! events on the world's queue, bit-identical to the pre-engine loop for
+//! any fixed seed (`tests/world_engine_equivalence.rs` enforces this
+//! against a verbatim copy of the legacy implementation).
 
 use crate::analytics::VisitTally;
-use crate::audience::Audience;
-use crate::world::WorldEngine;
 use browser::BrowserClient;
-use encore::system::EncoreSystem;
-use netsim::network::Network;
 use serde::{Deserialize, Serialize};
-use sim_core::{SimDuration, SimRng};
+use sim_core::SimDuration;
 
 /// Batch-driver configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -124,40 +119,33 @@ impl BatchReport {
     }
 }
 
-/// Run `config.visits` visits against `system`, drawing visitors from
-/// `audience` and amortising client/session state across the whole batch.
-///
-/// Origins are chosen per visit in proportion to their popularity weight.
-/// Crawler visits behave as in the Poisson driver: most never execute
-/// JavaScript (zero effective dwell), a minority are headless browsers
-/// that do contribute measurements.
-///
-/// This is a thin wrapper over the event engine: each visit is a
-/// self-scheduling [`crate::world::WorldEvent::BatchArrival`] on the
-/// world's queue. Construct the [`WorldEngine`] directly to layer
-/// scheduled dynamics (policy timelines, mutations, maintenance) onto
-/// the same run.
-pub fn run_visit_batch(
-    net: &mut Network,
-    system: &mut EncoreSystem,
-    audience: &Audience,
-    config: &BatchConfig,
-    rng: &mut SimRng,
-) -> BatchReport {
-    WorldEngine::batch(net, system, audience, config, rng)
-        .run()
-        .report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audience::Audience;
+    use crate::world::{WorldEngine, WorldRecipe};
     use encore::coordination::SchedulingStrategy;
     use encore::delivery::OriginSite;
+    use encore::system::EncoreSystem;
     use encore::tasks::{MeasurementId, MeasurementTask, TaskSpec};
     use netsim::geo::{country, World};
     use netsim::http::{ContentType, HttpResponse};
-    use netsim::network::ConstHandler;
+    use netsim::network::{ConstHandler, Network};
+    use sim_core::SimRng;
+
+    /// One serial batch run over the academic audience.
+    fn run_batch(
+        net: &mut Network,
+        sys: &mut EncoreSystem,
+        config: BatchConfig,
+        seed: u64,
+    ) -> BatchReport {
+        let recipe = WorldRecipe::batch(config);
+        let mut rng = SimRng::new(seed);
+        WorldEngine::from_recipe(net, sys, &Audience::academic(), &recipe, &mut rng)
+            .run()
+            .report
+    }
 
     fn deployment() -> (Network, EncoreSystem) {
         let mut net = Network::ideal(World::builtin());
@@ -186,12 +174,11 @@ mod tests {
     #[test]
     fn batch_produces_measurements_and_amortises_sessions() {
         let (mut net, mut sys) = deployment();
-        let mut rng = SimRng::new(0xBA7C);
         let config = BatchConfig {
             visits: 2_000,
             ..BatchConfig::default()
         };
-        let report = run_visit_batch(&mut net, &mut sys, &Audience::academic(), &config, &mut rng);
+        let report = run_batch(&mut net, &mut sys, config, 0xBA7C);
 
         assert_eq!(report.visits, 2_000);
         assert!(report.origin_loads > 1_800, "origins load: {report:?}");
@@ -214,12 +201,11 @@ mod tests {
     fn batch_is_deterministic() {
         let run = |seed: u64| {
             let (mut net, mut sys) = deployment();
-            let mut rng = SimRng::new(seed);
             let config = BatchConfig {
                 visits: 500,
                 ..BatchConfig::default()
             };
-            let r = run_visit_batch(&mut net, &mut sys, &Audience::academic(), &config, &mut rng);
+            let r = run_batch(&mut net, &mut sys, config, seed);
             (r, sys.collection.len())
         };
         assert_eq!(run(5), run(5));
@@ -237,28 +223,20 @@ mod tests {
             vec![origin],
             country("US"),
         );
-        let mut rng = SimRng::new(1);
-        let report = run_visit_batch(
-            &mut net,
-            &mut sys,
-            &Audience::academic(),
-            &BatchConfig::default(),
-            &mut rng,
-        );
+        let report = run_batch(&mut net, &mut sys, BatchConfig::default(), 1);
         assert_eq!(report.visits, 0);
     }
 
     #[test]
     fn pool_respects_cap() {
         let (mut net, mut sys) = deployment();
-        let mut rng = SimRng::new(9);
         let config = BatchConfig {
             visits: 300,
             client_pool: 8,
             repeat_visitor_rate: 0.0,
             ..BatchConfig::default()
         };
-        let report = run_visit_batch(&mut net, &mut sys, &Audience::academic(), &config, &mut rng);
+        let report = run_batch(&mut net, &mut sys, config, 9);
         assert_eq!(report.clients_created, 300);
         assert_eq!(report.clients_reused, 0);
         // Session stats from evicted clients are still banked: every visit

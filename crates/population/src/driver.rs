@@ -1,18 +1,16 @@
-//! The deployment driver: Poisson visit arrivals over simulated months.
+//! Deployment mode: Poisson visit arrivals over simulated months.
 //!
 //! Each arrival samples a visitor from the origin's audience, creates a
 //! browser client at that vantage point, and runs the full Figure 2 visit
-//! flow. The driver is how the §6.2 pilot (one academic page, one month)
-//! and the §7 study (many origins, seven months, 141,626 measurements)
-//! are both expressed.
+//! flow. This arrival mode of the world engine
+//! ([`crate::world::WorldRecipe::deployment`]) is how the §6.2 pilot (one
+//! academic page, one month) and the §7 study (many origins, seven
+//! months, 141,626 measurements) are both expressed.
 
-use crate::audience::Audience;
-use crate::world::WorldEngine;
-use encore::system::{EncoreSystem, VisitOutcome};
+use encore::system::VisitOutcome;
 use netsim::geo::CountryCode;
-use netsim::network::Network;
 use serde::{Deserialize, Serialize};
-use sim_core::{SimDuration, SimRng, SimTime};
+use sim_core::{SimDuration, SimTime};
 
 /// Driver configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -58,36 +56,28 @@ pub struct VisitRecord {
     pub outcome: VisitOutcome,
 }
 
-/// Run a deployment: Poisson arrivals at every origin site over the
-/// configured span. Returns the visit log (chronological).
-///
-/// This is a thin wrapper over the event engine: every arrival is a
-/// [`crate::world::WorldEvent::DeploymentArrival`] on the world's
-/// queue, and the output is bit-identical to the pre-engine driver for
-/// any fixed seed (`tests/world_engine_equivalence.rs`). Construct the
-/// [`WorldEngine`] directly to add scheduled censorship dynamics or
-/// other world mutations to the same run.
-pub fn run_deployment(
-    net: &mut Network,
-    system: &mut EncoreSystem,
-    audience: &Audience,
-    config: &DeploymentConfig,
-    rng: &mut SimRng,
-) -> Vec<VisitRecord> {
-    WorldEngine::deployment(net, system, audience, config, rng)
-        .run()
-        .log
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audience::Audience;
+    use crate::world::{WorldEngine, WorldRecipe};
     use encore::coordination::SchedulingStrategy;
     use encore::delivery::OriginSite;
+    use encore::system::EncoreSystem;
     use encore::tasks::{MeasurementId, MeasurementTask, TaskSpec};
     use netsim::geo::{country, World};
     use netsim::http::{ContentType, HttpResponse};
-    use netsim::network::ConstHandler;
+    use netsim::network::{ConstHandler, Network};
+    use sim_core::SimRng;
+
+    /// One serial week-long deployment over the academic audience.
+    fn run_week(net: &mut Network, sys: &mut EncoreSystem, seed: u64) -> Vec<VisitRecord> {
+        let recipe = WorldRecipe::deployment(week_config());
+        let mut rng = SimRng::new(seed);
+        WorldEngine::from_recipe(net, sys, &Audience::academic(), &recipe, &mut rng)
+            .run()
+            .log
+    }
 
     fn small_deployment() -> (Network, EncoreSystem) {
         let mut net = Network::ideal(World::builtin());
@@ -124,14 +114,7 @@ mod tests {
     #[test]
     fn deployment_produces_visits_and_measurements() {
         let (mut net, mut sys) = small_deployment();
-        let mut rng = SimRng::new(0x715);
-        let log = run_deployment(
-            &mut net,
-            &mut sys,
-            &Audience::academic(),
-            &week_config(),
-            &mut rng,
-        );
+        let log = run_week(&mut net, &mut sys, 0x715);
         // ~30/day for 7 days ≈ 210 visits.
         assert!((140..300).contains(&log.len()), "visits = {}", log.len());
         // Some visits executed tasks and submitted results.
@@ -150,14 +133,7 @@ mod tests {
     #[test]
     fn visit_log_is_chronological() {
         let (mut net, mut sys) = small_deployment();
-        let mut rng = SimRng::new(0x716);
-        let log = run_deployment(
-            &mut net,
-            &mut sys,
-            &Audience::academic(),
-            &week_config(),
-            &mut rng,
-        );
+        let log = run_week(&mut net, &mut sys, 0x716);
         for w in log.windows(2) {
             assert!(w[0].at <= w[1].at);
         }
@@ -167,14 +143,7 @@ mod tests {
     fn deployment_is_deterministic() {
         let run = |seed: u64| {
             let (mut net, mut sys) = small_deployment();
-            let mut rng = SimRng::new(seed);
-            let log = run_deployment(
-                &mut net,
-                &mut sys,
-                &Audience::academic(),
-                &week_config(),
-                &mut rng,
-            );
+            let log = run_week(&mut net, &mut sys, seed);
             (log.len(), sys.collection.len())
         };
         assert_eq!(run(9), run(9));
@@ -184,14 +153,7 @@ mod tests {
     #[test]
     fn bounced_visits_run_no_tasks() {
         let (mut net, mut sys) = small_deployment();
-        let mut rng = SimRng::new(0x717);
-        let log = run_deployment(
-            &mut net,
-            &mut sys,
-            &Audience::academic(),
-            &week_config(),
-            &mut rng,
-        );
+        let log = run_week(&mut net, &mut sys, 0x717);
         for v in &log {
             if v.dwell < SimDuration::from_secs(2) {
                 assert!(v.outcome.executed.is_empty());
@@ -210,14 +172,7 @@ mod tests {
             vec![origin],
             country("US"),
         );
-        let mut rng = SimRng::new(1);
-        let log = run_deployment(
-            &mut net,
-            &mut sys,
-            &Audience::academic(),
-            &week_config(),
-            &mut rng,
-        );
+        let log = run_week(&mut net, &mut sys, 1);
         assert!(log.is_empty());
     }
 }

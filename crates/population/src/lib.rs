@@ -12,15 +12,18 @@
 //!   scheduled policy changes ([`censor::timeline::PolicyTimeline`]),
 //!   world mutations, coordination re-prioritisation, session
 //!   maintenance, and collection rollups are all events on one
-//!   [`sim_core::queue::EventQueue`]. Every driver below is a thin
-//!   wrapper over it, and a whole run — arrivals plus control plane —
-//!   can be described as a `Send + Sync` [`world::WorldRecipe`] that
-//!   drives serial ([`world::WorldEngine::from_recipe`]) and sharded
-//!   ([`shard::run_sharded_world`]) execution alike.
-//! * [`driver`] — Poisson visit arrivals over a time span; each visit
-//!   instantiates a browser client and runs the full Figure 2 flow
-//!   through [`encore::EncoreSystem`].
-//! * [`batch`] — the throughput-oriented batched driver: incremental
+//!   [`sim_core::queue::EventQueue`]. A whole run — arrivals plus
+//!   control plane — is described as a `Send + Sync`
+//!   [`world::WorldRecipe`], and a world is run through exactly two
+//!   entry points: [`world::WorldEngine::from_recipe`]`(..).run()` on
+//!   one shard, and [`transport::ShardTransport::run`] (or
+//!   [`shard::run_sharded_world`], which the thread backend delegates
+//!   to) on many.
+//! * [`driver`] — the deployment arrival mode's config and visit record:
+//!   Poisson arrivals over a time span; each visit instantiates a
+//!   browser client and runs the full Figure 2 flow through
+//!   [`encore::EncoreSystem`].
+//! * [`batch`] — the batch arrival mode's config and report: incremental
 //!   arrivals, a persistent client pool whose transport sessions stay
 //!   warm across visits, and flat-memory aggregate reporting.
 //! * [`shard`] — the multi-core engine: a world recipe's control events
@@ -37,8 +40,9 @@
 //!   merge, keeping coordinator memory O(1) folded aggregates.
 //! * [`transport`] — the distributed backends behind
 //!   [`transport::ShardTransport`]: in-process threads, or worker
-//!   *processes* speaking the length-prefixed [`sim_core::frame`]
-//!   protocol over OS pipes with streaming incremental merge.
+//!   *processes* (the coordinator's own binary re-executed in a worker
+//!   role) speaking the length-prefixed [`sim_core::frame`] protocol
+//!   over OS pipes with streaming incremental merge.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -57,15 +61,12 @@ pub use analytics::{
     StreamSummary, VisitTally, WindowedRollups,
 };
 pub use audience::Audience;
-pub use batch::{run_visit_batch, BatchConfig, BatchReport};
-pub use driver::{run_deployment, DeploymentConfig, VisitRecord};
+pub use batch::{BatchConfig, BatchReport};
+pub use driver::{DeploymentConfig, VisitRecord};
 pub use reorder::ReorderBuffer;
-pub use shard::{
-    run_sharded_batch, run_sharded_world, shard_recipe, ShardContext, ShardedBatchConfig,
-    ShardedRun, ShardedWorldRun,
-};
+pub use shard::{run_sharded_world, shard_recipe, ShardContext, ShardedWorldRun};
 pub use transport::{
-    sibling_worker, worker_main, ProcessTransport, ShardTransport, ThreadTransport, TransportError,
-    TransportKind, TransportStats, WorldSpec,
+    worker_main, ProcessTransport, ShardTransport, ThreadTransport, TransportError, TransportKind,
+    TransportStats, WorldSpec,
 };
 pub use world::{RunMode, StreamingSpec, WorldEngine, WorldEvent, WorldOutcome, WorldRecipe};

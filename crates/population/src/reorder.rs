@@ -108,7 +108,7 @@ impl<T: Merge> ReorderBuffer<T> {
     }
 
     /// The largest number of runs ever simultaneously resident — the
-    /// peak-memory figure `transport_scale` asserts on.
+    /// peak-memory figure the coordinator's memory bound is stated on.
     pub fn peak_runs(&self) -> usize {
         self.peak_runs
     }

@@ -9,9 +9,8 @@
 //! ([`shard_batch_config`] / [`shard_deployment_config`]), and per-shard
 //! outputs **merge deterministically** in shard order through the
 //! associative [`crate::analytics::Merge`] path. [`run_sharded_world`]
-//! is the general entry point; [`run_sharded_batch`] is the flat-batch
-//! wrapper over it. Each shard thread runs its own private world engine
-//! with
+//! is the entry point. Each shard thread runs its own private world
+//! engine with
 //!
 //! * an **independent deterministic RNG stream** ([`SimRng::split`]:
 //!   disjoint 2^192-draw blocks *and* a re-keyed fork namespace, with
@@ -55,32 +54,6 @@ pub struct ShardContext {
     pub index: usize,
     /// Total shard count.
     pub shards: usize,
-}
-
-/// Configuration of a sharded batch run: the *total* workload, which the
-/// engine partitions across shards.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ShardedBatchConfig {
-    /// Number of shards (OS threads). Must be at least 1.
-    pub shards: usize,
-    /// The total batch: visits and pool size are divided across shards;
-    /// the arrival gap is multiplied by the shard count (Poisson
-    /// thinning), so the union covers the same simulated span at the
-    /// same aggregate rate as a serial run of this config.
-    pub batch: BatchConfig,
-}
-
-/// The merged outcome of a sharded run.
-#[derive(Debug, Clone)]
-pub struct ShardedRun {
-    /// Union of all shard reports ([`BatchReport::merge`]).
-    pub report: BatchReport,
-    /// Per-shard reports, in shard-index order.
-    pub per_shard: Vec<BatchReport>,
-    /// Union of all shard collection stores, in canonical order.
-    pub collection: CollectionSnapshot,
-    /// Union of all shard GeoIP databases (disjoint striped ranges).
-    pub geo: GeoDb,
 }
 
 /// The batch configuration shard `index` of `shards` actually runs:
@@ -202,9 +175,7 @@ pub struct ShardedWorldRun {
     pub geo: GeoDb,
 }
 
-/// Execute one [`WorldRecipe`] across `shards` OS threads — the
-/// longitudinal, event-driven counterpart of [`run_sharded_batch`], and
-/// the engine both drivers now share.
+/// Execute one [`WorldRecipe`] across `shards` OS threads.
 ///
 /// `build` is called once per shard, *on that shard's thread*, and must
 /// return a freshly built `Network` + deployed `EncoreSystem` for the
@@ -293,33 +264,6 @@ where
     }
 }
 
-/// Run `config.batch` visits against the scenario, partitioned across
-/// `config.shards` OS threads.
-///
-/// Since the sharded-world refactor this is a thin wrapper over
-/// [`run_sharded_world`] with a control-free batch recipe — one engine,
-/// two entry points. The output is bit-identical to the pre-refactor
-/// runner (the golden merged-report snapshot in
-/// `tests/shard_equivalence.rs` pins this).
-pub fn run_sharded_batch<F>(
-    build: &F,
-    audience: &Audience,
-    config: &ShardedBatchConfig,
-    seed: u64,
-) -> ShardedRun
-where
-    F: Fn(ShardContext) -> (Network, EncoreSystem) + Sync,
-{
-    let recipe = WorldRecipe::batch(config.batch);
-    let run = run_sharded_world(build, audience, &recipe, config.shards, seed);
-    ShardedRun {
-        report: run.outcome.report,
-        per_shard: run.per_shard,
-        collection: run.collection,
-        geo: run.geo,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -396,21 +340,24 @@ mod tests {
         );
     }
 
+    /// `visits` batch visits across `shards` threads of the test world.
+    fn run_batch(shards: usize, visits: u64, seed: u64) -> ShardedWorldRun {
+        let recipe = WorldRecipe::batch(BatchConfig {
+            visits,
+            ..BatchConfig::default()
+        });
+        run_sharded_world(&build, &Audience::academic(), &recipe, shards, seed)
+    }
+
     #[test]
     fn sharded_run_produces_merged_measurements() {
-        let config = ShardedBatchConfig {
-            shards: 2,
-            batch: BatchConfig {
-                visits: 1_000,
-                ..BatchConfig::default()
-            },
-        };
-        let run = run_sharded_batch(&build, &Audience::academic(), &config, 0x5A4D);
-        assert_eq!(run.report.visits, 1_000);
+        let run = run_batch(2, 1_000, 0x5A4D);
+        let report = run.outcome.report;
+        assert_eq!(report.visits, 1_000);
         assert_eq!(run.per_shard.len(), 2);
         assert_eq!(run.per_shard[0].visits, 500);
         assert_eq!(run.per_shard[1].visits, 500);
-        assert!(run.report.results_delivered > 100, "{:?}", run.report);
+        assert!(report.results_delivered > 100, "{report:?}");
         assert!(!run.collection.is_empty());
         // Every record geolocates through the merged striped database.
         let located = run
@@ -424,30 +371,15 @@ mod tests {
 
     #[test]
     fn sharded_run_is_reproducible() {
-        let config = ShardedBatchConfig {
-            shards: 3,
-            batch: BatchConfig {
-                visits: 300,
-                ..BatchConfig::default()
-            },
-        };
-        let go = || run_sharded_batch(&build, &Audience::academic(), &config, 77);
-        let (a, b) = (go(), go());
-        assert_eq!(a.report, b.report);
+        let (a, b) = (run_batch(3, 300, 77), run_batch(3, 300, 77));
+        assert_eq!(a.outcome, b.outcome);
         assert_eq!(a.collection, b.collection);
         assert_eq!(a.per_shard, b.per_shard);
     }
 
     #[test]
     fn shards_see_different_streams() {
-        let config = ShardedBatchConfig {
-            shards: 2,
-            batch: BatchConfig {
-                visits: 400,
-                ..BatchConfig::default()
-            },
-        };
-        let run = run_sharded_batch(&build, &Audience::academic(), &config, 3);
+        let run = run_batch(2, 400, 3);
         assert_ne!(
             run.per_shard[0], run.per_shard[1],
             "shards replayed the same stream"
@@ -457,10 +389,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least 1")]
     fn zero_shards_rejected() {
-        let config = ShardedBatchConfig {
-            shards: 0,
-            batch: BatchConfig::default(),
-        };
-        let _ = run_sharded_batch(&build, &Audience::academic(), &config, 1);
+        let _ = run_batch(0, 10, 1);
     }
 }

@@ -102,10 +102,6 @@ pub const DEFAULT_WINDOW: usize = 8;
 /// Default payload cap (bytes) enforced by both ends of the pipe.
 pub const DEFAULT_MAX_PAYLOAD: u32 = 64 << 20;
 
-/// Environment variable overriding worker-binary resolution (takes
-/// precedence over sibling lookup for every worker name).
-pub const WORKER_BIN_ENV: &str = "ENCORE_WORKER_BIN";
-
 /// A compact, serializable description of a sharded world run — the
 /// unit a worker process rebuilds its world from.
 ///
@@ -184,8 +180,6 @@ pub enum TransportError {
     Protocol(String),
     /// A payload failed to (de)serialize.
     Payload(String),
-    /// The worker binary could not be found.
-    MissingWorker(String),
     /// The worker process could not be spawned.
     Spawn {
         /// Path of the binary that failed to spawn.
@@ -217,9 +211,6 @@ impl fmt::Display for TransportError {
             }
             TransportError::Protocol(detail) => write!(f, "protocol violation: {detail}"),
             TransportError::Payload(detail) => write!(f, "payload codec error: {detail}"),
-            TransportError::MissingWorker(detail) => {
-                write!(f, "worker binary not found: {detail}")
-            }
             TransportError::Spawn { worker, detail } => {
                 write!(f, "failed to spawn worker {}: {detail}", worker.display())
             }
@@ -236,7 +227,7 @@ impl fmt::Display for TransportError {
 impl std::error::Error for TransportError {}
 
 /// Which backend a sharded run executes on. Parses from
-/// `--transport {threads,process}` / `ENCORE_TRANSPORT`.
+/// `--transport {threads,process}`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TransportKind {
     /// In-process OS threads (the default; zero-copy).
@@ -265,24 +256,6 @@ impl fmt::Display for TransportKind {
             TransportKind::Threads => "threads",
             TransportKind::Process => "process",
         })
-    }
-}
-
-impl TransportKind {
-    /// Run `spec` on this backend: threads in-process, or worker
-    /// processes resolved from `worker` (a sibling-binary name, see
-    /// [`sibling_worker`]).
-    pub fn run<S: WorldSpec>(
-        self,
-        worker: &str,
-        spec: &S,
-        shards: usize,
-        seed: u64,
-    ) -> Result<ShardedWorldRun, TransportError> {
-        match self {
-            TransportKind::Threads => ThreadTransport.run(spec, shards, seed),
-            TransportKind::Process => ProcessTransport::for_worker(worker)?.run(spec, shards, seed),
-        }
     }
 }
 
@@ -325,7 +298,7 @@ impl ShardTransport for ThreadTransport {
 }
 
 /// Deterministic streaming counters from one [`ProcessTransport`] run —
-/// the numbers `transport_scale` gates peak coordinator memory on.
+/// the numbers peak coordinator memory is bounded by.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct TransportStats {
     /// Shard (worker process) count.
@@ -353,6 +326,7 @@ pub struct TransportStats {
 #[derive(Debug, Clone)]
 pub struct ProcessTransport {
     worker: PathBuf,
+    role: Option<String>,
     chunk: usize,
     window: usize,
     max_payload: u32,
@@ -363,21 +337,21 @@ impl ProcessTransport {
     pub fn new(worker: PathBuf) -> ProcessTransport {
         ProcessTransport {
             worker,
+            role: None,
             chunk: DEFAULT_CHUNK,
             window: DEFAULT_WINDOW,
             max_payload: DEFAULT_MAX_PAYLOAD,
         }
     }
 
-    /// Resolve `name` via [`sibling_worker`] and build a transport on it.
-    pub fn for_worker(name: &str) -> Result<ProcessTransport, TransportError> {
-        let path = sibling_worker(name).ok_or_else(|| {
-            TransportError::MissingWorker(format!(
-                "{name:?} is not beside the current executable and {WORKER_BIN_ENV} is unset \
-                 (build it first: `cargo build --release`)"
-            ))
-        })?;
-        Ok(ProcessTransport::new(path))
+    /// Spawn the worker as `<worker> <role>`: a binary that is its own
+    /// worker (`ProcessTransport::new(current_exe()?)`) reads the role
+    /// as its first argument and calls [`worker_main`] with the matching
+    /// [`WorldSpec`] type. The role rides on each spawned `Command`,
+    /// never on this process's environment.
+    pub fn with_role(mut self, role: &str) -> ProcessTransport {
+        self.role = Some(role.to_string());
+        self
     }
 
     /// Override records-per-frame chunking (min 1).
@@ -430,6 +404,7 @@ impl ProcessTransport {
         let mut children: Vec<Child> = Vec::with_capacity(shards);
         for index in 0..shards {
             let spawned = Command::new(&self.worker)
+                .args(&self.role)
                 .stdin(Stdio::piped())
                 .stdout(Stdio::piped())
                 .stderr(Stdio::inherit())
@@ -715,27 +690,6 @@ fn decode_payload<T: Deserialize>(payload: &[u8], what: &str) -> Result<T, Trans
     serde::bin::from_slice(payload).map_err(|err| TransportError::Payload(format!("{what}: {err}")))
 }
 
-/// Locate the worker binary `name`: [`WORKER_BIN_ENV`] wins if set;
-/// otherwise look beside the current executable, then one directory up
-/// (so test binaries in `target/<profile>/deps/` find workers in
-/// `target/<profile>/`).
-pub fn sibling_worker(name: &str) -> Option<PathBuf> {
-    if let Ok(path) = std::env::var(WORKER_BIN_ENV) {
-        let path = PathBuf::from(path);
-        return path.is_file().then_some(path);
-    }
-    let exe = std::env::current_exe().ok()?;
-    let file = format!("{name}{}", std::env::consts::EXE_SUFFIX);
-    let dir = exe.parent()?;
-    for candidate_dir in [Some(dir), dir.parent()].into_iter().flatten() {
-        let candidate = candidate_dir.join(&file);
-        if candidate.is_file() {
-            return Some(candidate);
-        }
-    }
-    None
-}
-
 /// A worker that blocks for coordinator credits once its window is
 /// exhausted — the protocol's explicit backpressure.
 struct CreditedSender<'a, R: Read, W: Write> {
@@ -872,10 +826,9 @@ fn expect_frame<R: Read>(input: &mut R, kind: u8, what: &str) -> Result<Vec<u8>,
     }
 }
 
-/// Entry point for worker binaries: speak the protocol over
-/// stdin/stdout, report failures as an ERROR frame + exit code 1.
-/// A worker binary's `main` is one line:
-/// `std::process::exit(worker_main::<MySpec>())`.
+/// Entry point for a binary's worker role: speak the protocol over
+/// stdin/stdout, report failures as an ERROR frame + exit code 1. The
+/// role's whole body is `std::process::exit(worker_main::<MySpec>())`.
 pub fn worker_main<S: WorldSpec>() -> i32 {
     let stdin = io::stdin();
     let stdout = io::stdout();

@@ -27,10 +27,9 @@
 //!
 //! ## Equivalence contract
 //!
-//! [`crate::driver::run_deployment`] and [`crate::batch::run_visit_batch`]
-//! are thin wrappers over this engine and produce **bit-identical**
-//! output to their pre-engine implementations for any fixed seed
-//! (`tests/world_engine_equivalence.rs` pins this against verbatim
+//! A deployment-mode and a batch-mode recipe each produce
+//! **bit-identical** output to the pre-engine driver loops for any fixed
+//! seed (`tests/world_engine_equivalence.rs` pins this against verbatim
 //! copies of the legacy drivers; `tests/shard_equivalence.rs`'s golden
 //! snapshot would also catch any drift). Three facts make that hold:
 //!
@@ -141,10 +140,10 @@ pub type SharedMutation = Arc<dyn Fn(&mut Network, &mut EncoreSystem) + Send + S
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum RunMode {
     /// Poisson arrivals at every origin over a fixed span, with a full
-    /// visit log ([`WorldEngine::deployment`]).
+    /// visit log ([`WorldRecipe::deployment`]).
     Deployment(DeploymentConfig),
     /// A fixed number of self-scheduling arrivals with flat-memory
-    /// counters ([`WorldEngine::batch`]).
+    /// counters ([`WorldRecipe::batch`]).
     Batch(BatchConfig),
 }
 
@@ -378,13 +377,13 @@ enum Mode {
 /// The event-driven world: one network, one Encore deployment, one
 /// audience, and a queue of everything that will happen to them.
 ///
-/// Construct in deployment mode ([`WorldEngine::deployment`], the §6.2
-/// Poisson pilot with a full visit log) or batch mode
-/// ([`WorldEngine::batch`], the flat-memory throughput driver), layer on
-/// scheduled dynamics (`schedule_*`), then [`WorldEngine::run`] to
-/// drain the queue. `population::shard` runs one engine per shard: the
-/// builder-supplied `Network`/`EncoreSystem` and split RNG streams drop
-/// straight in.
+/// Construct with [`WorldEngine::from_recipe`] — deployment mode
+/// ([`WorldRecipe::deployment`], the §6.2 Poisson pilot with a full
+/// visit log) or batch mode ([`WorldRecipe::batch`], the flat-memory
+/// throughput driver) — optionally layer on further scheduled dynamics
+/// (`schedule_*`), then [`WorldEngine::run`] to drain the queue.
+/// `population::shard` runs one engine per shard: the builder-supplied
+/// `Network`/`EncoreSystem` and split RNG streams drop straight in.
 pub struct WorldEngine<'a> {
     net: &'a mut Network,
     system: &'a mut EncoreSystem,
@@ -435,8 +434,8 @@ impl<'a> WorldEngine<'a> {
 
     /// A deployment-mode world: Poisson arrivals at every origin over
     /// `config.duration`, a returning-visitor pool, and a full visit
-    /// log — the engine behind [`crate::driver::run_deployment`].
-    pub fn deployment(
+    /// log.
+    fn deployment(
         net: &'a mut Network,
         system: &'a mut EncoreSystem,
         audience: &'a Audience,
@@ -462,9 +461,8 @@ impl<'a> WorldEngine<'a> {
     }
 
     /// A batch-mode world: `config.visits` self-scheduling arrivals, a
-    /// bounded warm-session client pool, and flat-memory counters — the
-    /// engine behind [`crate::batch::run_visit_batch`].
-    pub fn batch(
+    /// bounded warm-session client pool, and flat-memory counters.
+    fn batch(
         net: &'a mut Network,
         system: &'a mut EncoreSystem,
         audience: &'a Audience,

@@ -346,7 +346,7 @@ mod world_engine_props {
     use netsim::geo::country;
     use netsim::http::{ContentType, HttpResponse};
     use netsim::network::{ConstHandler, Network};
-    use population::{DeploymentConfig, WorldEngine};
+    use population::{DeploymentConfig, WorldEngine, WorldRecipe};
     use sim_core::SimTime;
 
     fn tiny_world() -> (Network, EncoreSystem) {
@@ -372,12 +372,12 @@ mod world_engine_props {
         (net, sys)
     }
 
-    fn two_days() -> DeploymentConfig {
-        DeploymentConfig {
+    fn two_days() -> WorldRecipe {
+        WorldRecipe::deployment(DeploymentConfig {
             duration: SimDuration::from_days(2),
             visits_per_day_per_weight: 20.0,
             ..DeploymentConfig::default()
-        }
+        })
     }
 
     proptest! {
@@ -396,7 +396,7 @@ mod world_engine_props {
             let bare = {
                 let (mut net, mut sys) = tiny_world();
                 let mut rng = SimRng::new(seed);
-                WorldEngine::deployment(&mut net, &mut sys, &audience, &two_days(), &mut rng)
+                WorldEngine::from_recipe(&mut net, &mut sys, &audience, &two_days(), &mut rng)
                     .run()
                     .log
             };
@@ -404,7 +404,7 @@ mod world_engine_props {
                 let (mut net, mut sys) = tiny_world();
                 let mut rng = SimRng::new(seed);
                 let mut engine =
-                    WorldEngine::deployment(&mut net, &mut sys, &audience, &two_days(), &mut rng);
+                    WorldEngine::from_recipe(&mut net, &mut sys, &audience, &two_days(), &mut rng);
                 for &s in &mutation_secs {
                     engine.schedule_mutation(SimTime::from_secs(s), |_, _| {});
                 }
@@ -427,7 +427,7 @@ mod world_engine_props {
                 let (mut net, mut sys) = tiny_world();
                 let mut rng = SimRng::new(seed);
                 let mut engine =
-                    WorldEngine::deployment(&mut net, &mut sys, &audience, &two_days(), &mut rng);
+                    WorldEngine::from_recipe(&mut net, &mut sys, &audience, &two_days(), &mut rng);
                 engine.schedule_reprioritization(
                     SimTime::from_secs(strategy_switch_secs),
                     SchedulingStrategy::Random,

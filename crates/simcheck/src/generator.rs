@@ -76,6 +76,26 @@ pub enum CaseClass {
     Corpus,
 }
 
+impl CaseClass {
+    /// The lowercase name regression files and `--replay` spell it with.
+    pub fn name(self) -> &'static str {
+        match self {
+            CaseClass::Equivalence => "equivalence",
+            CaseClass::Detector => "detector",
+            CaseClass::Congestion => "congestion",
+            CaseClass::Corpus => "corpus",
+        }
+    }
+
+    /// The class [`CaseClass::name`] spells `name`, if any.
+    pub fn from_name(name: &str) -> Option<CaseClass> {
+        use CaseClass::*;
+        [Equivalence, Detector, Congestion, Corpus]
+            .into_iter()
+            .find(|class| class.name() == name)
+    }
+}
+
 /// The generative-web layer of a [`CaseClass::Corpus`] case.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct CorpusCaseSpec {

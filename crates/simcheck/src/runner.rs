@@ -11,7 +11,8 @@
 
 use crate::generator::{CaseClass, WorldCase};
 use crate::oracle::{check_case, check_streaming_case, Violation};
-use crate::transport::{check_transport, CASE_WORKER};
+use crate::transport::check_transport;
+use population::ProcessTransport;
 use serde::Serialize;
 use std::path::{Path, PathBuf};
 
@@ -36,9 +37,7 @@ pub struct SimCheckConfig {
     /// disables).
     pub regression_path: Option<PathBuf>,
     /// Every n-th case additionally runs the transport-equivalence
-    /// oracle — thread vs process backend, byte-identical — when the
-    /// `case_worker` binary is resolvable next to the running
-    /// executable (0 disables).
+    /// oracle — thread vs process backend, byte-identical (0 disables).
     pub transport_every: usize,
     /// Every n-th case additionally runs the streaming-equivalence
     /// oracle — exact vs bounded-memory analytics at {1, 2} shards,
@@ -78,9 +77,7 @@ pub struct SimCheckReport {
     pub corpus_cases: usize,
     /// Of which carried some censor model.
     pub censored_cases: usize,
-    /// Of which also ran the transport-equivalence oracle (0 when the
-    /// `case_worker` binary was not resolvable or the schedule disabled
-    /// it).
+    /// Of which also ran the transport-equivalence oracle.
     pub transport_cases: usize,
     /// Of which also ran the streaming-equivalence oracle.
     pub streaming_cases: usize,
@@ -119,41 +116,24 @@ fn class_for(config: &SimCheckConfig, index: usize) -> CaseClass {
 }
 
 /// Replay one `(class, seed)` pair from a regression file: regenerate
-/// exactly that world and re-run its oracles. When the `case_worker`
-/// binary is resolvable the transport-equivalence oracle re-runs too,
+/// exactly that world and re-run every oracle — the transport oracle
+/// included, over `process` workers running `worker_main::<CaseSpec>()`,
 /// so transport regressions replay with the same command as the rest.
-pub fn replay(class: CaseClass, seed: u64) -> Vec<Violation> {
+pub fn replay(class: CaseClass, seed: u64, process: &ProcessTransport) -> Vec<Violation> {
     let case = WorldCase::from_seed(class, seed);
     let mut violations = check_case(&case);
-    if let Some(worker) = population::transport::sibling_worker(CASE_WORKER) {
-        violations.extend(check_transport(&case, &worker));
-    } else {
-        eprintln!(
-            "[simcheck] replay: {CASE_WORKER} binary not found next to this executable; \
-             skipping the transport oracle"
-        );
-    }
+    violations.extend(check_transport(&case, process));
     violations.extend(check_streaming_case(&case).0);
     violations
 }
 
-/// Run a bounded case budget and aggregate the report. Progress goes to
-/// stderr (one line every 25 cases); violations also print as they are
-/// found so a long CI run fails loudly, not silently at the end.
-pub fn run_budget(config: &SimCheckConfig) -> SimCheckReport {
+/// Run a bounded case budget and aggregate the report; the transport
+/// oracle spawns `process` workers, which must run
+/// `worker_main::<CaseSpec>()`. Progress goes to stderr (one line every
+/// 25 cases); violations also print as they are found so a long CI run
+/// fails loudly, not silently at the end.
+pub fn run_budget(config: &SimCheckConfig, process: &ProcessTransport) -> SimCheckReport {
     let mut report = SimCheckReport::default();
-    let worker = if config.transport_every > 0 {
-        let resolved = population::transport::sibling_worker(CASE_WORKER);
-        if resolved.is_none() {
-            eprintln!(
-                "[simcheck] {CASE_WORKER} binary not found next to this executable; \
-                 transport oracle disabled for this run"
-            );
-        }
-        resolved
-    } else {
-        None
-    };
     for i in 0..config.cases {
         let class = class_for(config, i);
         let seed = case_seed(config.root_seed, i);
@@ -168,11 +148,9 @@ pub fn run_budget(config: &SimCheckConfig) -> SimCheckReport {
             report.censored_cases += 1;
         }
         let mut violations = check_case(&case);
-        if let Some(worker) = &worker {
-            if config.transport_every > 0 && i.is_multiple_of(config.transport_every) {
-                violations.extend(check_transport(&case, worker));
-                report.transport_cases += 1;
-            }
+        if config.transport_every > 0 && i.is_multiple_of(config.transport_every) {
+            violations.extend(check_transport(&case, process));
+            report.transport_cases += 1;
         }
         if config.streaming_every > 0 && i.is_multiple_of(config.streaming_every) {
             let (streaming_violations, drops_active) = check_streaming_case(&case);
@@ -212,16 +190,11 @@ pub fn run_budget(config: &SimCheckConfig) -> SimCheckReport {
 fn write_regressions(path: &Path, violations: &[Violation]) {
     let mut lines = vec![
         "# simcheck regression seeds — replay with:".to_string(),
-        "#   cargo run --release -p bench --bin simcheck -- --replay <class>:<seed>".to_string(),
+        "#   cargo run --release -p bench -- simcheck --replay <class>:<seed>".to_string(),
     ];
     let mut seen = std::collections::BTreeSet::new();
     for v in violations {
-        let class = match v.class {
-            CaseClass::Equivalence => "equivalence",
-            CaseClass::Detector => "detector",
-            CaseClass::Congestion => "congestion",
-            CaseClass::Corpus => "corpus",
-        };
+        let class = v.class.name();
         if seen.insert((class, v.seed)) {
             lines.push(format!(
                 "class={class} seed={:#x} oracle={}",

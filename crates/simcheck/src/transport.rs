@@ -14,9 +14,9 @@
 //! A [`WorldCase`] crosses the process boundary as a [`CaseSpec`]
 //! `(class, seed)` pair — [`WorldCase::from_seed`] is pure, so the
 //! worker rebuilds exactly the coordinator's world from two integers.
-//! The worker binary is `bench`'s `case_worker`; the runner resolves it
-//! as a sibling of the running executable and skips the oracle (rather
-//! than failing spuriously) when it is not built.
+//! The worker is whatever [`ProcessTransport`] the caller hands the
+//! runner — in practice the `bench` binary re-executing itself in its
+//! case-worker role, `worker_main::<CaseSpec>()`.
 
 use crate::generator::{CaseClass, WorldCase};
 use crate::oracle::byte_image;
@@ -26,10 +26,6 @@ use netsim::network::Network;
 use population::transport::{ProcessTransport, ShardTransport, ThreadTransport, WorldSpec};
 use population::{Audience, ShardContext, WorldRecipe};
 use serde::{Deserialize, Serialize};
-use std::path::Path;
-
-/// The worker-binary name transport cases are dispatched to.
-pub const CASE_WORKER: &str = "case_worker";
 
 /// A generated world as it crosses the process boundary: the
 /// `(class, seed)` pair that regenerates it.
@@ -75,9 +71,11 @@ const TRANSPORT_SHARDS: [usize; 2] = [1, 3];
 /// reproduce the thread transport byte-for-byte (structural outcome,
 /// collection, per-shard reports, and all three serialized byte-images).
 ///
-/// `worker` is the path to the built `case_worker` binary; resolve it
-/// with [`population::transport::sibling_worker`] before calling.
-pub fn check_transport(case: &WorldCase, worker: &Path) -> Vec<crate::oracle::Violation> {
+/// `process` must spawn workers that run `worker_main::<CaseSpec>()`.
+pub fn check_transport(
+    case: &WorldCase,
+    process: &ProcessTransport,
+) -> Vec<crate::oracle::Violation> {
     let spec = CaseSpec {
         class: case.class,
         seed: case.seed,
@@ -104,17 +102,16 @@ pub fn check_transport(case: &WorldCase, worker: &Path) -> Vec<crate::oracle::Vi
                 continue;
             }
         };
-        let process =
-            match ProcessTransport::new(worker.to_path_buf()).run(&spec, shards, case.seed) {
-                Ok(run) => run,
-                Err(err) => {
-                    fail(
-                        "transport-run",
-                        format!("process transport failed at {shards} shard(s): {err}"),
-                    );
-                    continue;
-                }
-            };
+        let process = match process.run(&spec, shards, case.seed) {
+            Ok(run) => run,
+            Err(err) => {
+                fail(
+                    "transport-run",
+                    format!("process transport failed at {shards} shard(s): {err}"),
+                );
+                continue;
+            }
+        };
         if process.outcome != threads.outcome {
             fail(
                 "transport-byte-identity",

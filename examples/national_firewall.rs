@@ -17,7 +17,7 @@ use encore_repro::encore::{FilteringDetector, GeoDb};
 use encore_repro::netsim::geo::{country, World};
 use encore_repro::netsim::http::{ContentType, HttpResponse};
 use encore_repro::netsim::network::{ConstHandler, Network};
-use encore_repro::population::{run_deployment, Audience, DeploymentConfig};
+use encore_repro::population::{Audience, DeploymentConfig, WorldEngine, WorldRecipe};
 use encore_repro::sim_core::{SimDuration, SimRng};
 
 fn main() {
@@ -70,13 +70,15 @@ fn main() {
 
     let mut rng = SimRng::new(7);
     let audience = Audience::world(&world);
-    let config = DeploymentConfig {
+    let recipe = WorldRecipe::deployment(DeploymentConfig {
         duration: SimDuration::from_days(14),
         visits_per_day_per_weight: 25.0,
         ..DeploymentConfig::default()
-    };
+    });
     println!("running a 14-day deployment across 17 origin sites…");
-    let log = run_deployment(&mut net, &mut sys, &audience, &config, &mut rng);
+    let log = WorldEngine::from_recipe(&mut net, &mut sys, &audience, &recipe, &mut rng)
+        .run()
+        .log;
     println!(
         "visits: {}   submissions: {}   distinct IPs: {}",
         log.len(),

@@ -4,6 +4,8 @@
 //! integration tests in this repository can use one dependency. See
 //! README.md for the tour and DESIGN.md for the system inventory.
 
+#![forbid(unsafe_code)]
+
 pub use browser;
 pub use censor;
 pub use encore;

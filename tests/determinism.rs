@@ -13,7 +13,7 @@ use encore_repro::encore::{FilteringDetector, GeoDb};
 use encore_repro::netsim::geo::{country, World};
 use encore_repro::netsim::http::{ContentType, HttpResponse};
 use encore_repro::netsim::network::{ConstHandler, Network};
-use encore_repro::population::{run_deployment, Audience, DeploymentConfig};
+use encore_repro::population::{Audience, DeploymentConfig, WorldEngine, WorldRecipe};
 use encore_repro::sim_core::{SimDuration, SimRng};
 
 fn run(seed: u64) -> (String, Vec<String>) {
@@ -46,18 +46,13 @@ fn run(seed: u64) -> (String, Vec<String>) {
         country("US"),
     );
     let mut rng = SimRng::new(seed);
-    let config = DeploymentConfig {
+    let audience = Audience::world(&world);
+    let recipe = WorldRecipe::deployment(DeploymentConfig {
         duration: SimDuration::from_days(12),
         visits_per_day_per_weight: 60.0,
         ..DeploymentConfig::default()
-    };
-    run_deployment(
-        &mut net,
-        &mut sys,
-        &Audience::world(&world),
-        &config,
-        &mut rng,
-    );
+    });
+    WorldEngine::from_recipe(&mut net, &mut sys, &audience, &recipe, &mut rng).run();
 
     // Serialise everything observable.
     let records = serde_json::to_string(&sys.collection.records()).unwrap();

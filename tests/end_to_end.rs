@@ -18,7 +18,7 @@ use encore_repro::encore::system::EncoreSystem;
 use encore_repro::encore::{DetectorConfig, FilteringDetector, GeoDb};
 use encore_repro::netsim::geo::{country, IspClass, World};
 use encore_repro::netsim::network::Network;
-use encore_repro::population::{run_deployment, Audience, DeploymentConfig};
+use encore_repro::population::{Audience, DeploymentConfig, WorldEngine, WorldRecipe};
 use encore_repro::sim_core::{SimDuration, SimRng, SimTime};
 use encore_repro::websim::generator::{SyntheticWeb, WebConfig};
 use encore_repro::websim::{SearchIndex, UrlPattern};
@@ -91,12 +91,14 @@ fn pipeline_to_detection_end_to_end() {
         country("US"),
     );
     let audience = Audience::world(&world);
-    let config = DeploymentConfig {
+    let recipe = WorldRecipe::deployment(DeploymentConfig {
         duration: SimDuration::from_days(14),
         visits_per_day_per_weight: 40.0,
         ..DeploymentConfig::default()
-    };
-    let log = run_deployment(&mut net, &mut sys, &audience, &config, &mut rng);
+    });
+    let log = WorldEngine::from_recipe(&mut net, &mut sys, &audience, &recipe, &mut rng)
+        .run()
+        .log;
     assert!(log.len() > 1_000, "only {} visits", log.len());
     assert!(sys.collection.len() > 500);
 
@@ -146,18 +148,15 @@ fn outage_is_not_reported_as_censorship_end_to_end() {
         vec![origin],
         country("US"),
     );
-    let config = DeploymentConfig {
+    let recipe = WorldRecipe::deployment(DeploymentConfig {
         duration: SimDuration::from_days(3),
         visits_per_day_per_weight: 60.0,
         ..DeploymentConfig::default()
-    };
-    let log = run_deployment(
-        &mut net,
-        &mut sys,
-        &Audience::world(&world),
-        &config,
-        &mut rng,
-    );
+    });
+    let audience = Audience::world(&world);
+    let log = WorldEngine::from_recipe(&mut net, &mut sys, &audience, &recipe, &mut rng)
+        .run()
+        .log;
     assert!(log.len() > 100);
 
     let geo = GeoDb::from_allocator(&net.allocator);

@@ -6,7 +6,7 @@
 //! cross-region test is statistical trust in the sampling). Three levels
 //! of equivalence are enforced here:
 //!
-//! 1. **Lockstep** — a 1-shard sharded run *is* the serial batch driver:
+//! 1. **Lockstep** — a 1-shard sharded run *is* the serial batch engine:
 //!    bit-identical `BatchReport` counters and collection records for the
 //!    same seed.
 //! 2. **Reproducibility** — a fixed `(seed, shards)` pair yields
@@ -18,60 +18,65 @@
 //!    pairs, nothing else.
 //!
 //! The fixture (censored/uncensored §7.2 worlds over the sharded
-//! scenario) is shared with the `scale` bin and its bench via
-//! `bench::shard_fixture`, so the scenario CI gates on is exactly the
-//! scenario this harness proves equivalent.
+//! scenario) is shared with `benchmark/`'s streaming workloads via
+//! `bench::shard_fixture`, so the scenario the benchmark measures is
+//! exactly the scenario this harness proves equivalent.
 
 use bench::shard_fixture::{batch, build_censored, build_uncensored, verdict_keys};
 use encore_repro::censor::registry::ground_truth;
+use encore_repro::encore::system::EncoreSystem;
 use encore_repro::encore::FilteringDetector;
 use encore_repro::netsim::geo::World;
+use encore_repro::netsim::network::Network;
 use encore_repro::population::shard::ShardContext;
-use encore_repro::population::{run_sharded_batch, run_visit_batch, Audience, ShardedBatchConfig};
+use encore_repro::population::{
+    run_sharded_world, Audience, ShardedWorldRun, WorldEngine, WorldRecipe,
+};
 use encore_repro::sim_core::SimRng;
 
 fn world_audience() -> Audience {
     Audience::world(&World::builtin())
 }
 
+/// `visits` fixture-batch visits of `build`'s world across `shards`.
+fn run_sharded(
+    build: &(impl Fn(ShardContext) -> (Network, EncoreSystem) + Sync),
+    shards: usize,
+    visits: u64,
+    seed: u64,
+) -> ShardedWorldRun {
+    let recipe = WorldRecipe::batch(batch(visits));
+    run_sharded_world(build, &world_audience(), &recipe, shards, seed)
+}
+
 /// Sorted `domain:country` verdict keys from a sharded run.
 fn verdicts(shards: usize, seed: u64, visits: u64) -> Vec<String> {
-    let config = ShardedBatchConfig {
-        shards,
-        batch: batch(visits),
-    };
-    let run = run_sharded_batch(&build_censored, &world_audience(), &config, seed);
+    let run = run_sharded(&build_censored, shards, visits, seed);
     verdict_keys(&run.collection.records, &run.geo)
 }
 
 #[test]
 fn one_shard_locksteps_the_serial_batch_driver() {
     let seed = 0xD00D;
-    let config = batch(2_000);
+    let recipe = WorldRecipe::batch(batch(2_000));
     let audience = world_audience();
 
-    // Serial: the existing driver over the serial (shard 0 of 1) build.
+    // Serial: the engine over the serial (shard 0 of 1) build.
     let (mut net, mut sys) = build_censored(ShardContext {
         index: 0,
         shards: 1,
     });
     let mut rng = SimRng::new(seed);
-    let serial_report = run_visit_batch(&mut net, &mut sys, &audience, &config, &mut rng);
+    let serial_report = WorldEngine::from_recipe(&mut net, &mut sys, &audience, &recipe, &mut rng)
+        .run()
+        .report;
     let serial_snapshot = sys.collection.snapshot();
 
     // Sharded at N = 1.
-    let sharded = run_sharded_batch(
-        &build_censored,
-        &audience,
-        &ShardedBatchConfig {
-            shards: 1,
-            batch: config,
-        },
-        seed,
-    );
+    let sharded = run_sharded(&build_censored, 1, 2_000, seed);
 
     assert_eq!(
-        sharded.report, serial_report,
+        sharded.outcome.report, serial_report,
         "1-shard report must be bit-identical to the serial driver"
     );
     assert_eq!(
@@ -80,7 +85,7 @@ fn one_shard_locksteps_the_serial_batch_driver() {
     );
     // And the serialized artifacts agree byte for byte.
     assert_eq!(
-        serde_json::to_string(&sharded.report).unwrap(),
+        serde_json::to_string(&sharded.outcome.report).unwrap(),
         serde_json::to_string(&serial_report).unwrap()
     );
 }
@@ -107,13 +112,8 @@ fn verdicts_identical_across_shard_counts() {
 
 #[test]
 fn uncensored_world_yields_no_verdicts_at_any_shard_count() {
-    let audience = world_audience();
     for shards in [1usize, 2, 8] {
-        let config = ShardedBatchConfig {
-            shards,
-            batch: batch(2_000),
-        };
-        let run = run_sharded_batch(&build_uncensored, &audience, &config, 0xC1EA);
+        let run = run_sharded(&build_uncensored, shards, 2_000, 0xC1EA);
         let detections = FilteringDetector::default().detect(&run.collection.records, &run.geo);
         assert!(
             detections.is_empty(),
@@ -125,17 +125,9 @@ fn uncensored_world_yields_no_verdicts_at_any_shard_count() {
 #[test]
 fn fixed_seed_and_shard_count_reproduces_run_to_run() {
     let go = || {
-        let run = run_sharded_batch(
-            &build_censored,
-            &world_audience(),
-            &ShardedBatchConfig {
-                shards: 4,
-                batch: batch(1_500),
-            },
-            0xBEEF,
-        );
+        let run = run_sharded(&build_censored, 4, 1_500, 0xBEEF);
         (
-            serde_json::to_string(&run.report).unwrap(),
+            serde_json::to_string(&run.outcome.report).unwrap(),
             serde_json::to_string(&run.collection).unwrap(),
         )
     };
@@ -151,25 +143,12 @@ fn different_seeds_diverge_in_detail_but_not_in_verdict() {
     let b = verdicts(2, 2, 4_000);
     assert_eq!(a, b, "the science must be seed-invariant");
 
-    let run_a = run_sharded_batch(
-        &build_censored,
-        &world_audience(),
-        &ShardedBatchConfig {
-            shards: 2,
-            batch: batch(1_000),
-        },
-        1,
+    let run_a = run_sharded(&build_censored, 2, 1_000, 1);
+    let run_b = run_sharded(&build_censored, 2, 1_000, 2);
+    assert_ne!(
+        run_a.outcome.report, run_b.outcome.report,
+        "seeds should differ in detail"
     );
-    let run_b = run_sharded_batch(
-        &build_censored,
-        &world_audience(),
-        &ShardedBatchConfig {
-            shards: 2,
-            batch: batch(1_000),
-        },
-        2,
-    );
-    assert_ne!(run_a.report, run_b.report, "seeds should differ in detail");
 }
 
 /// Golden snapshot: the merged-report JSON for a fixed scenario is pinned
@@ -178,16 +157,8 @@ fn different_seeds_diverge_in_detail_but_not_in_verdict() {
 /// loud diff instead of a silent drift.
 #[test]
 fn merged_report_json_matches_golden_snapshot() {
-    let run = run_sharded_batch(
-        &build_censored,
-        &world_audience(),
-        &ShardedBatchConfig {
-            shards: 2,
-            batch: batch(1_000),
-        },
-        0x901D,
-    );
-    let json = serde_json::to_string(&run.report).unwrap();
+    let run = run_sharded(&build_censored, 2, 1_000, 0x901D);
+    let json = serde_json::to_string(&run.outcome.report).unwrap();
     let golden = include_str!("golden/merged_report.json").trim();
     assert_eq!(
         json, golden,

@@ -13,7 +13,7 @@ use encore_repro::netsim::fault::FaultInjector;
 use encore_repro::netsim::geo::{country, World};
 use encore_repro::netsim::http::{ContentType, HttpResponse};
 use encore_repro::netsim::network::{ConstHandler, Network};
-use encore_repro::population::{run_deployment, Audience, DeploymentConfig};
+use encore_repro::population::{Audience, DeploymentConfig, WorldEngine, WorldRecipe};
 use encore_repro::sim_core::{OneSidedBinomialTest, SimDuration, SimRng};
 
 fn favicon_task(domain: &str, id: u64) -> MeasurementTask {
@@ -58,18 +58,13 @@ fn detection_survives_smoltcp_stress_conditions() {
         country("US"),
     );
     let mut rng = SimRng::new(0x57E55);
-    let config = DeploymentConfig {
+    let audience = Audience::world(&world);
+    let recipe = WorldRecipe::deployment(DeploymentConfig {
         duration: SimDuration::from_days(10),
         visits_per_day_per_weight: 60.0,
         ..DeploymentConfig::default()
-    };
-    run_deployment(
-        &mut net,
-        &mut sys,
-        &Audience::world(&world),
-        &config,
-        &mut rng,
-    );
+    });
+    WorldEngine::from_recipe(&mut net, &mut sys, &audience, &recipe, &mut rng).run();
 
     let geo = GeoDb::from_allocator(&net.allocator);
     // The default p = 0.7 null would flag *everything* at 30% ambient
@@ -119,18 +114,13 @@ fn mid_run_outage_never_flagged() {
     let mut rng = SimRng::new(0x0FF1);
 
     // First half: healthy.
-    let config = DeploymentConfig {
+    let audience = Audience::world(&world);
+    let recipe = WorldRecipe::deployment(DeploymentConfig {
         duration: SimDuration::from_days(4),
         visits_per_day_per_weight: 50.0,
         ..DeploymentConfig::default()
-    };
-    run_deployment(
-        &mut net,
-        &mut sys,
-        &Audience::world(&world),
-        &config,
-        &mut rng,
-    );
+    });
+    WorldEngine::from_recipe(&mut net, &mut sys, &audience, &recipe, &mut rng).run();
 
     // The site dies: DNS record withdrawn, caches flushed.
     net.dns.unregister("flaky-host.example");
@@ -139,13 +129,7 @@ fn mid_run_outage_never_flagged() {
     // Second half: global failure. (The driver restarts its schedule at
     // t=0; received_at ordering within each half is all the windowed
     // detector needs — we shift attention to detections only.)
-    run_deployment(
-        &mut net,
-        &mut sys,
-        &Audience::world(&world),
-        &config,
-        &mut rng,
-    );
+    WorldEngine::from_recipe(&mut net, &mut sys, &audience, &recipe, &mut rng).run();
 
     let geo = GeoDb::from_allocator(&net.allocator);
     let detections = sys.detect(&geo, &FilteringDetector::default());

@@ -1,13 +1,14 @@
 //! Event-engine equivalence harness.
 //!
 //! The world-engine refactor (`population::world::WorldEngine`) replaced
-//! the hand-rolled loops of `run_deployment` and `run_visit_batch` with
-//! a discrete-event queue. That refactor is only admissible if it is
-//! invisible: for any fixed seed, the engine-backed wrappers must
-//! produce **bit-identical** output to the pre-engine drivers. This file
-//! keeps verbatim copies of the legacy implementations (they used only
-//! public APIs) and pins the wrappers against them across censored and
-//! uncensored worlds and multiple seeds.
+//! the hand-rolled deployment and batch driver loops with a
+//! discrete-event queue. That refactor is only admissible if it is
+//! invisible: for any fixed seed, a deployment- or batch-mode recipe run
+//! by `WorldEngine::from_recipe` must produce **bit-identical** output
+//! to the pre-engine drivers. This file keeps verbatim copies of the
+//! legacy implementations (they used only public APIs) and pins the
+//! engine against them across censored and uncensored worlds and
+//! multiple seeds.
 //!
 //! If an intentional behaviour change ever lands in the engine, update
 //! these reference copies in the same commit and say why in the message.
@@ -22,8 +23,7 @@ use encore_repro::netsim::geo::{country, World};
 use encore_repro::netsim::http::{ContentType, HttpResponse};
 use encore_repro::netsim::network::{ConstHandler, Network};
 use encore_repro::population::{
-    run_deployment, run_visit_batch, Audience, BatchConfig, BatchReport, DeploymentConfig,
-    VisitRecord,
+    Audience, BatchConfig, BatchReport, DeploymentConfig, VisitRecord, WorldEngine, WorldRecipe,
 };
 use encore_repro::sim_core::dist::{Exponential, Sample};
 use encore_repro::sim_core::{SimDuration, SimRng, SimTime};
@@ -243,7 +243,11 @@ fn deployment_wrapper_is_bit_identical_to_legacy_driver() {
 
         let (mut net_b, mut sys_b) = favicon_world(censored, multi_origin());
         let mut rng_b = SimRng::new(seed);
-        let engine = run_deployment(&mut net_b, &mut sys_b, &audience, &config, &mut rng_b);
+        let recipe = WorldRecipe::deployment(config);
+        let engine =
+            WorldEngine::from_recipe(&mut net_b, &mut sys_b, &audience, &recipe, &mut rng_b)
+                .run()
+                .log;
 
         assert_eq!(
             legacy.len(),
@@ -259,7 +263,7 @@ fn deployment_wrapper_is_bit_identical_to_legacy_driver() {
             sys_b.collection.snapshot(),
             "collection stores diverged (seed {seed:#x}, censored={censored})"
         );
-        // The wrapper must also leave the caller's RNG in the same state.
+        // The engine must also leave the caller's RNG in the same state.
         assert_eq!(rng_a.next_u64(), rng_b.next_u64());
     }
 }
@@ -279,7 +283,11 @@ fn batch_wrapper_is_bit_identical_to_legacy_driver() {
 
         let (mut net_b, mut sys_b) = favicon_world(censored, multi_origin());
         let mut rng_b = SimRng::new(seed);
-        let engine = run_visit_batch(&mut net_b, &mut sys_b, &audience, &config, &mut rng_b);
+        let recipe = WorldRecipe::batch(config);
+        let engine =
+            WorldEngine::from_recipe(&mut net_b, &mut sys_b, &audience, &recipe, &mut rng_b)
+                .run()
+                .report;
 
         assert_eq!(
             legacy, engine,
@@ -320,7 +328,11 @@ fn batch_wrapper_matches_legacy_on_degenerate_configs() {
         let legacy = legacy_run_visit_batch(&mut net_a, &mut sys_a, &audience, &config, &mut rng_a);
         let (mut net_b, mut sys_b) = favicon_world(false, multi_origin());
         let mut rng_b = SimRng::new(3);
-        let engine = run_visit_batch(&mut net_b, &mut sys_b, &audience, &config, &mut rng_b);
+        let recipe = WorldRecipe::batch(config);
+        let engine =
+            WorldEngine::from_recipe(&mut net_b, &mut sys_b, &audience, &recipe, &mut rng_b)
+                .run()
+                .report;
         assert_eq!(legacy, engine, "diverged on {config:?}");
     }
 
@@ -337,13 +349,10 @@ fn batch_wrapper_matches_legacy_on_degenerate_configs() {
     );
     let (mut net_b, mut sys_b) = favicon_world(false, ghost);
     let mut rng_b = SimRng::new(4);
-    let engine = run_visit_batch(
-        &mut net_b,
-        &mut sys_b,
-        &audience,
-        &BatchConfig::default(),
-        &mut rng_b,
-    );
+    let recipe = WorldRecipe::batch(BatchConfig::default());
+    let engine = WorldEngine::from_recipe(&mut net_b, &mut sys_b, &audience, &recipe, &mut rng_b)
+        .run()
+        .report;
     assert_eq!(legacy.visits, 0);
     assert_eq!(legacy, engine, "weightless-origin halt diverged");
 }
@@ -368,7 +377,10 @@ fn deployment_wrapper_matches_legacy_with_zero_weight_origins() {
     let legacy = legacy_run_deployment(&mut net_a, &mut sys_a, &audience, &config, &mut rng_a);
     let (mut net_b, mut sys_b) = favicon_world(false, origins);
     let mut rng_b = SimRng::new(9);
-    let engine = run_deployment(&mut net_b, &mut sys_b, &audience, &config, &mut rng_b);
+    let recipe = WorldRecipe::deployment(config);
+    let engine = WorldEngine::from_recipe(&mut net_b, &mut sys_b, &audience, &recipe, &mut rng_b)
+        .run()
+        .log;
     assert_eq!(legacy, engine);
     assert!(legacy.iter().all(|v| v.origin_index != 1));
 }

@@ -16,7 +16,7 @@
 //! 1. **Golden byte-identity** — the serial run's full artifact
 //!    serializes byte-identically to `tests/golden/world_report.json`
 //!    (regenerate with `ENCORE_BLESS=1 cargo test --test world_report`).
-//!    The `world_report` binary writes the same artifact, so CI's
+//!    `bench world_report` writes the same artifact, so CI's
 //!    `diff results/world_report.json tests/golden/world_report.json`
 //!    and this test can never disagree.
 //! 2. **Zero false positives with localisation** — every censor story is
@@ -33,7 +33,7 @@ use bench::corpus_fixture::{
 };
 use encore_repro::population::{run_sharded_world, ShardedWorldRun};
 
-const SEED: u64 = 0x0000_E7C0_2015; // bench::DEFAULT_SEED — the binary's gate engages here.
+const SEED: u64 = 0x0000_E7C0_2015; // bench::DEFAULT_SEED — the command's gate engages here.
 
 fn run(shards: usize) -> (ShardedWorldRun, corpus_fixture::WorldReport) {
     let recipe = corpus_fixture::recipe(DAYS, RATE);

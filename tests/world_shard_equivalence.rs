@@ -7,8 +7,8 @@
 //! partition 1/N, outputs merge deterministically. That is only
 //! admissible if the parallel run is provably the same *experiment* as
 //! the serial one. Three levels of equivalence are enforced here, on the
-//! `bench::world_fixture` Turkey-timeline scenario (the same fixture the
-//! `timeline` and `world_scale` binaries gate on in CI):
+//! `bench::world_fixture` Turkey-timeline scenario (the same fixture
+//! `bench timeline` gates on in CI):
 //!
 //! 1. **Lockstep** — a 1-shard `run_sharded_world` is **byte-identical**
 //!    to the serial `WorldEngine::from_recipe(..).run()` on the same
