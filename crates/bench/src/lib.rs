@@ -211,6 +211,7 @@ pub mod world_fixture {
     use censor::timeline::{CensorSpec, PolicyChange, PolicyTimeline};
     use encore::coordination::SchedulingStrategy;
     use encore::delivery::OriginSite;
+    use encore::inference::WindowReport;
     use encore::system::EncoreSystem;
     use encore::{FilteringDetector, GeoDb, StoredMeasurement};
     use netsim::geo::{country, CountryCode};
@@ -335,20 +336,18 @@ pub mod world_fixture {
         pub lift_day: Option<u64>,
     }
 
-    /// Run the windowed detector (1-day windows) and localise the
-    /// onset/lift transitions for `cc:domain`. Localisation goes through
+    /// Read one `cc:domain` pair's verdict off a run's window reports:
+    /// the per-window flag series, localised through
     /// [`encore::localise_transitions`] — the same rule the simcheck
     /// fuzz oracle applies to generated worlds — so the goldens and the
     /// generated scenario space can never disagree on what "onset" and
-    /// "lift" mean.
-    pub fn judge_timeline(
-        records: &[StoredMeasurement],
-        geo: &GeoDb,
+    /// "lift" mean. Reports cost a pass over the record log and pairs
+    /// cost nothing, so a caller tracking several pairs detects once.
+    pub fn judge_reports(
+        reports: &[WindowReport],
         cc: CountryCode,
         domain: &str,
     ) -> TimelineJudgment {
-        let reports =
-            FilteringDetector::default().detect_windows(records, geo, SimDuration::from_days(1));
         let days: Vec<(u64, usize, bool)> = reports
             .iter()
             .map(|r| {
@@ -367,33 +366,32 @@ pub mod world_fixture {
         }
     }
 
+    /// Run the windowed detector (1-day windows) over a record log and
+    /// judge `cc:domain` from its reports.
+    pub fn judge_timeline(
+        records: &[StoredMeasurement],
+        geo: &GeoDb,
+        cc: CountryCode,
+        domain: &str,
+    ) -> TimelineJudgment {
+        let reports =
+            FilteringDetector::default().detect_windows(records, geo, SimDuration::from_days(1));
+        judge_reports(&reports, cc, domain)
+    }
+
     /// The same verdict as [`judge_timeline`], judged from merged
     /// bounded-memory streaming analytics instead of a record log —
-    /// what a `--streaming` run's windows are localised from. Both
-    /// paths share the detector and [`encore::localise_transitions`],
-    /// so "onset" and "lift" mean the same thing in either mode.
+    /// what a `--streaming` run's windows are localised from.
     pub fn judge_timeline_streamed(
         stats: &encore::streaming::StreamingStats,
         cc: CountryCode,
         domain: &str,
     ) -> TimelineJudgment {
-        let reports = FilteringDetector::default().judge_streamed(stats);
-        let days: Vec<(u64, usize, bool)> = reports
-            .iter()
-            .map(|r| {
-                let flagged = r
-                    .detections
-                    .iter()
-                    .any(|d| d.country == cc && d.domain == domain);
-                (r.window, r.measurements, flagged)
-            })
-            .collect();
-        let (onset, lift) = encore::localise_transitions(days.iter().map(|&(w, _, f)| (w, f)));
-        TimelineJudgment {
-            days,
-            onset_day: onset,
-            lift_day: lift,
-        }
+        judge_reports(
+            &FilteringDetector::default().judge_streamed(stats),
+            cc,
+            domain,
+        )
     }
 }
 
@@ -949,32 +947,31 @@ pub mod corpus_fixture {
             ("RU", rank0.as_str()),
             ("RU", rank1.as_str()),
         ];
+        // One pass over the record log; every verdict below reads these
+        // reports.
+        let window = SimDuration::from_days(1);
+        let mut reports = FilteringDetector::default().detect_windows(records, geo, window);
+        reports.retain(|r| r.window < days);
         let pairs = tracked
             .iter()
             .map(|&(cc, domain)| {
-                let j = crate::world_fixture::judge_timeline(records, geo, country(cc), domain);
-                let rows: Vec<(u64, bool)> = j
-                    .days
-                    .iter()
-                    .filter(|&&(d, _, _)| d < days)
-                    .map(|&(d, _, f)| (d, f))
-                    .collect();
-                let (onset_day, lift_day) = encore::localise_transitions(rows.iter().copied());
+                let j = crate::world_fixture::judge_reports(&reports, country(cc), domain);
                 PairVerdict {
                     country: cc.to_string(),
                     domain: domain.to_string(),
-                    onset_day,
-                    lift_day,
-                    flagged_days: rows.iter().filter(|&&(_, f)| f).map(|&(d, _)| d).collect(),
+                    onset_day: j.onset_day,
+                    lift_day: j.lift_day,
+                    flagged_days: j
+                        .days
+                        .iter()
+                        .filter(|&&(_, _, flagged)| flagged)
+                        .map(|&(d, _, _)| d)
+                        .collect(),
                 }
             })
             .collect();
-
-        let window = SimDuration::from_days(1);
-        let disrupted_detections = FilteringDetector::default()
-            .detect_windows(records, geo, window)
+        let disrupted_detections = reports
             .iter()
-            .filter(|r| r.window < days)
             .flat_map(|r| r.detections.iter())
             .filter(|d| d.domain == rank1)
             .count();
@@ -1114,5 +1111,136 @@ mod tests {
             },
         );
         assert!(!tasks.is_empty());
+    }
+
+    /// The streaming ≡ exact traffic of `encore::collection`'s
+    /// `streaming_verdicts_match_exact_on_identical_traffic`, stretched
+    /// to four 1-day windows with Turkey failing on days 1–2: every
+    /// submission goes to an exact and a streaming collector, with
+    /// crawler and congestion noise and one Turkish client flooding past
+    /// the per-IP cap.
+    fn mirrored_collectors() -> (
+        Vec<encore::StoredMeasurement>,
+        encore::GeoDb,
+        encore::streaming::StreamingStats,
+    ) {
+        use encore::collection::{write_submit_url, CollectionServer, Submission};
+        use encore::tasks::{MeasurementId, TaskOutcome, TaskType};
+        use encore::{StreamingConfig, SubmissionPhase};
+        use netsim::geo::{country, IspClass, World};
+        use netsim::http::HttpRequest;
+        use sim_core::{SimDuration, SimRng, SimTime};
+
+        let mut net = Network::ideal(World::builtin());
+        let exact = CollectionServer::new("exact.example");
+        exact.install(&mut net, country("US"));
+        let streaming = CollectionServer::new("collector.example");
+        streaming.install(&mut net, country("US"));
+        streaming.enable_streaming(
+            &StreamingConfig::with_window(SimDuration::from_days(1)),
+            0x00C0_FFEE,
+            SimRng::new(99),
+        );
+        let clients: Vec<_> = ["TR", "TR", "TR", "US", "US", "US"]
+            .iter()
+            .map(|cc| net.add_client(country(cc), IspClass::Residential))
+            .collect();
+        let mut rng = SimRng::new(2);
+        let mut id = 0u64;
+        let mut submit = |c: usize, outcome: TaskOutcome, ua: &str, congested: bool, at: u64| {
+            id += 1;
+            let sub = Submission {
+                measurement_id: MeasurementId(id),
+                phase: SubmissionPhase::Result,
+                outcome: Some(outcome),
+                elapsed_ms: 1_234,
+                task_type: TaskType::Image,
+                target_url: "http://youtube.com/favicon.ico".into(),
+                user_agent: ua.into(),
+                congested,
+            };
+            for collector in ["exact.example", "collector.example"] {
+                let mut url = String::new();
+                write_submit_url(&mut url, collector, &sub.parts());
+                let req = HttpRequest::get(&url).with_referer("http://origin.example/");
+                net.fetch(&clients[c], &req, SimTime::from_secs(at), &mut rng);
+            }
+        };
+        for day in 0..4u64 {
+            let blocked = day == 1 || day == 2;
+            for rep in 0..12u64 {
+                for c in 0..6 {
+                    let outcome = if blocked && c < 3 {
+                        TaskOutcome::Failure
+                    } else {
+                        TaskOutcome::Success
+                    };
+                    let ua = if rep == 7 { "GoogleBot" } else { "Chrome" };
+                    let congested = rep == 5 && outcome == TaskOutcome::Failure;
+                    submit(c, outcome, ua, congested, day * 86_400 + rep * 3);
+                }
+            }
+            for _ in 0..40 {
+                submit(0, TaskOutcome::Failure, "Chrome", false, day * 86_400 + 50);
+            }
+        }
+        let geo = encore::GeoDb::from_allocator(&net.allocator);
+        let alloc = net.allocator.clone();
+        streaming.close_all_windows(|ip| alloc.country_of(ip));
+        let stats = streaming.snapshot().streaming.expect("streaming stats");
+        (exact.records(), geo, stats)
+    }
+
+    #[test]
+    fn judge_reports_reads_one_judgment_off_exact_and_streamed_reports() {
+        use encore::inference::{Detection, WindowReport};
+        use netsim::geo::country;
+        use world_fixture::{judge_reports, judge_timeline, judge_timeline_streamed};
+
+        // Per day: 12 reps × 6 clients + the 40-record flood = 112 result
+        // measurements. Turkey's cell keeps 10 records per client (the
+        // cap; the flood falls past it): 30 successes on open days, 30
+        // failures on days 1–2, against a clean 30/30 US control.
+        let expected = world_fixture::TimelineJudgment {
+            days: vec![
+                (0, 112, false),
+                (1, 112, true),
+                (2, 112, true),
+                (3, 112, false),
+            ],
+            onset_day: Some(1),
+            lift_day: Some(3),
+        };
+        let (tr, domain) = (country("TR"), "youtube.com");
+
+        // A fixed report vector, written out by hand: a detection counts
+        // only when both country and domain match.
+        let hit = |country, domain: &str| Detection {
+            domain: domain.into(),
+            country,
+            n: 30,
+            x: 0,
+            p_value: 0.0,
+        };
+        let fixed: Vec<WindowReport> = [
+            vec![hit(country("CN"), domain)],
+            vec![hit(tr, domain)],
+            vec![hit(tr, "other.com"), hit(tr, domain)],
+            vec![hit(tr, "other.com")],
+        ]
+        .into_iter()
+        .zip(0u64..)
+        .map(|(detections, window)| WindowReport {
+            window,
+            start: world_fixture::day(window),
+            measurements: 112,
+            detections,
+        })
+        .collect();
+        assert_eq!(judge_reports(&fixed, tr, domain), expected);
+
+        let (records, geo, stats) = mirrored_collectors();
+        assert_eq!(judge_timeline(&records, &geo, tr, domain), expected);
+        assert_eq!(judge_timeline_streamed(&stats, tr, domain), expected);
     }
 }

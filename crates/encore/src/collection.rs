@@ -14,6 +14,7 @@
 //! "after excluding erroneously contributed measurements (e.g., from Web
 //! crawlers)").
 
+use crate::inference::{countable, is_crawler_ua, RecordFilter};
 use crate::streaming::{
     CellEntry, CountMinSketch, DropCounters, IngestQueue, ReservoirEntry, ReservoirSample,
     StreamingConfig, StreamingStats, WindowCells,
@@ -27,6 +28,7 @@ use sim_core::{
     find_byte, find_either, seeded_hash, splitmix_mix, FxBuildHasher, Interner, SimRng, SimTime,
     Sym,
 };
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::net::Ipv4Addr;
@@ -548,13 +550,19 @@ impl StoredMeasurement {
     /// Whether this record came from automated traffic (the §6.2 campus
     /// security scanner, search-engine crawlers, …).
     pub fn is_crawler(&self) -> bool {
-        let ua = self.submission.user_agent.to_ascii_lowercase();
-        ua.contains("bot") || ua.contains("crawler") || ua.contains("scanner")
+        is_crawler_ua(&self.submission.user_agent)
     }
 
     /// Target domain of the measurement.
     pub fn target_domain(&self) -> Option<String> {
-        netsim::http::host_of(&self.submission.target_url)
+        self.target_host().map(Cow::into_owned)
+    }
+
+    /// [`target_domain`](Self::target_domain) borrowed from the stored
+    /// URL (owned only when the host had to be lower-cased) — what
+    /// per-record analysis loops use.
+    pub fn target_host(&self) -> Option<Cow<'_, str>> {
+        netsim::http::host_ref(&self.submission.target_url)
     }
 }
 
@@ -764,9 +772,8 @@ struct OpenWindow {
 struct StreamingState {
     window_micros: u64,
     dedup: bool,
-    exclude_crawlers: bool,
+    filter: RecordFilter,
     max_per_ip: Option<u64>,
-    discount_congestion: bool,
     /// Priority stream for the reservoir (split per shard; the sample
     /// merge is a union, so streams need not match across shards).
     rng: SimRng,
@@ -797,9 +804,11 @@ impl StreamingState {
         StreamingState {
             window_micros: cfg.window.as_micros().max(1),
             dedup: cfg.dedup,
-            exclude_crawlers: cfg.exclude_crawlers,
+            filter: RecordFilter {
+                exclude_crawlers: cfg.exclude_crawlers,
+                discount_congestion: cfg.discount_congestion,
+            },
             max_per_ip: cfg.max_per_ip,
-            discount_congestion: cfg.discount_congestion,
             rng,
             sketch: CountMinSketch::new(cfg.sketch_depth, cfg.sketch_width, sketch_seed),
             reservoir_capacity: cfg.reservoir,
@@ -1008,36 +1017,34 @@ impl Store {
             );
         }
 
-        // Detector-equivalent window fold: the filter cascade below is
-        // `FilteringDetector::build_matrix` verbatim (phase → crawler →
-        // outcome → congestion discount → domain → per-ip cap), applied
-        // at ingest because the raw record will not exist at detect
-        // time. Country resolution (which exact mode applies just
+        // Detector-equivalent window fold: the exact fold's cascade
+        // (`inference::countable` → domain → per-ip cap), applied at
+        // ingest because the raw record will not exist at detect time.
+        // Country resolution (which exact mode applies just
         // before the cap) is deferred to window close; with the
         // engine's zero-error GeoDb the two orderings count the same
         // records.
         let domain = *st.domain_of.entry(target_url).or_insert_with(|| {
             netsim::http::host_of(strings.resolve(target_url)).map(|d| strings.intern(&d))
         });
-        let crawler = *st.crawler_of.entry(user_agent).or_insert_with(|| {
-            let ua = strings.resolve(user_agent).to_ascii_lowercase();
-            ua.contains("bot") || ua.contains("crawler") || ua.contains("scanner")
-        });
+        let crawler = *st
+            .crawler_of
+            .entry(user_agent)
+            .or_insert_with(|| is_crawler_ua(strings.resolve(user_agent)));
         let window = now.as_micros() / st.window_micros;
-        let exclude_crawlers = st.exclude_crawlers;
-        let discount_congestion = st.discount_congestion;
+        let filter = st.filter;
         let max_per_ip = st.max_per_ip;
         let open = st.open_window_mut(window);
         if parsed.phase == SubmissionPhase::Result {
             open.measurements += 1;
         }
-        let countable = parsed.phase == SubmissionPhase::Result
-            && !(exclude_crawlers && crawler)
-            && parsed.outcome.is_some()
-            && !(discount_congestion
-                && parsed.outcome == Some(TaskOutcome::Failure)
-                && parsed.congested);
-        if countable {
+        if countable(
+            parsed.phase,
+            parsed.outcome,
+            parsed.congested,
+            || crawler,
+            filter,
+        ) {
             if let Some(domain) = domain {
                 let cell = open.cells.entry((domain, client_ip)).or_default();
                 let under_cap = max_per_ip.is_none_or(|cap| cell.seen < cap);

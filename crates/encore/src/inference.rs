@@ -18,8 +18,10 @@ use crate::geo::GeoDb;
 use crate::tasks::TaskOutcome;
 use netsim::geo::CountryCode;
 use serde::{Deserialize, Serialize};
-use sim_core::OneSidedBinomialTest;
-use std::collections::BTreeMap;
+use sim_core::{FxBuildHasher, OneSidedBinomialTest};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap};
+use std::net::Ipv4Addr;
 
 /// Detector configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -64,6 +66,52 @@ impl Default for DetectorConfig {
             discount_congestion: true,
         }
     }
+}
+
+/// The stateless record filters of the §7.2 cascade, as both the exact
+/// fold and the streaming ingest apply them.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RecordFilter {
+    /// [`DetectorConfig::exclude_crawlers`].
+    pub exclude_crawlers: bool,
+    /// [`DetectorConfig::discount_congestion`].
+    pub discount_congestion: bool,
+}
+
+/// Whether a record is Bernoulli evidence at all: phase → crawler →
+/// outcome → congestion discount. The single copy of that cascade — the
+/// exact fold ([`FilteringDetector::build_matrix`]) and the streaming
+/// ingest both call it, so the two modes cannot drift. `crawler` is only
+/// asked of result-phase records when crawlers are excluded (the exact
+/// fold scans the user agent there; streaming answers from its memo).
+/// The stateful rest (domain → geo → per-IP cap) follows at each call
+/// site.
+pub(crate) fn countable(
+    phase: SubmissionPhase,
+    outcome: Option<TaskOutcome>,
+    congested: bool,
+    crawler: impl FnOnce() -> bool,
+    filter: RecordFilter,
+) -> bool {
+    phase == SubmissionPhase::Result
+        && !(filter.exclude_crawlers && crawler())
+        && outcome.is_some()
+        // Near-source congestion signal: the transit link shed this
+        // fetch and said so. Path evidence, not resource evidence — see
+        // `DetectorConfig::discount_congestion`.
+        && !(filter.discount_congestion && outcome == Some(TaskOutcome::Failure) && congested)
+}
+
+/// Whether a self-reported user agent announces automated traffic (the
+/// §6.2 campus security scanner, search-engine crawlers, …): an
+/// ASCII-case-insensitive search for `bot`, `crawler` or `scanner` that
+/// allocates nothing.
+pub(crate) fn is_crawler_ua(ua: &str) -> bool {
+    const NEEDLES: [&[u8]; 3] = [b"bot", b"crawler", b"scanner"];
+    let ua = ua.as_bytes();
+    NEEDLES
+        .iter()
+        .any(|n| ua.windows(n.len()).any(|w| w.eq_ignore_ascii_case(n)))
 }
 
 /// One (resource, region) cell of the measurement matrix.
@@ -120,47 +168,80 @@ impl FilteringDetector {
         records: &[StoredMeasurement],
         geo: &GeoDb,
     ) -> BTreeMap<(String, CountryCode), Cell> {
-        let mut matrix: BTreeMap<(String, CountryCode), Cell> = BTreeMap::new();
-        let mut per_ip: BTreeMap<(String, std::net::Ipv4Addr), u64> = BTreeMap::new();
+        self.fold_matrix(records.iter(), geo)
+    }
+
+    /// The one record fold behind [`build_matrix`](Self::build_matrix),
+    /// [`detect`](Self::detect) and [`detect_windows`](Self::detect_windows):
+    /// a single borrowed pass that never copies a record. The host is
+    /// borrowed from `target_url`, each distinct domain gets a dense id
+    /// in first-seen order, and cells and the per-IP first-k counters
+    /// live in hash maps keyed on that id; domain names become owned
+    /// `String`s only at the end, one per *cell*. The per-IP cap counts
+    /// the first k records of an address **in iteration order**, so the
+    /// order `records` yields is part of the result.
+    fn fold_matrix<'a>(
+        &self,
+        records: impl Iterator<Item = &'a StoredMeasurement>,
+        geo: &GeoDb,
+    ) -> BTreeMap<(String, CountryCode), Cell> {
+        let filter = RecordFilter {
+            exclude_crawlers: self.config.exclude_crawlers,
+            discount_congestion: self.config.discount_congestion,
+        };
+        let mut ids: HashMap<Cow<'a, str>, u32, FxBuildHasher> = HashMap::default();
+        let mut cells: HashMap<(u32, CountryCode), Cell, FxBuildHasher> = HashMap::default();
+        // Sized for the result half of a log (every task submits an init
+        // beacon and a result): the counters are the one structure here
+        // that grows with clients, and growing it by rehash costs a fifth
+        // of the fold.
+        let counters = self
+            .config
+            .max_per_ip
+            .map_or(0, |_| records.size_hint().0 / 2);
+        let mut per_ip: HashMap<(u32, Ipv4Addr), u64, FxBuildHasher> =
+            HashMap::with_capacity_and_hasher(counters, FxBuildHasher::default());
         for rec in records {
-            if rec.submission.phase != SubmissionPhase::Result {
+            let sub = &rec.submission;
+            let crawler = || is_crawler_ua(&sub.user_agent);
+            if !countable(sub.phase, sub.outcome, sub.congested, crawler, filter) {
                 continue;
             }
-            if self.config.exclude_crawlers && rec.is_crawler() {
-                continue;
-            }
-            let Some(outcome) = rec.submission.outcome else {
-                continue;
-            };
-            if self.config.discount_congestion
-                && outcome == TaskOutcome::Failure
-                && rec.submission.congested
-            {
-                // Near-source congestion signal: the transit link shed
-                // this fetch and said so. Path evidence, not resource
-                // evidence — see `DetectorConfig::discount_congestion`.
-                continue;
-            }
-            let Some(domain) = rec.target_domain() else {
+            let Some(host) = rec.target_host() else {
                 continue;
             };
             let Some(country) = geo.lookup(rec.client_ip) else {
                 continue;
             };
+            let id = match ids.get(host.as_ref()) {
+                Some(&id) => id,
+                None => {
+                    let id = u32::try_from(ids.len()).expect("fewer than 2^32 distinct domains");
+                    ids.insert(host, id);
+                    id
+                }
+            };
             if let Some(cap) = self.config.max_per_ip {
-                let seen = per_ip.entry((domain.clone(), rec.client_ip)).or_insert(0);
+                let seen = per_ip.entry((id, rec.client_ip)).or_insert(0);
                 if *seen >= cap {
                     continue; // poisoning mitigation: flooding one IP stops counting
                 }
                 *seen += 1;
             }
-            let cell = matrix.entry((domain, country)).or_default();
+            let cell = cells.entry((id, country)).or_default();
             cell.n += 1;
-            if outcome == TaskOutcome::Success {
+            if sub.outcome == Some(TaskOutcome::Success) {
                 cell.x += 1;
             }
         }
-        matrix
+        let mut names = vec![""; ids.len()];
+        for (name, &id) in &ids {
+            names[id as usize] = name.as_ref();
+        }
+        cells
+            .into_iter()
+            .map(|((id, country), cell)| ((names[id as usize].to_owned(), country), cell))
+            .collect()
     }
 
     /// Run the §7.2 detection rule over the matrix.
@@ -178,26 +259,21 @@ impl FilteringDetector {
         &self,
         matrix: &BTreeMap<(String, CountryCode), Cell>,
     ) -> Vec<Detection> {
-        // Group cells by domain.
-        let mut by_domain: BTreeMap<String, Vec<(CountryCode, Cell)>> = BTreeMap::new();
-        for ((domain, country), cell) in matrix {
-            by_domain
-                .entry(domain.clone())
-                .or_default()
-                .push((*country, *cell));
-        }
-
+        // The matrix iterates in `(domain, country)` order, so each
+        // domain's cells are one contiguous run.
+        let cells: Vec<(&(String, CountryCode), &Cell)> = matrix.iter().collect();
         let mut detections = Vec::new();
-        for (domain, cells) in by_domain {
+        for run in cells.chunk_by(|a, b| a.0 .0 == b.0 .0) {
+            let domain = &run[0].0 .0;
             // Which regions (with enough data) fail the test?
             let mut failing = Vec::new();
             let mut passing_regions = 0usize;
-            for &(country, cell) in &cells {
+            for &(&(_, country), cell) in run {
                 if cell.n < self.config.min_measurements {
                     continue;
                 }
-                if self.config.test.rejects(cell.n, cell.x) {
-                    failing.push((country, cell));
+                if let Some(p_value) = self.config.test.rejection(cell.n, cell.x) {
+                    failing.push((country, *cell, p_value));
                 } else if cell.success_rate() >= self.config.test.p {
                     // Refinement over the paper's literal rule: a region
                     // only counts as a healthy control when its success
@@ -215,13 +291,13 @@ impl FilteringDetector {
             if passing_regions == 0 {
                 continue;
             }
-            for (country, cell) in failing {
+            for (country, cell, p_value) in failing {
                 detections.push(Detection {
                     domain: domain.clone(),
                     country,
                     n: cell.n,
                     x: cell.x,
-                    p_value: self.config.test.p_value(cell.n, cell.x),
+                    p_value,
                 });
             }
         }
@@ -284,12 +360,12 @@ pub fn congestion_evidence(
     geo: &GeoDb,
 ) -> Vec<CongestionAssessment> {
     let mut by_country: BTreeMap<CountryCode, CongestionAssessment> = BTreeMap::new();
-    let mut domains: BTreeMap<CountryCode, BTreeMap<String, bool>> = BTreeMap::new();
+    let mut domains: BTreeMap<CountryCode, BTreeMap<Cow<'_, str>, bool>> = BTreeMap::new();
     for rec in records {
         if rec.submission.phase != SubmissionPhase::Result {
             continue;
         }
-        let Some(domain) = rec.target_domain() else {
+        let Some(domain) = rec.target_host() else {
             continue;
         };
         let Some(country) = geo.lookup(rec.client_ip) else {
@@ -378,10 +454,10 @@ impl FilteringDetector {
         window: sim_core::SimDuration,
     ) -> Vec<WindowReport> {
         assert!(window.as_micros() > 0, "window must be positive");
-        let mut by_window: BTreeMap<u64, Vec<StoredMeasurement>> = BTreeMap::new();
+        let mut by_window: BTreeMap<u64, Vec<&StoredMeasurement>> = BTreeMap::new();
         for rec in records {
             let w = rec.received_at.as_micros() / window.as_micros();
-            by_window.entry(w).or_default().push(rec.clone());
+            by_window.entry(w).or_default().push(rec);
         }
         by_window
             .into_iter()
@@ -392,7 +468,7 @@ impl FilteringDetector {
                     .iter()
                     .filter(|r| r.submission.phase == SubmissionPhase::Result)
                     .count(),
-                detections: self.detect(&recs, geo),
+                detections: self.detect_from_matrix(&self.fold_matrix(recs.iter().copied(), geo)),
             })
             .collect()
     }
@@ -841,5 +917,125 @@ mod tests {
         assert!(countries.contains(&country("CN")));
         assert!(countries.contains(&country("IR")));
         assert_eq!(d.len(), 2);
+    }
+
+    impl Fixture {
+        /// A result record from a chosen address, URL and receive time.
+        fn add_from(&mut self, ip: Ipv4Addr, url: &str, outcome: TaskOutcome, at_secs: u64) {
+            self.next_id += 1;
+            self.records.push(StoredMeasurement {
+                submission: Submission {
+                    measurement_id: MeasurementId(self.next_id),
+                    phase: SubmissionPhase::Result,
+                    outcome: Some(outcome),
+                    elapsed_ms: 100,
+                    task_type: TaskType::Image,
+                    target_url: url.into(),
+                    user_agent: "Chrome".into(),
+                    congested: false,
+                },
+                client_ip: ip,
+                referer: None,
+                received_at: SimTime::from_secs(at_secs),
+            });
+        }
+    }
+
+    #[test]
+    fn out_of_order_records_land_in_their_windows_and_the_cap_counts_input_order() {
+        use TaskOutcome::{Failure, Success};
+        let url = "http://a.com/favicon.ico";
+        let mut f = Fixture::new();
+        let flooder = f.alloc.allocate(country("TR"));
+        // Window 1 (100–199 s) is given first. The flooder's ten
+        // successes come first in input order but last in time; by input
+        // order the cap of 10 keeps the successes (n = 10, x = 10).
+        for i in 0..12 {
+            f.add_at("a.com", "US", Success, SimTime::from_secs(100 + i));
+        }
+        for i in 0..10 {
+            f.add_from(flooder, url, Success, 199 - i);
+        }
+        for i in 0..10 {
+            f.add_from(flooder, url, Failure, 120 + i);
+        }
+        // Window 0 (0–99 s) is given second: ten failures first in input
+        // order (last in time), then ten successes the cap must drop
+        // (n = 10, x = 0; by time order it would be x = 10, unflagged).
+        for i in 0..12 {
+            f.add_at("a.com", "US", Success, SimTime::from_secs(i));
+        }
+        for i in 0..10 {
+            f.add_from(flooder, url, Failure, 90 + i);
+        }
+        for i in 0..10 {
+            f.add_from(flooder, url, Success, 10 + i);
+        }
+        let reports =
+            detector().detect_windows(&f.records, &f.geo(), sim_core::SimDuration::from_secs(100));
+        assert_eq!(reports.len(), 2);
+        assert_eq!(
+            (reports[0].window, reports[0].start, reports[0].measurements),
+            (0, SimTime::ZERO, 32)
+        );
+        assert_eq!(
+            (reports[1].window, reports[1].start, reports[1].measurements),
+            (1, SimTime::from_secs(100), 32)
+        );
+        let [d] = reports[0].detections.as_slice() else {
+            panic!("window 0 must flag exactly TR: {:?}", reports[0].detections);
+        };
+        assert_eq!(
+            (d.domain.as_str(), d.country, d.n, d.x),
+            ("a.com", country("TR"), 10, 0)
+        );
+        // Pr[Binomial(10, 0.7) = 0] = 0.3^10.
+        assert!((d.p_value - 5.9049e-6).abs() < 1e-12, "{}", d.p_value);
+        assert!(reports[1].detections.is_empty(), "{:?}", reports[1]);
+    }
+
+    #[test]
+    fn mixed_case_hosts_fold_into_one_lowercase_cell() {
+        let mut f = Fixture::new();
+        let ip = f.alloc.allocate(country("CN"));
+        f.add_from(ip, "http://Twitter.COM/x", TaskOutcome::Failure, 0);
+        f.add_from(ip, "http://twitter.com/y", TaskOutcome::Success, 0);
+        let m = detector().build_matrix(&f.records, &f.geo());
+        let expected: BTreeMap<_, _> = [(
+            ("twitter.com".to_string(), country("CN")),
+            Cell { n: 2, x: 1 },
+        )]
+        .into();
+        assert_eq!(m, expected);
+    }
+
+    #[test]
+    fn crawler_predicate_is_ascii_case_insensitive_and_survives_non_ascii() {
+        assert!(is_crawler_ua("GoogleBOT/2"));
+        assert!(is_crawler_ua("Scanner"));
+        assert!(is_crawler_ua("my-CrAwLeR"));
+        assert!(!is_crawler_ua("Mözilla/5.0 (ボット; Çhrome)"));
+        assert!(!is_crawler_ua("bo"));
+        assert!(!is_crawler_ua(""));
+        let mut f = Fixture::new();
+        f.add_ua("x.com", "DE", TaskOutcome::Failure, "GoogleBOT/2");
+        assert!(f.records[0].is_crawler());
+        assert!(detector().build_matrix(&f.records, &f.geo()).is_empty());
+    }
+
+    #[test]
+    fn url_without_a_host_is_skipped() {
+        let mut f = Fixture::new();
+        let ip = f.alloc.allocate(country("CN"));
+        for url in ["http:///favicon.ico", "favicon.ico", "http://:80/x"] {
+            f.add_from(ip, url, TaskOutcome::Failure, 0);
+        }
+        assert_eq!(f.records[0].target_host(), None);
+        assert!(detector().build_matrix(&f.records, &f.geo()).is_empty());
+        let reports =
+            detector().detect_windows(&f.records, &f.geo(), sim_core::SimDuration::from_secs(1));
+        assert_eq!(reports.len(), 1);
+        assert_eq!(reports[0].measurements, 3, "counted before the filters");
+        assert!(reports[0].detections.is_empty());
     }
 }

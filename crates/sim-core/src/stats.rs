@@ -275,10 +275,18 @@ impl OneSidedBinomialTest {
 
     /// Whether the observation is significant (rejects the null).
     pub fn rejects(&self, trials: u64, successes: u64) -> bool {
+        self.rejection(trials, successes).is_some()
+    }
+
+    /// The p-value of a significant observation, `None` when the null
+    /// stands — [`rejects`](Self::rejects) for callers that report the
+    /// p-value they rejected at, so the sum is computed once.
+    pub fn rejection(&self, trials: u64, successes: u64) -> Option<f64> {
         if trials == 0 {
-            return false; // No evidence either way.
+            return None; // No evidence either way.
         }
-        self.p_value(trials, successes) <= self.alpha
+        let p_value = self.p_value(trials, successes);
+        (p_value <= self.alpha).then_some(p_value)
     }
 }
 
@@ -450,6 +458,10 @@ mod tests {
         assert!(t.rejects(3, 0));
         // Zero trials: never significant.
         assert!(!t.rejects(0, 0));
+        // A rejection reports the very p-value it was decided on.
+        assert_eq!(t.rejection(3, 0), Some(t.p_value(3, 0)));
+        assert_eq!(t.rejection(2, 0), None);
+        assert_eq!(t.rejection(0, 0), None);
     }
 
     #[test]
