@@ -17,7 +17,7 @@
 use crate::inference::{countable, is_crawler_ua, RecordFilter};
 use crate::streaming::{
     CellEntry, CountMinSketch, DropCounters, IngestQueue, ReservoirEntry, ReservoirSample,
-    StreamingConfig, StreamingStats, WindowCells,
+    SketchSlots, StreamingConfig, StreamingStats, WindowCells,
 };
 use crate::tasks::{MeasurementId, TaskOutcome, TaskType};
 use netsim::geo::CountryCode;
@@ -793,10 +793,44 @@ struct StreamingState {
     /// Closed windows, sorted by index.
     closed: Vec<WindowCells>,
     /// Memo: target-URL sym → its domain's sym (None if the URL has no
-    /// host). Bounded by distinct target URLs.
-    domain_of: HashMap<Sym, Option<Sym>, FxBuildHasher>,
-    /// Memo: user-agent sym → crawler flag. Bounded by distinct UAs.
-    crawler_of: HashMap<Sym, bool, FxBuildHasher>,
+    /// host).
+    domain_of: SymMemo<Option<Sym>>,
+    /// Memo: user-agent sym → crawler flag.
+    crawler_of: SymMemo<bool>,
+    /// Memo: target-URL sym → its [`CountMinSketch::NS_URL`] slots, so
+    /// a URL's bytes are hashed on first sight only.
+    url_slots: SymMemo<SketchSlots>,
+    /// Memo: referer sym → its [`CountMinSketch::NS_ORIGIN`] slots.
+    origin_slots: SymMemo<SketchSlots>,
+}
+
+/// A dense memo over interned symbols: entry `sym.index()` caches a
+/// value derived from that symbol's string, `None` until first asked.
+/// Bounded by the interner that issued the symbols (one entry per
+/// distinct string, whatever the traffic), rebuilt from the strings on
+/// demand, and therefore never serialized.
+#[derive(Debug)]
+struct SymMemo<T>(Vec<Option<T>>);
+
+impl<T: Copy> SymMemo<T> {
+    fn new() -> SymMemo<T> {
+        SymMemo(Vec::new())
+    }
+
+    fn get_or_insert_with(&mut self, sym: Sym, compute: impl FnOnce() -> T) -> T {
+        let i = sym.index();
+        if let Some(Some(known)) = self.0.get(i) {
+            return *known;
+        }
+        if self.0.len() <= i {
+            self.0.resize(i + 1, None);
+        }
+        *self.0[i].insert(compute())
+    }
+
+    fn resident_bytes(&self) -> usize {
+        self.0.capacity() * std::mem::size_of::<Option<T>>()
+    }
 }
 
 impl StreamingState {
@@ -820,13 +854,17 @@ impl StreamingState {
             watermark: 0,
             open: Vec::new(),
             closed: Vec::new(),
-            domain_of: HashMap::default(),
-            crawler_of: HashMap::default(),
+            domain_of: SymMemo::new(),
+            crawler_of: SymMemo::new(),
+            url_slots: SymMemo::new(),
+            origin_slots: SymMemo::new(),
         }
     }
 
-    fn open_window_mut(&mut self, window: u64) -> &mut OpenWindow {
-        let i = match self.open.binary_search_by_key(&window, |w| w.window) {
+    /// Position in `open` of the window with this index, opening it if
+    /// this is its first submission.
+    fn open_window_index(&mut self, window: u64) -> usize {
+        match self.open.binary_search_by_key(&window, |w| w.window) {
             Ok(i) => i,
             Err(i) => {
                 self.open.insert(
@@ -840,19 +878,43 @@ impl StreamingState {
                 );
                 i
             }
-        };
-        &mut self.open[i]
+        }
+    }
+
+    /// Bytes held by the per-symbol memos.
+    fn memo_bytes(&self) -> usize {
+        self.domain_of.resident_bytes()
+            + self.crawler_of.resident_bytes()
+            + self.url_slots.resident_bytes()
+            + self.origin_slots.resident_bytes()
     }
 }
 
+/// Byte hash of one raw (still-escaped) query slice — the per-field
+/// ingredient of [`dedup_key`]. [`RawSyms`] computes it once per
+/// distinct slice.
+fn raw_hash(raw: &str) -> u64 {
+    #[cfg(test)]
+    crate::streaming::KEY_HASHES.with(|n| n.set(n.get() + 1));
+    seeded_hash(0x00D5_D00D_F00D_0001, raw.as_bytes())
+}
+
 /// Hash of a submission's full wire identity (every parsed field plus
-/// connection metadata), computed on the borrowed view — the duplicate
-/// gate compares these without allocating. A 64-bit collision silently
-/// drops one submission; at sim scales (≪ 2³²) that is beyond
-/// vanishing, and dedup is switchable off.
-fn dedup_key(parsed: &ParsedSubmission<'_>, ip: Ipv4Addr, now: SimTime) -> u64 {
-    let mut h = seeded_hash(0x00D5_D00D_F00D_0001, parsed.target_url_raw.as_bytes());
-    h = seeded_hash(h, parsed.user_agent_raw.as_bytes());
+/// connection metadata) — the duplicate gate compares these without
+/// allocating. The target and user agent enter as the [`raw_hash`] of
+/// their *raw* spellings, so two escapings of one decoded string are
+/// different wire tuples. A 64-bit collision silently drops one
+/// submission; at sim scales (≪ 2³²) that is beyond vanishing, and
+/// dedup is switchable off.
+fn dedup_key(
+    parsed: &ParsedSubmission<'_>,
+    target_hash: u64,
+    user_agent_hash: u64,
+    ip: Ipv4Addr,
+    now: SimTime,
+) -> u64 {
+    let mut h = splitmix_mix(target_hash);
+    h = splitmix_mix(h ^ user_agent_hash);
     h = splitmix_mix(h ^ parsed.measurement_id.0);
     h = splitmix_mix(h ^ u64::from(u32::from(ip)));
     h = splitmix_mix(h ^ now.as_micros());
@@ -894,50 +956,71 @@ struct Store {
     strings: Interner,
     records: Vec<RawRecord>,
     malformed: u64,
-    /// Reused percent-decode buffer: the handler decodes each escaped
-    /// field here and interns the result, so steady-state submission
-    /// handling performs no heap allocation.
-    decode_scratch: String,
-    /// Memo from a field's *raw* (still-escaped) query slice to the sym
-    /// of its decoded form — repeat submissions skip the decode and the
-    /// intern hash of the longer decoded string entirely.
-    raw_syms: HashMap<Box<str>, Sym, FxBuildHasher>,
+    raw_syms: RawSyms,
     /// Bounded-memory mode: when set, accepted submissions fold into
     /// sketches/reservoirs/window cells instead of `records`.
     streaming: Option<Box<StreamingState>>,
 }
 
-/// [`Store::sym_for_raw`] over destructured fields, so the streaming
-/// ingest path can hold the streaming state and the interner borrowed
-/// at once.
-fn sym_for_raw_in(
-    strings: &mut Interner,
-    decode_scratch: &mut String,
-    raw_syms: &mut HashMap<Box<str>, Sym, FxBuildHasher>,
-    raw: &str,
-) -> Sym {
-    if let Some(&sym) = raw_syms.get(raw) {
-        return sym;
+/// Memo from a field's *raw* (still-escaped) query slice to the sym of
+/// its decoded form and the [`raw_hash`] of the slice itself — repeat
+/// submissions skip the decode, the intern hash of the longer decoded
+/// string, and the duplicate gate's byte-wise pass entirely. Decoding
+/// is deterministic, so serving the memo is observationally identical
+/// to decode-then-intern; two raw spellings of the same decoded string
+/// still collapse to one sym via the interner.
+#[derive(Debug, Default)]
+struct RawSyms {
+    seen: HashMap<Box<str>, (Sym, u64), FxBuildHasher>,
+    /// Reused percent-decode buffer: each new escaped field is decoded
+    /// here and interned, so steady-state submission handling performs
+    /// no heap allocation.
+    decode_scratch: String,
+}
+
+/// What [`RawSyms::peek`] knows of one raw slice: always its hash, and
+/// its sym if the slice has been interned before.
+#[derive(Debug, Clone, Copy)]
+struct RawField {
+    hash: u64,
+    sym: Option<Sym>,
+}
+
+impl RawSyms {
+    /// Look `raw` up without recording anything — what the rejection
+    /// gates run on. A never-seen slice is hashed on the spot with the
+    /// function the memo stores, so first sight and repeats agree.
+    fn peek(&self, raw: &str) -> RawField {
+        match self.seen.get(raw) {
+            Some(&(sym, hash)) => RawField {
+                hash,
+                sym: Some(sym),
+            },
+            None => RawField {
+                hash: raw_hash(raw),
+                sym: None,
+            },
+        }
     }
-    pct_decode_into(decode_scratch, raw);
-    let sym = strings.intern(decode_scratch);
-    raw_syms.insert(raw.into(), sym);
-    sym
+
+    /// The sym of `raw`'s decoded form, given what `peek` found;
+    /// decodes, interns and records the slice on first sight.
+    fn intern(&mut self, strings: &mut Interner, raw: &str, peeked: RawField) -> Sym {
+        if let Some(sym) = peeked.sym {
+            return sym;
+        }
+        pct_decode_into(&mut self.decode_scratch, raw);
+        let sym = strings.intern(&self.decode_scratch);
+        self.seen.insert(raw.into(), (sym, peeked.hash));
+        sym
+    }
 }
 
 impl Store {
-    /// Sym of the decoded form of a raw (possibly escaped) field value,
-    /// memoised by the raw text. Decoding is deterministic, so serving a
-    /// memo is observationally identical to decode-then-intern; two raw
-    /// spellings of the same decoded string still collapse to one sym
-    /// via the interner.
+    /// Sym of the decoded form of a raw (possibly escaped) field value.
     fn sym_for_raw(&mut self, raw: &str) -> Sym {
-        sym_for_raw_in(
-            &mut self.strings,
-            &mut self.decode_scratch,
-            &mut self.raw_syms,
-            raw,
-        )
+        let peeked = self.raw_syms.peek(raw);
+        self.raw_syms.intern(&mut self.strings, raw, peeked)
     }
 
     /// Streaming-mode ingest. The rejection gates (queue admission,
@@ -951,70 +1034,69 @@ impl Store {
         client_ip: Ipv4Addr,
         now: SimTime,
     ) -> HttpResponse {
-        {
-            let st = self.streaming.as_mut().expect("streaming enabled");
-            // Gate 1: bounded queue. On overload the server sheds with
-            // a 503 before even parsing; the congestion split peeks at
-            // the raw query (the flag's wire form is unambiguous).
-            if !st.queue.admit(now) {
-                st.drops.queue_full += 1;
-                if req.url.contains("cmh-cong=1") {
-                    st.drops.queue_full_congested += 1;
-                }
-                return overloaded_response();
-            }
-        }
-        // Gate 2: parse (borrowed view; same acceptance set as exact).
-        let Some(parsed) = parse_submission(&req.url) else {
-            self.malformed += 1;
-            return HttpResponse::not_found();
-        };
-        {
-            let st = self.streaming.as_mut().expect("streaming enabled");
-            let window = now.as_micros() / st.window_micros;
-            // Gate 3: expired — the window was already closed and
-            // folded. Acknowledged (the client did nothing wrong and
-            // must not retry mirrors) but counted and discarded.
-            if window < st.watermark {
-                st.drops.expired += 1;
-                return accepted_response();
-            }
-            // Gate 4: exact wire duplicate within its open window.
-            // Idempotent-accept semantics: acknowledged, not re-counted.
-            if st.dedup {
-                let key = dedup_key(&parsed, client_ip, now);
-                if !st.open_window_mut(window).dedup.insert(key) {
-                    st.drops.duplicate += 1;
-                    return accepted_response();
-                }
-            }
-        }
-        // Accepted: from here on interning/allocation is fine.
         let Store {
             strings,
-            decode_scratch,
+            malformed,
             raw_syms,
             streaming,
             ..
         } = self;
-        let st = streaming.as_mut().expect("streaming enabled");
-        let target_url = sym_for_raw_in(strings, decode_scratch, raw_syms, parsed.target_url_raw);
-        let user_agent = sym_for_raw_in(strings, decode_scratch, raw_syms, parsed.user_agent_raw);
+        let st = streaming.as_deref_mut().expect("streaming enabled");
+        // Gate 1: bounded queue. On overload the server sheds with a
+        // 503 before even parsing; the congestion split peeks at the
+        // raw query (the flag's wire form is unambiguous).
+        if !st.queue.admit(now) {
+            st.drops.queue_full += 1;
+            if req.url.contains("cmh-cong=1") {
+                st.drops.queue_full_congested += 1;
+            }
+            return overloaded_response();
+        }
+        // Gate 2: parse (borrowed view; same acceptance set as exact).
+        let Some(parsed) = parse_submission(&req.url) else {
+            *malformed += 1;
+            return HttpResponse::not_found();
+        };
+        // Gate 3: expired — the window was already closed and folded.
+        // Acknowledged (the client did nothing wrong and must not retry
+        // mirrors) but counted and discarded.
+        let window = now.as_micros() / st.window_micros;
+        if window < st.watermark {
+            st.drops.expired += 1;
+            return accepted_response();
+        }
+        // Gate 4: exact wire duplicate within its open window.
+        // Idempotent-accept semantics: acknowledged, not re-counted.
+        let target = raw_syms.peek(parsed.target_url_raw);
+        let agent = raw_syms.peek(parsed.user_agent_raw);
+        let open_at = st.open_window_index(window);
+        if st.dedup {
+            let key = dedup_key(&parsed, target.hash, agent.hash, client_ip, now);
+            if !st.open[open_at].dedup.insert(key) {
+                st.drops.duplicate += 1;
+                return accepted_response();
+            }
+        }
+        // Accepted: from here on interning/allocation is fine.
+        let target_url = raw_syms.intern(strings, parsed.target_url_raw, target);
+        let user_agent = raw_syms.intern(strings, parsed.user_agent_raw, agent);
         let referer = req.referer.as_deref().map(|r| strings.intern(r));
         st.accepted += 1;
 
-        // Per-URL / per-origin tallies.
-        st.sketch.add_ns(
-            CountMinSketch::NS_URL,
-            strings.resolve(target_url).as_bytes(),
-            1,
-        );
+        // Per-URL / per-origin tallies, at slots memoised per symbol:
+        // a known URL or origin touches its counters and hashes nothing.
+        let slots = st.url_slots.get_or_insert_with(target_url, || {
+            let url = strings.resolve(target_url);
+            st.sketch.slots_ns(CountMinSketch::NS_URL, url.as_bytes())
+        });
+        st.sketch.add_at(&slots, 1);
         if let Some(origin) = referer {
-            st.sketch.add_ns(
-                CountMinSketch::NS_ORIGIN,
-                strings.resolve(origin).as_bytes(),
-                1,
-            );
+            let slots = st.origin_slots.get_or_insert_with(origin, || {
+                let origin = strings.resolve(origin);
+                st.sketch
+                    .slots_ns(CountMinSketch::NS_ORIGIN, origin.as_bytes())
+            });
+            st.sketch.add_at(&slots, 1);
         }
 
         // Detector-equivalent window fold: the exact fold's cascade
@@ -1024,17 +1106,13 @@ impl Store {
         // before the cap) is deferred to window close; with the
         // engine's zero-error GeoDb the two orderings count the same
         // records.
-        let domain = *st.domain_of.entry(target_url).or_insert_with(|| {
+        let domain = st.domain_of.get_or_insert_with(target_url, || {
             netsim::http::host_of(strings.resolve(target_url)).map(|d| strings.intern(&d))
         });
-        let crawler = *st
+        let crawler = st
             .crawler_of
-            .entry(user_agent)
-            .or_insert_with(|| is_crawler_ua(strings.resolve(user_agent)));
-        let window = now.as_micros() / st.window_micros;
-        let filter = st.filter;
-        let max_per_ip = st.max_per_ip;
-        let open = st.open_window_mut(window);
+            .get_or_insert_with(user_agent, || is_crawler_ua(strings.resolve(user_agent)));
+        let open = &mut st.open[open_at];
         if parsed.phase == SubmissionPhase::Result {
             open.measurements += 1;
         }
@@ -1043,11 +1121,11 @@ impl Store {
             parsed.outcome,
             parsed.congested,
             || crawler,
-            filter,
+            st.filter,
         ) {
             if let Some(domain) = domain {
                 let cell = open.cells.entry((domain, client_ip)).or_default();
-                let under_cap = max_per_ip.is_none_or(|cap| cell.seen < cap);
+                let under_cap = st.max_per_ip.is_none_or(|cap| cell.seen < cap);
                 if under_cap {
                     cell.seen += 1;
                     cell.n += 1;
@@ -1098,12 +1176,13 @@ impl Store {
         let Store {
             strings, streaming, ..
         } = self;
-        let Some(st) = streaming.as_mut() else {
+        let Some(st) = streaming.as_deref_mut() else {
             return;
         };
         st.watermark = st.watermark.max(boundary);
-        while let Some(pos) = st.open.iter().position(|w| w.window < boundary) {
-            let ow = st.open.remove(pos);
+        // `open` is sorted by index: the windows to close are a prefix.
+        let closing = st.open.partition_point(|w| w.window < boundary);
+        for ow in st.open.drain(..closing) {
             let mut folded: BTreeMap<(String, CountryCode), (u64, u64)> = BTreeMap::new();
             for ((domain, ip), cell) in ow.cells {
                 if cell.n == 0 {
@@ -1197,11 +1276,7 @@ pub struct CollectionServer {
     store: Rc<RefCell<Store>>,
 }
 
-struct CollectorHandler {
-    store: Rc<RefCell<Store>>,
-}
-
-impl HttpHandler for CollectorHandler {
+impl HttpHandler for CollectionServer {
     fn handle(&self, req: &HttpRequest, client_ip: Ipv4Addr, now: SimTime) -> HttpResponse {
         if !req.path().starts_with("/submit") {
             return HttpResponse::not_found();
@@ -1253,26 +1328,14 @@ impl CollectionServer {
 
     /// Register the endpoint in the network (hosted in `country`).
     pub fn install(&self, net: &mut Network, country: CountryCode) {
-        net.add_server(
-            &self.domain,
-            country,
-            Box::new(CollectorHandler {
-                store: Rc::clone(&self.store),
-            }),
-        );
+        net.add_server(&self.domain, country, Box::new(self.clone()));
     }
 
     /// Register an additional mirror domain sharing the same store (§8:
     /// "collection of the results could be distributed across servers
     /// hosted in different domains").
     pub fn install_mirror(&self, net: &mut Network, mirror_domain: &str, country: CountryCode) {
-        net.add_server(
-            mirror_domain,
-            country,
-            Box::new(CollectorHandler {
-                store: Rc::clone(&self.store),
-            }),
-        );
+        net.add_server(mirror_domain, country, Box::new(self.clone()));
     }
 
     /// The submit URL for a submission (against the primary domain).
@@ -1346,7 +1409,8 @@ impl CollectionServer {
     /// Approximate resident bytes of the analytics state: in exact mode
     /// the record log (which grows with every visit); in streaming mode
     /// the sketch + reservoir + window cells + open-window state (which
-    /// do not).
+    /// do not) and the per-symbol memos (which grow with distinct
+    /// strings only).
     pub fn resident_analytics_bytes(&self) -> usize {
         let store = self.store.borrow();
         match store.streaming.as_deref() {
@@ -1377,6 +1441,7 @@ impl CollectionServer {
                     + st.reservoir.capacity() * std::mem::size_of::<(u64, RawRecord)>()
                     + open
                     + closed
+                    + st.memo_bytes()
             }
         }
     }
@@ -1920,13 +1985,19 @@ mod tests {
     fn streaming_resident_bytes_do_not_scale_with_accepted() {
         let mut net = Network::ideal(World::builtin());
         let server = streaming_server(&mut net, &StreamingConfig::default());
+        let hostile = CollectionServer::new("hostile.example");
+        hostile.install(&mut net, country("US"));
+        hostile.enable_streaming(&StreamingConfig::default(), 0x00C0_FFEE, SimRng::new(99));
         let client = net.add_client(country("US"), IspClass::Residential);
         let mut rng = SimRng::new(1);
-        let mut feed = |n: u64, base: u64, server: &CollectionServer| {
+        // `n` submissions from id/second `base`, cycling through
+        // `distinct_urls` target URLs.
+        let mut feed = |n: u64, base: u64, distinct_urls: u64, server: &CollectionServer| {
             for i in 0..n {
                 let sub = Submission {
                     measurement_id: MeasurementId(base + i),
                     elapsed_ms: i,
+                    target_url: format!("http://h{}.example/favicon.ico", i % distinct_urls),
                     ..submission()
                 };
                 let url = server.submit_url(&sub);
@@ -1938,9 +2009,13 @@ mod tests {
                 );
             }
         };
-        feed(600, 0, &server);
+        let memo_bytes = |server: &CollectionServer| {
+            let store = server.store.borrow();
+            store.streaming.as_deref().expect("streaming").memo_bytes()
+        };
+        feed(600, 0, 1, &server);
         let at_600 = server.resident_analytics_bytes();
-        feed(3000, 600, &server);
+        feed(3000, 600, 1, &server);
         let at_3600 = server.resident_analytics_bytes();
         // Reservoir is full by 600; further growth is only open-window
         // cell state (bounded by distinct (domain, ip) pairs — one here)
@@ -1948,6 +2023,11 @@ mod tests {
         assert!(
             at_3600 < at_600 + 64 * 1024,
             "streaming state must stay bounded: {at_600} -> {at_3600}"
+        );
+        assert!(
+            memo_bytes(&server) < 1024,
+            "three distinct strings: {} memo bytes",
+            memo_bytes(&server)
         );
         // The footprint bound a shard ships to the coordinator, and
         // nothing shed on the default ingest queue to get there.
@@ -1958,6 +2038,180 @@ mod tests {
             stats.resident_bytes()
         );
         assert_eq!(server.drops().total(), 0, "{:?}", server.drops());
+
+        // Hostile leg: 10⁴ distinct target URLs. The per-symbol memos
+        // grow with the distinct strings — each entry a fixed size, so
+        // at most the interner's length times that (times the vector's
+        // doubling slack) — and are counted in the footprint …
+        const DISTINCT: u64 = 10_000;
+        feed(DISTINCT, 10_000, DISTINCT, &hostile);
+        let grown = memo_bytes(&hostile);
+        let per_symbol = 2 * std::mem::size_of::<Option<SketchSlots>>()
+            + std::mem::size_of::<Option<Option<Sym>>>()
+            + std::mem::size_of::<Option<bool>>();
+        let symbols = hostile.store.borrow().strings.len();
+        assert!(symbols >= 2 * DISTINCT as usize, "URLs and their domains");
+        assert!(
+            grown >= DISTINCT as usize * std::mem::size_of::<Option<SketchSlots>>(),
+            "10⁴ URLs must each hold a slot entry: {grown} bytes"
+        );
+        assert!(
+            grown <= 2 * symbols * per_symbol,
+            "memos exceed the interner they index: {grown} bytes for {symbols} symbols"
+        );
+        assert!(hostile.resident_analytics_bytes() >= grown);
+        // … and never with accepted traffic: the same URLs again.
+        feed(DISTINCT, 20_000, DISTINCT, &hostile);
+        assert_eq!(hostile.len() as u64, 2 * DISTINCT);
+        assert_eq!(memo_bytes(&hostile), grown);
+        assert_eq!(hostile.drops().total(), 0, "{:?}", hostile.drops());
+    }
+
+    #[test]
+    fn streaming_sketch_equals_a_replay_of_the_accepted_pairs() {
+        let cfg = StreamingConfig::with_window(sim_core::SimDuration::from_secs(1_000));
+        let mut net = Network::ideal(World::builtin());
+        let server = streaming_server(&mut net, &cfg);
+        let clients: Vec<_> = ["US", "TR", "DE"]
+            .iter()
+            .map(|cc| net.add_client(country(cc), IspClass::Residential))
+            .collect();
+        let mut rng = SimRng::new(4);
+        let urls = [
+            "http://youtube.com/favicon.ico",
+            "http://twitter.com/favicon.ico?size=16&dpr=2",
+            "http://example.org/a b/%7Euser.png",
+            "no-host-at-all",
+        ];
+        let origins = [
+            Some("http://origin.example/"),
+            Some("http://blog.example/post?id=7"),
+            None,
+            // An origin page that is itself a measured URL: the two
+            // namespaces must keep separate slots for one symbol.
+            Some("http://youtube.com/favicon.ico"),
+        ];
+        let mut accepted = Vec::new();
+        for i in 0..400u64 {
+            let (url, origin) = (urls[(i % 4) as usize], origins[(i / 4 % 4) as usize]);
+            let sub = Submission {
+                measurement_id: MeasurementId(i),
+                target_url: url.into(),
+                ..submission()
+            };
+            let mut req = HttpRequest::get(server.submit_url(&sub));
+            if let Some(origin) = origin {
+                req = req.with_referer(origin);
+            }
+            let client = &clients[(i % 3) as usize];
+            let at = SimTime::from_secs(i);
+            net.fetch(client, &req, at, &mut rng);
+            accepted.push((url, origin));
+            if i % 5 == 0 {
+                // An exact resend: acknowledged, tallied nowhere.
+                net.fetch(client, &req, at, &mut rng);
+            }
+        }
+        assert_eq!(server.drops().duplicate, 80);
+        let stats = server.snapshot().streaming.expect("streaming mode");
+        assert_eq!(stats.accepted, accepted.len() as u64);
+        let mut replay = CountMinSketch::new(cfg.sketch_depth, cfg.sketch_width, 0x00C0_FFEE);
+        for (url, origin) in accepted {
+            replay.add_ns(CountMinSketch::NS_URL, url.as_bytes(), 1);
+            if let Some(origin) = origin {
+                replay.add_ns(CountMinSketch::NS_ORIGIN, origin.as_bytes(), 1);
+            }
+        }
+        assert_eq!(stats.sketch, replay);
+    }
+
+    #[test]
+    fn streaming_dedup_keys_on_the_raw_wire_spelling() {
+        let mut net = Network::ideal(World::builtin());
+        let server = streaming_server(&mut net, &StreamingConfig::default());
+        let client = net.add_client(country("US"), IspClass::Residential);
+        let mut rng = SimRng::new(1);
+        let at = SimTime::from_secs(3);
+        let mut send = |url: &str| {
+            net.fetch(&client, &HttpRequest::get(url), at, &mut rng);
+            (server.len(), server.drops().duplicate)
+        };
+        let base = server.submit_url(&submission());
+        assert_eq!(send(&base), (1, 0));
+        assert_eq!(send(&base), (1, 1), "exact resend");
+        // Only the target URL differs; only the user agent differs; the
+        // two swapped into each other's field.
+        let other_target = server.submit_url(&Submission {
+            target_url: "http://youtube.com/favicon.png".into(),
+            ..submission()
+        });
+        let other_agent = server.submit_url(&Submission {
+            user_agent: "Chromf".into(),
+            ..submission()
+        });
+        let swapped = server.submit_url(&Submission {
+            target_url: "Chrome".into(),
+            user_agent: "http://youtube.com/favicon.ico".into(),
+            ..submission()
+        });
+        assert_eq!(send(&other_target), (2, 1));
+        assert_eq!(send(&other_agent), (3, 1));
+        assert_eq!(send(&swapped), (4, 1));
+        // The same decoded target spelt with one escape fewer is a
+        // different wire tuple: accepted once, then its own duplicate —
+        // on first sight (hashed on the spot) and from the memo alike.
+        let respelt = base.replace("%2Ffavicon", "/favicon");
+        assert_ne!(respelt, base);
+        assert_eq!(
+            Submission::from_url(&respelt),
+            Submission::from_url(&base),
+            "both spellings decode to one submission"
+        );
+        assert_eq!(send(&respelt), (5, 1));
+        assert_eq!(send(&respelt), (5, 2));
+        assert_eq!(send(&base), (5, 3));
+        assert_eq!(send(&other_target), (5, 4));
+        assert_eq!(send(&other_agent), (5, 5));
+        // Both spellings tallied under the one decoded URL.
+        let stats = server.snapshot().streaming.expect("streaming mode");
+        assert_eq!(
+            stats
+                .sketch
+                .estimate_ns(CountMinSketch::NS_URL, b"http://youtube.com/favicon.ico"),
+            3
+        );
+    }
+
+    #[test]
+    fn steady_state_streaming_ingest_hashes_no_key() {
+        use crate::streaming::KEY_HASHES;
+        let mut net = Network::ideal(World::builtin());
+        let server = streaming_server(&mut net, &StreamingConfig::default());
+        let client = net.add_client(country("US"), IspClass::Residential);
+        let mut rng = SimRng::new(1);
+        let mut send = |id: u64, target_url: &str| {
+            let sub = Submission {
+                measurement_id: MeasurementId(id),
+                target_url: target_url.into(),
+                ..submission()
+            };
+            let req =
+                HttpRequest::get(server.submit_url(&sub)).with_referer("http://origin.example/");
+            let before = KEY_HASHES.with(|n| n.get());
+            net.fetch(&client, &req, SimTime::from_secs(id), &mut rng);
+            KEY_HASHES.with(|n| n.get()) - before
+        };
+        // First sight: the raw target and user agent for the duplicate
+        // gate, the URL's and the origin's sketch slots.
+        assert_eq!(send(0, "http://youtube.com/favicon.ico"), 4);
+        let steady: u64 = (1..500)
+            .map(|id| send(id, "http://youtube.com/favicon.ico"))
+            .sum();
+        assert_eq!(steady, 0, "known strings must be served from the memos");
+        // A new URL costs its own two passes and nothing more.
+        assert_eq!(send(500, "http://twitter.com/favicon.ico"), 2);
+        assert_eq!(send(501, "http://twitter.com/favicon.ico"), 0);
+        assert_eq!(server.len(), 502);
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub use pipeline::{GenerationConfig, HarAnalysis, PatternExpander, TargetFetcher
 pub use reports::{country_reports, render_markdown, CountryReport};
 pub use streaming::{
     merge_window_cells, CellEntry, CountMinSketch, DropCounters, IngestQueue, ReservoirEntry,
-    ReservoirSample, StreamingConfig, StreamingStats, WindowCells,
+    ReservoirSample, SketchSlots, StreamingConfig, StreamingStats, WindowCells,
 };
 pub use system::{EncoreSystem, VisitOutcome};
 pub use targets::{EthicsStage, TargetList};

@@ -8,7 +8,16 @@
 //! * [`CountMinSketch`] — conservative-update count-min sketch for
 //!   per-URL / per-origin tallies. Rows hash with
 //!   [`sim_core::seeded_hash`], so two sketches built from the same
-//!   seed hash identically on every shard and merge element-wise.
+//!   seed hash identically on every shard and merge element-wise. It
+//!   is built from two primitives: *the slots of a key*
+//!   ([`CountMinSketch::slots_ns`] → [`SketchSlots`], the only code
+//!   that reads a key's bytes: one hash per row into a fixed-size
+//!   buffer) and *an update or estimate at given slots*
+//!   ([`CountMinSketch::add_at`], [`CountMinSketch::estimate_at`]:
+//!   counter reads and writes only). `add_ns` / `estimate_ns` are the
+//!   two composed; a caller whose keys repeat — the collection server
+//!   sees a few dozen URLs and origins millions of times — keeps each
+//!   key's slots and pays for hashing once per key, not per update.
 //! * [`ReservoirSample`] — a deterministic uniform sample of the
 //!   record stream in the priority-tag (bottom-k) formulation of
 //!   Vitter's Algorithm R: each record draws a `u64` priority from a
@@ -96,6 +105,26 @@ impl StreamingConfig {
     }
 }
 
+/// The counter slots of one key in a [`CountMinSketch`]: its column in
+/// each row, hashed once by [`CountMinSketch::slots_ns`]. Plain `Copy`
+/// data with no heap behind it, so a caller that sees the same keys
+/// again and again (the collection server, per interned symbol) can
+/// keep the slots and never read the key's bytes a second time. Valid
+/// for any sketch with the same dimensions and seed — the condition
+/// [`CountMinSketch::merge`] already imposes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SketchSlots {
+    /// Column per row; rows at and past the sketch's depth are unused.
+    cols: [u32; CountMinSketch::MAX_DEPTH as usize],
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Keys hashed into slots or dedup hashes on this thread — lets the
+    /// collection tests assert that steady-state ingest hashes none.
+    pub(crate) static KEY_HASHES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Conservative-update count-min sketch with deterministic seeded rows.
 ///
 /// Estimates never under-count: `estimate(k) ≥ Σ add(k, ·)`, both for a
@@ -127,9 +156,19 @@ impl CountMinSketch {
     /// Namespace for per-origin (submitting page) tallies.
     pub const NS_ORIGIN: u8 = b'o';
 
-    /// New empty sketch. Panics if `depth` or `width` is zero.
+    /// Most rows a sketch may have — what lets a key's slots live in a
+    /// fixed-size buffer. δ ≈ exp(−8) is already 0.03 % of keys.
+    pub const MAX_DEPTH: u32 = 8;
+
+    /// New empty sketch. Panics if `depth` or `width` is zero, or
+    /// `depth` exceeds [`MAX_DEPTH`](Self::MAX_DEPTH).
     pub fn new(depth: u32, width: u32, seed: u64) -> CountMinSketch {
         assert!(depth > 0 && width > 0, "sketch dimensions must be nonzero");
+        assert!(
+            depth <= Self::MAX_DEPTH,
+            "sketch depth {depth} exceeds the maximum of {}",
+            Self::MAX_DEPTH
+        );
         CountMinSketch {
             depth,
             width,
@@ -139,35 +178,65 @@ impl CountMinSketch {
         }
     }
 
-    fn row_index(&self, row: u32, ns: u8, key: &[u8]) -> usize {
-        // Fold the row number and namespace into the seed so each row —
-        // and each namespace — is an independent hash function.
-        let salt = self.seed
-            ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(row) + 1)
-            ^ (u64::from(ns) << 56);
-        let h = seeded_hash(salt, key);
-        row as usize * self.width as usize + (h % u64::from(self.width)) as usize
+    /// The counter slots of `key` in namespace `ns`: one column per row,
+    /// each from an independent hash function (the row number and the
+    /// namespace are folded into the seed). This is the only place a
+    /// key's bytes are read — `depth` passes, into a fixed-size buffer.
+    pub fn slots_ns(&self, ns: u8, key: &[u8]) -> SketchSlots {
+        #[cfg(test)]
+        KEY_HASHES.with(|n| n.set(n.get() + 1));
+        let mut cols = [0u32; Self::MAX_DEPTH as usize];
+        for (row, col) in cols.iter_mut().take(self.depth as usize).enumerate() {
+            let salt = self.seed
+                ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(row as u64 + 1)
+                ^ (u64::from(ns) << 56);
+            *col = (seeded_hash(salt, key) % u64::from(self.width)) as u32;
+        }
+        SketchSlots { cols }
+    }
+
+    /// The columns of `slots` that this sketch's rows use.
+    fn cols<'a>(&self, slots: &'a SketchSlots) -> &'a [u32] {
+        &slots.cols[..self.depth as usize]
+    }
+
+    /// Conservative update at `slots`: one min pass for the current
+    /// estimate, one pass raising each row to estimate + `count` (never
+    /// by the increment itself). `slots` must come from
+    /// [`slots_ns`](Self::slots_ns) on a sketch with these dimensions
+    /// and this seed.
+    pub fn add_at(&mut self, slots: &SketchSlots, count: u64) {
+        self.items = self.items.saturating_add(count);
+        let target = self.estimate_at(slots).saturating_add(count);
+        let width = self.width as usize;
+        for (row, &col) in self.cols(slots).iter().enumerate() {
+            let counter = &mut self.counters[row * width + col as usize];
+            if *counter < target {
+                *counter = target;
+            }
+        }
+    }
+
+    /// Point estimate at `slots` (min over rows).
+    pub fn estimate_at(&self, slots: &SketchSlots) -> u64 {
+        let width = self.width as usize;
+        self.cols(slots)
+            .iter()
+            .enumerate()
+            .map(|(row, &col)| self.counters[row * width + col as usize])
+            .min()
+            .expect("depth > 0")
     }
 
     /// Add `count` occurrences of `key` in namespace `ns`
     /// (conservative update).
     pub fn add_ns(&mut self, ns: u8, key: &[u8], count: u64) {
-        self.items = self.items.saturating_add(count);
-        let target = self.estimate_ns(ns, key).saturating_add(count);
-        for row in 0..self.depth {
-            let idx = self.row_index(row, ns, key);
-            if self.counters[idx] < target {
-                self.counters[idx] = target;
-            }
-        }
+        self.add_at(&self.slots_ns(ns, key), count);
     }
 
     /// Point estimate for `key` in namespace `ns` (min over rows).
     pub fn estimate_ns(&self, ns: u8, key: &[u8]) -> u64 {
-        (0..self.depth)
-            .map(|row| self.counters[self.row_index(row, ns, key)])
-            .min()
-            .expect("depth > 0")
+        self.estimate_at(&self.slots_ns(ns, key))
     }
 
     /// Add in the default namespace.
@@ -593,6 +662,28 @@ mod tests {
         let mut a = CountMinSketch::new(4, 512, 1);
         let b = CountMinSketch::new(4, 512, 2);
         a.merge(&b);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the maximum")]
+    fn sketch_rejects_depth_beyond_the_slot_buffer() {
+        CountMinSketch::new(CountMinSketch::MAX_DEPTH + 1, 16, 1);
+    }
+
+    #[test]
+    fn slots_are_shared_by_sketches_that_may_merge() {
+        let mut a = CountMinSketch::new(3, 64, 9);
+        let mut b = CountMinSketch::new(3, 64, 9);
+        let slots = a.slots_ns(CountMinSketch::NS_URL, b"http://t.co/x");
+        assert_eq!(slots, b.slots_ns(CountMinSketch::NS_URL, b"http://t.co/x"));
+        assert_ne!(
+            slots,
+            a.slots_ns(CountMinSketch::NS_ORIGIN, b"http://t.co/x")
+        );
+        a.add_at(&slots, 2);
+        b.add_ns(CountMinSketch::NS_URL, b"http://t.co/x", 2);
+        assert_eq!(a, b);
+        assert_eq!(a.estimate_at(&slots), 2);
     }
 
     #[test]

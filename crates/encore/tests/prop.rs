@@ -167,6 +167,86 @@ mod streaming_props {
         }
     }
 
+    /// The sketch as it was before a key's slots became a primitive:
+    /// `add` runs `estimate` (one hash per row) and then re-derives the
+    /// same row indexes to raise them — `2 × depth` passes over the key.
+    /// Kept here as the reference the slots path must equal, field for
+    /// field (the field names are [`CountMinSketch`]'s own, so
+    /// [`ReferenceSketch::as_sketch`] can rebuild one through serde and
+    /// the comparison is the whole-struct `PartialEq`, `items` included).
+    #[derive(Clone, serde::Serialize)]
+    struct ReferenceSketch {
+        depth: u32,
+        width: u32,
+        seed: u64,
+        items: u64,
+        counters: Vec<u64>,
+    }
+
+    impl ReferenceSketch {
+        fn new(depth: u32, width: u32, seed: u64) -> ReferenceSketch {
+            ReferenceSketch {
+                depth,
+                width,
+                seed,
+                items: 0,
+                counters: vec![0; depth as usize * width as usize],
+            }
+        }
+
+        fn row_index(&self, row: u32, ns: u8, key: &[u8]) -> usize {
+            let salt = self.seed
+                ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(row) + 1)
+                ^ (u64::from(ns) << 56);
+            let h = sim_core::seeded_hash(salt, key);
+            row as usize * self.width as usize + (h % u64::from(self.width)) as usize
+        }
+
+        fn add_ns(&mut self, ns: u8, key: &[u8], count: u64) {
+            self.items = self.items.saturating_add(count);
+            let target = self.estimate_ns(ns, key).saturating_add(count);
+            for row in 0..self.depth {
+                let idx = self.row_index(row, ns, key);
+                if self.counters[idx] < target {
+                    self.counters[idx] = target;
+                }
+            }
+        }
+
+        fn estimate_ns(&self, ns: u8, key: &[u8]) -> u64 {
+            (0..self.depth)
+                .map(|row| self.counters[self.row_index(row, ns, key)])
+                .min()
+                .expect("depth > 0")
+        }
+
+        fn merge(&mut self, other: &ReferenceSketch) {
+            self.items = self.items.saturating_add(other.items);
+            for (c, o) in self.counters.iter_mut().zip(&other.counters) {
+                *c = c.saturating_add(*o);
+            }
+        }
+
+        fn as_sketch(&self) -> CountMinSketch {
+            let json = serde_json::to_string(self).expect("serialize reference");
+            serde_json::from_str(&json).expect("reference has the sketch's shape")
+        }
+    }
+
+    /// Keys of assorted lengths (the empty key included) from a small
+    /// universe, any namespace byte, and counts that reach saturation.
+    fn arb_saturating_workload() -> impl Strategy<Value = Vec<(u8, Vec<u8>, u64)>> {
+        let count = prop_oneof![0u64..50, (u64::MAX - 2)..=u64::MAX, any::<u64>()];
+        proptest::collection::vec((any::<u8>(), 0usize..12, count), 1..40).prop_map(|v| {
+            v.into_iter()
+                .map(|(ns, k, count)| {
+                    let key = format!("http://k{k}.example/{}", "x".repeat(k * 5));
+                    (ns, key.as_bytes()[..key.len() * k / 11].to_vec(), count)
+                })
+                .collect()
+        })
+    }
+
     /// Distinct priorities for `n` offers — unique by construction so
     /// the split/serial comparison cannot hinge on tie-break order.
     fn priorities(seed: u64, n: usize) -> Vec<u64> {
@@ -252,6 +332,53 @@ mod streaming_props {
             let mut with_id = sa.clone();
             with_id.merge(&CountMinSketch::new(4, 1024, seed));
             prop_assert_eq!(&with_id, &sa, "identity");
+        }
+
+        /// Hashing a key's slots once and updating at them leaves
+        /// exactly the sketch the `2 × depth` formula leaves — through
+        /// `add_ns`, through slots kept per key and reused, and after a
+        /// split-then-merge — at every legal shape down to one row or
+        /// one column, saturating counts included.
+        #[test]
+        fn slots_path_sketch_equals_the_two_pass_reference(
+            workload in arb_saturating_workload(),
+            depth in 1u32..=CountMinSketch::MAX_DEPTH,
+            width_idx in 0usize..5,
+            mask in any::<u64>(),
+            seed in any::<u64>(),
+        ) {
+            let width = [1u32, 2, 5, 64, 1024][width_idx];
+            let mut reference = ReferenceSketch::new(depth, width, seed);
+            let mut halves = [reference.clone(), reference.clone()];
+            let mut via_add = CountMinSketch::new(depth, width, seed);
+            let mut via_slots = via_add.clone();
+            let mut split = [via_add.clone(), via_add.clone()];
+            let mut memo = BTreeMap::new();
+            for (i, (ns, key, count)) in workload.iter().enumerate() {
+                let (ns, count) = (*ns, *count);
+                reference.add_ns(ns, key, count);
+                via_add.add_ns(ns, key, count);
+                let slots = *memo
+                    .entry((ns, key.clone()))
+                    .or_insert_with(|| via_slots.slots_ns(ns, key));
+                prop_assert_eq!(slots, via_slots.slots_ns(ns, key), "slots are a function of the key");
+                via_slots.add_at(&slots, count);
+                prop_assert_eq!(via_slots.estimate_at(&slots), reference.estimate_ns(ns, key));
+                let half = (mask >> (i % 64) & 1) as usize;
+                halves[half].add_ns(ns, key, count);
+                split[half].add_at(&slots, count);
+            }
+            let expected = reference.as_sketch();
+            prop_assert_eq!(&via_add, &expected, "add_ns");
+            prop_assert_eq!(&via_slots, &expected, "memoised slots");
+            for (ns, key, _) in &workload {
+                prop_assert_eq!(via_add.estimate_ns(*ns, key), reference.estimate_ns(*ns, key));
+            }
+            let [mut left, right] = split;
+            left.merge(&right);
+            let [mut ref_left, ref_right] = halves;
+            ref_left.merge(&ref_right);
+            prop_assert_eq!(&left, &ref_left.as_sketch(), "split then merge");
         }
 
         /// Bottom-k reservoir merge is associative and commutative with
