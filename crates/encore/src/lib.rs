@@ -56,8 +56,8 @@ pub use inference::{
 pub use pipeline::{GenerationConfig, HarAnalysis, PatternExpander, TargetFetcher, TaskGenerator};
 pub use reports::{country_reports, render_markdown, CountryReport};
 pub use streaming::{
-    merge_window_cells, CellEntry, CountMinSketch, DropCounters, IngestQueue, ReservoirEntry,
-    ReservoirSample, SketchSlots, StreamingConfig, StreamingStats, WindowCells,
+    merge_window_cells, CellEntry, CountMinSketch, DropCounters, IngestQueue, MergeShape,
+    ReservoirEntry, ReservoirSample, SketchSlots, StreamingConfig, StreamingStats, WindowCells,
 };
 pub use system::{EncoreSystem, VisitOutcome};
 pub use targets::{EthicsStage, TargetList};

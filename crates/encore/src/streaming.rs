@@ -552,7 +552,49 @@ pub struct StreamingStats {
     pub drops: DropCounters,
 }
 
+/// What two [`StreamingStats`] must share before they may
+/// [`merge`](StreamingStats::merge): the detection window and the
+/// sketch's dimensions and seed. Obtained from
+/// [`StreamingStats::validate`]; equal shapes merge without a panic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MergeShape {
+    window_micros: u64,
+    depth: u32,
+    width: u32,
+    seed: u64,
+}
+
 impl StreamingStats {
+    /// Check stats that arrived from outside the process (a SKETCH
+    /// frame's payload): a deserialized sketch never went through
+    /// [`CountMinSketch::new`], so its conditions — and the counter
+    /// array's length, which `new` fixes by construction — are checked
+    /// here, as an error. Returns the shape a sibling's must equal;
+    /// `new` and [`merge`](Self::merge) keep their asserts for
+    /// in-process callers.
+    pub fn validate(&self) -> Result<MergeShape, String> {
+        let CountMinSketch {
+            depth,
+            width,
+            seed,
+            ref counters,
+            ..
+        } = self.sketch;
+        let cells = u64::from(depth) * u64::from(width);
+        if depth > CountMinSketch::MAX_DEPTH || cells == 0 || counters.len() as u64 != cells {
+            return Err(format!(
+                "a {depth} x {width} sketch with {} counters",
+                counters.len()
+            ));
+        }
+        Ok(MergeShape {
+            window_micros: self.window_micros,
+            depth,
+            width,
+            seed,
+        })
+    }
+
     /// Associative merge of two shards' streaming state. Panics unless
     /// the windows agree (merging different detection windows is
     /// meaningless).

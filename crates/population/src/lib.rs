@@ -14,11 +14,12 @@
 //!   maintenance, and collection rollups are all events on one
 //!   [`sim_core::queue::EventQueue`]. A whole run — arrivals plus
 //!   control plane — is described as a `Send + Sync`
-//!   [`world::WorldRecipe`], and a world is run through exactly two
-//!   entry points: [`world::WorldEngine::from_recipe`]`(..).run()` on
-//!   one shard, and [`transport::ShardTransport::run`] (or
-//!   [`shard::run_sharded_world`], which the thread backend delegates
-//!   to) on many.
+//!   [`world::WorldRecipe`], which
+//!   [`world::WorldEngine::from_recipe`]`(..).run()` executes serially;
+//!   sharded, [`transport::ShardTransport::run`] carries each shard's
+//!   output from the one shard body ([`shard`]) to the one merge tail,
+//!   over a thread channel ([`shard::run_sharded_world`]) or a worker
+//!   process's frame stream.
 //! * [`driver`] — the deployment arrival mode's config and visit record:
 //!   Poisson arrivals over a time span; each visit instantiates a
 //!   browser client and runs the full Figure 2 flow through
@@ -27,10 +28,11 @@
 //!   arrivals, a persistent client pool whose transport sessions stay
 //!   warm across visits, and flat-memory aggregate reporting.
 //! * [`shard`] — the multi-core engine: a world recipe's control events
-//!   broadcast to every OS thread, its arrivals thinned 1/N, each shard
-//!   running one private event-driven world with a split RNG stream,
-//!   merged in shard order through the associative [`analytics::Merge`]
-//!   path so the parallel run is provably equivalent to the serial one.
+//!   broadcast to every shard, its arrivals thinned 1/N, each shard one
+//!   call to the shard body (a private event-driven world, a split RNG
+//!   stream), merged in shard order through the associative
+//!   [`analytics::Merge`] path so the parallel run is provably
+//!   equivalent to the serial one.
 //! * [`analytics`] — the Google-Analytics-style report of §6.2, the
 //!   shared visit-outcome classification every driver tallies with, and
 //!   the single merge path ([`analytics::Merge`]) every sharded output
@@ -38,11 +40,11 @@
 //! * [`reorder`] — the canonical reorder buffer: shard outputs fold in
 //!   *arrival* order while producing exactly the shard-index-order
 //!   merge, keeping coordinator memory O(1) folded aggregates.
-//! * [`transport`] — the distributed backends behind
+//! * [`transport`] — the two carriers behind
 //!   [`transport::ShardTransport`]: in-process threads, or worker
 //!   *processes* (the coordinator's own binary re-executed in a worker
 //!   role) speaking the length-prefixed [`sim_core::frame`] protocol
-//!   over OS pipes with streaming incremental merge.
+//!   over OS pipes, rebuilt by one stream fold generic over `Read`.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

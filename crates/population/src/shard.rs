@@ -9,8 +9,9 @@
 //! ([`shard_batch_config`] / [`shard_deployment_config`]), and per-shard
 //! outputs **merge deterministically** in shard order through the
 //! associative [`crate::analytics::Merge`] path. [`run_sharded_world`]
-//! is the entry point. Each shard thread runs its own private world
-//! engine with
+//! is the entry point. Each shard — a thread here, a worker process in
+//! [`crate::transport`] — is one call to the same shard body, which
+//! runs its own private world engine with
 //!
 //! * an **independent deterministic RNG stream** ([`SimRng::split`]:
 //!   disjoint 2^192-draw blocks *and* a re-keyed fork namespace, with
@@ -142,26 +143,8 @@ pub fn shard_rngs(seed: u64, shards: usize) -> Vec<SimRng> {
     (0..shards).map(|_| root.split()).collect()
 }
 
-/// One shard's thread-portable output.
-pub(crate) struct ShardOutput {
-    pub(crate) outcome: WorldOutcome,
-    pub(crate) collection: CollectionSnapshot,
-    pub(crate) geo: GeoDb,
-}
-
-impl Merge for ShardOutput {
-    /// Piecewise fold through each component's associative merge, so a
-    /// whole shard output can ride the streaming reorder buffer.
-    fn merge(self, other: ShardOutput) -> ShardOutput {
-        ShardOutput {
-            outcome: self.outcome.merge(other.outcome),
-            collection: Merge::merge(self.collection, other.collection),
-            geo: Merge::merge(self.geo, other.geo),
-        }
-    }
-}
-
-/// The merged outcome of a sharded world run.
+/// The outcome of a sharded world run — of one shard, as the shard body
+/// (`run_shard`) returns it, or of several merged.
 #[derive(Debug, Clone)]
 pub struct ShardedWorldRun {
     /// The merged world outcome: union report, time-interleaved visit
@@ -175,6 +158,55 @@ pub struct ShardedWorldRun {
     pub geo: GeoDb,
 }
 
+impl Merge for ShardedWorldRun {
+    /// Piecewise fold through each component's associative merge (the
+    /// per-shard reports concatenate), so whole shard outputs ride the
+    /// [`ReorderBuffer`] — the coordinator's merge tail on both
+    /// backends, which holds one folded run per discontiguous completion
+    /// run instead of one buffered output per shard.
+    fn merge(mut self, other: ShardedWorldRun) -> ShardedWorldRun {
+        self.per_shard.extend(other.per_shard);
+        ShardedWorldRun {
+            outcome: self.outcome.merge(other.outcome),
+            per_shard: self.per_shard,
+            collection: Merge::merge(self.collection, other.collection),
+            geo: Merge::merge(self.geo, other.geo),
+        }
+    }
+}
+
+/// The one shard body: build shard `ctx.index`'s private world, run
+/// [`shard_recipe`]\(recipe, ..\) on it under that shard's
+/// [`shard_rngs`] stream, and snapshot what the coordinator merges. A
+/// pure function of its arguments (given a deterministic `build`) —
+/// which is why a shard thread and a worker process running it agree
+/// byte for byte, and why re-running a lost shard reproduces it.
+pub(crate) fn run_shard<F>(
+    build: &F,
+    audience: &Audience,
+    recipe: &WorldRecipe,
+    ctx: ShardContext,
+    seed: u64,
+) -> ShardedWorldRun
+where
+    F: Fn(ShardContext) -> (Network, EncoreSystem),
+{
+    let (mut net, mut sys) = build(ctx);
+    let shard_cfg = shard_recipe(recipe, ctx.shards, ctx.index);
+    let mut rng = shard_rngs(seed, ctx.shards)
+        .into_iter()
+        .nth(ctx.index)
+        .expect("shard_recipe checked the index");
+    let outcome =
+        WorldEngine::from_recipe(&mut net, &mut sys, audience, &shard_cfg, &mut rng).run();
+    ShardedWorldRun {
+        per_shard: vec![outcome.report],
+        outcome,
+        collection: sys.collection.snapshot(),
+        geo: GeoDb::from_allocator(&net.allocator),
+    }
+}
+
 /// Execute one [`WorldRecipe`] across `shards` OS threads.
 ///
 /// `build` is called once per shard, *on that shard's thread*, and must
@@ -186,18 +218,19 @@ pub struct ShardedWorldRun {
 /// must be deterministic in the context: building the same shard twice
 /// must yield identical deployments.
 ///
-/// Each shard runs [`WorldEngine::from_recipe`] over
-/// [`shard_recipe`]\(recipe, shards, index\): control events (policy
+/// Each shard thread runs the one shard body (`run_shard`, the same
+/// function a worker process runs): the world engine over
+/// [`shard_recipe`]\(recipe, shards, index\), so control events (policy
 /// changes, mutations, re-prioritisations, maintenance, rollups) are
 /// **broadcast** verbatim to every shard, arrival events are **thinned**
 /// 1/N, and the per-shard RNG streams come from [`shard_rngs`]
 /// (`SimRng::split` / `long_jump`, shard 0 reproducing the serial stream
-/// exactly). Per-shard outcomes then merge **in shard-index order**
+/// exactly). Per-shard outputs then merge **in shard-index order**
 /// through the associative [`crate::analytics::Merge`] path, so the
 /// result is deterministic in `(seed, recipe, shards, scenario)` no
 /// matter how the threads were scheduled — and at `shards == 1` it is
-/// byte-identical to `WorldEngine::from_recipe(..).run()` on the same
-/// recipe (`tests/world_shard_equivalence.rs`).
+/// byte-identical to the serial engine on the same recipe
+/// (`tests/world_shard_equivalence.rs`).
 pub fn run_sharded_world<F>(
     build: &F,
     audience: &Audience,
@@ -209,32 +242,13 @@ where
     F: Fn(ShardContext) -> (Network, EncoreSystem) + Sync,
 {
     assert!(shards >= 1, "shard count must be at least 1");
-    let rngs = shard_rngs(seed, shards);
-
-    // Streaming merge: shard outputs fold in *arrival* order through a
-    // canonical reorder buffer on this (coordinator) thread, so resident
-    // state is one folded aggregate per discontiguous completion run —
-    // O(1) in the common case — instead of one buffered output per
-    // shard. Associativity of the `Merge` path (simcheck's merge-algebra
-    // oracle; `reorder` property tests) guarantees the result is exactly
-    // the shard-index-order fold the old collect-then-merge path
-    // computed.
-    let (tx, rx) = mpsc::channel::<(usize, ShardOutput)>();
-    let (merged, mut per_shard) = thread::scope(|scope| {
-        for (index, mut rng) in rngs.into_iter().enumerate() {
+    let (tx, rx) = mpsc::channel::<(usize, ShardedWorldRun)>();
+    let merged = thread::scope(|scope| {
+        for index in 0..shards {
             let tx = tx.clone();
             scope.spawn(move || {
                 let ctx = ShardContext { index, shards };
-                let (mut net, mut sys) = build(ctx);
-                let shard_cfg = shard_recipe(recipe, shards, index);
-                let outcome =
-                    WorldEngine::from_recipe(&mut net, &mut sys, audience, &shard_cfg, &mut rng)
-                        .run();
-                let output = ShardOutput {
-                    outcome,
-                    collection: sys.collection.snapshot(),
-                    geo: GeoDb::from_allocator(&net.allocator),
-                };
+                let output = run_shard(build, audience, recipe, ctx, seed);
                 // A disconnected receiver means the coordinator already
                 // gave up (a sibling panicked); nothing left to report.
                 let _ = tx.send((index, output));
@@ -242,30 +256,20 @@ where
         }
         drop(tx);
 
-        let mut buffer: ReorderBuffer<ShardOutput> = ReorderBuffer::new(shards);
-        let mut per_shard: Vec<(usize, BatchReport)> = Vec::with_capacity(shards);
+        let mut merge = ReorderBuffer::new(shards);
         for (index, output) in rx {
-            per_shard.push((index, output.outcome.report));
-            buffer.accept(index, output);
+            merge.accept(index, output);
         }
-        (buffer.finish(), per_shard)
+        merge.finish()
     });
     // A missing output means a shard thread panicked before sending;
     // `thread::scope` re-raises that panic on join, so this expect is
     // only reachable on a double-fault — keep the old message for it.
-    let merged = merged.expect("shard thread panicked");
-
-    per_shard.sort_by_key(|&(index, _)| index);
-    ShardedWorldRun {
-        outcome: merged.outcome,
-        per_shard: per_shard.into_iter().map(|(_, report)| report).collect(),
-        collection: merged.collection,
-        geo: merged.geo,
-    }
+    merged.expect("shard thread panicked")
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use encore::coordination::SchedulingStrategy;
     use encore::delivery::OriginSite;
@@ -284,7 +288,9 @@ mod tests {
             )
     }
 
-    fn build(ctx: ShardContext) -> (Network, EncoreSystem) {
+    /// The crate's small test world: one image target, one academic
+    /// origin, ideal paths.
+    pub(crate) fn build(ctx: ShardContext) -> (Network, EncoreSystem) {
         let mut net = scenario().build_shard(ctx.index, ctx.shards);
         let tasks = vec![MeasurementTask {
             id: MeasurementId(0),

@@ -1,28 +1,29 @@
-//! Distributed shard backends: one trait, two transports.
+//! Distributed shard backends: one shard body, one merge tail, two
+//! carriers.
 //!
-//! [`ShardTransport`] abstracts *where* a sharded world's shards run:
+//! Every shard is one call to `crate::shard::run_shard`, and its output
+//! — a one-shard [`ShardedWorldRun`] — reaches the coordinator's one
+//! merge tail (a [`ReorderBuffer`] of them) whole. [`ShardTransport`]
+//! abstracts only what carries it there:
 //!
-//! * [`ThreadTransport`] — today's OS threads in this process,
-//!   zero-copy, delegating to [`crate::shard::run_sharded_world`];
-//!   byte-identical to calling that function directly.
-//! * [`ProcessTransport`] — worker **processes** connected by OS pipes
-//!   speaking the length-prefixed, checksummed [`sim_core::frame`]
-//!   protocol. The coordinator serializes the [`WorldSpec`] **once**
-//!   and broadcasts the same frame bytes to every worker (control
-//!   traffic rides the same framed channel as data); each worker
-//!   rebuilds its private world from the spec, runs its shard, and
-//!   streams its output back **incrementally** in bounded chunks that
-//!   fold through the associative [`crate::analytics::Merge`] path as
-//!   frames arrive — coordinator peak memory is O(1 merged outcome),
-//!   not O(shards × outcome).
+//! * [`ThreadTransport`] — OS threads in this process; the output is
+//!   moved through a channel ([`run_sharded_world`]).
+//! * [`ProcessTransport`] — worker **processes** on OS pipes speaking
+//!   the length-prefixed, checksummed [`sim_core::frame`] protocol. The
+//!   coordinator serializes the [`WorldSpec`] **once** and broadcasts
+//!   the same frame bytes to every worker; each worker rebuilds its
+//!   world from the spec, runs its shard, and streams the output back
+//!   in bounded chunks, which the coordinator's one stream fold
+//!   (`fold_shard_stream`, over any [`Read`]) rebuilds as frames arrive
+//!   — coordinator peak memory is the merged run plus one shard's
+//!   partial, not O(shards × outcome). `ProcessTransport` itself holds
+//!   only what is about processes: spawn, pipes, reap.
 //!
 //! Closures never cross the process boundary: a [`WorldSpec`] is a
 //! compact serializable *description* (fixture name + parameters, or a
 //! generator seed) from which the worker deterministically rebuilds the
-//! scenario, recipe, and audience. That is what makes cross-backend
-//! byte-identity provable — both backends execute
-//! `shard_recipe(spec.recipe(), ..)` with `shard_rngs(seed, ..)` streams
-//! on worlds built by the same deterministic builder.
+//! scenario, recipe, and audience — so both backends run the same shard
+//! body on identically built worlds, and agree byte for byte.
 //!
 //! ## Wire protocol (version [`sim_core::frame::FRAME_VERSION`])
 //!
@@ -44,32 +45,36 @@
 //! whose size is fixed by the [`encore::streaming::StreamingConfig`],
 //! not by traffic volume. SKETCH frames fold into the per-shard partial
 //! like any data frame, so the coordinator still holds at most the
-//! running accumulator plus one shard's partial.
+//! running merge plus one shard's partial.
 //!
 //! **Backpressure:** a worker may have at most `window` unacknowledged
 //! data frames in flight; past that it blocks until the coordinator
 //! acks, so coordinator-side buffering is bounded regardless of how
-//! large a shard's log is. **Failure:** a worker that dies mid-stream
-//! surfaces as a typed [`TransportError`] (clean worker-exit/short-read
-//! path — never a panic), and the coordinator kills the remaining
-//! workers before returning.
+//! large a shard's log is. The stream fold is the only issuer of
+//! credits: one per data frame, after the frame has folded. **Failure:**
+//! a truncated, corrupt, out-of-protocol or ill-shaped stream surfaces
+//! from the fold as a typed [`TransportError`] — never a panic — and
+//! the coordinator kills the remaining workers before returning.
 
-use crate::analytics::{Merge, StreamSummary};
+use crate::analytics::{RollupSeries, StreamSummary};
 use crate::audience::Audience;
 use crate::batch::BatchReport;
 use crate::driver::VisitRecord;
-use crate::shard::{run_sharded_world, shard_recipe, shard_rngs, ShardContext, ShardedWorldRun};
-use crate::world::{WorldEngine, WorldOutcome, WorldRecipe};
-use encore::collection::{CollectionSnapshot, StoredMeasurement};
+use crate::reorder::ReorderBuffer;
+use crate::shard::{run_shard, run_sharded_world, ShardContext, ShardedWorldRun};
+use crate::world::{WorldOutcome, WorldRecipe};
+use encore::collection::CollectionSnapshot;
 use encore::geo::GeoDb;
+use encore::streaming::{MergeShape, StreamingStats};
 use encore::system::EncoreSystem;
 use netsim::network::Network;
 use serde::{Deserialize, Serialize};
 use sim_core::frame::{encode_frame, read_frame, write_frame, FrameError};
+use sim_core::merge_time_ordered;
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, ChildStdin, Command, ExitStatus, Stdio};
 use std::str::FromStr;
 
 /// Frame kind: the serialized [`WorldSpec`], broadcast to every worker.
@@ -99,7 +104,7 @@ pub const KIND_SKETCH: u8 = 8;
 pub const DEFAULT_CHUNK: usize = 4096;
 /// Default credit window: max unacknowledged data frames per worker.
 pub const DEFAULT_WINDOW: usize = 8;
-/// Default payload cap (bytes) enforced by both ends of the pipe.
+/// Payload cap (bytes) enforced by both ends of the pipe.
 pub const DEFAULT_MAX_PAYLOAD: u32 = 64 << 20;
 
 /// A compact, serializable description of a sharded world run — the
@@ -115,7 +120,7 @@ pub trait WorldSpec: Serialize + Deserialize + Send + Sync {
     /// The audience every shard samples visitors from.
     fn audience(&self) -> Audience;
     /// The *total* (unsharded) recipe; each shard runs
-    /// [`shard_recipe`]\(recipe, shards, index\).
+    /// [`shard_recipe`](crate::shard::shard_recipe)\(recipe, shards, index\).
     fn recipe(&self) -> WorldRecipe;
     /// Build this shard's private network + deployed Encore system.
     fn build(&self, ctx: ShardContext) -> (Network, EncoreSystem);
@@ -128,7 +133,8 @@ pub struct WorkerJob {
     pub index: usize,
     /// Total shard count.
     pub shards: usize,
-    /// Root seed; the worker derives its stream via [`shard_rngs`].
+    /// Root seed; the worker derives its stream via
+    /// [`shard_rngs`](crate::shard::shard_rngs).
     pub seed: u64,
     /// Records per streamed data frame.
     pub chunk: usize,
@@ -144,7 +150,7 @@ pub struct FinalPayload {
     /// Aggregate counters.
     pub report: BatchReport,
     /// Periodic rollups.
-    pub rollups: RollupsWire,
+    pub rollups: RollupSeries,
     /// Policy-timeline changes that mutated the shard's world.
     pub policy_changes_applied: usize,
     /// Censor control signals a middlebox applied.
@@ -158,11 +164,6 @@ pub struct FinalPayload {
     /// The shard's striped GeoIP database.
     pub geo: GeoDb,
 }
-
-/// Wire shape of [`crate::analytics::RollupSeries`] (its inner vector;
-/// the newtype itself predates the derive support for tuple structs
-/// used here, so the wire carries the vector explicitly).
-pub type RollupsWire = Vec<crate::analytics::Rollup>;
 
 /// Every way a transport run can fail. All coordinator-side failure
 /// modes are values — worker death, truncated frames, malformed
@@ -187,11 +188,12 @@ pub enum TransportError {
         /// OS error detail.
         detail: String,
     },
-    /// A worker exited without completing its stream.
+    /// A worker's stream ended before FINAL, or the worker exited
+    /// non-zero after it.
     WorkerExit {
         /// The worker's shard index.
         shard: usize,
-        /// Exit-status description.
+        /// The exit status, where the carrier has one to report.
         detail: String,
     },
     /// A worker reported a failure via a [`KIND_ERROR`] frame.
@@ -272,9 +274,9 @@ pub trait ShardTransport {
     ) -> Result<ShardedWorldRun, TransportError>;
 }
 
-/// The in-process backend: today's scoped OS threads, delegating to
-/// [`run_sharded_world`]. Never fails; the `Result` exists only to
-/// satisfy the shared trait signature.
+/// The in-process backend: scoped OS threads ([`run_sharded_world`]).
+/// Never fails; the `Result` exists only to satisfy the shared trait
+/// signature.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ThreadTransport;
 
@@ -285,12 +287,10 @@ impl ShardTransport for ThreadTransport {
         shards: usize,
         seed: u64,
     ) -> Result<ShardedWorldRun, TransportError> {
-        let audience = spec.audience();
-        let recipe = spec.recipe();
         Ok(run_sharded_world(
             &|ctx| spec.build(ctx),
-            &audience,
-            &recipe,
+            &spec.audience(),
+            &spec.recipe(),
             shards,
             seed,
         ))
@@ -313,35 +313,39 @@ pub struct TransportStats {
     /// have in flight (protocol-enforced bound on coordinator buffering).
     pub window: usize,
     /// Peak outcome-shaped aggregates simultaneously resident on the
-    /// coordinator: the running accumulator plus at most the partial
-    /// fold of the one shard currently being drained — the O(1)
+    /// coordinator: the merge tail's running fold plus the partial of
+    /// the one shard currently being drained — the O(1)
     /// streaming-merge guarantee, independent of shard count.
     /// (In-flight chunks are bounded separately, by [`Self::window`].)
     pub peak_resident_outcomes: usize,
 }
 
+impl TransportStats {
+    fn new(shards: usize) -> TransportStats {
+        TransportStats {
+            shards,
+            data_frames: 0,
+            streamed_payload_bytes: 0,
+            largest_payload_bytes: 0,
+            window: DEFAULT_WINDOW,
+            peak_resident_outcomes: 0,
+        }
+    }
+}
+
 /// The multi-process backend: spawns one worker per shard, broadcasts
-/// the spec as identical frame bytes, and folds the streamed chunks
-/// incrementally.
+/// the spec as identical frame bytes, and hands each worker's stdout to
+/// the stream fold.
 #[derive(Debug, Clone)]
 pub struct ProcessTransport {
     worker: PathBuf,
     role: Option<String>,
-    chunk: usize,
-    window: usize,
-    max_payload: u32,
 }
 
 impl ProcessTransport {
-    /// A process transport spawning `worker` with default chunking.
+    /// A process transport spawning `worker`.
     pub fn new(worker: PathBuf) -> ProcessTransport {
-        ProcessTransport {
-            worker,
-            role: None,
-            chunk: DEFAULT_CHUNK,
-            window: DEFAULT_WINDOW,
-            max_payload: DEFAULT_MAX_PAYLOAD,
-        }
+        ProcessTransport { worker, role: None }
     }
 
     /// Spawn the worker as `<worker> <role>`: a binary that is its own
@@ -354,23 +358,6 @@ impl ProcessTransport {
         self
     }
 
-    /// Override records-per-frame chunking (min 1).
-    pub fn with_chunk(mut self, chunk: usize) -> ProcessTransport {
-        self.chunk = chunk.max(1);
-        self
-    }
-
-    /// Override the credit window (min 1).
-    pub fn with_window(mut self, window: usize) -> ProcessTransport {
-        self.window = window.max(1);
-        self
-    }
-
-    /// The worker binary this transport spawns.
-    pub fn worker(&self) -> &PathBuf {
-        &self.worker
-    }
-
     /// Run and also return the deterministic streaming counters.
     pub fn run_with_stats<S: WorldSpec>(
         &self,
@@ -379,10 +366,13 @@ impl ProcessTransport {
         seed: u64,
     ) -> Result<(ShardedWorldRun, TransportStats), TransportError> {
         assert!(shards >= 1, "shard count must be at least 1");
-        let mut children = self.spawn_workers(spec, shards, seed)?;
-        let result = self.drain(&mut children, shards);
+        let mut children = Vec::with_capacity(shards);
+        let result = self
+            .spawn_workers(spec, shards, seed, &mut children)
+            .and_then(|()| drain(&mut children));
         if result.is_err() {
-            // Clean failure path: no orphans, no zombies.
+            // The one failure path, whichever step failed: no orphans,
+            // no zombies.
             for child in &mut children {
                 let _ = child.kill();
                 let _ = child.wait();
@@ -391,261 +381,198 @@ impl ProcessTransport {
         result
     }
 
-    /// Spawn all workers and hand each the broadcast spec + its job.
+    /// Spawn all workers into `children` (each the moment it exists, so
+    /// the caller can reap it whatever fails next) and hand each the
+    /// broadcast spec + its job.
     fn spawn_workers<S: WorldSpec>(
         &self,
         spec: &S,
         shards: usize,
         seed: u64,
-    ) -> Result<Vec<Child>, TransportError> {
+        children: &mut Vec<Child>,
+    ) -> Result<(), TransportError> {
         // Control traffic serializes ONCE: every worker receives the
         // same spec frame bytes.
         let spec_frame = encode_frame(KIND_SPEC, &encode_payload(spec)?);
-        let mut children: Vec<Child> = Vec::with_capacity(shards);
         for index in 0..shards {
-            let spawned = Command::new(&self.worker)
+            let child = Command::new(&self.worker)
                 .args(&self.role)
                 .stdin(Stdio::piped())
                 .stdout(Stdio::piped())
                 .stderr(Stdio::inherit())
-                .spawn();
-            let mut child = match spawned {
-                Ok(child) => child,
-                Err(err) => {
-                    for mut orphan in children {
-                        let _ = orphan.kill();
-                        let _ = orphan.wait();
-                    }
-                    return Err(TransportError::Spawn {
-                        worker: self.worker.clone(),
-                        detail: err.to_string(),
-                    });
-                }
-            };
+                .spawn()
+                .map_err(|err| TransportError::Spawn {
+                    worker: self.worker.clone(),
+                    detail: err.to_string(),
+                })?;
+            children.push(child);
+            let stdin = children[index]
+                .stdin
+                .as_mut()
+                .expect("stdin piped at spawn");
             let job = WorkerJob {
                 index,
                 shards,
                 seed,
-                chunk: self.chunk,
-                window: self.window,
+                chunk: DEFAULT_CHUNK,
+                window: DEFAULT_WINDOW,
             };
-            let handoff = (|| -> Result<(), TransportError> {
-                let stdin = child.stdin.as_mut().expect("stdin piped at spawn");
-                stdin
-                    .write_all(&spec_frame)
-                    .map_err(|e| io_err(index, "writing spec frame", &e))?;
-                write_frame(stdin, KIND_JOB, &encode_payload(&job)?).map_err(|error| {
-                    TransportError::Frame {
-                        context: format!("writing job frame to shard {index}"),
-                        error,
-                    }
+            let job_frame = encode_frame(KIND_JOB, &encode_payload(&job)?);
+            stdin
+                .write_all(&spec_frame)
+                .and_then(|()| stdin.write_all(&job_frame))
+                .map_err(|err| {
+                    TransportError::Protocol(format!("writing handshake for shard {index}: {err}"))
                 })?;
-                stdin
-                    .flush()
-                    .map_err(|e| io_err(index, "flushing handshake", &e))?;
-                Ok(())
-            })();
-            if let Err(err) = handoff {
-                let _ = child.kill();
-                let _ = child.wait();
-                for mut orphan in children {
-                    let _ = orphan.kill();
-                    let _ = orphan.wait();
-                }
-                return Err(err);
-            }
-            children.push(child);
         }
-        Ok(children)
+        Ok(())
     }
+}
 
-    /// Drain every worker's stream in shard order, folding each frame
-    /// into the running aggregates the moment it arrives.
-    fn drain(
-        &self,
-        children: &mut [Child],
-        shards: usize,
-    ) -> Result<(ShardedWorldRun, TransportStats), TransportError> {
-        let mut stats = TransportStats {
-            shards,
-            data_frames: 0,
-            streamed_payload_bytes: 0,
-            largest_payload_bytes: 0,
-            window: self.window,
-            peak_resident_outcomes: 0,
-        };
-        // O(1) resident state: one running fold of everything drained
-        // so far, plus the partial fold of the shard currently being
-        // drained. Chunks fold into the *shard* partial as they arrive
-        // (each fold walks at most one shard's outcome, never the
-        // global accumulator), and each completed shard folds exactly
-        // once into the running merge — so the total merge work is the
-        // same O(shards × data) as merging whole shard outcomes, not
-        // quadratic in the chunk count. Workers are drained in shard
-        // order and each worker streams its chunks in time order, so by
-        // associativity this grouped fold equals the
-        // shard-index-order whole-outcome merge (the stable
-        // `merge_time_ordered` keeps earlier-folded records ahead of
-        // later ones at equal timestamps, exactly like merging whole
-        // shard outcomes in index order).
-        let mut outcome_acc: Option<WorldOutcome> = None;
-        let mut collection_acc = CollectionSnapshot::default();
-        let mut geo_acc: Option<GeoDb> = None;
-        let mut per_shard: Vec<BatchReport> = Vec::with_capacity(shards);
-
-        for (shard, child) in children.iter_mut().enumerate() {
-            let mut shard_outcome: Option<WorldOutcome> = None;
-            let mut shard_collection = CollectionSnapshot::default();
-            let mut stdout =
-                io::BufReader::new(child.stdout.take().expect("stdout piped at spawn"));
-            loop {
-                let frame = match read_frame(&mut stdout, self.max_payload) {
-                    Ok(Some(frame)) => frame,
-                    Ok(None) => {
-                        // EOF before FINAL: the worker died. Report its
-                        // exit status instead of panicking.
-                        let detail = match child.wait() {
-                            Ok(status) => status.to_string(),
-                            Err(err) => format!("unwaitable: {err}"),
-                        };
-                        return Err(TransportError::WorkerExit { shard, detail });
-                    }
-                    Err(error) => {
-                        return Err(TransportError::Frame {
-                            context: format!("reading from shard {shard}"),
-                            error,
-                        })
-                    }
-                };
-                let payload_len = frame.payload.len() as u64;
-                match frame.kind {
-                    KIND_LOG_CHUNK => {
-                        let log: Vec<VisitRecord> = decode_payload(&frame.payload, "log chunk")?;
-                        let partial = WorldOutcome {
-                            log,
-                            report: BatchReport::default(),
-                            rollups: crate::analytics::RollupSeries::default(),
-                            policy_changes_applied: 0,
-                            control_signals_applied: 0,
-                            streaming: None,
-                        };
-                        stats.peak_resident_outcomes = stats
-                            .peak_resident_outcomes
-                            .max(usize::from(outcome_acc.is_some()) + 1);
-                        shard_outcome = Some(match shard_outcome.take() {
-                            Some(acc) => acc.merge(partial),
-                            None => partial,
-                        });
-                        stats.data_frames += 1;
-                        stats.streamed_payload_bytes += payload_len;
-                        stats.largest_payload_bytes = stats.largest_payload_bytes.max(payload_len);
-                        ack(child, shard);
-                    }
-                    KIND_RECORD_CHUNK => {
-                        let records: Vec<StoredMeasurement> =
-                            decode_payload(&frame.payload, "record chunk")?;
-                        shard_collection = shard_collection.merge_owned(CollectionSnapshot {
-                            records,
-                            malformed: 0,
-                            streaming: None,
-                        });
-                        stats.data_frames += 1;
-                        stats.streamed_payload_bytes += payload_len;
-                        stats.largest_payload_bytes = stats.largest_payload_bytes.max(payload_len);
-                        ack(child, shard);
-                    }
-                    KIND_SKETCH => {
-                        let sketch: encore::streaming::StreamingStats =
-                            decode_payload(&frame.payload, "sketch")?;
-                        shard_collection = shard_collection.merge_owned(CollectionSnapshot {
-                            records: Vec::new(),
-                            malformed: 0,
-                            streaming: Some(sketch),
-                        });
-                        stats.data_frames += 1;
-                        stats.streamed_payload_bytes += payload_len;
-                        stats.largest_payload_bytes = stats.largest_payload_bytes.max(payload_len);
-                        ack(child, shard);
-                    }
-                    KIND_FINAL => {
-                        let fin: FinalPayload = decode_payload(&frame.payload, "final")?;
-                        per_shard.push(fin.report);
-                        let partial = WorldOutcome {
-                            log: Vec::new(),
-                            report: fin.report,
-                            rollups: crate::analytics::RollupSeries(fin.rollups),
-                            policy_changes_applied: fin.policy_changes_applied,
-                            control_signals_applied: fin.control_signals_applied,
-                            streaming: fin.streaming,
-                        };
-                        stats.peak_resident_outcomes = stats
-                            .peak_resident_outcomes
-                            .max(usize::from(outcome_acc.is_some()) + 1);
-                        let completed = match shard_outcome.take() {
-                            Some(acc) => acc.merge(partial),
-                            None => partial,
-                        };
-                        outcome_acc = Some(match outcome_acc.take() {
-                            Some(acc) => acc.merge(completed),
-                            None => completed,
-                        });
-                        shard_collection.malformed += fin.malformed;
-                        collection_acc =
-                            collection_acc.merge_owned(std::mem::take(&mut shard_collection));
-                        geo_acc = Some(match geo_acc.take() {
-                            Some(acc) => Merge::merge(acc, fin.geo),
-                            None => fin.geo,
-                        });
-                        break;
-                    }
-                    KIND_ERROR => {
-                        return Err(TransportError::Worker {
-                            shard,
-                            detail: String::from_utf8_lossy(&frame.payload).into_owned(),
-                        })
-                    }
-                    other => {
-                        return Err(TransportError::Protocol(format!(
-                            "unexpected frame kind {other} from shard {shard}"
-                        )))
-                    }
-                }
+/// Drain every worker in shard order: fold its stdout, reap it, and
+/// move its output into the merge tail. Draining in index order keeps
+/// the tail at one run, so the coordinator holds that run plus the one
+/// shard being folded (`peak_resident_outcomes` ≤ 2, whatever the shard
+/// count) — workers further down the line block on their credit window
+/// until their turn.
+fn drain(children: &mut [Child]) -> Result<(ShardedWorldRun, TransportStats), TransportError> {
+    let shards = children.len();
+    let mut stats = TransportStats::new(shards);
+    let mut shape = None;
+    let mut merge = ReorderBuffer::new(shards);
+    for (shard, child) in children.iter_mut().enumerate() {
+        stats.peak_resident_outcomes = stats.peak_resident_outcomes.max(merge.pending_runs() + 1);
+        let mut stdout = io::BufReader::new(child.stdout.take().expect("stdout piped at spawn"));
+        let mut stdin = child.stdin.take().expect("stdin piped at spawn");
+        let folded = fold_shard_stream(
+            shard,
+            &mut stdout,
+            || ack(&mut stdin),
+            &mut shape,
+            &mut stats,
+        );
+        // Stream over, either way: release the worker.
+        drop(stdin);
+        let output = match folded {
+            // The pipe closed before FINAL: the worker died. This
+            // backend can say how.
+            Err(TransportError::WorkerExit { .. }) => {
+                let detail = describe_exit(child.wait());
+                return Err(TransportError::WorkerExit { shard, detail });
             }
-            // Stream complete: release the worker and insist on a clean
-            // exit.
-            drop(child.stdin.take());
-            match child.wait() {
-                Ok(status) if status.success() => {}
-                Ok(status) => {
-                    return Err(TransportError::WorkerExit {
-                        shard,
-                        detail: format!("after FINAL: {status}"),
-                    })
-                }
-                Err(err) => {
-                    return Err(TransportError::WorkerExit {
-                        shard,
-                        detail: format!("unwaitable: {err}"),
-                    })
-                }
+            other => other?,
+        };
+        // Insist on a clean exit.
+        match child.wait() {
+            Ok(status) if status.success() => {}
+            reaped => {
+                let detail = format!("after FINAL: {}", describe_exit(reaped));
+                return Err(TransportError::WorkerExit { shard, detail });
             }
         }
+        merge.accept(shard, output);
+    }
+    let run = merge.finish().expect("the loop accepted every shard");
+    Ok((run, stats))
+}
 
-        let outcome = outcome_acc.ok_or_else(|| {
-            TransportError::Protocol("no shard produced a FINAL frame".to_string())
-        })?;
-        let geo = geo_acc.ok_or_else(|| {
-            TransportError::Protocol("no shard produced a geo database".to_string())
-        })?;
-        Ok((
-            ShardedWorldRun {
-                outcome,
-                per_shard,
-                collection: collection_acc,
-                geo,
-            },
-            stats,
-        ))
+fn describe_exit(reaped: io::Result<ExitStatus>) -> String {
+    reaped.map_or_else(|err| format!("unwaitable: {err}"), |s| s.to_string())
+}
+
+/// The coordinator's side of one worker's stream, over any byte
+/// source: read frames up to FINAL and rebuild the shard's output from
+/// them. Each LOG_CHUNK / RECORD_CHUNK / SKETCH folds into the *shard's*
+/// partial — never the running merge — through the ordered-append fast
+/// paths (a worker streams in time order), and then earns the worker
+/// one credit through `ack`; a frame that fails to decode or validate
+/// earns none. `shape` is the [`MergeShape`] every sketch of the run
+/// must share, set by the first one seen; `stats` counts what folded.
+/// A stream ending on a frame boundary before FINAL is
+/// [`TransportError::WorkerExit`]; nothing a peer can send panics.
+fn fold_shard_stream<R: Read>(
+    shard: usize,
+    stream: &mut R,
+    mut ack: impl FnMut(),
+    shape: &mut Option<MergeShape>,
+    stats: &mut TransportStats,
+) -> Result<ShardedWorldRun, TransportError> {
+    let mut log: Vec<VisitRecord> = Vec::new();
+    let mut collection = CollectionSnapshot::default();
+    loop {
+        let frame = read_frame(stream, DEFAULT_MAX_PAYLOAD)
+            .map_err(|error| TransportError::Frame {
+                context: format!("reading from shard {shard}"),
+                error,
+            })?
+            .ok_or_else(|| TransportError::WorkerExit {
+                shard,
+                detail: "stream ended before FINAL".to_string(),
+            })?;
+        match frame.kind {
+            KIND_LOG_CHUNK => {
+                let chunk: Vec<VisitRecord> = decode_payload(&frame.payload, "log chunk")?;
+                log = merge_time_ordered(log, chunk, |v| v.at);
+            }
+            KIND_RECORD_CHUNK => {
+                collection = collection.merge_owned(CollectionSnapshot {
+                    records: decode_payload(&frame.payload, "record chunk")?,
+                    ..CollectionSnapshot::default()
+                });
+            }
+            KIND_SKETCH => {
+                let sketch: StreamingStats = decode_payload(&frame.payload, "sketch")?;
+                // The payload passed the CRC, not `CountMinSketch::new`:
+                // check what `merge` would otherwise assert.
+                let found = sketch
+                    .validate()
+                    .map_err(|why| TransportError::Payload(format!("sketch: {why}")))?;
+                let expected = *shape.get_or_insert(found);
+                if found != expected {
+                    return Err(TransportError::Payload(format!(
+                        "sketch: shard {shard} sent {found:?}, the run merges {expected:?}"
+                    )));
+                }
+                collection = collection.merge_owned(CollectionSnapshot {
+                    streaming: Some(sketch),
+                    ..CollectionSnapshot::default()
+                });
+            }
+            KIND_FINAL => {
+                let fin: FinalPayload = decode_payload(&frame.payload, "final")?;
+                collection.malformed += fin.malformed;
+                return Ok(ShardedWorldRun {
+                    per_shard: vec![fin.report],
+                    outcome: WorldOutcome {
+                        log,
+                        report: fin.report,
+                        rollups: fin.rollups,
+                        policy_changes_applied: fin.policy_changes_applied,
+                        control_signals_applied: fin.control_signals_applied,
+                        streaming: fin.streaming,
+                    },
+                    collection,
+                    geo: fin.geo,
+                });
+            }
+            KIND_ERROR => {
+                return Err(TransportError::Worker {
+                    shard,
+                    detail: String::from_utf8_lossy(&frame.payload).into_owned(),
+                })
+            }
+            other => {
+                return Err(TransportError::Protocol(format!(
+                    "unexpected frame kind {other} from shard {shard}"
+                )))
+            }
+        }
+        // Only a folded data frame gets here.
+        let payload_len = frame.payload.len() as u64;
+        stats.data_frames += 1;
+        stats.streamed_payload_bytes += payload_len;
+        stats.largest_payload_bytes = stats.largest_payload_bytes.max(payload_len);
+        ack();
     }
 }
 
@@ -665,15 +592,9 @@ impl ShardTransport for ProcessTransport {
 /// already finished (sent FINAL and exited, so the last few credits go
 /// unread) or already died (which the read path reports with full
 /// context).
-fn ack(child: &mut Child, _shard: usize) {
-    if let Some(stdin) = child.stdin.as_mut() {
-        let _ = write_frame(stdin, KIND_ACK, &[]);
-        let _ = stdin.flush();
-    }
-}
-
-fn io_err(shard: usize, action: &str, err: &io::Error) -> TransportError {
-    TransportError::Protocol(format!("{action} for shard {shard}: {err}"))
+fn ack(stdin: &mut ChildStdin) {
+    let _ = write_frame(stdin, KIND_ACK, &[]);
+    let _ = stdin.flush();
 }
 
 /// Payloads cross the pipe in `serde::bin`'s positional binary
@@ -707,25 +628,7 @@ impl<R: Read, W: Write> CreditedSender<'_, R, W> {
             self.output.flush().map_err(|err| {
                 TransportError::Protocol(format!("flushing before credit wait: {err}"))
             })?;
-            match read_frame(self.input, DEFAULT_MAX_PAYLOAD).map_err(|error| {
-                TransportError::Frame {
-                    context: "reading credit".to_string(),
-                    error,
-                }
-            })? {
-                Some(frame) if frame.kind == KIND_ACK => {}
-                Some(frame) => {
-                    return Err(TransportError::Protocol(format!(
-                        "expected ACK credit, got frame kind {}",
-                        frame.kind
-                    )))
-                }
-                None => {
-                    return Err(TransportError::Protocol(
-                        "coordinator closed the control pipe mid-stream".to_string(),
-                    ))
-                }
-            }
+            expect_frame(self.input, KIND_ACK, "credit")?;
         } else {
             self.credits -= 1;
         }
@@ -755,21 +658,22 @@ pub fn run_worker<S: WorldSpec, R: Read, W: Write>(
         )));
     }
 
-    let audience = spec.audience();
     let ctx = ShardContext {
         index: job.index,
         shards: job.shards,
     };
-    let (mut net, mut sys) = spec.build(ctx);
-    let shard_cfg = shard_recipe(&spec.recipe(), job.shards, job.index);
-    let mut rng = shard_rngs(job.seed, job.shards)
-        .into_iter()
-        .nth(job.index)
-        .expect("index validated above");
-    let outcome =
-        WorldEngine::from_recipe(&mut net, &mut sys, &audience, &shard_cfg, &mut rng).run();
-    let mut collection = sys.collection.snapshot();
-    let geo = GeoDb::from_allocator(&net.allocator);
+    let ShardedWorldRun {
+        outcome,
+        mut collection,
+        geo,
+        ..
+    } = run_shard(
+        &|ctx| spec.build(ctx),
+        &spec.audience(),
+        &spec.recipe(),
+        ctx,
+        job.seed,
+    );
 
     let chunk = job.chunk.max(1);
     let mut sender = CreditedSender {
@@ -790,7 +694,7 @@ pub fn run_worker<S: WorldSpec, R: Read, W: Write>(
     }
     let fin = FinalPayload {
         report: outcome.report,
-        rollups: outcome.rollups.0,
+        rollups: outcome.rollups,
         policy_changes_applied: outcome.policy_changes_applied,
         control_signals_applied: outcome.control_signals_applied,
         malformed: collection.malformed,
@@ -849,21 +753,19 @@ pub fn worker_main<S: WorldSpec>() -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::audience::Audience;
     use crate::batch::BatchConfig;
-    use encore::coordination::SchedulingStrategy;
-    use encore::delivery::OriginSite;
-    use encore::tasks::{MeasurementId, MeasurementTask, TaskSpec};
-    use netsim::geo::country;
-    use netsim::http::{ContentType, HttpResponse};
-    use netsim::scenario::{NetworkScenario, WorldSpec as NetWorldSpec};
+    use sim_core::FRAME_HEADER_LEN;
 
-    /// A minimal serializable spec mirroring `shard.rs`'s test world.
+    /// A minimal serializable spec over `shard.rs`'s test world.
     #[derive(Debug, Clone, Serialize, Deserialize)]
     struct TinySpec {
         visits: u64,
         #[serde(default)]
         streaming: bool,
+        /// Deployment mode (a week of arrivals, `visits` unused): the
+        /// mode that keeps a visit log, hence LOG_CHUNK frames.
+        #[serde(default)]
+        logged: bool,
     }
 
     impl TinySpec {
@@ -871,6 +773,21 @@ mod tests {
             TinySpec {
                 visits,
                 streaming: false,
+                logged: false,
+            }
+        }
+
+        fn streaming(visits: u64) -> TinySpec {
+            TinySpec {
+                streaming: true,
+                ..TinySpec::exact(visits)
+            }
+        }
+
+        fn logged() -> TinySpec {
+            TinySpec {
+                logged: true,
+                ..TinySpec::exact(0)
             }
         }
     }
@@ -881,10 +798,17 @@ mod tests {
         }
 
         fn recipe(&self) -> WorldRecipe {
-            let recipe = WorldRecipe::batch(BatchConfig {
-                visits: self.visits,
-                ..BatchConfig::default()
-            });
+            let recipe = if self.logged {
+                WorldRecipe::deployment(crate::driver::DeploymentConfig {
+                    duration: sim_core::SimDuration::from_days(7),
+                    ..Default::default()
+                })
+            } else {
+                WorldRecipe::batch(BatchConfig {
+                    visits: self.visits,
+                    ..BatchConfig::default()
+                })
+            };
             if self.streaming {
                 recipe.with_streaming(crate::world::StreamingSpec::with_window(
                     sim_core::SimDuration::from_secs(60),
@@ -895,28 +819,7 @@ mod tests {
         }
 
         fn build(&self, ctx: ShardContext) -> (Network, EncoreSystem) {
-            let mut net = NetworkScenario::new(NetWorldSpec::Builtin)
-                .with_ideal_paths()
-                .with_server(
-                    "target.example",
-                    country("US"),
-                    HttpResponse::ok(ContentType::Image, 400),
-                )
-                .build_shard(ctx.index, ctx.shards);
-            let tasks = vec![MeasurementTask {
-                id: MeasurementId(0),
-                spec: TaskSpec::Image {
-                    url: "http://target.example/favicon.ico".into(),
-                },
-            }];
-            let sys = EncoreSystem::deploy(
-                &mut net,
-                tasks,
-                SchedulingStrategy::RoundRobin,
-                vec![OriginSite::academic("prof.example")],
-                country("US"),
-            );
-            (net, sys)
+            crate::shard::tests::build(ctx)
         }
     }
 
@@ -940,109 +843,92 @@ mod tests {
     fn thread_transport_matches_run_sharded_world() {
         let spec = TinySpec::exact(300);
         let via_trait = ThreadTransport.run(&spec, 2, 41).expect("threads run");
-        let audience = spec.audience();
-        let recipe = spec.recipe();
+        let (audience, recipe) = (spec.audience(), spec.recipe());
         let direct = run_sharded_world(&|ctx| spec.build(ctx), &audience, &recipe, 2, 41);
         assert_eq!(via_trait.outcome, direct.outcome);
         assert_eq!(via_trait.collection, direct.collection);
         assert_eq!(via_trait.per_shard, direct.per_shard);
     }
 
-    /// Drive the worker protocol entirely in-process: the "coordinator"
-    /// side here is a scripted byte buffer (window large enough that no
-    /// credits are needed), and the worker's streamed frames fold back
-    /// through the same partial-outcome path `ProcessTransport` uses.
+    /// A coordinator's opening bytes: the spec frame, then the job frame.
+    fn handshake(spec: &TinySpec, job: WorkerJob) -> Vec<u8> {
+        let mut script = encode_frame(KIND_SPEC, &encode_payload(spec).unwrap());
+        script.extend(encode_frame(KIND_JOB, &encode_payload(&job).unwrap()));
+        script
+    }
+
+    /// Everything the real `run_worker` writes when all it ever reads is
+    /// `script` (so: no credits).
+    fn worker(script: &[u8]) -> Result<Vec<u8>, TransportError> {
+        let mut wire = Vec::new();
+        run_worker::<TinySpec, _, _>(&mut &script[..], &mut wire).map(|()| wire)
+    }
+
+    /// Shard `index`'s whole stream, in 7-record chunks under a window
+    /// wide enough to need no credits.
+    fn transcript(spec: &TinySpec, index: usize, shards: usize, seed: u64) -> Vec<u8> {
+        let job = WorkerJob {
+            index,
+            shards,
+            seed,
+            chunk: 7,
+            window: usize::MAX,
+        };
+        worker(&handshake(spec, job)).expect("worker runs")
+    }
+
+    /// The frames of a well-formed byte stream.
+    fn frames(mut wire: &[u8]) -> Vec<sim_core::Frame> {
+        std::iter::from_fn(|| read_frame(&mut wire, DEFAULT_MAX_PAYLOAD).expect("valid frame"))
+            .collect()
+    }
+
+    /// What the shipped coordinator makes of `shards` worker transcripts:
+    /// each through `fold_shard_stream`, then the merge tail. Also the
+    /// frame kinds each worker sent.
+    fn fold_transcripts(
+        spec: &TinySpec,
+        shards: usize,
+        seed: u64,
+    ) -> (ShardedWorldRun, Vec<Vec<u8>>) {
+        let mut stats = TransportStats::new(shards);
+        let (mut shape, mut credits) = (None, 0u64);
+        let mut merge = ReorderBuffer::new(shards);
+        let mut kinds = Vec::new();
+        for index in 0..shards {
+            let wire = transcript(spec, index, shards, seed);
+            kinds.push(frames(&wire).iter().map(|f| f.kind).collect());
+            let mut stream = &wire[..];
+            let output =
+                fold_shard_stream(index, &mut stream, || credits += 1, &mut shape, &mut stats)
+                    .expect("a worker's own stream folds");
+            assert!(stream.is_empty(), "the stream must end at FINAL");
+            merge.accept(index, output);
+        }
+        let data_frames: usize = kinds.iter().map(|k: &Vec<u8>| k.len() - 1).sum();
+        assert_eq!(credits, data_frames as u64, "one credit per data frame");
+        assert_eq!(stats.data_frames, credits);
+        (merge.finish().expect("every shard folded"), kinds)
+    }
+
+    /// Drive the worker protocol entirely in-process: what the
+    /// coordinator's fold rebuilds from `run_worker`'s bytes is what the
+    /// thread backend moved through its channel.
     #[test]
     fn in_process_worker_stream_folds_to_thread_result() {
-        let spec = TinySpec::exact(240);
-        let (shards, seed) = (2usize, 97u64);
-
-        let expected = ThreadTransport.run(&spec, shards, seed).expect("threads");
-
-        let mut outcome_acc: Option<WorldOutcome> = None;
-        let mut collection_acc = CollectionSnapshot::default();
-        let mut per_shard = Vec::new();
-        for index in 0..shards {
-            let mut script = Vec::new();
-            write_frame(&mut script, KIND_SPEC, &encode_payload(&spec).unwrap()).unwrap();
-            let job = WorkerJob {
-                index,
-                shards,
-                seed,
-                chunk: 7,
-                window: usize::MAX,
-            };
-            write_frame(&mut script, KIND_JOB, &encode_payload(&job).unwrap()).unwrap();
-
-            let mut input: &[u8] = &script;
-            let mut wire = Vec::new();
-            run_worker::<TinySpec, _, _>(&mut input, &mut wire).expect("worker runs");
-
-            let mut stream: &[u8] = &wire;
-            loop {
-                let frame = read_frame(&mut stream, DEFAULT_MAX_PAYLOAD)
-                    .expect("valid frame")
-                    .expect("stream ends with FINAL");
-                match frame.kind {
-                    KIND_LOG_CHUNK => {
-                        let log: Vec<VisitRecord> = decode_payload(&frame.payload, "log").unwrap();
-                        let partial = WorldOutcome {
-                            log,
-                            report: BatchReport::default(),
-                            rollups: crate::analytics::RollupSeries::default(),
-                            policy_changes_applied: 0,
-                            control_signals_applied: 0,
-                            streaming: None,
-                        };
-                        outcome_acc = Some(match outcome_acc.take() {
-                            Some(acc) => acc.merge(partial),
-                            None => partial,
-                        });
-                    }
-                    KIND_RECORD_CHUNK => {
-                        let records: Vec<StoredMeasurement> =
-                            decode_payload(&frame.payload, "records").unwrap();
-                        collection_acc = collection_acc.merge(&CollectionSnapshot {
-                            records,
-                            malformed: 0,
-                            streaming: None,
-                        });
-                    }
-                    KIND_FINAL => {
-                        let fin: FinalPayload = decode_payload(&frame.payload, "final").unwrap();
-                        per_shard.push(fin.report);
-                        let partial = WorldOutcome {
-                            log: Vec::new(),
-                            report: fin.report,
-                            rollups: crate::analytics::RollupSeries(fin.rollups),
-                            policy_changes_applied: fin.policy_changes_applied,
-                            control_signals_applied: fin.control_signals_applied,
-                            streaming: fin.streaming,
-                        };
-                        outcome_acc = Some(match outcome_acc.take() {
-                            Some(acc) => acc.merge(partial),
-                            None => partial,
-                        });
-                        collection_acc = collection_acc.merge(&CollectionSnapshot {
-                            records: Vec::new(),
-                            malformed: fin.malformed,
-                            streaming: None,
-                        });
-                        break;
-                    }
-                    other => panic!("unexpected frame kind {other}"),
-                }
+        // Batch mode keeps no visit log; deployment mode streams one.
+        for (spec, log_chunks) in [(TinySpec::exact(240), false), (TinySpec::logged(), true)] {
+            let expected = ThreadTransport.run(&spec, 2, 97).expect("threads");
+            let (folded, kinds) = fold_transcripts(&spec, 2, 97);
+            assert_eq!(folded.outcome, expected.outcome);
+            assert_eq!(folded.collection, expected.collection);
+            assert_eq!(folded.per_shard, expected.per_shard);
+            for sent in kinds {
+                assert_eq!(sent.contains(&KIND_LOG_CHUNK), log_chunks);
+                assert!(sent.contains(&KIND_RECORD_CHUNK));
+                assert_eq!(sent.last(), Some(&KIND_FINAL));
             }
-            assert_eq!(
-                read_frame(&mut stream, DEFAULT_MAX_PAYLOAD).unwrap(),
-                None,
-                "worker must close its stream after FINAL"
-            );
         }
-
-        assert_eq!(outcome_acc.expect("two shards folded"), expected.outcome);
-        assert_eq!(collection_acc, expected.collection);
-        assert_eq!(per_shard, expected.per_shard);
     }
 
     /// Streaming vs exact over the *same* 2-shard traffic (same seed,
@@ -1056,14 +942,7 @@ mod tests {
             .run(&TinySpec::exact(400), 2, 77)
             .expect("exact run");
         let streamed = ThreadTransport
-            .run(
-                &TinySpec {
-                    visits: 400,
-                    streaming: true,
-                },
-                2,
-                77,
-            )
+            .run(&TinySpec::streaming(400), 2, 77)
             .expect("streaming run");
 
         // Enabling streaming never perturbs the traffic.
@@ -1093,79 +972,211 @@ mod tests {
     /// reproduces the thread backend's merged run.
     #[test]
     fn in_process_streaming_worker_sends_one_bounded_sketch_frame() {
-        let spec = TinySpec {
-            visits: 240,
-            streaming: true,
-        };
-        let (shards, seed) = (2usize, 97u64);
-        let expected = ThreadTransport.run(&spec, shards, seed).expect("threads");
-
-        let mut outcome_acc: Option<WorldOutcome> = None;
-        let mut collection_acc = CollectionSnapshot::default();
-        for index in 0..shards {
-            let mut script = Vec::new();
-            write_frame(&mut script, KIND_SPEC, &encode_payload(&spec).unwrap()).unwrap();
-            let job = WorkerJob {
-                index,
-                shards,
-                seed,
-                chunk: 7,
-                window: usize::MAX,
-            };
-            write_frame(&mut script, KIND_JOB, &encode_payload(&job).unwrap()).unwrap();
-            let mut input: &[u8] = &script;
-            let mut wire = Vec::new();
-            run_worker::<TinySpec, _, _>(&mut input, &mut wire).expect("worker runs");
-
-            let (mut sketches, mut record_chunks) = (0, 0);
-            let mut stream: &[u8] = &wire;
-            loop {
-                let frame = read_frame(&mut stream, DEFAULT_MAX_PAYLOAD)
-                    .expect("valid frame")
-                    .expect("stream ends with FINAL");
-                match frame.kind {
-                    KIND_RECORD_CHUNK => record_chunks += 1,
-                    KIND_SKETCH => {
-                        sketches += 1;
-                        let stats: encore::streaming::StreamingStats =
-                            decode_payload(&frame.payload, "sketch").unwrap();
-                        collection_acc = collection_acc.merge_owned(CollectionSnapshot {
-                            records: Vec::new(),
-                            malformed: 0,
-                            streaming: Some(stats),
-                        });
-                    }
-                    KIND_FINAL => {
-                        let fin: FinalPayload = decode_payload(&frame.payload, "final").unwrap();
-                        let partial = WorldOutcome {
-                            log: Vec::new(),
-                            report: fin.report,
-                            rollups: crate::analytics::RollupSeries(fin.rollups),
-                            policy_changes_applied: fin.policy_changes_applied,
-                            control_signals_applied: fin.control_signals_applied,
-                            streaming: fin.streaming,
-                        };
-                        outcome_acc = Some(match outcome_acc.take() {
-                            Some(acc) => acc.merge(partial),
-                            None => partial,
-                        });
-                        collection_acc = collection_acc.merge_owned(CollectionSnapshot {
-                            records: Vec::new(),
-                            malformed: fin.malformed,
-                            streaming: None,
-                        });
-                        break;
-                    }
-                    KIND_LOG_CHUNK => {} // batch mode: none expected, tolerated
-                    other => panic!("unexpected frame kind {other}"),
-                }
-            }
-            assert_eq!(record_chunks, 0, "no record chunks in streaming mode");
-            assert_eq!(sketches, 1, "exactly one bounded sketch frame");
+        let spec = TinySpec::streaming(240);
+        let expected = ThreadTransport.run(&spec, 2, 97).expect("threads");
+        let (folded, kinds) = fold_transcripts(&spec, 2, 97);
+        for sent in kinds {
+            let count = |kind| sent.iter().filter(|&&k| k == kind).count();
+            assert_eq!(
+                count(KIND_RECORD_CHUNK),
+                0,
+                "no record chunks in streaming mode"
+            );
+            assert_eq!(count(KIND_SKETCH), 1, "exactly one bounded sketch frame");
         }
+        assert_eq!(folded.outcome, expected.outcome);
+        assert_eq!(folded.collection, expected.collection);
+    }
 
-        assert_eq!(outcome_acc.expect("folded"), expected.outcome);
-        assert_eq!(collection_acc, expected.collection);
+    /// Fold `wire` as shard 0 of a run whose sketches must match `shape`:
+    /// it must be refused with an error whose `Debug` form contains
+    /// `expected`, having earned exactly `credits`.
+    fn assert_refused(
+        what: &str,
+        wire: &[u8],
+        mut shape: Option<MergeShape>,
+        expected: &str,
+        credits: u64,
+    ) {
+        let (mut issued, mut stats) = (0, TransportStats::new(1));
+        let before = shape;
+        let result = fold_shard_stream(0, &mut &wire[..], || issued += 1, &mut shape, &mut stats);
+        let err = format!(
+            "{:?}",
+            result.err().unwrap_or_else(|| panic!("{what}: folded"))
+        );
+        assert!(err.contains(expected), "{what}: got {err}");
+        assert_eq!((issued, stats.data_frames), (credits, credits), "{what}");
+        assert_eq!(shape, before, "{what}: a refused frame moved the shape");
+    }
+
+    /// Hostile streams, each one good data frame of a real transcript
+    /// followed by something a dead, buggy or lying worker could send:
+    /// the fold answers with the matching typed error, having issued the
+    /// good frame's credit and none for the bad one.
+    #[test]
+    fn hostile_streams_get_their_typed_error_and_no_credit() {
+        let wire = transcript(&TinySpec::logged(), 0, 1, 5);
+        let all = frames(&wire);
+        assert!(all.len() >= 3 && all[0].kind == KIND_LOG_CHUNK);
+        let good = FRAME_HEADER_LEN + all[0].payload.len();
+        let second = good + FRAME_HEADER_LEN + all[1].payload.len();
+        let after_good =
+            |kind, payload: &[u8]| [&wire[..good], &encode_frame(kind, payload)].concat();
+
+        let mut flipped = wire[..second].to_vec();
+        flipped[good + FRAME_HEADER_LEN + 2] ^= 0x10;
+        let mut oversized = after_good(KIND_LOG_CHUNK, &[]);
+        oversized[good + 8..good + 12].copy_from_slice(&(DEFAULT_MAX_PAYLOAD + 1).to_le_bytes());
+
+        let cases = [
+            (
+                "cut mid-header",
+                wire[..good + 5].to_vec(),
+                "error: ShortRead",
+            ),
+            (
+                "cut mid-payload",
+                wire[..second - 3].to_vec(),
+                "error: ShortRead",
+            ),
+            ("one flipped payload bit", flipped, "error: Corrupt"),
+            (
+                "EOF before FINAL",
+                wire[..good].to_vec(),
+                "WorkerExit { shard: 0",
+            ),
+            (
+                "ERROR frame",
+                after_good(KIND_ERROR, b"out of disk"),
+                "Worker { shard: 0, detail: \"out of disk\" }",
+            ),
+            (
+                "ACK from a worker",
+                after_good(KIND_ACK, &[]),
+                "Protocol(\"unexpected frame kind 6",
+            ),
+            (
+                "SPEC from a worker",
+                after_good(KIND_SPEC, &[1]),
+                "Protocol(\"unexpected frame kind 1",
+            ),
+            ("length prefix above the cap", oversized, "error: Oversized"),
+            (
+                "RECORD_CHUNK that is not a record vector",
+                after_good(KIND_RECORD_CHUNK, &[0xff; 5]),
+                "Payload(\"record chunk",
+            ),
+        ];
+        for (what, stream, expected) in cases {
+            assert_refused(what, &stream, None, expected, 1);
+        }
+    }
+
+    /// `CountMinSketch`'s positional wire shape (its fields are private
+    /// to `encore`), to write sketches `CountMinSketch::new` would refuse.
+    #[derive(Clone, Serialize, Deserialize)]
+    struct WireSketch {
+        depth: u32,
+        width: u32,
+        seed: u64,
+        items: u64,
+        counters: Vec<u64>,
+    }
+
+    /// A SKETCH frame that passes the CRC but carries a sketch no
+    /// constructor made, or one that cannot merge with a sibling's, is a
+    /// payload error — it used to reach `CountMinSketch::merge`'s assert
+    /// and panic the coordinator.
+    #[test]
+    fn ill_shaped_sketch_frames_are_payload_errors_not_panics() {
+        let sent = frames(&transcript(&TinySpec::streaming(60), 0, 2, 5));
+        let [.., sketch_frame, final_frame] = &sent[..] else {
+            panic!("streaming transcript ends SKETCH, FINAL");
+        };
+        assert_eq!(sketch_frame.kind, KIND_SKETCH);
+        let real: StreamingStats = decode_payload(&sketch_frame.payload, "sketch").unwrap();
+        let sketch: WireSketch =
+            serde_json::from_str(&serde_json::to_string(&real.sketch).unwrap()).unwrap();
+        // `real` with the window and sketch swapped, as a stream: SKETCH, FINAL.
+        let stream = |window_micros: u64, sketch: &WireSketch| {
+            let stats = (
+                window_micros,
+                real.accepted,
+                sketch,
+                &real.reservoir,
+                &real.windows,
+                &real.drops,
+            );
+            let mut wire = encode_frame(KIND_SKETCH, &serde::bin::to_vec(&stats));
+            wire.extend(encode_frame(KIND_FINAL, &final_frame.payload));
+            wire
+        };
+        let window = real.window_micros;
+
+        // Control: the mirror re-encodes the real sketch, which folds and
+        // sets the shape its siblings must share.
+        let (mut shape, mut stats) = (None, TransportStats::new(2));
+        let control = stream(window, &sketch);
+        let folded = fold_shard_stream(0, &mut &control[..], || {}, &mut shape, &mut stats);
+        assert_eq!(folded.unwrap().collection.streaming.as_ref(), Some(&real));
+        assert!(shape.is_some());
+
+        let resized = |depth: u32, width: u32| WireSketch {
+            depth,
+            width,
+            counters: vec![0; depth as usize * width as usize],
+            ..sketch.clone()
+        };
+        let mut short = sketch.clone();
+        short.counters.pop();
+        let mut reseeded = sketch.clone();
+        reseeded.seed ^= 1;
+        let (depth, width) = (sketch.depth, sketch.width);
+        // Ill-shaped on their own — refused even as a run's first sketch.
+        let cases = [
+            ("depth 0", stream(window, &resized(0, width))),
+            ("depth above MAX_DEPTH", stream(window, &resized(9, 4))),
+            ("width 0", stream(window, &resized(depth, 0))),
+            ("a counter short", stream(window, &short)),
+        ];
+        for (what, wire) in cases {
+            assert_refused(what, &wire, None, "Payload(\"sketch: ", 0);
+        }
+        // Well-shaped, but not what the control's siblings may merge with.
+        let cases = [
+            ("a sibling's seed differs", stream(window, &reseeded)),
+            (
+                "a sibling's width differs",
+                stream(window, &resized(depth, width + 1)),
+            ),
+            ("a sibling's window differs", stream(window + 1, &sketch)),
+        ];
+        for (what, wire) in cases {
+            assert_refused(what, &wire, shape, "Payload(\"sketch: ", 0);
+        }
+    }
+
+    /// FINAL used to carry the rollups as `Vec<Rollup>` behind a wire
+    /// alias; it now carries the `RollupSeries` newtype itself. Struct
+    /// fields are encoded positionally, one after another, so the FINAL
+    /// payload is unchanged iff the newtype encodes as its vector.
+    #[test]
+    fn rollup_series_crosses_the_wire_as_its_vector() {
+        let series = RollupSeries(
+            (1..=3)
+                .map(|i| crate::analytics::Rollup {
+                    at: sim_core::SimTime::from_secs(i * 86_400),
+                    visits: i * 1_000,
+                    collected: i as usize * 900,
+                })
+                .collect(),
+        );
+        assert_eq!(serde::bin::to_vec(&series), serde::bin::to_vec(&series.0));
+        assert_eq!(
+            serde::bin::to_vec(&RollupSeries::default()),
+            serde::bin::to_vec(&Vec::<crate::analytics::Rollup>::new())
+        );
     }
 
     #[test]
@@ -1173,9 +1184,6 @@ mod tests {
         // window 1 and a tiny chunk size forces the worker to need
         // credits, but the scripted input has none: the worker must
         // surface a typed error, not block or panic.
-        let spec = TinySpec::exact(200);
-        let mut script = Vec::new();
-        write_frame(&mut script, KIND_SPEC, &encode_payload(&spec).unwrap()).unwrap();
         let job = WorkerJob {
             index: 0,
             shards: 1,
@@ -1183,17 +1191,12 @@ mod tests {
             chunk: 1,
             window: 1,
         };
-        write_frame(&mut script, KIND_JOB, &encode_payload(&job).unwrap()).unwrap();
-        let mut input: &[u8] = &script;
-        let mut output = Vec::new();
-        let err = run_worker::<TinySpec, _, _>(&mut input, &mut output)
-            .expect_err("no credits available");
+        let err = worker(&handshake(&TinySpec::exact(200), job)).expect_err("no credits");
         assert!(matches!(err, TransportError::Protocol(_)), "{err}");
     }
 
     #[test]
     fn worker_rejects_malformed_handshake() {
-        // Job before spec.
         let job = WorkerJob {
             index: 0,
             shards: 1,
@@ -1201,25 +1204,15 @@ mod tests {
             chunk: 8,
             window: 8,
         };
-        let mut script = Vec::new();
-        write_frame(&mut script, KIND_JOB, &encode_payload(&job).unwrap()).unwrap();
-        let mut input: &[u8] = &script;
-        let mut output = Vec::new();
-        let err = run_worker::<TinySpec, _, _>(&mut input, &mut output).unwrap_err();
+        let good = handshake(&TinySpec::exact(1), job);
+        let spec_len = good.len() - encode_frame(KIND_JOB, &encode_payload(&job).unwrap()).len();
+
+        // Job before spec.
+        let err = worker(&good[spec_len..]).unwrap_err();
         assert!(matches!(err, TransportError::Protocol(_)), "{err}");
 
         // Truncated spec frame.
-        let mut script = Vec::new();
-        write_frame(
-            &mut script,
-            KIND_SPEC,
-            &encode_payload(&TinySpec::exact(1)).unwrap(),
-        )
-        .unwrap();
-        script.truncate(script.len() - 3);
-        let mut input: &[u8] = &script;
-        let mut output = Vec::new();
-        let err = run_worker::<TinySpec, _, _>(&mut input, &mut output).unwrap_err();
+        let err = worker(&good[..spec_len - 3]).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1235,21 +1228,9 @@ mod tests {
         let bad_job = WorkerJob {
             index: 3,
             shards: 2,
-            seed: 7,
-            chunk: 8,
-            window: 8,
+            ..job
         };
-        let mut script = Vec::new();
-        write_frame(
-            &mut script,
-            KIND_SPEC,
-            &encode_payload(&TinySpec::exact(1)).unwrap(),
-        )
-        .unwrap();
-        write_frame(&mut script, KIND_JOB, &encode_payload(&bad_job).unwrap()).unwrap();
-        let mut input: &[u8] = &script;
-        let mut output = Vec::new();
-        let err = run_worker::<TinySpec, _, _>(&mut input, &mut output).unwrap_err();
+        let err = worker(&handshake(&TinySpec::exact(1), bad_job)).unwrap_err();
         assert!(matches!(err, TransportError::Protocol(_)), "{err}");
     }
 
