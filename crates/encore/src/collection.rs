@@ -1248,6 +1248,55 @@ impl Store {
         })
     }
 
+    /// The record log rehydrated in [`canonical_cmp`]'s order, with the
+    /// order decided on the interned form: 16-byte `(received_at, index)`
+    /// keys are sorted — ties broken by the rest of the canonical key,
+    /// each string standing in as its rank among the interner's distinct
+    /// strings, which compares as the string does — and each record is
+    /// then built once, in place. Sorting the owned form instead moves
+    /// 112-byte records holding three heap strings apiece through the
+    /// sort's scratch buffer, for a log that arrives almost in order.
+    fn canonical_records(&self) -> Vec<StoredMeasurement> {
+        let symbols = u32::try_from(self.strings.len()).expect("the interner issues u32 symbols");
+        let mut by_string: Vec<u32> = (0..symbols).collect();
+        by_string.sort_unstable_by_key(|&sym| self.strings.resolve(Sym(sym)));
+        let mut rank = vec![0u32; by_string.len()];
+        for (position, &sym) in (0u32..).zip(&by_string) {
+            rank[sym as usize] = position;
+        }
+        let rank = |sym: Sym| rank[sym.index()];
+        // `canonical_cmp`'s key after `received_at`, field for field; the
+        // index last makes the order total, so equal records keep their
+        // arrival order whatever the sort.
+        let rest = |index: usize| {
+            let r = &self.records[index];
+            (
+                u32::from(r.client_ip),
+                r.measurement_id,
+                r.phase,
+                r.outcome,
+                r.task_type,
+                r.elapsed_ms,
+                rank(r.target_url),
+                rank(r.user_agent),
+                r.referer.map(rank),
+                r.congested,
+                index,
+            )
+        };
+        let mut order: Vec<(SimTime, usize)> = self
+            .records
+            .iter()
+            .enumerate()
+            .map(|(index, r)| (r.received_at, index))
+            .collect();
+        order.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| rest(a.1).cmp(&rest(b.1))));
+        order
+            .iter()
+            .map(|&(_, index)| self.resolve(&self.records[index]))
+            .collect()
+    }
+
     /// Rehydrate an interned record into the public owned form.
     fn resolve(&self, r: &RawRecord) -> StoredMeasurement {
         StoredMeasurement {
@@ -1476,13 +1525,11 @@ impl CollectionServer {
                 streaming: Some(stats),
             };
         }
-        let mut snap = CollectionSnapshot {
-            records: store.records.iter().map(|r| store.resolve(r)).collect(),
+        CollectionSnapshot {
+            records: store.canonical_records(),
             malformed: store.malformed,
             streaming: None,
-        };
-        snap.canonicalize();
-        snap
+        }
     }
 
     /// Number of stored records; in streaming mode, the number of

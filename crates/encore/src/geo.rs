@@ -82,6 +82,20 @@ impl GeoDb {
         Some(truth)
     }
 
+    /// The error rate of a database that arrived from outside the
+    /// process (a FINAL frame's payload): deserializing goes around
+    /// [`with_error_rate`](Self::with_error_rate)'s clamp, so a NaN or
+    /// out-of-`[0, 1]` rate is refused here, as an error. Databases
+    /// whose checked rates are equal [`merge`](Self::merge) without a
+    /// panic; `merge` keeps its assert for in-process callers.
+    pub fn checked_error_rate(&self) -> Result<f64, String> {
+        if (0.0..=1.0).contains(&self.error_rate) {
+            Ok(self.error_rate)
+        } else {
+            Err(format!("a GeoIP error rate of {}", self.error_rate))
+        }
+    }
+
     /// Number of address ranges.
     pub fn range_count(&self) -> usize {
         self.ranges.len()

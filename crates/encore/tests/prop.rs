@@ -423,3 +423,130 @@ mod streaming_props {
         }
     }
 }
+
+/// `CollectionServer::snapshot` decides the canonical order on the
+/// store's interned records (strings compared by rank, not by bytes)
+/// and only then builds the owned ones: it must still be exactly the
+/// owned records sorted by the canonical comparison.
+mod snapshot_props {
+    use super::*;
+    use encore::collection::{CollectionServer, CollectionSnapshot, Submission};
+    use netsim::http::HttpRequest;
+    use netsim::network::HttpHandler;
+    use std::net::Ipv4Addr;
+
+    /// Raw `cmh-target` spellings. The first two are two escapings of one
+    /// decoded URL (one symbol, one rank); the rest are chosen so that
+    /// first-seen (symbol) order and string order disagree.
+    const TARGETS: [&str; 4] = [
+        "http%3A%2F%2Fm.example%2Ffavicon.ico",
+        "http%3A%2F%2Fm%2Eexample%2Ffavicon%2Eico",
+        "http%3A%2F%2Fz.example%2F",
+        "http%3A%2F%2Fa.example%2F",
+    ];
+    const AGENTS: [&str; 3] = ["Firefox", "Chrome", ""];
+    const REFERERS: [Option<&str>; 3] = [
+        None,
+        Some("http://origin-b.example/"),
+        Some("http://origin-a.example/"),
+    ];
+    const RESULTS: [&str; 3] = ["init", "success", "failure"];
+    const TYPES: [&str; 2] = ["script", "image"];
+
+    /// One submission as indexes into the tables above, every field
+    /// drawn from a universe small enough that any two submissions often
+    /// agree on a prefix of the canonical key — down to all of it.
+    #[derive(Debug, Clone, Copy)]
+    struct Wire {
+        at_ms: u64,
+        ip: u8,
+        id: u64,
+        result: usize,
+        elapsed: u64,
+        ty: usize,
+        target: usize,
+        agent: usize,
+        referer: usize,
+        congested: bool,
+    }
+
+    /// Every `Wire` is one mixed-radix number (the vendored proptest
+    /// builds tuples of at most four strategies).
+    fn arb_wire() -> impl Strategy<Value = Wire> {
+        (0usize..3 * 2 * 2 * 3 * 2 * 2 * 4 * 3 * 3 * 2).prop_map(|mut code| {
+            let mut digit = |radix: usize| {
+                let d = code % radix;
+                code /= radix;
+                d
+            };
+            Wire {
+                at_ms: digit(3) as u64,
+                ip: digit(2) as u8,
+                id: digit(2) as u64,
+                result: digit(RESULTS.len()),
+                elapsed: digit(2) as u64,
+                ty: digit(TYPES.len()),
+                target: digit(TARGETS.len()),
+                agent: digit(AGENTS.len()),
+                referer: digit(REFERERS.len()),
+                congested: digit(2) == 1,
+            }
+        })
+    }
+
+    fn submit(server: &CollectionServer, w: Wire) {
+        let mut url = format!(
+            "http://collector.example/submit?cmh-id=m-{:016x}&cmh-result={}&cmh-elapsed={}\
+             &cmh-type={}&cmh-target={}&cmh-ua={}",
+            w.id, RESULTS[w.result], w.elapsed, TYPES[w.ty], TARGETS[w.target], AGENTS[w.agent],
+        );
+        if w.congested {
+            url.push_str("&cmh-cong=1");
+        }
+        let mut req = HttpRequest::get(url);
+        if let Some(referer) = REFERERS[w.referer] {
+            req = req.with_referer(referer);
+        }
+        let ip = Ipv4Addr::new(10, 0, 0, w.ip);
+        let resp = server.handle(&req, ip, SimTime::from_millis(w.at_ms));
+        assert_eq!(resp.status.0, 200, "a well-formed submission is stored");
+    }
+
+    #[test]
+    fn the_two_escapings_decode_to_one_url() {
+        let decoded = |target: &str| {
+            let url = format!(
+                "http://c/submit?cmh-id=m-01&cmh-result=init&cmh-elapsed=0&cmh-type=image\
+                 &cmh-target={target}"
+            );
+            Submission::from_url(&url).expect("well-formed").target_url
+        };
+        assert_ne!(TARGETS[0], TARGETS[1]);
+        assert_eq!(decoded(TARGETS[0]), decoded(TARGETS[1]));
+    }
+
+    proptest! {
+        #[test]
+        fn snapshot_is_the_record_log_sorted_by_the_canonical_order(
+            wires in proptest::collection::vec(arb_wire(), 0..60),
+            repeats in proptest::collection::vec(0usize..60, 0..8),
+        ) {
+            let server = CollectionServer::new("collector.example");
+            // Every wire once, then exact duplicates of some, arriving
+            // after everything else.
+            let repeats = repeats.iter().filter_map(|&i| wires.get(i));
+            let submitted: Vec<Wire> = wires.iter().chain(repeats).copied().collect();
+            for &w in &submitted {
+                submit(&server, w);
+            }
+
+            let mut sorted = CollectionSnapshot {
+                records: server.records(),
+                ..CollectionSnapshot::default()
+            };
+            prop_assert_eq!(sorted.len(), submitted.len());
+            sorted.canonicalize();
+            prop_assert_eq!(server.snapshot(), sorted);
+        }
+    }
+}

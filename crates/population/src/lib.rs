@@ -44,7 +44,9 @@
 //!   [`transport::ShardTransport`]: in-process threads, or worker
 //!   *processes* (the coordinator's own binary re-executed in a worker
 //!   role) speaking the length-prefixed [`sim_core::frame`] protocol
-//!   over OS pipes, rebuilt by one stream fold generic over `Read`.
+//!   over OS pipes, rebuilt by one stream fold generic over `Read` —
+//!   run side by side, one thread per worker stream, and accepted into
+//!   the merge tail in shard order.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

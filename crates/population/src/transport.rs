@@ -15,9 +15,11 @@
 //!   world from the spec, runs its shard, and streams the output back
 //!   in bounded chunks, which the coordinator's one stream fold
 //!   (`fold_shard_stream`, over any [`Read`]) rebuilds as frames arrive
-//!   — coordinator peak memory is the merged run plus one shard's
-//!   partial, not O(shards × outcome). `ProcessTransport` itself holds
-//!   only what is about processes: spawn, pipes, reap.
+//!   — one fold thread per stream, as many streams at a time as the
+//!   machine has hardware threads, outputs merged in shard order — so
+//!   coordinator peak memory is the merged run plus one partial per
+//!   open stream, not O(shards × outcome). `ProcessTransport` itself
+//!   holds only what is about processes: spawn, pipes, reap.
 //!
 //! Closures never cross the process boundary: a [`WorldSpec`] is a
 //! compact serializable *description* (fixture name + parameters, or a
@@ -45,7 +47,7 @@
 //! whose size is fixed by the [`encore::streaming::StreamingConfig`],
 //! not by traffic volume. SKETCH frames fold into the per-shard partial
 //! like any data frame, so the coordinator still holds at most the
-//! running merge plus one shard's partial.
+//! running merge plus the partials of the streams it has open.
 //!
 //! **Backpressure:** a worker may have at most `window` unacknowledged
 //! data frames in flight; past that it blocks until the coordinator
@@ -54,7 +56,9 @@
 //! credits: one per data frame, after the frame has folded. **Failure:**
 //! a truncated, corrupt, out-of-protocol or ill-shaped stream surfaces
 //! from the fold as a typed [`TransportError`] — never a panic — and
-//! the coordinator kills the remaining workers before returning.
+//! the coordinator kills every worker before it joins the sibling
+//! folds (whose reads then end), so one bad stream is an error, not a
+//! hang.
 
 use crate::analytics::{RollupSeries, StreamSummary};
 use crate::audience::Audience;
@@ -71,11 +75,15 @@ use netsim::network::Network;
 use serde::{Deserialize, Serialize};
 use sim_core::frame::{encode_frame, read_frame, write_frame, FrameError};
 use sim_core::merge_time_ordered;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{self, Read, Write};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::process::{Child, ChildStdin, Command, ExitStatus, Stdio};
+use std::process::{Child, ChildStdin, ChildStdout, Command, ExitStatus, Stdio};
 use std::str::FromStr;
+use std::sync::mpsc;
+use std::thread;
 
 /// Frame kind: the serialized [`WorldSpec`], broadcast to every worker.
 pub const KIND_SPEC: u8 = 1;
@@ -313,10 +321,12 @@ pub struct TransportStats {
     /// have in flight (protocol-enforced bound on coordinator buffering).
     pub window: usize,
     /// Peak outcome-shaped aggregates simultaneously resident on the
-    /// coordinator: the merge tail's running fold plus the partial of
-    /// the one shard currently being drained — the O(1)
-    /// streaming-merge guarantee, independent of shard count.
-    /// (In-flight chunks are bounded separately, by [`Self::window`].)
+    /// coordinator: the merge tail's running fold plus one partial per
+    /// worker stream being folded or folded and awaiting its turn — at
+    /// most `1 + min(shards, available_parallelism)`, a bound set by
+    /// the machine and not by the shard count (1 at one shard, 2 at
+    /// two). (In-flight chunks are bounded separately, by
+    /// [`Self::window`].)
     pub peak_resident_outcomes: usize,
 }
 
@@ -330,6 +340,13 @@ impl TransportStats {
             window: DEFAULT_WINDOW,
             peak_resident_outcomes: 0,
         }
+    }
+
+    /// Add what one shard's fold counted.
+    fn absorb(&mut self, shard: &TransportStats) {
+        self.data_frames += shard.data_frames;
+        self.streamed_payload_bytes += shard.streamed_payload_bytes;
+        self.largest_payload_bytes = self.largest_payload_bytes.max(shard.largest_payload_bytes);
     }
 }
 
@@ -367,9 +384,10 @@ impl ProcessTransport {
     ) -> Result<(ShardedWorldRun, TransportStats), TransportError> {
         assert!(shards >= 1, "shard count must be at least 1");
         let mut children = Vec::with_capacity(shards);
+        let lanes = thread::available_parallelism().map_or(1, usize::from);
         let result = self
             .spawn_workers(spec, shards, seed, &mut children)
-            .and_then(|()| drain(&mut children));
+            .and_then(|()| drain(&mut children, lanes));
         if result.is_err() {
             // The one failure path, whichever step failed: no orphans,
             // no zombies.
@@ -429,51 +447,201 @@ impl ProcessTransport {
     }
 }
 
-/// Drain every worker in shard order: fold its stdout, reap it, and
-/// move its output into the merge tail. Draining in index order keeps
-/// the tail at one run, so the coordinator holds that run plus the one
-/// shard being folded (`peak_resident_outcomes` ≤ 2, whatever the shard
-/// count) — workers further down the line block on their credit window
-/// until their turn.
-fn drain(children: &mut [Child]) -> Result<(ShardedWorldRun, TransportStats), TransportError> {
-    let shards = children.len();
-    let mut stats = TransportStats::new(shards);
-    let mut shape = None;
-    let mut merge = ReorderBuffer::new(shards);
-    for (shard, child) in children.iter_mut().enumerate() {
-        stats.peak_resident_outcomes = stats.peak_resident_outcomes.max(merge.pending_runs() + 1);
-        let mut stdout = io::BufReader::new(child.stdout.take().expect("stdout piped at spawn"));
-        let mut stdin = child.stdin.take().expect("stdin piped at spawn");
-        let folded = fold_shard_stream(
-            shard,
-            &mut stdout,
-            || ack(&mut stdin),
-            &mut shape,
-            &mut stats,
-        );
-        // Stream over, either way: release the worker.
-        drop(stdin);
-        let output = match folded {
-            // The pipe closed before FINAL: the worker died. This
-            // backend can say how.
-            Err(TransportError::WorkerExit { .. }) => {
-                let detail = describe_exit(child.wait());
-                return Err(TransportError::WorkerExit { shard, detail });
-            }
-            other => other?,
-        };
-        // Insist on a clean exit.
-        match child.wait() {
-            Ok(status) if status.success() => {}
-            reaped => {
-                let detail = format!("after FINAL: {}", describe_exit(reaped));
-                return Err(TransportError::WorkerExit { shard, detail });
-            }
-        }
-        merge.accept(shard, output);
+/// A worker as [`drain`] sees it: two pipes, a way to learn how it
+/// ended, and a way to end it. [`Child`] is the one the transport runs;
+/// the tests script in-memory ones.
+trait Worker {
+    /// The worker's frames, coordinator-bound.
+    type Stdout: Read + Send;
+    /// Where the worker reads its credits.
+    type Stdin: Write + Send;
+    /// Hand both pipes over (once).
+    fn pipes(&mut self) -> (Self::Stdout, Self::Stdin);
+    /// Wait for the worker to end and say how it did.
+    fn reap(&mut self) -> io::Result<ExitStatus>;
+    /// End the worker now, which ends its stream: a fold blocked reading
+    /// it sees EOF.
+    fn kill(&mut self);
+}
+
+impl Worker for Child {
+    type Stdout = io::BufReader<ChildStdout>;
+    type Stdin = ChildStdin;
+
+    fn pipes(&mut self) -> (Self::Stdout, ChildStdin) {
+        let stdout = self.stdout.take().expect("stdout piped at spawn");
+        let stdin = self.stdin.take().expect("stdin piped at spawn");
+        (io::BufReader::new(stdout), stdin)
     }
-    let run = merge.finish().expect("the loop accepted every shard");
-    Ok((run, stats))
+
+    fn reap(&mut self) -> io::Result<ExitStatus> {
+        self.wait()
+    }
+
+    fn kill(&mut self) {
+        // Already gone is fine; the caller reaps either way.
+        let _ = Child::kill(self);
+    }
+}
+
+/// One shard's fold, as its thread reports it: the output, the sketch
+/// shape it carried (if any), and what the fold counted.
+type Folded = (ShardedWorldRun, Option<MergeShape>, TransportStats);
+
+/// The coordinator's merge tail, with what the shards accepted into it
+/// so far agreed on.
+struct MergeTail {
+    merge: ReorderBuffer<ShardedWorldRun>,
+    stats: TransportStats,
+    shape: Option<MergeShape>,
+    geo_error_rate: Option<f64>,
+}
+
+impl MergeTail {
+    /// The accept step: the one place the shards of a run meet. What
+    /// they must agree on to merge without a panic is checked here, as
+    /// an error, against the first shard that brought it.
+    fn accept(&mut self, shard: usize, folded: Folded) -> Result<(), TransportError> {
+        let (output, shape, counted) = folded;
+        if let Some(found) = shape {
+            agree(&mut self.shape, found, shard, "sketch")?;
+        }
+        // FINAL passed the CRC, not `GeoDb::with_error_rate`: check what
+        // `GeoDb::merge` would otherwise assert.
+        let rate = output
+            .geo
+            .checked_error_rate()
+            .map_err(|why| TransportError::Payload(format!("final: {why}")))?;
+        agree(
+            &mut self.geo_error_rate,
+            rate,
+            shard,
+            "final: GeoIP error rate",
+        )?;
+        self.stats.absorb(&counted);
+        self.merge.accept(shard, output);
+        Ok(())
+    }
+}
+
+/// One shard's `found` must equal what the run's earlier shards brought
+/// (`agreed`, set by the first to bring any).
+fn agree<T: Copy + PartialEq + fmt::Debug>(
+    agreed: &mut Option<T>,
+    found: T,
+    shard: usize,
+    what: &str,
+) -> Result<(), TransportError> {
+    let expected = *agreed.get_or_insert(found);
+    if found == expected {
+        return Ok(());
+    }
+    Err(TransportError::Payload(format!(
+        "{what}: shard {shard} sent {found:?}, the run merges {expected:?}"
+    )))
+}
+
+/// Drain every worker: fold the streams **side by side** — one scoped
+/// thread per stream, each running [`fold_shard_stream`] on its own
+/// partial — and accept the outputs into the merge tail **in shard
+/// order**, so the merge tree, and with it every byte of the result, is
+/// what folding them one after another produced. Once the workers have
+/// simulated, shipping a shard home is decode-and-checksum work on the
+/// coordinator; side by side it uses the hardware threads the workers
+/// just vacated instead of queueing shard 1's bytes behind shard 0's.
+///
+/// At most `lanes` streams are open at a time, in a window that slides
+/// in index order as outputs are accepted: the coordinator holds the
+/// tail's one run plus at most `lanes` partials (`peak_resident_outcomes`
+/// ≤ `1 + min(shards, lanes)`), and workers past the window block on
+/// their credit window until it reaches them.
+///
+/// On the first failure, whichever shard's, every worker is killed
+/// *before* the remaining fold threads are joined: their reads then see
+/// EOF, so a dead worker beside a healthy sibling is its typed error
+/// and never a hang.
+fn drain<W: Worker>(
+    workers: &mut [W],
+    lanes: usize,
+) -> Result<(ShardedWorldRun, TransportStats), TransportError> {
+    let shards = workers.len();
+    let mut tail = MergeTail {
+        merge: ReorderBuffer::new(shards),
+        stats: TransportStats::new(shards),
+        shape: None,
+        geo_error_rate: None,
+    };
+    let (done, folds) = mpsc::channel();
+    thread::scope(|scope| {
+        // Folded out of turn, waiting for the shards before them.
+        let mut early: BTreeMap<usize, Folded> = BTreeMap::new();
+        let (mut opened, mut accepted) = (0, 0);
+        let mut slide = || -> Result<(), TransportError> {
+            while accepted < shards {
+                while opened < shards.min(accepted + lanes.max(1)) {
+                    let (shard, done) = (opened, done.clone());
+                    let (mut stdout, mut stdin) = workers[shard].pipes();
+                    scope.spawn(move || {
+                        // This stream's own sketch shape and frame counts;
+                        // the run's are settled at the accept step.
+                        let (mut shape, mut counted) = (None, TransportStats::new(1));
+                        // A panic in the fold is a bug, and must reach the
+                        // coordinator as one, not leave it waiting.
+                        let folded = catch_unwind(AssertUnwindSafe(|| {
+                            let credit = || ack(&mut stdin);
+                            fold_shard_stream(shard, &mut stdout, credit, &mut shape, &mut counted)
+                        }));
+                        // Stream over, either way: release the worker.
+                        drop(stdin);
+                        // No receiver: the coordinator already gave up.
+                        let _ = done.send((shard, folded, shape, counted));
+                    });
+                    opened += 1;
+                }
+                let resident = tail.merge.pending_runs() + (opened - accepted);
+                tail.stats.peak_resident_outcomes = tail.stats.peak_resident_outcomes.max(resident);
+
+                let (shard, folded, shape, counted) =
+                    folds.recv().expect("every open stream's thread reports");
+                let output = match folded {
+                    Ok(Ok(output)) => output,
+                    // The pipe closed before FINAL: the worker died.
+                    // This backend can say how.
+                    Ok(Err(TransportError::WorkerExit { .. })) => {
+                        let detail = describe_exit(workers[shard].reap());
+                        return Err(TransportError::WorkerExit { shard, detail });
+                    }
+                    Ok(Err(error)) => return Err(error),
+                    Err(panic) => {
+                        workers.iter_mut().for_each(Worker::kill);
+                        resume_unwind(panic)
+                    }
+                };
+                // Insist on a clean exit.
+                match workers[shard].reap() {
+                    Ok(status) if status.success() => {}
+                    reaped => {
+                        let detail = format!("after FINAL: {}", describe_exit(reaped));
+                        return Err(TransportError::WorkerExit { shard, detail });
+                    }
+                }
+                early.insert(shard, (output, shape, counted));
+                while let Some(folded) = early.remove(&accepted) {
+                    tail.accept(accepted, folded)?;
+                    accepted += 1;
+                }
+            }
+            Ok(())
+        };
+        let drained = slide();
+        if drained.is_err() {
+            // Before the scope joins: end every stream still open.
+            workers.iter_mut().for_each(Worker::kill);
+        }
+        drained
+    })?;
+    let run = tail.merge.finish().expect("the loop accepted every shard");
+    Ok((run, tail.stats))
 }
 
 fn describe_exit(reaped: io::Result<ExitStatus>) -> String {
@@ -486,8 +654,9 @@ fn describe_exit(reaped: io::Result<ExitStatus>) -> String {
 /// partial — never the running merge — through the ordered-append fast
 /// paths (a worker streams in time order), and then earns the worker
 /// one credit through `ack`; a frame that fails to decode or validate
-/// earns none. `shape` is the [`MergeShape`] every sketch of the run
-/// must share, set by the first one seen; `stats` counts what folded.
+/// earns none. `shape` is the [`MergeShape`] every sketch of the stream
+/// must share, set by the first one seen (the run's is settled where
+/// streams meet, in `drain`); `stats` counts what folded.
 /// A stream ending on a frame boundary before FINAL is
 /// [`TransportError::WorkerExit`]; nothing a peer can send panics.
 fn fold_shard_stream<R: Read>(
@@ -592,7 +761,7 @@ impl ShardTransport for ProcessTransport {
 /// already finished (sent FINAL and exited, so the last few credits go
 /// unread) or already died (which the read path reports with full
 /// context).
-fn ack(stdin: &mut ChildStdin) {
+fn ack<W: Write>(stdin: &mut W) {
     let _ = write_frame(stdin, KIND_ACK, &[]);
     let _ = stdin.flush();
 }
@@ -911,6 +1080,108 @@ mod tests {
         (merge.finish().expect("every shard folded"), kinds)
     }
 
+    /// A worker that is only its stream: scripted bytes, or a pipe whose
+    /// writer the test holds open so the stream never ends — until the
+    /// coordinator kills the worker, which closes it. It reads no
+    /// credits and always exits 0.
+    struct Scripted {
+        stdout: Option<Box<dyn Read + Send>>,
+        held_open: Option<io::PipeWriter>,
+    }
+
+    impl Scripted {
+        /// A worker that wrote `wire` and exited.
+        fn wrote(wire: Vec<u8>) -> Scripted {
+            Scripted {
+                stdout: Some(Box::new(io::Cursor::new(wire))),
+                held_open: None,
+            }
+        }
+
+        /// A worker that wrote `wire` and then neither writes nor exits.
+        fn stalled_after(wire: &[u8]) -> Scripted {
+            let (stdout, mut writer) = io::pipe().expect("an OS pipe");
+            writer.write_all(wire).expect("fits the pipe buffer");
+            Scripted {
+                stdout: Some(Box::new(stdout)),
+                held_open: Some(writer),
+            }
+        }
+    }
+
+    impl Worker for Scripted {
+        type Stdout = Box<dyn Read + Send>;
+        type Stdin = io::Sink;
+
+        fn pipes(&mut self) -> (Self::Stdout, io::Sink) {
+            (
+                self.stdout.take().expect("pipes are taken once"),
+                io::sink(),
+            )
+        }
+
+        fn reap(&mut self) -> io::Result<ExitStatus> {
+            Ok(ExitStatus::default())
+        }
+
+        fn kill(&mut self) {
+            self.held_open = None;
+        }
+    }
+
+    /// Side by side or one after another, whatever the window: `drain`
+    /// over the workers' transcripts is `fold_transcripts` over them —
+    /// same run, same frame count — and holds no more partials than its
+    /// window allows (shards > lanes is the sliding case).
+    #[test]
+    fn concurrent_drain_is_the_one_after_another_fold_at_any_window() {
+        let (spec, shards, seed) = (TinySpec::logged(), 5, 97);
+        let (expected, kinds) = fold_transcripts(&spec, shards, seed);
+        let data_frames: usize = kinds.iter().map(|k| k.len() - 1).sum();
+        for lanes in [1, 2, 3, 5, 8] {
+            let mut workers: Vec<Scripted> = (0..shards)
+                .map(|index| Scripted::wrote(transcript(&spec, index, shards, seed)))
+                .collect();
+            let (run, stats) = drain(&mut workers, lanes).expect("transcripts drain");
+            assert_eq!(run.outcome, expected.outcome, "{lanes} lanes");
+            assert_eq!(run.collection, expected.collection, "{lanes} lanes");
+            assert_eq!(run.per_shard, expected.per_shard, "{lanes} lanes");
+            assert_eq!(stats.data_frames, data_frames as u64, "{lanes} lanes");
+            // The tail's run plus a full window — or, with every stream
+            // open from the start, the streams alone.
+            let bound = if lanes < shards { lanes + 1 } else { shards };
+            assert_eq!(stats.peak_resident_outcomes, bound, "{lanes} lanes");
+        }
+    }
+
+    /// Failure under concurrency: one worker's stream ends before FINAL
+    /// while its sibling's never ends. The coordinator must answer with
+    /// the dead worker's `WorkerExit` — at either index, so also when
+    /// the shard it would accept first is the one still running — and
+    /// must get there by ending the sibling's stream, not by waiting
+    /// for it.
+    #[test]
+    fn a_dead_worker_beside_a_stalled_sibling_is_its_worker_exit_not_a_hang() {
+        let wire = transcript(&TinySpec::logged(), 0, 1, 5);
+        let good = FRAME_HEADER_LEN + frames(&wire)[0].payload.len();
+        for dead in [0, 1] {
+            let mut workers = vec![
+                Scripted::stalled_after(&wire[..good]),
+                Scripted::stalled_after(&wire[..good]),
+            ];
+            workers[dead] = Scripted::wrote(wire[..good].to_vec());
+            let (verdict, deadline) = mpsc::channel();
+            thread::spawn(move || verdict.send(drain(&mut workers, 2).map(|_| ())));
+            let drained = deadline
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("shard {dead} dead: the coordinator hung"));
+            match drained {
+                Err(TransportError::WorkerExit { shard, .. }) => assert_eq!(shard, dead),
+                other => panic!("shard {dead} dead: expected its WorkerExit, got {other:?}"),
+            }
+        }
+    }
+
     /// Drive the worker protocol entirely in-process: what the
     /// coordinator's fold rebuilds from `run_worker`'s bytes is what the
     /// thread backend moved through its channel.
@@ -1155,6 +1426,73 @@ mod tests {
         for (what, wire) in cases {
             assert_refused(what, &wire, shape, "Payload(\"sketch: ", 0);
         }
+    }
+
+    /// A FINAL frame that passes the CRC but carries a `GeoDb` whose
+    /// error rate no `with_error_rate` made, or one a sibling's cannot
+    /// merge with, is a payload error at the accept step — it used to
+    /// reach `GeoDb::merge`'s assert and panic the coordinator.
+    #[test]
+    fn hostile_final_geo_error_rates_are_payload_errors_not_panics() {
+        let spec = TinySpec::exact(60);
+        // Shard `index`'s real transcript, its FINAL's GeoDb rewritten.
+        type Rewrite<'a> = &'a dyn Fn(GeoDb) -> GeoDb;
+        let transcript_with = |index: usize, rewrite: Rewrite| {
+            let mut wire = transcript(&spec, index, 2, 5);
+            let final_frame = frames(&wire).pop().expect("a transcript ends in FINAL");
+            let fin: FinalPayload = decode_payload(&final_frame.payload, "final").unwrap();
+            let fin = FinalPayload {
+                geo: rewrite(fin.geo),
+                ..fin
+            };
+            wire.truncate(wire.len() - FRAME_HEADER_LEN - final_frame.payload.len());
+            wire.extend(encode_frame(KIND_FINAL, &encode_payload(&fin).unwrap()));
+            Scripted::wrote(wire)
+        };
+        // `with_error_rate` clamps, so an out-of-range rate is written
+        // through the serialized form.
+        let out_of_range = |geo: GeoDb| -> GeoDb {
+            let json = serde_json::to_string(&geo).unwrap();
+            let hostile = json.replace("\"error_rate\":0.0", "\"error_rate\":1.5");
+            assert_ne!(hostile, json, "GeoDb's JSON spells the rate {json}");
+            serde_json::from_str(&hostile).unwrap()
+        };
+        let honest = |geo: GeoDb| geo;
+        let cases: [(&str, [Rewrite; 2], &str); 4] = [
+            (
+                "a sibling's rate differs",
+                [&honest, &|geo| geo.with_error_rate(0.25)],
+                "Payload(\"final: GeoIP error rate: shard 1 sent 0.25, the run merges 0.0",
+            ),
+            (
+                "the first shard's rate is NaN",
+                [&|geo| geo.with_error_rate(f64::NAN), &honest],
+                "Payload(\"final: a GeoIP error rate of NaN",
+            ),
+            (
+                "both rates are NaN",
+                [&|geo| geo.with_error_rate(f64::NAN); 2],
+                "Payload(\"final: a GeoIP error rate of NaN",
+            ),
+            (
+                "a sibling's rate is out of [0, 1]",
+                [&honest, &out_of_range],
+                "Payload(\"final: a GeoIP error rate of 1.5",
+            ),
+        ];
+        for (what, [first, second], expected) in cases {
+            for lanes in [1, 2] {
+                let mut workers = [transcript_with(0, first), transcript_with(1, second)];
+                let err = drain(&mut workers, lanes).expect_err(what);
+                let err = format!("{err:?}");
+                assert!(err.contains(expected), "{what}, {lanes} lanes: got {err}");
+            }
+        }
+        // Control: the rewrite round-trips an honest FINAL, which drains.
+        let mut workers = [transcript_with(0, &honest), transcript_with(1, &honest)];
+        let (run, _) = drain(&mut workers, 2).expect("honest FINALs drain");
+        let expected = ThreadTransport.run(&spec, 2, 5).expect("threads");
+        assert_eq!(run.collection, expected.collection);
     }
 
     /// FINAL used to carry the rollups as `Vec<Rollup>` behind a wire

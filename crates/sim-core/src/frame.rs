@@ -21,8 +21,10 @@
 //! (`population::transport`):
 //!
 //! * the declared payload length is validated against a caller-supplied
-//!   cap **before** any allocation, so a corrupt or hostile length
-//!   prefix cannot balloon memory or over-read;
+//!   cap **before** any allocation, and an in-cap one still buys no
+//!   more than 1 MiB of buffer until payload bytes arrive to fill it,
+//!   so a corrupt or hostile length prefix cannot balloon memory or
+//!   over-read;
 //! * the checksum covers everything after the magic (version, kind,
 //!   reserved bits, length, payload), so any single bit flip surfaces
 //!   as a typed [`FrameError`] — never a mis-parsed payload;
@@ -141,10 +143,13 @@ impl From<io::Error> for FrameError {
     }
 }
 
-/// CRC-32 lookup table for the IEEE 802.3 polynomial (reflected
-/// 0xEDB88320), built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 lookup tables for the IEEE 802.3 polynomial (reflected
+/// 0xEDB88320), built at compile time. `CRC_TABLES[0]` is the classic
+/// byte-at-a-time table; `CRC_TABLES[k][b]` is the CRC of byte `b`
+/// followed by `k` zero bytes, which is what lets
+/// [`Crc32::update`] consume eight bytes per step (slicing-by-8).
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -157,10 +162,20 @@ const CRC_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// Streaming CRC-32 (IEEE) over byte slices.
@@ -172,11 +187,31 @@ impl Crc32 {
         Crc32(0xFFFF_FFFF)
     }
 
+    /// Slicing-by-8: each 8-byte block costs eight independent table
+    /// loads XORed together instead of eight dependent ones, so every
+    /// payload byte — each crosses this twice, once per end of the pipe
+    /// — is checked at a few bytes per cycle. Same polynomial, same
+    /// value as the byte-at-a-time loop that finishes the tail.
     fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            let idx = ((self.0 ^ u32::from(b)) & 0xFF) as usize;
-            self.0 = (self.0 >> 8) ^ CRC_TABLE[idx];
+        let t = &CRC_TABLES;
+        let mut crc = self.0;
+        let mut blocks = bytes.chunks_exact(8);
+        for b in &mut blocks {
+            let lo = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+            let hi = u32::from_le_bytes([b[4], b[5], b[6], b[7]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
         }
+        for &b in blocks.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        self.0 = crc;
     }
 
     fn finish(self) -> u32 {
@@ -248,13 +283,19 @@ fn fill<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<usize, FrameError> {
     Ok(filled)
 }
 
+/// The most payload buffer a length prefix is trusted for before any
+/// payload byte has arrived. Frames up to this size — every data frame
+/// the transport sends — are still read into one exact allocation.
+const PAYLOAD_PREALLOC: usize = 1 << 20;
+
 /// Read one frame from `r`, capping the payload at `max_payload` bytes.
 ///
 /// Returns `Ok(None)` only when the stream ends cleanly on a frame
 /// boundary (EOF before any header byte). EOF anywhere inside a frame is
 /// [`FrameError::ShortRead`]; every other malformation is its own typed
 /// [`FrameError`]. The length prefix is validated against `max_payload`
-/// **before** the payload buffer is allocated.
+/// **before** the payload buffer is allocated, and that buffer starts at
+/// no more than 1 MiB however much the prefix declares.
 pub fn read_frame<R: Read>(r: &mut R, max_payload: u32) -> Result<Option<Frame>, FrameError> {
     let mut header = [0u8; FRAME_HEADER_LEN];
     let got = fill(r, &mut header)?;
@@ -290,11 +331,14 @@ pub fn read_frame<R: Read>(r: &mut R, max_payload: u32) -> Result<Option<Frame>,
     }
     let expected = u32::from_le_bytes(header[12..16].try_into().expect("slice length is 4"));
 
-    let mut payload = vec![0u8; len as usize];
-    let got = fill(r, &mut payload)?;
-    if got < payload.len() {
+    // The header alone earns at most `PAYLOAD_PREALLOC` bytes; past that
+    // the buffer grows only as payload bytes actually arrive.
+    let len = len as usize;
+    let mut payload = Vec::with_capacity(len.min(PAYLOAD_PREALLOC));
+    let got = r.take(len as u64).read_to_end(&mut payload)?;
+    if got < len {
         return Err(FrameError::ShortRead {
-            needed: payload.len() - got,
+            needed: len - got,
             got,
         });
     }
@@ -346,6 +390,36 @@ mod tests {
         // The canonical IEEE CRC-32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The byte-at-a-time table CRC that `Crc32::update` used to be,
+    /// kept as the reference the sliced one is checked against.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        crc ^ 0xFFFF_FFFF
+    }
+
+    /// Every length 0..=4096 at every start offset within an 8-byte
+    /// block: each mix of whole blocks and tail bytes, wherever the
+    /// slice happens to start in memory.
+    #[test]
+    fn sliced_crc_matches_bytewise_at_every_length_and_alignment() {
+        let mut rng = crate::SimRng::new(0xC4C32);
+        let buf: Vec<u8> = (0..4096 + 8).map(|_| rng.next_u64() as u8).collect();
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+        for start in 0..8 {
+            for len in 0..=4096 {
+                let slice = &buf[start..start + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(slice),
+                    "start {start}, length {len}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -401,6 +475,32 @@ mod tests {
         }
     }
 
+    /// A header may declare up to the cap with no payload behind it:
+    /// the error names the whole declared length as missing, exactly as
+    /// when the buffer was allocated up front (the allocation itself is
+    /// measured in `tests/frame_alloc.rs`).
+    #[test]
+    fn in_cap_length_prefix_with_no_payload_is_a_short_read() {
+        let declared = 64u32 << 20;
+        let mut wire = encode_frame(1, b"");
+        wire[8..12].copy_from_slice(&declared.to_le_bytes());
+        assert_eq!(
+            decode_frame(&wire, declared),
+            Err(FrameError::ShortRead {
+                needed: declared as usize,
+                got: 0
+            })
+        );
+        wire.extend_from_slice(&[7; 100]);
+        assert_eq!(
+            read_frame(&mut Dribble(&wire), declared),
+            Err(FrameError::ShortRead {
+                needed: declared as usize - 100,
+                got: 100
+            })
+        );
+    }
+
     #[test]
     fn wrong_version_rejected() {
         let mut wire = encode_frame(1, b"payload");
@@ -425,6 +525,23 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `update` is streaming: a buffer fed in two pieces, cut at any
+        /// offset (so the second piece starts mid-block), hashes like
+        /// one call — and like the reference.
+        #[test]
+        fn crc_update_split_anywhere_equals_one_call(
+            bytes in proptest::collection::vec(0u8..=255, 0..64),
+        ) {
+            let whole = crc32(&bytes);
+            prop_assert_eq!(whole, crc32_bytewise(&bytes));
+            for cut in 0..=bytes.len() {
+                let mut crc = Crc32::new();
+                crc.update(&bytes[..cut]);
+                crc.update(&bytes[cut..]);
+                prop_assert_eq!(crc.finish(), whole, "cut at {}", cut);
+            }
+        }
 
         #[test]
         fn roundtrip_arbitrary_payloads(
