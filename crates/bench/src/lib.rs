@@ -132,14 +132,14 @@ pub mod shard_fixture {
     use netsim::geo::country;
     use netsim::http::{ContentType, HttpResponse};
     use netsim::network::Network;
-    use netsim::scenario::{NetworkScenario, WorldSpec};
+    use netsim::scenario::NetworkScenario;
     use population::shard::ShardContext;
     use population::BatchConfig;
     use sim_core::SimDuration;
 
     /// The §7.2 world: the three social-site targets over ideal paths.
     pub fn scenario() -> NetworkScenario {
-        let mut spec = NetworkScenario::new(WorldSpec::Builtin).with_ideal_paths();
+        let mut spec = NetworkScenario::new().with_ideal_paths();
         for d in SAFE_TARGETS {
             spec = spec.with_server(d, country("US"), HttpResponse::ok(ContentType::Image, 500));
         }
@@ -217,7 +217,7 @@ pub mod world_fixture {
     use netsim::geo::{country, CountryCode};
     use netsim::http::{ContentType, HttpResponse};
     use netsim::network::Network;
-    use netsim::scenario::{NetworkScenario, WorldScenario, WorldSpec};
+    use netsim::scenario::{NetworkScenario, WorldScenario};
     use population::shard::ShardContext;
     use population::{DeploymentConfig, WorldRecipe};
     use serde::Serialize;
@@ -236,7 +236,7 @@ pub mod world_fixture {
     /// model — latency jitter and loss are part of the longitudinal
     /// story) with a favicon-serving twitter.com.
     pub fn scenario() -> NetworkScenario {
-        NetworkScenario::new(WorldSpec::Builtin).with_server(
+        NetworkScenario::new().with_server(
             TARGET,
             country("US"),
             HttpResponse::ok(ContentType::Image, 500),
@@ -506,6 +506,11 @@ pub mod adaptive_fixture {
 /// One definition serves `tests/congested_world.rs` (golden snapshot +
 /// 1-vs-2-shard verdict check), so the scenario CI gates on is provably
 /// the scenario the harness checks.
+///
+/// [`BROWNOUT_START`]: congested_fixture::BROWNOUT_START
+/// [`BROWNOUT_END`]: congested_fixture::BROWNOUT_END
+/// [`BLOCK_ONSET`]: congested_fixture::BLOCK_ONSET
+/// [`BLOCK_LIFT`]: congested_fixture::BLOCK_LIFT
 pub mod congested_fixture {
     use censor::policy::{CensorPolicy, Mechanism};
     use censor::timeline::{CensorSpec, PolicyChange, PolicyTimeline};
@@ -637,6 +642,9 @@ pub mod congested_fixture {
 /// One definition serves `bench world_report`, `benchmark/`'s flagship
 /// workload, and `tests/world_report.rs` (golden byte-pin + 2-shard verdict check), so
 /// the scenario CI gates on is provably the scenario the harness checks.
+///
+/// [`TR_BLOCK_ONSET`]: corpus_fixture::TR_BLOCK_ONSET
+/// [`TR_BLOCK_LIFT`]: corpus_fixture::TR_BLOCK_LIFT
 pub mod corpus_fixture {
     use browser::Engine;
     use censor::adaptive::{AdaptiveSpec, Reaction, ReactionPolicy, Stage};
@@ -651,7 +659,7 @@ pub mod corpus_fixture {
     use netsim::geo::{country, IspClass};
     use netsim::http::{ContentType, HttpResponse};
     use netsim::network::Network;
-    use netsim::scenario::{NetworkScenario, WorldScenario, WorldSpec};
+    use netsim::scenario::{NetworkScenario, WorldScenario};
     use population::shard::ShardContext;
     use population::{Audience, DeploymentConfig, WorldRecipe};
     use serde::Serialize;
@@ -761,7 +769,7 @@ pub mod corpus_fixture {
     /// in [`build`], since stateful [`websim::SiteHandler`]s cannot ride
     /// a const-response [`NetworkScenario`]).
     pub fn scenario() -> NetworkScenario {
-        let mut spec = NetworkScenario::new(WorldSpec::Builtin).with_ideal_paths();
+        let mut spec = NetworkScenario::new().with_ideal_paths();
         for d in SAFE_TARGETS {
             spec = spec.with_server(d, country("US"), HttpResponse::ok(ContentType::Image, 500));
         }

@@ -139,8 +139,8 @@ proptest! {
         ops in proptest::collection::vec((0u64..50, 0u8..6), 1..30),
         shards in 2usize..5,
     ) {
-        use netsim::scenario::{NetworkScenario, WorldSpec};
-        let scenario = NetworkScenario::new(WorldSpec::Builtin).with_ideal_paths();
+        use netsim::scenario::NetworkScenario;
+        let scenario = NetworkScenario::new().with_ideal_paths();
 
         // Serial reference: apply change by change, recording the
         // generation counter after each application.

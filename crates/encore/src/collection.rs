@@ -14,7 +14,7 @@
 //! "after excluding erroneously contributed measurements (e.g., from Web
 //! crawlers)").
 
-use crate::inference::{countable, is_crawler_ua, RecordFilter};
+use crate::inference::{countable, is_crawler_ua, DetectorConfig};
 use crate::streaming::{
     CellEntry, CountMinSketch, DropCounters, IngestQueue, ReservoirEntry, ReservoirSample,
     SketchSlots, StreamingConfig, StreamingStats, WindowCells,
@@ -26,7 +26,7 @@ use netsim::network::{HttpHandler, Network};
 use serde::{Deserialize, Serialize};
 use sim_core::{
     find_byte, find_either, seeded_hash, splitmix_mix, FxBuildHasher, Interner, SimRng, SimTime,
-    Sym,
+    Sym, SymTable,
 };
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -771,9 +771,9 @@ struct OpenWindow {
 #[derive(Debug)]
 struct StreamingState {
     window_micros: u64,
-    dedup: bool,
-    filter: RecordFilter,
-    max_per_ip: Option<u64>,
+    /// The [`DetectorConfig::default`] the verdicts are judged with:
+    /// its record filters and first-k-per-(domain, ip) cap apply here.
+    judged_with: DetectorConfig,
     /// Priority stream for the reservoir (split per shard; the sample
     /// merge is a union, so streams need not match across shards).
     rng: SimRng,
@@ -793,56 +793,24 @@ struct StreamingState {
     /// Closed windows, sorted by index.
     closed: Vec<WindowCells>,
     /// Memo: target-URL sym → its domain's sym (None if the URL has no
-    /// host).
-    domain_of: SymMemo<Option<Sym>>,
+    /// host). Like the three memos below: derived from the symbol's
+    /// string on first ask, rebuilt on demand, and therefore never
+    /// serialized.
+    domain_of: SymTable<Option<Sym>>,
     /// Memo: user-agent sym → crawler flag.
-    crawler_of: SymMemo<bool>,
+    crawler_of: SymTable<bool>,
     /// Memo: target-URL sym → its [`CountMinSketch::NS_URL`] slots, so
     /// a URL's bytes are hashed on first sight only.
-    url_slots: SymMemo<SketchSlots>,
+    url_slots: SymTable<SketchSlots>,
     /// Memo: referer sym → its [`CountMinSketch::NS_ORIGIN`] slots.
-    origin_slots: SymMemo<SketchSlots>,
-}
-
-/// A dense memo over interned symbols: entry `sym.index()` caches a
-/// value derived from that symbol's string, `None` until first asked.
-/// Bounded by the interner that issued the symbols (one entry per
-/// distinct string, whatever the traffic), rebuilt from the strings on
-/// demand, and therefore never serialized.
-#[derive(Debug)]
-struct SymMemo<T>(Vec<Option<T>>);
-
-impl<T: Copy> SymMemo<T> {
-    fn new() -> SymMemo<T> {
-        SymMemo(Vec::new())
-    }
-
-    fn get_or_insert_with(&mut self, sym: Sym, compute: impl FnOnce() -> T) -> T {
-        let i = sym.index();
-        if let Some(Some(known)) = self.0.get(i) {
-            return *known;
-        }
-        if self.0.len() <= i {
-            self.0.resize(i + 1, None);
-        }
-        *self.0[i].insert(compute())
-    }
-
-    fn resident_bytes(&self) -> usize {
-        self.0.capacity() * std::mem::size_of::<Option<T>>()
-    }
+    origin_slots: SymTable<SketchSlots>,
 }
 
 impl StreamingState {
     fn new(cfg: &StreamingConfig, sketch_seed: u64, rng: SimRng) -> StreamingState {
         StreamingState {
             window_micros: cfg.window.as_micros().max(1),
-            dedup: cfg.dedup,
-            filter: RecordFilter {
-                exclude_crawlers: cfg.exclude_crawlers,
-                discount_congestion: cfg.discount_congestion,
-            },
-            max_per_ip: cfg.max_per_ip,
+            judged_with: DetectorConfig::default(),
             rng,
             sketch: CountMinSketch::new(cfg.sketch_depth, cfg.sketch_width, sketch_seed),
             reservoir_capacity: cfg.reservoir,
@@ -854,10 +822,10 @@ impl StreamingState {
             watermark: 0,
             open: Vec::new(),
             closed: Vec::new(),
-            domain_of: SymMemo::new(),
-            crawler_of: SymMemo::new(),
-            url_slots: SymMemo::new(),
-            origin_slots: SymMemo::new(),
+            domain_of: SymTable::default(),
+            crawler_of: SymTable::default(),
+            url_slots: SymTable::default(),
+            origin_slots: SymTable::default(),
         }
     }
 
@@ -904,8 +872,7 @@ fn raw_hash(raw: &str) -> u64 {
 /// allocating. The target and user agent enter as the [`raw_hash`] of
 /// their *raw* spellings, so two escapings of one decoded string are
 /// different wire tuples. A 64-bit collision silently drops one
-/// submission; at sim scales (≪ 2³²) that is beyond vanishing, and
-/// dedup is switchable off.
+/// submission; at sim scales (≪ 2³²) that is beyond vanishing.
 fn dedup_key(
     parsed: &ParsedSubmission<'_>,
     target_hash: u64,
@@ -1070,12 +1037,10 @@ impl Store {
         let target = raw_syms.peek(parsed.target_url_raw);
         let agent = raw_syms.peek(parsed.user_agent_raw);
         let open_at = st.open_window_index(window);
-        if st.dedup {
-            let key = dedup_key(&parsed, target.hash, agent.hash, client_ip, now);
-            if !st.open[open_at].dedup.insert(key) {
-                st.drops.duplicate += 1;
-                return accepted_response();
-            }
+        let key = dedup_key(&parsed, target.hash, agent.hash, client_ip, now);
+        if !st.open[open_at].dedup.insert(key) {
+            st.drops.duplicate += 1;
+            return accepted_response();
         }
         // Accepted: from here on interning/allocation is fine.
         let target_url = raw_syms.intern(strings, parsed.target_url_raw, target);
@@ -1085,13 +1050,13 @@ impl Store {
 
         // Per-URL / per-origin tallies, at slots memoised per symbol:
         // a known URL or origin touches its counters and hashes nothing.
-        let slots = st.url_slots.get_or_insert_with(target_url, || {
+        let slots = *st.url_slots.get_or_insert_with(target_url, || {
             let url = strings.resolve(target_url);
             st.sketch.slots_ns(CountMinSketch::NS_URL, url.as_bytes())
         });
         st.sketch.add_at(&slots, 1);
         if let Some(origin) = referer {
-            let slots = st.origin_slots.get_or_insert_with(origin, || {
+            let slots = *st.origin_slots.get_or_insert_with(origin, || {
                 let origin = strings.resolve(origin);
                 st.sketch
                     .slots_ns(CountMinSketch::NS_ORIGIN, origin.as_bytes())
@@ -1106,10 +1071,10 @@ impl Store {
         // before the cap) is deferred to window close; with the
         // engine's zero-error GeoDb the two orderings count the same
         // records.
-        let domain = st.domain_of.get_or_insert_with(target_url, || {
+        let domain = *st.domain_of.get_or_insert_with(target_url, || {
             netsim::http::host_of(strings.resolve(target_url)).map(|d| strings.intern(&d))
         });
-        let crawler = st
+        let crawler = *st
             .crawler_of
             .get_or_insert_with(user_agent, || is_crawler_ua(strings.resolve(user_agent)));
         let open = &mut st.open[open_at];
@@ -1121,11 +1086,11 @@ impl Store {
             parsed.outcome,
             parsed.congested,
             || crawler,
-            st.filter,
+            &st.judged_with,
         ) {
             if let Some(domain) = domain {
                 let cell = open.cells.entry((domain, client_ip)).or_default();
-                let under_cap = st.max_per_ip.is_none_or(|cap| cell.seen < cap);
+                let under_cap = st.judged_with.max_per_ip.is_none_or(|cap| cell.seen < cap);
                 if under_cap {
                     cell.seen += 1;
                     cell.n += 1;

@@ -68,16 +68,6 @@ impl Default for DetectorConfig {
     }
 }
 
-/// The stateless record filters of the §7.2 cascade, as both the exact
-/// fold and the streaming ingest apply them.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RecordFilter {
-    /// [`DetectorConfig::exclude_crawlers`].
-    pub exclude_crawlers: bool,
-    /// [`DetectorConfig::discount_congestion`].
-    pub discount_congestion: bool,
-}
-
 /// Whether a record is Bernoulli evidence at all: phase → crawler →
 /// outcome → congestion discount. The single copy of that cascade — the
 /// exact fold ([`FilteringDetector::build_matrix`]) and the streaming
@@ -91,15 +81,15 @@ pub(crate) fn countable(
     outcome: Option<TaskOutcome>,
     congested: bool,
     crawler: impl FnOnce() -> bool,
-    filter: RecordFilter,
+    config: &DetectorConfig,
 ) -> bool {
     phase == SubmissionPhase::Result
-        && !(filter.exclude_crawlers && crawler())
+        && !(config.exclude_crawlers && crawler())
         && outcome.is_some()
         // Near-source congestion signal: the transit link shed this
         // fetch and said so. Path evidence, not resource evidence — see
         // `DetectorConfig::discount_congestion`.
-        && !(filter.discount_congestion && outcome == Some(TaskOutcome::Failure) && congested)
+        && !(config.discount_congestion && outcome == Some(TaskOutcome::Failure) && congested)
 }
 
 /// Whether a self-reported user agent announces automated traffic (the
@@ -185,10 +175,6 @@ impl FilteringDetector {
         records: impl Iterator<Item = &'a StoredMeasurement>,
         geo: &GeoDb,
     ) -> BTreeMap<(String, CountryCode), Cell> {
-        let filter = RecordFilter {
-            exclude_crawlers: self.config.exclude_crawlers,
-            discount_congestion: self.config.discount_congestion,
-        };
         let mut ids: HashMap<Cow<'a, str>, u32, FxBuildHasher> = HashMap::default();
         let mut cells: HashMap<(u32, CountryCode), Cell, FxBuildHasher> = HashMap::default();
         // Sized for the result half of a log (every task submits an init
@@ -204,7 +190,7 @@ impl FilteringDetector {
         for rec in records {
             let sub = &rec.submission;
             let crawler = || is_crawler_ua(&sub.user_agent);
-            if !countable(sub.phase, sub.outcome, sub.congested, crawler, filter) {
+            if !countable(sub.phase, sub.outcome, sub.congested, crawler, &self.config) {
                 continue;
             }
             let Some(host) = rec.target_host() else {
@@ -474,14 +460,36 @@ impl FilteringDetector {
     }
 
     /// [`detect_windows`](Self::detect_windows) over streamed state:
-    /// the per-window matrices were folded at ingest (with this
-    /// detector's filter knobs applied there — the
-    /// [`crate::streaming::StreamingConfig`] mirrors them), so each
-    /// closed window goes straight into the shared decision rule. On
-    /// identical traffic with a zero-error geo database this produces
+    /// the per-window matrices were folded at ingest, with
+    /// [`DetectorConfig::default`]'s record filters applied there, so
+    /// each closed window goes straight into the shared decision rule.
+    /// On identical traffic with a zero-error geo database this produces
     /// the same reports as the exact path, record for record — the
     /// `simcheck` streaming oracle holds the two paths to that.
+    ///
+    /// # Panics
+    ///
+    /// If this detector's `exclude_crawlers`, `max_per_ip` or
+    /// `discount_congestion` differs from what ingest applied: the raw
+    /// records are gone, so those cannot be re-applied here, and
+    /// answering anyway would silently judge under ingest's values.
+    /// `test` and `min_measurements` act on the folded cells and are
+    /// free to vary.
     pub fn judge_streamed(&self, stats: &crate::streaming::StreamingStats) -> Vec<WindowReport> {
+        let (ours, ingest) = (self.config, DetectorConfig::default());
+        let applied = "differs from what streaming ingest applied";
+        assert!(
+            ours.exclude_crawlers == ingest.exclude_crawlers,
+            "`exclude_crawlers` {applied}"
+        );
+        assert!(
+            ours.max_per_ip == ingest.max_per_ip,
+            "`max_per_ip` {applied}"
+        );
+        assert!(
+            ours.discount_congestion == ingest.discount_congestion,
+            "`discount_congestion` {applied}"
+        );
         stats
             .windows
             .iter()
@@ -738,6 +746,76 @@ mod tests {
             &f.geo(),
             sim_core::SimDuration::ZERO,
         );
+    }
+
+    /// One closed window: `x.com` fails 6/6 from CN and loads 8/8 from US.
+    fn streamed_block() -> crate::streaming::StreamingStats {
+        use crate::streaming::{
+            CellEntry, CountMinSketch, DropCounters, ReservoirSample, StreamingStats, WindowCells,
+        };
+        let cell = |cc, n, x| CellEntry {
+            domain: "x.com".into(),
+            country: country(cc),
+            n,
+            x,
+        };
+        StreamingStats {
+            window_micros: 86_400_000_000,
+            accepted: 14,
+            sketch: CountMinSketch::new(4, 256, 11),
+            reservoir: ReservoirSample::new(4),
+            windows: vec![WindowCells {
+                window: 0,
+                measurements: 14,
+                cells: vec![cell("CN", 6, 0), cell("US", 8, 8)],
+            }],
+            drops: DropCounters::default(),
+        }
+    }
+
+    fn judge_streamed_with(config: DetectorConfig) -> Vec<WindowReport> {
+        FilteringDetector::new(config).judge_streamed(&streamed_block())
+    }
+
+    #[test]
+    #[should_panic(expected = "`exclude_crawlers` differs")]
+    fn judge_streamed_refuses_a_different_crawler_filter() {
+        judge_streamed_with(DetectorConfig {
+            exclude_crawlers: false,
+            ..DetectorConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "`max_per_ip` differs")]
+    fn judge_streamed_refuses_a_different_per_ip_cap() {
+        judge_streamed_with(DetectorConfig {
+            max_per_ip: None,
+            ..DetectorConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "`discount_congestion` differs")]
+    fn judge_streamed_refuses_a_different_congestion_discount() {
+        judge_streamed_with(DetectorConfig {
+            discount_congestion: false,
+            ..DetectorConfig::default()
+        });
+    }
+
+    #[test]
+    fn judge_streamed_honours_a_custom_min_measurements() {
+        let flagged = judge_streamed_with(DetectorConfig::default());
+        assert_eq!(flagged[0].detections.len(), 1);
+        assert_eq!(flagged[0].detections[0].country, country("CN"));
+        // The knobs that act on folded cells still vary freely: CN's six
+        // measurements are too few for a detector that wants seven.
+        let cautious = judge_streamed_with(DetectorConfig {
+            min_measurements: 7,
+            ..DetectorConfig::default()
+        });
+        assert!(cautious[0].detections.is_empty());
     }
 
     #[test]

@@ -47,11 +47,13 @@ use sim_core::{seeded_hash, SimDuration, SimTime};
 
 /// Knobs for the opt-in streaming collection mode.
 ///
-/// The record-filtering knobs (`exclude_crawlers`, `max_per_ip`,
-/// `discount_congestion`) must match the [`crate::inference::DetectorConfig`]
-/// the verdicts will be judged with, because streaming applies them at
-/// ingest time (the raw records are gone by detection time). The
-/// defaults mirror `DetectorConfig::default()`.
+/// The record filters (crawler exclusion, the per-IP cap, the
+/// congestion discount) are not among them: streaming applies them at
+/// ingest time (the raw records are gone by detection time), so ingest
+/// takes them from the [`crate::inference::DetectorConfig::default`]
+/// the verdicts are judged with, and
+/// [`judge_streamed`](crate::inference::FilteringDetector::judge_streamed)
+/// refuses a detector that disagrees.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StreamingConfig {
     /// Detection window; must equal the rollup cadence so the engine
@@ -68,14 +70,6 @@ pub struct StreamingConfig {
     pub queue_capacity: u64,
     /// Queue drain rate (submissions per simulated second).
     pub drain_per_sec: u64,
-    /// Drop exact wire-duplicate submissions within an open window.
-    pub dedup: bool,
-    /// Skip crawler user-agents at ingest (mirrors the detector knob).
-    pub exclude_crawlers: bool,
-    /// First-k-per-(domain, ip) cap per window (mirrors the detector knob).
-    pub max_per_ip: Option<u64>,
-    /// Skip congestion-flagged failures at ingest (mirrors the detector knob).
-    pub discount_congestion: bool,
 }
 
 impl Default for StreamingConfig {
@@ -87,10 +81,6 @@ impl Default for StreamingConfig {
             sketch_width: 1024,
             queue_capacity: 4096,
             drain_per_sec: 1024,
-            dedup: true,
-            exclude_crawlers: true,
-            max_per_ip: Some(10),
-            discount_congestion: true,
         }
     }
 }

@@ -22,7 +22,7 @@ use crate::geo::GeoDb;
 use crate::inference::{Detection, FilteringDetector};
 use crate::tasks::{execute_task, MeasurementTask, TaskExecution};
 use browser::BrowserClient;
-use netsim::geo::{country, CountryCode};
+use netsim::geo::CountryCode;
 use netsim::http::{ContentType, HttpRequest, HttpResponse};
 use netsim::network::{ConstHandler, Network};
 use serde::{Deserialize, Serialize};
@@ -321,12 +321,6 @@ impl EncoreSystem {
     pub fn detect(&self, geo: &GeoDb, detector: &FilteringDetector) -> Vec<Detection> {
         detector.detect(&self.collection.records(), geo)
     }
-
-    /// Convenience: deploy in the US (where the paper's infrastructure
-    /// lived).
-    pub fn default_infra_country() -> CountryCode {
-        country("US")
-    }
 }
 
 #[cfg(test)]
@@ -336,7 +330,7 @@ mod tests {
     use browser::Engine;
     use censor::national::NationalCensor;
     use censor::policy::{CensorPolicy, Mechanism};
-    use netsim::geo::{IspClass, World};
+    use netsim::geo::{country, IspClass, World};
     use netsim::network::ConstHandler;
     use sim_core::SimRng;
 

@@ -48,15 +48,6 @@ impl TargetList {
         list
     }
 
-    /// Only the §7.2 "safe" targets (facebook/youtube/twitter).
-    pub fn safe_targets_only() -> TargetList {
-        let mut list = TargetList::named("safe-targets");
-        for d in censor::registry::SAFE_TARGETS {
-            list.patterns.push(UrlPattern::Domain(d.to_string()));
-        }
-        list
-    }
-
     /// Parse a list from the textual format curated lists circulate in
     /// (one entry per line; `#` comments; blank lines ignored; entries
     /// are domains, exact URLs, or `…/*` prefixes — paper §5.1's three

@@ -17,7 +17,7 @@
 
 use crate::geo::CountryCode;
 use serde::{Deserialize, Serialize};
-use sim_core::{Interner, SimDuration, SimTime, Sym};
+use sim_core::{Interner, SimDuration, SimTime, Sym, SymTable};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -49,7 +49,7 @@ pub const DEFAULT_TTL: SimDuration = SimDuration::from_secs(300);
 /// index into the [`DnsSystem`]'s tables (and into any id-indexed cache a
 /// session keeps), assigned in first-seen order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct NameId(Sym);
+pub struct NameId(pub(crate) Sym);
 
 impl NameId {
     /// The id as a table index.
@@ -80,11 +80,11 @@ pub struct DnsSystem {
     /// Case-folded name ↔ dense id.
     names: Interner,
     /// `NameId`-indexed A records (`None` = not registered).
-    records: Vec<Option<DnsAnswer>>,
+    records: SymTable<DnsAnswer>,
     /// Registered-record count (`records` keeps tombstones).
     registered: usize,
     /// Per-country resolver cache, `NameId`-indexed: (answer, expires-at).
-    cache: BTreeMap<CountryCode, Vec<Option<(DnsAnswer, SimTime)>>>,
+    cache: BTreeMap<CountryCode, SymTable<(DnsAnswer, SimTime)>>,
     /// Statistics: total queries and cache hits.
     queries: u64,
     cache_hits: u64,
@@ -120,11 +120,8 @@ impl DnsSystem {
 
     /// Register (or replace) an A record with an explicit TTL.
     pub fn register_with_ttl(&mut self, name: &str, ip: Ipv4Addr, ttl: SimDuration) {
-        let idx = self.intern(name).index();
-        if self.records.len() <= idx {
-            self.records.resize(idx + 1, None);
-        }
-        if self.records[idx].replace(DnsAnswer { ip, ttl }).is_none() {
+        let id = self.intern(name);
+        if self.records.insert(id.0, DnsAnswer { ip, ttl }).is_none() {
             self.registered += 1;
         }
     }
@@ -133,10 +130,8 @@ impl DnsSystem {
     /// non-censorship failure causes).
     pub fn unregister(&mut self, name: &str) {
         if let Some(id) = self.name_id(name) {
-            if let Some(slot) = self.records.get_mut(id.index()) {
-                if slot.take().is_some() {
-                    self.registered -= 1;
-                }
+            if self.records.remove(id.0).is_some() {
+                self.registered -= 1;
             }
         }
     }
@@ -145,7 +140,7 @@ impl DnsSystem {
     /// need ground truth, and by tests).
     pub fn authoritative(&self, name: &str) -> Option<DnsAnswer> {
         let id = self.name_id(name)?;
-        self.records.get(id.index()).copied().flatten()
+        self.records.get(id.0).copied()
     }
 
     /// Resolve `name` from `country`'s resolver at time `now`, consulting
@@ -171,32 +166,24 @@ impl DnsSystem {
         now: SimTime,
     ) -> (DnsOutcome, bool) {
         self.queries += 1;
-        let idx = id.index();
-        if let Some(Some((answer, expires))) = self.cache.get(&country).and_then(|c| c.get(idx)) {
+        if let Some((answer, expires)) = self.cache.get(&country).and_then(|c| c.get(id.0)) {
             if now < *expires {
                 self.cache_hits += 1;
                 return (DnsOutcome::Resolved(*answer), true);
             }
         }
-        match self.records.get(idx).copied().flatten() {
+        match self.records.get(id.0).copied() {
             Some(answer) => {
-                Self::cache_insert(self.cache.entry(country).or_default(), idx, answer, now);
+                self.cache_insert(country, id, answer, now);
                 (DnsOutcome::Resolved(answer), false)
             }
             None => (DnsOutcome::NxDomain, false),
         }
     }
 
-    fn cache_insert(
-        country_cache: &mut Vec<Option<(DnsAnswer, SimTime)>>,
-        idx: usize,
-        answer: DnsAnswer,
-        now: SimTime,
-    ) {
-        if country_cache.len() <= idx {
-            country_cache.resize(idx + 1, None);
-        }
-        country_cache[idx] = Some((answer, now + answer.ttl));
+    fn cache_insert(&mut self, country: CountryCode, id: NameId, answer: DnsAnswer, now: SimTime) {
+        let country_cache = self.cache.entry(country).or_default();
+        country_cache.insert(id.0, (answer, now + answer.ttl));
     }
 
     /// Insert a (possibly forged) answer into a country's resolver cache —
@@ -209,8 +196,8 @@ impl DnsSystem {
         answer: DnsAnswer,
         now: SimTime,
     ) {
-        let idx = self.intern(name).index();
-        Self::cache_insert(self.cache.entry(country).or_default(), idx, answer, now);
+        let id = self.intern(name);
+        self.cache_insert(country, id, answer, now);
     }
 
     /// Drop all cached entries (e.g. between experiment repetitions).

@@ -67,7 +67,7 @@ pub use middlebox::{DnsAction, HttpAction, Middlebox, StageContext, TcpAction};
 pub use network::{FailureStage, FetchError, FetchOutcome, FetchTimings, HttpHandler, Network};
 pub use path::{PathModel, PathQuality};
 pub use scenario::TopologySpec;
-pub use scenario::{MiddleboxFactory, NetworkScenario, ServerSpec, WorldScenario, WorldSpec};
+pub use scenario::{MiddleboxFactory, NetworkScenario, ServerSpec, WorldScenario};
 pub use session::{FetchSession, SessionConfig, SessionStats};
 pub use tcp::{TcpAttempt, TcpOutcome};
 pub use topology::{AsTopology, TopologyConfig, TransitDecision};

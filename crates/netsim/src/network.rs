@@ -141,11 +141,6 @@ impl FetchOutcome {
             server_ip,
         }
     }
-
-    /// Whether the fetch produced any HTTP response at all.
-    pub fn is_response(&self) -> bool {
-        self.result.is_ok()
-    }
 }
 
 struct ServerEntry {

@@ -4,8 +4,8 @@
 //! A [`Network`] is full of thread-local machinery (boxed handlers,
 //! `Rc`-shared stores in the crates above), so it can never cross a
 //! thread boundary. What *can* cross threads is the recipe: a
-//! [`NetworkScenario`] is plain `Send + Sync` data describing the world
-//! table, path model, fault injection, and constant-response servers, and
+//! [`NetworkScenario`] is plain `Send + Sync` data describing the path
+//! model and constant-response servers over the built-in world table, and
 //! every shard of a multi-core run calls [`NetworkScenario::build_shard`]
 //! on its own thread to materialise a private, fully independent network.
 //!
@@ -20,7 +20,6 @@
 //!    GeoIP ground truth — from different shards can be unioned without
 //!    collisions.
 
-use crate::fault::FaultInjector;
 use crate::geo::{CountryCode, World};
 use crate::http::HttpResponse;
 use crate::ip::IpAllocator;
@@ -30,25 +29,6 @@ use crate::path::PathModel;
 use crate::topology::{AsTopology, TopologyConfig};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-
-/// Which world table to build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum WorldSpec {
-    /// The curated built-in table.
-    Builtin,
-    /// [`World::with_long_tail`] with the given total country count.
-    LongTail(usize),
-}
-
-impl WorldSpec {
-    /// Materialise the world table.
-    pub fn build(&self) -> World {
-        match *self {
-            WorldSpec::Builtin => World::builtin(),
-            WorldSpec::LongTail(n) => World::with_long_tail(n),
-        }
-    }
-}
 
 /// A constant-response server to install (the scenario analogue of
 /// `net.add_server(..., ConstHandler(...))`).
@@ -112,14 +92,10 @@ impl TopologySpec {
 /// infrastructure) are layered on top by the caller after
 /// [`build_shard`](NetworkScenario::build_shard) returns — those layers
 /// live in crates above `netsim` and take `&mut Network` as usual.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct NetworkScenario {
-    /// World table to build.
-    pub world: WorldSpec,
     /// Use the jitter-free ideal path model instead of the default.
     pub ideal_paths: bool,
-    /// Global fault injection applied to every fetch.
-    pub fault: FaultInjector,
     /// Constant-response servers to install, in order.
     pub servers: Vec<ServerSpec>,
     /// Routed AS topology to attach; `None` (the default, and the value
@@ -130,16 +106,10 @@ pub struct NetworkScenario {
 }
 
 impl NetworkScenario {
-    /// A scenario over the given world with no servers, default paths,
-    /// and no fault injection.
-    pub fn new(world: WorldSpec) -> NetworkScenario {
-        NetworkScenario {
-            world,
-            ideal_paths: false,
-            fault: FaultInjector::none(),
-            servers: Vec::new(),
-            topology: None,
-        }
+    /// A scenario over [`World::builtin`] with no servers and default
+    /// paths.
+    pub fn new() -> NetworkScenario {
+        NetworkScenario::default()
     }
 
     /// Builder: attach a routed AS topology.
@@ -151,12 +121,6 @@ impl NetworkScenario {
     /// Builder: switch to the jitter/loss-free path model.
     pub fn with_ideal_paths(mut self) -> NetworkScenario {
         self.ideal_paths = true;
-        self
-    }
-
-    /// Builder: set the fault injector.
-    pub fn with_fault(mut self, fault: FaultInjector) -> NetworkScenario {
-        self.fault = fault;
         self
     }
 
@@ -185,13 +149,12 @@ impl NetworkScenario {
     /// from every sibling's.
     pub fn build_shard(&self, index: usize, shards: usize) -> Network {
         let mut net = Network::with_allocator(
-            self.world.build(),
+            World::builtin(),
             IpAllocator::sharded(index as u32, shards as u32),
         );
         if self.ideal_paths {
             net.path_model = PathModel::ideal();
         }
-        net.fault = self.fault.clone();
         for s in &self.servers {
             net.add_server(
                 &s.domain,
@@ -210,7 +173,7 @@ impl NetworkScenario {
 /// lets *censored* (and otherwise intercepted) worlds ride inside a
 /// shard-shared scenario. A boxed [`Middlebox`] itself can never cross a
 /// thread boundary, but a factory of plain data can: each shard thread
-/// calls [`MiddleboxFactory::build`] against its own freshly built
+/// calls [`MiddleboxFactory::build_middlebox`] against its own freshly built
 /// network (so factories that compile rules against the network's DNS —
 /// e.g. a firewall resolving its IP blacklist — see an identical
 /// topology on every shard and compile identical rules).
@@ -293,13 +256,11 @@ mod tests {
     use sim_core::{SimRng, SimTime};
 
     fn scenario() -> NetworkScenario {
-        NetworkScenario::new(WorldSpec::Builtin)
-            .with_ideal_paths()
-            .with_server(
-                "target.example",
-                country("US"),
-                HttpResponse::ok(ContentType::Image, 400),
-            )
+        NetworkScenario::new().with_ideal_paths().with_server(
+            "target.example",
+            country("US"),
+            HttpResponse::ok(ContentType::Image, 400),
+        )
     }
 
     #[test]

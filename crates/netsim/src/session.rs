@@ -42,7 +42,7 @@ use crate::network::{FetchError, FetchOutcome, FetchTimings, Network};
 use crate::path::PathQuality;
 use crate::tcp::{TcpAttempt, CONNECT_TIMEOUT, DNS_TIMEOUT, HTTP_TIMEOUT};
 use crate::topology::TransitDecision;
-use sim_core::{SimDuration, SimRng, SimTime, TraceLevel};
+use sim_core::{SimDuration, SimRng, SimTime, SymTable, TraceLevel};
 use std::net::Ipv4Addr;
 
 /// Tuning knobs for a session's amortised state.
@@ -133,10 +133,10 @@ pub struct FetchSession {
     /// Pre-resolved first-non-`Pass` DNS verdict per [`NameId`] — the
     /// flat per-host dispatch table replacing the per-fetch pattern walk
     /// for pure pipelines. Rebuilt lazily after set/behaviour bumps.
-    dns_verdicts: Vec<Option<DnsVerdictEntry>>,
+    dns_verdicts: SymTable<DnsVerdictEntry>,
     /// `NameId`-indexed (address, expires-at): the client-local resolver
     /// cache. A warm hit is a single vector index — no hash, no alloc.
-    dns_cache: Vec<Option<(Ipv4Addr, SimTime)>>,
+    dns_cache: SymTable<(Ipv4Addr, SimTime)>,
     /// (destination, idle-expiry) of established connections. Pools are
     /// small (bounded by `max_connections` / distinct origins), so a
     /// linear scan over a flat vector beats a tree.
@@ -172,8 +172,8 @@ impl FetchSession {
             pipeline_generation: 0,
             pipeline_dns_pure: true,
             behavior_generation: 0,
-            dns_verdicts: Vec::new(),
-            dns_cache: Vec::new(),
+            dns_verdicts: SymTable::default(),
+            dns_cache: SymTable::default(),
             connections: Vec::new(),
             quality_cache: Vec::new(),
             topology_generation: 0,
@@ -202,8 +202,8 @@ impl FetchSession {
 
     /// Whether a live client-local DNS entry for `id` exists at `now`.
     fn dns_cached(&self, id: NameId, now: SimTime) -> Option<Ipv4Addr> {
-        match self.dns_cache.get(id.index()) {
-            Some(&Some((ip, expires))) if now < expires => Some(ip),
+        match self.dns_cache.get(id.0) {
+            Some(&(ip, expires)) if now < expires => Some(ip),
             _ => None,
         }
     }
@@ -211,11 +211,7 @@ impl FetchSession {
     /// Cache a resolution for `id` (growing the id-indexed table as the
     /// interner does).
     fn dns_cache_insert(&mut self, id: NameId, ip: Ipv4Addr, expires: SimTime) {
-        let idx = id.index();
-        if self.dns_cache.len() <= idx {
-            self.dns_cache.resize(idx + 1, None);
-        }
-        self.dns_cache[idx] = Some((ip, expires));
+        self.dns_cache.insert(id.0, (ip, expires));
     }
 
     /// Drop expired session state: DNS entries past their TTL and
@@ -227,11 +223,7 @@ impl FetchSession {
     /// maintenance-tick events so month-long continuous runs keep pooled
     /// clients' session maps bounded.
     pub fn prune_expired(&mut self, now: SimTime) {
-        for slot in &mut self.dns_cache {
-            if matches!(slot, Some((_, expires)) if now >= *expires) {
-                *slot = None;
-            }
-        }
+        self.dns_cache.retain(|&(_, expires)| now < expires);
         self.connections.retain(|&(_, expiry)| now < expiry);
     }
 
@@ -548,7 +540,7 @@ impl FetchSession {
     ) -> DnsAction {
         let memoise = self.pipeline_dns_pure;
         if memoise {
-            if let Some(Some(entry)) = self.dns_verdicts.get(host_id.index()) {
+            if let Some(entry) = self.dns_verdicts.get(host_id.0) {
                 // Replay the memoised interference line (if any) so the
                 // trace is byte-identical to re-running the walk: for a
                 // pure pipeline the line depends only on (middlebox,
@@ -581,14 +573,11 @@ impl FetchSession {
             }
         }
         if memoise {
-            let idx = host_id.index();
-            if self.dns_verdicts.len() <= idx {
-                self.dns_verdicts.resize(idx + 1, None);
-            }
-            self.dns_verdicts[idx] = Some(DnsVerdictEntry {
+            let entry = DnsVerdictEntry {
                 action: verdict,
                 trace_line,
-            });
+            };
+            self.dns_verdicts.insert(host_id.0, entry);
         }
         verdict
     }

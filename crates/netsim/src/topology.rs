@@ -487,14 +487,9 @@ impl AsTopology {
         Some(best as usize)
     }
 
-    /// Set one link's background utilisation (the brownout knob).
-    /// Data-plane only: no generation bump, no pipeline recompiles.
-    pub fn set_background(&mut self, link: usize, level: f64) {
-        self.background[link] = level.max(0.0);
-    }
-
     /// Set the background utilisation of every *hotspot* link — the
     /// transit-wide brownout a scheduled world mutation flips on and off.
+    /// Data-plane only: no generation bump, no pipeline recompiles.
     pub fn set_hotspot_background(&mut self, level: f64) {
         for i in 0..self.links.len() {
             if self.links[i].hotspot {

@@ -276,16 +276,14 @@ pub(crate) mod tests {
     use encore::tasks::{MeasurementId, MeasurementTask, TaskSpec};
     use netsim::geo::country;
     use netsim::http::{ContentType, HttpResponse};
-    use netsim::scenario::{NetworkScenario, WorldSpec};
+    use netsim::scenario::NetworkScenario;
 
     fn scenario() -> NetworkScenario {
-        NetworkScenario::new(WorldSpec::Builtin)
-            .with_ideal_paths()
-            .with_server(
-                "target.example",
-                country("US"),
-                HttpResponse::ok(ContentType::Image, 400),
-            )
+        NetworkScenario::new().with_ideal_paths().with_server(
+            "target.example",
+            country("US"),
+            HttpResponse::ok(ContentType::Image, 400),
+        )
     }
 
     /// The crate's small test world: one image target, one academic

@@ -15,15 +15,16 @@
 //! continuously — become first-class events instead of per-phase world
 //! rebuilds.
 //!
-//! A whole run can also be *described* rather than imperatively
-//! scheduled: a [`WorldRecipe`] is the `Send + Sync + Clone` value of a
-//! run (arrival mode + timeline + mutations + re-prioritisations +
-//! housekeeping cadences), replayed serially by
-//! [`WorldEngine::from_recipe`] in a canonical order and executed across
-//! all cores by [`crate::shard::run_sharded_world`], which broadcasts
-//! the recipe's control half to every shard and thins its arrival half
-//! 1/N. One description, two execution paths, provably the same
-//! experiment (`tests/world_shard_equivalence.rs`).
+//! A run is *described*, never imperatively scheduled: a
+//! [`WorldRecipe`] is the `Send + Sync + Clone` value of a run (arrival
+//! mode + timeline + reactions + mutations + re-prioritisations +
+//! housekeeping cadences). [`WorldEngine::from_recipe`] borrows it and
+//! executes it in place — events index into the recipe, the engine
+//! keeps no copy of any schedule — and
+//! [`crate::shard::run_sharded_world`] runs it across all cores by
+//! broadcasting the recipe's control half to every shard and thinning
+//! its arrival half 1/N. One description, two execution paths, provably
+//! the same experiment (`tests/world_shard_equivalence.rs`).
 //!
 //! ## Equivalence contract
 //!
@@ -59,8 +60,8 @@ use crate::audience::{Audience, Visitor};
 use crate::batch::{BatchConfig, BatchReport};
 use crate::driver::{DeploymentConfig, VisitRecord};
 use browser::BrowserClient;
-use censor::adaptive::ReactionPolicy;
-use censor::timeline::{PolicyChange, PolicyTimeline};
+use censor::adaptive::{Reaction, ReactionPolicy};
+use censor::timeline::PolicyTimeline;
 use encore::coordination::SchedulingStrategy;
 use encore::delivery::OriginSite;
 use encore::system::{EncoreSystem, VisitOutcome};
@@ -73,7 +74,9 @@ use sim_core::{SimDuration, SimRng, SimTime};
 use std::sync::Arc;
 
 /// An event on the world's queue. Same-time events fire in scheduling
-/// order (the queue's insertion-sequence tie-break).
+/// order (the queue's insertion-sequence tie-break). Deployment mode
+/// queues one event per arrival up front, so a variant carries an index
+/// or a period and nothing wider — the enum stays two words.
 #[derive(Debug)]
 pub enum WorldEvent {
     /// A pre-scheduled Poisson arrival at one origin (deployment mode).
@@ -91,21 +94,22 @@ pub enum WorldEvent {
     /// Apply the policy-timeline change at `index` (world mutation
     /// through the middlebox generation counter).
     PolicyChange {
-        /// Index into the engine's merged policy schedule.
+        /// Index into the recipe's [`PolicyTimeline::entries`].
         index: usize,
     },
-    /// Deliver the scheduled censor control signal at `index` — a
+    /// Deliver one scheduled censor control signal — a
     /// [`censor::adaptive::ReactionPolicy`] step driving a stateful
     /// middlebox ([`netsim::middlebox::Middlebox::on_control`]) without
     /// reinstalling it. Control signals change middlebox *behaviour*,
     /// never coverage, so no generation bump and no pipeline recompile.
     CensorSignal {
-        /// Index into the engine's merged signal schedule.
+        /// Index into the recipe's reaction steps: policies in insertion
+        /// order, each policy's [`ReactionPolicy::steps`] in its own.
         index: usize,
     },
     /// Run the scheduled one-shot world mutation at `index`.
     Mutation {
-        /// Index into the engine's mutation list.
+        /// Index into the recipe's mutation list.
         index: usize,
     },
     /// Swap the coordination server's scheduling strategy mid-run.
@@ -126,9 +130,6 @@ pub enum WorldEvent {
         period: SimDuration,
     },
 }
-
-/// A one-shot scheduled world mutation.
-pub type WorldMutation = Box<dyn FnOnce(&mut Network, &mut EncoreSystem)>;
 
 /// A world mutation that can be shared across shard threads: every shard
 /// applies the same function to its own private world, so it must be
@@ -176,35 +177,32 @@ pub struct WorldOutcome {
 /// constant-memory pipeline. The collection server trades its unbounded
 /// record log for a count-min sketch, a bounded reservoir sample, and
 /// per-window count matrices ([`encore::streaming`]), and the engine
-/// keeps only the trailing `resident_rollups` rollup points resident,
-/// folding older ones away as new ones fire.
+/// keeps only the trailing [`RESIDENT_ROLLUPS`](Self::RESIDENT_ROLLUPS)
+/// rollup points resident, folding older ones away as new ones fire.
 ///
-/// The spec is broadcast verbatim to every shard, so `sketch_seed` —
-/// which defines the sketch's hash functions and must be identical for
-/// shard sketches to merge — is shard-invariant by construction. Each
-/// shard's reservoir draws priorities from its own forked RNG stream;
-/// reservoir merge is a union, so per-shard streams are fine.
+/// Each shard's reservoir draws priorities from its own forked RNG
+/// stream; reservoir merge is a union, so per-shard streams are fine.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StreamingSpec {
     /// Collection-side knobs: detection window, sketch dimensions,
-    /// reservoir capacity, ingest-queue bounds, filter toggles. The
-    /// window should equal the rollup cadence so windows close exactly
-    /// as rollups fire.
+    /// reservoir capacity, ingest-queue bounds. The window should equal
+    /// the rollup cadence so windows close exactly as rollups fire.
     pub config: encore::streaming::StreamingConfig,
-    /// Seed defining the sketch hash functions (shard-invariant).
-    pub sketch_seed: u64,
-    /// Rollup points kept resident; older points fold-and-evict.
-    pub resident_rollups: usize,
 }
 
 impl StreamingSpec {
+    /// Seed defining the sketch hash functions. It must be identical
+    /// for shard sketches to merge; a constant is shard-invariant by
+    /// construction.
+    pub const SKETCH_SEED: u64 = 0x5EED_5EED;
+    /// Rollup points kept resident; older points fold-and-evict.
+    pub const RESIDENT_ROLLUPS: usize = 8;
+
     /// A spec whose analytics window matches the given rollup cadence,
     /// with default sketch/reservoir/queue parameters.
     pub fn with_window(window: SimDuration) -> StreamingSpec {
         StreamingSpec {
             config: encore::streaming::StreamingConfig::with_window(window),
-            sketch_seed: 0x5EED_5EED,
-            resident_rollups: 8,
         }
     }
 }
@@ -215,15 +213,13 @@ impl StreamingSpec {
 /// ticks, and rollup cadence.
 ///
 /// One recipe drives both execution paths: [`WorldEngine::from_recipe`]
-/// replays it serially, and [`crate::shard::run_sharded_world`] executes
-/// it on N OS threads by broadcasting the *control* half verbatim to
-/// every shard while thinning the *arrival* half 1/N
-/// ([`crate::shard::shard_recipe`]). The replay order is canonical —
-/// timeline, then censor reactions, then mutations, then
-/// re-prioritisations, then maintenance, then rollups, each in insertion
-/// order, all before any traffic — so a recipe-driven run is
-/// bit-identical to the equivalent imperative `schedule_*` calls made in
-/// that same order.
+/// executes it serially, and [`crate::shard::run_sharded_world`]
+/// executes it on N OS threads by broadcasting the *control* half
+/// verbatim to every shard while thinning the *arrival* half 1/N
+/// ([`crate::shard::shard_recipe`]). The firing order at a shared
+/// instant is canonical — timeline, then censor reactions, then
+/// mutations, then re-prioritisations, then maintenance, then rollups,
+/// each in insertion order, all before any traffic.
 #[derive(Clone)]
 pub struct WorldRecipe {
     pub(crate) mode: RunMode,
@@ -296,6 +292,15 @@ impl WorldRecipe {
         &self.reactions
     }
 
+    /// Every scheduled reaction step with the censor it addresses, in
+    /// the order [`WorldEvent::CensorSignal`] indexes them.
+    fn reaction_steps(&self) -> impl Iterator<Item = (&str, SimTime, &Reaction)> {
+        self.reactions.iter().flat_map(|policy| {
+            let steps = policy.steps().iter();
+            steps.map(move |(at, reaction)| (policy.censor.as_str(), *at, reaction))
+        })
+    }
+
     /// Builder: append an adaptive-censor reaction policy. Like the
     /// policy timeline, reactions are control events: sharded runs
     /// broadcast them verbatim to every shard, which is what keeps
@@ -306,8 +311,16 @@ impl WorldRecipe {
         self
     }
 
-    /// Builder: schedule a shared one-shot world mutation at `at`.
-    /// Mutations fire in insertion order at equal times.
+    /// Builder: schedule a shared one-shot world mutation at `at` — the
+    /// escape hatch for dynamics the policy timeline doesn't model
+    /// (standing up a collector mirror, swapping the coordination task
+    /// pool, reconfiguring fault injection). Mutations fire in insertion
+    /// order at equal times.
+    ///
+    /// The *arrival plan* is fixed at run start: the engine snapshots
+    /// the origin list (and batch weights) when constructed, so
+    /// mutating `system.origins` mid-run does not add or retire traffic
+    /// sources — it only affects what later visits observe.
     pub fn mutate_at(
         mut self,
         at: SimTime,
@@ -317,19 +330,26 @@ impl WorldRecipe {
         self
     }
 
-    /// Builder: schedule a coordination-strategy swap at `at`.
+    /// Builder: schedule a coordination-strategy swap at `at` (e.g. to
+    /// [`SchedulingStrategy::CoordinatedBursts`] once a block is
+    /// suspected).
     pub fn reprioritize_at(mut self, at: SimTime, strategy: SchedulingStrategy) -> WorldRecipe {
         self.reprioritizations.push((at, strategy));
         self
     }
 
-    /// Builder: run session maintenance every `period`.
+    /// Builder: run session maintenance every `period` — expired DNS
+    /// entries and dead keep-alive connections are pruned from every
+    /// pooled client. Behaviour-neutral (the fetch path never serves
+    /// expired state); keeps month-long worlds' memory bounded.
     pub fn with_maintenance(mut self, period: SimDuration) -> WorldRecipe {
         self.maintenance = Some(period);
         self
     }
 
-    /// Builder: take a collection rollup every `period`.
+    /// Builder: take a collection rollup every `period` — progress
+    /// snapshots a longitudinal experiment reads instead of re-scanning
+    /// the collection store per window.
     pub fn with_rollups(mut self, period: SimDuration) -> WorldRecipe {
         self.rollups = Some(period);
         self
@@ -353,53 +373,53 @@ impl WorldRecipe {
     }
 }
 
-/// Mode-specific driver state.
+/// Mode-specific driver state; what both modes share — the origin
+/// snapshot, the two RNG forks, the client pool — lives on the engine.
 enum Mode {
     Deployment {
         config: DeploymentConfig,
-        origins: Vec<OriginSite>,
-        arrivals_rng: SimRng,
-        visitor_rng: SimRng,
-        returning: Vec<BrowserClient>,
         log: Vec<VisitRecord>,
     },
     Batch {
         config: BatchConfig,
-        origins: Vec<OriginSite>,
         weights: Vec<f64>,
         gap: Exponential,
-        arrivals_rng: SimRng,
-        visitor_rng: SimRng,
-        pool: Vec<BrowserClient>,
     },
 }
 
 /// The event-driven world: one network, one Encore deployment, one
-/// audience, and a queue of everything that will happen to them.
+/// audience, the [`WorldRecipe`] being executed, and a queue of
+/// everything that will happen to them.
 ///
-/// Construct with [`WorldEngine::from_recipe`] — deployment mode
-/// ([`WorldRecipe::deployment`], the §6.2 Poisson pilot with a full
-/// visit log) or batch mode ([`WorldRecipe::batch`], the flat-memory
-/// throughput driver) — optionally layer on further scheduled dynamics
-/// (`schedule_*`), then [`WorldEngine::run`] to drain the queue.
-/// `population::shard` runs one engine per shard: the builder-supplied
-/// `Network`/`EncoreSystem` and split RNG streams drop straight in.
+/// [`WorldEngine::from_recipe`] followed by [`WorldEngine::run`] is the
+/// only way in — deployment mode ([`WorldRecipe::deployment`], the §6.2
+/// Poisson pilot with a full visit log) or batch mode
+/// ([`WorldRecipe::batch`], the flat-memory throughput driver), with
+/// every scheduled dynamic read from the borrowed recipe as its event
+/// fires. `population::shard` runs one engine per shard: the
+/// builder-supplied `Network`/`EncoreSystem` and split RNG streams drop
+/// straight in.
 pub struct WorldEngine<'a> {
     net: &'a mut Network,
     system: &'a mut EncoreSystem,
     audience: &'a Audience,
+    recipe: &'a WorldRecipe,
     queue: EventQueue<WorldEvent>,
     mode: Mode,
-    policy_schedule: Vec<(SimTime, PolicyChange)>,
+    /// `system.origins` as it stood at construction (see
+    /// [`WorldRecipe::mutate_at`] on why the arrival plan is fixed).
+    origins: Vec<OriginSite>,
+    arrivals_rng: SimRng,
+    visitor_rng: SimRng,
+    /// Warm-session clients: deployment's returning visitors, batch's
+    /// bounded pool.
+    pool: Vec<BrowserClient>,
     policy_applied: usize,
-    /// Flattened reaction schedule: `(censor name, control signal)`.
-    signal_schedule: Vec<(String, String)>,
     signals_applied: usize,
-    mutations: Vec<Option<WorldMutation>>,
     rollups: Vec<Rollup>,
-    /// Streaming mode: the spec plus the bounded rollup window that
-    /// replaces `rollups`. `None` in exact mode.
-    streaming: Option<(StreamingSpec, WindowedRollups)>,
+    /// Streaming mode: the bounded rollup window that replaces
+    /// `rollups`. `None` in exact mode.
+    streaming: Option<WindowedRollups>,
     report: BatchReport,
     /// Arrival events currently in the queue; periodic events stop
     /// rescheduling once traffic is exhausted, which is what terminates
@@ -408,240 +428,105 @@ pub struct WorldEngine<'a> {
 }
 
 impl<'a> WorldEngine<'a> {
-    fn new(
-        net: &'a mut Network,
-        system: &'a mut EncoreSystem,
-        audience: &'a Audience,
-        mode: Mode,
-    ) -> WorldEngine<'a> {
-        WorldEngine {
-            net,
-            system,
-            audience,
-            queue: EventQueue::new(),
-            mode,
-            policy_schedule: Vec::new(),
-            policy_applied: 0,
-            signal_schedule: Vec::new(),
-            signals_applied: 0,
-            mutations: Vec::new(),
-            rollups: Vec::new(),
-            streaming: None,
-            report: BatchReport::default(),
-            arrivals_pending: 0,
-        }
-    }
-
-    /// A deployment-mode world: Poisson arrivals at every origin over
-    /// `config.duration`, a returning-visitor pool, and a full visit
-    /// log.
-    fn deployment(
-        net: &'a mut Network,
-        system: &'a mut EncoreSystem,
-        audience: &'a Audience,
-        config: &DeploymentConfig,
-        rng: &mut SimRng,
-    ) -> WorldEngine<'a> {
-        let arrivals_rng = rng.fork("deployment-arrivals");
-        let visitor_rng = rng.fork("deployment-visitors");
-        let origins = system.origins.clone();
-        WorldEngine::new(
-            net,
-            system,
-            audience,
-            Mode::Deployment {
-                config: *config,
-                origins,
-                arrivals_rng,
-                visitor_rng,
-                returning: Vec::new(),
-                log: Vec::new(),
-            },
-        )
-    }
-
-    /// A batch-mode world: `config.visits` self-scheduling arrivals, a
-    /// bounded warm-session client pool, and flat-memory counters.
-    fn batch(
-        net: &'a mut Network,
-        system: &'a mut EncoreSystem,
-        audience: &'a Audience,
-        config: &BatchConfig,
-        rng: &mut SimRng,
-    ) -> WorldEngine<'a> {
-        let arrivals_rng = rng.fork("batch-arrivals");
-        let visitor_rng = rng.fork("batch-visitors");
-        let origins = system.origins.clone();
-        let weights: Vec<f64> = origins.iter().map(|o| o.popularity_weight).collect();
-        let gap = Exponential::from_mean(config.mean_gap.as_millis_f64());
-        WorldEngine::new(
-            net,
-            system,
-            audience,
-            Mode::Batch {
-                config: *config,
-                origins,
-                weights,
-                gap,
-                arrivals_rng,
-                visitor_rng,
-                pool: Vec::new(),
-            },
-        )
-    }
-
-    /// Materialise a [`WorldRecipe`] against a concrete world: construct
-    /// the engine in the recipe's mode, then replay the recipe's control
-    /// schedules in the canonical order — timeline, censor reactions,
-    /// mutations, re-prioritisations, maintenance, rollups. Equivalent
-    /// imperative
-    /// `schedule_*` calls in that order produce a bit-identical run, and
-    /// `tests/world_shard_equivalence.rs` holds `run_sharded_world` at
-    /// one shard to exactly this serial replay.
+    /// Bind a [`WorldRecipe`] to a concrete world: construct the engine
+    /// in the recipe's mode and queue the recipe's control events in the
+    /// canonical order — timeline, censor reactions, mutations,
+    /// re-prioritisations, maintenance, rollups; [`run`](Self::run)
+    /// queues the traffic after them. The queue breaks same-instant ties
+    /// by insertion order, so that order *is* the firing order at a
+    /// shared instant, and `tests/world_shard_equivalence.rs` holds
+    /// `run_sharded_world` at one shard to exactly this serial run.
+    ///
+    /// Only the **not-yet-applied** suffix of the timeline is queued — a
+    /// timeline whose prefix was already replayed into the network via
+    /// [`PolicyTimeline::apply_through`] never duplicates its past. A
+    /// control signal no middlebox understands is a counted-nowhere
+    /// no-op, the reactive analogue of lifting an uninstalled censor.
+    ///
+    /// `rng.fork` is a pure derivation (it consumes no parent state), so
+    /// a streaming recipe's reservoir fork never perturbs the exact-mode
+    /// visit streams.
     pub fn from_recipe(
         net: &'a mut Network,
         system: &'a mut EncoreSystem,
         audience: &'a Audience,
-        recipe: &WorldRecipe,
+        recipe: &'a WorldRecipe,
         rng: &mut SimRng,
     ) -> WorldEngine<'a> {
-        let mut engine = match recipe.mode {
-            RunMode::Deployment(config) => {
-                WorldEngine::deployment(net, system, audience, &config, rng)
-            }
-            RunMode::Batch(config) => WorldEngine::batch(net, system, audience, &config, rng),
+        let origins = system.origins.clone();
+        let (arrivals_rng, visitor_rng, mode) = match recipe.mode {
+            RunMode::Deployment(config) => (
+                rng.fork("deployment-arrivals"),
+                rng.fork("deployment-visitors"),
+                Mode::Deployment {
+                    config,
+                    log: Vec::new(),
+                },
+            ),
+            RunMode::Batch(config) => (
+                rng.fork("batch-arrivals"),
+                rng.fork("batch-visitors"),
+                Mode::Batch {
+                    config,
+                    weights: origins.iter().map(|o| o.popularity_weight).collect(),
+                    gap: Exponential::from_mean(config.mean_gap.as_millis_f64()),
+                },
+            ),
         };
-        engine.schedule_timeline(recipe.timeline.clone());
-        for policy in &recipe.reactions {
-            engine.schedule_reactions(policy);
+        let mut queue = EventQueue::new();
+        let timeline = recipe.timeline.entries();
+        for (index, (at, _)) in timeline.iter().enumerate().skip(recipe.timeline.applied()) {
+            queue.schedule(*at, WorldEvent::PolicyChange { index });
         }
-        for (at, mutation) in &recipe.mutations {
-            let mutation = mutation.clone();
-            engine.schedule_mutation(*at, move |net, sys| mutation(net, sys));
+        for (index, (_, at, _)) in recipe.reaction_steps().enumerate() {
+            queue.schedule(at, WorldEvent::CensorSignal { index });
         }
-        for (at, strategy) in &recipe.reprioritizations {
-            engine.schedule_reprioritization(*at, *strategy);
+        for (index, (at, _)) in recipe.mutations.iter().enumerate() {
+            queue.schedule(*at, WorldEvent::Mutation { index });
+        }
+        for &(at, strategy) in &recipe.reprioritizations {
+            queue.schedule(at, WorldEvent::Reprioritize { strategy });
         }
         if let Some(period) = recipe.maintenance {
-            engine.schedule_maintenance(period);
+            assert!(period > SimDuration::ZERO, "maintenance period must be > 0");
+            queue.schedule(
+                SimTime::ZERO + period,
+                WorldEvent::MaintenanceTick { period },
+            );
         }
         if let Some(period) = recipe.rollups {
-            engine.schedule_rollups(period);
-        }
-        if let Some(spec) = &recipe.streaming {
-            engine.enable_streaming(spec.clone(), rng);
-        }
-        engine
-    }
-
-    /// Switch this run to constant-memory streaming analytics: the
-    /// collection server starts sketching instead of logging, and the
-    /// engine keeps only the spec's resident rollup window, folding
-    /// older points away. Must be called before any traffic arrives.
-    ///
-    /// `rng.fork` is a pure derivation (it consumes no parent state), so
-    /// enabling streaming never perturbs the exact-mode visit streams.
-    pub fn enable_streaming(&mut self, spec: StreamingSpec, rng: &mut SimRng) {
-        self.system.collection.enable_streaming(
-            &spec.config,
-            spec.sketch_seed,
-            rng.fork("streaming-reservoir"),
-        );
-        let windowed = WindowedRollups::new(spec.resident_rollups);
-        self.streaming = Some((spec, windowed));
-    }
-
-    /// Schedule every **not-yet-applied** change of a [`PolicyTimeline`]
-    /// as events on the queue — a timeline whose prefix was already
-    /// replayed into the network via
-    /// [`PolicyTimeline::apply_through`] contributes only its remaining
-    /// entries, never a duplicate of the past. Changes scheduled for the
-    /// same instant as an arrival fire before it (configuration precedes
-    /// traffic at equal times).
-    pub fn schedule_timeline(&mut self, timeline: PolicyTimeline) {
-        let base = self.policy_schedule.len();
-        for (offset, (at, change)) in timeline.entries()[timeline.applied()..].iter().enumerate() {
-            self.queue.schedule(
-                *at,
-                WorldEvent::PolicyChange {
-                    index: base + offset,
-                },
+            assert!(period > SimDuration::ZERO, "rollup period must be > 0");
+            queue.schedule(
+                SimTime::ZERO + period,
+                WorldEvent::CollectionRollup { period },
             );
-            self.policy_schedule.push((*at, change.clone()));
         }
-    }
-
-    /// Schedule every step of a [`ReactionPolicy`] as control-signal
-    /// events on the queue: at each step's instant the engine delivers
-    /// the signal to the named middlebox
-    /// ([`netsim::network::Network::signal_middlebox`]). Signals
-    /// scheduled for the same instant as an arrival fire before it
-    /// (configuration precedes traffic at equal times), and a signal no
-    /// middlebox understands is a counted-nowhere no-op — the reactive
-    /// analogue of lifting an uninstalled censor.
-    pub fn schedule_reactions(&mut self, policy: &ReactionPolicy) {
-        for (at, reaction) in policy.steps() {
-            self.schedule_control_signal(*at, policy.censor.clone(), reaction.signal());
+        let streaming = recipe.streaming.as_ref().map(|spec| {
+            system.collection.enable_streaming(
+                &spec.config,
+                StreamingSpec::SKETCH_SEED,
+                rng.fork("streaming-reservoir"),
+            );
+            WindowedRollups::new(StreamingSpec::RESIDENT_ROLLUPS)
+        });
+        WorldEngine {
+            net,
+            system,
+            audience,
+            recipe,
+            queue,
+            mode,
+            origins,
+            arrivals_rng,
+            visitor_rng,
+            pool: Vec::new(),
+            policy_applied: 0,
+            signals_applied: 0,
+            rollups: Vec::new(),
+            streaming,
+            report: BatchReport::default(),
+            arrivals_pending: 0,
         }
-    }
-
-    /// Schedule one raw control signal for the named middlebox at `at` —
-    /// the escape hatch under [`WorldEngine::schedule_reactions`] for
-    /// signal vocabularies the `censor::adaptive` ladder doesn't model.
-    pub fn schedule_control_signal(&mut self, at: SimTime, censor: String, signal: String) {
-        let index = self.signal_schedule.len();
-        self.signal_schedule.push((censor, signal));
-        self.queue.schedule(at, WorldEvent::CensorSignal { index });
-    }
-
-    /// Schedule an arbitrary one-shot world mutation at `at` — the
-    /// escape hatch for dynamics the policy timeline doesn't model
-    /// (standing up a collector mirror, swapping the coordination task
-    /// pool, reconfiguring fault injection).
-    ///
-    /// The *arrival plan* is fixed at run start: the engine snapshots
-    /// the origin list (and batch weights) when constructed, so
-    /// mutating `system.origins` mid-run does not add or retire traffic
-    /// sources — it only affects what later visits observe.
-    pub fn schedule_mutation(
-        &mut self,
-        at: SimTime,
-        mutation: impl FnOnce(&mut Network, &mut EncoreSystem) + 'static,
-    ) {
-        let index = self.mutations.len();
-        self.mutations.push(Some(Box::new(mutation)));
-        self.queue.schedule(at, WorldEvent::Mutation { index });
-    }
-
-    /// Schedule a mid-run swap of the coordination server's scheduling
-    /// strategy (e.g. to [`SchedulingStrategy::CoordinatedBursts`] once
-    /// a block is suspected).
-    pub fn schedule_reprioritization(&mut self, at: SimTime, strategy: SchedulingStrategy) {
-        self.queue
-            .schedule(at, WorldEvent::Reprioritize { strategy });
-    }
-
-    /// Schedule periodic session maintenance every `period`: expired
-    /// DNS entries and dead keep-alive connections are pruned from every
-    /// pooled client. Behaviour-neutral (the fetch path never serves
-    /// expired state); keeps month-long worlds' memory bounded.
-    pub fn schedule_maintenance(&mut self, period: SimDuration) {
-        assert!(period > SimDuration::ZERO, "maintenance period must be > 0");
-        self.queue.schedule(
-            SimTime::ZERO + period,
-            WorldEvent::MaintenanceTick { period },
-        );
-    }
-
-    /// Schedule periodic collection rollups every `period` — progress
-    /// snapshots a longitudinal experiment reads instead of re-scanning
-    /// the collection store per window.
-    pub fn schedule_rollups(&mut self, period: SimDuration) {
-        assert!(period > SimDuration::ZERO, "rollup period must be > 0");
-        self.queue.schedule(
-            SimTime::ZERO + period,
-            WorldEvent::CollectionRollup { period },
-        );
     }
 
     /// Drain the queue: run the world to completion and return what it
@@ -659,30 +544,28 @@ impl<'a> WorldEngine<'a> {
                     self.on_batch_arrival(now, seq);
                 }
                 WorldEvent::PolicyChange { index } => {
-                    if self.policy_schedule[index].1.apply(self.net) {
+                    if self.recipe.timeline.entries()[index].1.apply(self.net) {
                         self.policy_applied += 1;
                     }
                 }
                 WorldEvent::CensorSignal { index } => {
-                    let (censor, signal) = &self.signal_schedule[index];
-                    if self.net.signal_middlebox(censor, signal, now) {
+                    let (censor, _, reaction) = self
+                        .recipe
+                        .reaction_steps()
+                        .nth(index)
+                        .expect("queued from this recipe");
+                    if self.net.signal_middlebox(censor, &reaction.signal(), now) {
                         self.signals_applied += 1;
                     }
                 }
                 WorldEvent::Mutation { index } => {
-                    if let Some(mutation) = self.mutations[index].take() {
-                        mutation(self.net, self.system);
-                    }
+                    (self.recipe.mutations[index].1)(self.net, self.system);
                 }
                 WorldEvent::Reprioritize { strategy } => {
                     self.system.coordination.set_strategy(strategy);
                 }
                 WorldEvent::MaintenanceTick { period } => {
-                    let pool = match &mut self.mode {
-                        Mode::Deployment { returning, .. } => returning,
-                        Mode::Batch { pool, .. } => pool,
-                    };
-                    for client in pool.iter_mut() {
+                    for client in &mut self.pool {
                         client.session.prune_expired(now);
                     }
                     if self.arrivals_pending > 0 {
@@ -707,7 +590,7 @@ impl<'a> WorldEngine<'a> {
                         collected: self.system.collection.len(),
                     };
                     match &mut self.streaming {
-                        Some((_, windowed)) => windowed.push(rollup),
+                        Some(windowed) => windowed.push(rollup),
                         None => self.rollups.push(rollup),
                     }
                     if self.arrivals_pending > 0 {
@@ -723,17 +606,12 @@ impl<'a> WorldEngine<'a> {
     /// Enqueue the traffic. Runs after all configuration events so that
     /// same-instant ties resolve configuration-first.
     fn schedule_arrivals(&mut self) {
-        match &mut self.mode {
-            Mode::Deployment {
-                config,
-                origins,
-                arrivals_rng,
-                ..
-            } => {
+        match &self.mode {
+            Mode::Deployment { config, .. } => {
                 // Per-origin Poisson streams, scheduled origin-by-origin:
                 // the queue's insertion tie-break then reproduces the
                 // legacy driver's (time, origin_index) sort exactly.
-                for (idx, origin) in origins.iter().enumerate() {
+                for (idx, origin) in self.origins.iter().enumerate() {
                     let rate_per_day = config.visits_per_day_per_weight * origin.popularity_weight;
                     if rate_per_day <= 0.0 {
                         continue;
@@ -742,7 +620,9 @@ impl<'a> WorldEngine<'a> {
                     let gap = Exponential::from_mean(mean_gap_secs);
                     let mut t = SimTime::ZERO;
                     loop {
-                        let dt = SimDuration::from_millis_f64(gap.sample(arrivals_rng) * 1_000.0);
+                        let dt = SimDuration::from_millis_f64(
+                            gap.sample(&mut self.arrivals_rng) * 1_000.0,
+                        );
                         t += dt;
                         if t.since(SimTime::ZERO) >= config.duration {
                             break;
@@ -753,15 +633,11 @@ impl<'a> WorldEngine<'a> {
                     }
                 }
             }
-            Mode::Batch {
-                config,
-                gap,
-                arrivals_rng,
-                ..
-            } => {
+            Mode::Batch { config, gap, .. } => {
                 if config.visits > 0 {
-                    let t = SimTime::ZERO + SimDuration::from_millis_f64(gap.sample(arrivals_rng));
-                    self.queue.schedule(t, WorldEvent::BatchArrival { seq: 1 });
+                    let first = SimDuration::from_millis_f64(gap.sample(&mut self.arrivals_rng));
+                    self.queue
+                        .schedule(SimTime::ZERO + first, WorldEvent::BatchArrival { seq: 1 });
                     self.arrivals_pending += 1;
                 }
             }
@@ -769,15 +645,7 @@ impl<'a> WorldEngine<'a> {
     }
 
     fn on_deployment_arrival(&mut self, at: SimTime, origin_index: usize) {
-        let Mode::Deployment {
-            config,
-            origins,
-            visitor_rng,
-            returning,
-            log,
-            ..
-        } = &mut self.mode
-        else {
+        let Mode::Deployment { config, log } = &mut self.mode else {
             unreachable!("deployment arrival fired in batch mode");
         };
         let (visitor, country, outcome) = execute_arrival(
@@ -785,9 +653,9 @@ impl<'a> WorldEngine<'a> {
             self.system,
             self.audience,
             &mut self.report,
-            visitor_rng,
-            &origins[origin_index],
-            returning,
+            &mut self.visitor_rng,
+            &self.origins[origin_index],
+            &mut self.pool,
             config.returning_pool,
             config.repeat_visitor_rate,
             at,
@@ -814,13 +682,9 @@ impl<'a> WorldEngine<'a> {
     fn on_batch_arrival(&mut self, at: SimTime, seq: u64) {
         let Mode::Batch {
             config,
-            origins,
             weights,
             gap,
-            arrivals_rng,
-            visitor_rng,
-            pool,
-        } = &mut self.mode
+        } = &self.mode
         else {
             unreachable!("batch arrival fired in deployment mode");
         };
@@ -830,7 +694,7 @@ impl<'a> WorldEngine<'a> {
             // that halts below — matching the legacy driver's clock.
             self.report.sim_span = at.since(SimTime::ZERO);
 
-            let Some(origin_idx) = visitor_rng.pick_weighted(weights) else {
+            let Some(origin_idx) = self.visitor_rng.pick_weighted(weights) else {
                 // All origins weightless: nothing would ever be visited,
                 // so the arrival process halts here.
                 return;
@@ -840,9 +704,9 @@ impl<'a> WorldEngine<'a> {
                 self.system,
                 self.audience,
                 &mut self.report,
-                visitor_rng,
-                &origins[origin_idx],
-                pool,
+                &mut self.visitor_rng,
+                &self.origins[origin_idx],
+                &mut self.pool,
                 config.client_pool,
                 config.repeat_visitor_rate,
                 at,
@@ -851,7 +715,7 @@ impl<'a> WorldEngine<'a> {
             if seq >= config.visits {
                 return;
             }
-            let next = at + SimDuration::from_millis_f64(gap.sample(arrivals_rng));
+            let next = at + SimDuration::from_millis_f64(gap.sample(&mut self.arrivals_rng));
             match self.queue.peek_time() {
                 // Another event fires at or before the next arrival:
                 // yield so it interleaves exactly as before. (On a time
@@ -877,14 +741,14 @@ impl<'a> WorldEngine<'a> {
         // tail past the last rollup) before snapshotting, then decompose
         // the bounded rollup window into its resident tail + fold.
         let (rollups, streaming) = match self.streaming {
-            Some((spec, windowed)) => {
+            Some(windowed) => {
                 let alloc = &self.net.allocator;
                 self.system
                     .collection
                     .close_all_windows(|ip| alloc.country_of(ip));
                 let (resident, evicted) = windowed.into_parts();
                 let summary = StreamSummary {
-                    window: spec.resident_rollups as u64,
+                    window: StreamingSpec::RESIDENT_ROLLUPS as u64,
                     evicted,
                     drops: self.system.collection.drops(),
                     accepted: self.system.collection.len() as u64,
@@ -894,19 +758,12 @@ impl<'a> WorldEngine<'a> {
             None => (RollupSeries(self.rollups), None),
         };
         let mut report = self.report;
+        for client in &self.pool {
+            report.absorb_session(client);
+        }
         let log = match self.mode {
-            Mode::Deployment { returning, log, .. } => {
-                for client in &returning {
-                    report.absorb_session(client);
-                }
-                log
-            }
-            Mode::Batch { pool, .. } => {
-                for client in &pool {
-                    report.absorb_session(client);
-                }
-                Vec::new()
-            }
+            Mode::Deployment { log, .. } => log,
+            Mode::Batch { .. } => Vec::new(),
         };
         WorldOutcome {
             log,
@@ -979,7 +836,7 @@ mod tests {
     use super::*;
     use crate::analytics::RollupFold;
     use censor::policy::{CensorPolicy, Mechanism};
-    use censor::timeline::CensorSpec;
+    use censor::timeline::{CensorSpec, PolicyChange};
     use encore::coordination::SchedulingStrategy;
     use encore::tasks::{MeasurementId, MeasurementTask, TaskSpec};
     use netsim::geo::{country, World};
@@ -1017,25 +874,30 @@ mod tests {
         }
     }
 
+    /// Run `recipe` on `world` with the academic audience under `seed`.
+    fn run_on(
+        world: &mut (Network, EncoreSystem),
+        recipe: &WorldRecipe,
+        seed: u64,
+    ) -> WorldOutcome {
+        let (net, sys) = world;
+        let mut rng = SimRng::new(seed);
+        WorldEngine::from_recipe(net, sys, &Audience::academic(), recipe, &mut rng).run()
+    }
+
+    /// Run `recipe` on a fresh [`deployment_world`].
+    fn run_fresh(recipe: &WorldRecipe, seed: u64) -> WorldOutcome {
+        run_on(&mut deployment_world(), recipe, seed)
+    }
+
     #[test]
     fn neutral_events_do_not_perturb_the_visit_stream() {
-        let audience = Audience::academic();
-        let base = {
-            let (mut net, mut sys) = deployment_world();
-            let mut rng = SimRng::new(0xABBA);
-            let engine = WorldEngine::deployment(&mut net, &mut sys, &audience, &week(), &mut rng);
-            engine.run().log
-        };
-        let with_noise = {
-            let (mut net, mut sys) = deployment_world();
-            let mut rng = SimRng::new(0xABBA);
-            let mut engine =
-                WorldEngine::deployment(&mut net, &mut sys, &audience, &week(), &mut rng);
-            engine.schedule_maintenance(SimDuration::from_secs(3_600));
-            engine.schedule_rollups(SimDuration::from_days(1));
-            engine.schedule_mutation(SimTime::from_secs(1_000), |_, _| {});
-            engine.run().log
-        };
+        let base = run_fresh(&WorldRecipe::deployment(week()), 0xABBA).log;
+        let noisy = WorldRecipe::deployment(week())
+            .mutate_at(SimTime::from_secs(1_000), |_, _| {})
+            .with_maintenance(SimDuration::from_secs(3_600))
+            .with_rollups(SimDuration::from_days(1));
+        let with_noise = run_fresh(&noisy, 0xABBA).log;
         assert_eq!(
             base, with_noise,
             "maintenance/rollup/no-op events must be RNG- and behaviour-neutral"
@@ -1044,12 +906,8 @@ mod tests {
 
     #[test]
     fn rollups_fire_periodically_and_monotonically() {
-        let (mut net, mut sys) = deployment_world();
-        let audience = Audience::academic();
-        let mut rng = SimRng::new(7);
-        let mut engine = WorldEngine::deployment(&mut net, &mut sys, &audience, &week(), &mut rng);
-        engine.schedule_rollups(SimDuration::from_days(1));
-        let out = engine.run();
+        let recipe = WorldRecipe::deployment(week()).with_rollups(SimDuration::from_days(1));
+        let out = run_fresh(&recipe, 7);
         assert!(out.rollups.len() >= 6, "rollups: {}", out.rollups.len());
         for w in out.rollups.windows(2) {
             assert!(w[0].at < w[1].at);
@@ -1062,10 +920,7 @@ mod tests {
 
     #[test]
     fn deployment_report_tallies_match_the_log() {
-        let (mut net, mut sys) = deployment_world();
-        let audience = Audience::academic();
-        let mut rng = SimRng::new(0x11);
-        let out = WorldEngine::deployment(&mut net, &mut sys, &audience, &week(), &mut rng).run();
+        let out = run_fresh(&WorldRecipe::deployment(week()), 0x11);
         assert_eq!(out.report.visits as usize, out.log.len());
         let origin_loads = out.log.iter().filter(|v| v.outcome.origin_loaded).count();
         assert_eq!(out.report.origin_loads as usize, origin_loads);
@@ -1082,18 +937,14 @@ mod tests {
     #[test]
     fn timeline_events_toggle_censorship_mid_run() {
         let run = |with_block: bool| {
-            let (mut net, mut sys) = deployment_world();
-            let audience = Audience::academic();
-            let mut rng = SimRng::new(0x70 + u64::from(with_block));
-            let mut engine =
-                WorldEngine::deployment(&mut net, &mut sys, &audience, &week(), &mut rng);
+            let mut recipe = WorldRecipe::deployment(week());
             if with_block {
                 let spec = CensorSpec::new(
                     country("US"),
                     CensorPolicy::named("mid-run-block")
                         .block_domain("target.example", Mechanism::DnsNxDomain),
                 );
-                engine.schedule_timeline(
+                recipe = recipe.with_timeline(
                     PolicyTimeline::new()
                         .at(SimTime::from_secs(2 * 86_400), PolicyChange::Install(spec))
                         .at(
@@ -1104,7 +955,7 @@ mod tests {
                         ),
                 );
             }
-            engine.run()
+            run_fresh(&recipe, 0x70 + u64::from(with_block))
         };
         let blocked = run(true);
         assert_eq!(blocked.policy_changes_applied, 2);
@@ -1155,18 +1006,16 @@ mod tests {
                     },
                 )
         };
-        let (mut net, mut sys) = deployment_world();
-        let audience = Audience::academic();
+        let mut world = deployment_world();
         // The caller replays the t=0 install themselves before the run…
         let mut tl = timeline();
-        tl.apply_through(&mut net, SimTime::ZERO);
-        assert_eq!(net.middleboxes().len(), 1);
-        let mut rng = SimRng::new(0x42);
-        let mut engine = WorldEngine::deployment(&mut net, &mut sys, &audience, &week(), &mut rng);
+        tl.apply_through(&mut world.0, SimTime::ZERO);
+        assert_eq!(world.0.middleboxes().len(), 1);
         // …then hands the same timeline to the engine: only the lift may
         // fire, and no duplicate censor may ever stack up.
-        engine.schedule_timeline(tl);
-        let out = engine.run();
+        let recipe = WorldRecipe::deployment(week()).with_timeline(tl);
+        let out = run_on(&mut world, &recipe, 0x42);
+        let (net, _) = world;
         assert_eq!(
             out.policy_changes_applied, 1,
             "only the unapplied suffix runs"
@@ -1179,7 +1028,7 @@ mod tests {
 
     #[test]
     fn reaction_events_drive_adaptive_censors() {
-        use censor::adaptive::{AdaptiveSpec, Reaction, ReactionPolicy, Stage};
+        use censor::adaptive::{AdaptiveSpec, Stage};
         let run = |with_reactions: bool| {
             let (mut net, mut sys) = deployment_world();
             // A standing adaptive censor, watching the measurement
@@ -1237,7 +1086,6 @@ mod tests {
 
     #[test]
     fn signals_to_unknown_or_stateless_middleboxes_are_uncounted_noops() {
-        use censor::adaptive::{Reaction, ReactionPolicy};
         let (mut net, mut sys) = deployment_world();
         let audience = Audience::academic();
         let mut rng = SimRng::new(0xD0);
@@ -1256,32 +1104,34 @@ mod tests {
 
     #[test]
     fn reprioritization_switches_strategy_mid_run() {
-        let (mut net, mut sys) = deployment_world();
-        let audience = Audience::academic();
-        let mut rng = SimRng::new(0x21);
-        let mut engine = WorldEngine::deployment(&mut net, &mut sys, &audience, &week(), &mut rng);
         let burst = SchedulingStrategy::CoordinatedBursts {
             window: SimDuration::from_secs(60),
         };
-        engine.schedule_reprioritization(SimTime::from_secs(3 * 86_400), burst);
-        engine.run();
-        assert_eq!(sys.coordination.strategy(), burst);
+        let recipe =
+            WorldRecipe::deployment(week()).reprioritize_at(SimTime::from_secs(3 * 86_400), burst);
+        let mut world = deployment_world();
+        run_on(&mut world, &recipe, 0x21);
+        assert_eq!(world.1.coordination.strategy(), burst);
     }
 
     #[test]
     fn mutation_events_can_rewire_the_world() {
-        let (mut net, mut sys) = deployment_world();
-        let audience = Audience::academic();
-        let mut rng = SimRng::new(0x31);
-        let mut engine = WorldEngine::deployment(&mut net, &mut sys, &audience, &week(), &mut rng);
-        engine.schedule_mutation(SimTime::from_secs(86_400), |net, _| {
-            net.clear_middleboxes(); // no-op here, but proves &mut access
-        });
-        engine.schedule_mutation(SimTime::from_secs(2 * 86_400), |_, sys| {
-            sys.max_tasks_per_visit = 1;
-        });
-        engine.run();
-        assert_eq!(sys.max_tasks_per_visit, 1);
+        let recipe = WorldRecipe::deployment(week())
+            .mutate_at(SimTime::from_secs(86_400), |net, _| {
+                net.clear_middleboxes(); // no-op here, but proves &mut access
+            })
+            .mutate_at(SimTime::from_secs(2 * 86_400), |_, sys| {
+                sys.max_tasks_per_visit = 1;
+            });
+        let mut world = deployment_world();
+        run_on(&mut world, &recipe, 0x31);
+        assert_eq!(world.1.max_tasks_per_visit, 1);
+    }
+
+    #[test]
+    fn world_event_stays_two_words() {
+        // One is queued per deployment arrival (see `WorldEvent`).
+        assert_eq!(std::mem::size_of::<WorldEvent>(), 16);
     }
 
     #[test]
@@ -1292,110 +1142,85 @@ mod tests {
     }
 
     #[test]
-    fn recipe_replay_matches_imperative_schedule_calls() {
-        let audience = Audience::academic();
-        let timeline = || {
-            PolicyTimeline::new()
-                .at(
-                    SimTime::from_secs(2 * 86_400),
-                    PolicyChange::Install(CensorSpec::new(
-                        country("US"),
-                        CensorPolicy::named("recipe-block")
-                            .block_domain("target.example", Mechanism::DnsNxDomain),
-                    )),
-                )
-                .at(
-                    SimTime::from_secs(5 * 86_400),
-                    PolicyChange::Lift {
-                        name: "recipe-block".into(),
-                    },
-                )
-        };
-        let burst = SchedulingStrategy::CoordinatedBursts {
-            window: SimDuration::from_secs(60),
-        };
-        let reactions = || {
-            censor::adaptive::ReactionPolicy::new("nobody-home").at(
-                SimTime::from_secs(86_000),
-                censor::adaptive::Reaction::Escalate,
-            )
-        };
-
-        // Imperative: schedule_* calls in the canonical order.
-        let imperative = {
+    fn same_instant_events_fire_in_the_canonical_order() {
+        // Everything a recipe queues, in the order the run loop pops it.
+        let queued = |recipe: &WorldRecipe| {
             let (mut net, mut sys) = deployment_world();
+            let audience = Audience::academic();
             let mut rng = SimRng::new(0xC0FFEE);
             let mut engine =
-                WorldEngine::deployment(&mut net, &mut sys, &audience, &week(), &mut rng);
-            engine.schedule_timeline(timeline());
-            engine.schedule_reactions(&reactions());
-            engine.schedule_mutation(SimTime::from_secs(86_400), |_, sys| {
-                sys.max_tasks_per_visit = 2;
-            });
-            engine.schedule_reprioritization(SimTime::from_secs(3 * 86_400), burst);
-            engine.schedule_maintenance(SimDuration::from_secs(3_600));
-            engine.schedule_rollups(SimDuration::from_days(1));
-            engine.run()
+                WorldEngine::from_recipe(&mut net, &mut sys, &audience, recipe, &mut rng);
+            engine.schedule_arrivals();
+            std::iter::from_fn(|| engine.queue.pop()).collect::<Vec<_>>()
         };
-
-        // Declarative: the same run as a recipe.
+        // Arrival instants depend on the seed alone, so the bare run's
+        // first arrival is where every control event is aimed.
+        let at = queued(&WorldRecipe::deployment(week()))[0].0;
+        let period = at.since(SimTime::ZERO);
+        let lift = PolicyChange::Lift {
+            name: "nobody-home".into(),
+        };
+        // Built back to front: the order is the engine's, not the builder's.
         let recipe = WorldRecipe::deployment(week())
-            .with_timeline(timeline())
-            .with_reaction(reactions())
-            .mutate_at(SimTime::from_secs(86_400), |_, sys| {
-                sys.max_tasks_per_visit = 2;
-            })
-            .reprioritize_at(SimTime::from_secs(3 * 86_400), burst)
-            .with_maintenance(SimDuration::from_secs(3_600))
-            .with_rollups(SimDuration::from_days(1));
-        let declarative = {
-            let (mut net, mut sys) = deployment_world();
-            let mut rng = SimRng::new(0xC0FFEE);
-            WorldEngine::from_recipe(&mut net, &mut sys, &audience, &recipe, &mut rng).run()
-        };
-
+            .with_rollups(period)
+            .with_maintenance(period)
+            .reprioritize_at(at, SchedulingStrategy::Random)
+            .mutate_at(at, |_, _| {})
+            .with_reaction(ReactionPolicy::new("nobody-home").at(at, Reaction::Escalate))
+            .with_timeline(PolicyTimeline::new().at(at, lift));
+        let fired: Vec<String> = queued(&recipe)
+            .iter()
+            .take_while(|(when, _)| *when == at)
+            .map(|(_, event)| format!("{event:?}"))
+            .collect();
+        let kinds: Vec<&str> = fired
+            .iter()
+            .map(|e| e.split(' ').next().expect("variant name"))
+            .collect();
         assert_eq!(
-            imperative, declarative,
-            "from_recipe must replay bit-identically to imperative scheduling"
+            kinds,
+            [
+                "PolicyChange",
+                "CensorSignal",
+                "Mutation",
+                "Reprioritize",
+                "MaintenanceTick",
+                "CollectionRollup",
+                "DeploymentArrival",
+            ]
         );
-        assert_eq!(declarative.policy_changes_applied, 2);
-        assert!(!declarative.rollups.is_empty());
     }
 
     #[test]
     fn recipe_can_be_replayed_twice_from_one_description() {
-        // A recipe is reusable (Fn mutations, cloneable timeline): two
+        // A recipe is reusable (Fn mutations, borrowed timeline): two
         // fresh worlds driven by the same recipe agree byte for byte.
         let recipe = WorldRecipe::deployment(week())
             .mutate_at(SimTime::from_secs(1_000), |_, sys| {
                 sys.max_tasks_per_visit = 1;
             })
             .with_rollups(SimDuration::from_days(2));
-        let audience = Audience::academic();
-        let go = || {
-            let (mut net, mut sys) = deployment_world();
-            let mut rng = SimRng::new(7);
-            WorldEngine::from_recipe(&mut net, &mut sys, &audience, &recipe, &mut rng).run()
-        };
-        assert_eq!(go(), go());
+        assert_eq!(run_fresh(&recipe, 7), run_fresh(&recipe, 7));
     }
 
     #[test]
     fn streaming_recipe_bounds_rollups_and_matches_exact() {
-        let audience = Audience::academic();
-        let exact_recipe = WorldRecipe::deployment(week()).with_rollups(SimDuration::from_days(1));
+        // Two weeks of daily rollups: enough to evict past the resident
+        // window.
+        let fortnight = DeploymentConfig {
+            duration: SimDuration::from_days(14),
+            ..week()
+        };
+        let exact_recipe =
+            WorldRecipe::deployment(fortnight).with_rollups(SimDuration::from_days(1));
         // with_streaming inherits the spec's window as the rollup
         // cadence, so both runs roll up daily.
-        let streaming_recipe = WorldRecipe::deployment(week()).with_streaming(StreamingSpec {
-            resident_rollups: 2,
-            ..StreamingSpec::with_window(SimDuration::from_days(1))
-        });
+        let streaming_recipe = WorldRecipe::deployment(fortnight)
+            .with_streaming(StreamingSpec::with_window(SimDuration::from_days(1)));
         let go = |recipe: &WorldRecipe| {
-            let (mut net, mut sys) = deployment_world();
-            let mut rng = SimRng::new(0xFEED);
-            let out =
-                WorldEngine::from_recipe(&mut net, &mut sys, &audience, recipe, &mut rng).run();
-            (out, sys.collection.len())
+            let mut world = deployment_world();
+            let out = run_on(&mut world, recipe, 0xFEED);
+            (out, world.1.collection.len())
         };
         let (exact, exact_collected) = go(&exact_recipe);
         let (streamed, _) = go(&streaming_recipe);
@@ -1408,8 +1233,9 @@ mod tests {
         // Rollups stay bounded; the resident tail is the exact series'
         // tail, and fold + tail reconstructs the full series' fold.
         let summary = streamed.streaming.expect("streaming summary present");
-        assert!(exact.rollups.len() >= 6, "need evictions to test against");
-        assert_eq!(streamed.rollups.len(), 2);
+        assert!(exact.rollups.len() >= 12, "need evictions to test against");
+        assert_eq!(streamed.rollups.len(), StreamingSpec::RESIDENT_ROLLUPS);
+        assert_eq!(summary.window, StreamingSpec::RESIDENT_ROLLUPS as u64);
         let tail_start = exact.rollups.len() - streamed.rollups.len();
         assert_eq!(streamed.rollups.0, exact.rollups.0[tail_start..]);
         assert_eq!(
@@ -1435,19 +1261,20 @@ mod tests {
     #[test]
     fn batch_mode_is_deterministic_under_housekeeping() {
         let go = |housekeeping: bool| {
-            let (mut net, mut sys) = deployment_world();
-            let mut rng = SimRng::new(5);
-            let config = BatchConfig {
+            let mut recipe = WorldRecipe::batch(BatchConfig {
                 visits: 500,
                 ..BatchConfig::default()
-            };
-            let audience = Audience::academic();
-            let mut engine = WorldEngine::batch(&mut net, &mut sys, &audience, &config, &mut rng);
+            });
             if housekeeping {
-                engine.schedule_maintenance(SimDuration::from_secs(600));
-                engine.schedule_rollups(SimDuration::from_secs(600));
+                recipe = recipe
+                    .with_maintenance(SimDuration::from_secs(600))
+                    .with_rollups(SimDuration::from_secs(600));
             }
-            (engine.run().report, sys.collection.len())
+            let mut world = deployment_world();
+            (
+                run_on(&mut world, &recipe, 5).report,
+                world.1.collection.len(),
+            )
         };
         assert_eq!(go(false).0, go(true).0);
         assert_eq!(go(true), go(true));

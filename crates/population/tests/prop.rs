@@ -403,14 +403,16 @@ mod world_engine_props {
             let noisy = {
                 let (mut net, mut sys) = tiny_world();
                 let mut rng = SimRng::new(seed);
-                let mut engine =
-                    WorldEngine::from_recipe(&mut net, &mut sys, &audience, &two_days(), &mut rng);
-                for &s in &mutation_secs {
-                    engine.schedule_mutation(SimTime::from_secs(s), |_, _| {});
-                }
-                engine.schedule_maintenance(SimDuration::from_secs(tick_secs));
-                engine.schedule_rollups(SimDuration::from_secs(tick_secs));
-                engine.run().log
+                let recipe = mutation_secs
+                    .iter()
+                    .fold(two_days(), |recipe, &s| {
+                        recipe.mutate_at(SimTime::from_secs(s), |_, _| {})
+                    })
+                    .with_maintenance(SimDuration::from_secs(tick_secs))
+                    .with_rollups(SimDuration::from_secs(tick_secs));
+                WorldEngine::from_recipe(&mut net, &mut sys, &audience, &recipe, &mut rng)
+                    .run()
+                    .log
             };
             prop_assert_eq!(bare, noisy);
         }
@@ -423,17 +425,17 @@ mod world_engine_props {
             strategy_switch_secs in 0u64..200_000,
         ) {
             let audience = Audience::academic();
+            let recipe = two_days()
+                .reprioritize_at(
+                    SimTime::from_secs(strategy_switch_secs),
+                    SchedulingStrategy::Random,
+                )
+                .with_rollups(SimDuration::from_secs(7_200));
             let go = || {
                 let (mut net, mut sys) = tiny_world();
                 let mut rng = SimRng::new(seed);
-                let mut engine =
-                    WorldEngine::from_recipe(&mut net, &mut sys, &audience, &two_days(), &mut rng);
-                engine.schedule_reprioritization(
-                    SimTime::from_secs(strategy_switch_secs),
-                    SchedulingStrategy::Random,
-                );
-                engine.schedule_rollups(SimDuration::from_secs(7_200));
-                let out = engine.run();
+                let out =
+                    WorldEngine::from_recipe(&mut net, &mut sys, &audience, &recipe, &mut rng).run();
                 (out.log, out.report, out.rollups)
             };
             prop_assert_eq!(go(), go());

@@ -125,9 +125,96 @@ impl Interner {
     }
 }
 
+/// A dense table over interned symbols: slot `sym.index()` holds that
+/// symbol's value, `None` until one is inserted, so a lookup is one
+/// vector index — no hash, no allocation. Bounded by the interner that
+/// issued the symbols (one slot per distinct string, whatever the
+/// traffic); the table grows to reach a symbol only when a value is
+/// inserted for it.
+#[derive(Debug, Clone)]
+pub struct SymTable<T>(Vec<Option<T>>);
+
+impl<T> Default for SymTable<T> {
+    fn default() -> SymTable<T> {
+        SymTable(Vec::new())
+    }
+}
+
+impl<T> SymTable<T> {
+    /// The value held for `sym`, if any.
+    #[inline]
+    pub fn get(&self, sym: Sym) -> Option<&T> {
+        self.0.get(sym.index())?.as_ref()
+    }
+
+    /// The slot for `sym`, growing the table to reach it.
+    #[inline]
+    fn slot(&mut self, sym: Sym) -> &mut Option<T> {
+        let i = sym.index();
+        if self.0.len() <= i {
+            self.0.resize_with(i + 1, || None);
+        }
+        &mut self.0[i]
+    }
+
+    /// Set the value for `sym`, returning the one it replaces.
+    #[inline]
+    pub fn insert(&mut self, sym: Sym, value: T) -> Option<T> {
+        self.slot(sym).replace(value)
+    }
+
+    /// The value held for `sym`, computed and stored on first ask.
+    #[inline]
+    pub fn get_or_insert_with(&mut self, sym: Sym, compute: impl FnOnce() -> T) -> &T {
+        self.slot(sym).get_or_insert_with(compute)
+    }
+
+    /// Take the value held for `sym` out of the table.
+    #[inline]
+    pub fn remove(&mut self, sym: Sym) -> Option<T> {
+        self.0.get_mut(sym.index())?.take()
+    }
+
+    /// Drop every value `keep` rejects (slots stay allocated).
+    pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
+        for slot in &mut self.0 {
+            if slot.as_ref().is_some_and(|v| !keep(v)) {
+                *slot = None;
+            }
+        }
+    }
+
+    /// Drop every value and slot.
+    pub fn clear(&mut self) {
+        self.0.clear();
+    }
+
+    /// Bytes the slots occupy.
+    pub fn resident_bytes(&self) -> usize {
+        self.0.capacity() * std::mem::size_of::<Option<T>>()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sym_table_grows_on_insert_only_and_keeps_slots_on_retain() {
+        let mut t = SymTable::default();
+        assert_eq!(t.get(Sym(3)), None);
+        assert_eq!(t.remove(Sym(3)), None);
+        assert_eq!(t.resident_bytes(), 0, "lookups never grow the table");
+        assert_eq!(t.insert(Sym(3), 30), None);
+        assert_eq!(t.insert(Sym(3), 31), Some(30));
+        assert_eq!(*t.get_or_insert_with(Sym(3), || unreachable!()), 31);
+        assert_eq!(*t.get_or_insert_with(Sym(1), || 10), 10);
+        t.retain(|&v| v != 31);
+        assert_eq!((t.get(Sym(1)), t.get(Sym(3))), (Some(&10), None));
+        assert_eq!(t.remove(Sym(1)), Some(10));
+        t.clear();
+        assert_eq!(t.get(Sym(1)), None);
+    }
 
     #[test]
     fn symbols_are_dense_and_stable() {

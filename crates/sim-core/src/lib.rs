@@ -58,7 +58,7 @@ pub use frame::{
     decode_frame, encode_frame, read_frame, write_frame, Frame, FrameError, FRAME_HEADER_LEN,
     FRAME_MAGIC, FRAME_VERSION,
 };
-pub use intern::{FxBuildHasher, Interner, Sym};
+pub use intern::{FxBuildHasher, Interner, Sym, SymTable};
 pub use merge::merge_time_ordered;
 pub use queue::EventQueue;
 pub use rng::{seeded_hash, splitmix_mix, SimRng};

@@ -38,7 +38,7 @@ use encore::system::EncoreSystem;
 use netsim::geo::{country, CountryCode};
 use netsim::http::{ContentType, HttpResponse};
 use netsim::network::Network;
-use netsim::scenario::{NetworkScenario, WorldScenario, WorldSpec};
+use netsim::scenario::{NetworkScenario, WorldScenario};
 use netsim::TopologyConfig;
 use population::shard::ShardContext;
 use population::{BatchConfig, DeploymentConfig, WorldRecipe};
@@ -799,7 +799,7 @@ impl WorldCase {
     /// corpus for corpus cases — plus a standing adaptive censor when
     /// the model calls for one) and an Encore deployment.
     pub fn build(&self, ctx: ShardContext) -> (Network, EncoreSystem) {
-        let mut scenario = NetworkScenario::new(WorldSpec::Builtin).with_ideal_paths();
+        let mut scenario = NetworkScenario::new().with_ideal_paths();
         if self.corpus.is_none() {
             scenario = scenario.with_server(
                 TARGET,

@@ -67,7 +67,7 @@ impl WorldSpec for CaseSpec {
 const TRANSPORT_SHARDS: [usize; 2] = [1, 3];
 
 /// Check one generated world across both transport backends: for each
-/// shard count in [`TRANSPORT_SHARDS`], the process transport must
+/// shard count in `TRANSPORT_SHARDS`, the process transport must
 /// reproduce the thread transport byte-for-byte (structural outcome,
 /// collection, per-shard reports, and all three serialized byte-images).
 ///

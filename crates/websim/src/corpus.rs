@@ -196,17 +196,6 @@ impl Corpus {
         &self.popularity
     }
 
-    /// The `k` most popular domains — the natural measurement-target set.
-    pub fn measurement_domains(&self, k: usize) -> Vec<String> {
-        self.domains().into_iter().take(k).collect()
-    }
-
-    /// The canonical single-packet measurement probe for a site: its
-    /// favicon (every generated site has one).
-    pub fn probe_url(&self, rank: usize) -> String {
-        self.web.sites[rank].url("/favicon.ico")
-    }
-
     /// Cross-site in-degrees by rank (hubs of the scale-free graph).
     pub fn in_degrees(&self) -> Vec<usize> {
         let mut deg = vec![0usize; self.len()];
