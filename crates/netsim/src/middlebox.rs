@@ -80,7 +80,8 @@ pub enum HttpAction {
 /// An on-path middlebox. All hooks default to `Pass`, so implementations
 /// override only the stages they interfere with.
 pub trait Middlebox {
-    /// Diagnostic name (appears in traces).
+    /// Diagnostic name: the key [`crate::Network::remove_middlebox`],
+    /// `replace_middlebox` and `signal_middlebox` look middleboxes up by.
     fn name(&self) -> &str;
 
     /// Whether this middlebox sits on `client`'s path (e.g. a national

@@ -20,7 +20,7 @@ use crate::path::{PathModel, PathQuality};
 use crate::session::{FetchSession, SessionConfig};
 use crate::topology::{AsTopology, TransitDecision, HOP_MS};
 use serde::{Deserialize, Serialize};
-use sim_core::{SimDuration, SimRng, SimTime, Trace, TraceLevel};
+use sim_core::{SimDuration, SimRng, SimTime};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
@@ -187,8 +187,6 @@ pub struct Network {
     pub path_model: PathModel,
     /// Global fault injector (applies to every fetch).
     pub fault: FaultInjector,
-    /// Event trace.
-    pub trace: Trace,
     servers: BTreeMap<Ipv4Addr, ServerEntry>,
     /// Memoised path qualities (see [`Network::quality_between`]).
     quality_memo: std::cell::RefCell<QualityMemo>,
@@ -219,7 +217,6 @@ impl Network {
             allocator: IpAllocator::new(),
             path_model: PathModel::default(),
             fault: FaultInjector::none(),
-            trace: Trace::default(),
             servers: BTreeMap::new(),
             quality_memo: std::cell::RefCell::new(QualityMemo::default()),
             middleboxes: Vec::new(),
@@ -376,12 +373,6 @@ impl Network {
                 let changed = mb.on_control(signal, now);
                 if changed {
                     self.behavior_generation += 1;
-                    self.trace.record(
-                        now,
-                        TraceLevel::Info,
-                        "censor",
-                        format!("{name} applied control signal {signal:?}"),
-                    );
                 }
                 changed
             }
@@ -1015,21 +1006,5 @@ mod tests {
         n.remove_middlebox("dns-blocker");
         let out = session.fetch(&mut n, &req, SimTime::from_secs(1), &mut rng);
         assert!(out.result.is_ok(), "stale pipeline survived removal");
-    }
-
-    #[test]
-    fn trace_records_censor_interference() {
-        let mut n = network();
-        n.add_server("censored.com", country("US"), img_handler(400));
-        n.add_middlebox(Box::new(DnsBlocker));
-        let pk = n.add_client(country("PK"), IspClass::Residential);
-        let mut rng = SimRng::new(1);
-        n.fetch(
-            &pk,
-            &HttpRequest::get("http://censored.com/"),
-            SimTime::ZERO,
-            &mut rng,
-        );
-        assert!(n.trace.contains("dns-blocker"));
     }
 }

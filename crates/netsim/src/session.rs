@@ -42,8 +42,12 @@ use crate::network::{FetchError, FetchOutcome, FetchTimings, Network};
 use crate::path::PathQuality;
 use crate::tcp::{TcpAttempt, CONNECT_TIMEOUT, DNS_TIMEOUT, HTTP_TIMEOUT};
 use crate::topology::TransitDecision;
-use sim_core::{SimDuration, SimRng, SimTime, SymTable, TraceLevel};
+use sim_core::{SimDuration, SimRng, SimTime, SymTable};
 use std::net::Ipv4Addr;
+
+/// In-process DNS cache lookup cost (a hash probe, not a network round
+/// trip), charged on every session-cache hit.
+const DNS_CACHE_HIT_COST: SimDuration = SimDuration::from_micros(100);
 
 /// Tuning knobs for a session's amortised state.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,15 +57,6 @@ pub struct SessionConfig {
     pub keep_alive: SimDuration,
     /// Whether the session keeps a client-local DNS cache.
     pub dns_cache: bool,
-    /// In-process DNS cache lookup cost (a hash probe, not a network
-    /// round trip).
-    pub dns_cache_hit_cost: SimDuration,
-    /// Cap on simultaneously pooled keep-alive connections (browsers
-    /// bound their connection pools). Inserting a new destination into a
-    /// full pool evicts the connection closest to idle expiry (ties
-    /// break on the lower address). `usize::MAX` — the default —
-    /// disables the cap.
-    pub max_connections: usize,
 }
 
 impl Default for SessionConfig {
@@ -72,8 +67,6 @@ impl Default for SessionConfig {
             // is the conventional middle ground.
             keep_alive: SimDuration::from_secs(60),
             dns_cache: true,
-            dns_cache_hit_cost: SimDuration::from_micros(100),
-            max_connections: usize::MAX,
         }
     }
 }
@@ -85,8 +78,6 @@ impl SessionConfig {
         SessionConfig {
             keep_alive: SimDuration::ZERO,
             dns_cache: false,
-            dns_cache_hit_cost: SimDuration::ZERO,
-            max_connections: usize::MAX,
         }
     }
 }
@@ -102,16 +93,6 @@ pub struct SessionStats {
     pub connections_reused: u64,
     /// Times the middlebox pipeline was (re)compiled.
     pub pipeline_rebuilds: u64,
-}
-
-/// A memoised DNS-stage verdict for one host: the action plus the exact
-/// trace line the interfering middlebox emitted (None for `Pass`), so a
-/// dispatch-table hit replays the same trace bytes the pattern walk
-/// would have produced.
-#[derive(Debug, Clone)]
-struct DnsVerdictEntry {
-    action: DnsAction,
-    trace_line: Option<Box<str>>,
 }
 
 /// A client's transport session: compiled censor pipeline, DNS host cache,
@@ -133,13 +114,13 @@ pub struct FetchSession {
     /// Pre-resolved first-non-`Pass` DNS verdict per [`NameId`] — the
     /// flat per-host dispatch table replacing the per-fetch pattern walk
     /// for pure pipelines. Rebuilt lazily after set/behaviour bumps.
-    dns_verdicts: SymTable<DnsVerdictEntry>,
+    dns_verdicts: SymTable<DnsAction>,
     /// `NameId`-indexed (address, expires-at): the client-local resolver
     /// cache. A warm hit is a single vector index — no hash, no alloc.
     dns_cache: SymTable<(Ipv4Addr, SimTime)>,
     /// (destination, idle-expiry) of established connections. Pools are
-    /// small (bounded by `max_connections` / distinct origins), so a
-    /// linear scan over a flat vector beats a tree.
+    /// small (bounded by distinct live origins), so a linear scan over a
+    /// flat vector beats a tree.
     connections: Vec<(Ipv4Addr, SimTime)>,
     /// (destination, path quality) — static per client/destination pair
     /// for a given topology generation.
@@ -227,31 +208,13 @@ impl FetchSession {
         self.connections.retain(|&(_, expiry)| now < expiry);
     }
 
-    /// Pool an established connection, honouring the configured pool
-    /// capacity: refreshing an already pooled destination never evicts,
-    /// a new destination entering a full pool evicts the connection
-    /// closest to its idle expiry (the one worth least; ties break on
-    /// the lower address, keeping eviction deterministic), and a
-    /// zero-capacity pool simply never retains anything.
+    /// Pool an established connection: an already pooled destination has
+    /// its idle expiry refreshed in place, a new one is appended.
     fn pool_connection(&mut self, dst: Ipv4Addr, expiry: SimTime) {
-        if self.config.max_connections == 0 {
-            return;
+        match self.connections.iter_mut().find(|(ip, _)| *ip == dst) {
+            Some(slot) => slot.1 = expiry,
+            None => self.connections.push((dst, expiry)),
         }
-        if let Some(slot) = self.connections.iter_mut().find(|(ip, _)| *ip == dst) {
-            slot.1 = expiry;
-            return;
-        }
-        if self.connections.len() >= self.config.max_connections {
-            let victim = self
-                .connections
-                .iter()
-                .enumerate()
-                .min_by_key(|&(_, &(ip, exp))| (exp, ip))
-                .map(|(i, _)| i)
-                .expect("full pool is non-empty");
-            self.connections.swap_remove(victim);
-        }
-        self.connections.push((dst, expiry));
     }
 
     /// Number of currently pooled keep-alive connections (live or not
@@ -344,8 +307,6 @@ impl FetchSession {
             FaultDecision::Pass => {}
             FaultDecision::Drop => {
                 timings.connect = CONNECT_TIMEOUT;
-                net.trace
-                    .record(now, TraceLevel::Debug, "fault", "fetch dropped by injector");
                 return FetchOutcome::fail(FetchError::ConnectTimeout, timings, None);
             }
             FaultDecision::Corrupt => corrupt_body = true,
@@ -457,14 +418,12 @@ impl FetchSession {
         if self.config.dns_cache {
             if let Some(ip) = self.dns_cached(host_id, now) {
                 self.stats.dns_cache_hits += 1;
-                timings.dns += self.config.dns_cache_hit_cost;
+                timings.dns += DNS_CACHE_HIT_COST;
                 return Ok(ip);
             }
         }
 
-        let censor_dns = self.dns_verdict(net, host_name, host_id, now);
-
-        match censor_dns {
+        match self.dns_verdict(net, host_name, host_id, now) {
             DnsAction::NxDomain => {
                 timings.dns += resolver_rtt;
                 Err(FetchOutcome::fail(FetchError::DnsNxDomain, *timings, None))
@@ -497,8 +456,6 @@ impl FetchSession {
                 let q_local = self.quality_to(net, self.client.ip);
                 if net.path_model.stage_fails(&q_local, rng) {
                     timings.dns += DNS_TIMEOUT;
-                    net.trace
-                        .record(now, TraceLevel::Debug, "dns", "transient dns failure");
                     return Err(FetchOutcome::fail(FetchError::DnsTimeout, *timings, None));
                 }
                 let (outcome, cached) = net.dns.resolve_id(self.client.country, host_id, now);
@@ -528,56 +485,33 @@ impl FetchSession {
 
     /// First-non-`Pass` DNS verdict of the compiled pipeline for
     /// `host_name`, via the per-host dispatch table when the pipeline is
-    /// pure. Memoisation requires Info-level tracing to be off — the
-    /// legacy walk records an interference event per consultation, and a
-    /// served memo must not silently swallow those.
+    /// pure (a pure verdict depends only on the host, so a table hit is
+    /// the walk's answer).
     fn dns_verdict(
         &mut self,
-        net: &mut Network,
+        net: &Network,
         host_name: &str,
         host_id: NameId,
         now: SimTime,
     ) -> DnsAction {
         let memoise = self.pipeline_dns_pure;
         if memoise {
-            if let Some(entry) = self.dns_verdicts.get(host_id.0) {
-                // Replay the memoised interference line (if any) so the
-                // trace is byte-identical to re-running the walk: for a
-                // pure pipeline the line depends only on (middlebox,
-                // host, verdict), and the timestamp is a separate event
-                // field.
-                if let Some(line) = &entry.trace_line {
-                    net.trace.record_str(now, TraceLevel::Info, "censor", line);
-                }
-                return entry.action;
+            if let Some(&verdict) = self.dns_verdicts.get(host_id.0) {
+                return verdict;
             }
         }
         let ctx = StageContext {
             client: &self.client,
             now,
         };
-        let mut verdict = DnsAction::Pass;
-        let mut trace_line = None;
-        for &i in &self.pipeline {
-            let mb = &net.middleboxes()[i];
-            match mb.on_dns(host_name, &ctx) {
-                DnsAction::Pass => continue,
-                act => {
-                    let line =
-                        format!("{} interferes with DNS for {host_name}: {act:?}", mb.name());
-                    net.trace.record_str(now, TraceLevel::Info, "censor", &line);
-                    trace_line = Some(line.into_boxed_str());
-                    verdict = act;
-                    break;
-                }
-            }
-        }
+        let verdict = self
+            .pipeline
+            .iter()
+            .map(|&i| net.middleboxes()[i].on_dns(host_name, &ctx))
+            .find(|act| *act != DnsAction::Pass)
+            .unwrap_or(DnsAction::Pass);
         if memoise {
-            let entry = DnsVerdictEntry {
-                action: verdict,
-                trace_line,
-            };
-            self.dns_verdicts.insert(host_id.0, entry);
+            self.dns_verdicts.insert(host_id.0, verdict);
         }
         verdict
     }
@@ -587,8 +521,8 @@ impl FetchSession {
     /// exchange settles.
     #[allow(clippy::result_large_err)] // Err is the terminal FetchOutcome, consumed immediately
     fn tcp_stage(
-        &mut self,
-        net: &mut Network,
+        &self,
+        net: &Network,
         server_ip: Ipv4Addr,
         quality: &PathQuality,
         now: SimTime,
@@ -601,24 +535,12 @@ impl FetchSession {
         };
         let attempt = TcpAttempt::http(server_ip);
 
-        let mut censor_tcp = TcpAction::Pass;
-        for &i in &self.pipeline {
-            let mb = &net.middleboxes()[i];
-            match mb.on_tcp(&attempt, &ctx) {
-                TcpAction::Pass => continue,
-                act => {
-                    net.trace.record(
-                        now,
-                        TraceLevel::Info,
-                        "censor",
-                        format!("{} interferes with TCP to {server_ip}: {act:?}", mb.name()),
-                    );
-                    censor_tcp = act;
-                    break;
-                }
-            }
-        }
-
+        let censor_tcp = self
+            .pipeline
+            .iter()
+            .map(|&i| net.middleboxes()[i].on_tcp(&attempt, &ctx))
+            .find(|act| *act != TcpAction::Pass)
+            .unwrap_or(TcpAction::Pass);
         match censor_tcp {
             TcpAction::Reset => {
                 timings.connect += net.path_model.sample_rtt(quality, rng);
@@ -643,12 +565,6 @@ impl FetchSession {
         // sinkhole): connect times out.
         if !net.has_server(server_ip) {
             timings.connect += CONNECT_TIMEOUT;
-            net.trace.record(
-                now,
-                TraceLevel::Debug,
-                "tcp",
-                format!("no server at {server_ip}; connect timeout"),
-            );
             return Err(FetchOutcome::fail(
                 FetchError::ConnectTimeout,
                 *timings,
@@ -658,8 +574,6 @@ impl FetchSession {
 
         if net.path_model.stage_fails(quality, rng) {
             timings.connect += CONNECT_TIMEOUT;
-            net.trace
-                .record(now, TraceLevel::Debug, "tcp", "transient connect failure");
             return Err(FetchOutcome::fail(
                 FetchError::ConnectTimeout,
                 *timings,
@@ -673,8 +587,8 @@ impl FetchSession {
     /// The HTTP exchange over an established connection.
     #[allow(clippy::too_many_arguments)]
     fn http_stage(
-        &mut self,
-        net: &mut Network,
+        &self,
+        net: &Network,
         req: &HttpRequest,
         server_ip: Ipv4Addr,
         quality: &PathQuality,
@@ -688,27 +602,12 @@ impl FetchSession {
             now,
         };
 
-        let mut censor_req = HttpAction::Pass;
-        for &i in &self.pipeline {
-            let mb = &net.middleboxes()[i];
-            match mb.on_http_request(req, &ctx) {
-                HttpAction::Pass => continue,
-                act => {
-                    net.trace.record(
-                        now,
-                        TraceLevel::Info,
-                        "censor",
-                        format!(
-                            "{} interferes with HTTP request {}: {act:?}",
-                            mb.name(),
-                            req.url
-                        ),
-                    );
-                    censor_req = act;
-                    break;
-                }
-            }
-        }
+        let censor_req = self
+            .pipeline
+            .iter()
+            .map(|&i| net.middleboxes()[i].on_http_request(req, &ctx))
+            .find(|act| *act != HttpAction::Pass)
+            .unwrap_or(HttpAction::Pass);
 
         let rtt = net.path_model.sample_rtt(quality, rng);
         match censor_req {
@@ -744,35 +643,18 @@ impl FetchSession {
         // The real server answers.
         if net.path_model.stage_fails(quality, rng) {
             timings.ttfb += HTTP_TIMEOUT;
-            net.trace
-                .record(now, TraceLevel::Debug, "http", "transient response failure");
             return FetchOutcome::fail(FetchError::ResponseTimeout, timings, Some(server_ip));
         }
         let mut resp = net.handle_request(server_ip, req, self.client.ip, now);
         timings.ttfb += rtt;
 
         // Response-side censorship (keyword filters inspect content here).
-        let mut censor_resp = HttpAction::Pass;
-        for &i in &self.pipeline {
-            let mb = &net.middleboxes()[i];
-            match mb.on_http_response(req, &resp, &ctx) {
-                HttpAction::Pass => continue,
-                act => {
-                    net.trace.record(
-                        now,
-                        TraceLevel::Info,
-                        "censor",
-                        format!(
-                            "{} interferes with HTTP response for {}: {act:?}",
-                            mb.name(),
-                            req.url
-                        ),
-                    );
-                    censor_resp = act;
-                    break;
-                }
-            }
-        }
+        let censor_resp = self
+            .pipeline
+            .iter()
+            .map(|&i| net.middleboxes()[i].on_http_response(req, &resp, &ctx))
+            .find(|act| *act != HttpAction::Pass)
+            .unwrap_or(HttpAction::Pass);
         match censor_resp {
             HttpAction::Drop => {
                 timings.ttfb += HTTP_TIMEOUT;
@@ -793,27 +675,7 @@ impl FetchSession {
         timings.transfer += net.path_model.transfer_time(quality, resp.body_bytes);
 
         if corrupt_body {
-            net.trace.record(
-                now,
-                TraceLevel::Debug,
-                "fault",
-                "response corrupted by injector",
-            );
             return FetchOutcome::fail(FetchError::CorruptResponse, timings, Some(server_ip));
-        }
-
-        // The one per-success record: guard it, the format alone is
-        // measurable at session throughput.
-        if net.trace.enabled(TraceLevel::Trace) {
-            net.trace.record(
-                now,
-                TraceLevel::Trace,
-                "http",
-                format!(
-                    "{} {} -> {} ({} bytes)",
-                    req.method, req.url, resp.status, resp.body_bytes
-                ),
-            );
         }
         FetchOutcome {
             result: Ok(resp),
@@ -1073,95 +935,38 @@ mod tests {
     #[test]
     fn keep_alive_pool_evicts_nearest_expiry_at_capacity() {
         let mut n = network();
-        for d in ["b.example", "c.example"] {
-            n.add_server(
-                d,
-                country("US"),
-                Box::new(ConstHandler(HttpResponse::ok(ContentType::Image, 400))),
-            );
-        }
-        let client = n.add_client(country("DE"), IspClass::Residential);
-        let mut s = FetchSession::with_config(
-            client,
-            SessionConfig {
-                max_connections: 2,
-                ..SessionConfig::default()
-            },
+        n.add_server(
+            "b.example",
+            country("US"),
+            Box::new(ConstHandler(HttpResponse::ok(ContentType::Image, 400))),
         );
+        let mut s = session(&mut n);
         let mut rng = SimRng::new(31);
-        let a = s
-            .fetch(
+        let mut fetch = |s: &mut FetchSession, url: &str, secs: u64| {
+            s.fetch(
                 &mut n,
-                &HttpRequest::get("http://origin.example/x"),
-                SimTime::ZERO,
+                &HttpRequest::get(url),
+                SimTime::from_secs(secs),
                 &mut rng,
             )
             .server_ip
-            .unwrap();
-        let b = s
-            .fetch(
-                &mut n,
-                &HttpRequest::get("http://b.example/x"),
-                SimTime::from_secs(1),
-                &mut rng,
-            )
-            .server_ip
-            .unwrap();
+            .unwrap()
+        };
+        let a = fetch(&mut s, "http://origin.example/x", 0);
+        let b = fetch(&mut s, "http://b.example/x", 1);
         assert_eq!(s.pooled_connections(), 2);
 
-        // Refreshing an already pooled destination never evicts…
-        s.fetch(
-            &mut n,
-            &HttpRequest::get("http://origin.example/y"),
-            SimTime::from_secs(2),
-            &mut rng,
-        );
+        // Reusing a pooled destination refreshes its entry in place: no
+        // second entry, and its idle expiry moves forward…
+        fetch(&mut s, "http://origin.example/y", 30);
         assert_eq!(s.pooled_connections(), 2);
         assert_eq!(s.stats().connections_reused, 1);
 
-        // …but a third destination entering the full pool evicts the
-        // connection closest to idle expiry — b, since a's expiry was
-        // just refreshed.
-        let c = s
-            .fetch(
-                &mut n,
-                &HttpRequest::get("http://c.example/x"),
-                SimTime::from_secs(3),
-                &mut rng,
-            )
-            .server_ip
-            .unwrap();
-        let now = SimTime::from_secs(4);
-        assert_eq!(s.pooled_connections(), 2);
-        assert!(s.has_connection(a, now), "refreshed survivor evicted");
-        assert!(s.has_connection(c, now), "newcomer not pooled");
-        assert!(!s.has_connection(b, now), "nearest-expiry victim kept");
-
-        // The evicted destination re-establishes from scratch.
-        let back = s.fetch(
-            &mut n,
-            &HttpRequest::get("http://b.example/x"),
-            now,
-            &mut rng,
-        );
-        assert!(back.timings.connect > SimDuration::ZERO);
-
-        // A zero-capacity pool never retains connections at all.
-        let client = n.add_client(country("DE"), IspClass::Residential);
-        let mut none = FetchSession::with_config(
-            client,
-            SessionConfig {
-                max_connections: 0,
-                ..SessionConfig::default()
-            },
-        );
-        none.fetch(
-            &mut n,
-            &HttpRequest::get("http://origin.example/x"),
-            SimTime::ZERO,
-            &mut rng,
-        );
-        assert_eq!(none.pooled_connections(), 0);
+        // …so once the keep-alive window has passed for b (pooled at
+        // 1 s) but not for the refreshed a (30 s), b is the one gone.
+        let now = SimTime::from_secs(70);
+        assert!(s.has_connection(a, now), "refreshed expiry not kept");
+        assert!(!s.has_connection(b, now), "nearest-expiry entry still live");
     }
 
     #[test]

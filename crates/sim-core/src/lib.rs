@@ -23,20 +23,18 @@
 //!   structures key on `u32` symbols instead of owned strings.
 //! * [`dist`] — the handful of distributions the simulation needs
 //!   (log-normal, Pareto, exponential, Zipf, empirical), implemented locally
-//!   so the only external randomness dependency is `rand`'s core RNG.
+//!   over [`SimRng`], so there is no external randomness dependency.
 //! * [`stats`] — descriptive statistics (CDFs, percentiles, box plots) and
 //!   the one-sided binomial hypothesis test that Encore's inference engine
 //!   (paper §7.2) is built on.
-//! * [`trace`] — a lightweight, deterministic event trace in the smoltcp
-//!   idiom: every interesting wire/browser event can be recorded and
-//!   asserted on in tests.
 //!
 //! ## Determinism contract
 //!
 //! Given the same root seed, every simulation in this workspace produces the
-//! same results, independent of platform, thread scheduling (everything is
-//! single-threaded), or hash-map iteration order (we sort or use `BTreeMap`
-//! at every decision point).
+//! same results, independent of platform, thread scheduling (each shard
+//! thread owns its world and forked RNG streams, and shard outputs fold back
+//! through [`merge`] in a fixed order), or hash-map iteration order (we sort
+//! or use `BTreeMap` at every decision point).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -50,7 +48,6 @@ pub mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use bytes::{contains_byte, find_any3, find_byte, find_either};
 pub use dist::{Empirical, Exponential, LogNormal, Pareto, Zipf, ZipfError};
@@ -64,4 +61,3 @@ pub use queue::EventQueue;
 pub use rng::{seeded_hash, splitmix_mix, SimRng};
 pub use stats::{binomial_sf, Cdf, FiveNumber, OneSidedBinomialTest, Summary};
 pub use time::{SimDuration, SimTime};
-pub use trace::{Trace, TraceEvent, TraceLevel};
