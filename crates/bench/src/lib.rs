@@ -520,7 +520,7 @@ pub mod congested_fixture {
     use netsim::scenario::NetworkScenario;
     use netsim::TopologySpec;
     use population::shard::ShardContext;
-    use population::{DeploymentConfig, WorldRecipe};
+    use population::{DeploymentConfig, WorldChange, WorldRecipe};
     use sim_core::{SimDuration, SimTime};
 
     /// The measured (and blocked) domain — shared with the timeline
@@ -579,9 +579,9 @@ pub mod congested_fixture {
     }
 
     /// The full longitudinal recipe: `days` of Poisson arrivals, the
-    /// day-10 block, and the transit brownout as a pair of **shared
-    /// world mutations** — data-plane only, so congestion never counts
-    /// as a control signal and never recompiles the middlebox pipeline.
+    /// day-10 block, and the transit brownout as a pair of **world
+    /// changes** — data-plane only, so congestion never counts as a
+    /// control signal and never recompiles the middlebox pipeline.
     pub fn recipe(days: u64, visits_per_day_per_weight: f64) -> WorldRecipe {
         WorldRecipe::deployment(DeploymentConfig {
             duration: SimDuration::from_days(days),
@@ -590,16 +590,11 @@ pub mod congested_fixture {
             ..DeploymentConfig::default()
         })
         .with_timeline(block_timeline())
-        .mutate_at(day(BROWNOUT_START), |net, _| {
-            if let Some(topo) = net.topology_mut() {
-                topo.set_hotspot_background(BROWNOUT_LEVEL);
-            }
-        })
-        .mutate_at(day(BROWNOUT_END), |net, _| {
-            if let Some(topo) = net.topology_mut() {
-                topo.set_hotspot_background(0.0);
-            }
-        })
+        .change_at(
+            day(BROWNOUT_START),
+            WorldChange::HotspotBackground(BROWNOUT_LEVEL),
+        )
+        .change_at(day(BROWNOUT_END), WorldChange::HotspotBackground(0.0))
         .with_rollups(SimDuration::from_days(1))
         .with_maintenance(SimDuration::from_secs(3_600))
     }
@@ -661,7 +656,7 @@ pub mod corpus_fixture {
     use netsim::network::Network;
     use netsim::scenario::{NetworkScenario, WorldScenario};
     use population::shard::ShardContext;
-    use population::{Audience, DeploymentConfig, WorldRecipe};
+    use population::{Audience, DeploymentConfig, WorldChange, WorldRecipe};
     use serde::Serialize;
     use sim_core::{Empirical, SimDuration, SimRng, SimTime};
     use websim::corpus::{Corpus, CorpusConfig, CountryMix, Disruption, DisruptionKind};
@@ -715,7 +710,7 @@ pub mod corpus_fixture {
     }
 
     /// The fixture corpus — a pure function of [`CORPUS_SEED`], so every
-    /// shard (and every recipe mutation closure) sees identical content.
+    /// shard and every disruption the recipe fires see the same content.
     pub fn corpus() -> Corpus {
         Corpus::generate(&corpus_config(), &mut SimRng::new(CORPUS_SEED))
             .expect("fixture corpus config is valid")
@@ -866,10 +861,9 @@ pub mod corpus_fixture {
 
     /// The full 90-day recipe: Poisson arrivals, the Turkish timeline,
     /// the Russian escalation schedule, and the benign disruptions as
-    /// shared world mutations capturing the (`Send + Sync`, `Arc`-shared)
-    /// corpus — the payoff of the `Rc`→`Arc` fix.
+    /// world changes naming the corpus by its generator's inputs (so
+    /// building the recipe generates nothing).
     pub fn recipe(days: u64, visits_per_day_per_weight: f64) -> WorldRecipe {
-        let corpus = corpus();
         let mut recipe = WorldRecipe::deployment(DeploymentConfig {
             duration: SimDuration::from_days(days),
             visits_per_day_per_weight,
@@ -881,18 +875,17 @@ pub mod corpus_fixture {
         .with_rollups(SimDuration::from_days(1))
         .with_maintenance(SimDuration::from_secs(3_600));
         for d in disruptions() {
-            if d.day >= days {
-                continue;
-            }
-            let c = corpus.clone();
-            recipe = recipe.mutate_at(day(d.day), move |net, _| {
-                d.apply(&c, net);
-            });
-            if let Some(end) = d.end_day().filter(|&end| end < days) {
-                let c = corpus.clone();
-                recipe = recipe.mutate_at(day(end), move |net, _| {
-                    d.revert(&c, net);
-                });
+            let fires = [(d.day, false)]
+                .into_iter()
+                .chain(d.end_day().map(|end| (end, true)));
+            for (at, revert) in fires.filter(|&(at, _)| at < days) {
+                let change = WorldChange::Disruption {
+                    corpus: corpus_config(),
+                    corpus_seed: CORPUS_SEED,
+                    disruption: d,
+                    revert,
+                };
+                recipe = recipe.change_at(day(at), change);
             }
         }
         recipe

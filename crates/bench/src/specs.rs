@@ -2,15 +2,15 @@
 //! process-transport counterpart of the fixture modules.
 //!
 //! A [`population::transport::WorldSpec`] must cross a process boundary
-//! as bytes, so it cannot carry the fixture closures directly. Instead
+//! as bytes. A recipe is data, but a fixture's world build is code, so
 //! [`BenchWorldSpec`] names a fixture plus its parameters; the worker
 //! process (the `bench` binary re-executed in its [`SHARD_ROLE`])
 //! rebuilds exactly the world the coordinator described by calling the
-//! same deterministic fixture functions. Both transport backends therefore execute identical
-//! worlds — the byte-equivalence the transport suite and simcheck's
-//! transport oracle prove.
+//! same deterministic fixture functions. Both transport backends
+//! therefore execute identical worlds — the byte-equivalence the
+//! transport suite and simcheck's transport oracle prove.
 
-use crate::{adaptive_fixture, congested_fixture, corpus_fixture, world_fixture};
+use crate::{corpus_fixture, world_fixture};
 use encore::system::EncoreSystem;
 use netsim::geo::World;
 use netsim::network::Network;
@@ -35,20 +35,6 @@ pub enum BenchWorldSpec {
         #[serde(default, skip_serializing_if = "std::ops::Not::not")]
         streaming: bool,
     },
-    /// The escalating adaptive-censor ladder ([`adaptive_fixture`]).
-    Adaptive {
-        /// Simulated days.
-        days: u64,
-        /// Visits per day per audience weight.
-        rate: f64,
-    },
-    /// The routed brownout-plus-block world ([`congested_fixture`]).
-    Congested {
-        /// Simulated days.
-        days: u64,
-        /// Visits per day per audience weight.
-        rate: f64,
-    },
     /// The generative-corpus multi-country world report
     /// ([`corpus_fixture`]).
     Corpus {
@@ -62,8 +48,8 @@ pub enum BenchWorldSpec {
 impl WorldSpec for BenchWorldSpec {
     fn audience(&self) -> Audience {
         match self {
+            BenchWorldSpec::Timeline { .. } => Audience::world(&World::builtin()),
             BenchWorldSpec::Corpus { .. } => corpus_fixture::audience(),
-            _ => Audience::world(&World::builtin()),
         }
     }
 
@@ -85,8 +71,6 @@ impl WorldSpec for BenchWorldSpec {
                     recipe
                 }
             }
-            BenchWorldSpec::Adaptive { days, rate } => adaptive_fixture::recipe(days, rate),
-            BenchWorldSpec::Congested { days, rate } => congested_fixture::recipe(days, rate),
             BenchWorldSpec::Corpus { days, rate } => corpus_fixture::recipe(days, rate),
         }
     }
@@ -94,8 +78,6 @@ impl WorldSpec for BenchWorldSpec {
     fn build(&self, ctx: ShardContext) -> (Network, EncoreSystem) {
         match self {
             BenchWorldSpec::Timeline { .. } => world_fixture::build(ctx),
-            BenchWorldSpec::Adaptive { .. } => adaptive_fixture::build(ctx),
-            BenchWorldSpec::Congested { .. } => congested_fixture::build(ctx),
             BenchWorldSpec::Corpus { .. } => corpus_fixture::build(ctx),
         }
     }
@@ -124,14 +106,6 @@ mod tests {
                 days: 30,
                 rate: 150.0,
                 streaming: true,
-            },
-            BenchWorldSpec::Adaptive {
-                days: 30,
-                rate: 160.5,
-            },
-            BenchWorldSpec::Congested {
-                days: 18,
-                rate: 150.0,
             },
             BenchWorldSpec::Corpus {
                 days: 90,
@@ -164,16 +138,45 @@ mod tests {
     #[test]
     fn spec_recipe_matches_fixture_recipe() {
         // The spec is only honest if it rebuilds exactly the fixture
-        // world the closures build. Recipes have no PartialEq (they
-        // carry closures), so compare their debug structure.
-        let spec = BenchWorldSpec::Timeline {
+        // recipe.
+        let timeline = BenchWorldSpec::Timeline {
             days: 12,
             rate: 150.0,
             streaming: false,
         };
-        assert_eq!(
-            format!("{:?}", spec.recipe()),
-            format!("{:?}", world_fixture::recipe(12, 150.0))
-        );
+        assert_eq!(timeline.recipe(), world_fixture::recipe(12, 150.0));
+        let corpus = BenchWorldSpec::Corpus {
+            days: 45,
+            rate: 20.0,
+        };
+        assert_eq!(corpus.recipe(), corpus_fixture::recipe(45, 20.0));
+    }
+
+    #[test]
+    fn every_recipe_round_trips_through_both_codecs() {
+        use crate::{adaptive_fixture, congested_fixture};
+        use simcheck::{CaseClass, WorldCase};
+        let mut recipes = vec![
+            world_fixture::recipe(30, 150.0),
+            adaptive_fixture::recipe(30, 160.5),
+            congested_fixture::recipe(18, 150.0),
+            corpus_fixture::recipe(corpus_fixture::DAYS, corpus_fixture::RATE),
+        ];
+        for class in [
+            CaseClass::Equivalence,
+            CaseClass::Detector,
+            CaseClass::Congestion,
+            CaseClass::Corpus,
+        ] {
+            recipes.push(WorldCase::from_seed(class, 0x5EED).recipe());
+        }
+        for recipe in recipes {
+            let json = serde_json::to_string(&recipe).unwrap();
+            let from_json: WorldRecipe = serde_json::from_str(&json).unwrap();
+            assert_eq!(from_json, recipe, "recipe drifted through JSON: {json}");
+            let from_bin: WorldRecipe =
+                serde::bin::from_slice(&serde::bin::to_vec(&recipe)).unwrap();
+            assert_eq!(from_bin, recipe, "recipe drifted through bytes: {json}");
+        }
     }
 }

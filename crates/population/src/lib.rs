@@ -10,10 +10,10 @@
 //!   world audience for the §7 seven-month run.
 //! * [`world`] — the discrete-event world engine: client arrivals,
 //!   scheduled policy changes ([`censor::timeline::PolicyTimeline`]),
-//!   world mutations, coordination re-prioritisation, session
+//!   world changes, coordination re-prioritisation, session
 //!   maintenance, and collection rollups are all events on one
 //!   [`sim_core::queue::EventQueue`]. A whole run — arrivals plus
-//!   control plane — is described as a `Send + Sync`
+//!   control plane — is described as a plain-data
 //!   [`world::WorldRecipe`], which
 //!   [`world::WorldEngine::from_recipe`]`(..).run()` executes serially;
 //!   sharded, [`transport::ShardTransport::run`] carries each shard's
@@ -73,4 +73,4 @@ pub use transport::{
     worker_main, ProcessTransport, ShardTransport, ThreadTransport, TransportError, TransportKind,
     TransportStats, WorldSpec,
 };
-pub use world::{RunMode, StreamingSpec, WorldEngine, WorldEvent, WorldOutcome, WorldRecipe};
+pub use world::{StreamingSpec, WorldChange, WorldEngine, WorldEvent, WorldOutcome, WorldRecipe};

@@ -1,7 +1,7 @@
 //! Sharded multi-core population engine.
 //!
 //! One [`crate::world::WorldRecipe`] — arrivals *plus* the full control
-//! plane of a longitudinal run (policy timelines, mutations,
+//! plane of a longitudinal run (policy timelines, world changes,
 //! re-prioritisations, maintenance, rollups) — executes across N OS
 //! threads the way large discrete-event simulators parallelise:
 //! **control events are broadcast** verbatim to every shard
@@ -116,7 +116,7 @@ pub fn shard_deployment_config(
 }
 
 /// The recipe shard `index` of `shards` actually executes: **control
-/// events broadcast verbatim** (the policy timeline, shared mutations,
+/// events broadcast verbatim** (the policy timeline, world changes,
 /// re-prioritisations, maintenance and rollup cadences are byte-for-byte
 /// the caller's — every shard replays the identical control schedule
 /// against its own private world), while the **arrival process thins
@@ -221,7 +221,7 @@ where
 /// Each shard thread runs the one shard body (`run_shard`, the same
 /// function a worker process runs): the world engine over
 /// [`shard_recipe`]\(recipe, shards, index\), so control events (policy
-/// changes, mutations, re-prioritisations, maintenance, rollups) are
+/// changes, world changes, re-prioritisations, maintenance, rollups) are
 /// **broadcast** verbatim to every shard, arrival events are **thinned**
 /// 1/N, and the per-shard RNG streams come from [`shard_rngs`]
 /// (`SimRng::split` / `long_jump`, shard 0 reproducing the serial stream

@@ -21,7 +21,7 @@
 //!   open stream, not O(shards × outcome). `ProcessTransport` itself
 //!   holds only what is about processes: spawn, pipes, reap.
 //!
-//! Closures never cross the process boundary: a [`WorldSpec`] is a
+//! Only descriptions cross the process boundary: a [`WorldSpec`] is a
 //! compact serializable *description* (fixture name + parameters, or a
 //! generator seed) from which the worker deterministically rebuilds the
 //! scenario, recipe, and audience — so both backends run the same shard
@@ -122,8 +122,7 @@ pub const DEFAULT_MAX_PAYLOAD: u32 = 64 << 20;
 /// build byte-identical worlds in every process, because cross-backend
 /// equivalence (threads vs process, proven in
 /// `tests/transport_equivalence.rs` and simcheck's transport oracle)
-/// rests on it. Closures stay out of the picture by construction — only
-/// the spec's serialized fields cross the pipe.
+/// rests on it. Only the spec's serialized fields cross the pipe.
 pub trait WorldSpec: Serialize + Deserialize + Send + Sync {
     /// The audience every shard samples visitors from.
     fn audience(&self) -> Audience;

@@ -7,17 +7,17 @@
 //! on for an election, a scheduler re-prioritising) had no place to
 //! stand. `WorldEngine` replaces those loops with a single
 //! [`sim_core::queue::EventQueue`]: client arrivals, scheduled policy
-//! changes ([`censor::timeline::PolicyTimeline`]), arbitrary world
-//! mutations, coordination re-prioritisation, session maintenance
-//! ticks, and periodic collection rollups are all [`WorldEvent`]s popped
-//! from one tie-break-ordered heap. Censorship dynamics — the paper's
-//! §1 point that filtering "varies over time" and must be measured
-//! continuously — become first-class events instead of per-phase world
-//! rebuilds.
+//! changes ([`censor::timeline::PolicyTimeline`]), data-plane world
+//! changes ([`WorldChange`]), coordination re-prioritisation, session
+//! maintenance ticks, and periodic collection rollups are all
+//! [`WorldEvent`]s popped from one tie-break-ordered heap. Censorship
+//! dynamics — the paper's §1 point that filtering "varies over time"
+//! and must be measured continuously — become first-class events
+//! instead of per-phase world rebuilds.
 //!
 //! A run is *described*, never imperatively scheduled: a
-//! [`WorldRecipe`] is the `Send + Sync + Clone` value of a run (arrival
-//! mode + timeline + reactions + mutations + re-prioritisations +
+//! [`WorldRecipe`] is the plain-data value of a run (arrival mode +
+//! timeline + reactions + world changes + re-prioritisations +
 //! housekeeping cadences). [`WorldEngine::from_recipe`] borrows it and
 //! executes it in place — events index into the recipe, the engine
 //! keeps no copy of any schedule — and
@@ -46,10 +46,10 @@
 //! * **Neutral housekeeping.** Maintenance ticks only prune session
 //!   state the fetch path would never serve
 //!   ([`netsim::session::FetchSession::prune_expired`]), rollups only
-//!   read, and policy/mutation/re-prioritisation events draw no RNG —
-//!   none of them perturb the visit streams.
+//!   read, and policy/world-change/re-prioritisation events draw no
+//!   engine RNG — none of them perturb the visit streams.
 //!
-//! Scheduled *configuration* events (timeline changes, mutations,
+//! Scheduled *configuration* events (timeline changes, world changes,
 //! re-prioritisations, periodic ticks) are enqueued before the traffic
 //! is, so at equal timestamps they fire **before** any arrival — a
 //! block installed "at day 10" is in force for the first visit of
@@ -71,7 +71,7 @@ use serde::{Deserialize, Serialize};
 use sim_core::dist::{Exponential, Sample};
 use sim_core::queue::EventQueue;
 use sim_core::{SimDuration, SimRng, SimTime};
-use std::sync::Arc;
+use websim::corpus::{Corpus, CorpusConfig, Disruption};
 
 /// An event on the world's queue. Same-time events fire in scheduling
 /// order (the queue's insertion-sequence tie-break). Deployment mode
@@ -107,9 +107,9 @@ pub enum WorldEvent {
         /// order, each policy's [`ReactionPolicy::steps`] in its own.
         index: usize,
     },
-    /// Run the scheduled one-shot world mutation at `index`.
+    /// Apply the recipe's scheduled [`WorldChange`] at `index`.
     Mutation {
-        /// Index into the recipe's mutation list.
+        /// Index into the recipe's world-change list.
         index: usize,
     },
     /// Swap the coordination server's scheduling strategy mid-run.
@@ -131,10 +131,61 @@ pub enum WorldEvent {
     },
 }
 
-/// A world mutation that can be shared across shard threads: every shard
-/// applies the same function to its own private world, so it must be
-/// `Fn` (reusable) and `Send + Sync` (broadcast).
-pub type SharedMutation = Arc<dyn Fn(&mut Network, &mut EncoreSystem) + Send + Sync>;
+/// A scheduled change to a running world's data plane, which every
+/// shard applies to its own [`Network`] (never to the Encore system).
+///
+/// A change that cannot apply — no topology, a site rank the corpus
+/// lacks, a corpus config [`Corpus::generate`] rejects — is a silent
+/// no-op like a signal to an uninstalled censor, never a panic: a
+/// recipe may arrive as bytes from outside the program.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum WorldChange {
+    /// Set the background utilisation of every hotspot transit link: a
+    /// brownout above the shed threshold, cleared at `0.0`. Data-plane
+    /// only, so no generation bump and no pipeline recompile.
+    HotspotBackground(f64),
+    /// Apply, or with `revert` undo, a benign disruption against a site
+    /// of the corpus that `(corpus, corpus_seed)` generates. The corpus
+    /// is regenerated when the change fires, from its own fresh RNG, so
+    /// firing draws nothing from the run's streams.
+    Disruption {
+        /// The disrupted corpus' generator config.
+        corpus: CorpusConfig,
+        /// The disrupted corpus' own seed.
+        corpus_seed: u64,
+        /// Which site, and what happens to it.
+        disruption: Disruption,
+        /// Restore the site's original handler instead.
+        revert: bool,
+    },
+}
+
+impl WorldChange {
+    fn apply(&self, net: &mut Network) {
+        match self {
+            WorldChange::HotspotBackground(level) => {
+                if let Some(topo) = net.topology_mut() {
+                    topo.set_hotspot_background(*level);
+                }
+            }
+            WorldChange::Disruption {
+                corpus,
+                corpus_seed,
+                disruption,
+                revert,
+            } => {
+                let Ok(corpus) = Corpus::generate(corpus, &mut SimRng::new(*corpus_seed)) else {
+                    return;
+                };
+                if *revert {
+                    disruption.revert(&corpus, net);
+                } else {
+                    disruption.apply(&corpus, net);
+                }
+            }
+        }
+    }
+}
 
 /// Which arrival process a world runs — the traffic half of a
 /// [`WorldRecipe`].
@@ -207,44 +258,29 @@ impl StreamingSpec {
     }
 }
 
-/// A `Send + Sync + Clone` description of an entire world run: the
-/// arrival process plus every scheduled dynamic — the policy timeline,
-/// shared world mutations, coordination re-prioritisations, maintenance
-/// ticks, and rollup cadence.
+/// A plain-data description of an entire world run: the arrival process
+/// plus every scheduled dynamic — the policy timeline, censor reactions,
+/// world changes, coordination re-prioritisations, maintenance ticks,
+/// and rollup cadence.
 ///
 /// One recipe drives both execution paths: [`WorldEngine::from_recipe`]
 /// executes it serially, and [`crate::shard::run_sharded_world`]
 /// executes it on N OS threads by broadcasting the *control* half
 /// verbatim to every shard while thinning the *arrival* half 1/N
 /// ([`crate::shard::shard_recipe`]). The firing order at a shared
-/// instant is canonical — timeline, then censor reactions, then
-/// mutations, then re-prioritisations, then maintenance, then rollups,
+/// instant is canonical — timeline, then censor reactions, then world
+/// changes, then re-prioritisations, then maintenance, then rollups,
 /// each in insertion order, all before any traffic.
-#[derive(Clone)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorldRecipe {
     pub(crate) mode: RunMode,
     pub(crate) timeline: PolicyTimeline,
     pub(crate) reactions: Vec<ReactionPolicy>,
-    pub(crate) mutations: Vec<(SimTime, SharedMutation)>,
+    pub(crate) changes: Vec<(SimTime, WorldChange)>,
     pub(crate) reprioritizations: Vec<(SimTime, SchedulingStrategy)>,
     pub(crate) maintenance: Option<SimDuration>,
     pub(crate) rollups: Option<SimDuration>,
     pub(crate) streaming: Option<StreamingSpec>,
-}
-
-impl std::fmt::Debug for WorldRecipe {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorldRecipe")
-            .field("mode", &self.mode)
-            .field("timeline", &self.timeline)
-            .field("reactions", &self.reactions)
-            .field("mutations", &self.mutations.len())
-            .field("reprioritizations", &self.reprioritizations)
-            .field("maintenance", &self.maintenance)
-            .field("rollups", &self.rollups)
-            .field("streaming", &self.streaming)
-            .finish()
-    }
 }
 
 impl WorldRecipe {
@@ -253,7 +289,7 @@ impl WorldRecipe {
             mode,
             timeline: PolicyTimeline::new(),
             reactions: Vec::new(),
-            mutations: Vec::new(),
+            changes: Vec::new(),
             reprioritizations: Vec::new(),
             maintenance: None,
             rollups: None,
@@ -269,11 +305,6 @@ impl WorldRecipe {
     /// A batch-mode recipe (fixed visit count, flat-memory counters).
     pub fn batch(config: BatchConfig) -> WorldRecipe {
         WorldRecipe::new(RunMode::Batch(config))
-    }
-
-    /// The arrival process this recipe runs.
-    pub fn mode(&self) -> RunMode {
-        self.mode
     }
 
     /// The scheduled policy timeline (control plane).
@@ -311,22 +342,10 @@ impl WorldRecipe {
         self
     }
 
-    /// Builder: schedule a shared one-shot world mutation at `at` — the
-    /// escape hatch for dynamics the policy timeline doesn't model
-    /// (standing up a collector mirror, swapping the coordination task
-    /// pool, reconfiguring fault injection). Mutations fire in insertion
-    /// order at equal times.
-    ///
-    /// The *arrival plan* is fixed at run start: the engine snapshots
-    /// the origin list (and batch weights) when constructed, so
-    /// mutating `system.origins` mid-run does not add or retire traffic
-    /// sources — it only affects what later visits observe.
-    pub fn mutate_at(
-        mut self,
-        at: SimTime,
-        mutation: impl Fn(&mut Network, &mut EncoreSystem) + Send + Sync + 'static,
-    ) -> WorldRecipe {
-        self.mutations.push((at, Arc::new(mutation)));
+    /// Builder: schedule a [`WorldChange`] at `at`. Changes fire in
+    /// insertion order at equal times.
+    pub fn change_at(mut self, at: SimTime, change: WorldChange) -> WorldRecipe {
+        self.changes.push((at, change));
         self
     }
 
@@ -406,8 +425,8 @@ pub struct WorldEngine<'a> {
     recipe: &'a WorldRecipe,
     queue: EventQueue<WorldEvent>,
     mode: Mode,
-    /// `system.origins` as it stood at construction (see
-    /// [`WorldRecipe::mutate_at`] on why the arrival plan is fixed).
+    /// `system.origins` as it stood at construction: the arrival plan is
+    /// fixed at run start, and a visit borrows its origin from here.
     origins: Vec<OriginSite>,
     arrivals_rng: SimRng,
     visitor_rng: SimRng,
@@ -430,7 +449,7 @@ pub struct WorldEngine<'a> {
 impl<'a> WorldEngine<'a> {
     /// Bind a [`WorldRecipe`] to a concrete world: construct the engine
     /// in the recipe's mode and queue the recipe's control events in the
-    /// canonical order — timeline, censor reactions, mutations,
+    /// canonical order — timeline, censor reactions, world changes,
     /// re-prioritisations, maintenance, rollups; [`run`](Self::run)
     /// queues the traffic after them. The queue breaks same-instant ties
     /// by insertion order, so that order *is* the firing order at a
@@ -481,7 +500,7 @@ impl<'a> WorldEngine<'a> {
         for (index, (_, at, _)) in recipe.reaction_steps().enumerate() {
             queue.schedule(at, WorldEvent::CensorSignal { index });
         }
-        for (index, (at, _)) in recipe.mutations.iter().enumerate() {
+        for (index, (at, _)) in recipe.changes.iter().enumerate() {
             queue.schedule(*at, WorldEvent::Mutation { index });
         }
         for &(at, strategy) in &recipe.reprioritizations {
@@ -558,9 +577,7 @@ impl<'a> WorldEngine<'a> {
                         self.signals_applied += 1;
                     }
                 }
-                WorldEvent::Mutation { index } => {
-                    (self.recipe.mutations[index].1)(self.net, self.system);
-                }
+                WorldEvent::Mutation { index } => self.recipe.changes[index].1.apply(self.net),
                 WorldEvent::Reprioritize { strategy } => {
                     self.system.coordination.set_strategy(strategy);
                 }
@@ -840,7 +857,7 @@ mod tests {
     use encore::coordination::SchedulingStrategy;
     use encore::tasks::{MeasurementId, MeasurementTask, TaskSpec};
     use netsim::geo::{country, World};
-    use netsim::http::{ContentType, HttpResponse};
+    use netsim::http::{ContentType, HttpRequest, HttpResponse};
     use netsim::network::ConstHandler;
 
     fn deployment_world() -> (Network, EncoreSystem) {
@@ -850,10 +867,62 @@ mod tests {
             country("US"),
             Box::new(ConstHandler(HttpResponse::ok(ContentType::Image, 400))),
         );
+        deploy_measuring(net, "target.example")
+    }
+
+    /// Seed of [`small_corpus`].
+    const CORPUS_SEED: u64 = 0xC0_4905;
+
+    fn small_corpus() -> Corpus {
+        Corpus::generate(&CorpusConfig::small(), &mut SimRng::new(CORPUS_SEED))
+            .expect("small config is valid")
+    }
+
+    /// A flat world serving [`small_corpus`], measuring its rank-1
+    /// site's favicon — the site [`outage`] disrupts.
+    fn corpus_world() -> (Network, EncoreSystem) {
+        let corpus = small_corpus();
+        let mut net = Network::ideal(World::builtin());
+        corpus.install(&mut net, &mut SimRng::new(CORPUS_SEED ^ 1));
+        deploy_measuring(net, corpus.domain(1))
+    }
+
+    /// An origin outage of rank-`site` of the corpus `config` generates,
+    /// over days `[2, 4)` of a [`week`]: the apply and revert changes.
+    fn outage(config: CorpusConfig, site: usize) -> [(SimTime, WorldChange); 2] {
+        let disruption = Disruption {
+            day: 2,
+            duration_days: 2,
+            site,
+            kind: websim::corpus::DisruptionKind::OriginOutage,
+        };
+        [(2, false), (4, true)].map(|(day, revert)| {
+            let change = WorldChange::Disruption {
+                corpus: config.clone(),
+                corpus_seed: CORPUS_SEED,
+                disruption,
+                revert,
+            };
+            (SimTime::from_secs(day * 86_400), change)
+        })
+    }
+
+    /// `recipe` with `changes` scheduled.
+    fn with_changes(
+        recipe: WorldRecipe,
+        changes: impl IntoIterator<Item = (SimTime, WorldChange)>,
+    ) -> WorldRecipe {
+        changes
+            .into_iter()
+            .fold(recipe, |recipe, (at, change)| recipe.change_at(at, change))
+    }
+
+    /// Deploy Encore on `net` with one image task: `domain`'s favicon.
+    fn deploy_measuring(mut net: Network, domain: &str) -> (Network, EncoreSystem) {
         let tasks = vec![MeasurementTask {
             id: MeasurementId(0),
             spec: TaskSpec::Image {
-                url: "http://target.example/favicon.ico".into(),
+                url: format!("http://{domain}/favicon.ico"),
             },
         }];
         let sys = EncoreSystem::deploy(
@@ -890,11 +959,24 @@ mod tests {
         run_on(&mut deployment_world(), recipe, seed)
     }
 
+    /// Days (since run start) of `out`'s visits whose task failed.
+    fn failed_days(out: &WorldOutcome) -> Vec<u64> {
+        let failed = out
+            .log
+            .iter()
+            .filter(|v| tally_outcome(&v.outcome).tasks_failed > 0);
+        failed.map(|v| v.at.as_secs() / 86_400).collect()
+    }
+
     #[test]
     fn neutral_events_do_not_perturb_the_visit_stream() {
         let base = run_fresh(&WorldRecipe::deployment(week()), 0xABBA).log;
+        // No topology to brown out: the change is a no-op.
         let noisy = WorldRecipe::deployment(week())
-            .mutate_at(SimTime::from_secs(1_000), |_, _| {})
+            .change_at(
+                SimTime::from_secs(1_000),
+                WorldChange::HotspotBackground(0.9),
+            )
             .with_maintenance(SimDuration::from_secs(3_600))
             .with_rollups(SimDuration::from_days(1));
         let with_noise = run_fresh(&noisy, 0xABBA).log;
@@ -1115,17 +1197,63 @@ mod tests {
     }
 
     #[test]
-    fn mutation_events_can_rewire_the_world() {
-        let recipe = WorldRecipe::deployment(week())
-            .mutate_at(SimTime::from_secs(86_400), |net, _| {
-                net.clear_middleboxes(); // no-op here, but proves &mut access
-            })
-            .mutate_at(SimTime::from_secs(2 * 86_400), |_, sys| {
-                sys.max_tasks_per_visit = 1;
-            });
-        let mut world = deployment_world();
-        run_on(&mut world, &recipe, 0x31);
-        assert_eq!(world.1.max_tasks_per_visit, 1);
+    fn disruption_change_404s_the_site_and_its_revert_restores_it() {
+        let recipe = with_changes(
+            WorldRecipe::deployment(week()),
+            outage(CorpusConfig::small(), 1),
+        );
+        let mut world = corpus_world();
+        let out = run_on(&mut world, &recipe, 0x31);
+        let failed = failed_days(&out);
+        assert!(failed.len() > 5, "outage saw {} failures", failed.len());
+        assert!(
+            failed.iter().all(|day| (2..4).contains(day)),
+            "failures outside the outage: {failed:?}"
+        );
+        assert!(out.log.iter().any(|v| v.at.as_secs() >= 4 * 86_400));
+
+        // Fire each change by hand on the finished world: the outage
+        // answers 404 at the origin, the revert serves the site again.
+        let (net, _) = &mut world;
+        let req = HttpRequest::get(format!("http://{}/favicon.ico", small_corpus().domain(1)));
+        let client = net.add_client(country("DE"), netsim::geo::IspClass::Residential);
+        for ((_, change), status) in outage(CorpusConfig::small(), 1).iter().zip([404, 200]) {
+            change.apply(net);
+            let out = net.fetch(&client, &req, SimTime::ZERO, &mut SimRng::new(1));
+            assert_eq!(out.result.expect("origin answers").status.0, status);
+        }
+    }
+
+    #[test]
+    fn changes_that_cannot_apply_are_noops() {
+        let bare = run_on(&mut corpus_world(), &WorldRecipe::deployment(week()), 0x0D).log;
+        let no_domains = CorpusConfig {
+            web: websim::generator::WebConfig {
+                num_domains: 0,
+                ..CorpusConfig::small().web
+            },
+            ..CorpusConfig::small()
+        };
+        let cases: Vec<Vec<(SimTime, WorldChange)>> = vec![
+            // A flat world has no hotspot to set, at any level.
+            [0.0, -1.0, f64::NAN]
+                .map(|level| {
+                    (
+                        SimTime::from_secs(86_400),
+                        WorldChange::HotspotBackground(level),
+                    )
+                })
+                .to_vec(),
+            // The corpus has no rank-99 site.
+            outage(CorpusConfig::small(), 99).to_vec(),
+            // `Corpus::generate` rejects the config.
+            outage(no_domains, 1).to_vec(),
+        ];
+        for changes in cases {
+            let recipe = with_changes(WorldRecipe::deployment(week()), changes.clone());
+            let log = run_on(&mut corpus_world(), &recipe, 0x0D).log;
+            assert_eq!(log, bare, "{changes:?} changed the run");
+        }
     }
 
     #[test]
@@ -1165,7 +1293,7 @@ mod tests {
             .with_rollups(period)
             .with_maintenance(period)
             .reprioritize_at(at, SchedulingStrategy::Random)
-            .mutate_at(at, |_, _| {})
+            .change_at(at, WorldChange::HotspotBackground(0.0))
             .with_reaction(ReactionPolicy::new("nobody-home").at(at, Reaction::Escalate))
             .with_timeline(PolicyTimeline::new().at(at, lift));
         let fired: Vec<String> = queued(&recipe)
@@ -1193,14 +1321,32 @@ mod tests {
 
     #[test]
     fn recipe_can_be_replayed_twice_from_one_description() {
-        // A recipe is reusable (Fn mutations, borrowed timeline): two
-        // fresh worlds driven by the same recipe agree byte for byte.
-        let recipe = WorldRecipe::deployment(week())
-            .mutate_at(SimTime::from_secs(1_000), |_, sys| {
-                sys.max_tasks_per_visit = 1;
-            })
-            .with_rollups(SimDuration::from_days(2));
-        assert_eq!(run_fresh(&recipe, 7), run_fresh(&recipe, 7));
+        // A recipe is reusable (borrowed, never consumed): two fresh
+        // worlds driven by the same recipe agree byte for byte.
+        let recipe = with_changes(
+            WorldRecipe::deployment(week()).with_rollups(SimDuration::from_days(2)),
+            outage(CorpusConfig::small(), 1),
+        );
+        let run = |recipe: &WorldRecipe| run_on(&mut corpus_world(), recipe, 7);
+        assert_eq!(run(&recipe), run(&recipe));
+    }
+
+    #[test]
+    fn recipe_read_back_from_bytes_runs_the_same_world() {
+        let recipe = with_changes(
+            WorldRecipe::deployment(week()).with_rollups(SimDuration::from_days(1)),
+            outage(CorpusConfig::small(), 1),
+        );
+        let json: WorldRecipe = serde_json::from_str(&serde_json::to_string(&recipe).unwrap())
+            .expect("recipe JSON reads back");
+        let bin: WorldRecipe =
+            serde::bin::from_slice(&serde::bin::to_vec(&recipe)).expect("recipe bytes read back");
+        assert_eq!(json, recipe);
+        assert_eq!(bin, recipe);
+        let run = |recipe: &WorldRecipe| run_on(&mut corpus_world(), recipe, 0xB17E);
+        let original = run(&recipe);
+        assert!(!failed_days(&original).is_empty(), "the outage bit");
+        assert_eq!(run(&bin), original);
     }
 
     #[test]

@@ -110,26 +110,25 @@ proptest! {
         shards in 1usize..9,
         visits in 0u64..10_000,
     ) {
-        use population::{shard_recipe, RunMode, WorldRecipe};
+        use population::shard::shard_batch_config;
+        use population::{shard_recipe, WorldRecipe};
         use sim_core::SimTime;
-        let timeline = censor::timeline::PolicyTimeline::new().at(
-            SimTime::from_secs(100),
-            censor::timeline::PolicyChange::Lift { name: "x".into() },
-        );
-        let recipe = WorldRecipe::batch(BatchConfig { visits, ..BatchConfig::default() })
-            .with_timeline(timeline.clone())
-            .with_rollups(SimDuration::from_secs(500))
-            .with_maintenance(SimDuration::from_secs(700));
+        let recipe = |config| {
+            WorldRecipe::batch(config)
+                .with_timeline(censor::timeline::PolicyTimeline::new().at(
+                    SimTime::from_secs(100),
+                    censor::timeline::PolicyChange::Lift { name: "x".into() },
+                ))
+                .with_rollups(SimDuration::from_secs(500))
+                .with_maintenance(SimDuration::from_secs(700))
+        };
+        let config = BatchConfig { visits, ..BatchConfig::default() };
         let mut total = 0u64;
         for index in 0..shards {
-            let sharded = shard_recipe(&recipe, shards, index);
-            // Control half: broadcast verbatim.
-            prop_assert_eq!(sharded.timeline(), &timeline);
-            // Arrival half: thinned 1/N.
-            match sharded.mode() {
-                RunMode::Batch(cfg) => total += cfg.visits,
-                RunMode::Deployment(_) => prop_assert!(false, "mode changed"),
-            }
+            // Arrival half thinned 1/N; control half broadcast verbatim.
+            let thinned = shard_batch_config(&config, shards, index);
+            prop_assert_eq!(shard_recipe(&recipe(config), shards, index), recipe(thinned));
+            total += thinned.visits;
         }
         prop_assert_eq!(total, visits, "thinning must conserve the workload");
     }
@@ -346,7 +345,7 @@ mod world_engine_props {
     use netsim::geo::country;
     use netsim::http::{ContentType, HttpResponse};
     use netsim::network::{ConstHandler, Network};
-    use population::{DeploymentConfig, WorldEngine, WorldRecipe};
+    use population::{DeploymentConfig, WorldChange, WorldEngine, WorldRecipe};
     use sim_core::SimTime;
 
     fn tiny_world() -> (Network, EncoreSystem) {
@@ -383,13 +382,14 @@ mod world_engine_props {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
-        // Neutral events (no-op mutations, maintenance ticks, rollups) at
-        // arbitrary instants — including instants colliding with arrivals
-        // — leave the visit log byte-identical to an event-free run.
+        // Neutral events (world changes a flat world has nothing to apply
+        // to, maintenance ticks, rollups) at arbitrary instants —
+        // including instants colliding with arrivals — leave the visit
+        // log byte-identical to an event-free run.
         #[test]
         fn interleaved_neutral_events_never_perturb_the_visit_stream(
             seed in any::<u64>(),
-            mutation_secs in proptest::collection::vec(0u64..200_000, 0..6),
+            changes in proptest::collection::vec((0u64..200_000, 0.0f64..2.0), 0..6),
             tick_secs in 600u64..90_000,
         ) {
             let audience = Audience::academic();
@@ -403,10 +403,11 @@ mod world_engine_props {
             let noisy = {
                 let (mut net, mut sys) = tiny_world();
                 let mut rng = SimRng::new(seed);
-                let recipe = mutation_secs
+                let recipe = changes
                     .iter()
-                    .fold(two_days(), |recipe, &s| {
-                        recipe.mutate_at(SimTime::from_secs(s), |_, _| {})
+                    .fold(two_days(), |recipe, &(s, level)| {
+                        let change = WorldChange::HotspotBackground(level);
+                        recipe.change_at(SimTime::from_secs(s), change)
                     })
                     .with_maintenance(SimDuration::from_secs(tick_secs))
                     .with_rollups(SimDuration::from_secs(tick_secs));

@@ -41,7 +41,7 @@ use netsim::network::Network;
 use netsim::scenario::{NetworkScenario, WorldScenario};
 use netsim::TopologyConfig;
 use population::shard::ShardContext;
-use population::{BatchConfig, DeploymentConfig, WorldRecipe};
+use population::{BatchConfig, DeploymentConfig, WorldChange, WorldRecipe};
 use proptest::{Strategy, TestRng};
 use serde::{Deserialize, Serialize};
 use sim_core::{SimDuration, SimRng, SimTime};
@@ -112,10 +112,9 @@ pub struct CorpusCaseSpec {
 }
 
 impl CorpusCaseSpec {
-    /// Generate this case's corpus — a pure function of the spec, so
-    /// every shard (and every oracle re-run) sees identical content.
-    pub fn corpus(&self) -> websim::corpus::Corpus {
-        let cfg = websim::corpus::CorpusConfig {
+    /// The generator config of this case's corpus.
+    pub fn config(&self) -> websim::corpus::CorpusConfig {
+        websim::corpus::CorpusConfig {
             web: websim::generator::WebConfig {
                 num_domains: self.num_domains,
                 median_pages_per_domain: 4.0,
@@ -123,8 +122,13 @@ impl CorpusCaseSpec {
             },
             zipf_exponent: self.zipf_exponent,
             cross_links_per_site: 1,
-        };
-        websim::corpus::Corpus::generate(&cfg, &mut SimRng::new(self.corpus_seed))
+        }
+    }
+
+    /// Generate this case's corpus — a pure function of the spec, so
+    /// every shard (and every oracle re-run) sees identical content.
+    pub fn corpus(&self) -> websim::corpus::Corpus {
+        websim::corpus::Corpus::generate(&self.config(), &mut SimRng::new(self.corpus_seed))
             .expect("generated corpus specs are valid")
     }
 }
@@ -737,46 +741,38 @@ impl WorldCase {
             ),
         };
         if let Some(cong) = self.congestion {
-            // The brownout is a pair of shared world mutations: raise the
-            // hotspot background at the window open, drop it at the
-            // close. Data-plane only — no policy change, no control
-            // signal, no pipeline recompile — so the control-plane
-            // conservation oracle is untouched by congestion events.
+            // The brownout is a pair of world changes: raise the hotspot
+            // background at the window open, drop it at the close.
+            // Data-plane only — no policy change, no control signal, no
+            // pipeline recompile — so the control-plane conservation
+            // oracle is untouched by congestion events.
             let (b0, b1) = cong.brownout_days;
-            let level = cong.level;
-            recipe = recipe
-                .mutate_at(SimTime::from_secs(b0 * 86_400), move |net, _| {
-                    if let Some(topo) = net.topology_mut() {
-                        topo.set_hotspot_background(level);
-                    }
-                })
-                .mutate_at(SimTime::from_secs(b1 * 86_400), move |net, _| {
-                    if let Some(topo) = net.topology_mut() {
-                        topo.set_hotspot_background(0.0);
-                    }
-                });
+            for (day, level) in [(b0, cong.level), (b1, 0.0)] {
+                let change = WorldChange::HotspotBackground(level);
+                recipe = recipe.change_at(SimTime::from_secs(day * 86_400), change);
+            }
         }
         if let Some(spec) = self.corpus {
             if let Some((d0, d1)) = spec.disruption {
-                // The benign outage is a pair of shared world mutations
-                // swapping the rank-1 site's handler in place (no DNS or
-                // IP churn, so shard determinism is untouched) — the
-                // same vehicle the flagship world report uses.
+                // The benign outage is a pair of world changes swapping
+                // the rank-1 site's handler in place (no DNS or IP churn,
+                // so shard determinism is untouched) — the same vehicle
+                // the flagship world report uses.
                 let disruption = websim::corpus::Disruption {
                     day: d0,
                     duration_days: d1 - d0,
                     site: 1,
                     kind: websim::corpus::DisruptionKind::OriginOutage,
                 };
-                let apply_corpus = spec.corpus();
-                let revert_corpus = apply_corpus.clone();
-                recipe = recipe
-                    .mutate_at(SimTime::from_secs(d0 * 86_400), move |net, _| {
-                        disruption.apply(&apply_corpus, net);
-                    })
-                    .mutate_at(SimTime::from_secs(d1 * 86_400), move |net, _| {
-                        disruption.revert(&revert_corpus, net);
-                    });
+                for (day, revert) in [(d0, false), (d1, true)] {
+                    let change = WorldChange::Disruption {
+                        corpus: spec.config(),
+                        corpus_seed: spec.corpus_seed,
+                        disruption,
+                        revert,
+                    };
+                    recipe = recipe.change_at(SimTime::from_secs(day * 86_400), change);
+                }
             }
         }
         recipe

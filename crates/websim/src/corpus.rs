@@ -21,9 +21,9 @@
 //!   rotations, and site redesigns that break measurement tasks, applied
 //!   to a standing [`Network`] by swapping the origin's HTTP handler in
 //!   place (no address churn, so shard determinism is preserved). A
-//!   `Disruption` is plain `Copy` data and a [`Corpus`] is cheaply
-//!   clonable (`Arc`-shared sites), so both can be captured by
-//!   `Send + Sync` world-recipe mutation closures.
+//!   `Disruption` is plain `Copy` data; a world recipe schedules one
+//!   beside the `(config, seed)` that generates its corpus, and the
+//!   corpus is regenerated where the disruption fires.
 //!
 //! Everything is a pure function of `(config, seed)`: two shards that
 //! build the same corpus get byte-identical content, handlers, and
@@ -40,7 +40,7 @@ use sim_core::{SimDuration, SimRng};
 use std::sync::Arc;
 
 /// Corpus generator configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CorpusConfig {
     /// Per-site content generation knobs.
     pub web: WebConfig,

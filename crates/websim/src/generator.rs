@@ -36,7 +36,7 @@ pub enum DomainProfile {
 }
 
 /// Generator configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WebConfig {
     /// Number of domains to generate (paper: 178 online domains).
     pub num_domains: usize,
@@ -168,8 +168,7 @@ impl WebConfig {
 /// The generated web: content sites plus shared CDNs.
 ///
 /// Sites are `Arc`-shared so a generated web is `Send + Sync`: the same
-/// corpus can be installed on every shard of a sharded world and captured
-/// by `WorldRecipe` mutation closures.
+/// corpus can be installed on every shard of a sharded world.
 #[derive(Debug, Clone)]
 pub struct SyntheticWeb {
     /// Content sites (the measurement-target corpus), in generation

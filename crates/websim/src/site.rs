@@ -138,9 +138,9 @@ impl SiteContent {
 /// Serves a [`SiteContent`] over HTTP.
 ///
 /// Content is shared via [`Arc`] so the same generated site can be
-/// installed on every shard of a sharded world and captured by
-/// `Send + Sync` recipe mutations (e.g. a redesign event swapping the
-/// handler mid-run).
+/// installed on every shard of a sharded world, and a disruption that
+/// swaps the handler mid-run (a redesign, an outage's revert) can wrap
+/// the corpus' own copy.
 pub struct SiteHandler {
     content: Arc<SiteContent>,
 }
