@@ -20,7 +20,7 @@ use population::worker_main;
 fn main() {
     match std::env::args().nth(1).as_deref() {
         Some(SHARD_ROLE) => std::process::exit(worker_main::<BenchWorldSpec>()),
-        Some(CASE_ROLE) => std::process::exit(worker_main::<simcheck::CaseSpec>()),
+        Some(CASE_ROLE) => std::process::exit(worker_main::<simcheck::WorldCase>()),
         _ => {}
     }
     let (command, args) = RunArgs::parse(commands::COMMANDS);

@@ -87,7 +87,7 @@ impl WorldSpec for BenchWorldSpec {
 /// `ProcessTransport::new(bench_exe).with_role(SHARD_ROLE)`.
 pub const SHARD_ROLE: &str = "shard-worker";
 /// The `bench` worker role that runs
-/// `worker_main::<simcheck::CaseSpec>()` for simcheck's transport oracle.
+/// `worker_main::<simcheck::WorldCase>()` for simcheck's transport oracle.
 pub const CASE_ROLE: &str = "case-worker";
 
 #[cfg(test)]

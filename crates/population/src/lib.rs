@@ -16,10 +16,10 @@
 //!   control plane — is described as a plain-data
 //!   [`world::WorldRecipe`], which
 //!   [`world::WorldEngine::from_recipe`]`(..).run()` executes serially;
-//!   sharded, [`transport::ShardTransport::run`] carries each shard's
-//!   output from the one shard body ([`shard`]) to the one merge tail,
-//!   over a thread channel ([`shard::run_sharded_world`]) or a worker
-//!   process's frame stream.
+//!   sharded, [`transport::ShardTransport::run`] brings each shard's
+//!   output from the one shard body ([`shard`]) to the one coordinator,
+//!   run on a lane thread ([`shard::run_sharded_world`]) or folded from
+//!   a worker process's frame stream.
 //! * [`driver`] — the deployment arrival mode's config and visit record:
 //!   Poisson arrivals over a time span; each visit instantiates a
 //!   browser client and runs the full Figure 2 flow through
@@ -37,16 +37,14 @@
 //!   shared visit-outcome classification every driver tallies with, and
 //!   the single merge path ([`analytics::Merge`]) every sharded output
 //!   folds through.
-//! * [`reorder`] — the canonical reorder buffer: shard outputs fold in
-//!   *arrival* order while producing exactly the shard-index-order
-//!   merge, keeping coordinator memory O(1) folded aggregates.
-//! * [`transport`] — the two carriers behind
-//!   [`transport::ShardTransport`]: in-process threads, or worker
+//! * [`transport`] — the one coordinator and the two carriers behind
+//!   [`transport::ShardTransport`]: in-process shard bodies, or worker
 //!   *processes* (the coordinator's own binary re-executed in a worker
 //!   role) speaking the length-prefixed [`sim_core::frame`] protocol
-//!   over OS pipes, rebuilt by one stream fold generic over `Read` —
-//!   run side by side, one thread per worker stream, and accepted into
-//!   the merge tail in shard order.
+//!   over OS pipes, rebuilt by one stream fold generic over `Read`.
+//!   Either way at most one shard per hardware thread is open at a
+//!   time, each on its own lane thread, and the outputs merge in shard
+//!   order.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -55,7 +53,6 @@ pub mod analytics;
 pub mod audience;
 pub mod batch;
 pub mod driver;
-pub mod reorder;
 pub mod shard;
 pub mod transport;
 pub mod world;
@@ -67,7 +64,6 @@ pub use analytics::{
 pub use audience::Audience;
 pub use batch::{BatchConfig, BatchReport};
 pub use driver::{DeploymentConfig, VisitRecord};
-pub use reorder::ReorderBuffer;
 pub use shard::{run_sharded_world, shard_recipe, ShardContext, ShardedWorldRun};
 pub use transport::{
     worker_main, ProcessTransport, ShardTransport, ThreadTransport, TransportError, TransportKind,

@@ -2,16 +2,17 @@
 //!
 //! One [`crate::world::WorldRecipe`] — arrivals *plus* the full control
 //! plane of a longitudinal run (policy timelines, world changes,
-//! re-prioritisations, maintenance, rollups) — executes across N OS
-//! threads the way large discrete-event simulators parallelise:
-//! **control events are broadcast** verbatim to every shard
-//! ([`shard_recipe`]), **workload events are partitioned** 1/N
-//! ([`shard_batch_config`] / [`shard_deployment_config`]), and per-shard
-//! outputs **merge deterministically** in shard order through the
-//! associative [`crate::analytics::Merge`] path. [`run_sharded_world`]
-//! is the entry point. Each shard — a thread here, a worker process in
-//! [`crate::transport`] — is one call to the same shard body, which
-//! runs its own private world engine with
+//! re-prioritisations, maintenance, rollups) — executes across N shards,
+//! at most `available_parallelism()` at a time, the way large
+//! discrete-event simulators parallelise: **control events are
+//! broadcast** verbatim to every shard ([`shard_recipe`]), **workload
+//! events are partitioned** 1/N ([`shard_batch_config`] /
+//! [`shard_deployment_config`]), and per-shard outputs **merge
+//! deterministically** in shard order through the associative
+//! [`crate::analytics::Merge`] path. [`run_sharded_world`] is the entry
+//! point. Each shard — a lane thread here, a worker process in
+//! [`crate::transport`], drained by the same coordinator — is one call
+//! to the same shard body, which runs its own private world engine with
 //!
 //! * an **independent deterministic RNG stream** ([`SimRng::split`]:
 //!   disjoint 2^192-draw blocks *and* a re-keyed fork namespace, with
@@ -37,7 +38,7 @@ use crate::analytics::Merge;
 use crate::audience::Audience;
 use crate::batch::{BatchConfig, BatchReport};
 use crate::driver::DeploymentConfig;
-use crate::reorder::ReorderBuffer;
+use crate::transport::{drain, hardware_lanes, ThreadShard};
 use crate::world::{RunMode, WorldEngine, WorldOutcome, WorldRecipe};
 use encore::collection::CollectionSnapshot;
 use encore::geo::GeoDb;
@@ -45,8 +46,6 @@ use encore::system::EncoreSystem;
 use netsim::network::Network;
 use serde::{Deserialize, Serialize};
 use sim_core::{SimDuration, SimRng};
-use std::sync::mpsc;
-use std::thread;
 
 /// Which slice of a sharded run a builder is materialising.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -160,10 +159,10 @@ pub struct ShardedWorldRun {
 
 impl Merge for ShardedWorldRun {
     /// Piecewise fold through each component's associative merge (the
-    /// per-shard reports concatenate), so whole shard outputs ride the
-    /// [`ReorderBuffer`] — the coordinator's merge tail on both
-    /// backends, which holds one folded run per discontiguous completion
-    /// run instead of one buffered output per shard.
+    /// per-shard reports concatenate), so whole shard outputs fold into
+    /// the coordinator's merge tail — one running run on both carriers,
+    /// extended in shard order, instead of one buffered output per
+    /// shard.
     fn merge(mut self, other: ShardedWorldRun) -> ShardedWorldRun {
         self.per_shard.extend(other.per_shard);
         ShardedWorldRun {
@@ -207,9 +206,10 @@ where
     }
 }
 
-/// Execute one [`WorldRecipe`] across `shards` OS threads.
+/// Execute one [`WorldRecipe`] across `shards` shards in this process,
+/// at most `available_parallelism()` at a time, each on a lane thread.
 ///
-/// `build` is called once per shard, *on that shard's thread*, and must
+/// `build` is called once per shard, *on its lane thread*, and must
 /// return a freshly built `Network` + deployed `EncoreSystem` for the
 /// given [`ShardContext`] — typically via
 /// [`netsim::scenario::NetworkScenario::build_shard`] (or
@@ -218,19 +218,20 @@ where
 /// must be deterministic in the context: building the same shard twice
 /// must yield identical deployments.
 ///
-/// Each shard thread runs the one shard body (`run_shard`, the same
-/// function a worker process runs): the world engine over
+/// Each shard runs the one shard body (`run_shard`, the same function a
+/// worker process runs): the world engine over
 /// [`shard_recipe`]\(recipe, shards, index\), so control events (policy
 /// changes, world changes, re-prioritisations, maintenance, rollups) are
 /// **broadcast** verbatim to every shard, arrival events are **thinned**
 /// 1/N, and the per-shard RNG streams come from [`shard_rngs`]
 /// (`SimRng::split` / `long_jump`, shard 0 reproducing the serial stream
-/// exactly). Per-shard outputs then merge **in shard-index order**
-/// through the associative [`crate::analytics::Merge`] path, so the
-/// result is deterministic in `(seed, recipe, shards, scenario)` no
-/// matter how the threads were scheduled — and at `shards == 1` it is
-/// byte-identical to the serial engine on the same recipe
-/// (`tests/world_shard_equivalence.rs`).
+/// exactly). The shards drain through the process carrier's coordinator
+/// and merge **in shard-index order** through the associative
+/// [`crate::analytics::Merge`] path, so the result is deterministic in
+/// `(seed, recipe, shards, scenario)` no matter how the threads were
+/// scheduled — and at `shards == 1` it is byte-identical to the serial
+/// engine on the same recipe (`tests/world_shard_equivalence.rs`). A
+/// shard's panic is re-raised here.
 pub fn run_sharded_world<F>(
     build: &F,
     audience: &Audience,
@@ -242,30 +243,9 @@ where
     F: Fn(ShardContext) -> (Network, EncoreSystem) + Sync,
 {
     assert!(shards >= 1, "shard count must be at least 1");
-    let (tx, rx) = mpsc::channel::<(usize, ShardedWorldRun)>();
-    let merged = thread::scope(|scope| {
-        for index in 0..shards {
-            let tx = tx.clone();
-            scope.spawn(move || {
-                let ctx = ShardContext { index, shards };
-                let output = run_shard(build, audience, recipe, ctx, seed);
-                // A disconnected receiver means the coordinator already
-                // gave up (a sibling panicked); nothing left to report.
-                let _ = tx.send((index, output));
-            });
-        }
-        drop(tx);
-
-        let mut merge = ReorderBuffer::new(shards);
-        for (index, output) in rx {
-            merge.accept(index, output);
-        }
-        merge.finish()
-    });
-    // A missing output means a shard thread panicked before sending;
-    // `thread::scope` re-raises that panic on join, so this expect is
-    // only reachable on a double-fault — keep the old message for it.
-    merged.expect("shard thread panicked")
+    let mut lanes = ThreadShard::all(build, audience, recipe, shards, seed);
+    let drained = drain(&mut lanes, hardware_lanes());
+    drained.expect("in-process shard outputs merge").0
 }
 
 #[cfg(test)]
@@ -344,7 +324,7 @@ pub(crate) mod tests {
         );
     }
 
-    /// `visits` batch visits across `shards` threads of the test world.
+    /// `visits` batch visits across `shards` shards of the test world.
     fn run_batch(shards: usize, visits: u64, seed: u64) -> ShardedWorldRun {
         let recipe = WorldRecipe::batch(BatchConfig {
             visits,

@@ -1,25 +1,25 @@
-//! Distributed shard backends: one shard body, one merge tail, two
+//! Distributed shard backends: one shard body, one coordinator, two
 //! carriers.
 //!
 //! Every shard is one call to `crate::shard::run_shard`, and its output
-//! — a one-shard [`ShardedWorldRun`] — reaches the coordinator's one
-//! merge tail (a [`ReorderBuffer`] of them) whole. [`ShardTransport`]
-//! abstracts only what carries it there:
+//! — a one-shard [`ShardedWorldRun`] — reaches the one coordinator,
+//! `drain`, whole. `drain` opens one lane thread per shard, at most one
+//! per hardware thread at a time, and folds the outputs into its merge
+//! tail in shard order — so coordinator peak memory is the merged run
+//! plus one output per open lane, not O(shards × outcome).
+//! [`ShardTransport`] abstracts only what a lane runs:
 //!
-//! * [`ThreadTransport`] — OS threads in this process; the output is
-//!   moved through a channel ([`run_sharded_world`]).
+//! * [`ThreadTransport`] — the lane runs the shard body itself, in this
+//!   process ([`run_sharded_world`]).
 //! * [`ProcessTransport`] — worker **processes** on OS pipes speaking
 //!   the length-prefixed, checksummed [`sim_core::frame`] protocol. The
 //!   coordinator serializes the [`WorldSpec`] **once** and broadcasts
 //!   the same frame bytes to every worker; each worker rebuilds its
 //!   world from the spec, runs its shard, and streams the output back
-//!   in bounded chunks, which the coordinator's one stream fold
-//!   (`fold_shard_stream`, over any [`Read`]) rebuilds as frames arrive
-//!   — one fold thread per stream, as many streams at a time as the
-//!   machine has hardware threads, outputs merged in shard order — so
-//!   coordinator peak memory is the merged run plus one partial per
-//!   open stream, not O(shards × outcome). `ProcessTransport` itself
-//!   holds only what is about processes: spawn, pipes, reap.
+//!   in bounded chunks, which the lane's stream fold
+//!   (`fold_shard_stream`, over any [`Read`]) rebuilds as frames arrive.
+//!   `ProcessTransport` itself holds only what is about processes:
+//!   spawn, pipes, reap.
 //!
 //! Only descriptions cross the process boundary: a [`WorldSpec`] is a
 //! compact serializable *description* (fixture name + parameters, or a
@@ -60,11 +60,10 @@
 //! folds (whose reads then end), so one bad stream is an error, not a
 //! hang.
 
-use crate::analytics::{RollupSeries, StreamSummary};
+use crate::analytics::{Merge, RollupSeries, StreamSummary};
 use crate::audience::Audience;
 use crate::batch::BatchReport;
 use crate::driver::VisitRecord;
-use crate::reorder::ReorderBuffer;
 use crate::shard::{run_shard, run_sharded_world, ShardContext, ShardedWorldRun};
 use crate::world::{WorldOutcome, WorldRecipe};
 use encore::collection::CollectionSnapshot;
@@ -281,7 +280,8 @@ pub trait ShardTransport {
     ) -> Result<ShardedWorldRun, TransportError>;
 }
 
-/// The in-process backend: scoped OS threads ([`run_sharded_world`]).
+/// The in-process backend: shard bodies on lane threads
+/// ([`run_sharded_world`]).
 /// Never fails; the `Result` exists only to satisfy the shared trait
 /// signature.
 #[derive(Debug, Clone, Copy, Default)]
@@ -383,10 +383,9 @@ impl ProcessTransport {
     ) -> Result<(ShardedWorldRun, TransportStats), TransportError> {
         assert!(shards >= 1, "shard count must be at least 1");
         let mut children = Vec::with_capacity(shards);
-        let lanes = thread::available_parallelism().map_or(1, usize::from);
         let result = self
             .spawn_workers(spec, shards, seed, &mut children)
-            .and_then(|()| drain(&mut children, lanes));
+            .and_then(|()| drain(&mut children, hardware_lanes()));
         if result.is_err() {
             // The one failure path, whichever step failed: no orphans,
             // no zombies.
@@ -446,28 +445,55 @@ impl ProcessTransport {
     }
 }
 
-/// A worker as [`drain`] sees it: two pipes, a way to learn how it
-/// ended, and a way to end it. [`Child`] is the one the transport runs;
-/// the tests script in-memory ones.
-trait Worker {
-    /// The worker's frames, coordinator-bound.
-    type Stdout: Read + Send;
-    /// Where the worker reads its credits.
-    type Stdin: Write + Send;
-    /// Hand both pipes over (once).
-    fn pipes(&mut self) -> (Self::Stdout, Self::Stdin);
+/// How many lanes `drain` opens at a time, on either carrier: past one
+/// per hardware thread a lane only waits for a core, holding an output.
+pub(crate) fn hardware_lanes() -> usize {
+    thread::available_parallelism().map_or(1, usize::from)
+}
+
+/// A shard as [`drain`] sees it: a lane that brings its output home, a
+/// way to learn how it ended, and a way to end it. A [`Child`]'s lane
+/// folds its frame stream; a [`ThreadShard`]'s runs the shard body.
+pub(crate) trait Worker {
+    /// What the lane thread takes over.
+    type Lane: Lane;
+    /// Hand the lane over (once).
+    fn open(&mut self) -> Self::Lane;
     /// Wait for the worker to end and say how it did.
-    fn reap(&mut self) -> io::Result<ExitStatus>;
+    fn reap(&mut self) -> io::Result<ExitStatus> {
+        Ok(ExitStatus::default())
+    }
     /// End the worker now, which ends its stream: a fold blocked reading
     /// it sees EOF.
-    fn kill(&mut self);
+    fn kill(&mut self) {}
+}
+
+/// The body of one lane thread.
+pub(crate) trait Lane: Send {
+    /// Bring shard `shard`'s output home.
+    fn bring_home(self, shard: usize) -> Result<Folded, TransportError>;
+}
+
+/// A worker's pipes: its frames, coordinator-bound, and where it reads
+/// its credits.
+impl<R: Read + Send, W: Write + Send> Lane for (R, W) {
+    fn bring_home(self, shard: usize) -> Result<Folded, TransportError> {
+        // Dropped on return, either way: the stream is over, and closing
+        // its stdin releases the worker.
+        let (mut stdout, mut stdin) = self;
+        // This stream's own sketch shape and frame counts; the run's are
+        // settled at the accept step.
+        let (mut shape, mut counted) = (None, TransportStats::new(1));
+        let credit = || ack(&mut stdin);
+        let output = fold_shard_stream(shard, &mut stdout, credit, &mut shape, &mut counted)?;
+        Ok((output, shape, counted))
+    }
 }
 
 impl Worker for Child {
-    type Stdout = io::BufReader<ChildStdout>;
-    type Stdin = ChildStdin;
+    type Lane = (io::BufReader<ChildStdout>, ChildStdin);
 
-    fn pipes(&mut self) -> (Self::Stdout, ChildStdin) {
+    fn open(&mut self) -> Self::Lane {
         let stdout = self.stdout.take().expect("stdout piped at spawn");
         let stdin = self.stdin.take().expect("stdin piped at spawn");
         (io::BufReader::new(stdout), stdin)
@@ -483,14 +509,62 @@ impl Worker for Child {
     }
 }
 
-/// One shard's fold, as its thread reports it: the output, the sketch
-/// shape it carried (if any), and what the fold counted.
-type Folded = (ShardedWorldRun, Option<MergeShape>, TransportStats);
+/// One shard of an in-process run: its lane runs the shard body on the
+/// world `build` makes for `ctx`; there is nothing to reap or kill.
+#[derive(Clone, Copy)]
+pub(crate) struct ThreadShard<'a> {
+    build: &'a (dyn Fn(ShardContext) -> (Network, EncoreSystem) + Sync),
+    audience: &'a Audience,
+    recipe: &'a WorldRecipe,
+    ctx: ShardContext,
+    seed: u64,
+}
+
+impl<'a> ThreadShard<'a> {
+    /// Every shard of a `shards`-shard run from root `seed`.
+    pub(crate) fn all(
+        build: &'a (dyn Fn(ShardContext) -> (Network, EncoreSystem) + Sync),
+        audience: &'a Audience,
+        recipe: &'a WorldRecipe,
+        shards: usize,
+        seed: u64,
+    ) -> Vec<ThreadShard<'a>> {
+        (0..shards)
+            .map(|index| ThreadShard {
+                build,
+                audience,
+                recipe,
+                ctx: ShardContext { index, shards },
+                seed,
+            })
+            .collect()
+    }
+}
+
+impl Lane for ThreadShard<'_> {
+    fn bring_home(self, _: usize) -> Result<Folded, TransportError> {
+        let output = run_shard(&self.build, self.audience, self.recipe, self.ctx, self.seed);
+        Ok((output, None, TransportStats::new(1)))
+    }
+}
+
+impl Worker for ThreadShard<'_> {
+    type Lane = Self;
+
+    fn open(&mut self) -> Self {
+        *self
+    }
+}
+
+/// One shard's output as its lane reports it: the output, the sketch
+/// shape its stream carried (if any), and what the fold counted.
+pub(crate) type Folded = (ShardedWorldRun, Option<MergeShape>, TransportStats);
 
 /// The coordinator's merge tail, with what the shards accepted into it
 /// so far agreed on.
 struct MergeTail {
-    merge: ReorderBuffer<ShardedWorldRun>,
+    /// The shard-order fold of every output accepted so far.
+    run: Option<ShardedWorldRun>,
     stats: TransportStats,
     shape: Option<MergeShape>,
     geo_error_rate: Option<f64>,
@@ -518,13 +592,16 @@ impl MergeTail {
             "final: GeoIP error rate",
         )?;
         self.stats.absorb(&counted);
-        self.merge.accept(shard, output);
+        self.run = Some(match self.run.take() {
+            Some(run) => run.merge(output),
+            None => output,
+        });
         Ok(())
     }
 }
 
-/// One shard's `found` must equal what the run's earlier shards brought
-/// (`agreed`, set by the first to bring any).
+/// Shard `shard`'s `found` must equal what came before it (`agreed`,
+/// set by the first to bring any): its stream's, or its run's.
 fn agree<T: Copy + PartialEq + fmt::Debug>(
     agreed: &mut Option<T>,
     found: T,
@@ -540,70 +617,72 @@ fn agree<T: Copy + PartialEq + fmt::Debug>(
     )))
 }
 
-/// Drain every worker: fold the streams **side by side** — one scoped
-/// thread per stream, each running [`fold_shard_stream`] on its own
-/// partial — and accept the outputs into the merge tail **in shard
-/// order**, so the merge tree, and with it every byte of the result, is
-/// what folding them one after another produced. Once the workers have
-/// simulated, shipping a shard home is decode-and-checksum work on the
-/// coordinator; side by side it uses the hardware threads the workers
-/// just vacated instead of queueing shard 1's bytes behind shard 0's.
+/// Drain every shard: bring the outputs home **side by side** — one
+/// scoped lane thread per open shard, folding a worker's stream or
+/// running an in-process shard body — and accept them into the merge
+/// tail **in shard order**, so the merge tree, and with it every byte of
+/// the result, is what folding them one after another produced. Once
+/// the workers have simulated, shipping a shard home is
+/// decode-and-checksum work on the coordinator; side by side it uses the
+/// hardware threads the workers just vacated instead of queueing shard
+/// 1's bytes behind shard 0's.
 ///
-/// At most `lanes` streams are open at a time, in a window that slides
+/// At most `lanes` shards are open at a time, in a window that slides
 /// in index order as outputs are accepted: the coordinator holds the
 /// tail's one run plus at most `lanes` partials (`peak_resident_outcomes`
-/// ≤ `1 + min(shards, lanes)`), and workers past the window block on
-/// their credit window until it reaches them.
+/// ≤ `1 + min(shards, lanes)`); in-process shards past the window are
+/// not built yet, and workers past it block on credits until it
+/// reaches them.
 ///
 /// On the first failure, whichever shard's, every worker is killed
-/// *before* the remaining fold threads are joined: their reads then see
+/// *before* the remaining lane threads are joined: their reads then see
 /// EOF, so a dead worker beside a healthy sibling is its typed error
 /// and never a hang.
-fn drain<W: Worker>(
+pub(crate) fn drain<W: Worker>(
     workers: &mut [W],
     lanes: usize,
 ) -> Result<(ShardedWorldRun, TransportStats), TransportError> {
     let shards = workers.len();
     let mut tail = MergeTail {
-        merge: ReorderBuffer::new(shards),
+        run: None,
         stats: TransportStats::new(shards),
         shape: None,
         geo_error_rate: None,
     };
     let (done, folds) = mpsc::channel();
     thread::scope(|scope| {
-        // Folded out of turn, waiting for the shards before them.
+        // Brought home, waiting for their turn in shard order.
         let mut early: BTreeMap<usize, Folded> = BTreeMap::new();
         let (mut opened, mut accepted) = (0, 0);
         let mut slide = || -> Result<(), TransportError> {
             while accepted < shards {
                 while opened < shards.min(accepted + lanes.max(1)) {
                     let (shard, done) = (opened, done.clone());
-                    let (mut stdout, mut stdin) = workers[shard].pipes();
+                    let lane = workers[shard].open();
                     scope.spawn(move || {
-                        // This stream's own sketch shape and frame counts;
-                        // the run's are settled at the accept step.
-                        let (mut shape, mut counted) = (None, TransportStats::new(1));
-                        // A panic in the fold is a bug, and must reach the
-                        // coordinator as one, not leave it waiting.
-                        let folded = catch_unwind(AssertUnwindSafe(|| {
-                            let credit = || ack(&mut stdin);
-                            fold_shard_stream(shard, &mut stdout, credit, &mut shape, &mut counted)
-                        }));
-                        // Stream over, either way: release the worker.
-                        drop(stdin);
+                        // A panic in a lane — a fold bug, or how an
+                        // in-process shard dies — must reach the
+                        // coordinator, not leave it waiting.
+                        let folded = catch_unwind(AssertUnwindSafe(|| lane.bring_home(shard)));
                         // No receiver: the coordinator already gave up.
-                        let _ = done.send((shard, folded, shape, counted));
+                        let _ = done.send((shard, folded));
                     });
                     opened += 1;
                 }
-                let resident = tail.merge.pending_runs() + (opened - accepted);
+                let resident = usize::from(tail.run.is_some()) + (opened - accepted);
                 tail.stats.peak_resident_outcomes = tail.stats.peak_resident_outcomes.max(resident);
+                // One acceptance per turn, so the window refills after
+                // each: the peak is set by `shards` and `lanes`, not by
+                // the order the lanes happened to finish in.
+                if let Some(folded) = early.remove(&accepted) {
+                    tail.accept(accepted, folded)?;
+                    accepted += 1;
+                    continue;
+                }
 
-                let (shard, folded, shape, counted) =
-                    folds.recv().expect("every open stream's thread reports");
-                let output = match folded {
-                    Ok(Ok(output)) => output,
+                let (shard, folded) = folds.recv().expect("every open lane reports");
+                let folded = match folded {
+                    Ok(Ok(folded)) => folded,
                     // The pipe closed before FINAL: the worker died.
                     // This backend can say how.
                     Ok(Err(TransportError::WorkerExit { .. })) => {
@@ -624,11 +703,7 @@ fn drain<W: Worker>(
                         return Err(TransportError::WorkerExit { shard, detail });
                     }
                 }
-                early.insert(shard, (output, shape, counted));
-                while let Some(folded) = early.remove(&accepted) {
-                    tail.accept(accepted, folded)?;
-                    accepted += 1;
-                }
+                early.insert(shard, folded);
             }
             Ok(())
         };
@@ -639,7 +714,7 @@ fn drain<W: Worker>(
         }
         drained
     })?;
-    let run = tail.merge.finish().expect("the loop accepted every shard");
+    let run = tail.run.expect("the loop accepted every shard");
     Ok((run, tail.stats))
 }
 
@@ -695,12 +770,7 @@ fn fold_shard_stream<R: Read>(
                 let found = sketch
                     .validate()
                     .map_err(|why| TransportError::Payload(format!("sketch: {why}")))?;
-                let expected = *shape.get_or_insert(found);
-                if found != expected {
-                    return Err(TransportError::Payload(format!(
-                        "sketch: shard {shard} sent {found:?}, the run merges {expected:?}"
-                    )));
-                }
+                agree(shape, found, shard, "sketch")?;
                 collection = collection.merge_owned(CollectionSnapshot {
                     streaming: Some(sketch),
                     ..CollectionSnapshot::default()
@@ -902,25 +972,42 @@ fn expect_frame<R: Read>(input: &mut R, kind: u8, what: &str) -> Result<Vec<u8>,
 /// stdin/stdout, report failures as an ERROR frame + exit code 1. The
 /// role's whole body is `std::process::exit(worker_main::<MySpec>())`.
 pub fn worker_main<S: WorldSpec>() -> i32 {
-    let stdin = io::stdin();
-    let stdout = io::stdout();
-    let mut input = stdin.lock();
-    let mut output = io::BufWriter::new(stdout.lock());
-    match run_worker::<S, _, _>(&mut input, &mut output) {
-        Ok(()) => 0,
-        Err(err) => {
-            // Best effort: tell the coordinator why before dying.
-            let _ = write_frame(&mut output, KIND_ERROR, err.to_string().as_bytes());
-            let _ = output.flush();
-            eprintln!("shard worker failed: {err}");
-            1
-        }
+    let mut output = io::BufWriter::new(io::stdout().lock());
+    serve::<S, _, _>(&mut io::stdin().lock(), &mut output)
+}
+
+/// [`worker_main`] over any pipes: run the worker, and answer a failure
+/// — an error, or a panic in the shard — with an ERROR frame saying why
+/// and exit code 1.
+fn serve<S: WorldSpec, R: Read, W: Write>(input: &mut R, output: &mut W) -> i32 {
+    let served = catch_unwind(AssertUnwindSafe(|| run_worker::<S, _, _>(input, output)));
+    let why = match served {
+        Ok(Ok(())) => return 0,
+        Ok(Err(err)) => err.to_string(),
+        Err(panic) => format!("panicked: {}", panic_message(&*panic)),
+    };
+    // Best effort: tell the coordinator why before dying.
+    let _ = write_frame(output, KIND_ERROR, why.as_bytes());
+    let _ = output.flush();
+    eprintln!("shard worker failed: {why}");
+    1
+}
+
+/// What a panic said: `panic!`'s payload is its `&str` literal or its
+/// formatted `String`.
+fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
+    match panic.downcast_ref::<&str>() {
+        Some(literal) => literal,
+        None => panic
+            .downcast_ref::<String>()
+            .map_or("(no message)", String::as_str),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analytics::merge_in_order;
     use crate::batch::BatchConfig;
     use sim_core::FRAME_HEADER_LEN;
 
@@ -1019,7 +1106,7 @@ mod tests {
     }
 
     /// A coordinator's opening bytes: the spec frame, then the job frame.
-    fn handshake(spec: &TinySpec, job: WorkerJob) -> Vec<u8> {
+    fn handshake<S: WorldSpec>(spec: &S, job: WorkerJob) -> Vec<u8> {
         let mut script = encode_frame(KIND_SPEC, &encode_payload(spec).unwrap());
         script.extend(encode_frame(KIND_JOB, &encode_payload(&job).unwrap()));
         script
@@ -1061,7 +1148,7 @@ mod tests {
     ) -> (ShardedWorldRun, Vec<Vec<u8>>) {
         let mut stats = TransportStats::new(shards);
         let (mut shape, mut credits) = (None, 0u64);
-        let mut merge = ReorderBuffer::new(shards);
+        let mut outputs = Vec::new();
         let mut kinds = Vec::new();
         for index in 0..shards {
             let wire = transcript(spec, index, shards, seed);
@@ -1071,12 +1158,12 @@ mod tests {
                 fold_shard_stream(index, &mut stream, || credits += 1, &mut shape, &mut stats)
                     .expect("a worker's own stream folds");
             assert!(stream.is_empty(), "the stream must end at FINAL");
-            merge.accept(index, output);
+            outputs.push(output);
         }
         let data_frames: usize = kinds.iter().map(|k: &Vec<u8>| k.len() - 1).sum();
         assert_eq!(credits, data_frames as u64, "one credit per data frame");
         assert_eq!(stats.data_frames, credits);
-        (merge.finish().expect("every shard folded"), kinds)
+        (merge_in_order(outputs).expect("every shard folded"), kinds)
     }
 
     /// A worker that is only its stream: scripted bytes, or a pipe whose
@@ -1109,18 +1196,13 @@ mod tests {
     }
 
     impl Worker for Scripted {
-        type Stdout = Box<dyn Read + Send>;
-        type Stdin = io::Sink;
+        type Lane = (Box<dyn Read + Send>, io::Sink);
 
-        fn pipes(&mut self) -> (Self::Stdout, io::Sink) {
+        fn open(&mut self) -> Self::Lane {
             (
                 self.stdout.take().expect("pipes are taken once"),
                 io::sink(),
             )
-        }
-
-        fn reap(&mut self) -> io::Result<ExitStatus> {
-            Ok(ExitStatus::default())
         }
 
         fn kill(&mut self) {
@@ -1128,29 +1210,147 @@ mod tests {
         }
     }
 
-    /// Side by side or one after another, whatever the window: `drain`
-    /// over the workers' transcripts is `fold_transcripts` over them —
-    /// same run, same frame count — and holds no more partials than its
-    /// window allows (shards > lanes is the sliding case).
+    /// Side by side or one after another, whatever the window and
+    /// whatever the carrier: `drain` over the workers' transcripts, or
+    /// over the same shards run in-process, is `fold_transcripts` over
+    /// them — same run, same frame count for the streams — and holds no
+    /// more partials than its window allows (shards > lanes is the
+    /// sliding case).
     #[test]
     fn concurrent_drain_is_the_one_after_another_fold_at_any_window() {
         let (spec, shards, seed) = (TinySpec::logged(), 5, 97);
         let (expected, kinds) = fold_transcripts(&spec, shards, seed);
         let data_frames: usize = kinds.iter().map(|k| k.len() - 1).sum();
+        let (audience, recipe) = (spec.audience(), spec.recipe());
+        let build = |ctx| spec.build(ctx);
         for lanes in [1, 2, 3, 5, 8] {
             let mut workers: Vec<Scripted> = (0..shards)
                 .map(|index| Scripted::wrote(transcript(&spec, index, shards, seed)))
                 .collect();
             let (run, stats) = drain(&mut workers, lanes).expect("transcripts drain");
-            assert_eq!(run.outcome, expected.outcome, "{lanes} lanes");
-            assert_eq!(run.collection, expected.collection, "{lanes} lanes");
-            assert_eq!(run.per_shard, expected.per_shard, "{lanes} lanes");
             assert_eq!(stats.data_frames, data_frames as u64, "{lanes} lanes");
-            // The tail's run plus a full window — or, with every stream
-            // open from the start, the streams alone.
+            let mut in_process = ThreadShard::all(&build, &audience, &recipe, shards, seed);
+            let (threads, thread_stats) = drain(&mut in_process, lanes).expect("shards drain");
+            // The tail's run plus a full window — or, with every lane
+            // open from the start, the lanes alone.
             let bound = if lanes < shards { lanes + 1 } else { shards };
-            assert_eq!(stats.peak_resident_outcomes, bound, "{lanes} lanes");
+            for (carrier, run, stats) in
+                [("process", run, stats), ("thread", threads, thread_stats)]
+            {
+                assert_eq!(run.outcome, expected.outcome, "{carrier}, {lanes} lanes");
+                assert_eq!(
+                    run.collection, expected.collection,
+                    "{carrier}, {lanes} lanes"
+                );
+                assert_eq!(
+                    run.per_shard, expected.per_shard,
+                    "{carrier}, {lanes} lanes"
+                );
+                assert_eq!(
+                    stats.peak_resident_outcomes, bound,
+                    "{carrier}, {lanes} lanes"
+                );
+            }
         }
+    }
+
+    /// A worker whose lane brings `output` home only once its gate
+    /// opens, and whose reap — the coordinator's first act on a
+    /// completion — opens the gate of the shard the test wants next: the
+    /// completions reach `drain` in exactly the order the test chose.
+    struct Gated {
+        lane: Option<Gate>,
+        next: Option<mpsc::Sender<()>>,
+    }
+
+    /// A gated worker's lane: its gate, and the output behind it.
+    struct Gate(mpsc::Receiver<()>, ShardedWorldRun);
+
+    impl Lane for Gate {
+        fn bring_home(self, _: usize) -> Result<Folded, TransportError> {
+            let Gate(gate, output) = self;
+            gate.recv().expect("the test opens every gate");
+            Ok((output, None, TransportStats::new(1)))
+        }
+    }
+
+    impl Worker for Gated {
+        type Lane = Gate;
+
+        fn open(&mut self) -> Self::Lane {
+            self.lane.take().expect("a lane opens once")
+        }
+
+        fn reap(&mut self) -> io::Result<ExitStatus> {
+            if let Some(next) = self.next.take() {
+                next.send(()).expect("the next lane waits at its gate");
+            }
+            Ok(ExitStatus::default())
+        }
+    }
+
+    /// Outputs that complete out of shard order — in reverse, shuffled,
+    /// or alternating — are still accepted in shard order: the run is
+    /// `merge_in_order` of the per-shard outputs, whatever the order.
+    #[test]
+    fn drain_accepts_in_shard_order_whatever_order_shards_complete_in() {
+        let (spec, shards, seed) = (TinySpec::logged(), 5, 31);
+        let (audience, recipe) = (spec.audience(), spec.recipe());
+        let outputs: Vec<ShardedWorldRun> = (0..shards)
+            .map(|index| {
+                let ctx = ShardContext { index, shards };
+                run_shard(&|ctx| spec.build(ctx), &audience, &recipe, ctx, seed)
+            })
+            .collect();
+        let expected = merge_in_order(outputs.clone()).expect("five outputs");
+        for order in [[4, 3, 2, 1, 0], [1, 3, 0, 2, 4], [0, 2, 4, 1, 3]] {
+            let (gates, waits): (Vec<_>, Vec<_>) = (0..shards).map(|_| mpsc::channel()).unzip();
+            let mut workers: Vec<Gated> = waits
+                .into_iter()
+                .zip(&outputs)
+                .map(|(wait, output)| Gated {
+                    lane: Some(Gate(wait, output.clone())),
+                    next: None,
+                })
+                .collect();
+            for pair in order.windows(2) {
+                workers[pair[0]].next = Some(gates[pair[1]].clone());
+            }
+            gates[order[0]].send(()).unwrap();
+            let (run, _) = drain(&mut workers, shards).expect("gated shards drain");
+            assert_eq!(run.outcome, expected.outcome, "completed in {order:?}");
+            assert_eq!(
+                run.collection, expected.collection,
+                "completed in {order:?}"
+            );
+            assert_eq!(run.per_shard, expected.per_shard, "completed in {order:?}");
+        }
+    }
+
+    /// A thread run builds no more worlds at a time than it has lanes:
+    /// 8 in-process shards on 2 lanes never have more than 2 builds in
+    /// flight.
+    #[test]
+    fn a_thread_run_keeps_at_most_lanes_worlds_alive() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let (in_flight, high_water) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let build = |ctx| {
+            let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+            high_water.fetch_max(now, Ordering::SeqCst);
+            thread::sleep(std::time::Duration::from_millis(20));
+            let world = crate::shard::tests::build(ctx);
+            in_flight.fetch_sub(1, Ordering::SeqCst);
+            world
+        };
+        let spec = TinySpec::exact(40);
+        let (audience, recipe) = (spec.audience(), spec.recipe());
+        let mut shards = ThreadShard::all(&build, &audience, &recipe, 8, 3);
+        drain(&mut shards, 2).expect("shards drain");
+        let mark = high_water.load(Ordering::SeqCst);
+        assert!(
+            (1..=2).contains(&mark),
+            "{mark} worlds built at once on 2 lanes"
+        );
     }
 
     /// Failure under concurrency: one worker's stream ends before FINAL
@@ -1183,7 +1383,7 @@ mod tests {
 
     /// Drive the worker protocol entirely in-process: what the
     /// coordinator's fold rebuilds from `run_worker`'s bytes is what the
-    /// thread backend moved through its channel.
+    /// thread backend's lanes handed back in memory.
     #[test]
     fn in_process_worker_stream_folds_to_thread_result() {
         // Batch mode keeps no visit log; deployment mode streams one.
@@ -1569,6 +1769,60 @@ mod tests {
         };
         let err = worker(&handshake(&TinySpec::exact(1), bad_job)).unwrap_err();
         assert!(matches!(err, TransportError::Protocol(_)), "{err}");
+    }
+
+    /// A spec whose every shard panics building its world.
+    #[derive(Debug, Clone, Serialize, Deserialize)]
+    struct Doomed {
+        why: String,
+    }
+
+    impl WorldSpec for Doomed {
+        fn audience(&self) -> Audience {
+            Audience::academic()
+        }
+
+        fn recipe(&self) -> WorldRecipe {
+            TinySpec::exact(1).recipe()
+        }
+
+        fn build(&self, _: ShardContext) -> (Network, EncoreSystem) {
+            panic!("{}", self.why)
+        }
+    }
+
+    /// A worker whose shard panics sends the panic's message as its
+    /// ERROR frame and exits 1, so the coordinator answers with the
+    /// reason — the one an in-process shard's re-raised panic carries —
+    /// and not with a bare exit status.
+    #[test]
+    fn a_worker_that_panics_says_why() {
+        let spec = Doomed {
+            why: "no world today".into(),
+        };
+        let job = WorkerJob {
+            index: 0,
+            shards: 1,
+            seed: 7,
+            chunk: 8,
+            window: 8,
+        };
+        let mut wire = Vec::new();
+        let code = serve::<Doomed, _, _>(&mut &handshake(&spec, job)[..], &mut wire);
+        assert_eq!(code, 1, "a panicked worker exits 1");
+        let detail = match drain(&mut [Scripted::wrote(wire)], 1) {
+            Err(TransportError::Worker { shard: 0, detail }) => detail,
+            other => panic!("expected the worker's reason, got {other:?}"),
+        };
+        assert_eq!(detail, "panicked: no world today");
+
+        let (audience, recipe) = (spec.audience(), spec.recipe());
+        let build = |ctx| spec.build(ctx);
+        let in_process = catch_unwind(AssertUnwindSafe(|| {
+            drain(&mut ThreadShard::all(&build, &audience, &recipe, 1, 7), 1)
+        }));
+        let panic = in_process.expect_err("an in-process shard's panic is re-raised");
+        assert_eq!(format!("panicked: {}", panic_message(&*panic)), detail);
     }
 
     #[test]

@@ -97,7 +97,7 @@ impl CaseClass {
 }
 
 /// The generative-web layer of a [`CaseClass::Corpus`] case.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CorpusCaseSpec {
     /// Sites in the generated corpus.
     pub num_domains: usize,
@@ -134,7 +134,7 @@ impl CorpusCaseSpec {
 }
 
 /// The generated arrival process.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum ArrivalMode {
     /// Poisson arrivals at every origin over a day horizon.
     Deployment {
@@ -153,7 +153,7 @@ pub enum ArrivalMode {
 }
 
 /// A hard or soft blocking mechanism for scheduled censors.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum BlockKind {
     /// Forged NXDOMAIN.
     DnsNxDomain,
@@ -201,7 +201,7 @@ impl BlockKind {
 }
 
 /// The generated censorship model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum CensorModel {
     /// No censor anywhere: the false-positive control.
     None,
@@ -240,7 +240,7 @@ pub enum CensorModel {
 
 /// The three congestion-vs-censorship scenario shapes (the soundness
 /// cases the detector must tell apart).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CongestionShape {
     /// A transit brownout and no censor anywhere: the detector must
     /// stay completely silent.
@@ -255,7 +255,7 @@ pub enum CongestionShape {
 }
 
 /// The routed-congestion layer of a [`CaseClass::Congestion`] case.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CongestionSpec {
     /// Scenario shape (which soundness property this world exercises).
     pub shape: CongestionShape,
@@ -272,7 +272,7 @@ pub struct CongestionSpec {
 
 /// One generated world: the full reproduction recipe for a simcheck
 /// case.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorldCase {
     /// The seed that generated this case (also the world's RNG seed).
     pub seed: u64,

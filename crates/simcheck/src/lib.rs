@@ -65,4 +65,4 @@ pub use generator::{
 };
 pub use oracle::{check_case, check_streaming_case, localise_transitions, Violation};
 pub use runner::{replay, run_budget, SimCheckConfig, SimCheckReport};
-pub use transport::{check_transport, CaseSpec};
+pub use transport::check_transport;

@@ -117,7 +117,7 @@ fn class_for(config: &SimCheckConfig, index: usize) -> CaseClass {
 
 /// Replay one `(class, seed)` pair from a regression file: regenerate
 /// exactly that world and re-run every oracle — the transport oracle
-/// included, over `process` workers running `worker_main::<CaseSpec>()`,
+/// included, over `process` workers running `worker_main::<WorldCase>()`,
 /// so transport regressions replay with the same command as the rest.
 pub fn replay(class: CaseClass, seed: u64, process: &ProcessTransport) -> Vec<Violation> {
     let case = WorldCase::from_seed(class, seed);
@@ -129,7 +129,7 @@ pub fn replay(class: CaseClass, seed: u64, process: &ProcessTransport) -> Vec<Vi
 
 /// Run a bounded case budget and aggregate the report; the transport
 /// oracle spawns `process` workers, which must run
-/// `worker_main::<CaseSpec>()`. Progress goes to stderr (one line every
+/// `worker_main::<WorldCase>()`. Progress goes to stderr (one line every
 /// 25 cases); violations also print as they are found so a long CI run
 /// fails loudly, not silently at the end.
 pub fn run_budget(config: &SimCheckConfig, process: &ProcessTransport) -> SimCheckReport {

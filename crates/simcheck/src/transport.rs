@@ -11,54 +11,34 @@
 //! collection JSON), exactly the "byte-identical" the other oracles
 //! use.
 //!
-//! A [`WorldCase`] crosses the process boundary as a [`CaseSpec`]
-//! `(class, seed)` pair — [`WorldCase::from_seed`] is pure, so the
-//! worker rebuilds exactly the coordinator's world from two integers.
-//! The worker is whatever [`ProcessTransport`] the caller hands the
-//! runner — in practice the `bench` binary re-executing itself in its
-//! case-worker role, `worker_main::<CaseSpec>()`.
+//! A [`WorldCase`] crosses the process boundary as itself: it is plain
+//! data, so it is its own [`WorldSpec`], and the worker rebuilds exactly
+//! the coordinator's world from its bytes. The worker is whatever
+//! [`ProcessTransport`] the caller hands the runner — in practice the
+//! `bench` binary re-executing itself in its case-worker role,
+//! `worker_main::<WorldCase>()`.
 
-use crate::generator::{CaseClass, WorldCase};
+use crate::generator::WorldCase;
 use crate::oracle::byte_image;
 use encore::system::EncoreSystem;
 use netsim::geo::World;
 use netsim::network::Network;
 use population::transport::{ProcessTransport, ShardTransport, ThreadTransport, WorldSpec};
 use population::{Audience, ShardContext, WorldRecipe};
-use serde::{Deserialize, Serialize};
 
-/// A generated world as it crosses the process boundary: the
-/// `(class, seed)` pair that regenerates it.
-///
-/// [`WorldCase::from_seed`] is a pure function, so this tiny spec is a
-/// complete description — the worker process rebuilds byte-for-byte the
-/// world the coordinator generated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CaseSpec {
-    /// Which oracle family the world draws from.
-    pub class: CaseClass,
-    /// The generating seed.
-    pub seed: u64,
-}
-
-impl CaseSpec {
-    /// Regenerate the case this spec describes.
-    pub fn case(&self) -> WorldCase {
-        WorldCase::from_seed(self.class, self.seed)
-    }
-}
-
-impl WorldSpec for CaseSpec {
+/// A generated world describes itself: the worker deserializes the case
+/// the coordinator generated and builds it with the same methods.
+impl WorldSpec for WorldCase {
     fn audience(&self) -> Audience {
         Audience::world(&World::builtin())
     }
 
     fn recipe(&self) -> WorldRecipe {
-        self.case().recipe()
+        WorldCase::recipe(self)
     }
 
     fn build(&self, ctx: ShardContext) -> (Network, EncoreSystem) {
-        self.case().build(ctx)
+        WorldCase::build(self, ctx)
     }
 }
 
@@ -71,15 +51,11 @@ const TRANSPORT_SHARDS: [usize; 2] = [1, 3];
 /// reproduce the thread transport byte-for-byte (structural outcome,
 /// collection, per-shard reports, and all three serialized byte-images).
 ///
-/// `process` must spawn workers that run `worker_main::<CaseSpec>()`.
+/// `process` must spawn workers that run `worker_main::<WorldCase>()`.
 pub fn check_transport(
     case: &WorldCase,
     process: &ProcessTransport,
 ) -> Vec<crate::oracle::Violation> {
-    let spec = CaseSpec {
-        class: case.class,
-        seed: case.seed,
-    };
     let mut violations = Vec::new();
     let mut fail = |oracle: &'static str, detail: String| {
         violations.push(crate::oracle::Violation {
@@ -91,7 +67,7 @@ pub fn check_transport(
         });
     };
     for shards in TRANSPORT_SHARDS {
-        let threads = ThreadTransport.run(&spec, shards, case.seed);
+        let threads = ThreadTransport.run(case, shards, case.seed);
         let threads = match threads {
             Ok(run) => run,
             Err(err) => {
@@ -102,7 +78,7 @@ pub fn check_transport(
                 continue;
             }
         };
-        let process = match process.run(&spec, shards, case.seed) {
+        let process = match process.run(case, shards, case.seed) {
             Ok(run) => run,
             Err(err) => {
                 fail(
@@ -145,40 +121,31 @@ pub fn check_transport(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generator::CaseClass;
 
     #[test]
-    fn case_spec_round_trips_and_rebuilds_the_case() {
+    fn world_cases_round_trip_through_both_codecs() {
         for class in [
             CaseClass::Equivalence,
             CaseClass::Detector,
             CaseClass::Congestion,
+            CaseClass::Corpus,
         ] {
-            let spec = CaseSpec {
-                class,
-                seed: 0xC0FFEE,
-            };
-            let json = serde_json::to_string(&spec).unwrap();
-            let back: CaseSpec = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, spec, "spec drifted through the wire: {json}");
-            // The regenerated world must be the coordinator's world —
-            // from_seed is pure, so the recipes agree structurally.
-            assert_eq!(
-                format!("{:?}", back.case()),
-                format!("{:?}", WorldCase::from_seed(class, 0xC0FFEE)),
-            );
+            let case = WorldCase::from_seed(class, 0x5EED);
+            let json = serde_json::to_string(&case).unwrap();
+            let from_json: WorldCase = serde_json::from_str(&json).unwrap();
+            assert_eq!(from_json, case, "case drifted through JSON: {json}");
+            let from_bin: WorldCase = serde::bin::from_slice(&serde::bin::to_vec(&case)).unwrap();
+            assert_eq!(from_bin, case, "case drifted through bytes: {json}");
         }
     }
 
     #[test]
     fn thread_transport_agrees_with_direct_sharding_on_a_case_spec() {
-        // CaseSpec's WorldSpec impl must describe the same world the
+        // WorldCase's WorldSpec impl must describe the same world the
         // oracle's direct run_sharded_world path executes.
         let case = WorldCase::from_seed(CaseClass::Equivalence, 11);
-        let spec = CaseSpec {
-            class: case.class,
-            seed: case.seed,
-        };
-        let via_spec = ThreadTransport.run(&spec, 2, case.seed).unwrap();
+        let via_spec = ThreadTransport.run(&case, 2, case.seed).unwrap();
         let direct = population::run_sharded_world(
             &|ctx| case.build(ctx),
             &Audience::world(&World::builtin()),
