@@ -111,12 +111,31 @@ impl CoordinationServer {
     /// pool is compatible. Each call mints a fresh measurement ID — the
     /// server "generates a measurement task specific to the client
     /// on-the-fly" (§5.4).
+    ///
+    /// The returned task owns a clone of its pool template: this is the
+    /// convenience for callers outside the visit flow. A visit borrows
+    /// the template instead of copying it.
     pub fn next_task(
         &mut self,
         profile: ClientProfile,
         now: SimTime,
         rng: &mut SimRng,
     ) -> Option<MeasurementTask> {
+        self.assign(profile, now, rng)
+            .map(|(id, spec)| MeasurementTask {
+                id,
+                spec: spec.clone(),
+            })
+    }
+
+    /// [`next_task`](Self::next_task) without the copy: the fresh
+    /// measurement ID and a loan of the chosen pool template.
+    pub(crate) fn assign(
+        &mut self,
+        profile: ClientProfile,
+        now: SimTime,
+        rng: &mut SimRng,
+    ) -> Option<(MeasurementId, &TaskSpec)> {
         if self.pool.is_empty() {
             return None;
         }
@@ -158,10 +177,7 @@ impl CoordinationServer {
         self.assignments[chosen] += 1;
         let id = MeasurementId(self.next_assignment_id);
         self.next_assignment_id += 1;
-        Some(MeasurementTask {
-            id,
-            spec: self.pool[chosen].clone(),
-        })
+        Some((id, &self.pool[chosen]))
     }
 }
 

@@ -20,7 +20,7 @@ use crate::coordination::{ClientProfile, CoordinationServer, SchedulingStrategy}
 use crate::delivery::{InstallMethod, OriginSite};
 use crate::geo::GeoDb;
 use crate::inference::{Detection, FilteringDetector};
-use crate::tasks::{execute_task, MeasurementTask, TaskExecution};
+use crate::tasks::{execute_spec, MeasurementId, MeasurementTask, TaskExecution};
 use browser::BrowserClient;
 use netsim::geo::CountryCode;
 use netsim::http::{ContentType, HttpRequest, HttpResponse};
@@ -48,8 +48,12 @@ pub struct VisitOutcome {
     /// Did the client obtain a measurement task (coordination server
     /// reachable, pool non-empty, compatible task available)?
     pub got_task: bool,
-    /// Tasks executed with their observable results.
-    pub executed: Vec<(MeasurementTask, TaskExecution)>,
+    /// Each executed task's measurement ID with what the page observed —
+    /// the ID links it to its submissions in the collection store. The
+    /// task itself is not kept: the visit borrowed the scheduler's
+    /// template, so the list is allocated once, at the visit's task
+    /// budget, and only when a task was assigned.
+    pub executed: Vec<(MeasurementId, TaskExecution)>,
     /// Init beacons that reached the collection server.
     pub inits_delivered: usize,
     /// Results that reached the collection server.
@@ -87,12 +91,20 @@ pub struct EncoreSystem {
     pub max_tasks_per_visit: usize,
     /// Precomputed `http://<coordinator>/task` URL (hot path).
     task_url: String,
-    /// Reused scratch request for submissions — the delivery hot path
-    /// rewrites its URL/referer buffers in place instead of allocating a
-    /// fresh request per submission.
-    submit_req: HttpRequest,
     /// Reused scratch buffer for the origin page URL.
     page_url_buf: String,
+    /// What submissions are assembled in.
+    outbox: Outbox,
+}
+
+/// The reused buffers a submission is assembled in, kept apart from the
+/// rest of the system so a visit can deliver while it borrows its task's
+/// template from the scheduler.
+struct Outbox {
+    /// Reused scratch request — the delivery hot path rewrites its
+    /// URL/referer buffers in place instead of allocating a fresh
+    /// request per submission.
+    req: HttpRequest,
     /// Memo of percent-encoded target/user-agent fields for the submit
     /// URL builder.
     encode_cache: EncodeCache,
@@ -132,9 +144,11 @@ impl EncoreSystem {
             origins,
             max_tasks_per_visit: 4,
             task_url,
-            submit_req: HttpRequest::get(String::new()),
             page_url_buf: String::new(),
-            encode_cache: EncodeCache::default(),
+            outbox: Outbox {
+                req: HttpRequest::get(String::new()),
+                encode_cache: EncodeCache::default(),
+            },
         }
     }
 
@@ -232,71 +246,90 @@ impl EncoreSystem {
             Some(page_url)
         };
 
+        // The task's template stays in the scheduler's pool: it is
+        // borrowed for the length of one task, so everything else the
+        // loop touches is borrowed field by field.
+        let EncoreSystem {
+            coordination,
+            collection,
+            collector_mirrors,
+            outbox,
+            ..
+        } = self;
+        let collectors = || {
+            std::iter::once(collection.domain.as_str())
+                .chain(collector_mirrors.iter().map(String::as_str))
+        };
         for _ in 0..n_tasks {
-            let Some(task) = self.coordination.next_task(profile, t, &mut client.rng) else {
+            let Some((id, spec)) = coordination.assign(profile, t, &mut client.rng) else {
                 break;
             };
-            outcome.got_task = true;
+            if !outcome.got_task {
+                outcome.got_task = true;
+                outcome.executed = Vec::with_capacity(n_tasks);
+            }
 
             // 3. Submit the init beacon (Appendix A: "Submit to the
             // server as soon as the client loads the page").
             let init = SubmissionParts {
-                measurement_id: task.id,
+                measurement_id: id,
                 phase: SubmissionPhase::Init,
                 outcome: None,
                 elapsed_ms: 0,
-                task_type: task.spec.task_type(),
-                target_url: task.spec.target_url(),
+                task_type: spec.task_type(),
+                target_url: spec.target_url(),
                 user_agent,
                 congested: false,
             };
-            if self.deliver(net, client, &init, referer, t) {
+            if outbox.deliver(net, client, collectors(), &init, referer, t) {
                 outcome.inits_delivered += 1;
             }
 
             // 4. Execute the measurement.
-            let exec = execute_task(&task, client, net, t);
+            let exec = execute_spec(spec, client, net, t);
             t += exec.elapsed;
 
             // 5. Submit the result.
             let result = SubmissionParts {
-                measurement_id: task.id,
+                measurement_id: id,
                 phase: SubmissionPhase::Result,
                 outcome: Some(exec.outcome),
                 elapsed_ms: exec.elapsed.as_millis(),
-                task_type: task.spec.task_type(),
-                target_url: task.spec.target_url(),
+                task_type: spec.task_type(),
+                target_url: spec.target_url(),
                 user_agent,
                 congested: exec.congested,
             };
-            if self.deliver(net, client, &result, referer, t) {
+            if outbox.deliver(net, client, collectors(), &result, referer, t) {
                 outcome.results_delivered += 1;
             }
-            outcome.executed.push((task, exec));
+            outcome.executed.push((id, exec));
         }
         outcome
     }
 
-    /// Submit to the collection server, falling back to mirrors if the
-    /// primary is unreachable; true if any endpoint accepted it. The
-    /// request is assembled in a reused scratch buffer: the hot path
-    /// allocates nothing once the buffers have grown to steady state.
-    fn deliver(
+    /// Run the §7.2 detector over everything collected so far.
+    pub fn detect(&self, geo: &GeoDb, detector: &FilteringDetector) -> Vec<Detection> {
+        detector.detect(&self.collection.records(), geo)
+    }
+}
+
+impl Outbox {
+    /// Submit to the first of `collectors` (the primary, then its
+    /// mirrors) that accepts it; true if any did. The request is
+    /// assembled in the reused scratch buffers: the hot path allocates
+    /// nothing once they have grown to steady state.
+    fn deliver<'a>(
         &mut self,
         net: &mut Network,
         client: &mut BrowserClient,
+        collectors: impl Iterator<Item = &'a str>,
         parts: &SubmissionParts<'_>,
         referer: Option<&str>,
         now: SimTime,
     ) -> bool {
-        let mut req = std::mem::replace(&mut self.submit_req, HttpRequest::get(String::new()));
-        let mut delivered = false;
-        for i in 0..=self.collector_mirrors.len() {
-            let domain: &str = if i == 0 {
-                &self.collection.domain
-            } else {
-                &self.collector_mirrors[i - 1]
-            };
+        let req = &mut self.req;
+        for domain in collectors {
             req.url.clear();
             write_submit_url_cached(&mut req.url, domain, parts, &mut self.encode_cache);
             match (referer, &mut req.referer) {
@@ -307,19 +340,12 @@ impl EncoreSystem {
                 (Some(r), slot @ None) => *slot = Some(r.to_string()),
                 (None, slot) => *slot = None,
             }
-            let out = client.fetch_once(net, &req, now);
+            let out = client.fetch_once(net, req, now);
             if out.result.is_ok_and(|r| r.status.is_success()) {
-                delivered = true;
-                break;
+                return true;
             }
         }
-        self.submit_req = req;
-        delivered
-    }
-
-    /// Run the §7.2 detector over everything collected so far.
-    pub fn detect(&self, geo: &GeoDb, detector: &FilteringDetector) -> Vec<Detection> {
-        detector.detect(&self.collection.records(), geo)
+        false
     }
 }
 

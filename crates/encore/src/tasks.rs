@@ -191,7 +191,18 @@ pub fn execute_task(
     net: &mut Network,
     now: SimTime,
 ) -> TaskExecution {
-    match &task.spec {
+    execute_spec(&task.spec, client, net, now)
+}
+
+/// [`execute_task`] on a borrowed template: what a task observes does
+/// not depend on its measurement ID.
+pub(crate) fn execute_spec(
+    spec: &TaskSpec,
+    client: &mut BrowserClient,
+    net: &mut Network,
+    now: SimTime,
+) -> TaskExecution {
+    match spec {
         TaskSpec::Image { url } => {
             let load = client.load_image(net, url, now);
             TaskExecution {

@@ -503,12 +503,7 @@ mod tests {
         };
         if ran_task {
             outcome.executed.push((
-                encore::tasks::MeasurementTask {
-                    id: encore::tasks::MeasurementId(1),
-                    spec: encore::tasks::TaskSpec::Image {
-                        url: "http://t/favicon.ico".into(),
-                    },
-                },
+                encore::tasks::MeasurementId(1),
                 encore::tasks::TaskExecution {
                     outcome: encore::tasks::TaskOutcome::Success,
                     elapsed: SimDuration::from_millis(200),

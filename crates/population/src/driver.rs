@@ -61,14 +61,16 @@ mod tests {
     use super::*;
     use crate::audience::Audience;
     use crate::world::{WorldEngine, WorldRecipe};
+    use encore::collection::SubmissionPhase;
     use encore::coordination::SchedulingStrategy;
     use encore::delivery::OriginSite;
     use encore::system::EncoreSystem;
-    use encore::tasks::{MeasurementId, MeasurementTask, TaskSpec};
+    use encore::tasks::{MeasurementId, MeasurementTask, TaskExecution, TaskSpec};
     use netsim::geo::{country, World};
     use netsim::http::{ContentType, HttpResponse};
     use netsim::network::{ConstHandler, Network};
     use sim_core::SimRng;
+    use std::collections::BTreeMap;
 
     /// One serial week-long deployment over the academic audience.
     fn run_week(net: &mut Network, sys: &mut EncoreSystem, seed: u64) -> Vec<VisitRecord> {
@@ -128,6 +130,39 @@ mod tests {
             "collector has {}",
             sys.collection.len()
         );
+    }
+
+    /// The log keeps each task's measurement ID, not the task: that ID
+    /// is the one the client submitted. With the collector always
+    /// reachable, the executed entries of the whole log and the store's
+    /// Result records pair off one to one, and each pair agrees on what
+    /// the page observed.
+    #[test]
+    fn logged_executions_join_the_collected_results() {
+        let (mut net, mut sys) = small_deployment();
+        let log = run_week(&mut net, &mut sys, 0x718);
+        let mut logged: BTreeMap<MeasurementId, TaskExecution> = BTreeMap::new();
+        for (id, exec) in log.iter().flat_map(|v| &v.outcome.executed) {
+            assert!(logged.insert(*id, *exec).is_none(), "{id} logged twice");
+        }
+        let results: Vec<_> = sys
+            .collection
+            .records()
+            .into_iter()
+            .map(|r| r.submission)
+            .filter(|s| s.phase == SubmissionPhase::Result)
+            .collect();
+        assert!(results.len() > 30, "results = {}", results.len());
+        assert_eq!(results.len(), logged.len());
+        for sub in &results {
+            let exec = logged
+                .remove(&sub.measurement_id)
+                .unwrap_or_else(|| panic!("{} collected, not logged", sub.measurement_id));
+            assert_eq!(sub.outcome, Some(exec.outcome));
+            assert_eq!(sub.elapsed_ms, exec.elapsed.as_millis());
+            assert_eq!(sub.congested, exec.congested);
+        }
+        assert!(logged.is_empty());
     }
 
     #[test]

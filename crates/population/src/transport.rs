@@ -732,7 +732,9 @@ fn describe_exit(reaped: io::Result<ExitStatus>) -> String {
 /// must share, set by the first one seen (the run's is settled where
 /// streams meet, in `drain`); `stats` counts what folded.
 /// A stream ending on a frame boundary before FINAL is
-/// [`TransportError::WorkerExit`]; nothing a peer can send panics.
+/// [`TransportError::WorkerExit`], and a FINAL whose visit count
+/// disagrees with a non-empty log is a payload error; nothing a peer
+/// can send panics.
 fn fold_shard_stream<R: Read>(
     shard: usize,
     stream: &mut R,
@@ -778,6 +780,16 @@ fn fold_shard_stream<R: Read>(
             }
             KIND_FINAL => {
                 let fin: FinalPayload = decode_payload(&frame.payload, "final")?;
+                // A logging shard logs every visit once (batch mode logs
+                // none): a LOG_CHUNK lost or repeated on the way shows
+                // here, though each frame passed its CRC.
+                if !log.is_empty() && log.len() as u64 != fin.report.visits {
+                    return Err(TransportError::Payload(format!(
+                        "final: {} visits reported, {} logged",
+                        fin.report.visits,
+                        log.len()
+                    )));
+                }
                 collection.malformed += fin.malformed;
                 return Ok(ShardedWorldRun {
                     per_shard: vec![fin.report],
@@ -1483,7 +1495,9 @@ mod tests {
     /// Hostile streams, each one good data frame of a real transcript
     /// followed by something a dead, buggy or lying worker could send:
     /// the fold answers with the matching typed error, having issued the
-    /// good frame's credit and none for the bad one.
+    /// good frame's credit and none for the bad one. Then the whole
+    /// transcript with one log chunk repeated or removed: refused at
+    /// FINAL.
     #[test]
     fn hostile_streams_get_their_typed_error_and_no_credit() {
         let wire = transcript(&TinySpec::logged(), 0, 1, 5);
@@ -1541,6 +1555,27 @@ mod tests {
         for (what, stream, expected) in cases {
             assert_refused(what, &stream, None, expected, 1);
         }
+
+        // A whole LOG_CHUNK repeated or lost passes every CRC and earns
+        // its credits; the FINAL after it no longer agrees with the log.
+        assert!(all[1].kind == KIND_LOG_CHUNK, "several log chunks");
+        let data_frames = all.len() as u64 - 1;
+        let repeated = [&wire[..good], &wire[..]].concat();
+        let final_disagrees = "Payload(\"final: ";
+        assert_refused(
+            "a LOG_CHUNK repeated",
+            &repeated,
+            None,
+            final_disagrees,
+            data_frames + 1,
+        );
+        assert_refused(
+            "a LOG_CHUNK removed",
+            &wire[good..],
+            None,
+            final_disagrees,
+            data_frames - 1,
+        );
     }
 
     /// `CountMinSketch`'s positional wire shape (its fields are private
