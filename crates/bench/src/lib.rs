@@ -648,15 +648,15 @@ pub mod corpus_fixture {
     use censor::timeline::{CensorSpec, PolicyChange, PolicyTimeline};
     use encore::coordination::SchedulingStrategy;
     use encore::delivery::OriginSite;
+    use encore::streaming::StreamingStats;
     use encore::system::EncoreSystem;
-    use encore::tasks::TaskOutcome;
-    use encore::{FilteringDetector, GeoDb, StoredMeasurement, SubmissionPhase};
+    use encore::FilteringDetector;
     use netsim::geo::{country, IspClass};
     use netsim::http::{ContentType, HttpResponse};
     use netsim::network::Network;
     use netsim::scenario::{NetworkScenario, WorldScenario};
     use population::shard::ShardContext;
-    use population::{Audience, DeploymentConfig, WorldChange, WorldRecipe};
+    use population::{Audience, DeploymentConfig, StreamingSpec, WorldChange, WorldRecipe};
     use serde::Serialize;
     use sim_core::{Empirical, SimDuration, SimRng, SimTime};
     use websim::corpus::{Corpus, CorpusConfig, CountryMix, Disruption, DisruptionKind};
@@ -862,7 +862,9 @@ pub mod corpus_fixture {
     /// The full 90-day recipe: Poisson arrivals, the Turkish timeline,
     /// the Russian escalation schedule, and the benign disruptions as
     /// world changes naming the corpus by its generator's inputs (so
-    /// building the recipe generates nothing).
+    /// building the recipe generates nothing). The collector folds at
+    /// ingest into 1-day windows — the daily rollup cadence — and keeps
+    /// no records: the report is judged off those windows.
     pub fn recipe(days: u64, visits_per_day_per_weight: f64) -> WorldRecipe {
         let mut recipe = WorldRecipe::deployment(DeploymentConfig {
             duration: SimDuration::from_days(days),
@@ -873,7 +875,8 @@ pub mod corpus_fixture {
         .with_timeline(tr_timeline())
         .with_reaction(ru_reactions())
         .with_rollups(SimDuration::from_days(1))
-        .with_maintenance(SimDuration::from_secs(3_600));
+        .with_maintenance(SimDuration::from_secs(3_600))
+        .with_streaming(StreamingSpec::with_window(SimDuration::from_days(1)));
         for d in disruptions() {
             let fires = [(d.day, false)]
                 .into_iter()
@@ -911,31 +914,34 @@ pub mod corpus_fixture {
         pub flagged_days: Vec<u64>,
     }
 
-    /// The world-report verdict set over one run's records.
+    /// The world-report verdict set of one run.
     #[derive(Debug, Clone, PartialEq, Eq, Serialize, serde::Deserialize)]
     pub struct WorldVerdicts {
         /// Tracked censor stories.
         pub pairs: Vec<PairVerdict>,
         /// The benignly disrupted domain.
         pub disrupted_domain: String,
-        /// Days where the disrupted domain failed globally (>50% of its
-        /// result-phase measurements) — the outage/rotation/redesign
-        /// signature.
+        /// Days where the disrupted domain failed globally — the
+        /// outage/rotation/redesign signature: over the day's countable
+        /// measurements of it (crawlers excluded, each client IP capped,
+        /// as the detector counts them), summed over every country, more
+        /// than half failed.
         pub disrupted_failure_days: Vec<u64>,
         /// Detections against the disrupted domain anywhere in the run.
         /// The cross-region control must keep this at **zero**.
         pub disrupted_detections: usize,
     }
 
-    /// Judge a run: the four censor stories plus the disruption
-    /// soundness counts, all through the shared windowed detector and
+    /// Judge a run off its ingest-time fold: the four censor stories
+    /// plus the disruption soundness counts, all through the shared
+    /// decision rule ([`FilteringDetector::judge_streamed`]) and
     /// localisation rule. Windows at or past `days` are dropped before
     /// localisation: a visit arriving just before the horizon can land
     /// its submission in a partial trailing window, and *whether* that
     /// window exists depends on the thinned per-shard arrival sample —
     /// an artifact of the run length, not a verdict, so it must not be
     /// allowed to turn a standing block into a phantom "lift".
-    pub fn judge(records: &[StoredMeasurement], geo: &GeoDb, days: u64) -> WorldVerdicts {
+    pub fn judge(stats: &StreamingStats, days: u64) -> WorldVerdicts {
         let corpus = corpus();
         let rank0 = adaptive_target(&corpus);
         let rank1 = disrupted_domain(&corpus);
@@ -948,10 +954,8 @@ pub mod corpus_fixture {
             ("RU", rank0.as_str()),
             ("RU", rank1.as_str()),
         ];
-        // One pass over the record log; every verdict below reads these
-        // reports.
-        let window = SimDuration::from_days(1);
-        let mut reports = FilteringDetector::default().detect_windows(records, geo, window);
+        // Every verdict below reads these reports.
+        let mut reports = FilteringDetector::default().judge_streamed(stats);
         reports.retain(|r| r.window < days);
         let pairs = tracked
             .iter()
@@ -977,27 +981,21 @@ pub mod corpus_fixture {
             .filter(|d| d.domain == rank1)
             .count();
 
-        // Per-day global failure rate on the disrupted domain.
-        let host = format!("http://{rank1}/");
-        let mut per_day: std::collections::BTreeMap<u64, (usize, usize)> =
-            std::collections::BTreeMap::new();
-        for rec in records {
-            if rec.submission.phase != SubmissionPhase::Result
-                || !rec.submission.target_url.starts_with(&host)
-            {
-                continue;
-            }
-            let d = rec.received_at.as_micros() / window.as_micros();
-            let cell = per_day.entry(d).or_insert((0, 0));
-            cell.0 += 1;
-            if rec.submission.outcome != Some(TaskOutcome::Success) {
-                cell.1 += 1;
-            }
-        }
-        let disrupted_failure_days = per_day
+        // Per-day global failure rate on the disrupted domain: its
+        // cells summed over every country.
+        let disrupted_failure_days = stats
+            .windows
             .iter()
-            .filter(|&(&d, &(n, fails))| d < days && n > 0 && fails * 2 > n)
-            .map(|(&d, _)| d)
+            .filter(|w| w.window < days)
+            .filter(|w| {
+                let (n, fails) = w
+                    .cells
+                    .iter()
+                    .filter(|c| c.domain == rank1)
+                    .fold((0, 0), |(n, fails), c| (n + c.n, fails + (c.n - c.x)));
+                fails * 2 > n
+            })
+            .map(|w| w.window)
             .collect();
 
         WorldVerdicts {
@@ -1049,7 +1047,13 @@ pub mod corpus_fixture {
             policy_changes_applied: run.outcome.policy_changes_applied,
             control_signals_applied: run.outcome.control_signals_applied,
             corpus_domains: corpus.domains().iter().map(|d| d.to_string()).collect(),
-            verdicts: judge(&run.collection.records, &run.geo, days),
+            verdicts: judge(
+                run.collection
+                    .streaming
+                    .as_ref()
+                    .expect("the corpus recipe streams"),
+                days,
+            ),
         }
     }
 }

@@ -732,9 +732,10 @@ fn describe_exit(reaped: io::Result<ExitStatus>) -> String {
 /// must share, set by the first one seen (the run's is settled where
 /// streams meet, in `drain`); `stats` counts what folded.
 /// A stream ending on a frame boundary before FINAL is
-/// [`TransportError::WorkerExit`], and a FINAL whose visit count
-/// disagrees with a non-empty log is a payload error; nothing a peer
-/// can send panics.
+/// [`TransportError::WorkerExit`]. A second SKETCH is a payload error,
+/// and so is a FINAL whose visit count disagrees with a non-empty log
+/// or whose accepted count disagrees with the SKETCH (or its absence);
+/// nothing a peer can send panics.
 fn fold_shard_stream<R: Read>(
     shard: usize,
     stream: &mut R,
@@ -766,6 +767,13 @@ fn fold_shard_stream<R: Read>(
                 });
             }
             KIND_SKETCH => {
+                // A shard's analytics are one frame: a second would
+                // count every submission twice.
+                if collection.streaming.is_some() {
+                    return Err(TransportError::Payload(format!(
+                        "sketch: a second SKETCH frame from shard {shard}"
+                    )));
+                }
                 let sketch: StreamingStats = decode_payload(&frame.payload, "sketch")?;
                 // The payload passed the CRC, not `CountMinSketch::new`:
                 // check what `merge` would otherwise assert.
@@ -788,6 +796,15 @@ fn fold_shard_stream<R: Read>(
                         "final: {} visits reported, {} logged",
                         fin.report.visits,
                         log.len()
+                    )));
+                }
+                // A streaming shard's SKETCH carries what its summary
+                // counts; a lost one leaves the fold with no analytics.
+                let folded = collection.streaming.as_ref().map(|s| s.accepted);
+                let summarised = fin.streaming.map(|s| s.accepted);
+                if folded != summarised {
+                    return Err(TransportError::Payload(format!(
+                        "final: {summarised:?} submissions accepted, {folded:?} in the sketch"
                     )));
                 }
                 collection.malformed += fin.malformed;
@@ -1497,7 +1514,8 @@ mod tests {
     /// the fold answers with the matching typed error, having issued the
     /// good frame's credit and none for the bad one. Then the whole
     /// transcript with one log chunk repeated or removed: refused at
-    /// FINAL.
+    /// FINAL. Then a streaming transcript with its SKETCH repeated —
+    /// refused as it arrives — or removed — refused at FINAL.
     #[test]
     fn hostile_streams_get_their_typed_error_and_no_credit() {
         let wire = transcript(&TinySpec::logged(), 0, 1, 5);
@@ -1575,6 +1593,31 @@ mod tests {
             None,
             final_disagrees,
             data_frames - 1,
+        );
+
+        // The run's shape is the sketch's own, so a refusal can be told
+        // from a moved shape.
+        let wire = transcript(&TinySpec::streaming(60), 0, 1, 5);
+        let all = frames(&wire);
+        let kinds: Vec<u8> = all.iter().map(|f| f.kind).collect();
+        assert_eq!(kinds, [KIND_SKETCH, KIND_FINAL]);
+        let stats: StreamingStats = decode_payload(&all[0].payload, "sketch").unwrap();
+        let shape = stats.validate().ok();
+        let sketch = FRAME_HEADER_LEN + all[0].payload.len();
+        let repeated = [&wire[..sketch], &wire[..]].concat();
+        assert_refused(
+            "a SKETCH repeated",
+            &repeated,
+            shape,
+            "Payload(\"sketch: a second SKETCH",
+            1,
+        );
+        assert_refused(
+            "a SKETCH removed",
+            &wire[sketch..],
+            shape,
+            final_disagrees,
+            0,
         );
     }
 

@@ -40,9 +40,12 @@
 //!   arrival's handler" reorders draws *across* streams but never
 //!   *within* one.
 //! * **Tie-break parity.** The legacy Poisson driver sorted its schedule
-//!   by `(time, origin_index)`; the engine schedules per-origin arrival
-//!   streams in origin order, so the queue's insertion-sequence
-//!   tie-break reproduces that exact order.
+//!   by `(time, origin_index)`; the engine counts each origin's
+//!   arrivals up front and reserves that many queue sequence numbers,
+//!   origin by origin, so every arrival fires under the `(time, seq)`
+//!   it would have had if all of them were queued at once — which
+//!   reproduces that exact order — while the queue holds one pending
+//!   arrival per origin.
 //! * **Neutral housekeeping.** Maintenance ticks only prune session
 //!   state the fetch path would never serve
 //!   ([`netsim::session::FetchSession::prune_expired`]), rollups only
@@ -73,13 +76,14 @@ use sim_core::queue::EventQueue;
 use sim_core::{SimDuration, SimRng, SimTime};
 use websim::corpus::{Corpus, CorpusConfig, Disruption};
 
-/// An event on the world's queue. Same-time events fire in scheduling
-/// order (the queue's insertion-sequence tie-break). Deployment mode
-/// queues one event per arrival up front, so a variant carries an index
-/// or a period and nothing wider — the enum stays two words.
+/// An event on the world's queue. Same-time events fire in sequence
+/// order (the queue's insertion-sequence tie-break, or the sequence
+/// number reserved for them). A variant carries an index or a period
+/// and nothing wider — the enum stays two words.
 #[derive(Debug)]
 pub enum WorldEvent {
-    /// A pre-scheduled Poisson arrival at one origin (deployment mode).
+    /// A Poisson arrival at one origin (deployment mode). Each origin
+    /// keeps one queued; firing it queues the origin's next.
     DeploymentArrival {
         /// Index into the system's origin list.
         origin_index: usize,
@@ -398,12 +402,75 @@ enum Mode {
     Deployment {
         config: DeploymentConfig,
         log: Vec<VisitRecord>,
+        /// One per origin, by origin index; `None` for an origin that
+        /// draws no traffic.
+        streams: Vec<Option<ArrivalStream>>,
     },
     Batch {
         config: BatchConfig,
         weights: Vec<f64>,
         gap: Exponential,
     },
+}
+
+/// One origin's Poisson arrival process in deployment mode, drawn as
+/// its arrivals fire: the engine's arrival RNG as it stood where this
+/// origin's draws begin, the origin's gap law, its last arrival time,
+/// and the queue sequence numbers reserved for the arrivals still to
+/// come.
+struct ArrivalStream {
+    rng: SimRng,
+    gap: Exponential,
+    at: SimTime,
+    next_seq: u64,
+    left: u64,
+}
+
+impl ArrivalStream {
+    /// The arrival after `at`: one exponential gap, drawn in seconds.
+    fn after(at: SimTime, gap: &Exponential, rng: &mut SimRng) -> SimTime {
+        at + SimDuration::from_millis_f64(gap.sample(rng) * 1_000.0)
+    }
+
+    /// Count the arrivals `rng` draws before `horizon` — advancing it
+    /// past them exactly as drawing them for the queue would — and
+    /// return the stream that draws them again, one at a time, under
+    /// sequence numbers reserved on `queue` now.
+    fn count(
+        rng: &mut SimRng,
+        gap: Exponential,
+        horizon: SimDuration,
+        queue: &mut EventQueue<WorldEvent>,
+    ) -> ArrivalStream {
+        let start = rng.clone();
+        let (mut at, mut left) = (SimTime::ZERO, 0);
+        loop {
+            at = ArrivalStream::after(at, &gap, rng);
+            if at.since(SimTime::ZERO) >= horizon {
+                break;
+            }
+            left += 1;
+        }
+        ArrivalStream {
+            rng: start,
+            gap,
+            at: SimTime::ZERO,
+            next_seq: queue.reserve(left),
+            left,
+        }
+    }
+
+    /// Queue this stream's next arrival, if any remain.
+    fn queue_next(&mut self, queue: &mut EventQueue<WorldEvent>, origin_index: usize) {
+        if self.left == 0 {
+            return;
+        }
+        self.at = ArrivalStream::after(self.at, &self.gap, &mut self.rng);
+        let event = WorldEvent::DeploymentArrival { origin_index };
+        queue.schedule_reserved(self.at, self.next_seq, event);
+        self.next_seq += 1;
+        self.left -= 1;
+    }
 }
 
 /// The event-driven world: one network, one Encore deployment, one
@@ -440,9 +507,9 @@ pub struct WorldEngine<'a> {
     /// `rollups`. `None` in exact mode.
     streaming: Option<WindowedRollups>,
     report: BatchReport,
-    /// Arrival events currently in the queue; periodic events stop
-    /// rescheduling once traffic is exhausted, which is what terminates
-    /// the run.
+    /// Arrivals not yet fired, queued or still to be drawn; periodic
+    /// events stop rescheduling once traffic is exhausted, which is what
+    /// terminates the run.
     arrivals_pending: u64,
 }
 
@@ -480,6 +547,7 @@ impl<'a> WorldEngine<'a> {
                 Mode::Deployment {
                     config,
                     log: Vec::new(),
+                    streams: Vec::new(),
                 },
             ),
             RunMode::Batch(config) => (
@@ -623,31 +691,30 @@ impl<'a> WorldEngine<'a> {
     /// Enqueue the traffic. Runs after all configuration events so that
     /// same-instant ties resolve configuration-first.
     fn schedule_arrivals(&mut self) {
-        match &self.mode {
-            Mode::Deployment { config, .. } => {
-                // Per-origin Poisson streams, scheduled origin-by-origin:
-                // the queue's insertion tie-break then reproduces the
-                // legacy driver's (time, origin_index) sort exactly.
+        match &mut self.mode {
+            Mode::Deployment {
+                config, streams, ..
+            } => {
+                // Per-origin Poisson streams, their sequence numbers
+                // reserved origin by origin: the queue's tie-break then
+                // reproduces the legacy driver's (time, origin_index)
+                // sort exactly, with one arrival per origin queued.
                 for (idx, origin) in self.origins.iter().enumerate() {
                     let rate_per_day = config.visits_per_day_per_weight * origin.popularity_weight;
                     if rate_per_day <= 0.0 {
+                        streams.push(None);
                         continue;
                     }
-                    let mean_gap_secs = 86_400.0 / rate_per_day;
-                    let gap = Exponential::from_mean(mean_gap_secs);
-                    let mut t = SimTime::ZERO;
-                    loop {
-                        let dt = SimDuration::from_millis_f64(
-                            gap.sample(&mut self.arrivals_rng) * 1_000.0,
-                        );
-                        t += dt;
-                        if t.since(SimTime::ZERO) >= config.duration {
-                            break;
-                        }
-                        self.queue
-                            .schedule(t, WorldEvent::DeploymentArrival { origin_index: idx });
-                        self.arrivals_pending += 1;
-                    }
+                    let gap = Exponential::from_mean(86_400.0 / rate_per_day);
+                    let mut stream = ArrivalStream::count(
+                        &mut self.arrivals_rng,
+                        gap,
+                        config.duration,
+                        &mut self.queue,
+                    );
+                    self.arrivals_pending += stream.left;
+                    stream.queue_next(&mut self.queue, idx);
+                    streams.push(Some(stream));
                 }
             }
             Mode::Batch { config, gap, .. } => {
@@ -662,9 +729,18 @@ impl<'a> WorldEngine<'a> {
     }
 
     fn on_deployment_arrival(&mut self, at: SimTime, origin_index: usize) {
-        let Mode::Deployment { config, log } = &mut self.mode else {
+        let Mode::Deployment {
+            config,
+            log,
+            streams,
+        } = &mut self.mode
+        else {
             unreachable!("deployment arrival fired in batch mode");
         };
+        streams[origin_index]
+            .as_mut()
+            .expect("only an origin with a stream has arrivals")
+            .queue_next(&mut self.queue, origin_index);
         let (visitor, country, outcome) = execute_arrival(
             self.net,
             self.system,
@@ -1256,9 +1332,74 @@ mod tests {
         }
     }
 
+    /// Arrivals drawn as they fire replay the schedule of drawing them
+    /// all up front: on a 3-origin world with unequal weights, the log's
+    /// `(at, origin_index)` sequence is a test-local eager reference —
+    /// each origin's stream drawn in turn off the same fork, then
+    /// stable-sorted by time — while the queue never held more than one
+    /// arrival per origin beside the control events.
+    #[test]
+    fn deployment_arrivals_match_an_eager_reference() {
+        let weights = [3.0, 1.0, 0.5];
+        let config = week();
+        let world = || {
+            let mut net = Network::ideal(World::builtin());
+            let origins = weights.iter().enumerate().map(|(i, &w)| {
+                OriginSite::academic(format!("origin-{i}.example")).with_popularity(w)
+            });
+            let sys = EncoreSystem::deploy(
+                &mut net,
+                Vec::new(),
+                SchedulingStrategy::RoundRobin,
+                origins.collect(),
+                country("US"),
+            );
+            (net, sys)
+        };
+        let recipe = WorldRecipe::deployment(config)
+            .with_maintenance(SimDuration::from_secs(3_600))
+            .with_rollups(SimDuration::from_days(1));
+        let seed = 0xA11;
+
+        let mut arrivals = SimRng::new(seed).fork("deployment-arrivals");
+        let mut eager = Vec::new();
+        for (origin_index, w) in weights.iter().enumerate() {
+            let gap = Exponential::from_mean(86_400.0 / (config.visits_per_day_per_weight * w));
+            let mut at = SimTime::ZERO;
+            loop {
+                at += SimDuration::from_millis_f64(gap.sample(&mut arrivals) * 1_000.0);
+                if at.since(SimTime::ZERO) >= config.duration {
+                    break;
+                }
+                eager.push((at, origin_index));
+            }
+        }
+        eager.sort_by_key(|&(at, _)| at);
+
+        let audience = Audience::academic();
+        let (mut net, mut sys) = world();
+        let mut rng = SimRng::new(seed);
+        let mut engine = WorldEngine::from_recipe(&mut net, &mut sys, &audience, &recipe, &mut rng);
+        let controls = engine.queue.len();
+        engine.schedule_arrivals();
+        assert!(
+            engine.queue.len() <= weights.len() + controls,
+            "{} events queued for {} origins and {controls} control events",
+            engine.queue.len(),
+            weights.len()
+        );
+        assert_eq!(engine.arrivals_pending, eager.len() as u64);
+
+        let mut world = world();
+        let out = run_on(&mut world, &recipe, seed);
+        let log: Vec<(SimTime, usize)> = out.log.iter().map(|v| (v.at, v.origin_index)).collect();
+        assert!(log.len() > 300, "{} arrivals", log.len());
+        assert_eq!(log, eager);
+    }
+
     #[test]
     fn world_event_stays_two_words() {
-        // One is queued per deployment arrival (see `WorldEvent`).
+        // Every queued event is one heap entry (see `WorldEvent`).
         assert_eq!(std::mem::size_of::<WorldEvent>(), 16);
     }
 

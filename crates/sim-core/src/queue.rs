@@ -89,6 +89,38 @@ impl<E> EventQueue<E> {
         self.heap.push(Entry { at, seq, event });
     }
 
+    /// Reserve `n` consecutive sequence numbers and return the first. An
+    /// event later scheduled under one of them with
+    /// [`schedule_reserved`](Self::schedule_reserved) breaks time ties as
+    /// if it had been scheduled now: after everything scheduled before
+    /// the reservation, before everything scheduled after it. A caller
+    /// that knows how many events a stream will produce can so keep one
+    /// of them queued at a time and still fire them in the order
+    /// scheduling all of them up front would have.
+    pub fn reserve(&mut self, n: u64) -> u64 {
+        let first = self.next_seq;
+        self.next_seq += n;
+        first
+    }
+
+    /// Schedule `event` at `at` under a sequence number taken from
+    /// [`reserve`](Self::reserve). Scheduling in the past clamps to the
+    /// current time.
+    ///
+    /// # Panics
+    ///
+    /// If `seq` was never reserved (it is at or past every sequence
+    /// number handed out so far).
+    pub fn schedule_reserved(&mut self, at: SimTime, seq: u64, event: E) {
+        assert!(
+            seq < self.next_seq,
+            "sequence number {seq} was never reserved (next is {})",
+            self.next_seq
+        );
+        let at = at.max(self.now);
+        self.heap.push(Entry { at, seq, event });
+    }
+
     /// Schedule `event` to fire immediately (at the current time, after any
     /// other events already due now).
     pub fn schedule_now(&mut self, event: E) {
@@ -190,6 +222,77 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, 2);
         assert_eq!(q.pop().unwrap().1, 3);
         assert!(q.pop().is_none());
+    }
+
+    /// Three streams of `(time, stream)` events with time ties inside and
+    /// across streams, against control events scheduled before and after
+    /// the streams': the eager queue takes every event up front, the lazy
+    /// one holds each stream's next event only, scheduled under its
+    /// reserved seq when the previous one pops. They pop identically.
+    #[test]
+    fn reserved_seqs_replay_the_eager_order() {
+        let ms = SimTime::from_millis;
+        let streams: [&[u64]; 3] = [&[1, 3, 3, 7], &[0, 3, 5], &[3, 7, 7, 9]];
+        let before = [(3, "before"), (7, "before")];
+        let after = [(3, "after"), (9, "after")];
+
+        let mut eager = EventQueue::new();
+        for &(t, e) in &before {
+            eager.schedule(ms(t), (e, 0));
+        }
+        for (i, times) in streams.iter().enumerate() {
+            for &t in times.iter() {
+                eager.schedule(ms(t), ("stream", i));
+            }
+        }
+        for &(t, e) in &after {
+            eager.schedule(ms(t), (e, 0));
+        }
+        let eager: Vec<_> = std::iter::from_fn(|| eager.pop()).collect();
+
+        let mut lazy = EventQueue::new();
+        for &(t, e) in &before {
+            lazy.schedule(ms(t), (e, 0));
+        }
+        // Per stream: its next seq and the index of its next event.
+        let mut cursors: Vec<(u64, usize)> = streams
+            .iter()
+            .map(|times| (lazy.reserve(times.len() as u64), 0))
+            .collect();
+        for &(t, e) in &after {
+            lazy.schedule(ms(t), (e, 0));
+        }
+        let mut next = |q: &mut EventQueue<(&'static str, usize)>, i: usize| {
+            let (seq, k) = &mut cursors[i];
+            if let Some(&t) = streams[i].get(*k) {
+                q.schedule_reserved(ms(t), *seq, ("stream", i));
+                *seq += 1;
+                *k += 1;
+            }
+        };
+        for i in 0..streams.len() {
+            next(&mut lazy, i);
+        }
+        assert!(lazy.len() <= before.len() + streams.len() + after.len());
+        let lazy: Vec<_> = std::iter::from_fn(|| {
+            let popped = lazy.pop()?;
+            if let ("stream", i) = popped.1 {
+                next(&mut lazy, i);
+            }
+            Some(popped)
+        })
+        .collect();
+        assert_eq!(lazy, eager);
+        assert_eq!(lazy.len(), 15);
+    }
+
+    #[test]
+    #[should_panic(expected = "never reserved")]
+    fn scheduling_under_an_unreserved_seq_panics() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::ZERO, ());
+        let first = q.reserve(2);
+        q.schedule_reserved(SimTime::ZERO, first + 2, ());
     }
 
     #[test]

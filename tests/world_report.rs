@@ -11,7 +11,10 @@
 //! *benign* disruptions against the measured rank-1 site (origin outage
 //! days 40–42, cert rotation day 55, permanent redesign day 70).
 //!
-//! The scenario pins three things:
+//! The collector folds each submission into 1-day `(domain, country)`
+//! cells as it arrives and keeps no record; the report is judged off
+//! those cells (`FilteringDetector::judge_streamed`). The scenario pins
+//! four things:
 //!
 //! 1. **Golden byte-identity** — the serial run's full artifact
 //!    serializes byte-identically to `tests/golden/world_report.json`
@@ -26,6 +29,10 @@
 //! 3. **Shard invariance** — a 2-shard run reaches the identical verdict
 //!    set (every pair's onset, lift, and flag series, and the disruption
 //!    soundness counts).
+//! 4. **Nothing kept, nothing shed** — at 1 and 2 shards the run holds
+//!    no records, ingest dropped nothing, and the fold accepted every
+//!    submission the visits delivered: the condition under which the
+//!    cells judge exactly as the full record log would.
 
 use bench::corpus_fixture::{
     self, build, CERT_ROTATION_DAY, DAYS, OUTAGE_END, OUTAGE_START, RATE, REDESIGN_DAY, RU_RST_DAY,
@@ -39,8 +46,41 @@ fn run(shards: usize) -> (ShardedWorldRun, corpus_fixture::WorldReport) {
     let recipe = corpus_fixture::recipe(DAYS, RATE);
     let audience = corpus_fixture::audience();
     let run = run_sharded_world(&build, &audience, &recipe, shards, SEED);
+    assert_keeps_no_records_and_sheds_nothing(&run, shards);
     let report = corpus_fixture::report(&run, shards, DAYS, SEED);
     (run, report)
+}
+
+/// The flagship is judged off its ingest fold, which equals the exact
+/// record log's verdicts only if ingest took every submission: no
+/// record is kept, nothing is shed, and the fold accepted exactly what
+/// the visits delivered.
+fn assert_keeps_no_records_and_sheds_nothing(run: &ShardedWorldRun, shards: usize) {
+    assert!(
+        run.collection.records.is_empty(),
+        "{shards} shard(s): {} records kept",
+        run.collection.records.len()
+    );
+    let stats = run
+        .collection
+        .streaming
+        .as_ref()
+        .expect("the flagship streams");
+    assert_eq!(
+        stats.drops.total(),
+        0,
+        "{shards} shard(s): {:?}",
+        stats.drops
+    );
+    let summary = run.outcome.streaming.expect("a streaming run's summary");
+    assert_eq!(stats.accepted, summary.accepted, "{shards} shard(s)");
+    let delivered: usize = run
+        .outcome
+        .log
+        .iter()
+        .map(|v| v.outcome.inits_delivered + v.outcome.results_delivered)
+        .sum();
+    assert_eq!(stats.accepted, delivered as u64, "{shards} shard(s)");
 }
 
 #[test]
