@@ -33,6 +33,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::net::Ipv4Addr;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Which of the two submissions this is (Appendix A: an `init` beacon
 /// before the measurement, then the result).
@@ -45,6 +46,13 @@ pub enum SubmissionPhase {
 }
 
 /// A client-side submission.
+///
+/// The URL and user agent are `Arc<str>`: a collection store's records
+/// repeat a handful of distinct strings over and over, so every record
+/// of one snapshot (or of one worker's record stream) points at one
+/// shared allocation per distinct string instead of owning a copy. The
+/// type is a storage choice only — JSON and binary encode an `Arc<str>`
+/// exactly as the equal `String`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Submission {
     /// Measurement ID linking init and result.
@@ -58,9 +66,9 @@ pub struct Submission {
     /// Task mechanism.
     pub task_type: TaskType,
     /// The measured URL.
-    pub target_url: String,
+    pub target_url: Arc<str>,
     /// Browser user agent family (crawlers announce themselves).
-    pub user_agent: String,
+    pub user_agent: Arc<str>,
     /// Whether the client observed a near-source congestion signal on a
     /// failed task (the fetch was shed at an overloaded transit link).
     /// Serialized and wire-encoded only when set, so pre-congestion
@@ -338,8 +346,8 @@ impl Submission {
             outcome: parsed.outcome,
             elapsed_ms: parsed.elapsed_ms,
             task_type: parsed.task_type,
-            target_url: pct_decode_cow(parsed.target_url_raw).into_owned(),
-            user_agent: pct_decode_cow(parsed.user_agent_raw).into_owned(),
+            target_url: pct_decode_cow(parsed.target_url_raw).into(),
+            user_agent: pct_decode_cow(parsed.user_agent_raw).into(),
             congested: parsed.congested,
         })
     }
@@ -534,6 +542,11 @@ fn parse_submission(url: &str) -> Option<ParsedSubmission<'_>> {
 }
 
 /// A submission as stored server-side, enriched with connection metadata.
+///
+/// The submission's URL and user agent are shared (see [`Submission`]);
+/// the referer is still an owned `String`, one copy per record, because
+/// code outside this crate reads it as one (it sizes retained records
+/// with `String::len`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StoredMeasurement {
     /// The submission body.
@@ -576,6 +589,12 @@ impl StoredMeasurement {
 /// union of per-shard stores is byte-stable no matter how the shards are
 /// combined. The §7.2 detector and every report run once over the merged
 /// record vector.
+///
+/// [`CollectionServer::snapshot`] makes one `Arc<str>` per distinct URL
+/// and user agent and points every record holding that text at it, so a
+/// snapshot's string heap is its distinct strings, not its record count;
+/// merging moves the `Arc`s, so a merge of shard snapshots holds one
+/// allocation per distinct string per shard.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CollectionSnapshot {
     /// Stored records, in canonical order. Empty in streaming mode —
@@ -622,8 +641,8 @@ pub(crate) fn canonical_cmp(a: &StoredMeasurement, b: &StoredMeasurement) -> std
             s.outcome,
             s.task_type,
             s.elapsed_ms,
-            s.target_url.as_str(),
-            s.user_agent.as_str(),
+            &*s.target_url,
+            &*s.user_agent,
             r.referer.as_deref(),
             s.congested,
         )
@@ -1186,12 +1205,13 @@ impl Store {
     /// close open windows first; the engine does so in `finish`).
     fn streaming_stats(&self) -> Option<StreamingStats> {
         let st = self.streaming.as_deref()?;
+        let mut shared = SymTable::default();
         let mut entries: Vec<ReservoirEntry> = st
             .reservoir
             .iter()
             .map(|(priority, r)| ReservoirEntry {
                 priority: *priority,
-                record: self.resolve(r),
+                record: self.resolve(r, &mut shared),
             })
             .collect();
         entries.sort_by(|a, b| {
@@ -1218,9 +1238,10 @@ impl Store {
     /// keys are sorted — ties broken by the rest of the canonical key,
     /// each string standing in as its rank among the interner's distinct
     /// strings, which compares as the string does — and each record is
-    /// then built once, in place. Sorting the owned form instead moves
-    /// 112-byte records holding three heap strings apiece through the
-    /// sort's scratch buffer, for a log that arrives almost in order.
+    /// then built once, in place, its URL and user agent shared through
+    /// one `Arc<str>` per symbol. Sorting the public form instead moves
+    /// 96-byte records through the sort's scratch buffer, for a log
+    /// that arrives almost in order.
     fn canonical_records(&self) -> Vec<StoredMeasurement> {
         let symbols = u32::try_from(self.strings.len()).expect("the interner issues u32 symbols");
         let mut by_string: Vec<u32> = (0..symbols).collect();
@@ -1256,14 +1277,22 @@ impl Store {
             .map(|(index, r)| (r.received_at, index))
             .collect();
         order.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| rest(a.1).cmp(&rest(b.1))));
+        let mut shared = SymTable::default();
         order
             .iter()
-            .map(|&(_, index)| self.resolve(&self.records[index]))
+            .map(|&(_, index)| self.resolve(&self.records[index], &mut shared))
             .collect()
     }
 
-    /// Rehydrate an interned record into the public owned form.
-    fn resolve(&self, r: &RawRecord) -> StoredMeasurement {
+    /// Rehydrate an interned record into the public form. `shared`
+    /// holds the one `Arc<str>` made for each symbol so far, so every
+    /// record resolved through the same table points its URL and user
+    /// agent at one allocation per distinct string; the referer is
+    /// copied, as its type is `String`.
+    fn resolve(&self, r: &RawRecord, shared: &mut SymTable<Arc<str>>) -> StoredMeasurement {
+        let mut text = |sym: Sym| {
+            Arc::clone(shared.get_or_insert_with(sym, || self.strings.resolve(sym).into()))
+        };
         StoredMeasurement {
             submission: Submission {
                 measurement_id: r.measurement_id,
@@ -1271,8 +1300,8 @@ impl Store {
                 outcome: r.outcome,
                 elapsed_ms: r.elapsed_ms,
                 task_type: r.task_type,
-                target_url: self.strings.resolve(r.target_url).to_string(),
-                user_agent: self.strings.resolve(r.user_agent).to_string(),
+                target_url: text(r.target_url),
+                user_agent: text(r.user_agent),
                 congested: r.congested,
             },
             client_ip: r.client_ip,
@@ -1461,19 +1490,28 @@ impl CollectionServer {
     }
 
     /// Snapshot of all stored records (resolving interned strings back to
-    /// owned form — serialization and analysis see the same bytes as the
+    /// text, each distinct URL and user agent shared as in
+    /// [`snapshot`](Self::snapshot) — serialization and analysis see the same bytes as the
     /// pre-interning store produced). In streaming mode the record log
     /// does not exist; this returns the reservoir sample's records in
     /// canonical order.
     pub fn records(&self) -> Vec<StoredMeasurement> {
         let store = self.store.borrow();
+        let mut shared = SymTable::default();
         if let Some(st) = store.streaming.as_deref() {
-            let mut records: Vec<StoredMeasurement> =
-                st.reservoir.iter().map(|(_, r)| store.resolve(r)).collect();
+            let mut records: Vec<StoredMeasurement> = st
+                .reservoir
+                .iter()
+                .map(|(_, r)| store.resolve(r, &mut shared))
+                .collect();
             records.sort_by(canonical_cmp);
             return records;
         }
-        store.records.iter().map(|r| store.resolve(r)).collect()
+        store
+            .records
+            .iter()
+            .map(|r| store.resolve(r, &mut shared))
+            .collect()
     }
 
     /// Detach a canonical, thread-portable snapshot of the store (records
@@ -1710,6 +1748,60 @@ mod tests {
         assert_eq!(snap.len(), 1);
         assert_eq!(snap.malformed, 1);
         assert_eq!(snap.distinct_ips(), 1);
+    }
+
+    /// An exact-mode snapshot makes one `Arc<str>` per distinct URL and
+    /// user agent and points every record holding that text at it; the
+    /// JSON is what records owning their copies wrote.
+    #[test]
+    fn snapshot_records_share_their_text() {
+        let server = CollectionServer::new("collector.example");
+        let urls = [
+            "http://a.example/x.png",
+            "http://b.example/y.css",
+            "http://c.example/z.js",
+        ];
+        let agents = ["Chrome", "Firefox"];
+        for i in 0..6u64 {
+            let sub = Submission {
+                measurement_id: MeasurementId(i),
+                target_url: urls[i as usize % urls.len()].into(),
+                user_agent: agents[i as usize % agents.len()].into(),
+                ..submission()
+            };
+            let req = HttpRequest::get(server.submit_url(&sub)).with_referer("http://o.example/");
+            server.handle(&req, Ipv4Addr::new(100, 0, 0, 9), SimTime::from_secs(i));
+        }
+        let snap = server.snapshot();
+        assert_eq!(snap.len(), 6);
+        let held = |text: fn(&Submission) -> &Arc<str>| -> Vec<&Arc<str>> {
+            snap.records.iter().map(|r| text(&r.submission)).collect()
+        };
+        let fields = [
+            (held(|s| &s.target_url), urls.len()),
+            (held(|s| &s.user_agent), agents.len()),
+        ];
+        for (texts, distinct) in fields {
+            for &text in &texts {
+                let first = texts.iter().find(|&&t| t == text).expect("itself");
+                assert!(Arc::ptr_eq(first, text), "{text} is held twice");
+            }
+            let mut allocations: Vec<*const u8> = texts.iter().map(|t| t.as_ptr()).collect();
+            allocations.sort_unstable();
+            allocations.dedup();
+            assert_eq!(allocations.len(), distinct);
+        }
+        let expected = concat!(
+            r#"{"records":["#,
+            r#"{"submission":{"measurement_id":0,"phase":"Result","outcome":"Failure","elapsed_ms":1234,"task_type":"Image","target_url":"http://a.example/x.png","user_agent":"Chrome"},"client_ip":"100.0.0.9","referer":"http://o.example/","received_at":0},"#,
+            r#"{"submission":{"measurement_id":1,"phase":"Result","outcome":"Failure","elapsed_ms":1234,"task_type":"Image","target_url":"http://b.example/y.css","user_agent":"Firefox"},"client_ip":"100.0.0.9","referer":"http://o.example/","received_at":1000000},"#,
+            r#"{"submission":{"measurement_id":2,"phase":"Result","outcome":"Failure","elapsed_ms":1234,"task_type":"Image","target_url":"http://c.example/z.js","user_agent":"Chrome"},"client_ip":"100.0.0.9","referer":"http://o.example/","received_at":2000000},"#,
+            r#"{"submission":{"measurement_id":3,"phase":"Result","outcome":"Failure","elapsed_ms":1234,"task_type":"Image","target_url":"http://a.example/x.png","user_agent":"Firefox"},"client_ip":"100.0.0.9","referer":"http://o.example/","received_at":3000000},"#,
+            r#"{"submission":{"measurement_id":4,"phase":"Result","outcome":"Failure","elapsed_ms":1234,"task_type":"Image","target_url":"http://b.example/y.css","user_agent":"Chrome"},"client_ip":"100.0.0.9","referer":"http://o.example/","received_at":4000000},"#,
+            r#"{"submission":{"measurement_id":5,"phase":"Result","outcome":"Failure","elapsed_ms":1234,"task_type":"Image","target_url":"http://c.example/z.js","user_agent":"Firefox"},"client_ip":"100.0.0.9","referer":"http://o.example/","received_at":5000000}"#,
+            r#"],"malformed":0}"#,
+        );
+        assert_eq!(serde_json::to_string(&snap).unwrap(), expected);
     }
 
     #[test]
@@ -2009,7 +2101,7 @@ mod tests {
                 let sub = Submission {
                     measurement_id: MeasurementId(base + i),
                     elapsed_ms: i,
-                    target_url: format!("http://h{}.example/favicon.ico", i % distinct_urls),
+                    target_url: format!("http://h{}.example/favicon.ico", i % distinct_urls).into(),
                     ..submission()
                 };
                 let url = server.submit_url(&sub);

@@ -553,7 +553,7 @@ mod tests {
                     outcome: Some(outcome),
                     elapsed_ms: 100,
                     task_type: TaskType::Image,
-                    target_url: format!("http://{domain}/favicon.ico"),
+                    target_url: format!("http://{domain}/favicon.ico").into(),
                     user_agent: ua.into(),
                     congested: false,
                 },

@@ -204,7 +204,7 @@ mod tests {
                     }),
                     elapsed_ms: 100,
                     task_type: TaskType::Image,
-                    target_url: format!("http://{domain}/favicon.ico"),
+                    target_url: format!("http://{domain}/favicon.ico").into(),
                     user_agent: "Chrome".into(),
                     congested: false,
                 },

@@ -603,7 +603,9 @@ impl StreamingStats {
     /// Approximate resident bytes of the streaming analytics state
     /// (sketch counters, reservoir entries, window cells). The
     /// footprint the streaming bound is stated on; intentionally
-    /// excludes transient scratch.
+    /// excludes transient scratch. Each sampled record's URL and user
+    /// agent are counted as if it owned them, though records share one
+    /// allocation per distinct string: an upper bound.
     pub fn resident_bytes(&self) -> usize {
         let reservoir: usize = self
             .reservoir
@@ -646,8 +648,8 @@ mod tests {
                 outcome: Some(TaskOutcome::Success),
                 elapsed_ms: 12,
                 task_type: TaskType::Image,
-                target_url: "http://example.com/x.png".to_string(),
-                user_agent: "Chrome/52".to_string(),
+                target_url: "http://example.com/x.png".into(),
+                user_agent: "Chrome/52".into(),
                 congested: false,
             },
             client_ip: std::net::Ipv4Addr::new(10, 0, 0, (id % 250) as u8 + 1),

@@ -69,7 +69,7 @@ fn records(ips: &[Vec<Ipv4Addr>], per_window: u64) -> Vec<StoredMeasurement> {
                     }),
                     elapsed_ms: 100,
                     task_type: TaskType::Image,
-                    target_url: format!("http://{}/favicon.ico", DOMAINS[d]),
+                    target_url: format!("http://{}/favicon.ico", DOMAINS[d]).into(),
                     user_agent: "Chrome".into(),
                     congested: false,
                 },

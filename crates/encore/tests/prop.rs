@@ -157,7 +157,7 @@ mod streaming_props {
                 outcome: Some(TaskOutcome::Success),
                 elapsed_ms: id % 900,
                 task_type: TaskType::Image,
-                target_url: format!("http://d{}.example/favicon.ico", id % 7),
+                target_url: format!("http://d{}.example/favicon.ico", id % 7).into(),
                 user_agent: "Firefox".into(),
                 congested: false,
             },

@@ -66,7 +66,7 @@ use crate::batch::BatchReport;
 use crate::driver::VisitRecord;
 use crate::shard::{run_shard, run_sharded_world, ShardContext, ShardedWorldRun};
 use crate::world::{WorldOutcome, WorldRecipe};
-use encore::collection::CollectionSnapshot;
+use encore::collection::{CollectionSnapshot, StoredMeasurement};
 use encore::geo::GeoDb;
 use encore::streaming::{MergeShape, StreamingStats};
 use encore::system::EncoreSystem;
@@ -74,14 +74,14 @@ use netsim::network::Network;
 use serde::{Deserialize, Serialize};
 use sim_core::frame::{encode_frame, read_frame, write_frame, FrameError};
 use sim_core::merge_time_ordered;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, ChildStdout, Command, ExitStatus, Stdio};
 use std::str::FromStr;
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 
 /// Frame kind: the serialized [`WorldSpec`], broadcast to every worker.
@@ -728,7 +728,10 @@ fn describe_exit(reaped: io::Result<ExitStatus>) -> String {
 /// partial — never the running merge — through the ordered-append fast
 /// paths (a worker streams in time order), and then earns the worker
 /// one credit through `ack`; a frame that fails to decode or validate
-/// earns none. `shape` is the [`MergeShape`] every sketch of the stream
+/// earns none. A RECORD_CHUNK's URLs and user agents are re-pointed at
+/// the first equal text the stream delivered (`share_text`), so the
+/// shard's records hold one allocation per distinct string, not one per
+/// record. `shape` is the [`MergeShape`] every sketch of the stream
 /// must share, set by the first one seen (the run's is settled where
 /// streams meet, in `drain`); `stats` counts what folded.
 /// A stream ending on a frame boundary before FINAL is
@@ -745,6 +748,7 @@ fn fold_shard_stream<R: Read>(
 ) -> Result<ShardedWorldRun, TransportError> {
     let mut log: Vec<VisitRecord> = Vec::new();
     let mut collection = CollectionSnapshot::default();
+    let mut seen = HashSet::new();
     loop {
         let frame = read_frame(stream, DEFAULT_MAX_PAYLOAD)
             .map_err(|error| TransportError::Frame {
@@ -761,8 +765,11 @@ fn fold_shard_stream<R: Read>(
                 log = merge_time_ordered(log, chunk, |v| v.at);
             }
             KIND_RECORD_CHUNK => {
+                let mut records: Vec<StoredMeasurement> =
+                    decode_payload(&frame.payload, "record chunk")?;
+                share_text(&mut seen, &mut records);
                 collection = collection.merge_owned(CollectionSnapshot {
-                    records: decode_payload(&frame.payload, "record chunk")?,
+                    records,
                     ..CollectionSnapshot::default()
                 });
             }
@@ -840,6 +847,26 @@ fn fold_shard_stream<R: Read>(
         stats.streamed_payload_bytes += payload_len;
         stats.largest_payload_bytes = stats.largest_payload_bytes.max(payload_len);
         ack();
+    }
+}
+
+/// Re-point each decoded record's URL and user agent at the first equal
+/// `Arc` in `seen` — the text one stream's RECORD_CHUNKs carried so far —
+/// adding the ones not seen before. Decoding gives every record its own
+/// allocations; after this a shard's folded records hold one per
+/// distinct string, as the snapshot a thread shard hands over does. The
+/// text comes from another process, so `seen` keeps the standard,
+/// collision-resistant hasher.
+fn share_text(seen: &mut HashSet<Arc<str>>, records: &mut [StoredMeasurement]) {
+    for r in records {
+        for text in [&mut r.submission.target_url, &mut r.submission.user_agent] {
+            match seen.get(&**text) {
+                Some(first) => *text = Arc::clone(first),
+                None => {
+                    seen.insert(Arc::clone(text));
+                }
+            }
+        }
     }
 }
 
@@ -1430,6 +1457,45 @@ mod tests {
         }
     }
 
+    /// The most allocations any one distinct URL or user agent of
+    /// `records` is held in.
+    fn most_copies(records: &[StoredMeasurement]) -> usize {
+        let mut held: BTreeMap<&str, Vec<*const u8>> = BTreeMap::new();
+        for r in records {
+            for text in [&r.submission.target_url, &r.submission.user_agent] {
+                held.entry(text).or_default().push(text.as_ptr());
+            }
+        }
+        held.into_values()
+            .map(|mut allocations| {
+                allocations.sort_unstable();
+                allocations.dedup();
+                allocations.len()
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Records share their text on both carriers: one process stream's
+    /// fold holds one allocation per distinct URL and user agent, as
+    /// each thread shard's snapshot does, so a 2-shard merge holds at
+    /// most two.
+    #[test]
+    fn folded_records_share_one_allocation_per_string_per_shard() {
+        let (spec, shards, seed) = (TinySpec::logged(), 2, 97);
+        for index in 0..shards {
+            let wire = transcript(&spec, index, shards, seed);
+            let (mut shape, mut stats) = (None, TransportStats::new(1));
+            let folded = fold_shard_stream(index, &mut &wire[..], || {}, &mut shape, &mut stats)
+                .expect("a worker's own stream folds");
+            let records = &folded.collection.records;
+            assert!(records.len() > 7, "shard {index}: one record chunk");
+            assert_eq!(most_copies(records), 1, "shard {index}");
+        }
+        let threads = ThreadTransport.run(&spec, shards, seed).expect("threads");
+        assert!(most_copies(&threads.collection.records) <= shards);
+    }
+
     /// Streaming vs exact over the *same* 2-shard traffic (same seed,
     /// and streaming's RNG forks are pure, so the visit streams are
     /// byte-identical): the merged window matrices must judge exactly
@@ -1526,6 +1592,19 @@ mod tests {
         let after_good =
             |kind, payload: &[u8]| [&wire[..good], &encode_frame(kind, payload)].concat();
 
+        // One of the stream's own records, its URL made non-UTF-8.
+        let chunk = all.iter().find(|f| f.kind == KIND_RECORD_CHUNK);
+        let mut records: Vec<StoredMeasurement> =
+            decode_payload(&chunk.expect("a record chunk").payload, "record chunk").unwrap();
+        records.truncate(1);
+        records[0].submission.target_url = Arc::from("http://~~.example/");
+        let mut not_utf8 = encode_payload(&records).unwrap();
+        let at = not_utf8
+            .windows(2)
+            .position(|w| w == b"~~")
+            .expect("the URL");
+        not_utf8[at] = 0xff;
+
         let mut flipped = wire[..second].to_vec();
         flipped[good + FRAME_HEADER_LEN + 2] ^= 0x10;
         let mut oversized = after_good(KIND_LOG_CHUNK, &[]);
@@ -1568,6 +1647,11 @@ mod tests {
                 "RECORD_CHUNK that is not a record vector",
                 after_good(KIND_RECORD_CHUNK, &[0xff; 5]),
                 "Payload(\"record chunk",
+            ),
+            (
+                "RECORD_CHUNK whose target URL is not UTF-8",
+                after_good(KIND_RECORD_CHUNK, &not_utf8),
+                "Payload(\"record chunk: json error: invalid utf8",
             ),
         ];
         for (what, stream, expected) in cases {

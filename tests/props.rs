@@ -149,8 +149,8 @@ proptest! {
             outcome: Some(if success { TaskOutcome::Success } else { TaskOutcome::Failure }),
             elapsed_ms: elapsed,
             task_type: TaskType::ALL[ttype],
-            target_url: target,
-            user_agent: ua,
+            target_url: target.into(),
+            user_agent: ua.into(),
             congested,
         };
         let url = format!("http://collector.example/submit?{}", sub.to_query());
