@@ -4,44 +4,15 @@
 //! window, plus the hash maps and `Vec<&_>` buckets growing), never
 //! with **records** — a `clone()` per record or a `String` per host
 //! would put the count in the hundreds of thousands here.
-//!
-//! This file holds exactly one `#[test]`: the `#[global_allocator]`
-//! counter is process-wide, so a concurrent test in the same binary
-//! would pollute the count.
 
+use alloc_count::measure;
 use encore::collection::Submission;
 use encore::tasks::{MeasurementId, TaskOutcome, TaskType};
 use encore::{FilteringDetector, GeoDb, StoredMeasurement, SubmissionPhase};
 use netsim::geo::country;
 use netsim::ip::IpAllocator;
 use sim_core::{SimDuration, SimTime};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// The system allocator, with every allocation counted.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 const WINDOWS: u64 = 10;
 const DOMAINS: [&str; 4] = ["a.example", "b.example", "c.example", "d.example"];
@@ -98,9 +69,7 @@ fn windowed_detection_allocates_per_cell_not_per_record() {
     let window = SimDuration::from_secs(100);
 
     let count = |records: &[StoredMeasurement]| {
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        let reports = detector.detect_windows(records, &geo, window);
-        let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        let (reports, allocs) = measure(|| detector.detect_windows(records, &geo, window));
         assert_eq!(reports.len(), WINDOWS as usize);
         for r in &reports {
             let flagged: Vec<_> = r
@@ -115,7 +84,7 @@ fn windowed_detection_allocates_per_cell_not_per_record() {
                 r.window
             );
         }
-        allocs
+        allocs.count
     };
 
     let small = records(&ips, 2_000);

@@ -8,50 +8,15 @@
 //! "Its response" is measured, not assumed: cloning an `HttpResponse`
 //! allocates exactly what building it did, so each rejected submission
 //! is held to the allocation count of a clone of what it got back.
-//!
-//! This file holds exactly one `#[test]`: the `#[global_allocator]`
-//! counter is process-wide, so a concurrent test in the same binary
-//! would pollute the count.
 
+use alloc_count::measure;
 use encore::collection::Submission;
 use encore::tasks::{MeasurementId, TaskOutcome, TaskType};
 use encore::{CollectionServer, StreamingConfig, SubmissionPhase};
 use netsim::http::{HttpRequest, HttpResponse, StatusCode};
 use netsim::network::HttpHandler;
 use sim_core::{SimRng, SimTime};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// The system allocator, with every allocation counted.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let out = f();
-    (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
-}
 
 const URLS: [&str; 6] = [
     "http://youtube.com/favicon.ico",
@@ -106,9 +71,9 @@ fn drive(
     mut per_response: impl FnMut(&HttpResponse, u64),
 ) {
     for (req, ip, at) in requests {
-        let (resp, allocs) = counted(|| server.handle(req, *ip, *at));
+        let (resp, allocs) = measure(|| server.handle(req, *ip, *at));
         assert_eq!(resp.status, status);
-        per_response(&resp, allocs);
+        per_response(&resp, allocs.count);
     }
 }
 
@@ -131,7 +96,7 @@ fn streaming_ingest_allocates_its_response_and_little_else() {
     let (mut total, mut responses) = (0, 0);
     drive(&server, measured, StatusCode::OK, |resp, allocs| {
         total += allocs;
-        responses += counted(|| resp.clone()).1;
+        responses += measure(|| resp.clone()).1.count;
     });
     assert_eq!(server.len() as u64, WARM_UP + MEASURED);
     assert!(responses >= MEASURED, "the response itself should allocate");
@@ -144,7 +109,7 @@ fn streaming_ingest_allocates_its_response_and_little_else() {
     // Duplicates: the same wire tuples again. Acknowledged like the
     // originals, and not one allocation past the acknowledgement.
     let nothing_but_the_response = |resp: &HttpResponse, allocs: u64| {
-        assert_eq!(allocs, counted(|| resp.clone()).1);
+        assert_eq!(allocs, measure(|| resp.clone()).1.count);
     };
     let resent = &measured[measured.len() - 1_000..];
     drive(&server, resent, StatusCode::OK, nothing_but_the_response);

@@ -1,0 +1,10 @@
+//! Counting-allocator bounds on encore's hot paths, one module each:
+//! the windowed detector fold, streaming ingest, and a warm visit.
+//! [`alloc_count`] tallies per thread, so the three run side by side.
+
+mod detector;
+mod ingest;
+mod visit;
+
+#[global_allocator]
+static ALLOC: alloc_count::Counting = alloc_count::Counting;

@@ -8,11 +8,8 @@
 //!
 //! "The responses" are measured, not assumed: cloning an accepted
 //! `HttpResponse` allocates exactly what building it did.
-//!
-//! This file holds exactly one `#[test]`: the `#[global_allocator]`
-//! counter is process-wide, so a concurrent test in the same binary
-//! would pollute the count.
 
+use alloc_count::measure;
 use browser::{BrowserClient, Engine};
 use encore::collection::Submission;
 use encore::coordination::SchedulingStrategy;
@@ -23,39 +20,7 @@ use netsim::geo::{country, IspClass, World};
 use netsim::http::{ContentType, HttpRequest, HttpResponse, StatusCode};
 use netsim::network::{ConstHandler, HttpHandler, Network};
 use sim_core::{SimDuration, SimRng, SimTime};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// The system allocator, with every allocation counted.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let out = f();
-    (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
-}
 
 /// An ideal-path world with four image tasks on four targets, one
 /// academic origin, and Encore deployed over them.
@@ -105,7 +70,7 @@ fn response_allocations() -> u64 {
     let req = HttpRequest::get(scratch.submit_url(&sub)).with_referer("http://prof.example/");
     let resp = scratch.handle(&req, Ipv4Addr::new(100, 64, 0, 1), SimTime::ZERO);
     assert_eq!(resp.status, StatusCode::OK);
-    counted(|| resp.clone()).1
+    measure(|| resp.clone()).1.count
 }
 
 #[test]
@@ -143,10 +108,10 @@ fn a_warm_visit_allocates_its_task_list_and_responses_only() {
         }
         let mut total = 0;
         for _ in 0..MEASURED {
-            let (out, allocs) = counted(&mut visit);
+            let (out, allocs) = measure(&mut visit);
             assert_eq!(out.executed.len(), k);
             assert_eq!(out.executed.capacity(), k, "the task list is sized once");
-            total += allocs;
+            total += allocs.count;
         }
         let task_list = u64::from(k > 0);
         let per_visit = task_list + 2 * k as u64 * per_response;

@@ -13,11 +13,8 @@
 //! served from the per-host verdict memo, a TCP RST, and transient DNS,
 //! TCP and HTTP failures on a lossy path. Nothing on those paths may
 //! format or copy a message per event.
-//!
-//! This file holds exactly one `#[test]`: the `#[global_allocator]`
-//! counter is process-wide, so a concurrent test in the same binary
-//! would pollute the count.
 
+use alloc_count::{measure, Allocs, Counting};
 use netsim::geo::{country, IspClass, World};
 use netsim::host::Host;
 use netsim::http::{ContentType, HttpRequest, HttpResponse};
@@ -26,33 +23,10 @@ use netsim::network::{ConstHandler, FetchError, Network};
 use netsim::session::FetchSession;
 use netsim::tcp::TcpAttempt;
 use sim_core::{SimDuration, SimRng, SimTime};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// The system allocator, with every allocation counted.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+static ALLOC: Counting = Counting;
 
 /// Forges NXDOMAIN for one name and resets every handshake to one
 /// address. Its DNS verdict is pure, so sessions serve it from the
@@ -115,17 +89,17 @@ fn warm_fetch_performs_zero_heap_allocations() {
     // live) so a single stray allocation anywhere in the path is loud.
     const FETCHES: u64 = 100;
     let t0 = SimTime::from_secs(10);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for i in 0..FETCHES {
-        let out = session.fetch(
-            &mut net,
-            &req,
-            t0 + SimDuration::from_millis(i * 50),
-            &mut rng,
-        );
-        assert!(out.result.is_ok());
-    }
-    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let ((), Allocs { count: allocs, .. }) = measure(|| {
+        for i in 0..FETCHES {
+            let out = session.fetch(
+                &mut net,
+                &req,
+                t0 + SimDuration::from_millis(i * 50),
+                &mut rng,
+            );
+            assert!(out.result.is_ok());
+        }
+    });
 
     assert_eq!(
         allocs, 0,
@@ -186,18 +160,18 @@ fn warm_fetch_performs_zero_heap_allocations() {
         round(&mut session, &mut net, SimTime::from_secs(i));
     }
     let mut seen = [0u64; 6];
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for i in 0..FETCHES {
-        let counts = round(
-            &mut session,
-            &mut net,
-            t0 + SimDuration::from_millis(i * 50),
-        );
-        for (total, n) in seen.iter_mut().zip(counts) {
-            *total += n;
+    let ((), Allocs { count: allocs, .. }) = measure(|| {
+        for i in 0..FETCHES {
+            let counts = round(
+                &mut session,
+                &mut net,
+                t0 + SimDuration::from_millis(i * 50),
+            );
+            for (total, n) in seen.iter_mut().zip(counts) {
+                *total += n;
+            }
         }
-    }
-    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    });
     assert_eq!(
         allocs,
         0,

@@ -123,14 +123,13 @@ impl BatchReport {
 mod tests {
     use super::*;
     use crate::audience::Audience;
+    use crate::world::tests::deployment_world;
     use crate::world::{WorldEngine, WorldRecipe};
     use encore::coordination::SchedulingStrategy;
     use encore::delivery::OriginSite;
     use encore::system::EncoreSystem;
-    use encore::tasks::{MeasurementId, MeasurementTask, TaskSpec};
     use netsim::geo::{country, World};
-    use netsim::http::{ContentType, HttpResponse};
-    use netsim::network::{ConstHandler, Network};
+    use netsim::network::Network;
     use sim_core::SimRng;
 
     /// One serial batch run over the academic audience.
@@ -147,33 +146,9 @@ mod tests {
             .report
     }
 
-    fn deployment() -> (Network, EncoreSystem) {
-        let mut net = Network::ideal(World::builtin());
-        net.add_server(
-            "target.example",
-            country("US"),
-            Box::new(ConstHandler(HttpResponse::ok(ContentType::Image, 400))),
-        );
-        let tasks = vec![MeasurementTask {
-            id: MeasurementId(0),
-            spec: TaskSpec::Image {
-                url: "http://target.example/favicon.ico".into(),
-            },
-        }];
-        let origin = OriginSite::academic("prof.example");
-        let sys = EncoreSystem::deploy(
-            &mut net,
-            tasks,
-            SchedulingStrategy::RoundRobin,
-            vec![origin],
-            country("US"),
-        );
-        (net, sys)
-    }
-
     #[test]
     fn batch_produces_measurements_and_amortises_sessions() {
-        let (mut net, mut sys) = deployment();
+        let (mut net, mut sys) = deployment_world();
         let config = BatchConfig {
             visits: 2_000,
             ..BatchConfig::default()
@@ -200,7 +175,7 @@ mod tests {
     #[test]
     fn batch_is_deterministic() {
         let run = |seed: u64| {
-            let (mut net, mut sys) = deployment();
+            let (mut net, mut sys) = deployment_world();
             let config = BatchConfig {
                 visits: 500,
                 ..BatchConfig::default()
@@ -229,7 +204,7 @@ mod tests {
 
     #[test]
     fn pool_respects_cap() {
-        let (mut net, mut sys) = deployment();
+        let (mut net, mut sys) = deployment_world();
         let config = BatchConfig {
             visits: 300,
             client_pool: 8,

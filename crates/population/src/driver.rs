@@ -60,62 +60,30 @@ pub struct VisitRecord {
 mod tests {
     use super::*;
     use crate::audience::Audience;
+    use crate::world::tests::{deployment_world, week};
     use crate::world::{WorldEngine, WorldRecipe};
     use encore::collection::SubmissionPhase;
     use encore::coordination::SchedulingStrategy;
     use encore::delivery::OriginSite;
     use encore::system::EncoreSystem;
-    use encore::tasks::{MeasurementId, MeasurementTask, TaskExecution, TaskSpec};
+    use encore::tasks::{MeasurementId, TaskExecution};
     use netsim::geo::{country, World};
-    use netsim::http::{ContentType, HttpResponse};
-    use netsim::network::{ConstHandler, Network};
+    use netsim::network::Network;
     use sim_core::SimRng;
     use std::collections::BTreeMap;
 
     /// One serial week-long deployment over the academic audience.
     fn run_week(net: &mut Network, sys: &mut EncoreSystem, seed: u64) -> Vec<VisitRecord> {
-        let recipe = WorldRecipe::deployment(week_config());
+        let recipe = WorldRecipe::deployment(week());
         let mut rng = SimRng::new(seed);
         WorldEngine::from_recipe(net, sys, &Audience::academic(), &recipe, &mut rng)
             .run()
             .log
     }
 
-    fn small_deployment() -> (Network, EncoreSystem) {
-        let mut net = Network::ideal(World::builtin());
-        net.add_server(
-            "target.example",
-            country("US"),
-            Box::new(ConstHandler(HttpResponse::ok(ContentType::Image, 400))),
-        );
-        let tasks = vec![MeasurementTask {
-            id: MeasurementId(0),
-            spec: TaskSpec::Image {
-                url: "http://target.example/favicon.ico".into(),
-            },
-        }];
-        let origin = OriginSite::academic("prof.example");
-        let sys = EncoreSystem::deploy(
-            &mut net,
-            tasks,
-            SchedulingStrategy::RoundRobin,
-            vec![origin],
-            country("US"),
-        );
-        (net, sys)
-    }
-
-    fn week_config() -> DeploymentConfig {
-        DeploymentConfig {
-            duration: SimDuration::from_days(7),
-            visits_per_day_per_weight: 30.0,
-            ..DeploymentConfig::default()
-        }
-    }
-
     #[test]
     fn deployment_produces_visits_and_measurements() {
-        let (mut net, mut sys) = small_deployment();
+        let (mut net, mut sys) = deployment_world();
         let log = run_week(&mut net, &mut sys, 0x715);
         // ~30/day for 7 days ≈ 210 visits.
         assert!((140..300).contains(&log.len()), "visits = {}", log.len());
@@ -139,7 +107,7 @@ mod tests {
     /// the page observed.
     #[test]
     fn logged_executions_join_the_collected_results() {
-        let (mut net, mut sys) = small_deployment();
+        let (mut net, mut sys) = deployment_world();
         let log = run_week(&mut net, &mut sys, 0x718);
         let mut logged: BTreeMap<MeasurementId, TaskExecution> = BTreeMap::new();
         for (id, exec) in log.iter().flat_map(|v| &v.outcome.executed) {
@@ -167,7 +135,7 @@ mod tests {
 
     #[test]
     fn visit_log_is_chronological() {
-        let (mut net, mut sys) = small_deployment();
+        let (mut net, mut sys) = deployment_world();
         let log = run_week(&mut net, &mut sys, 0x716);
         for w in log.windows(2) {
             assert!(w[0].at <= w[1].at);
@@ -177,7 +145,7 @@ mod tests {
     #[test]
     fn deployment_is_deterministic() {
         let run = |seed: u64| {
-            let (mut net, mut sys) = small_deployment();
+            let (mut net, mut sys) = deployment_world();
             let log = run_week(&mut net, &mut sys, seed);
             (log.len(), sys.collection.len())
         };
@@ -187,7 +155,7 @@ mod tests {
 
     #[test]
     fn bounced_visits_run_no_tasks() {
-        let (mut net, mut sys) = small_deployment();
+        let (mut net, mut sys) = deployment_world();
         let log = run_week(&mut net, &mut sys, 0x717);
         for v in &log {
             if v.dwell < SimDuration::from_secs(2) {

@@ -251,9 +251,6 @@ where
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use encore::coordination::SchedulingStrategy;
-    use encore::delivery::OriginSite;
-    use encore::tasks::{MeasurementId, MeasurementTask, TaskSpec};
     use netsim::geo::country;
     use netsim::http::{ContentType, HttpResponse};
     use netsim::scenario::NetworkScenario;
@@ -269,21 +266,8 @@ pub(crate) mod tests {
     /// The crate's small test world: one image target, one academic
     /// origin, ideal paths.
     pub(crate) fn build(ctx: ShardContext) -> (Network, EncoreSystem) {
-        let mut net = scenario().build_shard(ctx.index, ctx.shards);
-        let tasks = vec![MeasurementTask {
-            id: MeasurementId(0),
-            spec: TaskSpec::Image {
-                url: "http://target.example/favicon.ico".into(),
-            },
-        }];
-        let sys = EncoreSystem::deploy(
-            &mut net,
-            tasks,
-            SchedulingStrategy::RoundRobin,
-            vec![OriginSite::academic("prof.example")],
-            country("US"),
-        );
-        (net, sys)
+        let net = scenario().build_shard(ctx.index, ctx.shards);
+        crate::world::tests::deploy_measuring(net, "target.example")
     }
 
     #[test]

@@ -925,7 +925,7 @@ fn execute_arrival(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::analytics::RollupFold;
     use censor::policy::{CensorPolicy, Mechanism};
@@ -936,7 +936,10 @@ mod tests {
     use netsim::http::{ContentType, HttpRequest, HttpResponse};
     use netsim::network::ConstHandler;
 
-    fn deployment_world() -> (Network, EncoreSystem) {
+    /// An ideal network with `target.example` serving a 400-byte image,
+    /// one favicon task on it, and the academic origin `prof.example`,
+    /// scheduled round-robin from the US.
+    pub(crate) fn deployment_world() -> (Network, EncoreSystem) {
         let mut net = Network::ideal(World::builtin());
         net.add_server(
             "target.example",
@@ -994,7 +997,7 @@ mod tests {
     }
 
     /// Deploy Encore on `net` with one image task: `domain`'s favicon.
-    fn deploy_measuring(mut net: Network, domain: &str) -> (Network, EncoreSystem) {
+    pub(crate) fn deploy_measuring(mut net: Network, domain: &str) -> (Network, EncoreSystem) {
         let tasks = vec![MeasurementTask {
             id: MeasurementId(0),
             spec: TaskSpec::Image {
@@ -1011,7 +1014,8 @@ mod tests {
         (net, sys)
     }
 
-    fn week() -> DeploymentConfig {
+    /// A week of deployment at 30 visits per day per unit of weight.
+    pub(crate) fn week() -> DeploymentConfig {
         DeploymentConfig {
             duration: SimDuration::from_days(7),
             visits_per_day_per_weight: 30.0,

@@ -478,7 +478,7 @@ mod tests {
     /// A header may declare up to the cap with no payload behind it:
     /// the error names the whole declared length as missing, exactly as
     /// when the buffer was allocated up front (the allocation itself is
-    /// measured in `tests/frame_alloc.rs`).
+    /// measured in `tests/alloc.rs`).
     #[test]
     fn in_cap_length_prefix_with_no_payload_is_a_short_read() {
         let declared = 64u32 << 20;
