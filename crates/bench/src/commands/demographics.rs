@@ -14,7 +14,7 @@ use encore::coordination::SchedulingStrategy;
 use encore::delivery::OriginSite;
 use netsim::geo::{country, World};
 use netsim::network::Network;
-use population::{Analytics, Audience, DeploymentConfig, WorldEngine, WorldRecipe};
+use population::{Analytics, Audience, DeploymentConfig, Retain, WorldEngine, WorldRecipe};
 use serde::Serialize;
 use sim_core::{SimDuration, SimRng};
 
@@ -43,16 +43,24 @@ pub fn run(args: &RunArgs) {
 
     let mut rng = SimRng::new(args.seed);
     // "The site saw 1,171 visits during course of the month" → ~42/day.
+    // The per-visit table is read off the visit log, so this run keeps it.
     let recipe = WorldRecipe::deployment(DeploymentConfig {
         duration: SimDuration::from_days(28),
         visits_per_day_per_weight: 42.0,
         ..DeploymentConfig::default()
-    });
+    })
+    .retain_visits(Retain::Full);
     let audience = Audience::academic();
-    let log = WorldEngine::from_recipe(&mut net, &mut sys, &audience, &recipe, &mut rng)
-        .run()
-        .log;
-    let analytics = Analytics::from_visits(&log);
+    let outcome = WorldEngine::from_recipe(&mut net, &mut sys, &audience, &recipe, &mut rng).run();
+    let analytics = Analytics::from_visits(&outcome.log);
+    // A log that misses visits would print a plausible, wrong table.
+    if analytics.total_visits as u64 != outcome.report.visits {
+        eprintln!(
+            "demographics: {} visits in the log, {} in the report",
+            analytics.total_visits, outcome.report.visits
+        );
+        std::process::exit(1);
+    }
 
     let filtering = [
         country("IN"),

@@ -92,9 +92,10 @@ pub fn run(args: &RunArgs) {
         visits_per_day_per_weight: 35.0,
         ..DeploymentConfig::default()
     });
-    let log = WorldEngine::from_recipe(&mut net, &mut sys, &audience, &recipe, &mut rng)
+    let visits = WorldEngine::from_recipe(&mut net, &mut sys, &audience, &recipe, &mut rng)
         .run()
-        .log;
+        .report
+        .visits;
 
     let geo = GeoDb::from_allocator(&net.allocator);
     let detector = FilteringDetector::new(DetectorConfig {
@@ -134,7 +135,7 @@ pub fn run(args: &RunArgs) {
     println!("=== §7.2 detection: world deployment over {days} days ===");
     println!(
         "visits: {} | submissions: {} | distinct IPs: {} | countries: {}",
-        log.len(),
+        visits,
         sys.collection.len(),
         sys.collection.distinct_ips(),
         per_country.len()

@@ -1,19 +1,19 @@
 //! Batched multi-client execution: amortise session state across a whole
 //! audience.
 //!
-//! The Poisson driver in [`crate::driver`] is faithful to the §6.2 pilot
-//! but allocates per-visit state eagerly: it materialises the entire
-//! arrival schedule up front and logs every visit, which is exactly what a
-//! production-scale run (the ROADMAP's "millions of users") cannot afford.
-//! The batch driver is the throughput-oriented counterpart:
+//! The Poisson driver in [`crate::driver`] is faithful to the §6.2 pilot:
+//! one arrival stream per origin over a fixed span. The batch driver is
+//! the throughput-oriented counterpart, sized by visit count:
 //!
-//! * arrivals are generated **incrementally** (no schedule vector);
+//! * arrivals are one stream generated **incrementally** (no schedule
+//!   vector), run inline in cohorts between other events;
 //! * browser clients — and therefore their [`netsim::FetchSession`]s,
 //!   with compiled censor pipelines, DNS host caches, and keep-alive
 //!   pools — persist in a bounded pool across visits, so the substrate
 //!   cost per visit amortises the way real repeat traffic does;
-//! * results aggregate into counters instead of a per-visit log, keeping
-//!   memory flat no matter how many visits run.
+//! * results aggregate into counters, as in every run (a per-visit log
+//!   is the recipe's [`crate::world::Retain::Full`], in either mode),
+//!   keeping memory flat no matter how many visits run.
 //!
 //! Everything still flows through the session layer: the batch driver
 //! never touches DNS/TCP/HTTP stages itself, it only orchestrates

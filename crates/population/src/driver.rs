@@ -60,8 +60,8 @@ pub struct VisitRecord {
 mod tests {
     use super::*;
     use crate::audience::Audience;
-    use crate::world::tests::{deployment_world, week};
-    use crate::world::{WorldEngine, WorldRecipe};
+    use crate::world::tests::{deployment_world, logged, week};
+    use crate::world::WorldEngine;
     use encore::collection::SubmissionPhase;
     use encore::coordination::SchedulingStrategy;
     use encore::delivery::OriginSite;
@@ -72,9 +72,10 @@ mod tests {
     use sim_core::SimRng;
     use std::collections::BTreeMap;
 
-    /// One serial week-long deployment over the academic audience.
+    /// One serial week-long deployment over the academic audience, and
+    /// its visit log.
     fn run_week(net: &mut Network, sys: &mut EncoreSystem, seed: u64) -> Vec<VisitRecord> {
-        let recipe = WorldRecipe::deployment(week());
+        let recipe = logged(week());
         let mut rng = SimRng::new(seed);
         WorldEngine::from_recipe(net, sys, &Audience::academic(), &recipe, &mut rng)
             .run()

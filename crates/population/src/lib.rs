@@ -69,4 +69,6 @@ pub use transport::{
     worker_main, ProcessTransport, ShardTransport, ThreadTransport, TransportError, TransportKind,
     TransportStats, WorldSpec,
 };
-pub use world::{StreamingSpec, WorldChange, WorldEngine, WorldEvent, WorldOutcome, WorldRecipe};
+pub use world::{
+    Retain, StreamingSpec, WorldChange, WorldEngine, WorldEvent, WorldOutcome, WorldRecipe,
+};

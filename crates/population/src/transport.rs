@@ -33,12 +33,17 @@
 //! coordinator → worker   SPEC  (binary WorldSpec, identical bytes to all)
 //!                        JOB   (shard index, count, seed, chunk, window)
 //!                        ACK   (one credit, after each data frame folds)
-//! worker → coordinator   LOG_CHUNK*    (≤ chunk VisitRecords each)
+//! worker → coordinator   LOG_CHUNK*    (≤ chunk VisitRecords each; Retain::Full only)
 //!                        RECORD_CHUNK* (≤ chunk StoredMeasurements each)
 //!                        SKETCH?       (streaming mode: bounded analytics)
 //!                        FINAL (report, rollups, counters, geo)
 //!                        ERROR (human-readable failure, then exit 1)
 //! ```
+//!
+//! A recipe that retains no visits ([`crate::world::Retain::None`], the
+//! default) has no visit log to chunk, so its workers send no LOG_CHUNK;
+//! the coordinator reads the retention off the same recipe, and holds
+//! each stream to it.
 //!
 //! In streaming mode the record log never materialises, so the
 //! RECORD_CHUNK stream is empty and the shard's entire collection-side
@@ -65,7 +70,7 @@ use crate::audience::Audience;
 use crate::batch::BatchReport;
 use crate::driver::VisitRecord;
 use crate::shard::{run_shard, run_sharded_world, ShardContext, ShardedWorldRun};
-use crate::world::{WorldOutcome, WorldRecipe};
+use crate::world::{Retain, WorldOutcome, WorldRecipe};
 use encore::collection::{CollectionSnapshot, StoredMeasurement};
 use encore::geo::GeoDb;
 use encore::streaming::{MergeShape, StreamingStats};
@@ -382,22 +387,22 @@ impl ProcessTransport {
         seed: u64,
     ) -> Result<(ShardedWorldRun, TransportStats), TransportError> {
         assert!(shards >= 1, "shard count must be at least 1");
-        let mut children = Vec::with_capacity(shards);
+        let mut workers = Vec::with_capacity(shards);
         let result = self
-            .spawn_workers(spec, shards, seed, &mut children)
-            .and_then(|()| drain(&mut children, hardware_lanes()));
+            .spawn_workers(spec, shards, seed, &mut workers)
+            .and_then(|()| drain(&mut workers, hardware_lanes()));
         if result.is_err() {
             // The one failure path, whichever step failed: no orphans,
             // no zombies.
-            for child in &mut children {
-                let _ = child.kill();
-                let _ = child.wait();
+            for worker in &mut workers {
+                worker.kill();
+                let _ = worker.reap();
             }
         }
         result
     }
 
-    /// Spawn all workers into `children` (each the moment it exists, so
+    /// Spawn all workers into `workers` (each the moment it exists, so
     /// the caller can reap it whatever fails next) and hand each the
     /// broadcast spec + its job.
     fn spawn_workers<S: WorldSpec>(
@@ -405,11 +410,12 @@ impl ProcessTransport {
         spec: &S,
         shards: usize,
         seed: u64,
-        children: &mut Vec<Child>,
+        workers: &mut Vec<Spawned>,
     ) -> Result<(), TransportError> {
         // Control traffic serializes ONCE: every worker receives the
         // same spec frame bytes.
         let spec_frame = encode_frame(KIND_SPEC, &encode_payload(spec)?);
+        let retain = spec.recipe().retain;
         for index in 0..shards {
             let child = Command::new(&self.worker)
                 .args(&self.role)
@@ -421,8 +427,9 @@ impl ProcessTransport {
                     worker: self.worker.clone(),
                     detail: err.to_string(),
                 })?;
-            children.push(child);
-            let stdin = children[index]
+            workers.push(Spawned { child, retain });
+            let stdin = workers[index]
+                .child
                 .stdin
                 .as_mut()
                 .expect("stdin piped at spawn");
@@ -452,8 +459,9 @@ pub(crate) fn hardware_lanes() -> usize {
 }
 
 /// A shard as [`drain`] sees it: a lane that brings its output home, a
-/// way to learn how it ended, and a way to end it. A [`Child`]'s lane
-/// folds its frame stream; a [`ThreadShard`]'s runs the shard body.
+/// way to learn how it ended, and a way to end it. A [`Spawned`]
+/// worker's lane folds its frame stream; a [`ThreadShard`]'s runs the
+/// shard body.
 pub(crate) trait Worker {
     /// What the lane thread takes over.
     type Lane: Lane;
@@ -474,38 +482,46 @@ pub(crate) trait Lane: Send {
     fn bring_home(self, shard: usize) -> Result<Folded, TransportError>;
 }
 
-/// A worker's pipes: its frames, coordinator-bound, and where it reads
-/// its credits.
-impl<R: Read + Send, W: Write + Send> Lane for (R, W) {
+/// A worker's pipes — its frames, coordinator-bound, and where it reads
+/// its credits — and the visit retention its stream is held to.
+impl<R: Read + Send, W: Write + Send> Lane for (R, W, Retain) {
     fn bring_home(self, shard: usize) -> Result<Folded, TransportError> {
         // Dropped on return, either way: the stream is over, and closing
         // its stdin releases the worker.
-        let (mut stdout, mut stdin) = self;
+        let (mut stdout, mut stdin, retain) = self;
         // This stream's own sketch shape and frame counts; the run's are
         // settled at the accept step.
         let (mut shape, mut counted) = (None, TransportStats::new(1));
         let credit = || ack(&mut stdin);
-        let output = fold_shard_stream(shard, &mut stdout, credit, &mut shape, &mut counted)?;
+        let output =
+            fold_shard_stream(shard, retain, &mut stdout, credit, &mut shape, &mut counted)?;
         Ok((output, shape, counted))
     }
 }
 
-impl Worker for Child {
-    type Lane = (io::BufReader<ChildStdout>, ChildStdin);
+/// A worker process, and the visit retention of the recipe the
+/// coordinator sent it — what its stream must agree with.
+struct Spawned {
+    child: Child,
+    retain: Retain,
+}
+
+impl Worker for Spawned {
+    type Lane = (io::BufReader<ChildStdout>, ChildStdin, Retain);
 
     fn open(&mut self) -> Self::Lane {
-        let stdout = self.stdout.take().expect("stdout piped at spawn");
-        let stdin = self.stdin.take().expect("stdin piped at spawn");
-        (io::BufReader::new(stdout), stdin)
+        let stdout = self.child.stdout.take().expect("stdout piped at spawn");
+        let stdin = self.child.stdin.take().expect("stdin piped at spawn");
+        (io::BufReader::new(stdout), stdin, self.retain)
     }
 
     fn reap(&mut self) -> io::Result<ExitStatus> {
-        self.wait()
+        self.child.wait()
     }
 
     fn kill(&mut self) {
         // Already gone is fine; the caller reaps either way.
-        let _ = Child::kill(self);
+        let _ = self.child.kill();
     }
 }
 
@@ -724,23 +740,26 @@ fn describe_exit(reaped: io::Result<ExitStatus>) -> String {
 
 /// The coordinator's side of one worker's stream, over any byte
 /// source: read frames up to FINAL and rebuild the shard's output from
-/// them. Each LOG_CHUNK / RECORD_CHUNK / SKETCH folds into the *shard's*
-/// partial — never the running merge — through the ordered-append fast
-/// paths (a worker streams in time order), and then earns the worker
-/// one credit through `ack`; a frame that fails to decode or validate
-/// earns none. A RECORD_CHUNK's URLs and user agents are re-pointed at
+/// them, holding the stream to the visit retention `retain` of the
+/// recipe the worker was sent. Each LOG_CHUNK / RECORD_CHUNK / SKETCH
+/// folds into the *shard's* partial — never the running merge — through
+/// the ordered-append fast paths (a worker streams in time order), and
+/// then earns the worker one credit through `ack`; a frame that fails
+/// to decode or validate earns none. A RECORD_CHUNK's URLs and user agents are re-pointed at
 /// the first equal text the stream delivered (`share_text`), so the
 /// shard's records hold one allocation per distinct string, not one per
 /// record. `shape` is the [`MergeShape`] every sketch of the stream
 /// must share, set by the first one seen (the run's is settled where
 /// streams meet, in `drain`); `stats` counts what folded.
 /// A stream ending on a frame boundary before FINAL is
-/// [`TransportError::WorkerExit`]. A second SKETCH is a payload error,
-/// and so is a FINAL whose visit count disagrees with a non-empty log
-/// or whose accepted count disagrees with the SKETCH (or its absence);
-/// nothing a peer can send panics.
+/// [`TransportError::WorkerExit`]. A LOG_CHUNK under [`Retain::None`] is
+/// a payload error, and so is a second SKETCH, and a FINAL whose visit
+/// count disagrees with the log under [`Retain::Full`] or whose
+/// accepted count disagrees with the SKETCH (or its absence); nothing a
+/// peer can send panics.
 fn fold_shard_stream<R: Read>(
     shard: usize,
+    retain: Retain,
     stream: &mut R,
     mut ack: impl FnMut(),
     shape: &mut Option<MergeShape>,
@@ -761,6 +780,11 @@ fn fold_shard_stream<R: Read>(
             })?;
         match frame.kind {
             KIND_LOG_CHUNK => {
+                if retain == Retain::None {
+                    return Err(TransportError::Payload(format!(
+                        "log chunk: shard {shard}'s recipe retains no visits"
+                    )));
+                }
                 let chunk: Vec<VisitRecord> = decode_payload(&frame.payload, "log chunk")?;
                 log = merge_time_ordered(log, chunk, |v| v.at);
             }
@@ -795,10 +819,10 @@ fn fold_shard_stream<R: Read>(
             }
             KIND_FINAL => {
                 let fin: FinalPayload = decode_payload(&frame.payload, "final")?;
-                // A logging shard logs every visit once (batch mode logs
-                // none): a LOG_CHUNK lost or repeated on the way shows
-                // here, though each frame passed its CRC.
-                if !log.is_empty() && log.len() as u64 != fin.report.visits {
+                // A retaining shard logs every visit once: a LOG_CHUNK
+                // lost or repeated on the way — or every one of them —
+                // shows here, though each frame passed its CRC.
+                if retain == Retain::Full && log.len() as u64 != fin.report.visits {
                     return Err(TransportError::Payload(format!(
                         "final: {} visits reported, {} logged",
                         fin.report.visits,
@@ -1073,10 +1097,13 @@ mod tests {
         visits: u64,
         #[serde(default)]
         streaming: bool,
-        /// Deployment mode (a week of arrivals, `visits` unused): the
-        /// mode that keeps a visit log, hence LOG_CHUNK frames.
+        /// Deployment mode (a week of arrivals, `visits` unused).
         #[serde(default)]
-        logged: bool,
+        deployment: bool,
+        /// What the recipe keeps of each visit: under
+        /// [`Retain::Full`], LOG_CHUNK frames.
+        #[serde(default)]
+        retain: Retain,
     }
 
     impl TinySpec {
@@ -1084,7 +1111,8 @@ mod tests {
             TinySpec {
                 visits,
                 streaming: false,
-                logged: false,
+                deployment: false,
+                retain: Retain::None,
             }
         }
 
@@ -1095,10 +1123,20 @@ mod tests {
             }
         }
 
+        /// A week of deployment arrivals, every visit logged.
         fn logged() -> TinySpec {
             TinySpec {
-                logged: true,
+                deployment: true,
+                retain: Retain::Full,
                 ..TinySpec::exact(0)
+            }
+        }
+
+        /// [`Self::logged`]'s world, keeping no visits.
+        fn unlogged() -> TinySpec {
+            TinySpec {
+                retain: Retain::None,
+                ..TinySpec::logged()
             }
         }
     }
@@ -1109,7 +1147,7 @@ mod tests {
         }
 
         fn recipe(&self) -> WorldRecipe {
-            let recipe = if self.logged {
+            let recipe = if self.deployment {
                 WorldRecipe::deployment(crate::driver::DeploymentConfig {
                     duration: sim_core::SimDuration::from_days(7),
                     ..Default::default()
@@ -1119,7 +1157,8 @@ mod tests {
                     visits: self.visits,
                     ..BatchConfig::default()
                 })
-            };
+            }
+            .retain_visits(self.retain);
             if self.streaming {
                 recipe.with_streaming(crate::world::StreamingSpec::with_window(
                     sim_core::SimDuration::from_secs(60),
@@ -1210,9 +1249,16 @@ mod tests {
             let wire = transcript(spec, index, shards, seed);
             kinds.push(frames(&wire).iter().map(|f| f.kind).collect());
             let mut stream = &wire[..];
-            let output =
-                fold_shard_stream(index, &mut stream, || credits += 1, &mut shape, &mut stats)
-                    .expect("a worker's own stream folds");
+            let credit = || credits += 1;
+            let output = fold_shard_stream(
+                index,
+                spec.retain,
+                &mut stream,
+                credit,
+                &mut shape,
+                &mut stats,
+            )
+            .expect("a worker's own stream folds");
             assert!(stream.is_empty(), "the stream must end at FINAL");
             outputs.push(output);
         }
@@ -1224,40 +1270,45 @@ mod tests {
 
     /// A worker that is only its stream: scripted bytes, or a pipe whose
     /// writer the test holds open so the stream never ends — until the
-    /// coordinator kills the worker, which closes it. It reads no
-    /// credits and always exits 0.
+    /// coordinator kills the worker, which closes it. It was sent
+    /// `spec`'s recipe, reads no credits and always exits 0.
     struct Scripted {
         stdout: Option<Box<dyn Read + Send>>,
         held_open: Option<io::PipeWriter>,
+        retain: Retain,
     }
 
     impl Scripted {
-        /// A worker that wrote `wire` and exited.
-        fn wrote(wire: Vec<u8>) -> Scripted {
+        /// A worker for `spec` that wrote `wire` and exited.
+        fn wrote(spec: &TinySpec, wire: Vec<u8>) -> Scripted {
             Scripted {
                 stdout: Some(Box::new(io::Cursor::new(wire))),
                 held_open: None,
+                retain: spec.retain,
             }
         }
 
-        /// A worker that wrote `wire` and then neither writes nor exits.
-        fn stalled_after(wire: &[u8]) -> Scripted {
+        /// A worker for `spec` that wrote `wire` and then neither writes
+        /// nor exits.
+        fn stalled_after(spec: &TinySpec, wire: &[u8]) -> Scripted {
             let (stdout, mut writer) = io::pipe().expect("an OS pipe");
             writer.write_all(wire).expect("fits the pipe buffer");
             Scripted {
                 stdout: Some(Box::new(stdout)),
                 held_open: Some(writer),
+                retain: spec.retain,
             }
         }
     }
 
     impl Worker for Scripted {
-        type Lane = (Box<dyn Read + Send>, io::Sink);
+        type Lane = (Box<dyn Read + Send>, io::Sink, Retain);
 
         fn open(&mut self) -> Self::Lane {
             (
                 self.stdout.take().expect("pipes are taken once"),
                 io::sink(),
+                self.retain,
             )
         }
 
@@ -1281,7 +1332,7 @@ mod tests {
         let build = |ctx| spec.build(ctx);
         for lanes in [1, 2, 3, 5, 8] {
             let mut workers: Vec<Scripted> = (0..shards)
-                .map(|index| Scripted::wrote(transcript(&spec, index, shards, seed)))
+                .map(|index| Scripted::wrote(&spec, transcript(&spec, index, shards, seed)))
                 .collect();
             let (run, stats) = drain(&mut workers, lanes).expect("transcripts drain");
             assert_eq!(stats.data_frames, data_frames as u64, "{lanes} lanes");
@@ -1417,14 +1468,15 @@ mod tests {
     /// for it.
     #[test]
     fn a_dead_worker_beside_a_stalled_sibling_is_its_worker_exit_not_a_hang() {
-        let wire = transcript(&TinySpec::logged(), 0, 1, 5);
+        let spec = TinySpec::logged();
+        let wire = transcript(&spec, 0, 1, 5);
         let good = FRAME_HEADER_LEN + frames(&wire)[0].payload.len();
         for dead in [0, 1] {
             let mut workers = vec![
-                Scripted::stalled_after(&wire[..good]),
-                Scripted::stalled_after(&wire[..good]),
+                Scripted::stalled_after(&spec, &wire[..good]),
+                Scripted::stalled_after(&spec, &wire[..good]),
             ];
-            workers[dead] = Scripted::wrote(wire[..good].to_vec());
+            workers[dead] = Scripted::wrote(&spec, wire[..good].to_vec());
             let (verdict, deadline) = mpsc::channel();
             thread::spawn(move || verdict.send(drain(&mut workers, 2).map(|_| ())));
             let drained = deadline
@@ -1442,7 +1494,7 @@ mod tests {
     /// thread backend's lanes handed back in memory.
     #[test]
     fn in_process_worker_stream_folds_to_thread_result() {
-        // Batch mode keeps no visit log; deployment mode streams one.
+        // A batch recipe retains no visits; a logged deployment streams them.
         for (spec, log_chunks) in [(TinySpec::exact(240), false), (TinySpec::logged(), true)] {
             let expected = ThreadTransport.run(&spec, 2, 97).expect("threads");
             let (folded, kinds) = fold_transcripts(&spec, 2, 97);
@@ -1453,6 +1505,44 @@ mod tests {
                 assert_eq!(sent.contains(&KIND_LOG_CHUNK), log_chunks);
                 assert!(sent.contains(&KIND_RECORD_CHUNK));
                 assert_eq!(sent.last(), Some(&KIND_FINAL));
+            }
+        }
+    }
+
+    /// Retention is a tap on the visit stream, not a different world: at
+    /// 1 and 2 shards, on both carriers, a [`Retain::None`] run is its
+    /// [`Retain::Full`] twin with the log left empty — same report,
+    /// rollups, summaries, collection and per-shard reports — and its
+    /// workers send no LOG_CHUNK.
+    #[test]
+    fn a_run_that_retains_no_visits_is_the_full_run_without_its_log() {
+        let (full, none) = (TinySpec::logged(), TinySpec::unlogged());
+        for shards in [1, 2] {
+            let threads = ThreadTransport.run(&full, shards, 97).expect("threads");
+            assert_eq!(
+                threads.outcome.log.len() as u64,
+                threads.outcome.report.visits
+            );
+            let expected = WorldOutcome {
+                log: Vec::new(),
+                ..threads.outcome.clone()
+            };
+            let (folded, kinds) = fold_transcripts(&none, shards, 97);
+            let unlogged = ThreadTransport.run(&none, shards, 97).expect("threads");
+            for (carrier, run) in [("process", folded), ("thread", unlogged)] {
+                assert_eq!(run.outcome, expected, "{carrier}, {shards} shard(s)");
+                assert_eq!(
+                    run.collection, threads.collection,
+                    "{carrier}, {shards} shard(s)"
+                );
+                assert_eq!(
+                    run.per_shard, threads.per_shard,
+                    "{carrier}, {shards} shard(s)"
+                );
+            }
+            for sent in kinds {
+                assert!(!sent.contains(&KIND_LOG_CHUNK), "{shards} shard(s)");
+                assert!(sent.contains(&KIND_RECORD_CHUNK));
             }
         }
     }
@@ -1486,8 +1576,15 @@ mod tests {
         for index in 0..shards {
             let wire = transcript(&spec, index, shards, seed);
             let (mut shape, mut stats) = (None, TransportStats::new(1));
-            let folded = fold_shard_stream(index, &mut &wire[..], || {}, &mut shape, &mut stats)
-                .expect("a worker's own stream folds");
+            let folded = fold_shard_stream(
+                index,
+                spec.retain,
+                &mut &wire[..],
+                || {},
+                &mut shape,
+                &mut stats,
+            )
+            .expect("a worker's own stream folds");
             let records = &folded.collection.records;
             assert!(records.len() > 7, "shard {index}: one record chunk");
             assert_eq!(most_copies(records), 1, "shard {index}");
@@ -1553,11 +1650,13 @@ mod tests {
         assert_eq!(folded.collection, expected.collection);
     }
 
-    /// Fold `wire` as shard 0 of a run whose sketches must match `shape`:
-    /// it must be refused with an error whose `Debug` form contains
-    /// `expected`, having earned exactly `credits`.
+    /// Fold `wire` as shard 0 of a run that retains `retain` and whose
+    /// sketches must match `shape`: it must be refused with an error
+    /// whose `Debug` form contains `expected`, having earned exactly
+    /// `credits`.
     fn assert_refused(
         what: &str,
+        retain: Retain,
         wire: &[u8],
         mut shape: Option<MergeShape>,
         expected: &str,
@@ -1565,7 +1664,8 @@ mod tests {
     ) {
         let (mut issued, mut stats) = (0, TransportStats::new(1));
         let before = shape;
-        let result = fold_shard_stream(0, &mut &wire[..], || issued += 1, &mut shape, &mut stats);
+        let credit = || issued += 1;
+        let result = fold_shard_stream(0, retain, &mut &wire[..], credit, &mut shape, &mut stats);
         let err = format!(
             "{:?}",
             result.err().unwrap_or_else(|| panic!("{what}: folded"))
@@ -1579,11 +1679,14 @@ mod tests {
     /// followed by something a dead, buggy or lying worker could send:
     /// the fold answers with the matching typed error, having issued the
     /// good frame's credit and none for the bad one. Then the whole
-    /// transcript with one log chunk repeated or removed: refused at
-    /// FINAL. Then a streaming transcript with its SKETCH repeated —
-    /// refused as it arrives — or removed — refused at FINAL.
+    /// transcript with one log chunk repeated or removed, or every one
+    /// removed: refused at FINAL. Then a LOG_CHUNK from a shard whose
+    /// recipe retains no visits: refused as it arrives. Then a streaming
+    /// transcript with its SKETCH repeated — refused as it arrives — or
+    /// removed — refused at FINAL.
     #[test]
     fn hostile_streams_get_their_typed_error_and_no_credit() {
+        let full = Retain::Full;
         let wire = transcript(&TinySpec::logged(), 0, 1, 5);
         let all = frames(&wire);
         assert!(all.len() >= 3 && all[0].kind == KIND_LOG_CHUNK);
@@ -1655,7 +1758,7 @@ mod tests {
             ),
         ];
         for (what, stream, expected) in cases {
-            assert_refused(what, &stream, None, expected, 1);
+            assert_refused(what, full, &stream, None, expected, 1);
         }
 
         // A whole LOG_CHUNK repeated or lost passes every CRC and earns
@@ -1666,6 +1769,7 @@ mod tests {
         let final_disagrees = "Payload(\"final: ";
         assert_refused(
             "a LOG_CHUNK repeated",
+            full,
             &repeated,
             None,
             final_disagrees,
@@ -1673,10 +1777,45 @@ mod tests {
         );
         assert_refused(
             "a LOG_CHUNK removed",
+            full,
             &wire[good..],
             None,
             final_disagrees,
             data_frames - 1,
+        );
+        // With every LOG_CHUNK lost the log is empty, which a run that
+        // retains visits never folds to.
+        let log_chunks = all.iter().filter(|f| f.kind == KIND_LOG_CHUNK).count() as u64;
+        let logless: Vec<u8> = all
+            .iter()
+            .filter(|f| f.kind != KIND_LOG_CHUNK)
+            .flat_map(|f| encode_frame(f.kind, &f.payload))
+            .collect();
+        assert_refused(
+            "every LOG_CHUNK removed",
+            full,
+            &logless,
+            None,
+            final_disagrees,
+            data_frames - log_chunks,
+        );
+
+        // A shard whose recipe retains nothing has no log to send: its
+        // own first data frame folds, a LOG_CHUNK after it does not.
+        let unlogged = transcript(&TinySpec::unlogged(), 0, 1, 5);
+        let first = FRAME_HEADER_LEN + frames(&unlogged)[0].payload.len();
+        let stray = [
+            &unlogged[..first],
+            &encode_frame(KIND_LOG_CHUNK, &all[0].payload),
+        ]
+        .concat();
+        assert_refused(
+            "a LOG_CHUNK from a None shard",
+            Retain::None,
+            &stray,
+            None,
+            "Payload(\"log chunk: shard 0's recipe retains no visits",
+            1,
         );
 
         // The run's shape is the sketch's own, so a refusal can be told
@@ -1691,6 +1830,7 @@ mod tests {
         let repeated = [&wire[..sketch], &wire[..]].concat();
         assert_refused(
             "a SKETCH repeated",
+            Retain::None,
             &repeated,
             shape,
             "Payload(\"sketch: a second SKETCH",
@@ -1698,6 +1838,7 @@ mod tests {
         );
         assert_refused(
             "a SKETCH removed",
+            Retain::None,
             &wire[sketch..],
             shape,
             final_disagrees,
@@ -1750,7 +1891,14 @@ mod tests {
         // sets the shape its siblings must share.
         let (mut shape, mut stats) = (None, TransportStats::new(2));
         let control = stream(window, &sketch);
-        let folded = fold_shard_stream(0, &mut &control[..], || {}, &mut shape, &mut stats);
+        let folded = fold_shard_stream(
+            0,
+            Retain::None,
+            &mut &control[..],
+            || {},
+            &mut shape,
+            &mut stats,
+        );
         assert_eq!(folded.unwrap().collection.streaming.as_ref(), Some(&real));
         assert!(shape.is_some());
 
@@ -1773,7 +1921,7 @@ mod tests {
             ("a counter short", stream(window, &short)),
         ];
         for (what, wire) in cases {
-            assert_refused(what, &wire, None, "Payload(\"sketch: ", 0);
+            assert_refused(what, Retain::None, &wire, None, "Payload(\"sketch: ", 0);
         }
         // Well-shaped, but not what the control's siblings may merge with.
         let cases = [
@@ -1785,7 +1933,7 @@ mod tests {
             ("a sibling's window differs", stream(window + 1, &sketch)),
         ];
         for (what, wire) in cases {
-            assert_refused(what, &wire, shape, "Payload(\"sketch: ", 0);
+            assert_refused(what, Retain::None, &wire, shape, "Payload(\"sketch: ", 0);
         }
     }
 
@@ -1808,7 +1956,7 @@ mod tests {
             };
             wire.truncate(wire.len() - FRAME_HEADER_LEN - final_frame.payload.len());
             wire.extend(encode_frame(KIND_FINAL, &encode_payload(&fin).unwrap()));
-            Scripted::wrote(wire)
+            Scripted::wrote(&spec, wire)
         };
         // `with_error_rate` clamps, so an out-of-range rate is written
         // through the serialized form.
@@ -1972,7 +2120,7 @@ mod tests {
         let mut wire = Vec::new();
         let code = serve::<Doomed, _, _>(&mut &handshake(&spec, job)[..], &mut wire);
         assert_eq!(code, 1, "a panicked worker exits 1");
-        let detail = match drain(&mut [Scripted::wrote(wire)], 1) {
+        let detail = match drain(&mut [Scripted::wrote(&TinySpec::exact(1), wire)], 1) {
             Err(TransportError::Worker { shard: 0, detail }) => detail,
             other => panic!("expected the worker's reason, got {other:?}"),
         };

@@ -59,7 +59,7 @@
 //! day 10.
 
 use crate::analytics::{tally_outcome, Rollup, RollupSeries, StreamSummary, WindowedRollups};
-use crate::audience::{Audience, Visitor};
+use crate::audience::Audience;
 use crate::batch::{BatchConfig, BatchReport};
 use crate::driver::{DeploymentConfig, VisitRecord};
 use browser::BrowserClient;
@@ -67,8 +67,7 @@ use censor::adaptive::{Reaction, ReactionPolicy};
 use censor::timeline::PolicyTimeline;
 use encore::coordination::SchedulingStrategy;
 use encore::delivery::OriginSite;
-use encore::system::{EncoreSystem, VisitOutcome};
-use netsim::geo::CountryCode;
+use encore::system::EncoreSystem;
 use netsim::network::Network;
 use serde::{Deserialize, Serialize};
 use sim_core::dist::{Exponential, Sample};
@@ -192,22 +191,38 @@ impl WorldChange {
 }
 
 /// Which arrival process a world runs — the traffic half of a
-/// [`WorldRecipe`].
+/// [`WorldRecipe`]. The mode decides only when visitors arrive; what a
+/// run keeps of them is the recipe's [`Retain`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum RunMode {
-    /// Poisson arrivals at every origin over a fixed span, with a full
-    /// visit log ([`WorldRecipe::deployment`]).
+    /// Poisson arrivals at every origin over a fixed span
+    /// ([`WorldRecipe::deployment`]).
     Deployment(DeploymentConfig),
-    /// A fixed number of self-scheduling arrivals with flat-memory
-    /// counters ([`WorldRecipe::batch`]).
+    /// A fixed number of self-scheduling arrivals
+    /// ([`WorldRecipe::batch`]).
     Batch(BatchConfig),
+}
+
+/// What a world keeps of each visit beyond the counters every run
+/// tallies ([`BatchReport`]) — a recipe field
+/// ([`WorldRecipe::retain_visits`]), set by a caller that reads
+/// per-visit rows and never implied by the arrival mode.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Retain {
+    /// Nothing: [`WorldOutcome::log`] stays empty and memory stays flat
+    /// in the visit count. The default.
+    #[default]
+    None,
+    /// A [`VisitRecord`] per visit, in arrival order — the per-visit
+    /// view of the §6.2 analytics study ([`crate::Analytics::from_visits`]).
+    Full,
 }
 
 /// Everything a finished world run produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorldOutcome {
-    /// Chronological per-visit records (deployment mode; empty for batch
-    /// runs, which deliberately keep memory flat).
+    /// Chronological per-visit records — empty unless the recipe said
+    /// [`Retain::Full`].
     pub log: Vec<VisitRecord>,
     /// Aggregate counters (both modes).
     pub report: BatchReport,
@@ -285,6 +300,7 @@ pub struct WorldRecipe {
     pub(crate) maintenance: Option<SimDuration>,
     pub(crate) rollups: Option<SimDuration>,
     pub(crate) streaming: Option<StreamingSpec>,
+    pub(crate) retain: Retain,
 }
 
 impl WorldRecipe {
@@ -298,15 +314,16 @@ impl WorldRecipe {
             maintenance: None,
             rollups: None,
             streaming: None,
+            retain: Retain::None,
         }
     }
 
-    /// A deployment-mode recipe (Poisson arrivals, full visit log).
+    /// A deployment-mode recipe (Poisson arrivals at every origin).
     pub fn deployment(config: DeploymentConfig) -> WorldRecipe {
         WorldRecipe::new(RunMode::Deployment(config))
     }
 
-    /// A batch-mode recipe (fixed visit count, flat-memory counters).
+    /// A batch-mode recipe (a fixed visit count).
     pub fn batch(config: BatchConfig) -> WorldRecipe {
         WorldRecipe::new(RunMode::Batch(config))
     }
@@ -394,6 +411,15 @@ impl WorldRecipe {
         self.streaming = Some(spec);
         self
     }
+
+    /// Builder: keep `retain` of every visit ([`Retain::None`] unless
+    /// set). Retention never touches the visit streams: a
+    /// [`Retain::Full`] run equals its [`Retain::None`] twin in
+    /// everything but [`WorldOutcome::log`].
+    pub fn retain_visits(mut self, retain: Retain) -> WorldRecipe {
+        self.retain = retain;
+        self
+    }
 }
 
 /// Mode-specific driver state; what both modes share — the origin
@@ -401,7 +427,6 @@ impl WorldRecipe {
 enum Mode {
     Deployment {
         config: DeploymentConfig,
-        log: Vec<VisitRecord>,
         /// One per origin, by origin index; `None` for an origin that
         /// draws no traffic.
         streams: Vec<Option<ArrivalStream>>,
@@ -479,10 +504,10 @@ impl ArrivalStream {
 ///
 /// [`WorldEngine::from_recipe`] followed by [`WorldEngine::run`] is the
 /// only way in — deployment mode ([`WorldRecipe::deployment`], the §6.2
-/// Poisson pilot with a full visit log) or batch mode
-/// ([`WorldRecipe::batch`], the flat-memory throughput driver), with
-/// every scheduled dynamic read from the borrowed recipe as its event
-/// fires. `population::shard` runs one engine per shard: the
+/// Poisson pilot) or batch mode ([`WorldRecipe::batch`], the throughput
+/// driver), with every scheduled dynamic read from the borrowed recipe
+/// as its event fires, and a visit log only if the recipe says
+/// [`Retain::Full`]. `population::shard` runs one engine per shard: the
 /// builder-supplied `Network`/`EncoreSystem` and split RNG streams drop
 /// straight in.
 pub struct WorldEngine<'a> {
@@ -507,6 +532,8 @@ pub struct WorldEngine<'a> {
     /// `rollups`. `None` in exact mode.
     streaming: Option<WindowedRollups>,
     report: BatchReport,
+    /// The visit log: `Some` only under [`Retain::Full`].
+    log: Option<Vec<VisitRecord>>,
     /// Arrivals not yet fired, queued or still to be drawn; periodic
     /// events stop rescheduling once traffic is exhausted, which is what
     /// terminates the run.
@@ -546,7 +573,6 @@ impl<'a> WorldEngine<'a> {
                 rng.fork("deployment-visitors"),
                 Mode::Deployment {
                     config,
-                    log: Vec::new(),
                     streams: Vec::new(),
                 },
             ),
@@ -612,6 +638,7 @@ impl<'a> WorldEngine<'a> {
             rollups: Vec::new(),
             streaming,
             report: BatchReport::default(),
+            log: (recipe.retain == Retain::Full).then(Vec::new),
             arrivals_pending: 0,
         }
     }
@@ -729,39 +756,28 @@ impl<'a> WorldEngine<'a> {
     }
 
     fn on_deployment_arrival(&mut self, at: SimTime, origin_index: usize) {
-        let Mode::Deployment {
-            config,
-            log,
-            streams,
-        } = &mut self.mode
-        else {
+        let Mode::Deployment { config, streams } = &mut self.mode else {
             unreachable!("deployment arrival fired in batch mode");
         };
         streams[origin_index]
             .as_mut()
             .expect("only an origin with a stream has arrivals")
             .queue_next(&mut self.queue, origin_index);
-        let (visitor, country, outcome) = execute_arrival(
+        execute_arrival(
             self.net,
             self.system,
             self.audience,
             &mut self.report,
+            &mut self.log,
             &mut self.visitor_rng,
-            &self.origins[origin_index],
+            &self.origins,
+            origin_index,
             &mut self.pool,
             config.returning_pool,
             config.repeat_visitor_rate,
             at,
         );
         self.report.sim_span = at.since(SimTime::ZERO);
-        log.push(VisitRecord {
-            at,
-            origin_index,
-            country,
-            dwell: visitor.dwell,
-            is_crawler: visitor.is_crawler,
-            outcome,
-        });
     }
 
     /// Run a *cohort* of batch arrivals. One queue pop lands here; the
@@ -797,8 +813,10 @@ impl<'a> WorldEngine<'a> {
                 self.system,
                 self.audience,
                 &mut self.report,
+                &mut self.log,
                 &mut self.visitor_rng,
-                &self.origins[origin_idx],
+                &self.origins,
+                origin_idx,
                 &mut self.pool,
                 config.client_pool,
                 config.repeat_visitor_rate,
@@ -854,12 +872,8 @@ impl<'a> WorldEngine<'a> {
         for client in &self.pool {
             report.absorb_session(client);
         }
-        let log = match self.mode {
-            Mode::Deployment { log, .. } => log,
-            Mode::Batch { .. } => Vec::new(),
-        };
         WorldOutcome {
-            log,
+            log: self.log.unwrap_or_default(),
             report,
             rollups,
             policy_changes_applied: self.policy_applied,
@@ -869,27 +883,30 @@ impl<'a> WorldEngine<'a> {
     }
 }
 
-/// Execute one visit: sample the visitor, acquire a client (pooled
-/// returning visitor or a fresh browser), run the Figure-2 flow, fold
-/// the classified outcome into the report, and retire the client into
-/// the bounded pool (banking its session stats on eviction). Shared
-/// verbatim by both arrival handlers so the acquire/run/retire
-/// accounting — and therefore the bit-equivalence contract — can never
-/// diverge between modes. Returns what the deployment log needs: the
-/// sampled visitor, the client's actual country, and the visit outcome.
+/// Execute one visit to `origins[origin_index]`: sample the visitor,
+/// acquire a client (pooled returning visitor or a fresh browser), run
+/// the Figure-2 flow, fold the classified outcome into the report,
+/// append its [`VisitRecord`] to `log` if the run keeps one, and retire
+/// the client into the bounded pool (banking its session stats on
+/// eviction). Shared verbatim by both arrival handlers so the
+/// acquire/run/retire accounting — and therefore the bit-equivalence
+/// contract — can never diverge between modes, and so a visit is
+/// logged in one place.
 #[allow(clippy::too_many_arguments)]
 fn execute_arrival(
     net: &mut Network,
     system: &mut EncoreSystem,
     audience: &Audience,
     report: &mut BatchReport,
+    log: &mut Option<Vec<VisitRecord>>,
     visitor_rng: &mut SimRng,
-    origin: &OriginSite,
+    origins: &[OriginSite],
+    origin_index: usize,
     pool: &mut Vec<BrowserClient>,
     pool_cap: usize,
     repeat_visitor_rate: f64,
     at: SimTime,
-) -> (Visitor, CountryCode, VisitOutcome) {
+) {
     let visitor = audience.sample(visitor_rng);
 
     // Returning visitor with a warm cache, or a fresh client.
@@ -911,17 +928,26 @@ fn execute_arrival(
 
     let ua = visitor.user_agent(client.engine);
     let effective_dwell = visitor.effective_dwell(visitor_rng);
+    let origin = &origins[origin_index];
     let outcome = system.run_visit(net, &mut client, origin, effective_dwell, at, ua);
     report.record_visit(&tally_outcome(&outcome));
+    if let Some(log) = log {
+        log.push(VisitRecord {
+            at,
+            origin_index,
+            country: client.host.country,
+            dwell: visitor.dwell,
+            is_crawler: visitor.is_crawler,
+            outcome,
+        });
+    }
 
-    let country = client.host.country;
     if pool.len() < pool_cap {
         pool.push(client);
     } else {
         // Evicted client: bank its session statistics before dropping.
         report.absorb_session(&client);
     }
-    (visitor, country, outcome)
 }
 
 #[cfg(test)]
@@ -1023,6 +1049,11 @@ pub(crate) mod tests {
         }
     }
 
+    /// A deployment recipe over `config` that keeps every visit.
+    pub(crate) fn logged(config: DeploymentConfig) -> WorldRecipe {
+        WorldRecipe::deployment(config).retain_visits(Retain::Full)
+    }
+
     /// Run `recipe` on `world` with the academic audience under `seed`.
     fn run_on(
         world: &mut (Network, EncoreSystem),
@@ -1050,9 +1081,9 @@ pub(crate) mod tests {
 
     #[test]
     fn neutral_events_do_not_perturb_the_visit_stream() {
-        let base = run_fresh(&WorldRecipe::deployment(week()), 0xABBA).log;
+        let base = run_fresh(&logged(week()), 0xABBA).log;
         // No topology to brown out: the change is a no-op.
-        let noisy = WorldRecipe::deployment(week())
+        let noisy = logged(week())
             .change_at(
                 SimTime::from_secs(1_000),
                 WorldChange::HotspotBackground(0.9),
@@ -1064,6 +1095,33 @@ pub(crate) mod tests {
             base, with_noise,
             "maintenance/rollup/no-op events must be RNG- and behaviour-neutral"
         );
+    }
+
+    /// Retention taps the visit stream and changes nothing else, in
+    /// either arrival mode: a [`Retain::Full`] run logs every visit the
+    /// report counts, in arrival order, and its [`Retain::None`] twin
+    /// is the same outcome with an empty log.
+    #[test]
+    fn retention_is_a_tap_on_either_arrival_mode() {
+        let batch = WorldRecipe::batch(BatchConfig {
+            visits: 300,
+            ..BatchConfig::default()
+        });
+        for recipe in [WorldRecipe::deployment(week()), batch] {
+            let recipe = recipe.with_rollups(SimDuration::from_days(1));
+            let full = run_fresh(&recipe.clone().retain_visits(Retain::Full), 0x7A9);
+            assert_eq!(full.log.len() as u64, full.report.visits, "{recipe:?}");
+            assert!(full.log.windows(2).all(|w| w[0].at <= w[1].at));
+            let none = run_fresh(&recipe, 0x7A9);
+            assert_eq!(
+                none,
+                WorldOutcome {
+                    log: Vec::new(),
+                    ..full
+                },
+                "{recipe:?}"
+            );
+        }
     }
 
     #[test]
@@ -1082,7 +1140,7 @@ pub(crate) mod tests {
 
     #[test]
     fn deployment_report_tallies_match_the_log() {
-        let out = run_fresh(&WorldRecipe::deployment(week()), 0x11);
+        let out = run_fresh(&logged(week()), 0x11);
         assert_eq!(out.report.visits as usize, out.log.len());
         let origin_loads = out.log.iter().filter(|v| v.outcome.origin_loaded).count();
         assert_eq!(out.report.origin_loads as usize, origin_loads);
@@ -1099,7 +1157,7 @@ pub(crate) mod tests {
     #[test]
     fn timeline_events_toggle_censorship_mid_run() {
         let run = |with_block: bool| {
-            let mut recipe = WorldRecipe::deployment(week());
+            let mut recipe = logged(week());
             if with_block {
                 let spec = CensorSpec::new(
                     country("US"),
@@ -1203,7 +1261,7 @@ pub(crate) mod tests {
             net.add_middlebox(Box::new(spec.build(&net.dns)));
             let audience = Audience::academic();
             let mut rng = SimRng::new(0x5160 + u64::from(with_reactions));
-            let mut recipe = WorldRecipe::deployment(week());
+            let mut recipe = logged(week());
             if with_reactions {
                 recipe = recipe.with_reaction(
                     ReactionPolicy::new("us-adaptive")
@@ -1251,7 +1309,7 @@ pub(crate) mod tests {
         let (mut net, mut sys) = deployment_world();
         let audience = Audience::academic();
         let mut rng = SimRng::new(0xD0);
-        let recipe = WorldRecipe::deployment(week())
+        let recipe = logged(week())
             // Addressed to a name that is never installed…
             .with_reaction(
                 ReactionPolicy::new("nobody-home").at(SimTime::from_secs(100), Reaction::Escalate),
@@ -1278,10 +1336,7 @@ pub(crate) mod tests {
 
     #[test]
     fn disruption_change_404s_the_site_and_its_revert_restores_it() {
-        let recipe = with_changes(
-            WorldRecipe::deployment(week()),
-            outage(CorpusConfig::small(), 1),
-        );
+        let recipe = with_changes(logged(week()), outage(CorpusConfig::small(), 1));
         let mut world = corpus_world();
         let out = run_on(&mut world, &recipe, 0x31);
         let failed = failed_days(&out);
@@ -1306,7 +1361,7 @@ pub(crate) mod tests {
 
     #[test]
     fn changes_that_cannot_apply_are_noops() {
-        let bare = run_on(&mut corpus_world(), &WorldRecipe::deployment(week()), 0x0D).log;
+        let bare = run_on(&mut corpus_world(), &logged(week()), 0x0D).log;
         let no_domains = CorpusConfig {
             web: websim::generator::WebConfig {
                 num_domains: 0,
@@ -1330,7 +1385,7 @@ pub(crate) mod tests {
             outage(no_domains, 1).to_vec(),
         ];
         for changes in cases {
-            let recipe = with_changes(WorldRecipe::deployment(week()), changes.clone());
+            let recipe = with_changes(logged(week()), changes.clone());
             let log = run_on(&mut corpus_world(), &recipe, 0x0D).log;
             assert_eq!(log, bare, "{changes:?} changed the run");
         }
@@ -1360,7 +1415,7 @@ pub(crate) mod tests {
             );
             (net, sys)
         };
-        let recipe = WorldRecipe::deployment(config)
+        let recipe = logged(config)
             .with_maintenance(SimDuration::from_secs(3_600))
             .with_rollups(SimDuration::from_days(1));
         let seed = 0xA11;
@@ -1469,7 +1524,7 @@ pub(crate) mod tests {
         // A recipe is reusable (borrowed, never consumed): two fresh
         // worlds driven by the same recipe agree byte for byte.
         let recipe = with_changes(
-            WorldRecipe::deployment(week()).with_rollups(SimDuration::from_days(2)),
+            logged(week()).with_rollups(SimDuration::from_days(2)),
             outage(CorpusConfig::small(), 1),
         );
         let run = |recipe: &WorldRecipe| run_on(&mut corpus_world(), recipe, 7);
@@ -1479,7 +1534,7 @@ pub(crate) mod tests {
     #[test]
     fn recipe_read_back_from_bytes_runs_the_same_world() {
         let recipe = with_changes(
-            WorldRecipe::deployment(week()).with_rollups(SimDuration::from_days(1)),
+            logged(week()).with_rollups(SimDuration::from_days(1)),
             outage(CorpusConfig::small(), 1),
         );
         let json: WorldRecipe = serde_json::from_str(&serde_json::to_string(&recipe).unwrap())
@@ -1502,12 +1557,11 @@ pub(crate) mod tests {
             duration: SimDuration::from_days(14),
             ..week()
         };
-        let exact_recipe =
-            WorldRecipe::deployment(fortnight).with_rollups(SimDuration::from_days(1));
+        let exact_recipe = logged(fortnight).with_rollups(SimDuration::from_days(1));
         // with_streaming inherits the spec's window as the rollup
         // cadence, so both runs roll up daily.
-        let streaming_recipe = WorldRecipe::deployment(fortnight)
-            .with_streaming(StreamingSpec::with_window(SimDuration::from_days(1)));
+        let streaming_recipe =
+            logged(fortnight).with_streaming(StreamingSpec::with_window(SimDuration::from_days(1)));
         let go = |recipe: &WorldRecipe| {
             let mut world = deployment_world();
             let out = run_on(&mut world, recipe, 0xFEED);

@@ -345,7 +345,7 @@ mod world_engine_props {
     use netsim::geo::country;
     use netsim::http::{ContentType, HttpResponse};
     use netsim::network::{ConstHandler, Network};
-    use population::{DeploymentConfig, WorldChange, WorldEngine, WorldRecipe};
+    use population::{DeploymentConfig, Retain, WorldChange, WorldEngine, WorldRecipe};
     use sim_core::SimTime;
 
     fn tiny_world() -> (Network, EncoreSystem) {
@@ -377,6 +377,7 @@ mod world_engine_props {
             visits_per_day_per_weight: 20.0,
             ..DeploymentConfig::default()
         })
+        .retain_visits(Retain::Full)
     }
 
     proptest! {

@@ -41,7 +41,7 @@ use netsim::network::Network;
 use netsim::scenario::{NetworkScenario, WorldScenario};
 use netsim::TopologyConfig;
 use population::shard::ShardContext;
-use population::{BatchConfig, DeploymentConfig, WorldChange, WorldRecipe};
+use population::{BatchConfig, DeploymentConfig, Retain, WorldChange, WorldRecipe};
 use proptest::{Strategy, TestRng};
 use serde::{Deserialize, Serialize};
 use sim_core::{SimDuration, SimRng, SimTime};
@@ -690,7 +690,8 @@ impl WorldCase {
 
     // ---------------------------------------------------- materialise
 
-    /// The [`WorldRecipe`] this case describes.
+    /// The [`WorldRecipe`] this case describes. Every case keeps its
+    /// visit log ([`Retain::Full`]), so the oracles can difference it.
     pub fn recipe(&self) -> WorldRecipe {
         let mut recipe = match self.arrival {
             ArrivalMode::Deployment { days, rate } => WorldRecipe::deployment(DeploymentConfig {
@@ -706,7 +707,9 @@ impl WorldCase {
                 client_pool: 64,
             }),
         };
-        recipe = recipe.with_rollups(SimDuration::from_secs(self.rollup_secs));
+        recipe = recipe
+            .retain_visits(Retain::Full)
+            .with_rollups(SimDuration::from_secs(self.rollup_secs));
         if let Some(m) = self.maintenance_secs {
             recipe = recipe.with_maintenance(SimDuration::from_secs(m));
         }

@@ -76,12 +76,13 @@ fn main() {
         ..DeploymentConfig::default()
     });
     println!("running a 14-day deployment across 17 origin sites…");
-    let log = WorldEngine::from_recipe(&mut net, &mut sys, &audience, &recipe, &mut rng)
+    let visits = WorldEngine::from_recipe(&mut net, &mut sys, &audience, &recipe, &mut rng)
         .run()
-        .log;
+        .report
+        .visits;
     println!(
         "visits: {}   submissions: {}   distinct IPs: {}",
-        log.len(),
+        visits,
         sys.collection.len(),
         sys.collection.distinct_ips()
     );

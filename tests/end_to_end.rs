@@ -96,10 +96,11 @@ fn pipeline_to_detection_end_to_end() {
         visits_per_day_per_weight: 40.0,
         ..DeploymentConfig::default()
     });
-    let log = WorldEngine::from_recipe(&mut net, &mut sys, &audience, &recipe, &mut rng)
+    let visits = WorldEngine::from_recipe(&mut net, &mut sys, &audience, &recipe, &mut rng)
         .run()
-        .log;
-    assert!(log.len() > 1_000, "only {} visits", log.len());
+        .report
+        .visits;
+    assert!(visits > 1_000, "only {visits} visits");
     assert!(sys.collection.len() > 500);
 
     // 5. Detect.
@@ -154,10 +155,11 @@ fn outage_is_not_reported_as_censorship_end_to_end() {
         ..DeploymentConfig::default()
     });
     let audience = Audience::world(&world);
-    let log = WorldEngine::from_recipe(&mut net, &mut sys, &audience, &recipe, &mut rng)
+    let visits = WorldEngine::from_recipe(&mut net, &mut sys, &audience, &recipe, &mut rng)
         .run()
-        .log;
-    assert!(log.len() > 100);
+        .report
+        .visits;
+    assert!(visits > 100);
 
     let geo = GeoDb::from_allocator(&net.allocator);
     let detections = sys.detect(&geo, &FilteringDetector::default());

@@ -23,7 +23,8 @@ use encore_repro::netsim::geo::{country, World};
 use encore_repro::netsim::http::{ContentType, HttpResponse};
 use encore_repro::netsim::network::{ConstHandler, Network};
 use encore_repro::population::{
-    Audience, BatchConfig, BatchReport, DeploymentConfig, VisitRecord, WorldEngine, WorldRecipe,
+    Audience, BatchConfig, BatchReport, DeploymentConfig, Retain, VisitRecord, WorldEngine,
+    WorldRecipe,
 };
 use encore_repro::sim_core::dist::{Exponential, Sample};
 use encore_repro::sim_core::{SimDuration, SimRng, SimTime};
@@ -243,7 +244,7 @@ fn deployment_wrapper_is_bit_identical_to_legacy_driver() {
 
         let (mut net_b, mut sys_b) = favicon_world(censored, multi_origin());
         let mut rng_b = SimRng::new(seed);
-        let recipe = WorldRecipe::deployment(config);
+        let recipe = WorldRecipe::deployment(config).retain_visits(Retain::Full);
         let engine =
             WorldEngine::from_recipe(&mut net_b, &mut sys_b, &audience, &recipe, &mut rng_b)
                 .run()
@@ -377,7 +378,7 @@ fn deployment_wrapper_matches_legacy_with_zero_weight_origins() {
     let legacy = legacy_run_deployment(&mut net_a, &mut sys_a, &audience, &config, &mut rng_a);
     let (mut net_b, mut sys_b) = favicon_world(false, origins);
     let mut rng_b = SimRng::new(9);
-    let recipe = WorldRecipe::deployment(config);
+    let recipe = WorldRecipe::deployment(config).retain_visits(Retain::Full);
     let engine = WorldEngine::from_recipe(&mut net_b, &mut sys_b, &audience, &recipe, &mut rng_b)
         .run()
         .log;

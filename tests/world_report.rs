@@ -33,27 +33,38 @@
 //!    no records, ingest dropped nothing, and the fold accepted every
 //!    submission the visits delivered: the condition under which the
 //!    cells judge exactly as the full record log would.
+//!
+//! The golden run keeps no visit log, as `bench world_report` does. What
+//! the visits delivered is read off a log, so a serial run that keeps
+//! one (`Retain::Full`) must equal it in everything but that log and
+//! carries the delivery count at 1 shard; the 2-shard run keeps one too.
 
 use bench::corpus_fixture::{
     self, build, CERT_ROTATION_DAY, DAYS, OUTAGE_END, OUTAGE_START, RATE, REDESIGN_DAY, RU_RST_DAY,
     RU_STAND_DOWN_DAY, TR_BLOCK_LIFT, TR_BLOCK_ONSET,
 };
-use encore_repro::population::{run_sharded_world, ShardedWorldRun};
+use encore_repro::population::{run_sharded_world, Retain, ShardedWorldRun, WorldOutcome};
 
 const SEED: u64 = 0x0000_E7C0_2015; // bench::DEFAULT_SEED — the command's gate engages here.
 
-fn run(shards: usize) -> (ShardedWorldRun, corpus_fixture::WorldReport) {
-    let recipe = corpus_fixture::recipe(DAYS, RATE);
+fn run(shards: usize, retain: Retain) -> (ShardedWorldRun, corpus_fixture::WorldReport) {
+    let recipe = corpus_fixture::recipe(DAYS, RATE).retain_visits(retain);
     let audience = corpus_fixture::audience();
     let run = run_sharded_world(&build, &audience, &recipe, shards, SEED);
     assert_keeps_no_records_and_sheds_nothing(&run, shards);
+    if retain == Retain::Full {
+        assert_accepted_every_delivery(&run, shards);
+    } else {
+        assert!(run.outcome.log.is_empty(), "{shards} shard(s) kept a log");
+    }
     let report = corpus_fixture::report(&run, shards, DAYS, SEED);
     (run, report)
 }
 
 /// The flagship is judged off its ingest fold, which equals the exact
 /// record log's verdicts only if ingest took every submission: no
-/// record is kept, nothing is shed, and the fold accepted exactly what
+/// record is kept, nothing is shed, and (with a log to count them on,
+/// `assert_accepted_every_delivery`) the fold accepted exactly what
 /// the visits delivered.
 fn assert_keeps_no_records_and_sheds_nothing(run: &ShardedWorldRun, shards: usize) {
     assert!(
@@ -74,6 +85,16 @@ fn assert_keeps_no_records_and_sheds_nothing(run: &ShardedWorldRun, shards: usiz
     );
     let summary = run.outcome.streaming.expect("a streaming run's summary");
     assert_eq!(stats.accepted, summary.accepted, "{shards} shard(s)");
+}
+
+/// The fold accepted every init and result the logged visits delivered.
+fn assert_accepted_every_delivery(run: &ShardedWorldRun, shards: usize) {
+    let stats = run
+        .collection
+        .streaming
+        .as_ref()
+        .expect("the flagship streams");
+    assert_eq!(run.outcome.log.len() as u64, run.outcome.report.visits);
     let delivered: usize = run
         .outcome
         .log
@@ -85,7 +106,7 @@ fn assert_keeps_no_records_and_sheds_nothing(run: &ShardedWorldRun, shards: usiz
 
 #[test]
 fn world_report_matches_golden_and_is_shard_invariant() {
-    let (serial, report) = run(1);
+    let (serial, report) = run(1, Retain::None);
     assert_eq!(
         serial.outcome.policy_changes_applied, 2,
         "TR install + lift must both land"
@@ -189,8 +210,20 @@ fn world_report_matches_golden_and_is_shard_invariant() {
         "no flags for the benign domain"
     );
 
+    // The same serial run keeping its log is the golden run plus that
+    // log, so the deliveries counted on it are the golden run's.
+    let (logged, logged_report) = run(1, Retain::Full);
+    let unlogged = WorldOutcome {
+        log: Vec::new(),
+        ..logged.outcome
+    };
+    assert_eq!(unlogged, serial.outcome, "retention moved the outcome");
+    assert_eq!(logged.collection, serial.collection);
+    assert_eq!(logged.per_shard, serial.per_shard);
+    assert_eq!(logged_report, report, "retention moved the report");
+
     // Shard invariance: the 2-shard run reaches the identical verdicts.
-    let (sharded, report2) = run(2);
+    let (sharded, report2) = run(2, Retain::Full);
     assert_eq!(
         sharded.outcome.control_signals_applied, 4,
         "broadcast reactions must land on every shard"

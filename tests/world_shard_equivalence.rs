@@ -29,7 +29,7 @@ use bench::world_fixture::{
 };
 use encore_repro::netsim::geo::{country, World};
 use encore_repro::population::shard::ShardContext;
-use encore_repro::population::{run_sharded_world, Audience, WorldEngine};
+use encore_repro::population::{run_sharded_world, Audience, Retain, WorldEngine};
 use encore_repro::sim_core::SimRng;
 
 fn audience() -> Audience {
@@ -39,7 +39,7 @@ fn audience() -> Audience {
 #[test]
 fn one_shard_locksteps_the_serial_world_engine() {
     let seed = 0x70_11;
-    let recipe = world_fixture::recipe(30, 150.0);
+    let recipe = world_fixture::recipe(30, 150.0).retain_visits(Retain::Full);
 
     // Serial: the engine replaying the recipe on the serial build.
     let (mut net, mut sys) = build(ShardContext {
@@ -156,7 +156,7 @@ fn standing_censor_worlds_stay_equivalent_across_shards() {
 fn fixed_seed_and_shard_count_reproduces_byte_for_byte() {
     // A shorter world keeps the doubled run affordable; reproducibility
     // does not depend on the horizon.
-    let recipe = world_fixture::recipe(8, 150.0);
+    let recipe = world_fixture::recipe(8, 150.0).retain_visits(Retain::Full);
     let go = || {
         let run = run_sharded_world(&build, &audience(), &recipe, 4, 0xBEEF);
         (
@@ -176,7 +176,7 @@ fn fixed_seed_and_shard_count_reproduces_byte_for_byte() {
 
 #[test]
 fn merged_log_is_time_ordered_and_complete() {
-    let recipe = world_fixture::recipe(6, 150.0);
+    let recipe = world_fixture::recipe(6, 150.0).retain_visits(Retain::Full);
     let run = run_sharded_world(&build, &audience(), &recipe, 3, 0x106);
     assert_eq!(
         run.outcome.log.len() as u64,
