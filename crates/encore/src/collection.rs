@@ -584,11 +584,11 @@ impl StoredMeasurement {
 /// it can cross thread boundaries and be merged across parallel shards.
 ///
 /// Merging is defined over the *canonical order* (a total order on
-/// records): [`merge`](CollectionSnapshot::merge) is associative and
-/// commutative with [`CollectionSnapshot::default`] as identity, so the
-/// union of per-shard stores is byte-stable no matter how the shards are
-/// combined. The §7.2 detector and every report run once over the merged
-/// record vector.
+/// records): [`merge_owned`](CollectionSnapshot::merge_owned) is
+/// associative and commutative with [`CollectionSnapshot::default`] as
+/// identity, so the union of per-shard stores is byte-stable no matter
+/// how the shards are combined. The §7.2 detector and every report run
+/// once over the merged record vector.
 ///
 /// [`CollectionServer::snapshot`] makes one `Arc<str>` per distinct URL
 /// and user agent and points every record holding that text at it, so a
@@ -650,47 +650,78 @@ pub(crate) fn canonical_cmp(a: &StoredMeasurement, b: &StoredMeasurement) -> std
     key(a).cmp(&key(b))
 }
 
+/// Whether `records` are in canonical order (the order
+/// [`CollectionSnapshot::canonicalize`] sorts into, a snapshot keeps,
+/// and a shard streams its records in).
+pub fn in_canonical_order<'a>(records: impl IntoIterator<Item = &'a StoredMeasurement>) -> bool {
+    records
+        .into_iter()
+        .is_sorted_by(|a, b| canonical_cmp(a, b).is_le())
+}
+
+/// Merge two canonical runs into one, back to front: each step moves the
+/// larger of the two last records to the output — `b`'s on a tie, so
+/// equal records keep the `a`-before-`b` order of a stable sort once the
+/// output is reversed. Every 2¹⁴ records both inputs give their consumed
+/// tails back to the allocator.
+fn merge_runs(
+    mut a: Vec<StoredMeasurement>,
+    mut b: Vec<StoredMeasurement>,
+) -> Vec<StoredMeasurement> {
+    const SHRINK_EVERY: usize = 1 << 14;
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    loop {
+        let from = match (a.last(), b.last()) {
+            (Some(x), Some(y)) if canonical_cmp(x, y).is_gt() => &mut a,
+            (Some(_), None) => &mut a,
+            (_, Some(_)) => &mut b,
+            (None, None) => break,
+        };
+        out.extend(from.pop());
+        if out.len() % SHRINK_EVERY == 0 {
+            a.shrink_to_fit();
+            b.shrink_to_fit();
+        }
+    }
+    out.reverse();
+    out
+}
+
 impl CollectionSnapshot {
-    /// Sort the records into canonical order. The stable sort is
-    /// adaptive, so re-canonicalising a concatenation of already-sorted
-    /// runs (the merge path) costs close to one linear pass.
+    /// Sort the records into canonical order (a stable sort, so equal
+    /// records keep their relative order).
     pub fn canonicalize(&mut self) {
         self.records.sort_by(canonical_cmp);
     }
 
-    /// Merge another snapshot into this one. Associative and commutative
-    /// over canonicalised snapshots, with the empty snapshot as identity.
-    pub fn merge(mut self, other: &CollectionSnapshot) -> CollectionSnapshot {
-        self.records.extend(other.records.iter().cloned());
-        self.malformed += other.malformed;
-        self.streaming = merge_streaming_opt(self.streaming.take(), other.streaming.clone());
-        self.canonicalize();
-        self
-    }
-
-    /// [`merge`](Self::merge) without the clone: consumes `other`,
-    /// moving its records. Prefer this wherever the other snapshot is
-    /// owned — on transport-sized stores the record clone costs more
-    /// than the binary codec that delivered them.
+    /// Merge another snapshot into this one, consuming both.
+    ///
+    /// Both inputs must be canonical (see [`canonicalize`](Self::canonicalize);
+    /// a [`CollectionServer::snapshot`] is). The result is what
+    /// concatenating `self` and `other` and canonicalising would give, so
+    /// the merge is associative and commutative by value, with
+    /// [`CollectionSnapshot::default`] as identity.
+    ///
+    /// The merge holds one copy of the records. When all of `other` sorts
+    /// at-or-after all of `self` — every chunk of a shard's in-order record
+    /// stream — it is appended, keeping a per-chunk fold linear. Otherwise
+    /// the two runs merge into one output allocated once, and each input
+    /// hands back its consumed tail as it goes: no record is resident
+    /// twice and no sort scratch is allocated.
     pub fn merge_owned(mut self, other: CollectionSnapshot) -> CollectionSnapshot {
+        debug_assert!(
+            in_canonical_order(&self.records) && in_canonical_order(&other.records),
+            "merge_owned: both inputs must be canonical"
+        );
         self.malformed += other.malformed;
         self.streaming = merge_streaming_opt(self.streaming.take(), other.streaming);
-        // Ordered-append fast path: both inputs are canonical (the
-        // documented precondition), so when all of `other` sorts
-        // at-or-after all of `self` — every chunk of a shard's in-order
-        // record stream — concatenation IS the canonical order and the
-        // re-sort is skipped. Keeps the streaming coordinator's
-        // per-chunk fold linear instead of sorting per chunk.
         match (self.records.last(), other.records.first()) {
-            (Some(a), Some(b)) if canonical_cmp(a, b) != std::cmp::Ordering::Greater => {
+            (Some(a), Some(b)) if canonical_cmp(a, b).is_le() => {
                 self.records.extend(other.records);
             }
             (None, _) => self.records = other.records,
             (_, None) => {}
-            _ => {
-                self.records.extend(other.records);
-                self.canonicalize();
-            }
+            _ => self.records = merge_runs(self.records, other.records),
         }
         self
     }
@@ -1806,29 +1837,29 @@ mod tests {
 
     #[test]
     fn snapshot_merge_is_order_insensitive() {
-        let a = CollectionSnapshot {
+        let mut a = CollectionSnapshot {
             records: vec![stored(2, [100, 0, 0, 9], 5), stored(1, [100, 0, 0, 9], 5)],
             malformed: 1,
             streaming: None,
         };
+        a.canonicalize();
         let b = CollectionSnapshot {
             records: vec![stored(3, [100, 1, 0, 9], 2)],
             malformed: 2,
             streaming: None,
         };
-        let ab = a.clone().merge(&b);
-        let ba = b.clone().merge(&a);
+        // `b` sorts wholly before `a`: one order merges the runs, the
+        // other appends.
+        let ab = a.clone().merge_owned(b.clone());
+        let ba = b.clone().merge_owned(a.clone());
         assert_eq!(ab, ba, "merge must be commutative");
         assert_eq!(ab.len(), 3);
         assert_eq!(ab.malformed, 3);
         // Canonical order: received time first.
         assert_eq!(ab.records[0].submission.measurement_id, MeasurementId(3));
-        // Identity element.
-        assert_eq!(a.clone().merge(&CollectionSnapshot::default()), {
-            let mut c = a.clone();
-            c.canonicalize();
-            c
-        });
+        // Identity element, on either side.
+        assert_eq!(a.clone().merge_owned(CollectionSnapshot::default()), a);
+        assert_eq!(CollectionSnapshot::default().merge_owned(a.clone()), a);
     }
 
     #[test]

@@ -549,4 +549,76 @@ mod snapshot_props {
             prop_assert_eq!(server.snapshot(), sorted);
         }
     }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `merge_owned` is concatenation then `canonicalize` — record
+        /// for record, and text allocation for text allocation, so equal
+        /// records keep the stable sort's `self`-before-`other` order —
+        /// and so is commutative and associative by value. The sides
+        /// share exact duplicates; `later` moves one side wholly after
+        /// the other (the append path) or neither.
+        #[test]
+        fn merge_owned_is_concatenation_then_canonicalize(
+            a in proptest::collection::vec(arb_wire(), 0..30),
+            b in proptest::collection::vec(arb_wire(), 0..30),
+            c in proptest::collection::vec(arb_wire(), 0..20),
+            shared in proptest::collection::vec(0usize..30, 0..8),
+            later in 0u8..3,
+        ) {
+            let shift = |wires: &[Wire], by: u64| -> Vec<Wire> {
+                wires.iter().map(|&w| Wire { at_ms: w.at_ms + by, ..w }).collect()
+            };
+            let shared = shared.iter().filter_map(|&i| a.get(i)).copied();
+            let b: Vec<Wire> = b.iter().copied().chain(shared).collect();
+            let (a, b) = match later {
+                1 => (a, shift(&b, 10)),
+                2 => (shift(&a, 10), b),
+                _ => (a, b),
+            };
+            let (sa, sb, sc) = (snapshot_of(&a), snapshot_of(&b), snapshot_of(&c));
+
+            let merged = sa.clone().merge_owned(sb.clone());
+            let reference = concatenated(&sa, &sb);
+            prop_assert_eq!(&merged, &reference);
+            prop_assert!(same_text(&merged, &reference), "equal records reordered");
+
+            prop_assert_eq!(&sb.clone().merge_owned(sa.clone()), &merged, "commutative");
+            let left = merged.merge_owned(sc.clone());
+            let right = sa.merge_owned(sb.merge_owned(sc));
+            prop_assert_eq!(left, right, "associative");
+        }
+    }
+
+    /// The snapshot of a server that received `wires`, in order.
+    fn snapshot_of(wires: &[Wire]) -> CollectionSnapshot {
+        let server = CollectionServer::new("collector.example");
+        for &w in wires {
+            submit(&server, w);
+        }
+        server.snapshot()
+    }
+
+    /// The reference merge: concatenate, then stable-sort into canonical
+    /// order.
+    fn concatenated(a: &CollectionSnapshot, b: &CollectionSnapshot) -> CollectionSnapshot {
+        let mut both = CollectionSnapshot {
+            records: [a.records.clone(), b.records.clone()].concat(),
+            malformed: a.malformed + b.malformed,
+            streaming: None,
+        };
+        both.canonicalize();
+        both
+    }
+
+    /// Whether each record of `x` holds the very URL allocation its
+    /// counterpart in `y` does. Each server's snapshot has its own, so
+    /// this tells which side an exact duplicate came from.
+    fn same_text(x: &CollectionSnapshot, y: &CollectionSnapshot) -> bool {
+        x.records.len() == y.records.len()
+            && x.records.iter().zip(&y.records).all(|(p, q)| {
+                std::sync::Arc::ptr_eq(&p.submission.target_url, &q.submission.target_url)
+            })
+    }
 }

@@ -71,7 +71,7 @@ use crate::batch::BatchReport;
 use crate::driver::VisitRecord;
 use crate::shard::{run_shard, run_sharded_world, ShardContext, ShardedWorldRun};
 use crate::world::{Retain, WorldOutcome, WorldRecipe};
-use encore::collection::{CollectionSnapshot, StoredMeasurement};
+use encore::collection::{in_canonical_order, CollectionSnapshot, StoredMeasurement};
 use encore::geo::GeoDb;
 use encore::streaming::{MergeShape, StreamingStats};
 use encore::system::EncoreSystem;
@@ -753,10 +753,12 @@ fn describe_exit(reaped: io::Result<ExitStatus>) -> String {
 /// streams meet, in `drain`); `stats` counts what folded.
 /// A stream ending on a frame boundary before FINAL is
 /// [`TransportError::WorkerExit`]. A LOG_CHUNK under [`Retain::None`] is
-/// a payload error, and so is a second SKETCH, and a FINAL whose visit
-/// count disagrees with the log under [`Retain::Full`] or whose
-/// accepted count disagrees with the SKETCH (or its absence); nothing a
-/// peer can send panics.
+/// a payload error, and so is a RECORD_CHUNK out of canonical order or
+/// sorting before the record the stream delivered last (a shard's
+/// records are appended, never re-sorted), a second SKETCH, and a FINAL
+/// whose visit count disagrees with the log under [`Retain::Full`] or
+/// whose accepted count disagrees with the SKETCH (or its absence);
+/// nothing a peer can send panics.
 fn fold_shard_stream<R: Read>(
     shard: usize,
     retain: Retain,
@@ -791,11 +793,17 @@ fn fold_shard_stream<R: Read>(
             KIND_RECORD_CHUNK => {
                 let mut records: Vec<StoredMeasurement> =
                     decode_payload(&frame.payload, "record chunk")?;
+                // A shard streams its snapshot in canonical order, so its
+                // partial is built by appending: a chunk out of order, or
+                // sorting before what the stream already delivered (a
+                // repeat), is refused rather than re-sorted in.
+                if !in_canonical_order(collection.records.last().into_iter().chain(&records)) {
+                    return Err(TransportError::Payload(format!(
+                        "record chunk: shard {shard}'s records out of canonical order"
+                    )));
+                }
                 share_text(&mut seen, &mut records);
-                collection = collection.merge_owned(CollectionSnapshot {
-                    records,
-                    ..CollectionSnapshot::default()
-                });
+                collection.records.extend(records);
             }
             KIND_SKETCH => {
                 // A shard's analytics are one frame: a second would
@@ -1680,7 +1688,8 @@ mod tests {
     /// the fold answers with the matching typed error, having issued the
     /// good frame's credit and none for the bad one. Then the whole
     /// transcript with one log chunk repeated or removed, or every one
-    /// removed: refused at FINAL. Then a LOG_CHUNK from a shard whose
+    /// removed: refused at FINAL; or with its record chunk repeated:
+    /// refused as the repeat arrives. Then a LOG_CHUNK from a shard whose
     /// recipe retains no visits: refused as it arrives. Then a streaming
     /// transcript with its SKETCH repeated — refused as it arrives — or
     /// removed — refused at FINAL.
@@ -1695,10 +1704,21 @@ mod tests {
         let after_good =
             |kind, payload: &[u8]| [&wire[..good], &encode_frame(kind, payload)].concat();
 
+        // The stream's record chunk, with its first and last records
+        // swapped.
+        let at_chunk = all
+            .iter()
+            .position(|f| f.kind == KIND_RECORD_CHUNK)
+            .expect("a record chunk");
+        let chunk: Vec<StoredMeasurement> =
+            decode_payload(&all[at_chunk].payload, "record chunk").unwrap();
+        let mut swapped = chunk.clone();
+        swapped.swap(0, chunk.len() - 1);
+        assert!(!in_canonical_order(&swapped), "two records that differ");
+        let swapped = encode_payload(&swapped).unwrap();
+
         // One of the stream's own records, its URL made non-UTF-8.
-        let chunk = all.iter().find(|f| f.kind == KIND_RECORD_CHUNK);
-        let mut records: Vec<StoredMeasurement> =
-            decode_payload(&chunk.expect("a record chunk").payload, "record chunk").unwrap();
+        let mut records = chunk;
         records.truncate(1);
         records[0].submission.target_url = Arc::from("http://~~.example/");
         let mut not_utf8 = encode_payload(&records).unwrap();
@@ -1713,6 +1733,7 @@ mod tests {
         let mut oversized = after_good(KIND_LOG_CHUNK, &[]);
         oversized[good + 8..good + 12].copy_from_slice(&(DEFAULT_MAX_PAYLOAD + 1).to_le_bytes());
 
+        let disordered = "Payload(\"record chunk: shard 0's records out of canonical order";
         let cases = [
             (
                 "cut mid-header",
@@ -1756,6 +1777,11 @@ mod tests {
                 after_good(KIND_RECORD_CHUNK, &not_utf8),
                 "Payload(\"record chunk: json error: invalid utf8",
             ),
+            (
+                "RECORD_CHUNK out of canonical order",
+                after_good(KIND_RECORD_CHUNK, &swapped),
+                disordered,
+            ),
         ];
         for (what, stream, expected) in cases {
             assert_refused(what, full, &stream, None, expected, 1);
@@ -1798,6 +1824,28 @@ mod tests {
             None,
             final_disagrees,
             data_frames - log_chunks,
+        );
+
+        // A multi-record chunk repeated right after itself: the repeat's
+        // first record sorts before the last one already delivered, so it
+        // is refused as it arrives rather than doubling the records.
+        let through_chunk: usize = all[..=at_chunk]
+            .iter()
+            .map(|f| FRAME_HEADER_LEN + f.payload.len())
+            .sum();
+        let repeated = [
+            &wire[..through_chunk],
+            &encode_frame(KIND_RECORD_CHUNK, &all[at_chunk].payload),
+            &wire[through_chunk..],
+        ]
+        .concat();
+        assert_refused(
+            "a RECORD_CHUNK repeated",
+            full,
+            &repeated,
+            None,
+            disordered,
+            at_chunk as u64 + 1,
         );
 
         // A shard whose recipe retains nothing has no log to send: its
