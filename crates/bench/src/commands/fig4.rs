@@ -10,7 +10,7 @@
 //! * a third of domains have hundreds of such images.
 
 use bench::fixtures::RunArgs;
-use bench::{cdf_rows, print_table, PaperWorld};
+use bench::{print_table, PaperWorld};
 use encore::pipeline::TaskGenerator;
 use serde::Serialize;
 use sim_core::Cdf;
@@ -132,6 +132,5 @@ pub fn run(args: &RunArgs) {
             ],
         ],
     );
-    let _ = cdf_rows(&result.cdf_all);
     args.write_results("fig4", &result);
 }

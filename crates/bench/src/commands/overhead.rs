@@ -10,7 +10,7 @@
 use bench::fixtures::RunArgs;
 use bench::{print_table, PaperWorld};
 use encore::delivery::{render_snippet, render_task_js, SNIPPET_BYTES};
-use encore::pipeline::{GenerationConfig, TaskGenerator};
+use encore::pipeline::GenerationConfig;
 use encore::tasks::TaskType;
 use serde::Serialize;
 use sim_core::Cdf;
@@ -45,7 +45,6 @@ pub fn run(args: &RunArgs) {
             ..GenerationConfig::default()
         },
     );
-    let _ = TaskGenerator::default();
 
     // Look up fetched-byte cost per task type from HAR ground truth.
     let mut byte_cost: std::collections::BTreeMap<TaskType, (u64, u64)> =

@@ -761,7 +761,7 @@ pub mod corpus_fixture {
 
     /// The substrate scenario: built-in world, ideal paths, favicon-
     /// serving social targets (the corpus sites are installed per shard
-    /// in [`build`], since stateful [`websim::SiteHandler`]s cannot ride
+    /// in [`build`], since stateful [`websim::site::SiteHandler`]s cannot ride
     /// a const-response [`NetworkScenario`]).
     pub fn scenario() -> NetworkScenario {
         let mut spec = NetworkScenario::new().with_ideal_paths();
@@ -1080,14 +1080,6 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     for row in rows {
         line(row.clone());
     }
-}
-
-/// Format a CDF series as `(x, F)` rows.
-pub fn cdf_rows(series: &[(f64, f64)]) -> Vec<Vec<String>> {
-    series
-        .iter()
-        .map(|(x, f)| vec![format!("{x:.0}"), format!("{f:.3}")])
-        .collect()
 }
 
 #[cfg(test)]

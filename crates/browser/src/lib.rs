@@ -33,5 +33,5 @@ pub mod sop;
 pub use cache::BrowserCache;
 pub use client::BrowserClient;
 pub use engine::Engine;
-pub use loader::{IframeLoad, LoadEvent, ResourceLoad};
+pub use loader::LoadEvent;
 pub use sop::Origin;

@@ -210,12 +210,6 @@ impl AdaptiveSpec {
         }
     }
 
-    /// Builder: start on `stage` instead of [`Stage::Watch`].
-    pub fn starting_at(mut self, stage: Stage) -> AdaptiveSpec {
-        self.initial_stage = stage;
-        self
-    }
-
     /// Builder: self-escalate to [`Stage::IpBlock`] after `k` detected
     /// fetches.
     pub fn ip_block_after(mut self, k: u64) -> AdaptiveSpec {
@@ -226,12 +220,6 @@ impl AdaptiveSpec {
     /// Builder: set the lying TTL on poisoned answers.
     pub fn with_poison_ttl(mut self, ttl: SimDuration) -> AdaptiveSpec {
         self.poison_ttl = ttl;
-        self
-    }
-
-    /// Builder: set the collection-server domain retaliation blocks.
-    pub fn retaliating_against(mut self, collector: impl Into<String>) -> AdaptiveSpec {
-        self.collector = Some(collector.into());
         self
     }
 
@@ -514,8 +502,18 @@ mod tests {
     }
 
     fn spec() -> AdaptiveSpec {
-        AdaptiveSpec::new("ir-adaptive", country("IR"), vec![TARGET.to_string()])
-            .retaliating_against(COLLECTOR)
+        AdaptiveSpec {
+            collector: Some(COLLECTOR.to_string()),
+            ..AdaptiveSpec::new("ir-adaptive", country("IR"), vec![TARGET.to_string()])
+        }
+    }
+
+    /// [`spec`] starting on `stage` instead of [`Stage::Watch`].
+    fn spec_at(stage: Stage) -> AdaptiveSpec {
+        AdaptiveSpec {
+            initial_stage: stage,
+            ..spec()
+        }
     }
 
     fn fetch_result(
@@ -592,9 +590,8 @@ mod tests {
 
     #[test]
     fn dns_poison_carries_the_lying_ttl() {
-        let censor = spec()
+        let censor = spec_at(Stage::DnsPoison)
             .with_poison_ttl(SimDuration::from_secs(9_999))
-            .starting_at(Stage::DnsPoison)
             .build(&world().dns);
         let client = world().add_client(country("IR"), IspClass::Residential);
         let ctx = StageContext {
@@ -616,7 +613,7 @@ mod tests {
     #[test]
     fn ip_block_stage_null_routes_watched_addresses() {
         let mut net = world();
-        net.add_middlebox(Box::new(spec().starting_at(Stage::IpBlock).build(&net.dns)));
+        net.add_middlebox(Box::new(spec_at(Stage::IpBlock).build(&net.dns)));
         let ir = net.add_client(country("IR"), IspClass::Residential);
         let us = net.add_client(country("US"), IspClass::Residential);
         let url = format!("http://{TARGET}/favicon.ico");
@@ -634,9 +631,7 @@ mod tests {
     #[test]
     fn retaliation_blocks_the_collection_server() {
         let mut net = world();
-        net.add_middlebox(Box::new(
-            spec().starting_at(Stage::Retaliate).build(&net.dns),
-        ));
+        net.add_middlebox(Box::new(spec_at(Stage::Retaliate).build(&net.dns)));
         let ir = net.add_client(country("IR"), IspClass::Residential);
         let collector_url = format!("http://{COLLECTOR}/submit");
         assert_eq!(
@@ -654,7 +649,7 @@ mod tests {
 
     #[test]
     fn rst_injection_is_probabilistic_and_deterministic() {
-        let censor = spec().starting_at(Stage::RstInjection).build(&world().dns);
+        let censor = spec_at(Stage::RstInjection).build(&world().dns);
         let client = world().add_client(country("IR"), IspClass::Residential);
         let dst = world().dns.authoritative(TARGET).unwrap().ip;
         let mut resets = 0;
@@ -676,7 +671,7 @@ mod tests {
 
     #[test]
     fn throttle_escalates_with_observations() {
-        let censor = spec().starting_at(Stage::Throttle).build(&world().dns);
+        let censor = spec_at(Stage::Throttle).build(&world().dns);
         let client = world().add_client(country("IR"), IspClass::Residential);
         let base = censor.throttle_probability();
         for i in 0..500u64 {

@@ -53,12 +53,6 @@ impl EncoreFingerprinter {
         }
     }
 
-    /// Adjust how long fingerprinted clients stay suppressed.
-    pub fn with_memory(mut self, memory: SimDuration) -> EncoreFingerprinter {
-        self.memory = memory;
-        self
-    }
-
     fn is_coordinator(&self, host: &str) -> bool {
         self.coordinator_domains.iter().any(|d| host == d)
     }
@@ -207,14 +201,13 @@ mod tests {
     #[test]
     fn memory_expiry_restores_collection() {
         let (mut net, mut sys, origin) = deployed();
-        net.add_middlebox(Box::new(
-            EncoreFingerprinter::new(
-                country("CN"),
-                vec!["coordinator.encore-repro.net".into()],
-                vec!["collector.encore-repro.net".into()],
-            )
-            .with_memory(SimDuration::from_millis(1)),
-        ));
+        let mut fingerprinter = EncoreFingerprinter::new(
+            country("CN"),
+            vec!["coordinator.encore-repro.net".into()],
+            vec!["collector.encore-repro.net".into()],
+        );
+        fingerprinter.memory = SimDuration::from_millis(1);
+        net.add_middlebox(Box::new(fingerprinter));
         // With a 1 ms memory the suppression has lapsed by the time the
         // (slower) beacon goes out.
         let out = visit(&mut net, &mut sys, &origin, "CN");

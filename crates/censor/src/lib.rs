@@ -10,7 +10,7 @@
 //!   drop, IP drop, TCP RST, HTTP drop/reset/block-page/redirect, and
 //!   probabilistic throttling — the "subtle" filtering the paper says
 //!   Encore struggles to see).
-//! * [`national`] — [`national::NationalCensor`], a [`netsim::Middlebox`]
+//! * [`national`] — [`national::NationalCensor`], a [`netsim::middlebox::Middlebox`]
 //!   that applies a policy to all clients in one country.
 //! * [`registry`] — ready-made policies reproducing the ground truth the
 //!   paper verifies against in §7.2: YouTube filtered in Pakistan, Iran and
@@ -42,10 +42,5 @@ pub mod registry;
 pub mod testbed;
 pub mod timeline;
 
-pub use adaptive::{AdaptiveCensor, AdaptiveSpec, Reaction, ReactionPolicy};
-pub use fingerprint::EncoreFingerprinter;
 pub use national::NationalCensor;
-pub use policy::{BlockTarget, CensorPolicy, Mechanism, Rule};
-pub use registry::{ground_truth, install_world_censors, GroundTruth};
-pub use testbed::{FilterVariety, Testbed, TESTBED_DOMAIN};
-pub use timeline::{CensorSpec, PolicyChange, PolicyTimeline};
+pub use policy::{CensorPolicy, Mechanism};

@@ -898,14 +898,6 @@ impl StreamingState {
             }
         }
     }
-
-    /// Bytes held by the per-symbol memos.
-    fn memo_bytes(&self) -> usize {
-        self.domain_of.resident_bytes()
-            + self.crawler_of.resident_bytes()
-            + self.url_slots.resident_bytes()
-            + self.origin_slots.resident_bytes()
-    }
 }
 
 /// Byte hash of one raw (still-escaped) query slice — the per-field
@@ -1419,13 +1411,6 @@ impl CollectionServer {
         url
     }
 
-    /// The submit URL against an arbitrary (mirror) domain.
-    pub fn submit_url_via(&self, domain: &str, sub: &Submission) -> String {
-        let mut url = String::new();
-        write_submit_url(&mut url, domain, &sub.parts());
-        url
-    }
-
     /// Switch this server into bounded streaming mode. Must be called
     /// before any submission arrives; `sketch_seed` must be identical
     /// on every shard (it defines the sketch's hash functions, which
@@ -1438,11 +1423,6 @@ impl CollectionServer {
             "enable_streaming must precede ingest"
         );
         store.streaming = Some(Box::new(StreamingState::new(cfg, sketch_seed, rng)));
-    }
-
-    /// Whether this server is in streaming mode.
-    pub fn streaming_enabled(&self) -> bool {
-        self.store.borrow().streaming.is_some()
     }
 
     /// Close all detection windows that end at or before `up_to`,
@@ -1478,46 +1458,6 @@ impl CollectionServer {
             .as_deref()
             .map(|st| st.drops)
             .unwrap_or_default()
-    }
-
-    /// Approximate resident bytes of the analytics state: in exact mode
-    /// the record log (which grows with every visit); in streaming mode
-    /// the sketch + reservoir + window cells + open-window state (which
-    /// do not) and the per-symbol memos (which grow with distinct
-    /// strings only).
-    pub fn resident_analytics_bytes(&self) -> usize {
-        let store = self.store.borrow();
-        match store.streaming.as_deref() {
-            None => store.records.capacity() * std::mem::size_of::<RawRecord>(),
-            Some(st) => {
-                let open: usize = st
-                    .open
-                    .iter()
-                    .map(|w| {
-                        w.cells.len()
-                            * (std::mem::size_of::<(Sym, Ipv4Addr)>()
-                                + std::mem::size_of::<IpCell>())
-                            + w.dedup.len() * std::mem::size_of::<u64>()
-                    })
-                    .sum();
-                let closed: usize = st
-                    .closed
-                    .iter()
-                    .map(|w| {
-                        std::mem::size_of::<WindowCells>()
-                            + w.cells
-                                .iter()
-                                .map(|c| std::mem::size_of::<CellEntry>() + c.domain.len())
-                                .sum::<usize>()
-                    })
-                    .sum();
-                st.sketch.resident_bytes()
-                    + st.reservoir.capacity() * std::mem::size_of::<(u64, RawRecord)>()
-                    + open
-                    + closed
-                    + st.memo_bytes()
-            }
-        }
     }
 
     /// Snapshot of all stored records (resolving interned strings back to
@@ -1740,7 +1680,9 @@ mod tests {
         server.install_mirror(&mut net, "mirror.example", country("DE"));
         let client = net.add_client(country("US"), IspClass::Residential);
         let mut rng = SimRng::new(1);
-        let url = server.submit_url_via("mirror.example", &submission());
+        let url = server
+            .submit_url(&submission())
+            .replace("collector.example", "mirror.example");
         net.fetch(&client, &HttpRequest::get(&url), SimTime::ZERO, &mut rng);
         assert_eq!(server.len(), 1);
     }
@@ -1909,7 +1851,6 @@ mod tests {
                 &mut rng,
             );
         }
-        assert!(server.streaming_enabled());
         assert_eq!(server.len(), 5, "len() counts accepted submissions");
         assert_eq!(server.records().len(), 5, "reservoir holds the sample");
         let snap = server.snapshot();
@@ -2116,6 +2057,50 @@ mod tests {
         );
     }
 
+    /// Bytes held by a streaming server's per-symbol memos.
+    fn memo_bytes(server: &CollectionServer) -> usize {
+        let store = server.store.borrow();
+        let st = store.streaming.as_deref().expect("streaming");
+        st.domain_of.resident_bytes()
+            + st.crawler_of.resident_bytes()
+            + st.url_slots.resident_bytes()
+            + st.origin_slots.resident_bytes()
+    }
+
+    /// Approximate resident bytes of a streaming server's analytics
+    /// state: the sketch + reservoir + window cells + open-window state
+    /// (which do not grow with accepted traffic) and the per-symbol memos
+    /// (which grow with distinct strings only).
+    fn resident_analytics_bytes(server: &CollectionServer) -> usize {
+        let store = server.store.borrow();
+        let st = store.streaming.as_deref().expect("streaming");
+        let open: usize = st
+            .open
+            .iter()
+            .map(|w| {
+                w.cells.len()
+                    * (std::mem::size_of::<(Sym, Ipv4Addr)>() + std::mem::size_of::<IpCell>())
+                    + w.dedup.len() * std::mem::size_of::<u64>()
+            })
+            .sum();
+        let closed: usize = st
+            .closed
+            .iter()
+            .map(|w| {
+                std::mem::size_of::<WindowCells>()
+                    + w.cells
+                        .iter()
+                        .map(|c| std::mem::size_of::<CellEntry>() + c.domain.len())
+                        .sum::<usize>()
+            })
+            .sum();
+        st.sketch.resident_bytes()
+            + st.reservoir.capacity() * std::mem::size_of::<(u64, RawRecord)>()
+            + open
+            + closed
+            + memo_bytes(server)
+    }
+
     #[test]
     fn streaming_resident_bytes_do_not_scale_with_accepted() {
         let mut net = Network::ideal(World::builtin());
@@ -2144,14 +2129,10 @@ mod tests {
                 );
             }
         };
-        let memo_bytes = |server: &CollectionServer| {
-            let store = server.store.borrow();
-            store.streaming.as_deref().expect("streaming").memo_bytes()
-        };
         feed(600, 0, 1, &server);
-        let at_600 = server.resident_analytics_bytes();
+        let at_600 = resident_analytics_bytes(&server);
         feed(3000, 600, 1, &server);
-        let at_3600 = server.resident_analytics_bytes();
+        let at_3600 = resident_analytics_bytes(&server);
         // Reservoir is full by 600; further growth is only open-window
         // cell state (bounded by distinct (domain, ip) pairs — one here)
         // plus dedup hashes for the open window.
@@ -2194,7 +2175,7 @@ mod tests {
             grown <= 2 * symbols * per_symbol,
             "memos exceed the interner they index: {grown} bytes for {symbols} symbols"
         );
-        assert!(hostile.resident_analytics_bytes() >= grown);
+        assert!(resident_analytics_bytes(&hostile) >= grown);
         // … and never with accepted traffic: the same URLs again.
         feed(DISTINCT, 20_000, DISTINCT, &hostile);
         assert_eq!(hostile.len() as u64, 2 * DISTINCT);

@@ -73,20 +73,6 @@ impl CoordinationServer {
         }
     }
 
-    /// Replace the task pool (e.g. after a daily pipeline run, §5.2:
-    /// "this procedure happens prior to interaction with clients (e.g.,
-    /// once per day)").
-    pub fn set_pool(&mut self, tasks: Vec<MeasurementTask>) {
-        self.pool = tasks.into_iter().map(|t| t.spec).collect();
-        self.assignments = vec![0; self.pool.len()];
-        self.rr_cursor = 0;
-    }
-
-    /// Pool size.
-    pub fn pool_len(&self) -> usize {
-        self.pool.len()
-    }
-
     /// The strategy currently in force.
     pub fn strategy(&self) -> SchedulingStrategy {
         self.strategy
@@ -100,11 +86,6 @@ impl CoordinationServer {
     /// preserved: re-prioritisation changes *future* picks only.
     pub fn set_strategy(&mut self, strategy: SchedulingStrategy) {
         self.strategy = strategy;
-    }
-
-    /// Assignment counts per pool entry.
-    pub fn assignment_counts(&self) -> &[u64] {
-        &self.assignments
     }
 
     /// Pick the next task for a client, or `None` when nothing in the
@@ -253,7 +234,7 @@ mod tests {
         for _ in 0..30 {
             s.next_task(chrome(), SimTime::ZERO, &mut rng);
         }
-        assert_eq!(s.assignment_counts(), &[10, 10, 10]);
+        assert_eq!(s.assignments, &[10, 10, 10]);
     }
 
     #[test]
@@ -264,9 +245,9 @@ mod tests {
             s.next_task(firefox(), SimTime::ZERO, &mut rng);
         }
         // Script slot (index 1) untouched; the other two split evenly.
-        assert_eq!(s.assignment_counts()[1], 0);
-        assert_eq!(s.assignment_counts()[0], 10);
-        assert_eq!(s.assignment_counts()[2], 10);
+        assert_eq!(s.assignments[1], 0);
+        assert_eq!(s.assignments[0], 10);
+        assert_eq!(s.assignments[2], 10);
     }
 
     #[test]
@@ -325,7 +306,7 @@ mod tests {
         for _ in 0..3 {
             s.next_task(chrome(), SimTime::ZERO, &mut rng);
         }
-        assert_eq!(s.assignment_counts(), &[1, 1, 1]);
+        assert_eq!(s.assignments, &[1, 1, 1]);
         assert_eq!(s.strategy(), SchedulingStrategy::RoundRobin);
 
         s.set_strategy(SchedulingStrategy::CoordinatedBursts {
@@ -344,16 +325,6 @@ mod tests {
             })
             .collect();
         assert_eq!(urls.len(), 1);
-        assert_eq!(s.assignment_counts().iter().sum::<u64>(), 13);
-    }
-
-    #[test]
-    fn set_pool_resets_counters() {
-        let mut s = CoordinationServer::new(pool(), SchedulingStrategy::RoundRobin);
-        let mut rng = SimRng::new(7);
-        s.next_task(chrome(), SimTime::ZERO, &mut rng);
-        s.set_pool(pool()[..1].to_vec());
-        assert_eq!(s.pool_len(), 1);
-        assert_eq!(s.assignment_counts(), &[0]);
+        assert_eq!(s.assignments.iter().sum::<u64>(), 13);
     }
 }

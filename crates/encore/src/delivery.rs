@@ -114,68 +114,6 @@ impl HttpHandler for OriginHandler {
     }
 }
 
-/// An online advertising network, as a possible Encore delivery vector
-/// (paper §5.4: "we have explored the possibility of purchasing online
-/// advertisements and delivering Encore measurement tasks inside them …
-/// Unfortunately for us, this idea works poorly in practice because most
-/// ad networks prevent advertisements from running custom JavaScript and
-/// loading resources from remote origins").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AdNetwork {
-    /// Network name.
-    pub name: String,
-    /// Whether ads may run arbitrary JavaScript.
-    pub allows_custom_js: bool,
-    /// Whether ads may fetch resources from arbitrary remote origins.
-    pub allows_remote_origins: bool,
-    /// Whether advertisers can target specific countries (useful to
-    /// Encore, were delivery possible).
-    pub supports_geo_targeting: bool,
-}
-
-/// Why an ad network cannot carry Encore.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum AdPolicyViolation {
-    /// The network forbids custom JavaScript in creatives.
-    NoCustomJs,
-    /// The network forbids cross-origin resource loads from creatives.
-    NoRemoteOrigins,
-}
-
-impl AdNetwork {
-    /// A 2014-style major network: sandboxed creatives, no custom JS.
-    pub fn mainstream(name: &str) -> AdNetwork {
-        AdNetwork {
-            name: name.to_string(),
-            allows_custom_js: false,
-            allows_remote_origins: false,
-            supports_geo_targeting: true,
-        }
-    }
-
-    /// One of the "few niche ad networks capable of hosting Encore".
-    pub fn niche(name: &str) -> AdNetwork {
-        AdNetwork {
-            name: name.to_string(),
-            allows_custom_js: true,
-            allows_remote_origins: true,
-            supports_geo_targeting: false,
-        }
-    }
-
-    /// Whether an Encore measurement task could ship inside this
-    /// network's creatives.
-    pub fn can_deliver_encore(&self) -> Result<(), AdPolicyViolation> {
-        if !self.allows_custom_js {
-            return Err(AdPolicyViolation::NoCustomJs);
-        }
-        if !self.allows_remote_origins {
-            return Err(AdPolicyViolation::NoRemoteOrigins);
-        }
-        Ok(())
-    }
-}
-
 /// Render the one-line install snippet a webmaster adds to their page.
 /// Its length is the per-page overhead the paper quantifies.
 pub fn render_snippet(coordinator_domain: &str) -> String {
@@ -234,6 +172,64 @@ mod tests {
     use crate::tasks::{MeasurementId, IFRAME_CACHE_THRESHOLD};
     use netsim::geo::{country, IspClass, World};
     use sim_core::{SimRng, SimTime};
+
+    /// An online advertising network, as a possible Encore delivery vector
+    /// (paper §5.4: "we have explored the possibility of purchasing online
+    /// advertisements and delivering Encore measurement tasks inside them …
+    /// Unfortunately for us, this idea works poorly in practice because most
+    /// ad networks prevent advertisements from running custom JavaScript and
+    /// loading resources from remote origins").
+    #[derive(Debug, Clone, PartialEq)]
+    struct AdNetwork {
+        /// Whether ads may run arbitrary JavaScript.
+        allows_custom_js: bool,
+        /// Whether ads may fetch resources from arbitrary remote origins.
+        allows_remote_origins: bool,
+        /// Whether advertisers can target specific countries (useful to
+        /// Encore, were delivery possible).
+        supports_geo_targeting: bool,
+    }
+
+    /// Why an ad network cannot carry Encore.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum AdPolicyViolation {
+        /// The network forbids custom JavaScript in creatives.
+        NoCustomJs,
+        /// The network forbids cross-origin resource loads from creatives.
+        NoRemoteOrigins,
+    }
+
+    impl AdNetwork {
+        /// A 2014-style major network: sandboxed creatives, no custom JS.
+        fn mainstream() -> AdNetwork {
+            AdNetwork {
+                allows_custom_js: false,
+                allows_remote_origins: false,
+                supports_geo_targeting: true,
+            }
+        }
+
+        /// One of the "few niche ad networks capable of hosting Encore".
+        fn niche() -> AdNetwork {
+            AdNetwork {
+                allows_custom_js: true,
+                allows_remote_origins: true,
+                supports_geo_targeting: false,
+            }
+        }
+
+        /// Whether an Encore measurement task could ship inside this
+        /// network's creatives.
+        fn can_deliver_encore(&self) -> Result<(), AdPolicyViolation> {
+            if !self.allows_custom_js {
+                return Err(AdPolicyViolation::NoCustomJs);
+            }
+            if !self.allows_remote_origins {
+                return Err(AdPolicyViolation::NoRemoteOrigins);
+            }
+            Ok(())
+        }
+    }
 
     #[test]
     fn snippet_is_about_100_bytes() {
@@ -306,20 +302,20 @@ mod tests {
     #[test]
     fn mainstream_ad_networks_refuse_encore() {
         // §5.4's negative result, as an executable fact.
-        let major = AdNetwork::mainstream("BigAds");
+        let major = AdNetwork::mainstream();
         assert_eq!(
             major.can_deliver_encore(),
             Err(AdPolicyViolation::NoCustomJs)
         );
         let half_open = AdNetwork {
             allows_custom_js: true,
-            ..AdNetwork::mainstream("HalfOpen")
+            ..AdNetwork::mainstream()
         };
         assert_eq!(
             half_open.can_deliver_encore(),
             Err(AdPolicyViolation::NoRemoteOrigins)
         );
-        let niche = AdNetwork::niche("TinyAds");
+        let niche = AdNetwork::niche();
         assert_eq!(niche.can_deliver_encore(), Ok(()));
         // The irony the paper notes: the networks that *could* carry
         // Encore lack the geo-targeting that made ads attractive.

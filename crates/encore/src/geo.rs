@@ -96,11 +96,6 @@ impl GeoDb {
         }
     }
 
-    /// Number of address ranges.
-    pub fn range_count(&self) -> usize {
-        self.ranges.len()
-    }
-
     /// Union another database's ranges into this one — the merge step of
     /// a sharded run, where each shard derived a database from its own
     /// (disjoint, striped) allocator. Associative and commutative:
@@ -191,7 +186,7 @@ mod tests {
         let flipped = GeoDb::from_allocator(&a1).merge(&GeoDb::from_allocator(&a0));
         assert_eq!(flipped.lookup(ip0), Some(country("PK")));
         assert_eq!(flipped.lookup(ip1), Some(country("CN")));
-        assert_eq!(merged.range_count(), flipped.range_count());
+        assert_eq!(merged.ranges.len(), flipped.ranges.len());
     }
 
     #[test]

@@ -43,22 +43,10 @@ pub mod system;
 pub mod targets;
 pub mod tasks;
 
-pub use collection::{
-    CollectionServer, CollectionSnapshot, StoredMeasurement, Submission, SubmissionPhase,
-};
-pub use coordination::{ClientProfile, CoordinationServer, SchedulingStrategy};
-pub use delivery::{InstallMethod, OriginSite, SNIPPET_BYTES};
+pub use collection::{CollectionServer, CollectionSnapshot, StoredMeasurement, SubmissionPhase};
+pub use coordination::ClientProfile;
 pub use geo::GeoDb;
-pub use inference::{
-    congestion_evidence, localise_transitions, CongestionAssessment, Detection, DetectorConfig,
-    FilteringDetector,
-};
-pub use pipeline::{GenerationConfig, HarAnalysis, PatternExpander, TargetFetcher, TaskGenerator};
-pub use reports::{country_reports, render_markdown, CountryReport};
-pub use streaming::{
-    merge_window_cells, CellEntry, CountMinSketch, DropCounters, IngestQueue, MergeShape,
-    ReservoirEntry, ReservoirSample, SketchSlots, StreamingConfig, StreamingStats, WindowCells,
-};
-pub use system::{EncoreSystem, VisitOutcome};
-pub use targets::{EthicsStage, TargetList};
-pub use tasks::{execute_task, MeasurementId, MeasurementTask, TaskOutcome, TaskSpec, TaskType};
+pub use inference::{localise_transitions, Detection, DetectorConfig, FilteringDetector};
+pub use streaming::StreamingConfig;
+pub use system::EncoreSystem;
+pub use tasks::TaskType;

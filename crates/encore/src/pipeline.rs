@@ -23,24 +23,24 @@ use netsim::network::Network;
 use serde::{Deserialize, Serialize};
 use sim_core::{SimDuration, SimTime};
 use websim::har::Har;
+use websim::search::DEFAULT_RESULT_LIMIT;
 use websim::{SearchIndex, UrlPattern};
 
-/// Expands URL patterns into concrete URLs via the search index.
+/// Expands URL patterns into concrete URLs via the search index, at most
+/// [`DEFAULT_RESULT_LIMIT`] per pattern.
 pub struct PatternExpander<'a> {
     index: &'a SearchIndex,
-    /// Result cap per pattern (paper: 50).
-    pub limit: usize,
 }
 
 impl<'a> PatternExpander<'a> {
-    /// Expander over `index` with the paper's 50-URL cap.
+    /// Expander over `index`.
     pub fn new(index: &'a SearchIndex) -> PatternExpander<'a> {
-        PatternExpander { index, limit: 50 }
+        PatternExpander { index }
     }
 
     /// Expand one pattern.
     pub fn expand(&self, pattern: &UrlPattern) -> Vec<String> {
-        self.index.query(pattern, self.limit)
+        self.index.query(pattern, DEFAULT_RESULT_LIMIT)
     }
 
     /// Expand a whole target list, flattening (order: list order, then

@@ -48,27 +48,6 @@ impl TargetList {
         list
     }
 
-    /// Parse a list from the textual format curated lists circulate in
-    /// (one entry per line; `#` comments; blank lines ignored; entries
-    /// are domains, exact URLs, or `…/*` prefixes — paper §5.1's three
-    /// pattern kinds). Duplicate patterns are dropped, preserving first
-    /// occurrence.
-    pub fn parse_text(source: impl Into<String>, text: &str) -> TargetList {
-        let mut list = TargetList::named(source);
-        let mut seen = std::collections::BTreeSet::new();
-        for line in text.lines() {
-            let line = line.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let pattern = UrlPattern::parse(line);
-            if seen.insert(pattern.to_string()) {
-                list.patterns.push(pattern);
-            }
-        }
-        list
-    }
-
     /// Append a pattern.
     pub fn push(&mut self, p: UrlPattern) {
         self.patterns.push(p);
@@ -163,34 +142,13 @@ mod tests {
     }
 
     #[test]
-    fn parse_text_handles_comments_blanks_and_kinds() {
-        let text = "\
-# Herdict-style high value list
-youtube.com           # social media
-http://blog.example/politics/*   # a section
-http://news.example/article-42.html
-
-twitter.com
-youtube.com           # duplicate, dropped
-";
-        let list = TargetList::parse_text("test-list", text);
-        assert_eq!(list.len(), 4);
-        assert_eq!(list.patterns[0], UrlPattern::Domain("youtube.com".into()));
-        assert!(matches!(list.patterns[1], UrlPattern::Prefix(_)));
-        assert!(matches!(list.patterns[2], UrlPattern::Exact(_)));
-        assert_eq!(list.patterns[3], UrlPattern::Domain("twitter.com".into()));
-    }
-
-    #[test]
-    fn parse_text_empty_input() {
-        let list = TargetList::parse_text("empty", "\n# only a comment\n");
-        assert!(list.is_empty());
-    }
-
-    #[test]
     fn merge_deduplicates() {
-        let mut a = TargetList::parse_text("a", "youtube.com\nx.org");
-        let b = TargetList::parse_text("b", "x.org\nwebmaster-site.net");
+        let list = |source: &str, domains: [&str; 2]| TargetList {
+            source: source.into(),
+            patterns: domains.map(|d| UrlPattern::Domain(d.into())).into(),
+        };
+        let mut a = list("a", ["youtube.com", "x.org"]);
+        let b = list("b", ["x.org", "webmaster-site.net"]);
         a.merge(&b);
         assert_eq!(a.len(), 3);
         assert!(a

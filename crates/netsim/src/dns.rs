@@ -81,8 +81,6 @@ pub struct DnsSystem {
     names: Interner,
     /// `NameId`-indexed A records (`None` = not registered).
     records: SymTable<DnsAnswer>,
-    /// Registered-record count (`records` keeps tombstones).
-    registered: usize,
     /// Per-country resolver cache, `NameId`-indexed: (answer, expires-at).
     cache: BTreeMap<CountryCode, SymTable<(DnsAnswer, SimTime)>>,
     /// Statistics: total queries and cache hits.
@@ -107,12 +105,6 @@ impl DnsSystem {
         self.names.get(&fold(name)).map(NameId)
     }
 
-    /// Resolve an id back to its (case-folded) name — reports use this to
-    /// serialise real hostnames, keeping output formats id-free.
-    pub fn name_of(&self, id: NameId) -> &str {
-        self.names.resolve(id.0)
-    }
-
     /// Register (or replace) an A record with the default TTL.
     pub fn register(&mut self, name: &str, ip: Ipv4Addr) {
         self.register_with_ttl(name, ip, DEFAULT_TTL);
@@ -121,18 +113,14 @@ impl DnsSystem {
     /// Register (or replace) an A record with an explicit TTL.
     pub fn register_with_ttl(&mut self, name: &str, ip: Ipv4Addr, ttl: SimDuration) {
         let id = self.intern(name);
-        if self.records.insert(id.0, DnsAnswer { ip, ttl }).is_none() {
-            self.registered += 1;
-        }
+        self.records.insert(id.0, DnsAnswer { ip, ttl });
     }
 
     /// Remove a record (site going offline — §7.2 lists this among
     /// non-censorship failure causes).
     pub fn unregister(&mut self, name: &str) {
         if let Some(id) = self.name_id(name) {
-            if self.records.remove(id.0).is_some() {
-                self.registered -= 1;
-            }
+            self.records.remove(id.0);
         }
     }
 
@@ -186,20 +174,6 @@ impl DnsSystem {
         country_cache.insert(id.0, (answer, now + answer.ttl));
     }
 
-    /// Insert a (possibly forged) answer into a country's resolver cache —
-    /// this is how DNS-poisoning censorship persists (e.g. the Great
-    /// Firewall's forged answers get cached by local resolvers).
-    pub fn poison_cache(
-        &mut self,
-        country: CountryCode,
-        name: &str,
-        answer: DnsAnswer,
-        now: SimTime,
-    ) {
-        let id = self.intern(name);
-        self.cache_insert(country, id, answer, now);
-    }
-
     /// Drop all cached entries (e.g. between experiment repetitions).
     pub fn flush_caches(&mut self) {
         self.cache.clear();
@@ -208,11 +182,6 @@ impl DnsSystem {
     /// `(total queries, cache hits)` since construction.
     pub fn stats(&self) -> (u64, u64) {
         (self.queries, self.cache_hits)
-    }
-
-    /// Number of registered records.
-    pub fn record_count(&self) -> usize {
-        self.registered
     }
 }
 
@@ -290,7 +259,10 @@ mod tests {
             ip: ip(99),
             ttl: SimDuration::from_secs(60),
         };
-        d.poison_cache(country("CN"), "example.com", forged, SimTime::ZERO);
+        // A forged answer in the resolver cache, as a poisoning censor's
+        // would persist there.
+        let id = d.intern("example.com");
+        d.cache_insert(country("CN"), id, forged, SimTime::ZERO);
         let (o, cached) = d.resolve(country("CN"), "example.com", SimTime::from_secs(1));
         assert!(cached);
         assert_eq!(o, DnsOutcome::Resolved(forged));
@@ -336,7 +308,6 @@ mod tests {
         // Case variants collapse to one id.
         assert_eq!(d.intern("facebook.com"), a);
         assert_eq!(d.name_id("FACEBOOK.com"), Some(a));
-        assert_eq!(d.name_of(a), "facebook.com");
         assert_eq!(d.name_id("never-seen.example"), None);
         // Registration and id-based resolution agree with the name API.
         d.register("facebook.com", ip(7));
@@ -348,22 +319,5 @@ mod tests {
                 ttl: DEFAULT_TTL
             })
         );
-    }
-
-    #[test]
-    fn record_count_tracks_register_and_unregister() {
-        let mut d = DnsSystem::new();
-        d.register("a.example", ip(1));
-        d.register("b.example", ip(2));
-        assert_eq!(d.record_count(), 2);
-        // Replacing is not a new record.
-        d.register("a.example", ip(3));
-        assert_eq!(d.record_count(), 2);
-        d.unregister("a.example");
-        assert_eq!(d.record_count(), 1);
-        // Unregistering an unknown or already-gone name is a no-op.
-        d.unregister("a.example");
-        d.unregister("never.example");
-        assert_eq!(d.record_count(), 1);
     }
 }

@@ -1,14 +1,14 @@
 //! Fault injection, in the smoltcp idiom.
 //!
-//! smoltcp's examples expose `--drop-chance`, `--corrupt-chance` and token
-//! bucket rate limits on every device; we provide the same knobs as a
-//! wrapper that the network consults for each operation. The Encore
+//! smoltcp's examples expose `--drop-chance` and `--corrupt-chance` on
+//! every device; we provide the same two knobs as a wrapper that the
+//! network consults for each operation. The Encore
 //! experiments use this to (a) stress-test measurement soundness under
 //! adverse conditions and (b) emulate the "high client system load,
 //! transient DNS failure, WiFi unreliability" failure causes of §5.3.
 
 use serde::{Deserialize, Serialize};
-use sim_core::{SimDuration, SimRng, SimTime};
+use sim_core::SimRng;
 
 /// What the injector decided about one operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -19,48 +19,21 @@ pub enum FaultDecision {
     Drop,
     /// Operation's payload is corrupted (→ invalid body / parse error).
     Corrupt,
-    /// Operation delayed by the given extra time, then proceeds.
-    Delay(SimDuration),
 }
 
 /// Configurable fault injector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultInjector {
     /// Probability an operation is dropped.
     pub drop_chance: f64,
     /// Probability an operation's payload is corrupted.
     pub corrupt_chance: f64,
-    /// Extra latency added to every operation.
-    pub extra_latency: SimDuration,
-    /// Token bucket: operations allowed per refill interval (`None`
-    /// disables rate limiting).
-    pub rate_limit: Option<u32>,
-    /// Token bucket refill interval.
-    pub shaping_interval: SimDuration,
-    #[serde(skip)]
-    tokens: u32,
-    #[serde(skip)]
-    last_refill: SimTime,
-}
-
-impl Default for FaultInjector {
-    fn default() -> Self {
-        FaultInjector::none()
-    }
 }
 
 impl FaultInjector {
     /// An injector that never interferes.
     pub fn none() -> FaultInjector {
-        FaultInjector {
-            drop_chance: 0.0,
-            corrupt_chance: 0.0,
-            extra_latency: SimDuration::ZERO,
-            rate_limit: None,
-            shaping_interval: SimDuration::from_millis(50),
-            tokens: 0,
-            last_refill: SimTime::ZERO,
-        }
+        FaultInjector::default()
     }
 
     /// smoltcp's suggested stress configuration: 15% drop, 15% corrupt.
@@ -68,7 +41,6 @@ impl FaultInjector {
         FaultInjector {
             drop_chance: 0.15,
             corrupt_chance: 0.15,
-            ..FaultInjector::none()
         }
     }
 
@@ -84,40 +56,13 @@ impl FaultInjector {
         self
     }
 
-    /// Builder: add fixed extra latency.
-    pub fn with_extra_latency(mut self, d: SimDuration) -> FaultInjector {
-        self.extra_latency = d;
-        self
-    }
-
-    /// Builder: token-bucket rate limit of `ops` per `interval`.
-    pub fn with_rate_limit(mut self, ops: u32, interval: SimDuration) -> FaultInjector {
-        self.rate_limit = Some(ops);
-        self.shaping_interval = interval;
-        self.tokens = ops;
-        self
-    }
-
-    /// Decide the fate of one operation at time `now`.
-    pub fn decide(&mut self, now: SimTime, rng: &mut SimRng) -> FaultDecision {
-        if let Some(limit) = self.rate_limit {
-            if now.since(self.last_refill) >= self.shaping_interval {
-                self.tokens = limit;
-                self.last_refill = now;
-            }
-            if self.tokens == 0 {
-                return FaultDecision::Drop;
-            }
-            self.tokens -= 1;
-        }
+    /// Decide the fate of one operation.
+    pub fn decide(&self, rng: &mut SimRng) -> FaultDecision {
         if rng.chance(self.drop_chance) {
             return FaultDecision::Drop;
         }
         if rng.chance(self.corrupt_chance) {
             return FaultDecision::Corrupt;
-        }
-        if self.extra_latency > SimDuration::ZERO {
-            return FaultDecision::Delay(self.extra_latency);
         }
         FaultDecision::Pass
     }
@@ -129,49 +74,36 @@ mod tests {
 
     #[test]
     fn none_always_passes() {
-        let mut f = FaultInjector::none();
+        let f = FaultInjector::none();
         let mut rng = SimRng::new(1);
-        for i in 0..100 {
-            assert_eq!(
-                f.decide(SimTime::from_millis(i), &mut rng),
-                FaultDecision::Pass
-            );
+        for _ in 0..100 {
+            assert_eq!(f.decide(&mut rng), FaultDecision::Pass);
         }
     }
 
     #[test]
     fn full_drop_always_drops() {
-        let mut f = FaultInjector::none().with_drop_chance(1.0);
+        let f = FaultInjector::none().with_drop_chance(1.0);
         let mut rng = SimRng::new(1);
-        assert_eq!(f.decide(SimTime::ZERO, &mut rng), FaultDecision::Drop);
+        assert_eq!(f.decide(&mut rng), FaultDecision::Drop);
     }
 
     #[test]
     fn corrupt_chance_applies_after_drop() {
-        let mut f = FaultInjector::none().with_corrupt_chance(1.0);
+        let f = FaultInjector::none().with_corrupt_chance(1.0);
         let mut rng = SimRng::new(1);
-        assert_eq!(f.decide(SimTime::ZERO, &mut rng), FaultDecision::Corrupt);
-    }
-
-    #[test]
-    fn extra_latency_reported_as_delay() {
-        let mut f = FaultInjector::none().with_extra_latency(SimDuration::from_millis(30));
-        let mut rng = SimRng::new(1);
-        assert_eq!(
-            f.decide(SimTime::ZERO, &mut rng),
-            FaultDecision::Delay(SimDuration::from_millis(30))
-        );
+        assert_eq!(f.decide(&mut rng), FaultDecision::Corrupt);
     }
 
     #[test]
     fn stress_rates_observed() {
-        let mut f = FaultInjector::stress();
+        let f = FaultInjector::stress();
         let mut rng = SimRng::new(7);
         let mut drops = 0;
         let mut corrupts = 0;
         let n = 10_000;
-        for i in 0..n {
-            match f.decide(SimTime::from_millis(i), &mut rng) {
+        for _ in 0..n {
+            match f.decide(&mut rng) {
                 FaultDecision::Drop => drops += 1,
                 FaultDecision::Corrupt => corrupts += 1,
                 _ => {}
@@ -180,23 +112,6 @@ mod tests {
         // Drop ~15%, corrupt ~12.75% (15% of the remaining 85%).
         assert!((1_300..1_700).contains(&drops), "drops = {drops}");
         assert!((1_050..1_500).contains(&corrupts), "corrupts = {corrupts}");
-    }
-
-    #[test]
-    fn token_bucket_limits_burst() {
-        let mut f = FaultInjector::none().with_rate_limit(4, SimDuration::from_millis(50));
-        let mut rng = SimRng::new(3);
-        let t = SimTime::from_millis(1);
-        let mut passed = 0;
-        for _ in 0..10 {
-            if f.decide(t, &mut rng) == FaultDecision::Pass {
-                passed += 1;
-            }
-        }
-        assert_eq!(passed, 4);
-        // After the shaping interval the bucket refills.
-        let t2 = t + SimDuration::from_millis(50);
-        assert_eq!(f.decide(t2, &mut rng), FaultDecision::Pass);
     }
 
     #[test]

@@ -438,24 +438,6 @@ impl World {
     pub fn codes(&self) -> Vec<CountryCode> {
         self.countries.keys().copied().collect()
     }
-
-    /// Countries flagged as practising filtering (used when *constructing*
-    /// experiment scenarios; never read by the measurement pipeline).
-    pub fn filtering_countries(&self) -> Vec<CountryCode> {
-        self.countries
-            .values()
-            .filter(|c| c.known_filtering)
-            .map(|c| c.code)
-            .collect()
-    }
-
-    /// Population weights aligned with [`World::codes`] order.
-    pub fn population_weights(&self) -> Vec<f64> {
-        self.countries
-            .values()
-            .map(|c| c.population_weight)
-            .collect()
-    }
 }
 
 /// Convenience constructor: `country("PK")`.
@@ -498,7 +480,12 @@ mod tests {
     #[test]
     fn builtin_world_flags_filtering_countries() {
         let w = World::builtin();
-        let f = w.filtering_countries();
+        let f: Vec<CountryCode> = w
+            .countries
+            .values()
+            .filter(|c| c.known_filtering)
+            .map(|c| c.code)
+            .collect();
         for c in ["CN", "IR", "PK", "TR", "SA", "EG", "KR"] {
             assert!(f.contains(&country(c)), "{c} should be flagged");
         }
@@ -549,7 +536,7 @@ mod tests {
     #[test]
     fn population_weights_align_with_codes() {
         let w = World::builtin();
-        assert_eq!(w.population_weights().len(), w.codes().len());
-        assert!(w.population_weights().iter().all(|&p| p > 0.0));
+        assert_eq!(w.countries.len(), w.codes().len());
+        assert!(w.countries.values().all(|c| c.population_weight > 0.0));
     }
 }

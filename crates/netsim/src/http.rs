@@ -40,12 +40,8 @@ impl StatusCode {
     pub const OK: StatusCode = StatusCode(200);
     /// 302 Found (redirect — used by censors to point at block pages).
     pub const FOUND: StatusCode = StatusCode(302);
-    /// 403 Forbidden (some censors answer directly).
-    pub const FORBIDDEN: StatusCode = StatusCode(403);
     /// 404 Not Found.
     pub const NOT_FOUND: StatusCode = StatusCode(404);
-    /// 500 Internal Server Error.
-    pub const SERVER_ERROR: StatusCode = StatusCode(500);
 
     /// Whether this is a 2xx success.
     pub fn is_success(self) -> bool {
@@ -78,19 +74,6 @@ pub enum ContentType {
     Html,
     /// Anything else (video, flash, fonts, JSON, …).
     Other,
-}
-
-impl ContentType {
-    /// The MIME string this models.
-    pub fn mime(self) -> &'static str {
-        match self {
-            ContentType::Image => "image/png",
-            ContentType::Stylesheet => "text/css",
-            ContentType::Script => "application/javascript",
-            ContentType::Html => "text/html",
-            ContentType::Other => "application/octet-stream",
-        }
-    }
 }
 
 /// Cacheability of a response, summarising `Cache-Control`/`Expires`.
@@ -446,12 +429,6 @@ mod tests {
         assert!(r.nosniff);
         assert!(!r.valid_body);
         assert_eq!(r.keywords, vec!["jquery"]);
-    }
-
-    #[test]
-    fn content_type_mimes() {
-        assert_eq!(ContentType::Image.mime(), "image/png");
-        assert_eq!(ContentType::Html.mime(), "text/html");
     }
 
     #[test]

@@ -12,14 +12,14 @@
 //! > connection …, or in response to a specific HTTP request or response."
 //!
 //! The crate therefore models precisely those three stages. A fetch walks
-//! DNS → TCP → HTTP, consulting every applicable [`Middlebox`] at each
+//! DNS → TCP → HTTP, consulting every applicable [`Middlebox`](crate::middlebox::Middlebox) at each
 //! stage and accumulating a timing breakdown that the browser emulator
 //! turns into `onload`/`onerror` timing (Figure 7 depends on this detail).
 //!
-//! The pipeline lives in the session layer: a [`FetchSession`] owns a
+//! The pipeline lives in the session layer: a [`FetchSession`](crate::session::FetchSession) owns a
 //! compiled per-client middlebox pipeline, a TTL-honouring DNS host cache,
 //! and a keep-alive connection pool, so repeat fetches amortise everything
-//! a real browser amortises. [`Network::fetch`] remains as the one-shot
+//! a real browser amortises. [`Network::fetch`](crate::network::Network::fetch) remains as the one-shot
 //! (always-cold) convenience entry point.
 //!
 //! ## Module map
@@ -57,17 +57,7 @@ pub mod session;
 pub mod tcp;
 pub mod topology;
 
-pub use dns::{DnsAnswer, DnsOutcome, DnsSystem};
-pub use fault::FaultInjector;
-pub use geo::{Country, CountryCode, IspClass, Region, World};
-pub use host::{Host, HostId};
-pub use http::{ContentType, EmbedKind, Embedded, HttpRequest, HttpResponse, Method, StatusCode};
-pub use ip::{IpAllocator, Ipv4Net};
-pub use middlebox::{DnsAction, HttpAction, Middlebox, StageContext, TcpAction};
-pub use network::{FailureStage, FetchError, FetchOutcome, FetchTimings, HttpHandler, Network};
-pub use path::{PathModel, PathQuality};
+pub use http::HttpRequest;
+pub use ip::Ipv4Net;
 pub use scenario::TopologySpec;
-pub use scenario::{MiddleboxFactory, NetworkScenario, ServerSpec, WorldScenario};
-pub use session::{FetchSession, SessionConfig, SessionStats};
-pub use tcp::{TcpAttempt, TcpOutcome};
-pub use topology::{AsTopology, TopologyConfig, TransitDecision};
+pub use topology::{AsTopology, TopologyConfig};

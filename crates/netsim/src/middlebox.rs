@@ -2,7 +2,7 @@
 //!
 //! Paper §3.1's threat model gives the adversary three hooks: the DNS
 //! lookup, the TCP handshake, and the HTTP exchange. A [`Middlebox`]
-//! implements any subset of those hooks; the [`crate::Network`] consults
+//! implements any subset of those hooks; the [`crate::network::Network`] consults
 //! every applicable middlebox at each stage of a fetch and the first
 //! non-`Pass` action wins (middleboxes closer to the head of the list are
 //! "closer to the client").
@@ -80,7 +80,7 @@ pub enum HttpAction {
 /// An on-path middlebox. All hooks default to `Pass`, so implementations
 /// override only the stages they interfere with.
 pub trait Middlebox {
-    /// Diagnostic name: the key [`crate::Network::remove_middlebox`],
+    /// Diagnostic name: the key [`crate::network::Network::remove_middlebox`],
     /// `replace_middlebox` and `signal_middlebox` look middleboxes up by.
     fn name(&self) -> &str;
 

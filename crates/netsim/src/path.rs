@@ -126,11 +126,6 @@ impl PathModel {
         SimDuration::from_millis_f64(bytes as f64 / q.bandwidth_bps * 1_000.0)
     }
 
-    /// Bernoulli transient-failure draw for one operation on this path.
-    pub fn operation_fails(&self, q: &PathQuality, rng: &mut SimRng) -> bool {
-        rng.chance(q.failure_rate)
-    }
-
     /// Per-stage failure probability such that a three-stage fetch
     /// (DNS → TCP → HTTP) fails with overall probability
     /// `q.failure_rate`. The calibrated country rates describe *fetch*
@@ -217,7 +212,6 @@ mod tests {
         let a = m.sample_rtt(&q, &mut rng);
         let b = m.sample_rtt(&q, &mut rng);
         assert_eq!(a, b, "no jitter in ideal model");
-        assert!(!m.operation_fails(&q, &mut rng));
     }
 
     #[test]

@@ -226,11 +226,6 @@ impl WorldScenario {
         self
     }
 
-    /// Number of middlebox factories installed at build time.
-    pub fn middlebox_count(&self) -> usize {
-        self.factories.len()
-    }
-
     /// Build the serial network: identical to shard 0 of a 1-shard run.
     pub fn build(&self) -> Network {
         self.build_shard(0, 1)
@@ -325,7 +320,7 @@ mod tests {
     #[test]
     fn world_scenario_installs_middleboxes_on_every_shard() {
         let spec = WorldScenario::new(scenario()).with_middlebox(Arc::new(NxFactory));
-        assert_eq!(spec.middlebox_count(), 1);
+        assert_eq!(spec.factories.len(), 1);
         for (i, n) in [(0usize, 2usize), (1, 2)] {
             let mut net = spec.build_shard(i, n);
             assert_eq!(net.middleboxes().len(), 1);

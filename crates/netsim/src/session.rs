@@ -1,6 +1,6 @@
 //! Session-oriented transport: the layered fetch engine.
 //!
-//! [`crate::Network::fetch`] models every visit as a fully cold start: each
+//! [`crate::network::Network::fetch`] models every visit as a fully cold start: each
 //! request re-resolves DNS, re-establishes TCP, and re-matches the entire
 //! middlebox chain. Real browsers do none of that — they keep per-origin
 //! connections alive, cache resolutions in-process, and sit behind a fixed
@@ -217,12 +217,6 @@ impl FetchSession {
         }
     }
 
-    /// Number of currently pooled keep-alive connections (live or not
-    /// yet pruned).
-    pub fn pooled_connections(&self) -> usize {
-        self.connections.len()
-    }
-
     /// Whether a kept-alive connection to `dst` is live at `now`.
     pub fn has_connection(&self, dst: Ipv4Addr, now: SimTime) -> bool {
         self.connections
@@ -303,14 +297,13 @@ impl FetchSession {
 
         // Global fault injection (smoltcp-style device wrapper).
         let mut corrupt_body = false;
-        match net.fault.decide(now, rng) {
+        match net.fault.decide(rng) {
             FaultDecision::Pass => {}
             FaultDecision::Drop => {
                 timings.connect = CONNECT_TIMEOUT;
                 return FetchOutcome::fail(FetchError::ConnectTimeout, timings, None);
             }
             FaultDecision::Corrupt => corrupt_body = true,
-            FaultDecision::Delay(d) => timings.dns += d,
         }
 
         self.refresh_pipeline(net);
@@ -954,12 +947,12 @@ mod tests {
         };
         let a = fetch(&mut s, "http://origin.example/x", 0);
         let b = fetch(&mut s, "http://b.example/x", 1);
-        assert_eq!(s.pooled_connections(), 2);
+        assert_eq!(s.connections.len(), 2);
 
         // Reusing a pooled destination refreshes its entry in place: no
         // second entry, and its idle expiry moves forward…
         fetch(&mut s, "http://origin.example/y", 30);
-        assert_eq!(s.pooled_connections(), 2);
+        assert_eq!(s.connections.len(), 2);
         assert_eq!(s.stats().connections_reused, 1);
 
         // …so once the keep-alive window has passed for b (pooled at

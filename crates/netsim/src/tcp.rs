@@ -27,17 +27,6 @@ impl TcpAttempt {
     }
 }
 
-/// Outcome of a TCP connection attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TcpOutcome {
-    /// Handshake completed.
-    Established,
-    /// Connection reset (RST received — fast failure).
-    Reset,
-    /// Packets silently dropped — failure after the connect timeout.
-    Timeout,
-}
-
 /// Default browser/OS connect timeout. Real stacks retry SYNs with
 /// exponential backoff for ~20–120 s; browsers typically give up around
 /// 20 s, which is what we model (and what makes dropped-SYN censorship so

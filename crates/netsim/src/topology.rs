@@ -417,16 +417,6 @@ impl AsTopology {
         &self.degrees
     }
 
-    /// Indices of the current hotspot links.
-    pub fn hotspot_links(&self) -> Vec<usize> {
-        self.links
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.hotspot)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Deterministic country → AS mapping: a splitmix mix of the graph
     /// seed and the two-byte code, reduced mod the AS count. Stable for
     /// the life of a generation.
@@ -445,12 +435,6 @@ impl AsTopology {
     /// AS-hop count between two countries (0 when co-located).
     pub fn hops_between(&self, a: CountryCode, b: CountryCode) -> u32 {
         self.route_between(a, b).hops
-    }
-
-    /// The hotspot links the route between two countries crosses.
-    pub fn route_hotspots_between(&self, a: CountryCode, b: CountryCode) -> &[u32] {
-        let r = self.route_between(a, b);
-        &self.route_hotspots[r.hotspot_start as usize..(r.hotspot_start + r.hotspot_len) as usize]
     }
 
     /// Force the route between two countries to cross a hotspot: mark
@@ -636,13 +620,9 @@ mod tests {
     #[test]
     fn hotspots_are_the_most_crossed_links() {
         let t = topo(5);
-        let hotspots = t.hotspot_links();
+        let hotspots: Vec<&Link> = t.links().iter().filter(|l| l.hotspot).collect();
         assert_eq!(hotspots.len(), t.config().hotspots);
-        let min_hot = hotspots
-            .iter()
-            .map(|&i| t.links()[i].route_crossings)
-            .min()
-            .unwrap();
+        let min_hot = hotspots.iter().map(|l| l.route_crossings).min().unwrap();
         let max_cold = t
             .links()
             .iter()
@@ -674,7 +654,7 @@ mod tests {
         assert_eq!(t.hops_between(a, b), hops, "routing ignores capacity");
         assert_eq!(t.generation(), 1, "data-plane only");
         if hops > 0 {
-            assert!(!t.route_hotspots_between(a, b).is_empty());
+            assert!(t.route_between(a, b).hotspot_len > 0);
         }
     }
 

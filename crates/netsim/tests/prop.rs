@@ -37,10 +37,10 @@ proptest! {
     #[test]
     fn fault_injector_rates_respected_at_extremes(seed in any::<u64>()) {
         let mut rng = SimRng::new(seed);
-        let mut all_drop = FaultInjector::none().with_drop_chance(1.0);
-        prop_assert_eq!(all_drop.decide(SimTime::ZERO, &mut rng), FaultDecision::Drop);
-        let mut none = FaultInjector::none();
-        prop_assert_eq!(none.decide(SimTime::ZERO, &mut rng), FaultDecision::Pass);
+        let all_drop = FaultInjector::none().with_drop_chance(1.0);
+        prop_assert_eq!(all_drop.decide(&mut rng), FaultDecision::Drop);
+        let none = FaultInjector::none();
+        prop_assert_eq!(none.decide(&mut rng), FaultDecision::Pass);
     }
 
     #[test]

@@ -303,7 +303,8 @@ pub fn merge_in_order<T: Merge>(items: impl IntoIterator<Item = T>) -> Option<T>
 impl Merge for BatchReport {
     /// Counters add; spans take the maximum (shards run concurrently
     /// over the same simulated window, so the union's span is the
-    /// longest shard's, not the sum).
+    /// longest shard's, not the sum). Associative and commutative, with
+    /// [`BatchReport::default`] as the identity.
     fn merge(mut self, other: BatchReport) -> BatchReport {
         self.visits += other.visits;
         self.origin_loads += other.origin_loads;
@@ -375,7 +376,7 @@ impl Merge for WorldOutcome {
         };
         WorldOutcome {
             log: merge_time_ordered(self.log, other.log, |v| v.at),
-            report: self.report.merge(&other.report),
+            report: self.report.merge(other.report),
             rollups: self.rollups.merge(other.rollups),
             policy_changes_applied: self
                 .policy_changes_applied

@@ -7,7 +7,7 @@
 //!
 //! * arrivals are one stream generated **incrementally** (no schedule
 //!   vector), run inline in cohorts between other events;
-//! * browser clients — and therefore their [`netsim::FetchSession`]s,
+//! * browser clients — and therefore their [`netsim::session::FetchSession`]s,
 //!   with compiled censor pipelines, DNS host caches, and keep-alive
 //!   pools — persist in a bounded pool across visits, so the substrate
 //!   cost per visit amortises the way real repeat traffic does;
@@ -102,20 +102,6 @@ impl BatchReport {
         self.visits_with_tasks += u64::from(tally.got_task);
         self.tasks_executed += tally.tasks_executed;
         self.results_delivered += tally.results_delivered;
-    }
-
-    /// Combine two reports: counters add, spans take the maximum (shards
-    /// run concurrently over the same simulated window, so the union's
-    /// span is the longest shard's, not the sum).
-    ///
-    /// `merge` is associative and commutative with
-    /// [`BatchReport::default`] as the identity element — the algebra the
-    /// sharded runner relies on to make merged output independent of
-    /// thread completion order. The arithmetic itself lives in the one
-    /// shared merge path, [`crate::analytics::Merge`]; this is a
-    /// convenience wrapper.
-    pub fn merge(self, other: &BatchReport) -> BatchReport {
-        crate::analytics::Merge::merge(self, *other)
     }
 }
 

@@ -58,17 +58,14 @@ pub mod transport;
 pub mod world;
 
 pub use analytics::{
-    merge_in_order, tally_outcome, Analytics, Merge, Rollup, RollupFold, RollupSeries,
-    StreamSummary, VisitTally, WindowedRollups,
+    merge_in_order, Analytics, Merge, Rollup, RollupFold, RollupSeries, StreamSummary,
+    WindowedRollups,
 };
 pub use audience::Audience;
 pub use batch::{BatchConfig, BatchReport};
 pub use driver::{DeploymentConfig, VisitRecord};
 pub use shard::{run_sharded_world, shard_recipe, ShardContext, ShardedWorldRun};
 pub use transport::{
-    worker_main, ProcessTransport, ShardTransport, ThreadTransport, TransportError, TransportKind,
-    TransportStats, WorldSpec,
+    worker_main, ProcessTransport, ShardTransport, ThreadTransport, TransportStats, WorldSpec,
 };
-pub use world::{
-    Retain, StreamingSpec, WorldChange, WorldEngine, WorldEvent, WorldOutcome, WorldRecipe,
-};
+pub use world::{Retain, StreamingSpec, WorldChange, WorldEngine, WorldOutcome, WorldRecipe};

@@ -28,9 +28,9 @@
 //!   so the sharded population is statistically the serial population —
 //!   and at N = 1 it is *bitwise* the serial population.
 //!
-//! Afterwards the per-shard outputs merge through associative APIs
-//! ([`BatchReport::merge`], [`CollectionSnapshot::merge`],
-//! [`GeoDb::merge`]) in shard-index order, so the merged run is
+//! Afterwards the per-shard outputs merge through one associative trait,
+//! [`Merge`] (for [`BatchReport`], [`CollectionSnapshot`] and
+//! [`GeoDb`], among others), in shard-index order, so the merged run is
 //! byte-stable regardless of thread scheduling, and the §7.2 detector
 //! runs once over the union.
 

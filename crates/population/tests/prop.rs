@@ -1,7 +1,7 @@
 //! Property tests for the population models.
 
 use netsim::geo::World;
-use population::{Audience, BatchConfig, BatchReport};
+use population::{Audience, BatchConfig, BatchReport, Merge};
 use proptest::prelude::*;
 use sim_core::{SimDuration, SimRng};
 
@@ -29,22 +29,22 @@ proptest! {
     #[test]
     fn batch_report_merge_is_commutative(a in any::<u64>(), b in any::<u64>()) {
         let (ra, rb) = (report_from(a), report_from(b));
-        prop_assert_eq!(ra.merge(&rb), rb.merge(&ra));
+        prop_assert_eq!(ra.merge(rb), rb.merge(ra));
     }
 
     #[test]
     fn batch_report_merge_is_associative(a in any::<u64>(), b in any::<u64>(), c in any::<u64>()) {
         let (ra, rb, rc) = (report_from(a), report_from(b), report_from(c));
-        let left = ra.merge(&rb).merge(&rc);
-        let right = ra.merge(&rb.merge(&rc));
+        let left = ra.merge(rb).merge(rc);
+        let right = ra.merge(rb.merge(rc));
         prop_assert_eq!(left, right);
     }
 
     #[test]
     fn batch_report_merge_identity_is_default(a in any::<u64>()) {
         let r = report_from(a);
-        prop_assert_eq!(r.merge(&BatchReport::default()), r);
-        prop_assert_eq!(BatchReport::default().merge(&r), r);
+        prop_assert_eq!(r.merge(BatchReport::default()), r);
+        prop_assert_eq!(BatchReport::default().merge(r), r);
     }
 
     #[test]

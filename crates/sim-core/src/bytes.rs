@@ -86,12 +86,6 @@ pub fn find_any3(haystack: &[u8], a: u8, b: u8, c: u8) -> Option<usize> {
     None
 }
 
-/// Whether `haystack` contains `needle` at all.
-#[inline]
-pub fn contains_byte(haystack: &[u8], needle: u8) -> bool {
-    find_byte(haystack, needle).is_some()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,12 +146,5 @@ mod tests {
                 assert_eq!(find_any3(&hay, a, b, c), expect, "len={len}");
             }
         }
-    }
-
-    #[test]
-    fn contains_matches_find() {
-        assert!(contains_byte(b"cmh-target=x", b'='));
-        assert!(!contains_byte(b"cmh-target", b'='));
-        assert!(!contains_byte(b"", b'='));
     }
 }

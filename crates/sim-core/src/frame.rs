@@ -219,13 +219,6 @@ impl Crc32 {
     }
 }
 
-/// CRC-32 (IEEE 802.3) of `bytes` — the checksum frames carry.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = Crc32::new();
-    crc.update(bytes);
-    crc.finish()
-}
-
 /// The checksum a frame with this kind and payload must carry: CRC-32
 /// over version, kind, reserved bits, the length field, and the payload.
 fn frame_checksum(kind: u8, payload: &[u8]) -> u32 {
@@ -384,6 +377,13 @@ mod tests {
     }
 
     const MAX: u32 = 1 << 20;
+
+    /// CRC-32 (IEEE 802.3) of `bytes` in one call.
+    fn crc32(bytes: &[u8]) -> u32 {
+        let mut crc = Crc32::new();
+        crc.update(bytes);
+        crc.finish()
+    }
 
     #[test]
     fn known_crc_vector() {

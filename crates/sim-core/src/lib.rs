@@ -49,12 +49,9 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use bytes::{contains_byte, find_any3, find_byte, find_either};
-pub use dist::{Empirical, Exponential, LogNormal, Pareto, Zipf, ZipfError};
-pub use frame::{
-    decode_frame, encode_frame, read_frame, write_frame, Frame, FrameError, FRAME_HEADER_LEN,
-    FRAME_MAGIC, FRAME_VERSION,
-};
+pub use bytes::{find_any3, find_byte, find_either};
+pub use dist::{Empirical, Exponential};
+pub use frame::{Frame, FRAME_HEADER_LEN};
 pub use intern::{FxBuildHasher, Interner, Sym, SymTable};
 pub use merge::merge_time_ordered;
 pub use queue::EventQueue;

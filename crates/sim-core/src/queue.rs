@@ -121,12 +121,6 @@ impl<E> EventQueue<E> {
         self.heap.push(Entry { at, seq, event });
     }
 
-    /// Schedule `event` to fire immediately (at the current time, after any
-    /// other events already due now).
-    pub fn schedule_now(&mut self, event: E) {
-        self.schedule(self.now, event);
-    }
-
     /// Firing time of the next event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.at)
@@ -197,7 +191,7 @@ mod tests {
     fn schedule_now_runs_after_events_already_due() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::ZERO, "first");
-        q.schedule_now("second");
+        q.schedule(q.now(), "second");
         assert_eq!(q.pop().unwrap().1, "first");
         assert_eq!(q.pop().unwrap().1, "second");
     }

@@ -134,15 +134,6 @@ impl SimDuration {
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }
-
-    /// Multiply by a non-negative float, rounding to the nearest
-    /// microsecond. Used by latency jitter models.
-    pub fn mul_f64(self, k: f64) -> SimDuration {
-        if !k.is_finite() || k <= 0.0 {
-            return SimDuration::ZERO;
-        }
-        SimDuration((self.0 as f64 * k).round() as u64)
-    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -267,9 +258,6 @@ mod tests {
         let d = SimDuration::from_millis(100);
         assert_eq!((d * 3).as_millis(), 300);
         assert_eq!((d / 4).as_millis(), 25);
-        assert_eq!(d.mul_f64(0.5).as_millis(), 50);
-        assert_eq!(d.mul_f64(-1.0), SimDuration::ZERO);
-        assert_eq!(d.mul_f64(f64::NAN), SimDuration::ZERO);
     }
 
     #[test]

@@ -59,10 +59,6 @@ pub mod oracle;
 pub mod runner;
 pub mod transport;
 
-pub use generator::{
-    ArrivalMode, BlockKind, CaseClass, CensorModel, CongestionShape, CongestionSpec,
-    CorpusCaseSpec, WorldCase, TARGET,
-};
-pub use oracle::{check_case, check_streaming_case, localise_transitions, Violation};
-pub use runner::{replay, run_budget, SimCheckConfig, SimCheckReport};
-pub use transport::check_transport;
+pub use generator::{CaseClass, WorldCase};
+pub use oracle::check_case;
+pub use runner::{replay, run_budget, SimCheckConfig};

@@ -5,7 +5,7 @@
 //! many countries; this module grows [`SyntheticWeb`] into that substrate:
 //!
 //! * **Rank popularity** — site `i` (generation order) receives the Zipf
-//!   probability mass of rank `i` ([`sim_core::Zipf`]), so a handful of
+//!   probability mass of rank `i` ([`sim_core::dist::Zipf`]), so a handful of
 //!   head sites dominate client attention while a long tail stays
 //!   measurable.
 //! * **Scale-free cross-site links** — preferential attachment (new sites
@@ -189,20 +189,6 @@ impl Corpus {
     /// Popularity share of `rank` (0.0 for out-of-range ranks).
     pub fn popularity(&self, rank: usize) -> f64 {
         self.popularity.get(rank).copied().unwrap_or(0.0)
-    }
-
-    /// Per-rank popularity shares.
-    pub fn popularity_shares(&self) -> &[f64] {
-        &self.popularity
-    }
-
-    /// Cross-site in-degrees by rank (hubs of the scale-free graph).
-    pub fn in_degrees(&self) -> Vec<usize> {
-        let mut deg = vec![0usize; self.len()];
-        for &(_, j) in &self.links {
-            deg[j] += 1;
-        }
-        deg
     }
 
     /// Ground-truth HAR for a page: what a browser on an uncensored ideal
@@ -420,13 +406,13 @@ mod tests {
         let b = corpus(0xC0FF);
         assert_eq!(a.domains(), b.domains());
         assert_eq!(a.links, b.links);
-        assert_eq!(a.popularity_shares(), b.popularity_shares());
+        assert_eq!(a.popularity, b.popularity);
     }
 
     #[test]
     fn popularity_is_normalised_and_rank_ordered() {
         let c = corpus(7);
-        let total: f64 = c.popularity_shares().iter().sum();
+        let total: f64 = c.popularity.iter().sum();
         assert!((total - 1.0).abs() < 1e-9, "total = {total}");
         for r in 1..c.len() {
             assert!(c.popularity(r) <= c.popularity(r - 1));
@@ -448,7 +434,11 @@ mod tests {
         };
         let c = Corpus::generate(&cfg, &mut rng).unwrap();
         assert_eq!(c.links.len(), 39 * 2);
-        let deg = c.in_degrees();
+        // Cross-site in-degrees by rank (hubs of the scale-free graph).
+        let mut deg = vec![0usize; c.len()];
+        for &(_, j) in &c.links {
+            deg[j] += 1;
+        }
         let max = *deg.iter().max().unwrap();
         let mean = deg.iter().sum::<usize>() as f64 / deg.len() as f64;
         // Preferential attachment concentrates links on hubs: the best-

@@ -29,9 +29,6 @@ pub mod search;
 pub mod site;
 pub mod url;
 
-pub use corpus::{Corpus, CorpusConfig, CorpusError, CountryMix, Disruption, DisruptionKind};
-pub use generator::{SyntheticWeb, WebConfig, WebConfigError};
-pub use har::{Har, HarEntry};
+pub use har::Har;
 pub use search::SearchIndex;
-pub use site::{EmbedKind, EmbedRef, PageSpec, ResourceSpec, SiteContent, SiteHandler};
 pub use url::UrlPattern;

@@ -10,7 +10,7 @@ use crate::generator::SyntheticWeb;
 use crate::url::UrlPattern;
 use std::collections::BTreeMap;
 
-/// Default result cap, as in the paper's prototype.
+/// The result cap per pattern: §5.2's "a sample of up to 50 URLs".
 pub const DEFAULT_RESULT_LIMIT: usize = 50;
 
 /// A page-URL index over the synthetic web.
@@ -65,16 +65,6 @@ impl SearchIndex {
             }
         }
     }
-
-    /// Number of indexed domains.
-    pub fn domain_count(&self) -> usize {
-        self.by_domain.len()
-    }
-
-    /// Total indexed URLs.
-    pub fn url_count(&self) -> usize {
-        self.by_domain.values().map(Vec::len).sum()
-    }
 }
 
 #[cfg(test)]
@@ -93,8 +83,9 @@ mod tests {
     #[test]
     fn indexes_every_content_domain() {
         let (web, idx) = index();
-        assert_eq!(idx.domain_count(), web.sites.len());
-        assert_eq!(idx.url_count(), web.total_pages());
+        assert_eq!(idx.by_domain.len(), web.sites.len());
+        let urls: usize = idx.by_domain.values().map(Vec::len).sum();
+        assert_eq!(urls, web.total_pages());
     }
 
     #[test]

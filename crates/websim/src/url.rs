@@ -56,12 +56,6 @@ impl UrlPattern {
         }
     }
 
-    /// Whether the pattern denotes exactly one URL ("some patterns are
-    /// trivial … and require no work", §5.2).
-    pub fn is_trivial(&self) -> bool {
-        matches!(self, UrlPattern::Exact(_))
-    }
-
     /// The domain this pattern concerns, if derivable.
     pub fn domain(&self) -> Option<String> {
         match self {
@@ -149,9 +143,12 @@ mod tests {
 
     #[test]
     fn triviality() {
-        assert!(UrlPattern::parse("http://x.com/a.html").is_trivial());
-        assert!(!UrlPattern::parse("x.com").is_trivial());
-        assert!(!UrlPattern::parse("http://x.com/a/*").is_trivial());
+        // A trivial pattern denotes exactly one URL ("some patterns are
+        // trivial … and require no work", §5.2).
+        let trivial = |p: &str| matches!(UrlPattern::parse(p), UrlPattern::Exact(_));
+        assert!(trivial("http://x.com/a.html"));
+        assert!(!trivial("x.com"));
+        assert!(!trivial("http://x.com/a/*"));
     }
 
     #[test]
