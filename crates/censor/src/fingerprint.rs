@@ -19,7 +19,7 @@ use netsim::host::Host;
 use netsim::http::{host_of, HttpRequest};
 use netsim::middlebox::{HttpAction, Middlebox, StageContext};
 use sim_core::{SimDuration, SimTime};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
@@ -35,7 +35,12 @@ pub struct EncoreFingerprinter {
     memory: SimDuration,
     /// Per-client last coordinator contact.
     seen: RefCell<BTreeMap<Ipv4Addr, SimTime>>,
+    /// `seen`'s length at the next prune: twice its length after the last.
+    prune_at: Cell<usize>,
 }
+
+/// `seen` is never pruned below this many entries.
+const MIN_PRUNE_LEN: usize = 64;
 
 impl EncoreFingerprinter {
     /// Censor in `country` knowing the given infrastructure domains.
@@ -50,6 +55,7 @@ impl EncoreFingerprinter {
             collector_domains,
             memory: SimDuration::from_secs(300),
             seen: RefCell::new(BTreeMap::new()),
+            prune_at: Cell::new(MIN_PRUNE_LEN),
         }
     }
 
@@ -78,7 +84,14 @@ impl Middlebox for EncoreFingerprinter {
         if self.is_coordinator(&host) {
             // Note the client; let the request through (suppressing the
             // *reports* distorts data more quietly than blocking tasks).
-            self.seen.borrow_mut().insert(ctx.client.ip, ctx.now);
+            let mut seen = self.seen.borrow_mut();
+            seen.insert(ctx.client.ip, ctx.now);
+            // Simulated time only advances, so a contact older than
+            // `memory` can never cause a drop again: forget it.
+            if seen.len() >= self.prune_at.get() {
+                seen.retain(|_, &mut t| ctx.now.since(t) <= self.memory);
+                self.prune_at.set((2 * seen.len()).max(MIN_PRUNE_LEN));
+            }
             return HttpAction::Pass;
         }
         if self.is_collector(&host) {
@@ -231,5 +244,38 @@ mod tests {
         let out = visit(&mut net, &mut sys, &inline, "CN");
         assert!(out.got_task);
         assert_eq!(out.results_delivered, 1);
+    }
+
+    #[test]
+    fn clients_that_left_are_forgotten() {
+        let fingerprinter = EncoreFingerprinter::new(
+            country("CN"),
+            vec!["coordinator.encore-repro.net".into()],
+            vec!["collector.encore-repro.net".into()],
+        );
+        let mut net = Network::ideal(World::builtin());
+        let coordinator = HttpRequest::get("http://coordinator.encore-repro.net/task.js");
+        let collector = HttpRequest::get("http://collector.encore-repro.net/submit");
+        for i in 0..10_000 {
+            let client = net.add_client(country("CN"), IspClass::Residential);
+            let ctx = StageContext {
+                client: &client,
+                now: SimTime::from_secs(i * 301),
+            };
+            assert_eq!(
+                fingerprinter.on_http_request(&coordinator, &ctx),
+                HttpAction::Pass
+            );
+            // Pruning never forgets a contact that can still suppress.
+            assert_eq!(
+                fingerprinter.on_http_request(&collector, &ctx),
+                HttpAction::Drop
+            );
+        }
+        let resident = fingerprinter.seen.borrow().len();
+        assert!(
+            resident <= MIN_PRUNE_LEN,
+            "{resident} departed clients kept"
+        );
     }
 }

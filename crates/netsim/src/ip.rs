@@ -131,22 +131,18 @@ impl IpAllocator {
     }
 
     /// Ground-truth country of an address, if it was allocated by us.
+    /// Blocks are handed out in ascending address order, so the one that
+    /// could hold `ip` is the last whose base is not above it.
     pub fn country_of(&self, ip: Ipv4Addr) -> Option<CountryCode> {
-        self.assignments
-            .iter()
-            .find(|(net, _)| net.contains(ip))
-            .map(|&(_, c)| c)
+        let after = self.assignments.partition_point(|(net, _)| net.base <= ip);
+        let &(net, c) = self.assignments.get(after.checked_sub(1)?)?;
+        net.contains(ip).then_some(c)
     }
 
     /// All `(network, country)` assignments made so far, in allocation
     /// order (deterministic).
     pub fn assignments(&self) -> &[(Ipv4Net, CountryCode)] {
         &self.assignments
-    }
-
-    /// Total number of /16 blocks handed out.
-    pub fn block_count(&self) -> usize {
-        self.assignments.len()
     }
 }
 
@@ -219,13 +215,22 @@ mod tests {
         for _ in 0..70_000 {
             a.allocate(country("IN"));
         }
-        assert!(a.block_count() >= 2);
+        assert!(a.assignments().len() >= 2);
     }
 
     #[test]
     fn unknown_ip_has_no_country() {
         let a = IpAllocator::new();
         assert_eq!(a.country_of(Ipv4Addr::new(8, 8, 8, 8)), None);
+        // Blocks 100.1, 100.3 and 100.5: addresses below, between and
+        // past them belong to no country.
+        let mut b = IpAllocator::sharded(1, 2);
+        for cc in ["US", "CN", "PK"] {
+            b.allocate(country(cc));
+        }
+        for ip in [[8, 8, 8, 8], [100, 0, 0, 2], [100, 4, 0, 2], [100, 7, 0, 2]] {
+            assert_eq!(b.country_of(Ipv4Addr::from(ip)), None, "{ip:?}");
+        }
     }
 
     #[test]

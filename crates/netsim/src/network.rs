@@ -148,28 +148,26 @@ struct ServerEntry {
     handler: Box<dyn HttpHandler>,
 }
 
-/// Memoised [`Network::quality_between`] results. Path quality is a pure
-/// function of (client country, client ISP class, server address) given
-/// the path model, the server registry, the address plan, and the world
-/// table — so the memo is validated against cheap fingerprints of all
-/// four on every lookup and cleared when any of them moves. The
-/// fingerprints are exact for every mutation the workspace performs
-/// (`path_model` writes, `add_server`, address-block allocation, world
-/// construction); the one unwatched edit — replacing an *existing*
-/// country's record in a live network's world — is something no caller
-/// does (worlds are built before the network).
+/// Memoised [`Network::quality_between`] results, keyed on what path
+/// quality is a pure function of: (client country, client ISP class,
+/// destination country) — at most |countries|² × |ISP classes| entries,
+/// however many clients come and go. The destination country is resolved
+/// fresh on every call, so new servers and address blocks cannot stale an
+/// entry; the rest of the inputs (path model, world table, topology
+/// generation) are fingerprinted, and the memo clears when one moves. The
+/// one unwatched edit — replacing an *existing* country's record in a live
+/// network's world — is something no caller does (worlds are built before
+/// the network).
 #[derive(Default)]
 struct QualityMemo {
     model: Option<PathModel>,
-    servers_len: usize,
-    alloc_blocks: usize,
     world_len: usize,
     /// Generation of the routed topology the memo was computed under (0
     /// when no topology is attached) — regeneration reroutes, which
     /// changes hop counts and therefore RTTs.
     topology_generation: u64,
     map: std::collections::HashMap<
-        (CountryCode, IspClass, Ipv4Addr),
+        (CountryCode, IspClass, CountryCode),
         PathQuality,
         sim_core::FxBuildHasher,
     >,
@@ -426,8 +424,12 @@ impl Network {
 
     /// The country a fetch to `server_ip` terminates in, resolved the
     /// same way path quality resolves it: the server registry first,
-    /// then the address plan, then the client's own country.
+    /// then the address plan, then the client's own country. A host's own
+    /// address was allocated in its own country, so it needs no lookup.
     fn server_country(&self, client: &Host, server_ip: Ipv4Addr) -> CountryCode {
+        if server_ip == client.ip {
+            return client.country;
+        }
         self.servers
             .get(&server_ip)
             .map(|e| e.host.country)
@@ -513,30 +515,27 @@ impl Network {
     pub(crate) fn quality_between(&self, client: &Host, server_ip: Ipv4Addr) -> PathQuality {
         let mut memo = self.quality_memo.borrow_mut();
         if memo.model != Some(self.path_model)
-            || memo.servers_len != self.servers.len()
-            || memo.alloc_blocks != self.allocator.block_count()
             || memo.world_len != self.world.len()
             || memo.topology_generation != self.topology_generation()
         {
             memo.map.clear();
             memo.model = Some(self.path_model);
-            memo.servers_len = self.servers.len();
-            memo.alloc_blocks = self.allocator.block_count();
             memo.world_len = self.world.len();
             memo.topology_generation = self.topology_generation();
         }
-        let key = (client.country, client.isp, server_ip);
+        let server_country = self.server_country(client, server_ip);
+        let key = (client.country, client.isp, server_country);
         if let Some(&q) = memo.map.get(&key) {
             return q;
         }
-        let q = self.quality_between_uncached(client, server_ip);
+        let q = self.quality_between_uncached(client, server_country);
         memo.map.insert(key, q);
         q
     }
 
-    /// The raw path-quality computation behind the memo.
-    fn quality_between_uncached(&self, client: &Host, server_ip: Ipv4Addr) -> PathQuality {
-        let server_country = self.server_country(client, server_ip);
+    /// The raw path-quality computation behind the memo, towards a
+    /// destination already resolved to `server_country`.
+    fn quality_between_uncached(&self, client: &Host, server_country: CountryCode) -> PathQuality {
         // Borrow the world records when present (the overwhelmingly common
         // case) instead of cloning them; fall back to the synthesised
         // default only for hand-built worlds missing a code.
@@ -1006,5 +1005,91 @@ mod tests {
         n.remove_middlebox("dns-blocker");
         let out = session.fetch(&mut n, &req, SimTime::from_secs(1), &mut rng);
         assert!(out.result.is_ok(), "stale pipeline survived removal");
+    }
+
+    /// `count` fresh clients spread round-robin over every country of the
+    /// world and every ISP class, each giving one cold fetch to a server
+    /// and one to an address nothing listens at.
+    fn churn_clients(n: &mut Network, codes: &[CountryCode], count: usize, rng: &mut SimRng) {
+        let served = HttpRequest::get("http://example.com/i.png");
+        let ghost = HttpRequest::get("http://ghost.example/");
+        for i in 0..count {
+            let isp = IspClass::ALL[(i / codes.len()) % IspClass::ALL.len()];
+            let client = n.add_client(codes[i % codes.len()], isp);
+            assert!(n.fetch(&client, &served, SimTime::ZERO, rng).result.is_ok());
+            assert!(n.fetch(&client, &ghost, SimTime::ZERO, rng).result.is_err());
+        }
+    }
+
+    #[test]
+    fn quality_memo_is_bounded_by_countries_not_clients() {
+        let mut n = network();
+        n.add_server("example.com", country("US"), img_handler(400));
+        n.add_dns_alias("ghost.example", Ipv4Addr::new(203, 0, 113, 7));
+        let codes = n.world.codes();
+        let bound = codes.len() * codes.len() * IspClass::ALL.len();
+        let mut rng = SimRng::new(3);
+
+        churn_clients(&mut n, &codes, 1_000, &mut rng);
+        let at_1k = n.quality_memo.borrow().map.len();
+        churn_clients(&mut n, &codes, 7_000, &mut rng);
+        let at_8k = n.quality_memo.borrow().map.len();
+        assert!(at_8k <= bound, "{at_8k} memo entries exceed {bound}");
+        assert_eq!(at_1k, at_8k, "the memo grew with clients that left");
+    }
+
+    #[test]
+    fn memoised_quality_tracks_every_mutation_of_the_network() {
+        use crate::topology::TopologyConfig;
+        let mut n = Network::new(World::builtin());
+        let codes = n.world.codes();
+        let mut rng = SimRng::new(0x9E0);
+        let mut clients = vec![n.add_client(country("US"), IspClass::Residential)];
+        // Addresses in /16 blocks the allocator has not opened yet: they
+        // resolve to the client's own country until a block claims them.
+        let mut dests: Vec<Ipv4Addr> = (0..24).map(|k| Ipv4Addr::new(100, k, 0, 2)).collect();
+        let mut tried: Vec<(Host, Ipv4Addr)> = Vec::new();
+        for step in 0..300u64 {
+            match rng.index(5) {
+                0 => {
+                    let host = n.add_server(
+                        &format!("s{step}.example"),
+                        *rng.pick(&codes),
+                        img_handler(100),
+                    );
+                    dests.push(host.ip);
+                }
+                1 => {
+                    // A country's first client opens a fresh /16 block.
+                    for _ in 0..3 {
+                        let isp = *rng.pick(&IspClass::ALL);
+                        let client = n.add_client(*rng.pick(&codes), isp);
+                        dests.push(client.ip);
+                        clients.push(client);
+                    }
+                }
+                2 => n.path_model.failure_scale = rng.range_u64(0, 4) as f64 / 2.0,
+                3 => match n.topology_mut() {
+                    Some(topo) => topo.regenerate(step),
+                    None => n.set_topology(AsTopology::generate(TopologyConfig::with_seed(step))),
+                },
+                _ => {
+                    let client = rng.pick(&clients).clone();
+                    let dest = *rng.pick(&dests);
+                    n.quality_between(&client, dest);
+                    tried.push((client, dest));
+                }
+            }
+            for (client, dest) in &tried {
+                let fresh = n.quality_between_uncached(client, n.server_country(client, *dest));
+                assert_eq!(
+                    n.quality_between(client, *dest),
+                    fresh,
+                    "step {step}: stale memo for {} → {dest}",
+                    client.ip
+                );
+            }
+        }
+        assert!(tried.len() > 30 && n.allocator.assignments().len() > 10);
     }
 }
