@@ -14,12 +14,12 @@
 //! "after excluding erroneously contributed measurements (e.g., from Web
 //! crawlers)").
 
-use crate::inference::{countable, is_crawler_ua, DetectorConfig};
+use crate::inference::{is_crawler_ua, DetectorConfig, WindowFold};
 use crate::streaming::{
-    CellEntry, CountMinSketch, DropCounters, IngestQueue, ReservoirEntry, ReservoirSample,
-    SketchSlots, StreamingConfig, StreamingStats, WindowCells,
+    CountMinSketch, DropCounters, IngestQueue, ReservoirEntry, ReservoirSample, SketchSlots,
+    StreamingConfig, StreamingStats,
 };
-use crate::tasks::{MeasurementId, TaskOutcome, TaskType};
+use crate::tasks::{parse_result_token, result_token, MeasurementId, TaskOutcome, TaskType};
 use netsim::geo::CountryCode;
 use netsim::http::{ContentType, HttpRequest, HttpResponse, StatusCode};
 use netsim::network::{HttpHandler, Network};
@@ -236,31 +236,7 @@ impl SubmissionParts<'_> {
     /// Append the Appendix A query encoding to `out`. Byte-identical to
     /// the original `format!`-based encoder.
     pub fn write_query(&self, out: &mut String) {
-        out.reserve(64 + self.target_url.len() * 3 + self.user_agent.len() * 3);
-        out.push_str("cmh-id=m-");
-        push_hex16(out, self.measurement_id.0);
-        out.push_str("&cmh-result=");
-        out.push_str(match (self.phase, self.outcome) {
-            (SubmissionPhase::Init, _) => "init",
-            (SubmissionPhase::Result, Some(TaskOutcome::Success)) => "success",
-            (SubmissionPhase::Result, Some(TaskOutcome::Failure)) => "failure",
-            (SubmissionPhase::Result, None) => "unknown",
-        });
-        out.push_str("&cmh-elapsed=");
-        push_u64(out, self.elapsed_ms);
-        out.push_str("&cmh-type=");
-        out.push_str(self.task_type.as_str());
-        out.push_str("&cmh-target=");
-        push_pct_encoded(out, self.target_url);
-        out.push_str("&cmh-ua=");
-        push_pct_encoded(out, self.user_agent);
-        if self.congested {
-            // Appended last, and only when set: uncongested submissions
-            // keep the exact six-key byte shape (and its fast parse);
-            // the trailing '&' in the UA field makes the wire fast path
-            // fall back to the general parser, which knows the key.
-            out.push_str("&cmh-cong=1");
-        }
+        self.write_query_with(out, push_pct_encoded);
     }
 
     /// [`SubmissionParts::write_query`] with the two percent-encoded
@@ -268,25 +244,30 @@ impl SubmissionParts<'_> {
     /// encoder runs once per distinct target URL / user agent instead of
     /// once per submission.
     pub fn write_query_cached(&self, out: &mut String, cache: &mut EncodeCache) {
+        self.write_query_with(out, |out, raw| out.push_str(cache.encoded(raw)));
+    }
+
+    /// The one encoder: `escape` appends the target's and the user
+    /// agent's percent-encoded forms.
+    fn write_query_with(&self, out: &mut String, mut escape: impl FnMut(&mut String, &str)) {
         out.reserve(64 + self.target_url.len() * 3 + self.user_agent.len() * 3);
         out.push_str("cmh-id=m-");
         push_hex16(out, self.measurement_id.0);
         out.push_str("&cmh-result=");
-        out.push_str(match (self.phase, self.outcome) {
-            (SubmissionPhase::Init, _) => "init",
-            (SubmissionPhase::Result, Some(TaskOutcome::Success)) => "success",
-            (SubmissionPhase::Result, Some(TaskOutcome::Failure)) => "failure",
-            (SubmissionPhase::Result, None) => "unknown",
-        });
+        out.push_str(result_token(self.phase, self.outcome));
         out.push_str("&cmh-elapsed=");
         push_u64(out, self.elapsed_ms);
         out.push_str("&cmh-type=");
         out.push_str(self.task_type.as_str());
         out.push_str("&cmh-target=");
-        out.push_str(cache.encoded(self.target_url));
+        escape(out, self.target_url);
         out.push_str("&cmh-ua=");
-        out.push_str(cache.encoded(self.user_agent));
+        escape(out, self.user_agent);
         if self.congested {
+            // Appended last, and only when set: uncongested submissions
+            // keep the exact six-key byte shape (and its fast parse);
+            // the trailing '&' in the UA field makes the wire fast path
+            // fall back to the general parser, which knows the key.
             out.push_str("&cmh-cong=1");
         }
     }
@@ -396,24 +377,13 @@ fn parse_submission_wire(q: &str) -> Option<ParsedSubmission<'_>> {
     let measurement_id = MeasurementId(u64::from_str_radix(hex, 16).ok()?);
     let rest = rest[16..].strip_prefix("&cmh-result=")?;
     let (resval, rest) = split_field(rest)?;
-    let (phase, outcome) = match resval {
-        "init" => (SubmissionPhase::Init, None),
-        "success" => (SubmissionPhase::Result, Some(TaskOutcome::Success)),
-        "failure" => (SubmissionPhase::Result, Some(TaskOutcome::Failure)),
-        _ => return None,
-    };
+    let (phase, outcome) = parse_result_token(resval)?;
     let rest = rest.strip_prefix("cmh-elapsed=")?;
     let (elval, rest) = split_field(rest)?;
     let elapsed_ms: u64 = elval.parse().ok()?;
     let rest = rest.strip_prefix("cmh-type=")?;
     let (tyval, rest) = split_field(rest)?;
-    let task_type = match tyval {
-        "image" => TaskType::Image,
-        "stylesheet" => TaskType::Stylesheet,
-        "iframe" => TaskType::Iframe,
-        "script" => TaskType::Script,
-        _ => return None,
-    };
+    let task_type = TaskType::from_wire(tyval)?;
     let rest = rest.strip_prefix("cmh-target=")?;
     let (target_url_raw, user_agent_raw) = {
         // Stop at '&' like the general parser; fall back on '?' because
@@ -516,25 +486,13 @@ fn parse_submission(url: &str) -> Option<ParsedSubmission<'_>> {
     let id = id?;
     let id_hex = id.strip_prefix("m-")?;
     let measurement_id = MeasurementId(u64::from_str_radix(id_hex, 16).ok()?);
-    let (phase, outcome) = match &*result? {
-        "init" => (SubmissionPhase::Init, None),
-        "success" => (SubmissionPhase::Result, Some(TaskOutcome::Success)),
-        "failure" => (SubmissionPhase::Result, Some(TaskOutcome::Failure)),
-        _ => return None,
-    };
-    let task_type = match &*ty? {
-        "image" => TaskType::Image,
-        "stylesheet" => TaskType::Stylesheet,
-        "iframe" => TaskType::Iframe,
-        "script" => TaskType::Script,
-        _ => return None,
-    };
+    let (phase, outcome) = parse_result_token(&result?)?;
     Some(ParsedSubmission {
         measurement_id,
         phase,
         outcome,
         elapsed_ms: elapsed?.parse().ok()?,
-        task_type,
+        task_type: TaskType::from_wire(&ty?)?,
         target_url_raw: target?,
         user_agent_raw: ua.unwrap_or(""),
         congested: cong.as_deref() == Some("1"),
@@ -790,40 +748,37 @@ struct RawRecord {
     received_at: SimTime,
 }
 
-/// Per-`(domain, client_ip)` counting state of one open window: the
-/// streaming form of `build_matrix`'s `per_ip` map plus the cell the
-/// capped records fold into.
-#[derive(Debug, Default, Clone, Copy)]
-struct IpCell {
-    /// Countable records seen (stops advancing at the per-ip cap, like
-    /// the exact detector's first-k rule).
-    seen: u64,
-    /// Records counted (≤ cap).
-    n: u64,
-    /// Successes among `n`.
-    x: u64,
-}
-
-/// One still-open detection window: submissions fold in as they arrive;
-/// IPs resolve to countries only when the window closes (the engine
-/// passes the allocator's resolver at rollup time).
-#[derive(Debug)]
-struct OpenWindow {
-    window: u64,
-    /// Result-phase submissions, before filters.
-    measurements: u64,
-    cells: HashMap<(Sym, Ipv4Addr), IpCell, FxBuildHasher>,
-    /// Hashes of exact wire tuples already accepted this window.
-    dedup: HashSet<u64, FxBuildHasher>,
+impl RawRecord {
+    /// The record of an accepted submission: `parsed`'s fields, its two
+    /// strings as `target_url` and `user_agent`, and the connection's.
+    fn new(
+        parsed: &ParsedSubmission<'_>,
+        target_url: Sym,
+        user_agent: Sym,
+        client_ip: Ipv4Addr,
+        referer: Option<Sym>,
+        received_at: SimTime,
+    ) -> RawRecord {
+        RawRecord {
+            measurement_id: parsed.measurement_id,
+            phase: parsed.phase,
+            outcome: parsed.outcome,
+            elapsed_ms: parsed.elapsed_ms,
+            task_type: parsed.task_type,
+            congested: parsed.congested,
+            target_url,
+            user_agent,
+            client_ip,
+            referer,
+            received_at,
+        }
+    }
 }
 
 /// The collection server's bounded streaming state (`Store.streaming`).
 #[derive(Debug)]
 struct StreamingState {
     window_micros: u64,
-    /// The [`DetectorConfig::default`] the verdicts are judged with:
-    /// its record filters and first-k-per-(domain, ip) cap apply here.
-    judged_with: DetectorConfig,
     /// Priority stream for the reservoir (split per shard; the sample
     /// merge is a union, so streams need not match across shards).
     rng: SimRng,
@@ -838,10 +793,11 @@ struct StreamingState {
     /// Windows below this index are closed and folded; late submissions
     /// for them are dropped as `expired`.
     watermark: u64,
-    /// Open windows, sorted by index (at most ~2 between rollups).
-    open: Vec<OpenWindow>,
-    /// Closed windows, sorted by index.
-    closed: Vec<WindowCells>,
+    /// Hashes of the exact wire tuples accepted, per open window.
+    dedup: BTreeMap<u64, HashSet<u64, FxBuildHasher>>,
+    /// The detector's window fold, under the [`DetectorConfig::default`]
+    /// the verdicts are judged with.
+    fold: WindowFold,
     /// Memo: target-URL sym → its domain's sym (None if the URL has no
     /// host). Like the three memos below: derived from the symbol's
     /// string on first ask, rebuilt on demand, and therefore never
@@ -860,7 +816,6 @@ impl StreamingState {
     fn new(cfg: &StreamingConfig, sketch_seed: u64, rng: SimRng) -> StreamingState {
         StreamingState {
             window_micros: cfg.window.as_micros().max(1),
-            judged_with: DetectorConfig::default(),
             rng,
             sketch: CountMinSketch::new(cfg.sketch_depth, cfg.sketch_width, sketch_seed),
             reservoir_capacity: cfg.reservoir,
@@ -870,32 +825,12 @@ impl StreamingState {
             drops: DropCounters::default(),
             accepted: 0,
             watermark: 0,
-            open: Vec::new(),
-            closed: Vec::new(),
+            dedup: BTreeMap::new(),
+            fold: WindowFold::new(DetectorConfig::default()),
             domain_of: SymTable::default(),
             crawler_of: SymTable::default(),
             url_slots: SymTable::default(),
             origin_slots: SymTable::default(),
-        }
-    }
-
-    /// Position in `open` of the window with this index, opening it if
-    /// this is its first submission.
-    fn open_window_index(&mut self, window: u64) -> usize {
-        match self.open.binary_search_by_key(&window, |w| w.window) {
-            Ok(i) => i,
-            Err(i) => {
-                self.open.insert(
-                    i,
-                    OpenWindow {
-                        window,
-                        measurements: 0,
-                        cells: HashMap::default(),
-                        dedup: HashSet::default(),
-                    },
-                );
-                i
-            }
         }
     }
 }
@@ -1078,9 +1013,8 @@ impl Store {
         // Idempotent-accept semantics: acknowledged, not re-counted.
         let target = raw_syms.peek(parsed.target_url_raw);
         let agent = raw_syms.peek(parsed.user_agent_raw);
-        let open_at = st.open_window_index(window);
         let key = dedup_key(&parsed, target.hash, agent.hash, client_ip, now);
-        if !st.open[open_at].dedup.insert(key) {
+        if !st.dedup.entry(window).or_default().insert(key) {
             st.drops.duplicate += 1;
             return accepted_response();
         }
@@ -1106,42 +1040,17 @@ impl Store {
             st.sketch.add_at(&slots, 1);
         }
 
-        // Detector-equivalent window fold: the exact fold's cascade
-        // (`inference::countable` → domain → per-ip cap), applied at
-        // ingest because the raw record will not exist at detect time.
-        // Country resolution (which exact mode applies just
-        // before the cap) is deferred to window close; with the
-        // engine's zero-error GeoDb the two orderings count the same
-        // records.
+        // The detector's own window fold, run at ingest because the raw
+        // record will not exist at detect time; addresses are located
+        // when the window closes.
         let domain = *st.domain_of.get_or_insert_with(target_url, || {
             netsim::http::host_of(strings.resolve(target_url)).map(|d| strings.intern(&d))
         });
         let crawler = *st
             .crawler_of
             .get_or_insert_with(user_agent, || is_crawler_ua(strings.resolve(user_agent)));
-        let open = &mut st.open[open_at];
-        if parsed.phase == SubmissionPhase::Result {
-            open.measurements += 1;
-        }
-        if countable(
-            parsed.phase,
-            parsed.outcome,
-            parsed.congested,
-            || crawler,
-            &st.judged_with,
-        ) {
-            if let Some(domain) = domain {
-                let cell = open.cells.entry((domain, client_ip)).or_default();
-                let under_cap = st.judged_with.max_per_ip.is_none_or(|cap| cell.seen < cap);
-                if under_cap {
-                    cell.seen += 1;
-                    cell.n += 1;
-                    if parsed.outcome == Some(TaskOutcome::Success) {
-                        cell.x += 1;
-                    }
-                }
-            }
-        }
+        let said = (parsed.phase, parsed.outcome, parsed.congested);
+        st.fold.push(window, client_ip, said, || crawler, || domain);
 
         // Reservoir: one priority draw per accepted submission; the
         // record is only materialised if it enters the sample.
@@ -1150,19 +1059,7 @@ impl Store {
         let full = st.reservoir.len() as u64 >= st.reservoir_capacity;
         let admit = !full || st.reservoir.last().is_some_and(|(max, _)| priority < *max);
         if admit && st.reservoir_capacity > 0 {
-            let record = RawRecord {
-                measurement_id: parsed.measurement_id,
-                phase: parsed.phase,
-                outcome: parsed.outcome,
-                elapsed_ms: parsed.elapsed_ms,
-                task_type: parsed.task_type,
-                congested: parsed.congested,
-                target_url,
-                user_agent,
-                client_ip,
-                referer,
-                received_at: now,
-            };
+            let record = RawRecord::new(&parsed, target_url, user_agent, client_ip, referer, now);
             let at = st.reservoir.partition_point(|(p, _)| *p <= priority);
             st.reservoir.insert(at, (priority, record));
             st.reservoir.truncate(st.reservoir_capacity as usize);
@@ -1171,10 +1068,7 @@ impl Store {
     }
 
     /// Close every open window below `boundary`, resolving client IPs
-    /// to countries with `resolve` and folding the per-ip cells into
-    /// the sorted `(domain, country)` matrix the detector consumes.
-    /// Folding is additive, so the hash-map iteration order cannot
-    /// affect the result.
+    /// to countries with `resolve`, and forget those windows' dedup sets.
     fn close_windows_below(
         &mut self,
         boundary: u64,
@@ -1187,41 +1081,8 @@ impl Store {
             return;
         };
         st.watermark = st.watermark.max(boundary);
-        // `open` is sorted by index: the windows to close are a prefix.
-        let closing = st.open.partition_point(|w| w.window < boundary);
-        for ow in st.open.drain(..closing) {
-            let mut folded: BTreeMap<(String, CountryCode), (u64, u64)> = BTreeMap::new();
-            for ((domain, ip), cell) in ow.cells {
-                if cell.n == 0 {
-                    continue;
-                }
-                let Some(country) = resolve(ip) else {
-                    continue;
-                };
-                let entry = folded
-                    .entry((strings.resolve(domain).to_string(), country))
-                    .or_default();
-                entry.0 += cell.n;
-                entry.1 += cell.x;
-            }
-            let wc = WindowCells {
-                window: ow.window,
-                measurements: ow.measurements,
-                cells: folded
-                    .into_iter()
-                    .map(|((domain, country), (n, x))| CellEntry {
-                        domain,
-                        country,
-                        n,
-                        x,
-                    })
-                    .collect(),
-            };
-            match st.closed.binary_search_by_key(&wc.window, |c| c.window) {
-                Ok(i) => st.closed[i].merge(wc),
-                Err(i) => st.closed.insert(i, wc),
-            }
-        }
+        st.dedup = st.dedup.split_off(&boundary);
+        st.fold.close_below(boundary, strings, resolve);
     }
 
     /// The serialisable streaming state (closed windows only — callers
@@ -1251,7 +1112,7 @@ impl Store {
                 seen: st.reservoir_seen,
                 entries,
             },
-            windows: st.closed.clone(),
+            windows: st.fold.closed.clone(),
             drops: st.drops,
         })
     }
@@ -1359,19 +1220,9 @@ impl HttpHandler for CollectionServer {
                 let target_url = store.sym_for_raw(parsed.target_url_raw);
                 let user_agent = store.sym_for_raw(parsed.user_agent_raw);
                 let referer = req.referer.as_deref().map(|r| store.strings.intern(r));
-                store.records.push(RawRecord {
-                    measurement_id: parsed.measurement_id,
-                    phase: parsed.phase,
-                    outcome: parsed.outcome,
-                    elapsed_ms: parsed.elapsed_ms,
-                    task_type: parsed.task_type,
-                    congested: parsed.congested,
-                    target_url,
-                    user_agent,
-                    client_ip,
-                    referer,
-                    received_at: now,
-                });
+                let record =
+                    RawRecord::new(&parsed, target_url, user_agent, client_ip, referer, now);
+                store.records.push(record);
                 // Tiny CORS-permissive 204-ish response.
                 accepted_response()
             }
@@ -1993,6 +1844,12 @@ mod tests {
         for cc in ["TR", "TR", "TR", "US", "US", "US"] {
             clients.push(net.add_client(country(cc), IspClass::Residential));
         }
+        // The database is taken before the last client joins, so its
+        // address is in no known range: both modes drop its records.
+        let geo = GeoDb::from_allocator(&net.allocator);
+        clients.push(net.add_client(country("IR"), IspClass::Residential));
+        let unlocated = clients.len() - 1;
+        assert_eq!(geo.lookup(clients[unlocated].ip), None);
         let mut id = 0u64;
         let submit = |net: &mut Network, c: usize, sub: Submission, at: u64, rng: &mut SimRng| {
             for domain in ["exact.example", "collector.example"] {
@@ -2004,10 +1861,10 @@ mod tests {
         };
         // Two windows: TR fails in the second window only; US always
         // succeeds; crawler + congested noise sprinkled in; one TR
-        // client floods past the per-ip cap.
+        // client and the unlocated one flood past the per-ip cap.
         for w in 0..2u64 {
             for rep in 0..12u64 {
-                for c in 0..clients.len() {
+                for c in 0..unlocated {
                     id += 1;
                     let tr = c < 3;
                     let outcome = if tr && w == 1 {
@@ -2029,31 +1886,41 @@ mod tests {
                     submit(&mut net, c, sub, w * 100 + rep * 3, &mut rng);
                 }
             }
-            // Flood: one TR client repeats far past the cap of 10.
-            for _ in 0..40 {
-                id += 1;
-                let sub = Submission {
-                    measurement_id: MeasurementId(id),
-                    outcome: Some(TaskOutcome::Failure),
-                    ..submission()
-                };
-                submit(&mut net, 0, sub, w * 100 + 50, &mut rng);
+            // Flood: two clients repeat far past the cap of 10.
+            for flooder in [0, unlocated] {
+                for _ in 0..40 {
+                    id += 1;
+                    let sub = Submission {
+                        measurement_id: MeasurementId(id),
+                        outcome: Some(TaskOutcome::Failure),
+                        ..submission()
+                    };
+                    submit(&mut net, flooder, sub, w * 100 + 50, &mut rng);
+                }
             }
         }
-        let geo = GeoDb::from_allocator(&net.allocator);
         let detector = FilteringDetector::default();
         let exact_reports = detector.detect_windows(&exact.records(), &geo, window);
-        let alloc = net.allocator.clone();
-        streaming.close_all_windows(|ip| alloc.country_of(ip));
+        streaming.close_all_windows(|ip| geo.lookup(ip));
         let stats = streaming.snapshot().streaming.unwrap();
         let streamed_reports = detector.judge_streamed(&stats);
         assert_eq!(
             exact_reports, streamed_reports,
             "streamed fold must reproduce the exact per-window verdicts"
         );
-        assert!(
-            !streamed_reports[1].detections.is_empty(),
-            "fixture should actually detect the TR block"
+        let flagged: Vec<_> = streamed_reports
+            .iter()
+            .map(|r| {
+                r.detections
+                    .iter()
+                    .map(|d| (d.country, d.n))
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        assert_eq!(
+            flagged,
+            [vec![], vec![(country("TR"), 30)]],
+            "{streamed_reports:?}"
         );
     }
 
@@ -2068,36 +1935,17 @@ mod tests {
     }
 
     /// Approximate resident bytes of a streaming server's analytics
-    /// state: the sketch + reservoir + window cells + open-window state
-    /// (which do not grow with accepted traffic) and the per-symbol memos
-    /// (which grow with distinct strings only).
+    /// state: the sketch + reservoir + window fold + dedup sets (which do
+    /// not grow with accepted traffic) and the per-symbol memos (which
+    /// grow with distinct strings only).
     fn resident_analytics_bytes(server: &CollectionServer) -> usize {
         let store = server.store.borrow();
         let st = store.streaming.as_deref().expect("streaming");
-        let open: usize = st
-            .open
-            .iter()
-            .map(|w| {
-                w.cells.len()
-                    * (std::mem::size_of::<(Sym, Ipv4Addr)>() + std::mem::size_of::<IpCell>())
-                    + w.dedup.len() * std::mem::size_of::<u64>()
-            })
-            .sum();
-        let closed: usize = st
-            .closed
-            .iter()
-            .map(|w| {
-                std::mem::size_of::<WindowCells>()
-                    + w.cells
-                        .iter()
-                        .map(|c| std::mem::size_of::<CellEntry>() + c.domain.len())
-                        .sum::<usize>()
-            })
-            .sum();
+        let dedup: usize = st.dedup.values().map(HashSet::len).sum();
         st.sketch.resident_bytes()
             + st.reservoir.capacity() * std::mem::size_of::<(u64, RawRecord)>()
-            + open
-            + closed
+            + st.fold.resident_bytes()
+            + dedup * std::mem::size_of::<u64>()
             + memo_bytes(server)
     }
 

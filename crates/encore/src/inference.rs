@@ -15,10 +15,11 @@
 
 use crate::collection::{StoredMeasurement, SubmissionPhase};
 use crate::geo::GeoDb;
+use crate::streaming::{CellEntry, StreamingStats, WindowCells};
 use crate::tasks::TaskOutcome;
 use netsim::geo::CountryCode;
 use serde::{Deserialize, Serialize};
-use sim_core::{FxBuildHasher, OneSidedBinomialTest};
+use sim_core::{FxBuildHasher, Interner, OneSidedBinomialTest, SimDuration, SimTime, Sym};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
@@ -68,30 +69,6 @@ impl Default for DetectorConfig {
     }
 }
 
-/// Whether a record is Bernoulli evidence at all: phase → crawler →
-/// outcome → congestion discount. The single copy of that cascade — the
-/// exact fold ([`FilteringDetector::build_matrix`]) and the streaming
-/// ingest both call it, so the two modes cannot drift. `crawler` is only
-/// asked of result-phase records when crawlers are excluded (the exact
-/// fold scans the user agent there; streaming answers from its memo).
-/// The stateful rest (domain → geo → per-IP cap) follows at each call
-/// site.
-pub(crate) fn countable(
-    phase: SubmissionPhase,
-    outcome: Option<TaskOutcome>,
-    congested: bool,
-    crawler: impl FnOnce() -> bool,
-    config: &DetectorConfig,
-) -> bool {
-    phase == SubmissionPhase::Result
-        && !(config.exclude_crawlers && crawler())
-        && outcome.is_some()
-        // Near-source congestion signal: the transit link shed this
-        // fetch and said so. Path evidence, not resource evidence — see
-        // `DetectorConfig::discount_congestion`.
-        && !(config.discount_congestion && outcome == Some(TaskOutcome::Failure) && congested)
-}
-
 /// Whether a self-reported user agent announces automated traffic (the
 /// §6.2 campus security scanner, search-engine crawlers, …): an
 /// ASCII-case-insensitive search for `bot`, `crawler` or `scanner` that
@@ -104,22 +81,119 @@ pub(crate) fn is_crawler_ua(ua: &str) -> bool {
         .any(|n| ua.windows(n.len()).any(|w| w.eq_ignore_ascii_case(n)))
 }
 
-/// One (resource, region) cell of the measurement matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct Cell {
-    /// Total result-phase measurements.
-    pub n: u64,
-    /// Successful measurements.
-    pub x: u64,
+/// `(domain, client address) → (n, x)`: one open window's counts under
+/// the per-IP cap.
+type AddressCells = HashMap<(Sym, Ipv4Addr), (u64, u64), FxBuildHasher>;
+
+/// The per-window fold that turns submissions into detector input — the
+/// one place the record filters, the per-IP cap and geolocation run, for
+/// the exact detector and the streaming collector alike. Per record, in
+/// order: the stateless filters (phase → crawler → outcome → congestion
+/// discount), then the domain, then the first-k cap on its
+/// `(domain, address)` cell. An address resolves to a country only when
+/// its window closes, and each `(domain, country)` cell gets its `String`
+/// name once, there. Country is a function of the address, so capping
+/// before locating counts exactly the records the other order would.
+#[derive(Debug)]
+pub(crate) struct WindowFold {
+    config: DetectorConfig,
+    /// Open windows, ascending: each one's header (index and
+    /// measurement count; no cells yet) and its address cells.
+    open: Vec<(WindowCells, AddressCells)>,
+    /// Closed windows, ascending by index.
+    pub(crate) closed: Vec<WindowCells>,
 }
 
-impl Cell {
-    /// Observed success rate (1.0 for an empty cell).
-    pub fn success_rate(&self) -> f64 {
-        if self.n == 0 {
-            1.0
-        } else {
-            self.x as f64 / self.n as f64
+impl WindowFold {
+    pub(crate) fn new(config: DetectorConfig) -> WindowFold {
+        WindowFold {
+            config,
+            open: Vec::new(),
+            closed: Vec::new(),
+        }
+    }
+
+    /// Fold one submission from `client_ip` — its phase, outcome and
+    /// congestion flag — into `window`, opening the window on its first.
+    /// `crawler` is asked only of result-phase records when crawlers are
+    /// excluded, and `domain` only of records that pass the filters.
+    pub(crate) fn push(
+        &mut self,
+        window: u64,
+        client_ip: Ipv4Addr,
+        (phase, outcome, congested): (SubmissionPhase, Option<TaskOutcome>, bool),
+        crawler: impl FnOnce() -> bool,
+        domain: impl FnOnce() -> Option<Sym>,
+    ) {
+        let at = self.open.partition_point(|(w, _)| w.window < window);
+        if self.open.get(at).is_none_or(|(w, _)| w.window != window) {
+            let header = WindowCells {
+                window,
+                ..WindowCells::default()
+            };
+            self.open.insert(at, (header, AddressCells::default()));
+        }
+        let (header, cells) = &mut self.open[at];
+        let config = &self.config;
+        if phase != SubmissionPhase::Result {
+            return;
+        }
+        header.measurements += 1;
+        let shed = outcome == Some(TaskOutcome::Failure) && congested;
+        if (config.exclude_crawlers && crawler())
+            || outcome.is_none()
+            // Near-source congestion signal: path evidence, not resource
+            // evidence — see `DetectorConfig::discount_congestion`.
+            || (config.discount_congestion && shed)
+        {
+            return;
+        }
+        let Some(domain) = domain() else {
+            return;
+        };
+        let (n, x) = cells.entry((domain, client_ip)).or_default();
+        if config.max_per_ip.is_some_and(|cap| *n >= cap) {
+            return; // poisoning mitigation: flooding one IP stops counting
+        }
+        *n += 1;
+        *x += u64::from(outcome == Some(TaskOutcome::Success));
+    }
+
+    /// Close every open window below `boundary` into `closed`: each
+    /// address is located with `country_of` (`None` drops its counts),
+    /// and the `(domain, country)` cells come out named from `names` and
+    /// sorted by `(domain, country)`.
+    pub(crate) fn close_below(
+        &mut self,
+        boundary: u64,
+        names: &Interner,
+        country_of: &mut dyn FnMut(Ipv4Addr) -> Option<CountryCode>,
+    ) {
+        let closing = self.open.partition_point(|(w, _)| w.window < boundary);
+        for (mut header, cells) in self.open.drain(..closing) {
+            let mut located: HashMap<(Sym, CountryCode), (u64, u64), FxBuildHasher> =
+                HashMap::default();
+            for ((domain, ip), (n, x)) in cells {
+                if let Some(country) = (n > 0).then(|| country_of(ip)).flatten() {
+                    let cell = located.entry((domain, country)).or_default();
+                    cell.0 += n;
+                    cell.1 += x;
+                }
+            }
+            header.cells = located
+                .into_iter()
+                .map(|((domain, country), (n, x))| CellEntry {
+                    domain: names.resolve(domain).to_owned(),
+                    country,
+                    n,
+                    x,
+                })
+                .collect();
+            header
+                .cells
+                .sort_unstable_by(|a, b| (&a.domain, a.country).cmp(&(&b.domain, b.country)));
+            debug_assert!(self.closed.last().is_none_or(|c| c.window < header.window));
+            self.closed.push(header);
         }
     }
 }
@@ -152,115 +226,69 @@ impl FilteringDetector {
         FilteringDetector { config }
     }
 
-    /// Build the (domain, country) measurement matrix from raw records.
-    pub fn build_matrix(
+    /// Run the §7.2 detection rule over the records: the one-window case
+    /// of [`detect_windows`](Self::detect_windows).
+    pub fn detect(&self, records: &[StoredMeasurement], geo: &GeoDb) -> Vec<Detection> {
+        self.fold_records(records, geo, |_| 0)
+            .first()
+            .map_or_else(Vec::new, |w| self.detections(&w.cells))
+    }
+
+    /// The exact fold: every record into one [`WindowFold`], hosts
+    /// interned in a local [`Interner`]. When the slice is in window
+    /// order — every snapshot is, being canonical — a window closes as
+    /// soon as the slice moves past it, so one window's cells are
+    /// resident at a time. Any other order closes every window at the
+    /// end, so the per-IP cap still counts each window's records in
+    /// input order.
+    fn fold_records(
         &self,
         records: &[StoredMeasurement],
         geo: &GeoDb,
-    ) -> BTreeMap<(String, CountryCode), Cell> {
-        self.fold_matrix(records.iter(), geo)
-    }
-
-    /// The one record fold behind [`build_matrix`](Self::build_matrix),
-    /// [`detect`](Self::detect) and [`detect_windows`](Self::detect_windows):
-    /// a single borrowed pass that never copies a record. The host is
-    /// borrowed from `target_url`, each distinct domain gets a dense id
-    /// in first-seen order, and cells and the per-IP first-k counters
-    /// live in hash maps keyed on that id; domain names become owned
-    /// `String`s only at the end, one per *cell*. The per-IP cap counts
-    /// the first k records of an address **in iteration order**, so the
-    /// order `records` yields is part of the result.
-    fn fold_matrix<'a>(
-        &self,
-        records: impl Iterator<Item = &'a StoredMeasurement>,
-        geo: &GeoDb,
-    ) -> BTreeMap<(String, CountryCode), Cell> {
-        let mut ids: HashMap<Cow<'a, str>, u32, FxBuildHasher> = HashMap::default();
-        let mut cells: HashMap<(u32, CountryCode), Cell, FxBuildHasher> = HashMap::default();
-        // Sized for the result half of a log (every task submits an init
-        // beacon and a result): the counters are the one structure here
-        // that grows with clients, and growing it by rehash costs a fifth
-        // of the fold.
-        let counters = self
-            .config
-            .max_per_ip
-            .map_or(0, |_| records.size_hint().0 / 2);
-        let mut per_ip: HashMap<(u32, Ipv4Addr), u64, FxBuildHasher> =
-            HashMap::with_capacity_and_hasher(counters, FxBuildHasher::default());
+        window_of: impl Fn(SimTime) -> u64,
+    ) -> Vec<WindowCells> {
+        let in_order = records.is_sorted_by_key(|r| window_of(r.received_at));
+        let mut fold = WindowFold::new(self.config);
+        let mut hosts = Interner::new();
+        let mut country_of = |ip| geo.lookup(ip);
         for rec in records {
-            let sub = &rec.submission;
-            let crawler = || is_crawler_ua(&sub.user_agent);
-            if !countable(sub.phase, sub.outcome, sub.congested, crawler, &self.config) {
-                continue;
+            let (sub, window) = (&rec.submission, window_of(rec.received_at));
+            if in_order {
+                fold.close_below(window, &hosts, &mut country_of);
             }
-            let Some(host) = rec.target_host() else {
-                continue;
-            };
-            let Some(country) = geo.lookup(rec.client_ip) else {
-                continue;
-            };
-            let id = match ids.get(host.as_ref()) {
-                Some(&id) => id,
-                None => {
-                    let id = u32::try_from(ids.len()).expect("fewer than 2^32 distinct domains");
-                    ids.insert(host, id);
-                    id
-                }
-            };
-            if let Some(cap) = self.config.max_per_ip {
-                let seen = per_ip.entry((id, rec.client_ip)).or_insert(0);
-                if *seen >= cap {
-                    continue; // poisoning mitigation: flooding one IP stops counting
-                }
-                *seen += 1;
-            }
-            let cell = cells.entry((id, country)).or_default();
-            cell.n += 1;
-            if sub.outcome == Some(TaskOutcome::Success) {
-                cell.x += 1;
-            }
+            fold.push(
+                window,
+                rec.client_ip,
+                (sub.phase, sub.outcome, sub.congested),
+                || is_crawler_ua(&sub.user_agent),
+                || rec.target_host().map(|host| hosts.intern(&host)),
+            );
         }
-        let mut names = vec![""; ids.len()];
-        for (name, &id) in &ids {
-            names[id as usize] = name.as_ref();
-        }
-        cells
-            .into_iter()
-            .map(|((id, country), cell)| ((names[id as usize].to_owned(), country), cell))
-            .collect()
+        fold.close_below(u64::MAX, &hosts, &mut country_of);
+        fold.closed
     }
 
-    /// Run the §7.2 detection rule over the matrix.
-    pub fn detect(&self, records: &[StoredMeasurement], geo: &GeoDb) -> Vec<Detection> {
-        self.detect_from_matrix(&self.build_matrix(records, geo))
-    }
-
-    /// The §7.2 decision rule over an already-built measurement matrix.
-    /// [`detect`](Self::detect) builds the matrix from raw records; the
-    /// streaming path ([`judge_streamed`](Self::judge_streamed)) folds
-    /// it online at ingest and hands the closed windows here — both
-    /// paths share this single implementation of the test, so the
-    /// verdict logic cannot diverge between modes.
-    pub fn detect_from_matrix(
-        &self,
-        matrix: &BTreeMap<(String, CountryCode), Cell>,
-    ) -> Vec<Detection> {
-        // The matrix iterates in `(domain, country)` order, so each
-        // domain's cells are one contiguous run.
-        let cells: Vec<(&(String, CountryCode), &Cell)> = matrix.iter().collect();
+    /// The §7.2 decision rule over one window's cells, read in place:
+    /// they are sorted by `(domain, country)`, so each domain's cells are
+    /// one contiguous run. The only implementation of the rule — exact
+    /// and streamed windows both reach it through
+    /// [`reports`](Self::reports).
+    fn detections(&self, cells: &[CellEntry]) -> Vec<Detection> {
+        let (test, min) = (&self.config.test, self.config.min_measurements);
         let mut detections = Vec::new();
-        for run in cells.chunk_by(|a, b| a.0 .0 == b.0 .0) {
-            let domain = &run[0].0 .0;
-            // Which regions (with enough data) fail the test?
-            let mut failing = Vec::new();
+        for run in cells.chunk_by(|a, b| a.domain == b.domain) {
+            let first = detections.len();
             let mut passing_regions = 0usize;
-            for &(&(_, country), cell) in run {
-                if cell.n < self.config.min_measurements {
-                    continue;
-                }
-                if let Some(p_value) = self.config.test.rejection(cell.n, cell.x) {
-                    failing.push((country, *cell, p_value));
-                } else if cell.success_rate() >= self.config.test.p {
+            for cell in run.iter().filter(|c| c.n >= min) {
+                if let Some(p_value) = test.rejection(cell.n, cell.x) {
+                    detections.push(Detection {
+                        domain: cell.domain.clone(),
+                        country: cell.country,
+                        n: cell.n,
+                        x: cell.x,
+                        p_value,
+                    });
+                } else if cell.n == 0 || cell.x as f64 / cell.n as f64 >= test.p {
                     // Refinement over the paper's literal rule: a region
                     // only counts as a healthy control when its success
                     // rate actually clears the null prior. Otherwise a
@@ -275,19 +303,23 @@ impl FilteringDetector {
             // is an outage, not filtering. Require at least one healthy
             // region.
             if passing_regions == 0 {
-                continue;
-            }
-            for (country, cell, p_value) in failing {
-                detections.push(Detection {
-                    domain: domain.clone(),
-                    country,
-                    n: cell.n,
-                    x: cell.x,
-                    p_value,
-                });
+                detections.truncate(first);
             }
         }
         detections
+    }
+
+    /// One report per closed window, in window order.
+    fn reports(&self, windows: &[WindowCells], window_micros: u64) -> Vec<WindowReport> {
+        windows
+            .iter()
+            .map(|w| WindowReport {
+                window: w.window,
+                start: SimTime::from_micros(w.window * window_micros),
+                measurements: w.measurements as usize,
+                detections: self.detections(&w.cells),
+            })
+            .collect()
     }
 }
 
@@ -374,7 +406,7 @@ pub struct WindowReport {
     /// Window index (0-based).
     pub window: u64,
     /// Window start time.
-    pub start: sim_core::SimTime,
+    pub start: SimTime,
     /// Result measurements falling in the window.
     pub measurements: usize,
     /// Detections within the window.
@@ -417,35 +449,21 @@ impl FilteringDetector {
         &self,
         records: &[StoredMeasurement],
         geo: &GeoDb,
-        window: sim_core::SimDuration,
+        window: SimDuration,
     ) -> Vec<WindowReport> {
-        assert!(window.as_micros() > 0, "window must be positive");
-        let mut by_window: BTreeMap<u64, Vec<&StoredMeasurement>> = BTreeMap::new();
-        for rec in records {
-            let w = rec.received_at.as_micros() / window.as_micros();
-            by_window.entry(w).or_default().push(rec);
-        }
-        by_window
-            .into_iter()
-            .map(|(w, recs)| WindowReport {
-                window: w,
-                start: sim_core::SimTime::from_micros(w * window.as_micros()),
-                measurements: recs
-                    .iter()
-                    .filter(|r| r.submission.phase == SubmissionPhase::Result)
-                    .count(),
-                detections: self.detect_from_matrix(&self.fold_matrix(recs.iter().copied(), geo)),
-            })
-            .collect()
+        let micros = window.as_micros();
+        assert!(micros > 0, "window must be positive");
+        let windows = self.fold_records(records, geo, |at| at.as_micros() / micros);
+        self.reports(&windows, micros)
     }
 
-    /// [`detect_windows`](Self::detect_windows) over streamed state:
-    /// the per-window matrices were folded at ingest, with
-    /// [`DetectorConfig::default`]'s record filters applied there, so
-    /// each closed window goes straight into the shared decision rule.
-    /// On identical traffic with a zero-error geo database this produces
-    /// the same reports as the exact path, record for record — the
-    /// `simcheck` streaming oracle holds the two paths to that.
+    /// [`detect_windows`](Self::detect_windows) over streamed state: the
+    /// collector ran the same window fold at ingest, with
+    /// [`DetectorConfig::default`]'s record filters, so each closed
+    /// window goes straight into the shared decision rule. On identical
+    /// traffic with a zero-error geo database this produces the same
+    /// reports as the exact path, record for record — the `simcheck`
+    /// streaming oracle holds the two paths to that.
     ///
     /// # Panics
     ///
@@ -455,7 +473,7 @@ impl FilteringDetector {
     /// answering anyway would silently judge under ingest's values.
     /// `test` and `min_measurements` act on the folded cells and are
     /// free to vary.
-    pub fn judge_streamed(&self, stats: &crate::streaming::StreamingStats) -> Vec<WindowReport> {
+    pub fn judge_streamed(&self, stats: &StreamingStats) -> Vec<WindowReport> {
         let (ours, ingest) = (self.config, DetectorConfig::default());
         let applied = "differs from what streaming ingest applied";
         assert!(
@@ -470,23 +488,7 @@ impl FilteringDetector {
             ours.discount_congestion == ingest.discount_congestion,
             "`discount_congestion` {applied}"
         );
-        stats
-            .windows
-            .iter()
-            .map(|w| {
-                let matrix: BTreeMap<(String, CountryCode), Cell> = w
-                    .cells
-                    .iter()
-                    .map(|c| ((c.domain.clone(), c.country), Cell { n: c.n, x: c.x }))
-                    .collect();
-                WindowReport {
-                    window: w.window,
-                    start: sim_core::SimTime::from_micros(w.window * stats.window_micros),
-                    measurements: w.measurements as usize,
-                    detections: self.detect_from_matrix(&matrix),
-                }
-            })
-            .collect()
+        self.reports(&stats.windows, stats.window_micros)
     }
 }
 
@@ -550,6 +552,46 @@ mod tests {
 
     fn detector() -> FilteringDetector {
         FilteringDetector::default()
+    }
+
+    /// The closed cells of the one window `detect` folds `f`'s records
+    /// into (none when there are no records).
+    fn cells(det: &FilteringDetector, f: &Fixture) -> Vec<CellEntry> {
+        let windows = det.fold_records(&f.records, &f.geo(), |_| 0);
+        assert!(windows.len() <= 1, "one window: {windows:?}");
+        windows
+            .into_iter()
+            .next()
+            .map_or_else(Vec::new, |w| w.cells)
+    }
+
+    fn cell(domain: &str, cc: &str, n: u64, x: u64) -> CellEntry {
+        CellEntry {
+            domain: domain.into(),
+            country: country(cc),
+            n,
+            x,
+        }
+    }
+
+    impl WindowFold {
+        /// Bytes held by the open windows' address cells and the closed
+        /// windows' named cells.
+        pub(crate) fn resident_bytes(&self) -> usize {
+            let open: usize = self.open.iter().map(|(_, cells)| cells.len()).sum();
+            let closed: usize = self
+                .closed
+                .iter()
+                .map(|w| {
+                    std::mem::size_of::<WindowCells>()
+                        + w.cells
+                            .iter()
+                            .map(|c| std::mem::size_of::<CellEntry>() + c.domain.len())
+                            .sum::<usize>()
+                })
+                .sum();
+            open * std::mem::size_of::<((Sym, Ipv4Addr), (u64, u64))>() + closed
+        }
     }
 
     #[test]
@@ -661,11 +703,7 @@ mod tests {
         for _ in 0..3 {
             f.add("a.com", "CN", TaskOutcome::Success);
         }
-        let m = detector().build_matrix(&f.records, &f.geo());
-        let cell = m[&("a.com".to_string(), country("CN"))];
-        assert_eq!(cell.n, 10);
-        assert_eq!(cell.x, 3);
-        assert!((cell.success_rate() - 0.3).abs() < 1e-9);
+        assert_eq!(cells(&detector(), &f), [cell("a.com", "CN", 10, 3)]);
     }
 
     #[test]
@@ -871,8 +909,7 @@ mod tests {
             max_per_ip: Some(7),
             ..DetectorConfig::default()
         });
-        let m = det.build_matrix(&f.records, &f.geo());
-        assert_eq!(m[&("a.com".to_string(), country("CN"))].n, 7);
+        assert_eq!(cells(&det, &f), [cell("a.com", "CN", 7, 7)]);
     }
 
     impl Fixture {
@@ -898,7 +935,7 @@ mod tests {
         );
         // The discount is what saves it: counting signaled failures as
         // censorship evidence forges the detection (mutation check —
-        // removing the skip in build_matrix fails this assert).
+        // removing the discount in `WindowFold::push` fails this assert).
         let naive = FilteringDetector::new(DetectorConfig {
             discount_congestion: false,
             ..DetectorConfig::default()
@@ -1052,18 +1089,53 @@ mod tests {
     }
 
     #[test]
+    fn a_window_split_around_a_later_record_keeps_one_per_ip_cap() {
+        use TaskOutcome::{Failure, Success};
+        let url = "http://a.com/favicon.ico";
+        let mut f = Fixture::new();
+        let flooder = f.alloc.allocate(country("TR"));
+        // Window 0 (0–99 s) comes in two parts around one window-1
+        // record. The flooder sends eight failures in each part: one
+        // cap of ten over the whole window, not ten per part.
+        for i in 0..12 {
+            f.add_at("a.com", "US", Success, SimTime::from_secs(i));
+        }
+        for i in 0..8 {
+            f.add_from(flooder, url, Failure, 20 + i);
+        }
+        f.add_from(flooder, url, Success, 150);
+        for i in 0..8 {
+            f.add_from(flooder, url, Failure, 40 + i);
+        }
+        let windows = detector().fold_records(&f.records, &f.geo(), |at| at.as_secs() / 100);
+        let folded: Vec<_> = windows
+            .iter()
+            .map(|w| (w.window, w.measurements, w.cells.clone()))
+            .collect();
+        assert_eq!(
+            folded,
+            [
+                (
+                    0,
+                    28,
+                    vec![cell("a.com", "TR", 10, 0), cell("a.com", "US", 12, 12)]
+                ),
+                (1, 1, vec![cell("a.com", "TR", 1, 1)]),
+            ]
+        );
+        let reports =
+            detector().detect_windows(&f.records, &f.geo(), sim_core::SimDuration::from_secs(100));
+        assert_eq!(reports[0].detections.len(), 1);
+        assert_eq!(reports[0].detections[0].n, 10);
+    }
+
+    #[test]
     fn mixed_case_hosts_fold_into_one_lowercase_cell() {
         let mut f = Fixture::new();
         let ip = f.alloc.allocate(country("CN"));
         f.add_from(ip, "http://Twitter.COM/x", TaskOutcome::Failure, 0);
         f.add_from(ip, "http://twitter.com/y", TaskOutcome::Success, 0);
-        let m = detector().build_matrix(&f.records, &f.geo());
-        let expected: BTreeMap<_, _> = [(
-            ("twitter.com".to_string(), country("CN")),
-            Cell { n: 2, x: 1 },
-        )]
-        .into();
-        assert_eq!(m, expected);
+        assert_eq!(cells(&detector(), &f), [cell("twitter.com", "CN", 2, 1)]);
     }
 
     #[test]
@@ -1077,7 +1149,7 @@ mod tests {
         let mut f = Fixture::new();
         f.add_ua("x.com", "DE", TaskOutcome::Failure, "GoogleBOT/2");
         assert!(f.records[0].is_crawler());
-        assert!(detector().build_matrix(&f.records, &f.geo()).is_empty());
+        assert!(cells(&detector(), &f).is_empty());
     }
 
     #[test]
@@ -1088,7 +1160,7 @@ mod tests {
             f.add_from(ip, url, TaskOutcome::Failure, 0);
         }
         assert_eq!(f.records[0].target_host(), None);
-        assert!(detector().build_matrix(&f.records, &f.geo()).is_empty());
+        assert!(cells(&detector(), &f).is_empty());
         let reports =
             detector().detect_windows(&f.records, &f.geo(), sim_core::SimDuration::from_secs(1));
         assert_eq!(reports.len(), 1);

@@ -26,9 +26,10 @@
 //!   commutative with the empty sample as identity, which is what
 //!   lets shards sample independently and fold losslessly.
 //! * [`WindowCells`] — the per-window `(domain, country) → (n, x)`
-//!   success matrix the §7.2 detector consumes, folded online as
-//!   submissions arrive and closed as sim time passes, so detector
-//!   input is O(windows × pairs) instead of O(records).
+//!   success matrix the §7.2 detector consumes. The detector's own
+//!   window fold builds it online as submissions arrive and closes it
+//!   as sim time passes, so detector input is O(windows × pairs)
+//!   instead of O(records).
 //! * [`IngestQueue`] + [`DropCounters`] — explicit bounded ingest with
 //!   per-cause drop accounting. When the queue is full the server sheds
 //!   with a `503` instead of buffering unboundedly, mirroring the
@@ -38,7 +39,9 @@
 //!
 //! Everything here is deterministic: hashing is seeded, priorities come
 //! from labelled RNG forks, and all merge operations are
-//! order-insensitive. Exact mode never touches this module.
+//! order-insensitive. Exact mode shares only [`WindowCells`]: its
+//! detector folds the record log into the same closed windows and reads
+//! its verdicts off them.
 
 use crate::collection::{canonical_cmp, StoredMeasurement};
 use netsim::geo::CountryCode;
@@ -414,23 +417,25 @@ pub struct CellEntry {
     pub domain: String,
     /// Client country.
     pub country: CountryCode,
-    /// Counted measurements (after ingest-time filters and per-ip cap).
+    /// Counted measurements (after the record filters and per-IP cap).
     pub n: u64,
     /// Successes among `n`.
     pub x: u64,
 }
 
-/// The folded detector input for one closed window: exactly the
-/// `(domain, country) → (n, x)` matrix `FilteringDetector::build_matrix`
-/// would have produced from the window's raw records, plus the raw
-/// Result-phase count the windowed report carries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The folded detector input for one closed window, in exact and
+/// streaming mode alike: the `(domain, country) → (n, x)` cells of the
+/// window's records after the record filters and the per-IP cap, plus
+/// the raw Result-phase count the windowed report carries. The §7.2
+/// rule reads the cells in place, in their sorted order.
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct WindowCells {
     /// Window index (`received_at.as_micros() / window_micros`).
     pub window: u64,
     /// Result-phase submissions received in the window, before filters.
     pub measurements: u64,
-    /// Cells sorted by `(domain, country)`.
+    /// Cells strictly ascending by `(domain, country)`, each with
+    /// `0 < n` and `x ≤ n`.
     pub cells: Vec<CellEntry>,
 }
 
@@ -559,9 +564,12 @@ impl StreamingStats {
     /// frame's payload): a deserialized sketch never went through
     /// [`CountMinSketch::new`], so its conditions — and the counter
     /// array's length, which `new` fixes by construction — are checked
-    /// here, as an error. Returns the shape a sibling's must equal;
-    /// `new` and [`merge`](Self::merge) keep their asserts for
-    /// in-process callers.
+    /// here, as an error. So is what the detector and
+    /// [`WindowCells::merge`] read in place without checking: windows
+    /// strictly ascending, each starting within `u64` microseconds, and
+    /// [`WindowCells::cells`]' order and bounds. Returns the shape a
+    /// sibling's must equal; `new` and [`merge`](Self::merge) keep their
+    /// asserts for in-process callers.
     pub fn validate(&self) -> Result<MergeShape, String> {
         let CountMinSketch {
             depth,
@@ -576,6 +584,26 @@ impl StreamingStats {
                 "a {depth} x {width} sketch with {} counters",
                 counters.len()
             ));
+        }
+        let mut after = None;
+        for w in &self.windows {
+            let cells = &w.cells;
+            let why = if after.is_some_and(|a| a >= w.window) {
+                "not above the window before it"
+            } else if w.window.checked_mul(self.window_micros).is_none() {
+                "starts past u64 microseconds"
+            } else if cells
+                .windows(2)
+                .any(|c| (&c[0].domain, c[0].country) >= (&c[1].domain, c[1].country))
+            {
+                "cells not strictly ascending"
+            } else if cells.iter().any(|c| c.n == 0 || c.x > c.n) {
+                "a cell with n = 0 or x > n"
+            } else {
+                after = Some(w.window);
+                continue;
+            };
+            return Err(format!("window {}: {why}", w.window));
         }
         Ok(MergeShape {
             window_micros: self.window_micros,

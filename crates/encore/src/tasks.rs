@@ -16,6 +16,7 @@
 //! JavaScript of Appendix A would, returning only what the page could
 //! observe.
 
+use crate::collection::SubmissionPhase;
 use browser::{BrowserClient, LoadEvent};
 use netsim::network::Network;
 use serde::{Deserialize, Serialize};
@@ -65,6 +66,46 @@ impl TaskType {
             TaskType::Script => "script",
         }
     }
+
+    /// The inverse of [`as_str`](Self::as_str): the task type a
+    /// `cmh-type` token names.
+    pub(crate) fn from_wire(token: &str) -> Option<TaskType> {
+        TaskType::ALL.into_iter().find(|t| t.as_str() == token)
+    }
+}
+
+/// The Appendix A `cmh-result` tokens a client sends, with the phase
+/// and outcome each reports: the one spelling of that field, for the
+/// encoder and both parsers. A result without an outcome is sent as
+/// `unknown`, which no parser accepts.
+const RESULT_TOKENS: [(&str, SubmissionPhase, Option<TaskOutcome>); 3] = [
+    ("init", SubmissionPhase::Init, None),
+    (
+        "success",
+        SubmissionPhase::Result,
+        Some(TaskOutcome::Success),
+    ),
+    (
+        "failure",
+        SubmissionPhase::Result,
+        Some(TaskOutcome::Failure),
+    ),
+];
+
+/// The `cmh-result` token of a submission (`init` for an init beacon,
+/// whatever its outcome).
+pub(crate) fn result_token(phase: SubmissionPhase, outcome: Option<TaskOutcome>) -> &'static str {
+    let init = phase == SubmissionPhase::Init;
+    let sent = RESULT_TOKENS
+        .iter()
+        .find(|t| t.1 == phase && (init || t.2 == outcome));
+    sent.map_or("unknown", |t| t.0)
+}
+
+/// The phase and outcome a `cmh-result` token reports.
+pub(crate) fn parse_result_token(token: &str) -> Option<(SubmissionPhase, Option<TaskOutcome>)> {
+    let sent = RESULT_TOKENS.iter().find(|t| t.0 == token);
+    sent.map(|&(_, phase, outcome)| (phase, outcome))
 }
 
 impl fmt::Display for TaskType {

@@ -1097,6 +1097,7 @@ mod tests {
     use super::*;
     use crate::analytics::merge_in_order;
     use crate::batch::BatchConfig;
+    use encore::streaming::{CellEntry, WindowCells};
     use sim_core::FRAME_HEADER_LEN;
 
     /// A minimal serializable spec over `shard.rs`'s test world.
@@ -1919,19 +1920,23 @@ mod tests {
         let real: StreamingStats = decode_payload(&sketch_frame.payload, "sketch").unwrap();
         let sketch: WireSketch =
             serde_json::from_str(&serde_json::to_string(&real.sketch).unwrap()).unwrap();
-        // `real` with the window and sketch swapped, as a stream: SKETCH, FINAL.
-        let stream = |window_micros: u64, sketch: &WireSketch| {
+        // `real` with the window, sketch and closed windows swapped, as a
+        // stream: SKETCH, FINAL.
+        let stream_of = |window_micros: u64, sketch: &WireSketch, windows: &[WindowCells]| {
             let stats = (
                 window_micros,
                 real.accepted,
                 sketch,
                 &real.reservoir,
-                &real.windows,
+                windows,
                 &real.drops,
             );
             let mut wire = encode_frame(KIND_SKETCH, &serde::bin::to_vec(&stats));
             wire.extend(encode_frame(KIND_FINAL, &final_frame.payload));
             wire
+        };
+        let stream = |window_micros: u64, sketch: &WireSketch| {
+            stream_of(window_micros, sketch, &real.windows)
         };
         let window = real.window_micros;
 
@@ -1982,6 +1987,54 @@ mod tests {
         ];
         for (what, wire) in cases {
             assert_refused(what, Retain::None, &wire, shape, "Payload(\"sketch: ", 0);
+        }
+        // Well-shaped, but closed windows the detector cannot read in place.
+        let cell = |domain: &str, n, x| CellEntry {
+            domain: domain.into(),
+            country: netsim::geo::country("US"),
+            n,
+            x,
+        };
+        let closed = |window, cells| WindowCells {
+            window,
+            measurements: 1,
+            cells,
+        };
+        let (a, b) = (cell("a.example", 2, 1), cell("b.example", 2, 1));
+        let cases = [
+            (
+                "windows descending",
+                vec![closed(1, vec![]), closed(0, vec![])],
+            ),
+            (
+                "a window repeated",
+                vec![closed(0, vec![]), closed(0, vec![])],
+            ),
+            ("cells descending", vec![closed(0, vec![b, a.clone()])]),
+            ("a cell repeated", vec![closed(0, vec![a.clone(), a])]),
+            (
+                "a cell with n = 0",
+                vec![closed(0, vec![cell("a.example", 0, 0)])],
+            ),
+            (
+                "a cell with x > n",
+                vec![closed(0, vec![cell("a.example", 1, 2)])],
+            ),
+            (
+                "a window starting past u64 microseconds",
+                vec![closed(u64::MAX / window + 1, vec![])],
+            ),
+        ];
+        for (what, windows) in cases {
+            let wire = stream_of(window, &sketch, &windows);
+            assert_refused(
+                what,
+                Retain::None,
+                &wire,
+                None,
+                "Payload(\"sketch: window ",
+                0,
+            );
         }
     }
 
