@@ -53,6 +53,7 @@ pub mod analytics;
 pub mod audience;
 pub mod batch;
 pub mod driver;
+mod record_wire;
 pub mod shard;
 pub mod transport;
 pub mod world;

@@ -34,7 +34,9 @@
 //!                        JOB   (shard index, count, seed, chunk, window)
 //!                        ACK   (one credit, after each data frame folds)
 //! worker → coordinator   LOG_CHUNK*    (≤ chunk VisitRecords each; Retain::Full only)
-//!                        RECORD_CHUNK* (≤ chunk StoredMeasurements each)
+//!                        RECORD_CHUNK* (≤ chunk records each: the chunk's
+//!                                       distinct texts once, then one row of
+//!                                       scalars and text indices per record)
 //!                        SKETCH?       (streaming mode: bounded analytics)
 //!                        FINAL (report, rollups, counters, geo)
 //!                        ERROR (human-readable failure, then exit 1)
@@ -69,9 +71,10 @@ use crate::analytics::{Merge, RollupSeries, StreamSummary};
 use crate::audience::Audience;
 use crate::batch::BatchReport;
 use crate::driver::VisitRecord;
+use crate::record_wire;
 use crate::shard::{run_shard, run_sharded_world, ShardContext, ShardedWorldRun};
 use crate::world::{Retain, WorldOutcome, WorldRecipe};
-use encore::collection::{in_canonical_order, CollectionSnapshot, StoredMeasurement};
+use encore::collection::{in_canonical_order, CollectionSnapshot};
 use encore::geo::GeoDb;
 use encore::streaming::{MergeShape, StreamingStats};
 use encore::system::EncoreSystem;
@@ -86,7 +89,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, ChildStdout, Command, ExitStatus, Stdio};
 use std::str::FromStr;
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 use std::thread;
 
 /// Frame kind: the serialized [`WorldSpec`], broadcast to every worker.
@@ -745,17 +748,19 @@ fn describe_exit(reaped: io::Result<ExitStatus>) -> String {
 /// folds into the *shard's* partial — never the running merge — through
 /// the ordered-append fast paths (a worker streams in time order), and
 /// then earns the worker one credit through `ack`; a frame that fails
-/// to decode or validate earns none. A RECORD_CHUNK's URLs and user agents are re-pointed at
-/// the first equal text the stream delivered (`share_text`), so the
-/// shard's records hold one allocation per distinct string, not one per
-/// record. `shape` is the [`MergeShape`] every sketch of the stream
-/// must share, set by the first one seen (the run's is settled where
-/// streams meet, in `drain`); `stats` counts what folded.
+/// to decode or validate earns none. A RECORD_CHUNK's text table is
+/// resolved through the stream's `seen` set (`record_wire::decode`), so
+/// the shard's records hold one allocation per distinct URL and user
+/// agent, not one per record. `shape` is the [`MergeShape`] every
+/// sketch of the stream must share, set by the first one seen (the
+/// run's is settled where streams meet, in `drain`); `stats` counts
+/// what folded.
 /// A stream ending on a frame boundary before FINAL is
 /// [`TransportError::WorkerExit`]. A LOG_CHUNK under [`Retain::None`] is
-/// a payload error, and so is a RECORD_CHUNK out of canonical order or
-/// sorting before the record the stream delivered last (a shard's
-/// records are appended, never re-sorted), a second SKETCH, and a FINAL
+/// a payload error, and so is a RECORD_CHUNK indexing past its text
+/// table, out of canonical order, or sorting before the record the
+/// stream delivered last (a shard's records are appended, never
+/// re-sorted), a second SKETCH, and a FINAL
 /// whose visit count disagrees with the log under [`Retain::Full`] or
 /// whose accepted count disagrees with the SKETCH (or its absence);
 /// nothing a peer can send panics.
@@ -791,8 +796,7 @@ fn fold_shard_stream<R: Read>(
                 log = merge_time_ordered(log, chunk, |v| v.at);
             }
             KIND_RECORD_CHUNK => {
-                let mut records: Vec<StoredMeasurement> =
-                    decode_payload(&frame.payload, "record chunk")?;
+                let records = record_wire::decode(&frame.payload, &mut seen)?;
                 // A shard streams its snapshot in canonical order, so its
                 // partial is built by appending: a chunk out of order, or
                 // sorting before what the stream already delivered (a
@@ -802,7 +806,6 @@ fn fold_shard_stream<R: Read>(
                         "record chunk: shard {shard}'s records out of canonical order"
                     )));
                 }
-                share_text(&mut seen, &mut records);
                 collection.records.extend(records);
             }
             KIND_SKETCH => {
@@ -879,26 +882,6 @@ fn fold_shard_stream<R: Read>(
         stats.streamed_payload_bytes += payload_len;
         stats.largest_payload_bytes = stats.largest_payload_bytes.max(payload_len);
         ack();
-    }
-}
-
-/// Re-point each decoded record's URL and user agent at the first equal
-/// `Arc` in `seen` — the text one stream's RECORD_CHUNKs carried so far —
-/// adding the ones not seen before. Decoding gives every record its own
-/// allocations; after this a shard's folded records hold one per
-/// distinct string, as the snapshot a thread shard hands over does. The
-/// text comes from another process, so `seen` keeps the standard,
-/// collision-resistant hasher.
-fn share_text(seen: &mut HashSet<Arc<str>>, records: &mut [StoredMeasurement]) {
-    for r in records {
-        for text in [&mut r.submission.target_url, &mut r.submission.user_agent] {
-            match seen.get(&**text) {
-                Some(first) => *text = Arc::clone(first),
-                None => {
-                    seen.insert(Arc::clone(text));
-                }
-            }
-        }
     }
 }
 
@@ -1011,7 +994,7 @@ pub fn run_worker<S: WorldSpec, R: Read, W: Write>(
         sender.send(KIND_LOG_CHUNK, &encode_payload(piece)?)?;
     }
     for piece in collection.records.chunks(chunk) {
-        sender.send(KIND_RECORD_CHUNK, &encode_payload(piece)?)?;
+        sender.send(KIND_RECORD_CHUNK, &record_wire::encode(piece))?;
     }
     // Streaming mode: the whole bounded analytics state is one frame,
     // sized by configuration rather than traffic.
@@ -1097,8 +1080,11 @@ mod tests {
     use super::*;
     use crate::analytics::merge_in_order;
     use crate::batch::BatchConfig;
+    use crate::record_wire::RecordChunk;
+    use encore::collection::StoredMeasurement;
     use encore::streaming::{CellEntry, WindowCells};
     use sim_core::FRAME_HEADER_LEN;
+    use std::sync::Arc;
 
     /// A minimal serializable spec over `shard.rs`'s test world.
     #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -1602,6 +1588,30 @@ mod tests {
         assert!(most_copies(&threads.collection.records) <= shards);
     }
 
+    /// A RECORD_CHUNK lists each distinct text once and a row of
+    /// scalars and indices per record: even at seven records a chunk,
+    /// it is at most half the bytes of the same records spelled out in
+    /// full.
+    #[test]
+    fn a_record_chunk_is_at_most_half_its_records_spelled_out() {
+        let wire = transcript(&TinySpec::logged(), 0, 1, 5);
+        let mut checked = 0;
+        for frame in frames(&wire) {
+            if frame.kind != KIND_RECORD_CHUNK {
+                continue;
+            }
+            let records = record_wire::decode(&frame.payload, &mut HashSet::new()).unwrap();
+            let spelled_out = serde::bin::to_vec(&records).len();
+            let sent = frame.payload.len();
+            assert!(
+                2 * sent <= spelled_out,
+                "chunk {checked}: {sent} of {spelled_out} bytes"
+            );
+            checked += 1;
+        }
+        assert!(checked > 1, "{checked} record chunk(s)");
+    }
+
     /// Streaming vs exact over the *same* 2-shard traffic (same seed,
     /// and streaming's RNG forks are pure, so the visit streams are
     /// byte-identical): the merged window matrices must judge exactly
@@ -1711,23 +1721,41 @@ mod tests {
             .iter()
             .position(|f| f.kind == KIND_RECORD_CHUNK)
             .expect("a record chunk");
-        let chunk: Vec<StoredMeasurement> =
-            decode_payload(&all[at_chunk].payload, "record chunk").unwrap();
+        let chunk = record_wire::decode(&all[at_chunk].payload, &mut HashSet::new()).unwrap();
         let mut swapped = chunk.clone();
         swapped.swap(0, chunk.len() - 1);
         assert!(!in_canonical_order(&swapped), "two records that differ");
-        let swapped = encode_payload(&swapped).unwrap();
+        let swapped = record_wire::encode(&swapped);
 
-        // One of the stream's own records, its URL made non-UTF-8.
+        // One of the stream's own records, its URL — now in the chunk's
+        // text table — made non-UTF-8.
         let mut records = chunk;
         records.truncate(1);
         records[0].submission.target_url = Arc::from("http://~~.example/");
-        let mut not_utf8 = encode_payload(&records).unwrap();
+        let mut not_utf8 = record_wire::encode(&records);
         let at = not_utf8
             .windows(2)
             .position(|w| w == b"~~")
             .expect("the URL");
         not_utf8[at] = 0xff;
+
+        // That record again, one of its three text indices pointing one
+        // past the chunk's table.
+        let past_table = |point: fn(&mut RecordChunk)| {
+            let mut chunk: RecordChunk =
+                decode_payload(&record_wire::encode(&records), "").unwrap();
+            point(&mut chunk);
+            encode_payload(&chunk).unwrap()
+        };
+        let url_past = past_table(|c| c.rows[0].target_url = c.texts.len() as u32);
+        let agent_past = past_table(|c| c.rows[0].user_agent = c.texts.len() as u32);
+        let referer_past = past_table(|c| c.rows[0].referer = Some(c.texts.len() as u32));
+
+        // A chunk with an empty table that declares 10⁶ rows, then a
+        // megabyte of bytes no row decodes from.
+        let mut declared = vec![0];
+        serde::bin::put_uvarint(&mut declared, 1_000_000);
+        declared.resize(1 << 20, 0xff);
 
         let mut flipped = wire[..second].to_vec();
         flipped[good + FRAME_HEADER_LEN + 2] ^= 0x10;
@@ -1735,6 +1763,7 @@ mod tests {
         oversized[good + 8..good + 12].copy_from_slice(&(DEFAULT_MAX_PAYLOAD + 1).to_le_bytes());
 
         let disordered = "Payload(\"record chunk: shard 0's records out of canonical order";
+        let past = "Payload(\"record chunk: text index";
         let cases = [
             (
                 "cut mid-header",
@@ -1782,6 +1811,26 @@ mod tests {
                 "RECORD_CHUNK out of canonical order",
                 after_good(KIND_RECORD_CHUNK, &swapped),
                 disordered,
+            ),
+            (
+                "RECORD_CHUNK whose URL index is past its table",
+                after_good(KIND_RECORD_CHUNK, &url_past),
+                past,
+            ),
+            (
+                "RECORD_CHUNK whose user-agent index is past its table",
+                after_good(KIND_RECORD_CHUNK, &agent_past),
+                past,
+            ),
+            (
+                "RECORD_CHUNK whose referer index is past its table",
+                after_good(KIND_RECORD_CHUNK, &referer_past),
+                past,
+            ),
+            (
+                "RECORD_CHUNK declaring 10⁶ rows it does not hold",
+                after_good(KIND_RECORD_CHUNK, &declared),
+                "Payload(\"record chunk: json error: varint",
             ),
         ];
         for (what, stream, expected) in cases {

@@ -6,7 +6,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic       b"ENCF"
-//! 4       1     version     FRAME_VERSION (currently 1)
+//! 4       1     version     FRAME_VERSION (currently 2)
 //! 5       1     kind        application-defined frame kind
 //! 6       2     reserved    must be zero (little-endian)
 //! 8       4     payload len little-endian u32
@@ -43,7 +43,7 @@ pub const FRAME_MAGIC: [u8; 4] = *b"ENCF";
 
 /// Current wire-format version. Bump on any incompatible layout change;
 /// readers reject other versions with [`FrameError::UnsupportedVersion`].
-pub const FRAME_VERSION: u8 = 1;
+pub const FRAME_VERSION: u8 = 2;
 
 /// Size of the fixed frame header in bytes.
 pub const FRAME_HEADER_LEN: usize = 16;
