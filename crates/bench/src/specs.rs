@@ -154,7 +154,7 @@ mod tests {
 
     #[test]
     fn every_recipe_round_trips_through_both_codecs() {
-        use crate::{adaptive_fixture, congested_fixture};
+        use crate::testkit::{adaptive_fixture, congested_fixture};
         use simcheck::{CaseClass, WorldCase};
         let mut recipes = vec![
             world_fixture::recipe(30, 150.0),

@@ -148,9 +148,17 @@ mod tests {
         let site = &web.sites[1];
         let page_path = site.pages.keys().next().unwrap().clone();
         let har = fetcher.render_har(&mut n, &site.url(&page_path), SimTime::ZERO);
-        // HAR includes cross-origin embeds, so it is >= the same-site
-        // lower bound.
-        let lb = site.page_weight_lower_bound(&page_path).unwrap();
+        // HAR includes cross-origin embeds, so it is >= the ground truth's
+        // HTML plus same-site embeds.
+        let page = site.page(&page_path).unwrap();
+        let own = format!("http://{}", site.domain);
+        let same_site: u64 = page
+            .embeds
+            .iter()
+            .filter_map(|e| site.resource(e.url.strip_prefix(&own)?))
+            .map(|r| r.bytes)
+            .sum();
+        let lb = page.html_bytes + same_site;
         assert!(
             har.total_bytes() >= lb,
             "har {} < lower bound {lb}",

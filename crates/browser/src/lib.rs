@@ -9,8 +9,8 @@
 //! * [`engine`] — browser engines and their security quirks. Chrome's
 //!   "fires `onload` iff HTTP 200 regardless of MIME" script behaviour
 //!   (§4.3.2) is modelled here, as is `nosniff` handling.
-//! * [`sop`] — the same-origin policy: cross-origin *embedding* is
-//!   allowed; cross-origin *reads* (XHR without CORS) are not.
+//! * [`sop`] — the same-origin policy's unit, the origin (scheme, host,
+//!   port); the loaders below are what it leaves a page to observe.
 //! * [`cache`] — the HTTP cache, whose hit/miss timing asymmetry powers
 //!   the inline-frame task (Figure 7).
 //! * [`loader`] — the four Table 1 loaders (`img`, stylesheet, script,

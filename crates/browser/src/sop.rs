@@ -52,57 +52,11 @@ impl Origin {
             port,
         })
     }
-
-    /// Whether two URLs share an origin.
-    pub fn same_origin(a: &str, b: &str) -> bool {
-        match (Origin::of(a), Origin::of(b)) {
-            (Some(x), Some(y)) => x == y,
-            _ => false,
-        }
-    }
 }
 
 impl fmt::Display for Origin {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}://{}:{}", self.scheme, self.host, self.port)
-    }
-}
-
-/// Ways a document can cause a fetch, with different SOP treatment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FetchContext {
-    /// `XMLHttpRequest` — cross-origin reads require CORS, which "default
-    /// Cross-origin Resource Sharing settings prevent … from nearly all
-    /// domains" (§4.2).
-    Xhr,
-    /// `<img>` embedding.
-    ImageEmbed,
-    /// `<link rel=stylesheet>` embedding.
-    StylesheetEmbed,
-    /// `<script src=…>` embedding.
-    ScriptEmbed,
-    /// `<iframe src=…>` embedding.
-    IframeEmbed,
-}
-
-/// Whether the SOP permits a document at `page_url` to issue this fetch to
-/// `target_url`. `target_allows_cors` models the target responding with
-/// `Access-Control-Allow-Origin` (Encore's own collection server does;
-/// arbitrary measurement targets do not).
-pub fn fetch_permitted(
-    page_url: &str,
-    target_url: &str,
-    ctx: FetchContext,
-    target_allows_cors: bool,
-) -> bool {
-    match ctx {
-        FetchContext::Xhr => Origin::same_origin(page_url, target_url) || target_allows_cors,
-        // Embedding is always permitted cross-origin; what differs is how
-        // much the embedder can *read* back, which the loaders model.
-        FetchContext::ImageEmbed
-        | FetchContext::StylesheetEmbed
-        | FetchContext::ScriptEmbed
-        | FetchContext::IframeEmbed => true,
     }
 }
 
@@ -124,51 +78,13 @@ mod tests {
 
     #[test]
     fn same_origin_requires_all_three_components() {
-        assert!(Origin::same_origin("http://a.com/x", "http://a.com/y?z"));
-        assert!(!Origin::same_origin("http://a.com/", "https://a.com/"));
-        assert!(!Origin::same_origin("http://a.com/", "http://b.com/"));
-        assert!(!Origin::same_origin("http://a.com/", "http://a.com:8080/"));
+        let same = |a: &str, b: &str| Origin::of(a).unwrap() == Origin::of(b).unwrap();
+        assert!(same("http://a.com/x", "http://a.com/y?z"));
+        assert!(!same("http://a.com/", "https://a.com/"));
+        assert!(!same("http://a.com/", "http://b.com/"));
+        assert!(!same("http://a.com/", "http://a.com:8080/"));
         // Subdomains are different origins.
-        assert!(!Origin::same_origin("http://a.com/", "http://www.a.com/"));
-    }
-
-    #[test]
-    fn xhr_blocked_cross_origin_without_cors() {
-        assert!(!fetch_permitted(
-            "http://origin.com/page",
-            "http://target.com/data",
-            FetchContext::Xhr,
-            false
-        ));
-        assert!(fetch_permitted(
-            "http://origin.com/page",
-            "http://target.com/data",
-            FetchContext::Xhr,
-            true
-        ));
-        assert!(fetch_permitted(
-            "http://origin.com/page",
-            "http://origin.com/data",
-            FetchContext::Xhr,
-            false
-        ));
-    }
-
-    #[test]
-    fn embedding_always_permitted() {
-        for ctx in [
-            FetchContext::ImageEmbed,
-            FetchContext::StylesheetEmbed,
-            FetchContext::ScriptEmbed,
-            FetchContext::IframeEmbed,
-        ] {
-            assert!(fetch_permitted(
-                "http://origin.com/page",
-                "http://censored.com/favicon.ico",
-                ctx,
-                false
-            ));
-        }
+        assert!(!same("http://a.com/", "http://www.a.com/"));
     }
 
     #[test]

@@ -1,9 +1,13 @@
 //! Property tests for `websim::har` over *generated* corpora: round-trip
 //! byte-equality and the image/cross-origin invariants must hold for every
-//! HAR the corpus layer can synthesise, not just hand-built fixtures.
+//! HAR the headless browser records from a corpus, not just hand-built
+//! fixtures.
 
+use browser::{BrowserClient, Engine};
+use netsim::geo::{country, IspClass, World};
+use netsim::network::Network;
 use proptest::prelude::*;
-use sim_core::SimRng;
+use sim_core::{SimRng, SimTime};
 use websim::corpus::{Corpus, CorpusConfig};
 use websim::generator::WebConfig;
 use websim::Har;
@@ -24,12 +28,23 @@ fn tiny_corpus(seed: u64, num_domains: usize, zipf_exponent: f64) -> Corpus {
     Corpus::generate(&cfg, &mut rng).expect("valid config")
 }
 
-/// Every HAR of every page of a corpus site, for exercising invariants.
+/// The HAR of every page of a corpus site, rendered from an unfiltered
+/// vantage over ideal paths.
 fn hars_of_rank(corpus: &Corpus, rank: usize) -> Vec<Har> {
+    let mut rng = SimRng::new(rank as u64);
+    let mut net = Network::ideal(World::builtin());
+    corpus.install(&mut net, &mut rng);
+    let mut fetcher = BrowserClient::new(
+        &mut net,
+        country("US"),
+        IspClass::Datacenter,
+        Engine::Chrome,
+        &rng,
+    );
     let site = &corpus.web.sites[rank % corpus.len()];
     site.pages
         .keys()
-        .map(|p| corpus.har_for_page(&site.domain, p).expect("page exists"))
+        .map(|p| fetcher.render_har(&mut net, &site.url(p), SimTime::ZERO))
         .collect()
 }
 
@@ -60,21 +75,27 @@ proptest! {
         n in 3usize..6,
         rank in 0usize..6,
     ) {
+        // The entries on a foreign host are exactly the page's
+        // cross-site embeds, in embed order.
         let corpus = tiny_corpus(seed, n, 1.0);
-        for har in hars_of_rank(&corpus, rank) {
+        let site = &corpus.web.sites[rank % corpus.len()];
+        for (har, page) in hars_of_rank(&corpus, rank).iter().zip(site.pages.values()) {
             let page_host = netsim::http::host_of(&har.page_url);
-            prop_assert!(page_host.is_some());
-            let cross: Vec<_> = har.cross_origin_entries().collect();
-            for e in &cross {
-                prop_assert!(netsim::http::host_of(&e.url) != page_host);
-            }
-            // Complement check: every non-cross entry is on the page host.
-            let cross_urls: Vec<&str> = cross.iter().map(|e| e.url.as_str()).collect();
-            for e in &har.entries {
-                if !cross_urls.contains(&e.url.as_str()) {
-                    prop_assert_eq!(netsim::http::host_of(&e.url), page_host.clone());
-                }
-            }
+            prop_assert_eq!(page_host.as_deref(), Some(site.domain.as_str()));
+            let foreign = |url: &str| netsim::http::host_of(url) != page_host;
+            let cross: Vec<&str> = har
+                .entries
+                .iter()
+                .map(|e| e.url.as_str())
+                .filter(|u| foreign(u))
+                .collect();
+            let embeds: Vec<&str> = page
+                .embeds
+                .iter()
+                .map(|e| e.url.as_str())
+                .filter(|u| foreign(u))
+                .collect();
+            prop_assert_eq!(cross, embeds);
         }
     }
 

@@ -1,7 +1,6 @@
 //! Property tests for the browser emulator.
 
 use browser::cache::BrowserCache;
-use browser::sop::{fetch_permitted, FetchContext};
 use browser::Origin;
 use netsim::http::{ContentType, HttpResponse};
 use proptest::prelude::*;
@@ -10,7 +9,6 @@ proptest! {
     #[test]
     fn origin_parse_never_panics(s in ".{0,150}") {
         let _ = Origin::of(&s);
-        let _ = Origin::same_origin(&s, "http://a.com/");
     }
 
     #[test]
@@ -19,7 +17,8 @@ proptest! {
         path in "[a-z0-9/._-]{0,30}",
     ) {
         let url = format!("http://{host}/{path}");
-        prop_assert!(Origin::same_origin(&url, &url));
+        prop_assert!(Origin::of(&url).is_some());
+        prop_assert_eq!(Origin::of(&url), Origin::of(&url));
     }
 
     #[test]
@@ -27,26 +26,7 @@ proptest! {
         a in "https?://[a-z]{1,8}\\.(com|org)(:[0-9]{2,4})?/[a-z0-9]{0,10}",
         b in "https?://[a-z]{1,8}\\.(com|org)(:[0-9]{2,4})?/[a-z0-9]{0,10}",
     ) {
-        prop_assert_eq!(Origin::same_origin(&a, &b), Origin::same_origin(&b, &a));
-    }
-
-    #[test]
-    fn embedding_always_permitted_xhr_needs_cors_or_same_origin(
-        page in "http://[a-z]{1,8}\\.com/",
-        target in "http://[a-z]{1,8}\\.org/x",
-    ) {
-        for ctx in [
-            FetchContext::ImageEmbed,
-            FetchContext::StylesheetEmbed,
-            FetchContext::ScriptEmbed,
-            FetchContext::IframeEmbed,
-        ] {
-            prop_assert!(fetch_permitted(&page, &target, ctx, false));
-        }
-        // Cross-origin XHR: only with CORS.
-        prop_assert!(!fetch_permitted(&page, &target, FetchContext::Xhr, false));
-        prop_assert!(fetch_permitted(&page, &target, FetchContext::Xhr, true));
-        prop_assert!(fetch_permitted(&page, &page, FetchContext::Xhr, false));
+        prop_assert_eq!(Origin::of(&a) == Origin::of(&b), Origin::of(&b) == Origin::of(&a));
     }
 
     #[test]

@@ -138,12 +138,6 @@ impl Stage {
             _ => return None,
         })
     }
-
-    /// Whether every watched fetch observably fails at this stage for a
-    /// cold client (the stages the detector can localise exactly).
-    pub fn is_hard_block(self) -> bool {
-        matches!(self, Stage::DnsPoison | Stage::IpBlock | Stage::Retaliate)
-    }
 }
 
 /// Plain-data recipe for an [`AdaptiveCensor`] — `Send + Sync + Clone`,
@@ -751,7 +745,5 @@ mod tests {
             assert_eq!(Stage::from_slug(stage.slug()), Some(stage));
         }
         assert_eq!(Stage::from_slug("bogus"), None);
-        assert!(Stage::Retaliate.is_hard_block());
-        assert!(!Stage::Throttle.is_hard_block());
     }
 }

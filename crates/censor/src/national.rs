@@ -391,8 +391,8 @@ mod tests {
     #[test]
     fn keyword_response_censorship_through_network() {
         let mut n = Network::ideal(World::builtin());
-        let resp =
-            HttpResponse::ok(ContentType::Html, 5_000).with_keywords(vec!["protest".to_string()]);
+        let mut resp = HttpResponse::ok(ContentType::Html, 5_000);
+        resp.keywords = vec!["protest".to_string()];
         n.add_server("news.com", country("US"), Box::new(ConstHandler(resp)));
         let policy = CensorPolicy::named("kw")
             .with_rule(BlockTarget::Keyword("protest".into()), Mechanism::HttpReset);

@@ -193,7 +193,8 @@ mod tests {
     #[test]
     fn gfw_blocks_subdomains_too() {
         let mut n = world_network();
-        n.add_dns_alias("www.youtube.com", Ipv4Addr::new(100, 0, 0, 2));
+        n.dns
+            .register("www.youtube.com", Ipv4Addr::new(100, 0, 0, 2));
         let mut rng = SimRng::new(5);
         let cn = n.add_client(country("CN"), IspClass::Residential);
         let out = n.fetch(

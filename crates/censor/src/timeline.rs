@@ -19,9 +19,8 @@
 //!
 //! Determinism contract: entries are kept sorted by time with
 //! **insertion order as the tie-break** (two changes scheduled for the
-//! same instant apply in the order they were scheduled), and applying a
-//! timeline in increments is identical to applying it in one sweep —
-//! both properties are enforced by `crates/censor/tests/prop.rs`.
+//! same instant apply in the order they were scheduled), enforced by
+//! `crates/censor/tests/prop.rs`.
 
 use crate::national::NationalCensor;
 use crate::policy::CensorPolicy;
@@ -153,18 +152,11 @@ impl PolicyChange {
 }
 
 /// An ordered `(SimTime, PolicyChange)` schedule with deterministic
-/// tie-breaks and an application cursor.
-///
-/// Two ways to consume it: the world engine turns each entry into a
-/// discrete event on its queue (via [`PolicyTimeline::entries`]), or a
-/// caller drives the cursor directly with
-/// [`PolicyTimeline::apply_through`] — incremental application is
-/// guaranteed to match a single sweep.
+/// tie-breaks. The world engine turns each entry into a discrete event
+/// on its queue (via [`PolicyTimeline::entries`]).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PolicyTimeline {
     entries: Vec<(SimTime, PolicyChange)>,
-    /// Number of entries already applied through the cursor API.
-    applied: usize,
 }
 
 impl PolicyTimeline {
@@ -182,15 +174,8 @@ impl PolicyTimeline {
     /// Schedule `change` at `at`, keeping entries sorted by time with
     /// insertion order as the tie-break (a change scheduled later for the
     /// same instant applies after every change already there).
-    ///
-    /// Scheduling before the applied cursor is rejected with a panic —
-    /// the past has already been replayed into the network.
     pub fn schedule(&mut self, at: SimTime, change: PolicyChange) {
         let idx = self.entries.partition_point(|(t, _)| *t <= at);
-        assert!(
-            idx >= self.applied,
-            "cannot schedule a policy change at {at} before the applied cursor"
-        );
         self.entries.insert(idx, (at, change));
     }
 
@@ -207,31 +192,6 @@ impl PolicyTimeline {
     /// Whether the schedule is empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Number of entries the cursor has applied so far.
-    pub fn applied(&self) -> usize {
-        self.applied
-    }
-
-    /// Firing time of the next unapplied change, if any.
-    pub fn next_time(&self) -> Option<SimTime> {
-        self.entries.get(self.applied).map(|(t, _)| *t)
-    }
-
-    /// Apply every not-yet-applied change scheduled at or before `now`,
-    /// in schedule order. Returns how many changes were applied.
-    pub fn apply_through(&mut self, net: &mut Network, now: SimTime) -> usize {
-        let mut n = 0;
-        while let Some((t, change)) = self.entries.get(self.applied) {
-            if *t > now {
-                break;
-            }
-            change.apply(net);
-            self.applied += 1;
-            n += 1;
-        }
-        n
     }
 }
 
@@ -260,6 +220,14 @@ mod tests {
             CensorPolicy::named("tr-election-block")
                 .block_domain("twitter.com", Mechanism::DnsNxDomain),
         )
+    }
+
+    /// Apply `tl`'s entries with index in `range`, in schedule order, as
+    /// the world engine fires them.
+    fn fire(tl: &PolicyTimeline, range: std::ops::Range<usize>, net: &mut Network) {
+        for (_, change) in &tl.entries()[range] {
+            change.apply(net);
+        }
     }
 
     fn fetch_ok(net: &mut Network, at: SimTime) -> bool {
@@ -298,7 +266,7 @@ mod tests {
     #[test]
     fn install_and_lift_toggle_reachability() {
         let mut net = blocked_world();
-        let mut tl = PolicyTimeline::new()
+        let tl = PolicyTimeline::new()
             .at(SimTime::from_secs(100), PolicyChange::Install(tr_block()))
             .at(
                 SimTime::from_secs(200),
@@ -308,11 +276,10 @@ mod tests {
             );
 
         assert!(fetch_ok(&mut net, SimTime::from_secs(10)));
-        assert_eq!(tl.apply_through(&mut net, SimTime::from_secs(150)), 1);
+        fire(&tl, 0..1, &mut net);
         assert!(!fetch_ok(&mut net, SimTime::from_secs(150)));
-        assert_eq!(tl.apply_through(&mut net, SimTime::from_secs(999)), 1);
+        fire(&tl, 1..2, &mut net);
         assert!(fetch_ok(&mut net, SimTime::from_secs(300)));
-        assert_eq!(tl.applied(), 2);
     }
 
     #[test]
@@ -329,7 +296,7 @@ mod tests {
                     Mechanism::TcpReset,
                 ),
         );
-        let mut tl = PolicyTimeline::new()
+        let tl = PolicyTimeline::new()
             .at(SimTime::from_secs(1), PolicyChange::Install(tr_block()))
             .at(
                 SimTime::from_secs(2),
@@ -338,7 +305,7 @@ mod tests {
                     with: reset_spec,
                 },
             );
-        tl.apply_through(&mut net, SimTime::from_secs(1));
+        fire(&tl, 0..1, &mut net);
         let client = net.add_client(country("TR"), netsim::geo::IspClass::Residential);
         let mut rng = SimRng::new(3);
         let req = HttpRequest::get("http://twitter.com/favicon.ico");
@@ -347,7 +314,7 @@ mod tests {
                 .result,
             Err(FetchError::DnsNxDomain)
         );
-        tl.apply_through(&mut net, SimTime::from_secs(2));
+        fire(&tl, 1..2, &mut net);
         net.dns.flush_caches();
         assert_eq!(
             net.fetch(&client, &req, SimTime::from_secs(2), &mut rng)
@@ -363,7 +330,7 @@ mod tests {
         let t = SimTime::from_secs(5);
         // Install then immediately lift at the same instant: net effect
         // is no censor (insertion order is the tie-break).
-        let mut tl = PolicyTimeline::new()
+        let tl = PolicyTimeline::new()
             .at(t, PolicyChange::Install(tr_block()))
             .at(
                 t,
@@ -371,7 +338,7 @@ mod tests {
                     name: "tr-election-block".into(),
                 },
             );
-        tl.apply_through(&mut net, t);
+        fire(&tl, 0..tl.len(), &mut net);
         assert!(fetch_ok(&mut net, t));
         assert!(net.middleboxes().is_empty());
     }

@@ -1,11 +1,10 @@
 //! Property tests for the censor crate — chiefly the policy timeline's
 //! determinism contract: changes apply in time order with insertion
-//! order as the tie-break, and a timeline replayed in increments from
-//! any prefix is indistinguishable from a single fresh sweep.
+//! order as the tie-break, identically on every shard.
 
 use censor::policy::{CensorPolicy, Mechanism};
 use censor::timeline::{CensorSpec, PolicyChange, PolicyTimeline};
-use netsim::geo::{country, World};
+use netsim::geo::country;
 use netsim::network::Network;
 use proptest::prelude::*;
 use sim_core::SimTime;
@@ -46,10 +45,6 @@ fn world_state(net: &Network) -> (Vec<String>, u64) {
     )
 }
 
-fn fresh_world() -> Network {
-    Network::ideal(World::builtin())
-}
-
 proptest! {
     #[test]
     fn entries_are_time_sorted_with_insertion_tie_break(
@@ -69,60 +64,6 @@ proptest! {
         let got_times: Vec<u64> = tl.entries().iter().map(|(t, _)| t.as_secs()).collect();
         let want_times: Vec<u64> = expected.iter().map(|&(t, _)| t).collect();
         prop_assert_eq!(got_times, want_times);
-    }
-
-    #[test]
-    fn replay_from_any_prefix_matches_a_fresh_sweep(
-        ops in proptest::collection::vec((0u64..50, 0u8..6), 1..30),
-        split in 0u64..50,
-    ) {
-        let horizon = SimTime::from_secs(100);
-
-        // One sweep on a fresh world.
-        let mut net_fresh = fresh_world();
-        let mut tl_fresh = build_timeline(&ops);
-        let n_fresh = tl_fresh.apply_through(&mut net_fresh, horizon);
-
-        // Incremental: apply through an arbitrary midpoint, then finish.
-        let mut net_inc = fresh_world();
-        let mut tl_inc = build_timeline(&ops);
-        let n_a = tl_inc.apply_through(&mut net_inc, SimTime::from_secs(split));
-        let n_b = tl_inc.apply_through(&mut net_inc, horizon);
-
-        prop_assert_eq!(n_fresh, n_a + n_b, "change counts diverged");
-        prop_assert_eq!(tl_fresh.applied(), tl_inc.applied());
-        prop_assert_eq!(world_state(&net_fresh), world_state(&net_inc));
-    }
-
-    #[test]
-    fn apply_through_is_idempotent(
-        ops in proptest::collection::vec((0u64..50, 0u8..6), 1..30),
-        at in 0u64..60,
-    ) {
-        let mut net = fresh_world();
-        let mut tl = build_timeline(&ops);
-        let t = SimTime::from_secs(at);
-        tl.apply_through(&mut net, t);
-        let state = world_state(&net);
-        // Re-applying through the same instant changes nothing.
-        prop_assert_eq!(tl.apply_through(&mut net, t), 0);
-        prop_assert_eq!(world_state(&net), state);
-    }
-
-    #[test]
-    fn cursor_never_applies_future_changes(
-        ops in proptest::collection::vec((10u64..50, 0u8..6), 1..30),
-        at in 0u64..10,
-    ) {
-        // Everything is scheduled at t >= 10; applying through t < 10
-        // must be a no-op on the world.
-        let mut net = fresh_world();
-        let before = world_state(&net);
-        let mut tl = build_timeline(&ops);
-        prop_assert_eq!(tl.apply_through(&mut net, SimTime::from_secs(at)), 0);
-        prop_assert_eq!(tl.applied(), 0);
-        prop_assert_eq!(world_state(&net), before);
-        prop_assert!(tl.next_time().unwrap() >= SimTime::from_secs(10));
     }
 
     /// Shard-count invariance of control events: broadcasting one

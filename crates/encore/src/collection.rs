@@ -309,14 +309,6 @@ impl Submission {
         }
     }
 
-    /// Encode as the submit URL's query parameters (Appendix A wire
-    /// format).
-    pub fn to_query(&self) -> String {
-        let mut out = String::new();
-        self.parts().write_query(&mut out);
-        out
-    }
-
     /// Decode from a submit URL. Returns `None` on malformed input (the
     /// server drops such requests).
     pub fn from_url(url: &str) -> Option<Submission> {
@@ -608,9 +600,9 @@ pub(crate) fn canonical_cmp(a: &StoredMeasurement, b: &StoredMeasurement) -> std
     key(a).cmp(&key(b))
 }
 
-/// Whether `records` are in canonical order (the order
-/// [`CollectionSnapshot::canonicalize`] sorts into, a snapshot keeps,
-/// and a shard streams its records in).
+/// Whether `records` are in canonical order: received time first, then
+/// every other field (the order a snapshot keeps and a shard streams its
+/// records in).
 pub fn in_canonical_order<'a>(records: impl IntoIterator<Item = &'a StoredMeasurement>) -> bool {
     records
         .into_iter()
@@ -646,17 +638,11 @@ fn merge_runs(
 }
 
 impl CollectionSnapshot {
-    /// Sort the records into canonical order (a stable sort, so equal
-    /// records keep their relative order).
-    pub fn canonicalize(&mut self) {
-        self.records.sort_by(canonical_cmp);
-    }
-
     /// Merge another snapshot into this one, consuming both.
     ///
-    /// Both inputs must be canonical (see [`canonicalize`](Self::canonicalize);
-    /// a [`CollectionServer::snapshot`] is). The result is what
-    /// concatenating `self` and `other` and canonicalising would give, so
+    /// Both inputs must be canonical (see [`in_canonical_order`]; a
+    /// [`CollectionServer::snapshot`] is). The result is what
+    /// concatenating `self` and `other` and stable-sorting would give, so
     /// the merge is associative and commutative by value, with
     /// [`CollectionSnapshot::default`] as identity.
     ///
@@ -1413,10 +1399,17 @@ mod tests {
         }
     }
 
+    /// The Appendix A query a client appends to the submit URL.
+    fn query(s: &Submission) -> String {
+        let mut out = String::new();
+        s.parts().write_query(&mut out);
+        out
+    }
+
     #[test]
     fn submission_roundtrips_through_url() {
         let s = submission();
-        let url = format!("http://collector.example/submit?{}", s.to_query());
+        let url = format!("http://collector.example/submit?{}", query(&s));
         let back = Submission::from_url(&url).unwrap();
         assert_eq!(s, back);
     }
@@ -1429,7 +1422,7 @@ mod tests {
             elapsed_ms: 0,
             ..submission()
         };
-        let url = format!("http://c/submit?{}", s.to_query());
+        let url = format!("http://c/submit?{}", query(&s));
         assert_eq!(
             Submission::from_url(&url).unwrap().phase,
             SubmissionPhase::Init
@@ -1440,14 +1433,14 @@ mod tests {
     fn congested_submission_roundtrips_and_plain_wire_is_unchanged() {
         let plain = submission();
         assert!(
-            !plain.to_query().contains("cmh-cong"),
+            !query(&plain).contains("cmh-cong"),
             "uncongested submissions must keep the pre-congestion bytes"
         );
         let congested = Submission {
             congested: true,
             ..submission()
         };
-        let q = congested.to_query();
+        let q = query(&congested);
         assert!(q.ends_with("&cmh-cong=1"));
         let back = Submission::from_url(&format!("http://c/submit?{q}")).unwrap();
         assert_eq!(congested, back);
@@ -1635,7 +1628,7 @@ mod tests {
             malformed: 1,
             streaming: None,
         };
-        a.canonicalize();
+        a.records.sort_by(canonical_cmp);
         let b = CollectionSnapshot {
             records: vec![stored(3, [100, 1, 0, 9], 2)],
             malformed: 2,

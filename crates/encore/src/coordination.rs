@@ -73,21 +73,6 @@ impl CoordinationServer {
         }
     }
 
-    /// The strategy currently in force.
-    pub fn strategy(&self) -> SchedulingStrategy {
-        self.strategy
-    }
-
-    /// Swap the scheduling strategy mid-run — the re-prioritisation hook
-    /// the world engine fires as a scheduled event (e.g. switching to
-    /// [`SchedulingStrategy::CoordinatedBursts`] the moment a suspected
-    /// block appears, so the next window's clients all probe the same
-    /// target). Assignment counters and the round-robin cursor are
-    /// preserved: re-prioritisation changes *future* picks only.
-    pub fn set_strategy(&mut self, strategy: SchedulingStrategy) {
-        self.strategy = strategy;
-    }
-
     /// Pick the next task for a client, or `None` when nothing in the
     /// pool is compatible. Each call mints a fresh measurement ID — the
     /// server "generates a measurement task specific to the client
@@ -297,34 +282,5 @@ mod tests {
         let mut rng = SimRng::new(6);
         assert!(s.next_task(firefox(), SimTime::ZERO, &mut rng).is_none());
         assert!(s.next_task(chrome(), SimTime::ZERO, &mut rng).is_some());
-    }
-
-    #[test]
-    fn set_strategy_reprioritizes_future_picks_only() {
-        let mut s = CoordinationServer::new(pool(), SchedulingStrategy::RoundRobin);
-        let mut rng = SimRng::new(8);
-        for _ in 0..3 {
-            s.next_task(chrome(), SimTime::ZERO, &mut rng);
-        }
-        assert_eq!(s.assignments, &[1, 1, 1]);
-        assert_eq!(s.strategy(), SchedulingStrategy::RoundRobin);
-
-        s.set_strategy(SchedulingStrategy::CoordinatedBursts {
-            window: SimDuration::from_secs(60),
-        });
-        // Counters survive the swap; every pick in one window now lands
-        // on a single target.
-        let t = SimTime::from_secs(30);
-        let urls: std::collections::BTreeSet<String> = (0..10)
-            .map(|_| {
-                s.next_task(chrome(), t, &mut rng)
-                    .unwrap()
-                    .spec
-                    .target_url()
-                    .to_string()
-            })
-            .collect();
-        assert_eq!(urls.len(), 1);
-        assert_eq!(s.assignments.iter().sum::<u64>(), 13);
     }
 }

@@ -430,10 +430,32 @@ mod streaming_props {
 /// owned records sorted by the canonical comparison.
 mod snapshot_props {
     use super::*;
-    use encore::collection::{CollectionServer, CollectionSnapshot, Submission};
+    use encore::collection::{CollectionServer, CollectionSnapshot, StoredMeasurement, Submission};
     use netsim::http::HttpRequest;
     use netsim::network::HttpHandler;
     use std::net::Ipv4Addr;
+
+    /// Stable-sort `snapshot` into the canonical order, restated from its
+    /// definition: received time first, then every other field.
+    fn canonicalize(snapshot: &mut CollectionSnapshot) {
+        fn key(r: &StoredMeasurement) -> impl Ord + '_ {
+            let s = &r.submission;
+            (
+                r.received_at,
+                u32::from(r.client_ip),
+                s.measurement_id,
+                s.phase,
+                s.outcome,
+                s.task_type,
+                s.elapsed_ms,
+                &*s.target_url,
+                &*s.user_agent,
+                r.referer.as_deref(),
+                s.congested,
+            )
+        }
+        snapshot.records.sort_by(|a, b| key(a).cmp(&key(b)));
+    }
 
     /// Raw `cmh-target` spellings. The first two are two escapings of one
     /// decoded URL (one symbol, one rank); the rest are chosen so that
@@ -545,7 +567,7 @@ mod snapshot_props {
                 ..CollectionSnapshot::default()
             };
             prop_assert_eq!(sorted.len(), submitted.len());
-            sorted.canonicalize();
+            canonicalize(&mut sorted);
             prop_assert_eq!(server.snapshot(), sorted);
         }
     }
@@ -608,7 +630,7 @@ mod snapshot_props {
             malformed: a.malformed + b.malformed,
             streaming: None,
         };
-        both.canonicalize();
+        canonicalize(&mut both);
         both
     }
 

@@ -116,14 +116,6 @@ impl DnsSystem {
         self.records.insert(id.0, DnsAnswer { ip, ttl });
     }
 
-    /// Remove a record (site going offline — §7.2 lists this among
-    /// non-censorship failure causes).
-    pub fn unregister(&mut self, name: &str) {
-        if let Some(id) = self.name_id(name) {
-            self.records.remove(id.0);
-        }
-    }
-
     /// Authoritative lookup, bypassing caches (used by middleboxes that
     /// need ground truth, and by tests).
     pub fn authoritative(&self, name: &str) -> Option<DnsAnswer> {
@@ -272,20 +264,6 @@ mod tests {
             DnsOutcome::Resolved(a) => assert_eq!(a.ip, ip(1)),
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn unregister_makes_nxdomain_after_cache_expiry() {
-        let mut d = DnsSystem::new();
-        d.register_with_ttl("gone.com", ip(1), SimDuration::from_secs(5));
-        d.resolve(country("US"), "gone.com", SimTime::ZERO);
-        d.unregister("gone.com");
-        // Still cached.
-        let (o, _) = d.resolve(country("US"), "gone.com", SimTime::from_secs(1));
-        assert!(matches!(o, DnsOutcome::Resolved(_)));
-        // Expired: now NXDOMAIN.
-        let (o, _) = d.resolve(country("US"), "gone.com", SimTime::from_secs(10));
-        assert_eq!(o, DnsOutcome::NxDomain);
     }
 
     #[test]

@@ -433,11 +433,6 @@ impl World {
     pub fn is_empty(&self) -> bool {
         self.countries.is_empty()
     }
-
-    /// Country codes in deterministic order.
-    pub fn codes(&self) -> Vec<CountryCode> {
-        self.countries.keys().copied().collect()
-    }
 }
 
 /// Convenience constructor: `country("PK")`.
@@ -536,7 +531,6 @@ mod tests {
     #[test]
     fn population_weights_align_with_codes() {
         let w = World::builtin();
-        assert_eq!(w.countries.len(), w.codes().len());
         assert!(w.countries.values().all(|c| c.population_weight > 0.0));
     }
 }

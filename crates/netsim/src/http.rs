@@ -313,12 +313,6 @@ impl HttpResponse {
         self
     }
 
-    /// Builder: attach body keywords.
-    pub fn with_keywords(mut self, kw: Vec<String>) -> HttpResponse {
-        self.keywords = kw;
-        self
-    }
-
     /// Builder: attach the page's embedded-resource list.
     pub fn with_embeds(mut self, embeds: Vec<Embedded>) -> HttpResponse {
         self.embeds = embeds;
@@ -424,11 +418,9 @@ mod tests {
     fn builders_compose() {
         let r = HttpResponse::ok(ContentType::Script, 1_000)
             .with_nosniff()
-            .with_invalid_body()
-            .with_keywords(vec!["jquery".into()]);
+            .with_invalid_body();
         assert!(r.nosniff);
         assert!(!r.valid_body);
-        assert_eq!(r.keywords, vec!["jquery"]);
     }
 
     #[test]

@@ -31,7 +31,6 @@
 //! * [`tcp`] — TCP connection attempt outcomes.
 //! * [`http`] — HTTP request/response/header model.
 //! * [`path`] — RTT/loss/bandwidth between hosts.
-//! * [`fault`] — fault injection in the smoltcp idiom.
 //! * [`middlebox`] — the interception trait implemented by censors.
 //! * [`network`] — the composed network (hosts, servers, middleboxes).
 //! * [`session`] — the session-layer fetch engine (pipeline, caches,
@@ -44,7 +43,6 @@
 #![forbid(unsafe_code)]
 
 pub mod dns;
-pub mod fault;
 pub mod geo;
 pub mod host;
 pub mod http;

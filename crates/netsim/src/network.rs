@@ -10,7 +10,6 @@
 //! `onerror`) or a failure with its stage and elapsed time.
 
 use crate::dns::DnsSystem;
-use crate::fault::FaultInjector;
 use crate::geo::{Country, CountryCode, IspClass, World};
 use crate::host::{Host, HostId};
 use crate::http::{HttpRequest, HttpResponse};
@@ -71,8 +70,6 @@ pub enum FetchError {
     ConnectTimeout,
     /// Established, but no response arrived in time.
     ResponseTimeout,
-    /// Response arrived but was garbled in transit.
-    CorruptResponse,
     /// Shed at a congested transit link, with a near-source congestion
     /// signal back along the path (see [`crate::topology`]). Fails fast
     /// during connection establishment — the signal is what lets
@@ -90,7 +87,7 @@ impl FetchError {
             FetchError::ConnectTimeout => FailureStage::Tcp,
             FetchError::ConnectionReset => FailureStage::Tcp,
             FetchError::Congested => FailureStage::Tcp,
-            FetchError::ResponseTimeout | FetchError::CorruptResponse => FailureStage::Http,
+            FetchError::ResponseTimeout => FailureStage::Http,
         }
     }
 }
@@ -162,9 +159,9 @@ struct ServerEntry {
 struct QualityMemo {
     model: Option<PathModel>,
     world_len: usize,
-    /// Generation of the routed topology the memo was computed under (0
-    /// when no topology is attached) — regeneration reroutes, which
-    /// changes hop counts and therefore RTTs.
+    /// Topology generation the memo was computed under (see
+    /// [`Network::topology_generation`]) — a replaced topology reroutes,
+    /// which changes hop counts and therefore RTTs.
     topology_generation: u64,
     map: std::collections::HashMap<
         (CountryCode, IspClass, CountryCode),
@@ -183,8 +180,6 @@ pub struct Network {
     pub allocator: IpAllocator,
     /// Path quality model.
     pub path_model: PathModel,
-    /// Global fault injector (applies to every fetch).
-    pub fault: FaultInjector,
     servers: BTreeMap<Ipv4Addr, ServerEntry>,
     /// Memoised path qualities (see [`Network::quality_between`]).
     quality_memo: std::cell::RefCell<QualityMemo>,
@@ -203,6 +198,9 @@ pub struct Network {
     /// default) preserves the flat path model exactly — no extra RNG
     /// draws, no RTT changes, byte-identical worlds.
     topology: Option<AsTopology>,
+    /// Bumped by every [`Network::set_topology`]; 0 while none is
+    /// attached.
+    topology_generation: u64,
     next_host_id: u64,
 }
 
@@ -214,13 +212,13 @@ impl Network {
             dns: DnsSystem::new(),
             allocator: IpAllocator::new(),
             path_model: PathModel::default(),
-            fault: FaultInjector::none(),
             servers: BTreeMap::new(),
             quality_memo: std::cell::RefCell::new(QualityMemo::default()),
             middleboxes: Vec::new(),
             middlebox_generation: 1,
             behavior_generation: 1,
             topology: None,
+            topology_generation: 0,
             next_host_id: 0,
         }
     }
@@ -276,11 +274,6 @@ impl Network {
             },
         );
         host
-    }
-
-    /// Install an additional DNS alias for an existing server address.
-    pub fn add_dns_alias(&mut self, dns_name: &str, ip: Ipv4Addr) {
-        self.dns.register(dns_name, ip);
     }
 
     /// Swap the HTTP handler of the server `dns_name` resolves to, keeping
@@ -397,11 +390,14 @@ impl Network {
         self.behavior_generation
     }
 
-    /// Attach a routed AS topology. Fetches now cross precomputed AS
-    /// routes: hop counts lengthen RTTs, and congested hotspot links
-    /// delay or shed traffic (see [`crate::topology`]).
+    /// Attach a routed AS topology, replacing any attached one. Fetches
+    /// now cross precomputed AS routes: hop counts lengthen RTTs, and
+    /// congested hotspot links delay or shed traffic (see
+    /// [`crate::topology`]). Bumps the topology generation, so cached
+    /// path qualities revalidate.
     pub fn set_topology(&mut self, topology: AsTopology) {
         self.topology = Some(topology);
+        self.topology_generation += 1;
     }
 
     /// The attached topology, if any.
@@ -416,10 +412,12 @@ impl Network {
     }
 
     /// Generation counter of the routed topology: 0 with no topology
-    /// attached, otherwise the topology's own counter (starts at 1, so
-    /// fresh sessions — which start at 0 — always revalidate once).
+    /// attached, bumped by every [`Network::set_topology`]. Sessions
+    /// start at 0, so one created before a topology is attached
+    /// revalidates on its next fetch; [`Network::topology_mut`] changes
+    /// no route, so it leaves the counter alone.
     pub fn topology_generation(&self) -> u64 {
-        self.topology.as_ref().map_or(0, |t| t.generation())
+        self.topology_generation
     }
 
     /// The country a fetch to `server_ip` terminates in, resolved the
@@ -482,11 +480,6 @@ impl Network {
             .expect("handle_request requires an existing server")
             .handler
             .handle(req, client_ip, now)
-    }
-
-    /// Number of registered servers.
-    pub fn server_count(&self) -> usize {
-        self.servers.len()
     }
 
     /// The country record for a host (falls back to a default if the world
@@ -670,7 +663,8 @@ mod tests {
     fn dangling_dns_record_times_out_at_connect() {
         let mut n = network();
         // DNS resolves, but nothing listens at the address.
-        n.add_dns_alias("ghost.example", Ipv4Addr::new(100, 99, 0, 1));
+        n.dns
+            .register("ghost.example", Ipv4Addr::new(100, 99, 0, 1));
         let client = n.add_client(country("US"), IspClass::Residential);
         let mut rng = SimRng::new(1);
         let out = n.fetch(
@@ -843,8 +837,8 @@ mod tests {
     #[test]
     fn response_keyword_censorship_resets() {
         let mut n = network();
-        let resp = HttpResponse::ok(ContentType::Html, 10_000)
-            .with_keywords(vec!["forbidden-topic".to_string()]);
+        let mut resp = HttpResponse::ok(ContentType::Html, 10_000);
+        resp.keywords = vec!["forbidden-topic".to_string()];
         n.add_server("news.example", country("US"), Box::new(ConstHandler(resp)));
         n.add_middlebox(Box::new(KeywordCensor));
         let c = n.add_client(country("CN"), IspClass::Residential);
@@ -886,38 +880,6 @@ mod tests {
         );
         assert_eq!(out.result, Err(FetchError::ConnectTimeout));
         assert_eq!(out.server_ip, Some(Ipv4Addr::new(100, 66, 6, 6)));
-    }
-
-    #[test]
-    fn fault_injector_drop_produces_timeout() {
-        let mut n = network();
-        n.fault = FaultInjector::none().with_drop_chance(1.0);
-        n.add_server("example.com", country("US"), img_handler(400));
-        let c = n.add_client(country("US"), IspClass::Residential);
-        let mut rng = SimRng::new(1);
-        let out = n.fetch(
-            &c,
-            &HttpRequest::get("http://example.com/"),
-            SimTime::ZERO,
-            &mut rng,
-        );
-        assert_eq!(out.result, Err(FetchError::ConnectTimeout));
-    }
-
-    #[test]
-    fn fault_injector_corrupt_invalidates_response() {
-        let mut n = network();
-        n.fault = FaultInjector::none().with_corrupt_chance(1.0);
-        n.add_server("example.com", country("US"), img_handler(400));
-        let c = n.add_client(country("US"), IspClass::Residential);
-        let mut rng = SimRng::new(1);
-        let out = n.fetch(
-            &c,
-            &HttpRequest::get("http://example.com/"),
-            SimTime::ZERO,
-            &mut rng,
-        );
-        assert_eq!(out.result, Err(FetchError::CorruptResponse));
     }
 
     #[test]
@@ -1025,8 +987,9 @@ mod tests {
     fn quality_memo_is_bounded_by_countries_not_clients() {
         let mut n = network();
         n.add_server("example.com", country("US"), img_handler(400));
-        n.add_dns_alias("ghost.example", Ipv4Addr::new(203, 0, 113, 7));
-        let codes = n.world.codes();
+        n.dns
+            .register("ghost.example", Ipv4Addr::new(203, 0, 113, 7));
+        let codes: Vec<CountryCode> = n.world.iter().map(|c| c.code).collect();
         let bound = codes.len() * codes.len() * IspClass::ALL.len();
         let mut rng = SimRng::new(3);
 
@@ -1042,7 +1005,7 @@ mod tests {
     fn memoised_quality_tracks_every_mutation_of_the_network() {
         use crate::topology::TopologyConfig;
         let mut n = Network::new(World::builtin());
-        let codes = n.world.codes();
+        let codes: Vec<CountryCode> = n.world.iter().map(|c| c.code).collect();
         let mut rng = SimRng::new(0x9E0);
         let mut clients = vec![n.add_client(country("US"), IspClass::Residential)];
         // Addresses in /16 blocks the allocator has not opened yet: they
@@ -1069,10 +1032,7 @@ mod tests {
                     }
                 }
                 2 => n.path_model.failure_scale = rng.range_u64(0, 4) as f64 / 2.0,
-                3 => match n.topology_mut() {
-                    Some(topo) => topo.regenerate(step),
-                    None => n.set_topology(AsTopology::generate(TopologyConfig::with_seed(step))),
-                },
+                3 => n.set_topology(AsTopology::generate(TopologyConfig::with_seed(step))),
                 _ => {
                     let client = rng.pick(&clients).clone();
                     let dest = *rng.pick(&dests);

@@ -283,7 +283,10 @@ mod tests {
         let spec = scenario();
         let mut a = spec.build_shard(0, 2);
         let mut b = spec.build_shard(1, 2);
-        assert_eq!(a.server_count(), b.server_count());
+        for net in [&a, &b] {
+            let answer = net.dns.authoritative("target.example").expect("registered");
+            assert!(net.has_server(answer.ip), "every shard serves the spec");
+        }
         let ca = a.add_client(country("PK"), IspClass::Residential);
         let cb = b.add_client(country("PK"), IspClass::Residential);
         assert_ne!(ca.ip, cb.ip, "shards must draw from disjoint space");

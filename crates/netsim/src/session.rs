@@ -34,7 +34,6 @@
 //! the paper discusses for DNS).
 
 use crate::dns::{DnsOutcome, NameId};
-use crate::fault::FaultDecision;
 use crate::host::Host;
 use crate::http::{HttpRequest, HttpResponse};
 use crate::middlebox::{DnsAction, HttpAction, StageContext, TcpAction};
@@ -126,8 +125,8 @@ pub struct FetchSession {
     /// for a given topology generation.
     quality_cache: Vec<(Ipv4Addr, PathQuality)>,
     /// Topology generation `quality_cache` was filled under (0 = the
-    /// flat model / no topology). Regeneration reroutes, so hop-derived
-    /// RTTs go stale and the cache must clear.
+    /// flat model / no topology). A replaced topology reroutes, so
+    /// hop-derived RTTs go stale and the cache must clear.
     topology_generation: u64,
     /// Resolver RTT, a pure function of the client's (fixed) country —
     /// computed on first use so the per-fetch country-record clone the
@@ -235,7 +234,7 @@ impl FetchSession {
             self.dns_verdicts.clear();
         }
         if self.topology_generation != net.topology_generation() {
-            // A regenerated topology reroutes: hop-derived RTTs in the
+            // A replaced topology reroutes: hop-derived RTTs in the
             // quality cache are stale. Data-plane only — the pipeline
             // and DNS verdicts are untouched.
             self.topology_generation = net.topology_generation();
@@ -295,17 +294,6 @@ impl FetchSession {
             return FetchOutcome::fail(FetchError::BadUrl, timings, None);
         };
 
-        // Global fault injection (smoltcp-style device wrapper).
-        let mut corrupt_body = false;
-        match net.fault.decide(rng) {
-            FaultDecision::Pass => {}
-            FaultDecision::Drop => {
-                timings.connect = CONNECT_TIMEOUT;
-                return FetchOutcome::fail(FetchError::ConnectTimeout, timings, None);
-            }
-            FaultDecision::Corrupt => corrupt_body = true,
-        }
-
         self.refresh_pipeline(net);
 
         // ---------------- Stage 1: DNS ----------------
@@ -350,26 +338,12 @@ impl FetchSession {
         }
 
         // ---------------- Stage 3: HTTP ----------------
-        let outcome = self.http_stage(
-            net,
-            req,
-            server_ip,
-            &quality,
-            corrupt_body,
-            now,
-            rng,
-            timings,
-        );
+        let outcome = self.http_stage(net, req, server_ip, &quality, now, rng, timings);
 
         // Keep-alive bookkeeping: a completed exchange leaves the
         // connection pooled; a reset or timeout kills it.
         if self.config.keep_alive > SimDuration::ZERO {
-            let alive = match &outcome.result {
-                Ok(_) => true,
-                Err(FetchError::CorruptResponse) => true,
-                Err(_) => false,
-            };
-            if alive {
+            if outcome.result.is_ok() {
                 let idle_from = now + outcome.timings.total();
                 self.pool_connection(server_ip, idle_from + self.config.keep_alive);
             } else {
@@ -585,7 +559,6 @@ impl FetchSession {
         req: &HttpRequest,
         server_ip: Ipv4Addr,
         quality: &PathQuality,
-        corrupt_body: bool,
         now: SimTime,
         rng: &mut SimRng,
         mut timings: FetchTimings,
@@ -667,9 +640,6 @@ impl FetchSession {
 
         timings.transfer += net.path_model.transfer_time(quality, resp.body_bytes);
 
-        if corrupt_body {
-            return FetchOutcome::fail(FetchError::CorruptResponse, timings, Some(server_ip));
-        }
         FetchOutcome {
             result: Ok(resp),
             timings,
@@ -699,6 +669,46 @@ mod tests {
     fn session(n: &mut Network) -> FetchSession {
         let client = n.add_client(country("DE"), IspClass::Residential);
         FetchSession::new(client)
+    }
+
+    #[test]
+    fn a_replaced_topology_revalidates_cached_path_quality() {
+        use crate::topology::{AsTopology, TopologyConfig};
+        let topology = |seed| AsTopology::generate(TopologyConfig::with_seed(seed));
+        let hops = |seed| topology(seed).hops_between(country("DE"), country("US"));
+        let rerouted = (2..64)
+            .find(|&s| hops(s) != hops(1))
+            .expect("a seed reroutes DE→US");
+        let mut n = network();
+        let mut s = session(&mut n);
+        let req = HttpRequest::get("http://origin.example/favicon.ico");
+        let mut rng = SimRng::new(1);
+        let mut cached = Vec::new();
+        for seed in [1, rerouted] {
+            n.set_topology(topology(seed));
+            assert!(s
+                .fetch(&mut n, &req, SimTime::ZERO, &mut rng)
+                .result
+                .is_ok());
+            let server = n
+                .dns
+                .authoritative("origin.example")
+                .expect("registered")
+                .ip;
+            for &(ip, q) in &s.quality_cache {
+                assert_eq!(q, n.quality_between(&s.client, ip), "seed {seed}");
+            }
+            let (_, q) = *s
+                .quality_cache
+                .iter()
+                .find(|(ip, _)| *ip == server)
+                .unwrap();
+            cached.push(q);
+        }
+        assert_ne!(
+            cached[0], cached[1],
+            "the route's hop count changed, so must its RTT"
+        );
     }
 
     #[test]

@@ -14,11 +14,13 @@
 //!   with a tunable attachment offset), connected by construction;
 //! * **deterministic shortest-path routing**: BFS from every AS with
 //!   lowest-AS-id tie-breaking, precomputed into per-AS-pair route
-//!   tables (hop count + the hotspot links each route crosses) keyed to
-//!   a **topology generation counter**, so the session layer's
-//!   warm-path/zero-alloc contract survives — a route lookup is a table
-//!   index, and regenerating the graph bumps the generation so every
-//!   memo (network quality memo, session quality cache) revalidates;
+//!   tables (hop count + the hotspot links each route crosses), so the
+//!   session layer's warm-path/zero-alloc contract survives — a route
+//!   lookup is a table index. A topology's routes never change once
+//!   generated: the one way to reroute is to replace the topology
+//!   ([`crate::network::Network::set_topology`]), which bumps the
+//!   network's topology generation so every memo of hop-derived RTTs
+//!   (network quality memo, session quality cache) revalidates;
 //! * **betweenness hotspots**: the links crossed by the most routes
 //!   become finite-capacity transit bottlenecks ("Communication
 //!   Bottlenecks in Scale-Free Networks": load concentrates on the few
@@ -32,11 +34,10 @@
 //!   distinguishable failure shape
 //!   ([`crate::network::FetchError::Congested`]).
 //!
-//! Everything is data-plane: marking hotspots, changing background load,
-//! and shedding never touch the middlebox set or DNS, so compiled
-//! session pipelines stay valid (no generation bump) — only
-//! [`AsTopology::regenerate`] (a genuinely new graph) bumps the
-//! generation.
+//! Everything here is data-plane: marking hotspots, changing background
+//! load, and shedding never touch the middlebox set, DNS or any route,
+//! so compiled session pipelines and cached path qualities stay valid
+//! (no generation bump).
 
 use crate::geo::CountryCode;
 use serde::{Deserialize, Serialize};
@@ -157,9 +158,6 @@ pub enum TransitDecision {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AsTopology {
     config: TopologyConfig,
-    /// Bumped by [`AsTopology::regenerate`]; starts at 1 so sessions
-    /// (which start at 0) always validate their caches on first use.
-    generation: u64,
     /// Per-AS degree.
     degrees: Vec<u32>,
     links: Vec<Link>,
@@ -173,7 +171,7 @@ pub struct AsTopology {
     /// BFS.
     pair_links: Vec<Vec<u32>>,
     /// Per-link background utilisation (the brownout control knob —
-    /// data-plane only, never bumps the generation).
+    /// data-plane only, never reroutes).
     background: Vec<f64>,
     /// Per-link fetches carried in the current epoch.
     carried: Vec<u32>,
@@ -187,7 +185,6 @@ impl AsTopology {
     pub fn generate(config: TopologyConfig) -> AsTopology {
         let mut topo = AsTopology {
             config,
-            generation: 1,
             degrees: Vec::new(),
             links: Vec::new(),
             routes: Vec::new(),
@@ -199,16 +196,6 @@ impl AsTopology {
         };
         topo.build();
         topo
-    }
-
-    /// Replace the graph with one grown from `seed` and bump the
-    /// generation counter — every route table, the network quality memo,
-    /// and session caches keyed to the old generation revalidate on
-    /// next use.
-    pub fn regenerate(&mut self, seed: u64) {
-        self.config.seed = seed;
-        self.generation += 1;
-        self.build();
     }
 
     fn build(&mut self) {
@@ -391,12 +378,6 @@ impl AsTopology {
         }
     }
 
-    /// The generation counter (starts at 1; bumped by
-    /// [`AsTopology::regenerate`]).
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
     /// The configuration the current graph was grown from.
     pub fn config(&self) -> &TopologyConfig {
         &self.config
@@ -419,7 +400,7 @@ impl AsTopology {
 
     /// Deterministic country → AS mapping: a splitmix mix of the graph
     /// seed and the two-byte code, reduced mod the AS count. Stable for
-    /// the life of a generation.
+    /// the life of the topology.
     pub fn as_of_country(&self, cc: CountryCode) -> u32 {
         let code = cc.as_str().as_bytes();
         let mixed = splitmix_mix(self.config.seed ^ ((code[0] as u64) << 8 | code[1] as u64));
@@ -635,12 +616,18 @@ mod tests {
 
     #[test]
     fn regenerate_bumps_generation_and_changes_routes() {
-        let mut t = topo(1);
-        assert_eq!(t.generation(), 1);
-        let before = t.routes.clone();
-        t.regenerate(2);
-        assert_eq!(t.generation(), 2);
-        assert_ne!(t.routes, before, "a new seed must reroute");
+        // A regenerated graph is attached by replacing the old one, which
+        // bumps the network's topology generation.
+        let mut net = crate::network::Network::new(crate::geo::World::builtin());
+        net.set_topology(topo(1));
+        let before = net.topology().unwrap().routes.clone();
+        net.set_topology(topo(2));
+        assert_eq!(net.topology_generation(), 2);
+        assert_ne!(
+            net.topology().unwrap().routes,
+            before,
+            "a new seed must reroute"
+        );
     }
 
     #[test]
@@ -652,7 +639,6 @@ mod tests {
         let second = t.ensure_hotspot_between(a, b);
         assert_eq!(first, second, "idempotent");
         assert_eq!(t.hops_between(a, b), hops, "routing ignores capacity");
-        assert_eq!(t.generation(), 1, "data-plane only");
         if hops > 0 {
             assert!(t.route_between(a, b).hotspot_len > 0);
         }

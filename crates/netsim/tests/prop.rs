@@ -1,6 +1,5 @@
 //! Property tests for the network substrate.
 
-use netsim::fault::{FaultDecision, FaultInjector};
 use netsim::geo::{country, IspClass, World};
 use netsim::http::{HttpRequest, HttpResponse};
 use netsim::ip::IpAllocator;
@@ -32,15 +31,6 @@ proptest! {
         let req = HttpRequest::get(url);
         let _ = req.host();
         let _ = req.path();
-    }
-
-    #[test]
-    fn fault_injector_rates_respected_at_extremes(seed in any::<u64>()) {
-        let mut rng = SimRng::new(seed);
-        let all_drop = FaultInjector::none().with_drop_chance(1.0);
-        prop_assert_eq!(all_drop.decide(&mut rng), FaultDecision::Drop);
-        let none = FaultInjector::none();
-        prop_assert_eq!(none.decide(&mut rng), FaultDecision::Pass);
     }
 
     #[test]

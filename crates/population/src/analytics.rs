@@ -160,16 +160,6 @@ impl RollupFold {
         self.points += 1;
         self.last = Some(r);
     }
-
-    /// Fold an entire series (the end-of-run equivalent the windowed
-    /// fold-and-evict is property-tested against).
-    pub fn of_series(rollups: &[Rollup]) -> RollupFold {
-        let mut fold = RollupFold::default();
-        for &r in rollups {
-            fold.absorb(r);
-        }
-        fold
-    }
 }
 
 impl Merge for RollupFold {
@@ -488,11 +478,21 @@ impl Analytics {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use encore::system::VisitOutcome;
     use netsim::geo::country;
     use sim_core::SimTime;
+
+    /// Fold a whole series: the end-of-run equivalent of the windowed
+    /// fold-and-evict.
+    pub(crate) fn fold_of(rollups: &[Rollup]) -> RollupFold {
+        let mut fold = RollupFold::default();
+        for &r in rollups {
+            fold.absorb(r);
+        }
+        fold
+    }
 
     fn visit(cc: &str, dwell_s: u64, crawler: bool, ran_task: bool) -> VisitRecord {
         let mut outcome = VisitOutcome {
@@ -695,18 +695,18 @@ mod tests {
         assert_eq!(resident.0, points[7..]);
         // Fold of the evicted prefix == folding those same points
         // directly: eviction order is arrival order.
-        assert_eq!(fold, RollupFold::of_series(&points[..7]));
+        assert_eq!(fold, fold_of(&points[..7]));
         // Resident tail + fold reconstructs the full series' fold.
         let mut total = fold;
         for r in windowed.resident() {
             total.absorb(*r);
         }
-        assert_eq!(total, RollupFold::of_series(&points));
+        assert_eq!(total, fold_of(&points));
     }
 
     #[test]
     fn rollup_fold_merge_is_associative_with_identity() {
-        let f = |points: &[Rollup]| RollupFold::of_series(points);
+        let f = fold_of;
         let a = f(&[roll(10, 4, 1), roll(20, 9, 3)]);
         let b = f(&[roll(10, 2, 0), roll(20, 5, 1)]);
         let c = f(&[roll(10, 1, 1)]);
@@ -730,7 +730,7 @@ mod tests {
     fn stream_summary_merges_drops_and_accepted_additively() {
         let a = StreamSummary {
             window: 8,
-            evicted: RollupFold::of_series(&[roll(5, 2, 1)]),
+            evicted: fold_of(&[roll(5, 2, 1)]),
             drops: encore::streaming::DropCounters {
                 queue_full: 3,
                 queue_full_congested: 1,
@@ -741,7 +741,7 @@ mod tests {
         };
         let b = StreamSummary {
             window: 8,
-            evicted: RollupFold::of_series(&[roll(5, 1, 0)]),
+            evicted: fold_of(&[roll(5, 1, 0)]),
             drops: encore::streaming::DropCounters {
                 queue_full: 1,
                 ..Default::default()

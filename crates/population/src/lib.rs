@@ -10,8 +10,8 @@
 //!   world audience for the §7 seven-month run.
 //! * [`world`] — the discrete-event world engine: client arrivals,
 //!   scheduled policy changes ([`censor::timeline::PolicyTimeline`]),
-//!   world changes, coordination re-prioritisation, session
-//!   maintenance, and collection rollups are all events on one
+//!   censor reactions, world changes, session maintenance, and
+//!   collection rollups are all events on one
 //!   [`sim_core::queue::EventQueue`]. A whole run — arrivals plus
 //!   control plane — is described as a plain-data
 //!   [`world::WorldRecipe`], which

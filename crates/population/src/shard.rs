@@ -1,8 +1,8 @@
 //! Sharded multi-core population engine.
 //!
 //! One [`crate::world::WorldRecipe`] — arrivals *plus* the full control
-//! plane of a longitudinal run (policy timelines, world changes,
-//! re-prioritisations, maintenance, rollups) — executes across N shards,
+//! plane of a longitudinal run (policy timelines, censor reactions,
+//! world changes, maintenance, rollups) — executes across N shards,
 //! at most `available_parallelism()` at a time, the way large
 //! discrete-event simulators parallelise: **control events are
 //! broadcast** verbatim to every shard ([`shard_recipe`]), **workload
@@ -115,8 +115,8 @@ pub fn shard_deployment_config(
 }
 
 /// The recipe shard `index` of `shards` actually executes: **control
-/// events broadcast verbatim** (the policy timeline, world changes,
-/// re-prioritisations, maintenance and rollup cadences are byte-for-byte
+/// events broadcast verbatim** (the policy timeline, censor reactions,
+/// world changes, maintenance and rollup cadences are byte-for-byte
 /// the caller's — every shard replays the identical control schedule
 /// against its own private world), while the **arrival process thins
 /// 1/N** ([`shard_batch_config`] / [`shard_deployment_config`]). At
@@ -221,7 +221,7 @@ where
 /// Each shard runs the one shard body (`run_shard`, the same function a
 /// worker process runs): the world engine over
 /// [`shard_recipe`]\(recipe, shards, index\), so control events (policy
-/// changes, world changes, re-prioritisations, maintenance, rollups) are
+/// changes, censor reactions, world changes, maintenance, rollups) are
 /// **broadcast** verbatim to every shard, arrival events are **thinned**
 /// 1/N, and the per-shard RNG streams come from [`shard_rngs`]
 /// (`SimRng::split` / `long_jump`, shard 0 reproducing the serial stream

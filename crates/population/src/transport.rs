@@ -958,6 +958,10 @@ pub fn run_worker<S: WorldSpec, R: Read, W: Write>(
 ) -> Result<(), TransportError> {
     let spec_frame = expect_frame(input, KIND_SPEC, "spec")?;
     let spec: S = decode_payload(&spec_frame, "spec")?;
+    let recipe = spec.recipe();
+    recipe
+        .check()
+        .map_err(|why| TransportError::Payload(format!("spec: {why}")))?;
     let job_frame = expect_frame(input, KIND_JOB, "job")?;
     let job: WorkerJob = decode_payload(&job_frame, "job")?;
     if job.shards == 0 || job.index >= job.shards {
@@ -979,7 +983,7 @@ pub fn run_worker<S: WorldSpec, R: Read, W: Write>(
     } = run_shard(
         &|ctx| spec.build(ctx),
         &spec.audience(),
-        &spec.recipe(),
+        &recipe,
         ctx,
         job.seed,
     );

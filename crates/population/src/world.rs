@@ -4,11 +4,11 @@
 //! loops: the Poisson driver materialised its whole arrival schedule up
 //! front, the batch driver advanced a local clock inline, and anything
 //! that had to *change the world mid-run* (a censorship block switching
-//! on for an election, a scheduler re-prioritising) had no place to
-//! stand. `WorldEngine` replaces those loops with a single
+//! on for an election, a transit brownout) had no place to stand.
+//! `WorldEngine` replaces those loops with a single
 //! [`sim_core::queue::EventQueue`]: client arrivals, scheduled policy
 //! changes ([`censor::timeline::PolicyTimeline`]), data-plane world
-//! changes ([`WorldChange`]), coordination re-prioritisation, session
+//! changes ([`WorldChange`]), censor reactions, session
 //! maintenance ticks, and periodic collection rollups are all
 //! [`WorldEvent`]s popped from one tie-break-ordered heap. Censorship
 //! dynamics — the paper's §1 point that filtering "varies over time"
@@ -17,13 +17,12 @@
 //!
 //! A run is *described*, never imperatively scheduled: a
 //! [`WorldRecipe`] is the plain-data value of a run (arrival mode +
-//! timeline + reactions + world changes + re-prioritisations +
-//! housekeeping cadences). [`WorldEngine::from_recipe`] borrows it and
-//! executes it in place — events index into the recipe, the engine
-//! keeps no copy of any schedule — and
-//! [`crate::shard::run_sharded_world`] runs it across all cores by
-//! broadcasting the recipe's control half to every shard and thinning
-//! its arrival half 1/N. One description, two execution paths, provably
+//! timeline + reactions + world changes + housekeeping cadences).
+//! [`WorldEngine::from_recipe`] borrows it and executes it in place —
+//! events index into the recipe, the engine keeps no copy of any
+//! schedule — and [`crate::shard::run_sharded_world`] runs it across
+//! all cores by broadcasting the recipe's control half to every shard
+//! and thinning its arrival half 1/N. One description, two execution paths, provably
 //! the same experiment (`tests/world_shard_equivalence.rs`).
 //!
 //! ## Equivalence contract
@@ -49,12 +48,12 @@
 //! * **Neutral housekeeping.** Maintenance ticks only prune session
 //!   state the fetch path would never serve
 //!   ([`netsim::session::FetchSession::prune_expired`]), rollups only
-//!   read, and policy/world-change/re-prioritisation events draw no
+//!   read, and policy and world-change events draw no
 //!   engine RNG — none of them perturb the visit streams.
 //!
-//! Scheduled *configuration* events (timeline changes, world changes,
-//! re-prioritisations, periodic ticks) are enqueued before the traffic
-//! is, so at equal timestamps they fire **before** any arrival — a
+//! Scheduled *configuration* events (timeline changes, censor
+//! reactions, world changes, periodic ticks) are enqueued before the
+//! traffic is, so at equal timestamps they fire **before** any arrival — a
 //! block installed "at day 10" is in force for the first visit of
 //! day 10.
 
@@ -65,7 +64,6 @@ use crate::driver::{DeploymentConfig, VisitRecord};
 use browser::BrowserClient;
 use censor::adaptive::{Reaction, ReactionPolicy};
 use censor::timeline::PolicyTimeline;
-use encore::coordination::SchedulingStrategy;
 use encore::delivery::OriginSite;
 use encore::system::EncoreSystem;
 use netsim::network::Network;
@@ -114,11 +112,6 @@ pub enum WorldEvent {
     Mutation {
         /// Index into the recipe's world-change list.
         index: usize,
-    },
-    /// Swap the coordination server's scheduling strategy mid-run.
-    Reprioritize {
-        /// The strategy to adopt from this instant on.
-        strategy: SchedulingStrategy,
     },
     /// Periodic session maintenance: prune expired DNS/keep-alive state
     /// from every pooled client, then reschedule while traffic remains.
@@ -279,8 +272,7 @@ impl StreamingSpec {
 
 /// A plain-data description of an entire world run: the arrival process
 /// plus every scheduled dynamic — the policy timeline, censor reactions,
-/// world changes, coordination re-prioritisations, maintenance ticks,
-/// and rollup cadence.
+/// world changes, maintenance ticks, and rollup cadence.
 ///
 /// One recipe drives both execution paths: [`WorldEngine::from_recipe`]
 /// executes it serially, and [`crate::shard::run_sharded_world`]
@@ -288,15 +280,14 @@ impl StreamingSpec {
 /// verbatim to every shard while thinning the *arrival* half 1/N
 /// ([`crate::shard::shard_recipe`]). The firing order at a shared
 /// instant is canonical — timeline, then censor reactions, then world
-/// changes, then re-prioritisations, then maintenance, then rollups,
-/// each in insertion order, all before any traffic.
+/// changes, then maintenance, then rollups, each in insertion order, all
+/// before any traffic.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorldRecipe {
     pub(crate) mode: RunMode,
     pub(crate) timeline: PolicyTimeline,
     pub(crate) reactions: Vec<ReactionPolicy>,
     pub(crate) changes: Vec<(SimTime, WorldChange)>,
-    pub(crate) reprioritizations: Vec<(SimTime, SchedulingStrategy)>,
     pub(crate) maintenance: Option<SimDuration>,
     pub(crate) rollups: Option<SimDuration>,
     pub(crate) streaming: Option<StreamingSpec>,
@@ -310,7 +301,6 @@ impl WorldRecipe {
             timeline: PolicyTimeline::new(),
             reactions: Vec::new(),
             changes: Vec::new(),
-            reprioritizations: Vec::new(),
             maintenance: None,
             rollups: None,
             streaming: None,
@@ -370,14 +360,6 @@ impl WorldRecipe {
         self
     }
 
-    /// Builder: schedule a coordination-strategy swap at `at` (e.g. to
-    /// [`SchedulingStrategy::CoordinatedBursts`] once a block is
-    /// suspected).
-    pub fn reprioritize_at(mut self, at: SimTime, strategy: SchedulingStrategy) -> WorldRecipe {
-        self.reprioritizations.push((at, strategy));
-        self
-    }
-
     /// Builder: run session maintenance every `period` — expired DNS
     /// entries and dead keep-alive connections are pruned from every
     /// pooled client. Behaviour-neutral (the fetch path never serves
@@ -393,6 +375,20 @@ impl WorldRecipe {
     pub fn with_rollups(mut self, period: SimDuration) -> WorldRecipe {
         self.rollups = Some(period);
         self
+    }
+
+    /// Why this recipe cannot run, if it cannot: a zero maintenance or
+    /// rollup period would reschedule its tick at one instant forever.
+    /// A recipe decoded from a worker's SPEC frame is checked here before
+    /// it runs; [`WorldEngine::from_recipe`] panics on what this rejects.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        if self.maintenance == Some(SimDuration::ZERO) {
+            return Err("maintenance period must be > 0".to_string());
+        }
+        if self.rollups == Some(SimDuration::ZERO) {
+            return Err("rollup period must be > 0".to_string());
+        }
+        Ok(())
     }
 
     /// The streaming-analytics spec, if this recipe opts in.
@@ -544,16 +540,13 @@ impl<'a> WorldEngine<'a> {
     /// Bind a [`WorldRecipe`] to a concrete world: construct the engine
     /// in the recipe's mode and queue the recipe's control events in the
     /// canonical order — timeline, censor reactions, world changes,
-    /// re-prioritisations, maintenance, rollups; [`run`](Self::run)
+    /// maintenance, rollups; [`run`](Self::run)
     /// queues the traffic after them. The queue breaks same-instant ties
     /// by insertion order, so that order *is* the firing order at a
     /// shared instant, and `tests/world_shard_equivalence.rs` holds
     /// `run_sharded_world` at one shard to exactly this serial run.
     ///
-    /// Only the **not-yet-applied** suffix of the timeline is queued — a
-    /// timeline whose prefix was already replayed into the network via
-    /// [`PolicyTimeline::apply_through`] never duplicates its past. A
-    /// control signal no middlebox understands is a counted-nowhere
+    /// A control signal no middlebox understands is a counted-nowhere
     /// no-op, the reactive analogue of lifting an uninstalled censor.
     ///
     /// `rng.fork` is a pure derivation (it consumes no parent state), so
@@ -587,8 +580,7 @@ impl<'a> WorldEngine<'a> {
             ),
         };
         let mut queue = EventQueue::new();
-        let timeline = recipe.timeline.entries();
-        for (index, (at, _)) in timeline.iter().enumerate().skip(recipe.timeline.applied()) {
+        for (index, (at, _)) in recipe.timeline.entries().iter().enumerate() {
             queue.schedule(*at, WorldEvent::PolicyChange { index });
         }
         for (index, (_, at, _)) in recipe.reaction_steps().enumerate() {
@@ -597,18 +589,16 @@ impl<'a> WorldEngine<'a> {
         for (index, (at, _)) in recipe.changes.iter().enumerate() {
             queue.schedule(*at, WorldEvent::Mutation { index });
         }
-        for &(at, strategy) in &recipe.reprioritizations {
-            queue.schedule(at, WorldEvent::Reprioritize { strategy });
+        if let Err(why) = recipe.check() {
+            panic!("{why}");
         }
         if let Some(period) = recipe.maintenance {
-            assert!(period > SimDuration::ZERO, "maintenance period must be > 0");
             queue.schedule(
                 SimTime::ZERO + period,
                 WorldEvent::MaintenanceTick { period },
             );
         }
         if let Some(period) = recipe.rollups {
-            assert!(period > SimDuration::ZERO, "rollup period must be > 0");
             queue.schedule(
                 SimTime::ZERO + period,
                 WorldEvent::CollectionRollup { period },
@@ -673,9 +663,6 @@ impl<'a> WorldEngine<'a> {
                     }
                 }
                 WorldEvent::Mutation { index } => self.recipe.changes[index].1.apply(self.net),
-                WorldEvent::Reprioritize { strategy } => {
-                    self.system.coordination.set_strategy(strategy);
-                }
                 WorldEvent::MaintenanceTick { period } => {
                     for client in &mut self.pool {
                         client.session.prune_expired(now);
@@ -953,7 +940,7 @@ fn execute_arrival(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::analytics::RollupFold;
+    use crate::analytics::tests::fold_of;
     use censor::policy::{CensorPolicy, Mechanism};
     use censor::timeline::{CensorSpec, PolicyChange};
     use encore::coordination::SchedulingStrategy;
@@ -1208,45 +1195,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn pre_applied_timeline_prefix_is_not_replayed() {
-        let spec = || {
-            CensorSpec::new(
-                country("US"),
-                CensorPolicy::named("pre-run-block")
-                    .block_domain("target.example", Mechanism::DnsNxDomain),
-            )
-        };
-        let timeline = || {
-            PolicyTimeline::new()
-                .at(SimTime::ZERO, PolicyChange::Install(spec()))
-                .at(
-                    SimTime::from_secs(3 * 86_400),
-                    PolicyChange::Lift {
-                        name: "pre-run-block".into(),
-                    },
-                )
-        };
-        let mut world = deployment_world();
-        // The caller replays the t=0 install themselves before the run…
-        let mut tl = timeline();
-        tl.apply_through(&mut world.0, SimTime::ZERO);
-        assert_eq!(world.0.middleboxes().len(), 1);
-        // …then hands the same timeline to the engine: only the lift may
-        // fire, and no duplicate censor may ever stack up.
-        let recipe = WorldRecipe::deployment(week()).with_timeline(tl);
-        let out = run_on(&mut world, &recipe, 0x42);
-        let (net, _) = world;
-        assert_eq!(
-            out.policy_changes_applied, 1,
-            "only the unapplied suffix runs"
-        );
-        assert!(
-            net.middleboxes().is_empty(),
-            "the lift removed the one censor"
-        );
-    }
-
-    #[test]
     fn reaction_events_drive_adaptive_censors() {
         use censor::adaptive::{AdaptiveSpec, Stage};
         let run = |with_reactions: bool| {
@@ -1320,18 +1268,6 @@ pub(crate) mod tests {
             .log
             .iter()
             .all(|v| tally_outcome(&v.outcome).tasks_failed == 0));
-    }
-
-    #[test]
-    fn reprioritization_switches_strategy_mid_run() {
-        let burst = SchedulingStrategy::CoordinatedBursts {
-            window: SimDuration::from_secs(60),
-        };
-        let recipe =
-            WorldRecipe::deployment(week()).reprioritize_at(SimTime::from_secs(3 * 86_400), burst);
-        let mut world = deployment_world();
-        run_on(&mut world, &recipe, 0x21);
-        assert_eq!(world.1.coordination.strategy(), burst);
     }
 
     #[test]
@@ -1492,7 +1428,6 @@ pub(crate) mod tests {
         let recipe = WorldRecipe::deployment(week())
             .with_rollups(period)
             .with_maintenance(period)
-            .reprioritize_at(at, SchedulingStrategy::Random)
             .change_at(at, WorldChange::HotspotBackground(0.0))
             .with_reaction(ReactionPolicy::new("nobody-home").at(at, Reaction::Escalate))
             .with_timeline(PolicyTimeline::new().at(at, lift));
@@ -1511,7 +1446,6 @@ pub(crate) mod tests {
                 "PolicyChange",
                 "CensorSignal",
                 "Mutation",
-                "Reprioritize",
                 "MaintenanceTick",
                 "CollectionRollup",
                 "DeploymentArrival",
@@ -1583,15 +1517,12 @@ pub(crate) mod tests {
         assert_eq!(summary.window, StreamingSpec::RESIDENT_ROLLUPS as u64);
         let tail_start = exact.rollups.len() - streamed.rollups.len();
         assert_eq!(streamed.rollups.0, exact.rollups.0[tail_start..]);
-        assert_eq!(
-            summary.evicted,
-            RollupFold::of_series(&exact.rollups.0[..tail_start])
-        );
+        assert_eq!(summary.evicted, fold_of(&exact.rollups.0[..tail_start]));
         let mut total = summary.evicted;
         for r in &streamed.rollups.0 {
             total.absorb(*r);
         }
-        assert_eq!(total, RollupFold::of_series(&exact.rollups.0));
+        assert_eq!(total, fold_of(&exact.rollups.0));
 
         // This gentle world never sheds: every submission the exact
         // store logged was accepted by the streaming store.

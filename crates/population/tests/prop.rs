@@ -291,7 +291,11 @@ mod streaming_fold_props {
             for r in &tail.0 {
                 reconstructed.absorb(*r);
             }
-            prop_assert_eq!(reconstructed, RollupFold::of_series(&all));
+            let mut whole = RollupFold::default();
+            for r in &all {
+                whole.absorb(*r);
+            }
+            prop_assert_eq!(reconstructed, whole);
         }
 
         /// RollupFold's merge is associative and commutative with the
@@ -424,13 +428,20 @@ mod world_engine_props {
         #[test]
         fn engine_runs_are_reproducible_under_interleaving(
             seed in any::<u64>(),
-            strategy_switch_secs in 0u64..200_000,
+            block_secs in 0u64..200_000,
         ) {
+            use censor::policy::{CensorPolicy, Mechanism};
+            use censor::timeline::{CensorSpec, PolicyChange, PolicyTimeline};
             let audience = Audience::academic();
+            let block = CensorSpec::new(
+                country("US"),
+                CensorPolicy::named("mid-run-block")
+                    .block_domain("target.example", Mechanism::DnsNxDomain),
+            );
             let recipe = two_days()
-                .reprioritize_at(
-                    SimTime::from_secs(strategy_switch_secs),
-                    SchedulingStrategy::Random,
+                .with_timeline(
+                    PolicyTimeline::new()
+                        .at(SimTime::from_secs(block_secs), PolicyChange::Install(block)),
                 )
                 .with_rollups(SimDuration::from_secs(7_200));
             let go = || {

@@ -172,15 +172,6 @@ impl Zipf {
         Ok(Zipf { cdf })
     }
 
-    /// Draw a rank in `[0, n)` (zero-based; rank 0 is the most popular).
-    pub fn sample_rank(&self, rng: &mut SimRng) -> usize {
-        let u = rng.unit();
-        match self.cdf.binary_search_by(|p| p.partial_cmp(&u).unwrap()) {
-            Ok(i) => i,
-            Err(i) => i.min(self.cdf.len() - 1),
-        }
-    }
-
     /// Probability mass of a zero-based rank (the share of draws that
     /// land on it). Returns 0.0 for out-of-range ranks.
     pub fn mass(&self, rank: usize) -> f64 {
@@ -308,33 +299,22 @@ mod tests {
     #[test]
     fn zipf_rank_zero_most_popular() {
         let d = Zipf::new(100, 1.0);
-        let mut r = rng();
-        let mut counts = vec![0usize; 100];
-        for _ in 0..50_000 {
-            counts[d.sample_rank(&mut r)] += 1;
-        }
-        assert!(counts[0] > counts[10]);
-        assert!(counts[10] > counts[90]);
+        assert!(d.mass(0) > d.mass(10));
+        assert!(d.mass(10) > d.mass(90));
     }
 
     #[test]
     fn zipf_uniform_when_s_zero() {
         let d = Zipf::new(4, 0.0);
-        let mut r = rng();
-        let mut counts = vec![0usize; 4];
-        for _ in 0..40_000 {
-            counts[d.sample_rank(&mut r)] += 1;
-        }
-        for &c in &counts {
-            assert!((9_000..11_000).contains(&c), "counts = {counts:?}");
+        for rank in 0..4 {
+            assert!((d.mass(rank) - 0.25).abs() < 1e-12, "rank {rank}");
         }
     }
 
     #[test]
     fn zipf_single_rank() {
         let d = Zipf::new(1, 1.5);
-        let mut r = rng();
-        assert_eq!(d.sample_rank(&mut r), 0);
+        assert_eq!(d.mass(0), 1.0);
         assert_eq!(d.len(), 1);
         assert!(!d.is_empty());
     }

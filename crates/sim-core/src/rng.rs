@@ -258,31 +258,6 @@ impl SimRng {
         // Floating-point slack: return the last positive-weight index.
         weights.iter().rposition(|w| w.is_finite() && *w > 0.0)
     }
-
-    /// Fisher–Yates shuffle in place.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.uniform_below(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
-    }
-
-    /// Sample `k` distinct indices from `[0, n)` (reservoir sampling). If
-    /// `k >= n`, returns all indices in order.
-    pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
-        if k >= n {
-            return (0..n).collect();
-        }
-        let mut reservoir: Vec<usize> = (0..k).collect();
-        for i in k..n {
-            let j = self.uniform_below(i as u64 + 1) as usize;
-            if j < k {
-                reservoir[j] = i;
-            }
-        }
-        reservoir.sort_unstable();
-        reservoir
-    }
 }
 
 #[cfg(test)]
@@ -430,33 +405,5 @@ mod tests {
         assert_eq!(r.pick_weighted(&[0.0, 0.0]), None);
         assert_eq!(r.pick_weighted(&[]), None);
         assert_eq!(r.pick_weighted(&[f64::NAN]), None);
-    }
-
-    #[test]
-    fn sample_indices_distinct_and_bounded() {
-        let mut r = SimRng::new(23);
-        let s = r.sample_indices(100, 10);
-        assert_eq!(s.len(), 10);
-        let mut dedup = s.clone();
-        dedup.dedup();
-        assert_eq!(dedup.len(), 10);
-        assert!(s.iter().all(|&i| i < 100));
-    }
-
-    #[test]
-    fn sample_indices_k_ge_n_returns_all() {
-        let mut r = SimRng::new(23);
-        assert_eq!(r.sample_indices(3, 5), vec![0, 1, 2]);
-        assert_eq!(r.sample_indices(3, 3), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = SimRng::new(29);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 }

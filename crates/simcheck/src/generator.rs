@@ -1056,7 +1056,7 @@ mod tests {
                     ..
                 } => {
                     assert!(
-                        stage.is_hard_block(),
+                        matches!(stage, Stage::DnsPoison | Stage::IpBlock),
                         "soft stage {stage:?} in detector case"
                     );
                     assert!(stage != Stage::Retaliate, "retaliation blinds the detector");
@@ -1112,7 +1112,10 @@ mod tests {
                     poison_ttl_secs,
                     ..
                 } => {
-                    assert!(stage.is_hard_block(), "soft stage {stage:?} in corpus case");
+                    assert!(
+                        matches!(stage, Stage::DnsPoison | Stage::IpBlock),
+                        "soft stage {stage:?} in corpus case"
+                    );
                     assert!(stage != Stage::Retaliate, "retaliation blinds the detector");
                     assert!(
                         poison_ttl_secs <= 600,

@@ -157,4 +157,38 @@ mod tests {
         assert_eq!(via_spec.collection, direct.collection);
         assert_eq!(via_spec.per_shard, direct.per_shard);
     }
+
+    #[test]
+    fn a_spec_with_a_zero_period_is_a_typed_error() {
+        use population::transport::{run_worker, TransportError, WorkerJob, KIND_JOB, KIND_SPEC};
+        use sim_core::frame::write_frame;
+        let base = WorldCase::from_seed(CaseClass::Equivalence, 0x5EED);
+        let zero_rollups = WorldCase {
+            rollup_secs: 0,
+            ..base.clone()
+        };
+        let zero_maintenance = WorldCase {
+            maintenance_secs: Some(0),
+            ..base
+        };
+        let job = WorkerJob {
+            index: 0,
+            shards: 1,
+            seed: 1,
+            chunk: 64,
+            window: 4,
+        };
+        for (case, period) in [(zero_rollups, "rollup"), (zero_maintenance, "maintenance")] {
+            let mut script = Vec::new();
+            write_frame(&mut script, KIND_SPEC, &serde::bin::to_vec(&case)).unwrap();
+            write_frame(&mut script, KIND_JOB, &serde::bin::to_vec(&job)).unwrap();
+            match run_worker::<WorldCase, _, _>(&mut &script[..], &mut Vec::new()) {
+                Err(TransportError::Payload(why)) => assert!(
+                    why.contains(&format!("{period} period must be > 0")),
+                    "{why}"
+                ),
+                other => panic!("zero {period} period: {other:?}"),
+            }
+        }
+    }
 }

@@ -30,13 +30,12 @@
 //! disruption behaviour.
 
 use crate::generator::{SyntheticWeb, WebConfig, WebConfigError};
-use crate::har::{Har, HarEntry};
 use crate::site::{EmbedKind, EmbedRef, SiteContent, SiteHandler};
-use netsim::http::{host_of, path_of, ContentType, HttpResponse};
+use netsim::http::{ContentType, HttpResponse};
 use netsim::network::{ConstHandler, HttpHandler, Network};
 use serde::{Deserialize, Serialize};
 use sim_core::dist::{Zipf, ZipfError};
-use sim_core::{SimDuration, SimRng};
+use sim_core::SimRng;
 use std::sync::Arc;
 
 /// Corpus generator configuration.
@@ -191,57 +190,6 @@ impl Corpus {
         self.popularity.get(rank).copied().unwrap_or(0.0)
     }
 
-    /// Ground-truth HAR for a page: what a browser on an uncensored ideal
-    /// path would record. Embeds are resolved against the corpus' own
-    /// sites and CDNs; dangling references become failed (404) entries.
-    /// Timing is a pure function of body size, so the HAR is deterministic.
-    pub fn har_for_page(&self, domain: &str, path: &str) -> Option<Har> {
-        let site = self.web.site(domain)?;
-        let page = site.page(path)?;
-        let mut entries = vec![HarEntry {
-            url: site.url(path),
-            status: 200,
-            content_type: ContentType::Html,
-            body_bytes: page.html_bytes,
-            cacheable: false,
-            nosniff: false,
-            time: fetch_time(page.html_bytes),
-            ok: true,
-        }];
-        for e in &page.embeds {
-            let resolved = host_of(&e.url)
-                .and_then(|h| self.web.site(&h))
-                .and_then(|s| s.resource(&path_of(&e.url)).cloned());
-            entries.push(match resolved {
-                Some(r) => HarEntry {
-                    url: e.url.clone(),
-                    status: 200,
-                    content_type: r.content_type,
-                    body_bytes: r.bytes,
-                    cacheable: r.cacheable,
-                    nosniff: r.nosniff,
-                    time: fetch_time(r.bytes),
-                    ok: true,
-                },
-                None => HarEntry {
-                    url: e.url.clone(),
-                    status: 404,
-                    content_type: ContentType::Html,
-                    body_bytes: 0,
-                    cacheable: false,
-                    nosniff: false,
-                    time: fetch_time(0),
-                    ok: false,
-                },
-            });
-        }
-        Some(Har {
-            page_url: site.url(path),
-            entries,
-            page_ok: true,
-        })
-    }
-
     /// The site at `rank` after a redesign: shared assets move under
     /// `/assets/` and every same-site embed is rewritten to match. A
     /// measurement task pinned to the *old* `/favicon.ico` URL starts
@@ -276,12 +224,6 @@ impl Corpus {
         Some(Arc::new(redesigned))
     }
 }
-
-/// Deterministic model fetch time for a ground-truth HAR entry.
-fn fetch_time(bytes: u64) -> SimDuration {
-    SimDuration::from_millis(12 + bytes / 40_000)
-}
-
 /// What a benign disruption does to its origin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DisruptionKind {
@@ -387,6 +329,7 @@ mod tests {
     use super::*;
     use crate::generator::WebConfig;
     use netsim::geo::World;
+    use netsim::http::path_of;
 
     fn corpus(seed: u64) -> Corpus {
         let mut rng = SimRng::new(seed);
@@ -455,18 +398,23 @@ mod tests {
         let (from, to) = c.links[0];
         let from_site = &c.web.sites[from];
         let target = c.web.sites[to].url("/logo.png");
-        let har = from_site
+        let embed = from_site
             .pages
-            .keys()
-            .find_map(|p| {
-                let h = c.har_for_page(&from_site.domain, p)?;
-                h.entries.iter().any(|e| e.url == target).then_some(h)
-            })
+            .values()
+            .flat_map(|p| &p.embeds)
+            .find(|e| e.url == target)
             .expect("some page of the linking site embeds the link target");
-        // The linked logo resolves as a real cross-origin image entry.
-        let entry = har.entries.iter().find(|e| e.url == target).unwrap();
-        assert!(entry.is_image(), "cross-site link must fetch as an image");
-        assert!(har.cross_origin_entries().any(|e| e.url == target));
+        // The linked logo resolves as a real cross-origin image.
+        assert_eq!(embed.kind, EmbedKind::Image);
+        assert_ne!(from_site.domain, c.web.sites[to].domain);
+        let logo = c.web.sites[to]
+            .resource("/logo.png")
+            .expect("target serves its logo");
+        assert_eq!(
+            logo.content_type,
+            ContentType::Image,
+            "cross-site link must fetch as an image"
+        );
     }
 
     #[test]
@@ -518,7 +466,14 @@ mod tests {
         let mut rng = SimRng::new(33);
         let mut net = Network::ideal(World::builtin());
         c.install(&mut net, &mut rng);
-        let servers_before = net.server_count();
+        let addresses = |net: &Network| -> Vec<_> {
+            c.web
+                .sites
+                .iter()
+                .map(|s| net.dns.authoritative(&s.domain).map(|a| a.ip))
+                .collect()
+        };
+        let addresses_before = addresses(&net);
         let outage = Disruption {
             day: 3,
             duration_days: 1,
@@ -536,8 +491,8 @@ mod tests {
         };
         assert_eq!(redesign.end_day(), None);
         assert!(redesign.apply(&c, &mut net));
-        // In-place swaps: no new servers, no address churn.
-        assert_eq!(net.server_count(), servers_before);
+        // In-place swaps: every site keeps its address.
+        assert_eq!(addresses(&net), addresses_before);
         let missing = Disruption {
             day: 1,
             duration_days: 1,

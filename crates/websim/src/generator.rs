@@ -506,11 +506,6 @@ impl SyntheticWeb {
             .chain(self.cdns.iter())
             .find(|s| s.domain == domain)
     }
-
-    /// Total number of pages across all content sites.
-    pub fn total_pages(&self) -> usize {
-        self.sites.iter().map(|s| s.pages.len()).sum()
-    }
 }
 
 /// Build a large, popular "social media" style site (facebook/youtube/
@@ -726,6 +721,19 @@ mod tests {
         );
     }
 
+    /// A page's HTML plus its same-site embeds: a lower bound on what a
+    /// cold load transfers (the authoritative number is a rendered HAR).
+    fn same_site_weight(site: &SiteContent, path: &str) -> Option<u64> {
+        let page = site.pages.get(path)?;
+        let own = format!("http://{}", site.domain);
+        let embeds = page
+            .embeds
+            .iter()
+            .filter_map(|e| site.resource(e.url.strip_prefix(&own)?))
+            .map(|r| r.bytes);
+        Some(page.html_bytes + embeds.sum::<u64>())
+    }
+
     #[test]
     fn fig5_shape_pages_are_heavy() {
         let web = corpus();
@@ -733,7 +741,7 @@ mod tests {
         let mut weights = Vec::new();
         for site in web.sites.iter().take(60) {
             for path in site.pages.keys() {
-                if let Some(w) = site.page_weight_lower_bound(path) {
+                if let Some(w) = same_site_weight(site, path) {
                     weights.push(w as f64 / 1_000.0); // KB
                 }
             }
@@ -766,7 +774,7 @@ mod tests {
                     })
                     .count();
                 per_page.push(cacheable as f64);
-                if site.page_weight_lower_bound(path).unwrap_or(u64::MAX) <= 100_000 {
+                if same_site_weight(site, path).unwrap_or(u64::MAX) <= 100_000 {
                     small_page_has_cacheable.push(if cacheable > 0 { 1.0 } else { 0.0 });
                 }
             }
@@ -797,10 +805,11 @@ mod tests {
         let web = SyntheticWeb::generate(&WebConfig::small(), &mut rng);
         let mut n = Network::ideal(netsim::geo::World::builtin());
         web.install(&mut n, &mut rng);
-        assert_eq!(n.server_count(), web.sites.len() + web.cdns.len());
-        // DNS resolves every domain.
-        for d in web.domains() {
-            assert!(n.dns.authoritative(&d).is_some(), "{d} not in DNS");
+        // DNS resolves every site and CDN domain to a live server.
+        for site in web.sites.iter().chain(&web.cdns) {
+            let answer = n.dns.authoritative(&site.domain);
+            let answer = answer.unwrap_or_else(|| panic!("{} not in DNS", site.domain));
+            assert!(n.has_server(answer.ip), "{} has no server", site.domain);
         }
     }
 

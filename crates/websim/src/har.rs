@@ -83,14 +83,6 @@ impl Har {
     pub fn has_object_larger_than(&self, bytes: u64) -> bool {
         self.entries.iter().any(|e| e.body_bytes > bytes)
     }
-
-    /// Entries on a different origin than the page itself.
-    pub fn cross_origin_entries(&self) -> impl Iterator<Item = &HarEntry> {
-        let page_host = netsim::http::host_of(&self.page_url);
-        self.entries
-            .iter()
-            .filter(move |e| netsim::http::host_of(&e.url) != page_host)
-    }
 }
 
 #[cfg(test)]
@@ -159,13 +151,6 @@ mod tests {
         let h = demo();
         assert!(h.has_object_larger_than(50_000));
         assert!(!h.has_object_larger_than(100_000));
-    }
-
-    #[test]
-    fn cross_origin_detection() {
-        let h = demo();
-        let cross: Vec<_> = h.cross_origin_entries().map(|e| e.url.as_str()).collect();
-        assert_eq!(cross, vec!["http://cdn.example/like.png"]);
     }
 
     #[test]

@@ -85,7 +85,7 @@ mod tests {
         let (web, idx) = index();
         assert_eq!(idx.by_domain.len(), web.sites.len());
         let urls: usize = idx.by_domain.values().map(Vec::len).sum();
-        assert_eq!(urls, web.total_pages());
+        assert_eq!(urls, web.sites.iter().map(|s| s.pages.len()).sum::<usize>());
     }
 
     #[test]

@@ -117,22 +117,6 @@ impl SiteContent {
         });
         pages.iter().map(|p| self.url(&p.path)).collect()
     }
-
-    /// Total transfer size of a page: HTML plus all same-site embeds plus
-    /// an estimate for cross-site embeds resolved by the caller. Used by
-    /// tests; the authoritative number comes from HAR capture.
-    pub fn page_weight_lower_bound(&self, path: &str) -> Option<u64> {
-        let page = self.pages.get(path)?;
-        let mut total = page.html_bytes;
-        for e in &page.embeds {
-            if let Some(p) = e.url.strip_prefix(&format!("http://{}", self.domain)) {
-                if let Some(r) = self.resources.get(p) {
-                    total += r.bytes;
-                }
-            }
-        }
-        Some(total)
-    }
 }
 
 /// Serves a [`SiteContent`] over HTTP.
@@ -248,15 +232,6 @@ mod tests {
         let pages = s.pages_by_popularity();
         assert_eq!(pages[0], "http://demo.org/index.html");
         assert_eq!(pages[1], "http://demo.org/contact.html");
-    }
-
-    #[test]
-    fn page_weight_counts_same_site_embeds_only() {
-        let s = demo_site();
-        // index.html = 18000 HTML + 430 favicon; the CDN stylesheet is not
-        // counted by the lower bound.
-        assert_eq!(s.page_weight_lower_bound("/index.html"), Some(18_430));
-        assert_eq!(s.page_weight_lower_bound("/missing"), None);
     }
 
     #[test]

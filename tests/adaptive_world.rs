@@ -1,6 +1,6 @@
 //! Golden snapshot of the adversarial adaptive-censor world.
 //!
-//! `bench::adaptive_fixture` runs 30 days under an escalating
+//! `bench::testkit::adaptive_fixture` runs 30 days under an escalating
 //! [`censor::adaptive::AdaptiveCensor`]: Iran watches twitter.com, then
 //! injects RSTs (day 6), poisons DNS with a lying TTL (day 12),
 //! null-routes (day 18), **retaliates against the Encore collection
@@ -21,7 +21,7 @@
 //!    clears without the block being lifted — exactly the §8 threat the
 //!    paper warns about.
 
-use bench::adaptive_fixture::{
+use bench::testkit::adaptive_fixture::{
     self, build, censor_country, RETALIATE_DAY, RST_DAY, STAND_DOWN_DAY, TARGET,
 };
 use encore_repro::encore::{FilteringDetector, GeoDb, StoredMeasurement};

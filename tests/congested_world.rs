@@ -1,9 +1,9 @@
 //! Golden snapshot of the congestion-vs-censorship world.
 //!
-//! `bench::congested_fixture` runs 30 days over a routed scale-free AS
-//! topology: Turkey's path to the US-hosted target crosses a transit
-//! hotspot that browns out from day 8 to day 14, and a real DNS block
-//! lands on day 10 — two days *into* the brownout. The scenario pins
+//! `bench::testkit::congested_fixture` runs 30 days over a routed
+//! scale-free AS topology: Turkey's path to the US-hosted target crosses a
+//! transit hotspot that browns out from day 8 to day 14, and a real DNS
+//! block lands on day 10 — two days *into* the brownout. The scenario pins
 //! three things:
 //!
 //! 1. **Golden byte-identity** — the serial (1-shard) run's day-by-day
@@ -20,7 +20,7 @@
 //!    capacity with the shard count and the brownout mutations broadcast
 //!    to every shard.
 
-use bench::congested_fixture::{
+use bench::testkit::congested_fixture::{
     self, build, censor_country, BLOCK_LIFT, BLOCK_ONSET, BROWNOUT_END, BROWNOUT_START, TARGET,
 };
 use encore_repro::encore::{FilteringDetector, GeoDb, StoredMeasurement};

@@ -134,7 +134,8 @@ fn outage_is_not_reported_as_censorship_end_to_end() {
 
     use encore_repro::encore::tasks::{MeasurementId, MeasurementTask, TaskSpec};
     // DNS name registered to an address where nothing listens.
-    net.add_dns_alias("dead.example", std::net::Ipv4Addr::new(100, 77, 0, 1));
+    net.dns
+        .register("dead.example", std::net::Ipv4Addr::new(100, 77, 0, 1));
     let tasks = vec![MeasurementTask {
         id: MeasurementId(0),
         spec: TaskSpec::Image {

@@ -153,7 +153,8 @@ proptest! {
             user_agent: ua.into(),
             congested,
         };
-        let url = format!("http://collector.example/submit?{}", sub.to_query());
+        let mut url = String::from("http://collector.example/submit?");
+        sub.parts().write_query(&mut url);
         let back = Submission::from_url(&url).expect("roundtrip parse");
         prop_assert_eq!(sub, back);
     }
@@ -178,7 +179,6 @@ proptest! {
                 Mechanism::HttpReset,
             );
         let _ = p.match_dns(&url);
-        let _ = p.targets_host(&url);
     }
 
     #[test]

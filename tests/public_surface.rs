@@ -1,16 +1,30 @@
-//! The public surface is what something calls.
+//! The public surface is what production calls.
 //!
 //! Every `pub` item in `crates/*/src`, outside its file's trailing
-//! `#[cfg(test)] mod`, must be named as a whole word somewhere other than
-//! its definition line and its own file's tests: another Rust file under
-//! `crates/`, `tests/`, `src/`, `examples/`, `benchmark/src` or
-//! `benchmark/tests`, or its own file's non-test code. Every root
+//! `#[cfg(test)] mod`, must be named as a whole word on a production line
+//! other than its definition line. Production lines are the lines above
+//! the test module in `crates/*/src`, `src/`, `examples/` and
+//! `benchmark/src`; `tests/` directories, `benchmark/tests` and test
+//! modules only exercise what production already reaches. The one
+//! exemption is `bench::testkit` (`crates/bench/src/testkit.rs`), the
+//! fixtures the root tests share: its lines are not production, and its
+//! items need only be named somewhere other than their definition and
+//! their own file's tests. A `pub mod` is judged by its items. Every root
 //! re-export (`pub use` at the top of a `lib.rs`) must be written through
 //! its crate root outside that `lib.rs`. Comment lines name nothing.
 //!
+//! The scan is by word, not by resolved path, so it misses what shares a
+//! word with something production does call: common names (`new`, `len`,
+//! `merge`) and types that only their own `impl` blocks and tests name
+//! (`censor::fingerprint::EncoreFingerprinter`: `impl
+//! EncoreFingerprinter` is a production line). Code under a
+//! `#[cfg(test)]` attribute above the test module also counts as
+//! production.
+//!
 //! `cargo test --test public_surface -- --nocapture` also prints the
 //! non-test line count of `crates/*/src`: the lines above each file's
-//! test module, trailing blank lines dropped.
+//! test module, trailing blank lines dropped, with `bench::testkit`
+//! counted apart.
 
 use std::collections::{HashMap, HashSet};
 use std::fs;
@@ -31,6 +45,19 @@ impl Source {
     /// Whether `pub` items here are checked (they are in `crates/*/src`).
     fn checked(&self) -> bool {
         self.path.starts_with("crates/") && self.path.split('/').nth(2) == Some("src")
+    }
+
+    /// Whether this is `bench::testkit`, the fixtures tests share.
+    fn testkit(&self) -> bool {
+        self.path == "crates/bench/src/testkit.rs"
+    }
+
+    /// Whether its lines above the test module are production code.
+    fn production(&self) -> bool {
+        (self.checked() && !self.testkit())
+            || ["src/", "examples/", "benchmark/src/"]
+                .iter()
+                .any(|dir| self.path.starts_with(dir))
     }
 }
 
@@ -98,11 +125,11 @@ fn is_comment(line: &str) -> bool {
 }
 
 /// The name a `pub` item line declares: `pub fn f`, `pub const fn f`,
-/// `pub struct S`, `pub(crate)` and `pub use` excluded.
+/// `pub struct S`; `pub(crate)`, `pub use` and `pub mod` excluded.
 fn pub_item(line: &str) -> Option<&str> {
     let mut w = words(line.trim_start().strip_prefix("pub ")?);
     match w.next()? {
-        "fn" | "struct" | "enum" | "trait" | "type" | "static" | "mod" => w.next(),
+        "fn" | "struct" | "enum" | "trait" | "type" | "static" => w.next(),
         "const" => match w.next()? {
             "fn" => w.next(),
             name => Some(name),
@@ -111,17 +138,22 @@ fn pub_item(line: &str) -> Option<&str> {
     }
 }
 
-/// Every `pub` item of the checked files that nothing else names, as
-/// `(path, 1-based line, name)`.
+/// Every `pub` item of the checked files that no production line names
+/// (a `bench::testkit` item: that nothing else names), as `(path, 1-based
+/// line, name)`.
 fn uncalled(sources: &[Source]) -> Vec<(String, usize, String)> {
-    // Where each word is written: (file, 0-based line, in the test module).
-    let mut seen: HashMap<&str, Vec<(usize, usize, bool)>> = HashMap::new();
+    // Where each word is written: (file, 0-based line, in the file's test
+    // module, on a production line).
+    let mut seen: HashMap<&str, Vec<(usize, usize, bool, bool)>> = HashMap::new();
     for (f, src) in sources.iter().enumerate() {
         let lines: Vec<&str> = src.text.lines().collect();
         let tests = test_module_start(&lines).unwrap_or(lines.len());
         for (n, line) in lines.iter().enumerate().filter(|(_, l)| !is_comment(l)) {
+            let in_test = n >= tests;
             for w in words(line) {
-                seen.entry(w).or_default().push((f, n, n >= tests));
+                seen.entry(w)
+                    .or_default()
+                    .push((f, n, in_test, src.production() && !in_test));
             }
         }
     }
@@ -131,9 +163,13 @@ fn uncalled(sources: &[Source]) -> Vec<(String, usize, String)> {
         let tests = test_module_start(&lines).unwrap_or(lines.len());
         for (n, line) in lines[..tests].iter().enumerate() {
             let Some(name) = pub_item(line) else { continue };
-            let named = seen[name]
-                .iter()
-                .any(|&(g, m, in_test)| g != f || (!in_test && m != n));
+            let named = seen[name].iter().any(|&(g, m, in_test, production)| {
+                if src.testkit() {
+                    g != f || (!in_test && m != n)
+                } else {
+                    production && (g != f || m != n)
+                }
+            });
             if !named {
                 out.push((src.path.clone(), n + 1, name.to_string()));
             }
@@ -226,7 +262,7 @@ fn failures(found: &[(String, usize, String)], allowed: &[(&str, &str, &str)]) -
     let mut out: Vec<String> = found
         .iter()
         .filter(|(path, _, name)| !listed(path, name))
-        .map(|(path, line, name)| format!("{path}:{line}: `{name}` has no caller"))
+        .map(|(path, line, name)| format!("{path}:{line}: `{name}` has no production caller"))
         .collect();
     for (path, name, _) in allowed {
         if !found.iter().any(|(p, _, n)| p == path && n == name) {
@@ -242,12 +278,18 @@ fn failures(found: &[(String, usize, String)], allowed: &[(&str, &str, &str)]) -
 fn every_pub_item_has_a_caller() {
     let sources = sources();
     assert!(sources.iter().any(|s| s.path == "crates/encore/src/lib.rs"));
-    let non_test: usize = sources
-        .iter()
-        .filter(|s| s.checked())
-        .map(|s| non_test_lines(&s.text))
-        .sum();
-    println!("non-test lines in crates/*/src: {non_test}");
+    let lines = |testkit: bool| -> usize {
+        sources
+            .iter()
+            .filter(|s| s.checked() && s.testkit() == testkit)
+            .map(|s| non_test_lines(&s.text))
+            .sum()
+    };
+    println!(
+        "non-test lines in crates/*/src: {} (bench::testkit: {})",
+        lines(false),
+        lines(true)
+    );
 
     assert!(
         ALLOWED.len() <= 10,
@@ -304,7 +346,7 @@ fn the_guard_on_a_toy_tree() {
              pub fn uncalled() {}\n// uncalled in a comment\n\
              fn body() { self_called() }\n\n#[cfg(test)]\nmod tests {\n    fn t() { super::only_tested() }\n}\n",
         ),
-        src("tests/t.rs", "use a::called;\n"),
+        src("examples/e.rs", "use a::called;\n"),
     ];
     let names: Vec<_> = uncalled(&sources)
         .into_iter()
@@ -345,4 +387,32 @@ fn the_guard_on_a_toy_tree() {
         ]
     );
     assert_eq!(non_test_lines("a\n\n#[cfg(test)]\nmod tests {}\n"), 1);
+}
+
+#[test]
+fn only_a_production_line_calls() {
+    let src = |path: &str, text: &str| Source {
+        path: path.to_string(),
+        text: text.to_string(),
+    };
+    let sources = [
+        src(
+            "crates/a/src/lib.rs",
+            "pub fn tested() {}\npub fn benched() {}\n",
+        ),
+        src(
+            "crates/bench/src/testkit.rs",
+            "pub fn kit() { a::tested() }\n",
+        ),
+        src(
+            "tests/t.rs",
+            "fn t() { a::tested(); bench::testkit::kit() }\n",
+        ),
+        src("benchmark/src/main.rs", "fn main() { a::benched() }\n"),
+    ];
+    // Named by a test and by the testkit, neither of them production.
+    assert_eq!(
+        uncalled(&sources),
+        [("crates/a/src/lib.rs".to_string(), 1, "tested".to_string())]
+    );
 }

@@ -22,7 +22,8 @@
 //! `bench::shard_fixture`, so the scenario the benchmark measures is
 //! exactly the scenario this harness proves equivalent.
 
-use bench::shard_fixture::{batch, build_censored, build_uncensored, verdict_keys};
+use bench::shard_fixture::{batch, build_censored};
+use bench::testkit::{build_uncensored, verdict_keys};
 use encore_repro::censor::registry::ground_truth;
 use encore_repro::encore::system::EncoreSystem;
 use encore_repro::encore::FilteringDetector;

@@ -6,17 +6,18 @@
 //! * **generator soundness** — degree structure (heavier tails under a
 //!   smaller exponent), connectivity/symmetry of the precomputed route
 //!   tables, and byte-identical regeneration from the same seed;
-//! * **memo invalidation** — `regenerate` strictly bumps the generation
-//!   counter (the key every route memo and warm session validates
-//!   against) while rebuilding deterministically;
+//! * **memo invalidation** — every `Network::set_topology` strictly
+//!   bumps the network's topology generation (the key every path-quality
+//!   memo and warm session validates against), and a topology rebuilt
+//!   from the same seed routes identically;
 //! * **data-plane isolation** — a hotspot brownout sheds fetches but
 //!   never changes a DNS verdict, the middlebox set, or any
 //!   pipeline-compilation counter. The isolation check is
 //!   mutation-verified: control-plane tampering dressed up as a
-//!   "brownout" (a topology regenerate, a middlebox flush) must be
+//!   "brownout" (a replaced topology, a middlebox flush) must be
 //!   caught by the very observables the property asserts on.
 
-use encore_repro::netsim::geo::{country, IspClass};
+use encore_repro::netsim::geo::{country, IspClass, World};
 use encore_repro::netsim::http::HttpRequest;
 use encore_repro::netsim::network::{FailureStage, FetchError, Network};
 use encore_repro::netsim::scenario::WorldScenario;
@@ -113,24 +114,32 @@ proptest! {
 
     // ------------------------------------------ memo invalidation
 
+    /// Attaching a regenerated topology bumps the network's generation,
+    /// and a topology regenerated from the same seed routes identically.
     #[test]
     fn regenerate_bumps_generation_and_rebuilds_deterministically(
         seed_a in 0u64..1u64 << 48,
         seed_b in 0u64..1u64 << 48,
     ) {
-        let fresh = AsTopology::generate(TopologyConfig::with_seed(seed_a));
-        // Starts at 1: warm sessions (which start at 0) must revalidate
-        // their route memos on first contact.
-        prop_assert_eq!(fresh.generation(), 1);
-
-        let mut t = fresh.clone();
-        t.regenerate(seed_b);
-        prop_assert_eq!(t.generation(), 2, "regenerate must bump the memo key");
-        t.regenerate(seed_a);
-        prop_assert_eq!(t.generation(), 3, "every regenerate bumps, even back to an old seed");
+        let topo = |seed| AsTopology::generate(TopologyConfig::with_seed(seed));
+        let mut net = Network::new(World::builtin());
+        // 0 with no topology, 1 once one is attached: warm sessions
+        // (which start at 0) must revalidate their path memos.
+        prop_assert_eq!(net.topology_generation(), 0);
+        net.set_topology(topo(seed_a));
+        prop_assert_eq!(net.topology_generation(), 1);
+        net.set_topology(topo(seed_b));
+        prop_assert_eq!(net.topology_generation(), 2, "a replacement must bump the memo key");
+        net.set_topology(topo(seed_a));
+        prop_assert_eq!(
+            net.topology_generation(), 3,
+            "every replacement bumps, even back to an old seed"
+        );
         // Rebuilding from the original seed reproduces the graph and
         // path tables exactly — only the generation (the invalidation
         // key) differs.
+        let fresh = topo(seed_a);
+        let t = net.topology().expect("attached");
         prop_assert_eq!(t.links(), fresh.links());
         prop_assert_eq!(t.degrees(), fresh.degrees());
         for a in PROBE_COUNTRIES {
@@ -179,13 +188,13 @@ proptest! {
             "a brownout must not move control-plane observables");
 
         // Mutation verification: the observables must have teeth. A
-        // "brownout" that actually regenerates the topology (a
-        // control-plane rebuild) or flushes the middlebox set must be
-        // caught by the exact checks above.
+        // "brownout" that actually replaces the topology (a reroute) or
+        // flushes the middlebox set must be caught by the exact checks
+        // above.
         let (mut mutant, mutant_obs) = routed_censored_net(Some(level));
-        mutant.topology_mut().unwrap().regenerate(seed ^ 1);
+        mutant.set_topology(AsTopology::generate(TopologyConfig::with_seed(seed ^ 1)));
         prop_assert!(observe(&mutant) != mutant_obs,
-            "topology regenerate slipped past the generation observable");
+            "a replaced topology slipped past the generation observable");
 
         let (mut mutant, mutant_obs) = routed_censored_net(Some(level));
         mutant.clear_middleboxes();
@@ -221,8 +230,8 @@ fn observe(net: &Network) -> ControlPlaneObservation {
 /// crosses a hotspot) with the timeline fixture's standing CN DNS
 /// censor, optionally browned out.
 fn routed_censored_net(brownout: Option<f64>) -> (Network, ControlPlaneObservation) {
-    let scenario = WorldScenario::new(bench::congested_fixture::scenario())
-        .with_middlebox(std::sync::Arc::new(bench::world_fixture::standing_censor()));
+    let scenario = WorldScenario::new(bench::testkit::congested_fixture::scenario())
+        .with_middlebox(std::sync::Arc::new(bench::testkit::standing_censor()));
     let mut net = scenario.build_shard(0, 1);
     if let Some(level) = brownout {
         net.topology_mut()
@@ -241,7 +250,10 @@ fn routed_censored_net(brownout: Option<f64>) -> (Network, ControlPlaneObservati
 fn drive(net: &mut Network, seed: u64) -> (Vec<Option<FetchError>>, usize) {
     let cn = net.add_client(country("CN"), IspClass::Residential);
     let tr = net.add_client(country("TR"), IspClass::Residential);
-    let url = format!("http://{}/favicon.ico", bench::congested_fixture::TARGET);
+    let url = format!(
+        "http://{}/favicon.ico",
+        bench::testkit::congested_fixture::TARGET
+    );
     let mut verdicts = Vec::new();
     let mut sheds = 0;
     for i in 0..48u64 {

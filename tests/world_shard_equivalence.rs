@@ -24,9 +24,8 @@
 //!    byte-identical merged output on every run, regardless of thread
 //!    scheduling.
 
-use bench::world_fixture::{
-    self, build, build_with_standing_censor, judge_timeline, LIFT_DAY, ONSET_DAY, TARGET,
-};
+use bench::testkit::build_with_standing_censor;
+use bench::world_fixture::{self, build, judge_timeline, LIFT_DAY, ONSET_DAY, TARGET};
 use encore_repro::netsim::geo::{country, World};
 use encore_repro::population::shard::ShardContext;
 use encore_repro::population::{run_sharded_world, Audience, Retain, WorldEngine};
