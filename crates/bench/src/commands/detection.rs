@@ -102,7 +102,7 @@ pub fn run(args: &RunArgs) {
         min_measurements: 8,
         ..DetectorConfig::default()
     });
-    let detections = sys.detect(&geo, &detector);
+    let detections = detector.detect(&sys.collection.records(), &geo);
 
     // Score against ground truth.
     let truth = ground_truth();

@@ -95,7 +95,7 @@ pub const COMMANDS: &[Command] = &[
     Command {
         name: "timeline",
         about: "30-day Turkey onset/lift timeline (golden-pinned)",
-        flags: &["--shards", "--days", "--transport", "--streaming"],
+        flags: &["--shards", "--days", "--transport"],
         run: timeline::run,
     },
     Command {
@@ -140,10 +140,9 @@ fn run_world(command: &str, spec: &BenchWorldSpec, args: &RunArgs) -> ShardedWor
 const TIMELINE_GOLDEN: &str = include_str!("../../../../tests/golden/timeline.json");
 const WORLD_REPORT_GOLDEN: &str = include_str!("../../../../tests/golden/world_report.json");
 
-/// Gate a sharded or streaming run on the serial golden: the sampled
-/// visit stream (sharding) and the retained state (streaming) differ
-/// from the serial exact run, the detector's `verdict` must not — drift
-/// exits 1. The goldens were recorded at the default seed and
+/// Gate a sharded run on the serial golden: the sampled visit stream
+/// differs from the serial run, the detector's `verdict` must not —
+/// drift exits 1. The goldens were recorded at the default seed and
 /// `golden_days`, so the gate engages only there: a `--days 5` run
 /// legitimately never sees a day-10 onset and must not be reported as
 /// drift.
@@ -153,7 +152,7 @@ fn gate_on_serial_golden<V: PartialEq + Debug>(
     golden: impl FnOnce() -> V,
     verdict: &V,
 ) {
-    if args.shards == 1 && !args.streaming {
+    if args.shards == 1 {
         return;
     }
     if days != golden_days || args.seed != bench::DEFAULT_SEED {

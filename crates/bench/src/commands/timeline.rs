@@ -14,24 +14,25 @@
 //! per-day world rebuilds — and the windowed detector localises both
 //! transitions to the correct day.
 //!
+//! The collection streams, as a continuous deployment's would: no record
+//! log is kept, each day's window closes into a count matrix as its
+//! rollup fires, and the verdict is judged from those matrices. A run
+//! that keeps a record, carries no sketch, or sheds a submission exits 1
+//! as a STREAMING VIOLATION.
+//!
 //! `--shards N` runs the same recipe across N shards: the timeline
 //! broadcasts to every shard, arrivals thin 1/N, and the merged
-//! collection feeds one detector. `--transport {threads,process}` picks
+//! matrices feed one detector. `--transport {threads,process}` picks
 //! the shard backend — in-process OS threads (the default) or worker
-//! processes (this binary re-executed in its shard-worker role) speaking
-//! the length-prefixed frame protocol; both are byte-identical, so every
-//! check below is transport-independent. At one shard the run is
-//! byte-identical to the serial engine (CI diffs `results/timeline.json`
-//! against `tests/golden/timeline.json`); at more shards the *verdict* —
-//! onset day, lift day — must still match the serial golden, which this
-//! command checks itself against the copy compiled into the binary.
-//!
-//! `--streaming` re-runs the same recipe with bounded-memory analytics: workers ship one count-min/reservoir/
-//! window-matrix sketch frame each instead of record chunks, the
-//! verdict is judged from the merged matrices, and the same
-//! serial-golden gate applies — streaming may change memory, never the
-//! verdict. Results are written under `timeline_streaming*` so exact
-//! golden diffs are untouched.
+//! processes (this binary re-executed in its shard-worker role), each
+//! shipping one sketch frame over the length-prefixed frame protocol;
+//! both are byte-identical, so every check below is
+//! transport-independent. At one shard `results/timeline.json` is
+//! byte-identical to `tests/golden/timeline.json`
+//! (`crates/bench/tests/timeline_golden.rs`); at more shards the
+//! *verdict* — onset day, lift day — must still match the serial golden,
+//! which this command checks itself against the copy compiled into the
+//! binary.
 
 use super::{gate_on_serial_golden, run_world, TIMELINE_GOLDEN};
 use bench::fixtures::RunArgs;
@@ -53,8 +54,8 @@ struct Timeline {
     visits: u64,
 }
 
-/// The verdict fields of a timeline artifact — what a sharded or
-/// streaming run must agree with the serial golden on.
+/// The verdict fields of a timeline artifact — what a sharded run must
+/// agree with the serial golden on.
 #[derive(Debug, PartialEq, Deserialize)]
 struct Verdict {
     onset_day: Option<u64>,
@@ -65,7 +66,7 @@ struct Verdict {
 const GOLDEN_DAYS: u64 = 30;
 
 pub fn run(args: &RunArgs) {
-    let (shards, transport, streaming) = (args.shards, args.transport, args.streaming);
+    let (shards, transport) = (args.shards, args.transport);
     let days = args.days(GOLDEN_DAYS);
 
     // High enough that Turkey's daily measurement cell clears the
@@ -73,39 +74,35 @@ pub fn run(args: &RunArgs) {
     let spec = BenchWorldSpec::Timeline {
         days,
         rate: 150.0,
-        streaming,
+        streaming: true,
     };
     let run = run_world("timeline", &spec, args);
 
+    // No record log crosses the wire; the verdict is judged from the
+    // merged per-window count matrices.
+    if !run.collection.records.is_empty() {
+        eprintln!(
+            "STREAMING VIOLATION: {} exact records kept in streaming mode",
+            run.collection.records.len()
+        );
+        std::process::exit(1);
+    }
+    let Some(stats) = run.collection.streaming.as_ref() else {
+        eprintln!("STREAMING VIOLATION: streaming run carried no analytics sketch");
+        std::process::exit(1);
+    };
+    if stats.drops.total() != 0 {
+        eprintln!(
+            "STREAMING VIOLATION: {} submissions dropped on the default ingest queue",
+            stats.drops.total()
+        );
+        std::process::exit(1);
+    }
     let TimelineJudgment {
         days: day_rows,
         onset_day,
         lift_day,
-    } = if streaming {
-        // Bounded-memory mode: no record log crosses the wire; the
-        // verdict is judged from the merged per-window count matrices.
-        if !run.collection.records.is_empty() {
-            eprintln!(
-                "STREAMING VIOLATION: {} exact records kept in streaming mode",
-                run.collection.records.len()
-            );
-            std::process::exit(1);
-        }
-        let Some(stats) = run.collection.streaming.as_ref() else {
-            eprintln!("STREAMING VIOLATION: streaming run carried no analytics sketch");
-            std::process::exit(1);
-        };
-        if stats.drops.total() != 0 {
-            eprintln!(
-                "STREAMING VIOLATION: {} submissions dropped on the default ingest queue",
-                stats.drops.total()
-            );
-            std::process::exit(1);
-        }
-        world_fixture::judge_timeline_streamed(stats, country("TR"), TARGET)
-    } else {
-        world_fixture::judge_timeline(&run.collection.records, &run.geo, country("TR"), TARGET)
-    };
+    } = world_fixture::judge_timeline_streamed(stats, country("TR"), TARGET);
 
     println!(
         "=== timeline: Turkey blocks {TARGET} on day {ONSET_DAY}, lifts on day {LIFT_DAY} ==="
@@ -114,12 +111,8 @@ pub fn run(args: &RunArgs) {
     // immediately visible when a golden diff fails.
     println!(
         "({} visits over {days} days, seed {:#x}, across {} shard(s) on the {transport} \
-         transport, {} analytics; {} policy events; one detector window per day)\n",
-        run.outcome.report.visits,
-        args.seed,
-        shards,
-        if streaming { "streaming" } else { "exact" },
-        run.outcome.policy_changes_applied
+         transport, streaming analytics; {} policy events; one detector window per day)\n",
+        run.outcome.report.visits, args.seed, shards, run.outcome.policy_changes_applied
     );
     print_table(
         &["day", "measurements", "TR flagged"],
@@ -159,11 +152,9 @@ pub fn run(args: &RunArgs) {
         ],
     );
 
-    let name = match (streaming, shards) {
-        (false, 1) => "timeline".to_string(),
-        (false, n) => format!("timeline_shards{n}"),
-        (true, 1) => "timeline_streaming".to_string(),
-        (true, n) => format!("timeline_streaming_shards{n}"),
+    let name = match shards {
+        1 => "timeline".to_string(),
+        n => format!("timeline_shards{n}"),
     };
     args.write_results(
         &name,

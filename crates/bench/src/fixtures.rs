@@ -52,11 +52,6 @@ const FLAGS: &[(&str, &str, &str)] = &[
         "T",
         "shard backend, threads or process [threads]",
     ),
-    (
-        "--streaming",
-        "",
-        "bounded-memory analytics (negate: --streaming=false)",
-    ),
     ("--cases", "N", "simcheck case budget [200]"),
     (
         "--replay",
@@ -77,10 +72,6 @@ const COMMON_FLAGS: &[&str] = &["--seed", "--out"];
 /// running `--transprot process` or `--shard 2` on the default backend
 /// and reporting its numbers would be a result for an experiment nobody
 /// asked for.
-///
-/// `--streaming` is a presence flag: bare it means `true`, and an
-/// explicit value uses the `--streaming=false` spelling (a
-/// space-separated value would be ambiguous with the next flag).
 #[derive(Debug, Clone)]
 pub struct RunArgs {
     /// Root experiment seed.
@@ -89,8 +80,6 @@ pub struct RunArgs {
     pub shards: usize,
     /// Shard backend.
     pub transport: TransportKind,
-    /// Constant-memory streaming analytics instead of the exact log.
-    pub streaming: bool,
     /// simcheck case budget.
     pub cases: usize,
     /// `simcheck --replay`: the one case to regenerate.
@@ -123,7 +112,6 @@ impl RunArgs {
             seed: crate::DEFAULT_SEED,
             shards: 1,
             transport: TransportKind::Threads,
-            streaming: false,
             cases: 200,
             replay: None,
             days: None,
@@ -142,7 +130,6 @@ impl RunArgs {
             }
             let value = match inline {
                 Some(value) => value,
-                None if flag == "--streaming" => "true".to_string(),
                 // Never consume another flag as this flag's value.
                 None => it
                     .next()
@@ -172,13 +159,6 @@ impl RunArgs {
                 "--transport" => {
                     run.transport = value.parse().map_err(|err| format!("--transport: {err}"))?;
                 }
-                "--streaming" => {
-                    run.streaming = match value.as_str() {
-                        "true" | "1" | "on" | "yes" => true,
-                        "false" | "0" | "off" | "no" => false,
-                        _ => return Err(format!("--streaming must be a boolean (got {value:?})")),
-                    };
-                }
                 "--cases" => {
                     run.cases = value.parse().map_err(|_| {
                         format!("--cases must be a whole number of worlds (got {value:?})")
@@ -207,16 +187,19 @@ impl RunArgs {
         &self.out_dir
     }
 
-    /// Write an experiment's JSON artifact as `<out>/<name>.json`.
+    /// Write an experiment's JSON artifact as `<out>/<name>.json`, or
+    /// print the path and the OS error and exit 1: a run that could not
+    /// save its artifact has not succeeded.
     pub fn write_results<T: Serialize>(&self, name: &str, value: &T) {
-        if std::fs::create_dir_all(&self.out_dir).is_err() {
-            return;
-        }
         let path = self.out_dir.join(format!("{name}.json"));
-        if let Ok(json) = serde_json::to_string_pretty(value) {
-            let _ = std::fs::write(&path, json);
-            eprintln!("[written {path:?}]");
+        let json = serde_json::to_string_pretty(value).expect("results serialize to JSON");
+        if let Err(err) =
+            std::fs::create_dir_all(&self.out_dir).and_then(|()| std::fs::write(&path, json))
+        {
+            eprintln!("error: cannot write {}: {err}", path.display());
+            std::process::exit(1);
         }
+        eprintln!("[written {path:?}]");
     }
 }
 
@@ -350,7 +333,7 @@ mod tests {
         Command {
             name: "timeline",
             about: "",
-            flags: &["--shards", "--days", "--transport", "--streaming"],
+            flags: &["--shards", "--days", "--transport"],
             run: noop,
         },
         Command {
@@ -449,11 +432,13 @@ mod tests {
         assert!(err.contains("`table1` does not read --shards"), "{err}");
         let err = try_args(&["timeline", "--cases", "5"]).unwrap_err();
         assert!(err.contains("`timeline` does not read --cases"), "{err}");
-        let err = try_args(&["simcheck", "--streaming"]).unwrap_err();
-        assert!(
-            err.contains("`simcheck` does not read --streaming"),
-            "{err}"
-        );
+        let err = try_args(&["simcheck", "--days", "3"]).unwrap_err();
+        assert!(err.contains("`simcheck` does not read --days"), "{err}");
+        // The timeline always streams: there is no analytics switch.
+        for gone in ["--streaming", "--streaming=false"] {
+            let err = try_args(&["timeline", gone]).unwrap_err();
+            assert!(err.contains("unknown flag"), "{err}");
+        }
 
         // The usage text names every command and every flag.
         let text = usage(COMMANDS);
@@ -506,36 +491,6 @@ mod tests {
             assert!(err.contains("--transport"), "unclear: {err}");
             assert!(err.contains(bad), "error must echo the value: {err}");
         }
-    }
-
-    #[test]
-    fn run_args_streaming_flag_parses_and_hard_rejects_garbage() {
-        assert!(!try_args(&["timeline"]).unwrap().streaming);
-
-        // Bare presence flag means true — and never swallows the next
-        // flag as its value.
-        let a = try_args(&["timeline", "--streaming", "--shards", "4"]).unwrap();
-        assert!(a.streaming);
-        assert_eq!(a.shards, 4);
-
-        // Explicit value via the `=` spelling.
-        assert!(
-            !try_args(&["timeline", "--streaming=false"])
-                .unwrap()
-                .streaming
-        );
-        assert!(try_args(&["timeline", "--streaming=1"]).unwrap().streaming);
-        assert!(
-            !try_args(&["timeline", "--streaming=off"])
-                .unwrap()
-                .streaming
-        );
-
-        // A malformed boolean is a hard error: it must not silently run
-        // the other analytics pipeline.
-        let err = try_args(&["timeline", "--streaming=maybe"]).unwrap_err();
-        assert!(err.contains("--streaming"), "unclear: {err}");
-        assert!(err.contains("maybe"), "error must echo the value: {err}");
     }
 
     #[test]

@@ -341,7 +341,8 @@ pub mod world_fixture {
 
     /// The same verdict as [`judge_timeline`], judged from merged
     /// bounded-memory streaming analytics instead of a record log —
-    /// what a `--streaming` run's windows are localised from.
+    /// what `bench timeline`, which always streams, localises its
+    /// windows from.
     pub fn judge_timeline_streamed(
         stats: &encore::streaming::StreamingStats,
         cc: CountryCode,

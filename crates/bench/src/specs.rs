@@ -29,9 +29,10 @@ pub enum BenchWorldSpec {
         /// Visits per day per audience weight.
         rate: f64,
         /// Run with bounded-memory streaming analytics (sketch +
-        /// reservoir + windowed fold-and-evict) instead of the exact
-        /// record log. Absent on the wire for exact runs, so
-        /// pre-streaming coordinators and workers interoperate.
+        /// reservoir + per-window count matrices) instead of the exact
+        /// record log; `bench timeline` always sets it. Absent on the
+        /// wire for exact runs, so pre-streaming coordinators and
+        /// workers interoperate.
         #[serde(default, skip_serializing_if = "std::ops::Not::not")]
         streaming: bool,
     },

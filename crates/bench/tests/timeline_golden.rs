@@ -1,14 +1,15 @@
 //! The timeline golden, pinned where every test run sees it.
 //!
-//! `bench timeline` run from an empty directory must write
-//! `results/timeline.json` byte-identical to `tests/golden/timeline.json`,
-//! and every sharded timeline — threads and worker processes at 2 and 8
-//! shards, streaming over either carrier at 2 — must exit 0 through its
-//! gate on the serial golden compiled into the binary. A corrupted
-//! golden, or a change that moves a byte of the serial run or a verdict
-//! of any sharded run, fails here. `bench demographics`, the one command
-//! that keeps a visit log, rides along: it exits 1 unless its log counts
-//! every visit its report does.
+//! `bench timeline` (which always streams its analytics) run from an
+//! empty directory must write `results/timeline.json` byte-identical to
+//! `tests/golden/timeline.json`, and every sharded timeline — threads
+//! and worker processes at 2 and 8 shards — must exit 0 through its gate
+//! on the serial golden compiled into the binary. A corrupted golden, or
+//! a change that moves a byte of the serial run or a verdict of any
+//! sharded run, fails here. `bench demographics`, the one command that
+//! keeps a visit log, rides along: it exits 1 unless its log counts
+//! every visit its report does. A run that cannot write its artifact
+//! must exit non-zero.
 
 use std::fs;
 use std::path::PathBuf;
@@ -21,13 +22,19 @@ const GOLDEN: &str = concat!(
     "/../../tests/golden/timeline.json"
 );
 
+/// An empty scratch directory of this test process's own.
+fn fresh_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("bench-{name}-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).expect("a scratch directory");
+    dir
+}
+
 /// Run `bench <args>` in a fresh directory of its own, insisting on
 /// exit 0; the directory (for the caller to read and remove) and stdout
 /// are returned.
 fn bench_in_fresh_dir(name: &str, args: &[&str]) -> (PathBuf, String) {
-    let dir = std::env::temp_dir().join(format!("bench-{name}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).expect("a scratch directory");
+    let dir = fresh_dir(name);
     let out = Command::new(BENCH_EXE)
         .args(args)
         .current_dir(&dir)
@@ -81,23 +88,6 @@ const GATED_RUNS: &[(&str, &[&str], &str)] = &[
         &["timeline", "--shards", "8", "--transport", "process"],
         "[8-shard verdict matches the serial golden]",
     ),
-    (
-        "streaming-threads-2",
-        &["timeline", "--shards", "2", "--streaming"],
-        "[2-shard verdict matches the serial golden]",
-    ),
-    (
-        "streaming-process-2",
-        &[
-            "timeline",
-            "--shards",
-            "2",
-            "--transport",
-            "process",
-            "--streaming",
-        ],
-        "[2-shard verdict matches the serial golden]",
-    ),
     ("demographics", &["demographics"], "§6.2 demographics"),
 ];
 
@@ -111,4 +101,23 @@ fn process_sharded_timeline_passes_its_serial_golden_gate() {
             "bench {args:?} never said {says:?}:\n{stdout}"
         );
     }
+}
+
+#[test]
+fn a_run_that_cannot_write_its_artifact_exits_non_zero() {
+    // `--out` below a regular file: the results directory cannot exist.
+    let dir = fresh_dir("unwritable");
+    fs::write(dir.join("file"), "").expect("a regular file");
+    let out = Command::new(BENCH_EXE)
+        .args(["timeline", "--days", "1", "--out", "file/results"])
+        .current_dir(&dir)
+        .output()
+        .expect("bench runs");
+    let _ = fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("cannot write file/results/timeline.json"),
+        "the error names the path: {stderr}"
+    );
 }

@@ -9,8 +9,6 @@
 //! * [`engine`] — browser engines and their security quirks. Chrome's
 //!   "fires `onload` iff HTTP 200 regardless of MIME" script behaviour
 //!   (§4.3.2) is modelled here, as is `nosniff` handling.
-//! * [`sop`] — the same-origin policy's unit, the origin (scheme, host,
-//!   port); the loaders below are what it leaves a page to observe.
 //! * [`cache`] — the HTTP cache, whose hit/miss timing asymmetry powers
 //!   the inline-frame task (Figure 7).
 //! * [`loader`] — the four Table 1 loaders (`img`, stylesheet, script,
@@ -28,10 +26,8 @@ pub mod client;
 pub mod engine;
 pub mod headless;
 pub mod loader;
-pub mod sop;
 
 pub use cache::BrowserCache;
 pub use client::BrowserClient;
 pub use engine::Engine;
 pub use loader::LoadEvent;
-pub use sop::Origin;

@@ -1,34 +1,10 @@
 //! Property tests for the browser emulator.
 
 use browser::cache::BrowserCache;
-use browser::Origin;
 use netsim::http::{ContentType, HttpResponse};
 use proptest::prelude::*;
 
 proptest! {
-    #[test]
-    fn origin_parse_never_panics(s in ".{0,150}") {
-        let _ = Origin::of(&s);
-    }
-
-    #[test]
-    fn same_origin_is_reflexive_for_wellformed(
-        host in "[a-z][a-z0-9-]{0,15}\\.(com|org|net)",
-        path in "[a-z0-9/._-]{0,30}",
-    ) {
-        let url = format!("http://{host}/{path}");
-        prop_assert!(Origin::of(&url).is_some());
-        prop_assert_eq!(Origin::of(&url), Origin::of(&url));
-    }
-
-    #[test]
-    fn same_origin_is_symmetric(
-        a in "https?://[a-z]{1,8}\\.(com|org)(:[0-9]{2,4})?/[a-z0-9]{0,10}",
-        b in "https?://[a-z]{1,8}\\.(com|org)(:[0-9]{2,4})?/[a-z0-9]{0,10}",
-    ) {
-        prop_assert_eq!(Origin::of(&a) == Origin::of(&b), Origin::of(&b) == Origin::of(&a));
-    }
-
     #[test]
     fn cache_never_exceeds_capacity(
         capacity in 1usize..50,

@@ -1297,24 +1297,16 @@ impl CollectionServer {
             .unwrap_or_default()
     }
 
-    /// Snapshot of all stored records (resolving interned strings back to
-    /// text, each distinct URL and user agent shared as in
-    /// [`snapshot`](Self::snapshot) — serialization and analysis see the same bytes as the
-    /// pre-interning store produced). In streaming mode the record log
-    /// does not exist; this returns the reservoir sample's records in
-    /// canonical order.
+    /// The record log in arrival order (resolving interned strings back
+    /// to text, each distinct URL and user agent shared as in
+    /// [`snapshot`](Self::snapshot) — serialization and analysis see the
+    /// same bytes as the pre-interning store produced). In streaming mode
+    /// the record log does not exist and this is empty, as
+    /// `snapshot().records` is; the reservoir sample is
+    /// `snapshot().streaming`'s.
     pub fn records(&self) -> Vec<StoredMeasurement> {
         let store = self.store.borrow();
         let mut shared = SymTable::default();
-        if let Some(st) = store.streaming.as_deref() {
-            let mut records: Vec<StoredMeasurement> = st
-                .reservoir
-                .iter()
-                .map(|(_, r)| store.resolve(r, &mut shared))
-                .collect();
-            records.sort_by(canonical_cmp);
-            return records;
-        }
         store
             .records
             .iter()
@@ -1696,10 +1688,10 @@ mod tests {
             );
         }
         assert_eq!(server.len(), 5, "len() counts accepted submissions");
-        assert_eq!(server.records().len(), 5, "reservoir holds the sample");
         let snap = server.snapshot();
         let stats = snap.streaming.expect("streaming stats");
         assert_eq!(stats.accepted, 5);
+        assert_eq!(stats.reservoir.len(), 5, "reservoir holds the sample");
         assert_eq!(stats.reservoir.seen, 5);
         assert_eq!(
             stats
@@ -1709,6 +1701,32 @@ mod tests {
         );
         assert!(snap.records.is_empty(), "no record log in streaming mode");
         assert_eq!(stats.drops.total(), 0);
+    }
+
+    #[test]
+    fn streaming_records_are_the_empty_log_not_the_sample() {
+        let mut net = Network::ideal(World::builtin());
+        let server = streaming_server(&mut net, &StreamingConfig::default());
+        let client = net.add_client(country("US"), IspClass::Residential);
+        let mut rng = SimRng::new(1);
+        for i in 0..5u64 {
+            let sub = Submission {
+                measurement_id: MeasurementId(i),
+                ..submission()
+            };
+            let url = server.submit_url(&sub);
+            net.fetch(
+                &client,
+                &HttpRequest::get(&url),
+                SimTime::from_secs(i),
+                &mut rng,
+            );
+        }
+        assert_eq!(server.len(), 5);
+        // A detector handed records() must never judge a sample as if
+        // it were the log.
+        assert_eq!(server.records(), server.snapshot().records);
+        assert!(server.records().is_empty());
     }
 
     #[test]

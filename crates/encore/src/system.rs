@@ -18,8 +18,6 @@ use crate::collection::{
 };
 use crate::coordination::{ClientProfile, CoordinationServer, SchedulingStrategy};
 use crate::delivery::{InstallMethod, OriginSite};
-use crate::geo::GeoDb;
-use crate::inference::{Detection, FilteringDetector};
 use crate::tasks::{execute_spec, MeasurementId, MeasurementTask, TaskExecution};
 use browser::BrowserClient;
 use netsim::geo::CountryCode;
@@ -307,11 +305,6 @@ impl EncoreSystem {
         }
         outcome
     }
-
-    /// Run the §7.2 detector over everything collected so far.
-    pub fn detect(&self, geo: &GeoDb, detector: &FilteringDetector) -> Vec<Detection> {
-        detector.detect(&self.collection.records(), geo)
-    }
 }
 
 impl Outbox {
@@ -352,6 +345,8 @@ impl Outbox {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::geo::GeoDb;
+    use crate::inference::FilteringDetector;
     use crate::tasks::{MeasurementId, TaskOutcome, TaskSpec};
     use browser::Engine;
     use censor::national::NationalCensor;
@@ -614,7 +609,7 @@ mod tests {
             }
         }
         let geo = GeoDb::from_allocator(&net.allocator);
-        let detections = sys.detect(&geo, &FilteringDetector::default());
+        let detections = FilteringDetector::default().detect(&sys.collection.records(), &geo);
         assert_eq!(detections.len(), 1);
         assert_eq!(detections[0].country, country("IR"));
         assert_eq!(detections[0].domain, "target.example");

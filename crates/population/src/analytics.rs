@@ -186,9 +186,9 @@ impl Merge for RollupFold {
 
 /// A rollup series that keeps only the trailing `window` points
 /// resident, folding older points into a [`RollupFold`] as new ones
-/// arrive — the engine's streaming-mode replacement for the unbounded
-/// [`RollupSeries`], making peak resident rollups O(window) instead of
-/// O(days).
+/// arrive. The engine keeps every rollup in both modes (a rollup is
+/// three counters); this type stays only while the benchmark's
+/// `rollup_push_ns` probe times it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WindowedRollups {
     window: usize,
@@ -216,39 +216,20 @@ impl WindowedRollups {
         }
     }
 
-    /// The resident (most recent) points, oldest first.
-    pub fn resident(&self) -> impl Iterator<Item = &Rollup> {
-        self.resident.iter()
-    }
-
     /// Resident point count (≤ window).
     pub fn resident_len(&self) -> usize {
         self.resident.len()
     }
-
-    /// The fold of everything evicted so far.
-    pub fn folded(&self) -> RollupFold {
-        self.folded
-    }
-
-    /// Decompose into the resident tail (as a series) and the fold.
-    pub fn into_parts(self) -> (RollupSeries, RollupFold) {
-        (
-            RollupSeries(self.resident.into_iter().collect()),
-            self.folded,
-        )
-    }
 }
 
-/// Streaming-mode summary of a world run: what the engine reports
-/// instead of unbounded per-day state. Rides the `FINAL` transport
-/// frame next to the exact-mode counters; absent (and unserialized) in
-/// exact mode.
+/// Streaming-mode summary of a world run: the collection server's
+/// accounting. Rides the `FINAL` transport frame next to the exact-mode
+/// counters; absent (and unserialized) in exact mode.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct StreamSummary {
-    /// Resident rollup window (points kept in full).
-    pub window: u64,
-    /// Fold of the evicted rollup points.
+    /// Always empty: the engine keeps every rollup in
+    /// [`WorldOutcome::rollups`] and evicts none. Kept while the
+    /// benchmark's stream report counts `rollups + evicted.points`.
     pub evicted: RollupFold,
     /// Collection-server per-cause drop accounting.
     pub drops: encore::streaming::DropCounters,
@@ -261,7 +242,6 @@ impl Merge for StreamSummary {
         let mut drops = self.drops;
         drops.merge(&other.drops);
         StreamSummary {
-            window: self.window.max(other.window),
             evicted: self.evicted.merge(other.evicted),
             drops,
             accepted: self.accepted + other.accepted,
@@ -478,7 +458,7 @@ impl Analytics {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use encore::system::VisitOutcome;
     use netsim::geo::country;
@@ -486,7 +466,7 @@ pub(crate) mod tests {
 
     /// Fold a whole series: the end-of-run equivalent of the windowed
     /// fold-and-evict.
-    pub(crate) fn fold_of(rollups: &[Rollup]) -> RollupFold {
+    fn fold_of(rollups: &[Rollup]) -> RollupFold {
         let mut fold = RollupFold::default();
         for &r in rollups {
             fold.absorb(r);
@@ -685,23 +665,33 @@ pub(crate) mod tests {
 
     #[test]
     fn windowed_rollups_fold_equals_end_of_run_fold() {
-        let points: Vec<Rollup> = (1..=10).map(|i| roll(i * 5, i * 3, i as usize)).collect();
-        let mut windowed = WindowedRollups::new(3);
-        for &r in &points {
-            windowed.push(r);
+        // Every window size against every stream length: the resident
+        // set never outgrows the window, no point is lost or counted
+        // twice mid-stream, the tail is the series' tail, and fold +
+        // tail is the fold of the whole series.
+        for window in 1..9 {
+            for len in 0..40u64 {
+                let points: Vec<Rollup> =
+                    (1..=len).map(|i| roll(i * 5, i * 3, i as usize)).collect();
+                let mut windowed = WindowedRollups::new(window);
+                for (i, &r) in points.iter().enumerate() {
+                    windowed.push(r);
+                    assert!(windowed.resident_len() <= window);
+                    assert_eq!(
+                        windowed.folded.points + windowed.resident_len() as u64,
+                        i as u64 + 1
+                    );
+                }
+                let evicted = points.len() - windowed.resident_len();
+                assert!(windowed.resident.iter().eq(&points[evicted..]));
+                assert_eq!(windowed.folded, fold_of(&points[..evicted]));
+                let mut total = windowed.folded;
+                for &r in &windowed.resident {
+                    total.absorb(r);
+                }
+                assert_eq!(total, fold_of(&points));
+            }
         }
-        assert_eq!(windowed.resident_len(), 3);
-        let (resident, fold) = windowed.clone().into_parts();
-        assert_eq!(resident.0, points[7..]);
-        // Fold of the evicted prefix == folding those same points
-        // directly: eviction order is arrival order.
-        assert_eq!(fold, fold_of(&points[..7]));
-        // Resident tail + fold reconstructs the full series' fold.
-        let mut total = fold;
-        for r in windowed.resident() {
-            total.absorb(*r);
-        }
-        assert_eq!(total, fold_of(&points));
     }
 
     #[test]
@@ -729,7 +719,6 @@ pub(crate) mod tests {
     #[test]
     fn stream_summary_merges_drops_and_accepted_additively() {
         let a = StreamSummary {
-            window: 8,
             evicted: fold_of(&[roll(5, 2, 1)]),
             drops: encore::streaming::DropCounters {
                 queue_full: 3,
@@ -740,7 +729,6 @@ pub(crate) mod tests {
             accepted: 100,
         };
         let b = StreamSummary {
-            window: 8,
             evicted: fold_of(&[roll(5, 1, 0)]),
             drops: encore::streaming::DropCounters {
                 queue_full: 1,

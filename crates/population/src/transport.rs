@@ -171,8 +171,8 @@ pub struct FinalPayload {
     pub control_signals_applied: usize,
     /// Malformed submissions the shard's collection server dropped.
     pub malformed: u64,
-    /// Streaming-mode run summary (evicted-rollup fold + drop
-    /// accounting); absent — and absent from the wire — in exact mode.
+    /// Streaming-mode run summary (drop and acceptance accounting);
+    /// absent — and absent from the wire — in exact mode.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub streaming: Option<StreamSummary>,
     /// The shard's striped GeoIP database.

@@ -57,7 +57,7 @@
 //! block installed "at day 10" is in force for the first visit of
 //! day 10.
 
-use crate::analytics::{tally_outcome, Rollup, RollupSeries, StreamSummary, WindowedRollups};
+use crate::analytics::{tally_outcome, Rollup, RollupSeries, StreamSummary};
 use crate::audience::Audience;
 use crate::batch::{BatchConfig, BatchReport};
 use crate::driver::{DeploymentConfig, VisitRecord};
@@ -231,17 +231,17 @@ pub struct WorldOutcome {
     /// and applied (signals addressed to an uninstalled name, unknown
     /// vocabulary, or a no-op transition are not counted).
     pub control_signals_applied: usize,
-    /// Streaming-mode summary — the evicted-rollup fold and the
-    /// collection server's drop accounting. `None` in exact mode.
+    /// Streaming-mode summary — the collection server's drop and
+    /// acceptance accounting. `None` in exact mode.
     pub streaming: Option<StreamSummary>,
 }
 
 /// Opt-in streaming analytics for a world run — the recipe half of the
 /// constant-memory pipeline. The collection server trades its unbounded
 /// record log for a count-min sketch, a bounded reservoir sample, and
-/// per-window count matrices ([`encore::streaming`]), and the engine
-/// keeps only the trailing [`RESIDENT_ROLLUPS`](Self::RESIDENT_ROLLUPS)
-/// rollup points resident, folding older ones away as new ones fire.
+/// per-window count matrices ([`encore::streaming`]). The rollup series
+/// is the same in both modes: a rollup is three counters, so a 90-day
+/// run's whole daily series is about 2 KiB and every point is kept.
 ///
 /// Each shard's reservoir draws priorities from its own forked RNG
 /// stream; reservoir merge is a union, so per-shard streams are fine.
@@ -258,8 +258,6 @@ impl StreamingSpec {
     /// for shard sketches to merge; a constant is shard-invariant by
     /// construction.
     pub const SKETCH_SEED: u64 = 0x5EED_5EED;
-    /// Rollup points kept resident; older points fold-and-evict.
-    pub const RESIDENT_ROLLUPS: usize = 8;
 
     /// A spec whose analytics window matches the given rollup cadence,
     /// with default sketch/reservoir/queue parameters.
@@ -524,9 +522,6 @@ pub struct WorldEngine<'a> {
     policy_applied: usize,
     signals_applied: usize,
     rollups: Vec<Rollup>,
-    /// Streaming mode: the bounded rollup window that replaces
-    /// `rollups`. `None` in exact mode.
-    streaming: Option<WindowedRollups>,
     report: BatchReport,
     /// The visit log: `Some` only under [`Retain::Full`].
     log: Option<Vec<VisitRecord>>,
@@ -604,14 +599,13 @@ impl<'a> WorldEngine<'a> {
                 WorldEvent::CollectionRollup { period },
             );
         }
-        let streaming = recipe.streaming.as_ref().map(|spec| {
+        if let Some(spec) = &recipe.streaming {
             system.collection.enable_streaming(
                 &spec.config,
                 StreamingSpec::SKETCH_SEED,
                 rng.fork("streaming-reservoir"),
             );
-            WindowedRollups::new(StreamingSpec::RESIDENT_ROLLUPS)
-        });
+        }
         WorldEngine {
             net,
             system,
@@ -626,7 +620,6 @@ impl<'a> WorldEngine<'a> {
             policy_applied: 0,
             signals_applied: 0,
             rollups: Vec::new(),
-            streaming,
             report: BatchReport::default(),
             log: (recipe.retain == Retain::Full).then(Vec::new),
             arrivals_pending: 0,
@@ -677,21 +670,17 @@ impl<'a> WorldEngine<'a> {
                     // analytics window that closed before this rollup is
                     // reduced to its count matrix now, so peak resident
                     // collection state stays O(open window), not O(run).
-                    if self.streaming.is_some() {
+                    if self.recipe.streaming.is_some() {
                         let alloc = &self.net.allocator;
                         self.system
                             .collection
                             .close_windows(now, |ip| alloc.country_of(ip));
                     }
-                    let rollup = Rollup {
+                    self.rollups.push(Rollup {
                         at: now,
                         visits: self.report.visits,
                         collected: self.system.collection.len(),
-                    };
-                    match &mut self.streaming {
-                        Some(windowed) => windowed.push(rollup),
-                        None => self.rollups.push(rollup),
-                    }
+                    });
                     if self.arrivals_pending > 0 {
                         self.queue
                             .schedule(now + period, WorldEvent::CollectionRollup { period });
@@ -836,25 +825,18 @@ impl<'a> WorldEngine<'a> {
 
     fn finish(self) -> WorldOutcome {
         // Streaming mode: close every still-open analytics window (the
-        // tail past the last rollup) before snapshotting, then decompose
-        // the bounded rollup window into its resident tail + fold.
-        let (rollups, streaming) = match self.streaming {
-            Some(windowed) => {
-                let alloc = &self.net.allocator;
-                self.system
-                    .collection
-                    .close_all_windows(|ip| alloc.country_of(ip));
-                let (resident, evicted) = windowed.into_parts();
-                let summary = StreamSummary {
-                    window: StreamingSpec::RESIDENT_ROLLUPS as u64,
-                    evicted,
-                    drops: self.system.collection.drops(),
-                    accepted: self.system.collection.len() as u64,
-                };
-                (resident, Some(summary))
+        // tail past the last rollup) before snapshotting.
+        let streaming = self.recipe.streaming.is_some().then(|| {
+            let alloc = &self.net.allocator;
+            self.system
+                .collection
+                .close_all_windows(|ip| alloc.country_of(ip));
+            StreamSummary {
+                drops: self.system.collection.drops(),
+                accepted: self.system.collection.len() as u64,
+                ..StreamSummary::default()
             }
-            None => (RollupSeries(self.rollups), None),
-        };
+        });
         let mut report = self.report;
         for client in &self.pool {
             report.absorb_session(client);
@@ -862,7 +844,7 @@ impl<'a> WorldEngine<'a> {
         WorldOutcome {
             log: self.log.unwrap_or_default(),
             report,
-            rollups,
+            rollups: RollupSeries(self.rollups),
             policy_changes_applied: self.policy_applied,
             control_signals_applied: self.signals_applied,
             streaming,
@@ -940,7 +922,7 @@ fn execute_arrival(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::analytics::tests::fold_of;
+    use crate::analytics::RollupFold;
     use censor::policy::{CensorPolicy, Mechanism};
     use censor::timeline::{CensorSpec, PolicyChange};
     use encore::coordination::SchedulingStrategy;
@@ -1484,9 +1466,8 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn streaming_recipe_bounds_rollups_and_matches_exact() {
-        // Two weeks of daily rollups: enough to evict past the resident
-        // window.
+    fn streaming_recipe_keeps_every_rollup_and_matches_exact() {
+        // Two weeks of daily rollups.
         let fortnight = DeploymentConfig {
             duration: SimDuration::from_days(14),
             ..week()
@@ -1509,20 +1490,12 @@ pub(crate) mod tests {
         assert_eq!(exact.log, streamed.log);
         assert_eq!(exact.report, streamed.report);
 
-        // Rollups stay bounded; the resident tail is the exact series'
-        // tail, and fold + tail reconstructs the full series' fold.
+        // Both modes keep the one rollup series, point for point, and
+        // nothing is folded away.
         let summary = streamed.streaming.expect("streaming summary present");
-        assert!(exact.rollups.len() >= 12, "need evictions to test against");
-        assert_eq!(streamed.rollups.len(), StreamingSpec::RESIDENT_ROLLUPS);
-        assert_eq!(summary.window, StreamingSpec::RESIDENT_ROLLUPS as u64);
-        let tail_start = exact.rollups.len() - streamed.rollups.len();
-        assert_eq!(streamed.rollups.0, exact.rollups.0[tail_start..]);
-        assert_eq!(summary.evicted, fold_of(&exact.rollups.0[..tail_start]));
-        let mut total = summary.evicted;
-        for r in &streamed.rollups.0 {
-            total.absorb(*r);
-        }
-        assert_eq!(total, fold_of(&exact.rollups.0));
+        assert!(exact.rollups.len() >= 12, "a fortnight of daily rollups");
+        assert_eq!(streamed.rollups, exact.rollups);
+        assert_eq!(summary.evicted, RollupFold::default());
 
         // This gentle world never sheds: every submission the exact
         // store logged was accepted by the streaming store.

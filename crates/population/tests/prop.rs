@@ -205,32 +205,13 @@ proptest! {
     }
 }
 
-/// Streaming fold-and-evict properties: a [`WindowedRollups`] window
-/// must lose no information relative to keeping the whole series (its
-/// fold plus the resident tail reconstructs the end-of-run fold
-/// exactly, for every window size and stream length), and the summary
-/// types the shards exchange must form commutative merge monoids.
+/// Streaming summary properties: the summary types the shards exchange
+/// must form commutative merge monoids.
 mod streaming_fold_props {
     use super::*;
     use encore::streaming::DropCounters;
-    use population::{Merge, Rollup, RollupFold, StreamSummary, WindowedRollups};
+    use population::{Merge, Rollup, RollupFold, StreamSummary};
     use sim_core::SimTime;
-
-    /// A structurally arbitrary time-ordered rollup series.
-    fn series_from(seed: u64, len: usize) -> Vec<Rollup> {
-        let mut rng = SimRng::new(seed);
-        let mut at = 0u64;
-        (0..len)
-            .map(|_| {
-                at += rng.range_u64(1, 10_000);
-                Rollup {
-                    at: SimTime::from_secs(at),
-                    visits: rng.range_u64(0, 1 << 30),
-                    collected: rng.range_u64(0, 1 << 30) as usize,
-                }
-            })
-            .collect()
-    }
 
     fn fold_from(seed: u64) -> RollupFold {
         let mut rng = SimRng::new(seed);
@@ -253,7 +234,6 @@ mod streaming_fold_props {
         let mut rng = SimRng::new(seed);
         let mut draw = || rng.range_u64(0, 1 << 30);
         StreamSummary {
-            window: draw(),
             evicted: fold_from(seed ^ 0xF01D),
             drops: DropCounters {
                 queue_full: draw(),
@@ -266,38 +246,6 @@ mod streaming_fold_props {
     }
 
     proptest! {
-        /// Folding-and-evicting as the stream advances equals folding
-        /// everything at the end of the run, for any window size, and
-        /// the resident set never outgrows the window.
-        #[test]
-        fn windowed_fold_and_evict_equals_end_of_run_fold(
-            seed in any::<u64>(),
-            len in 0usize..40,
-            window in 1usize..9,
-        ) {
-            let all = series_from(seed, len);
-            let mut windowed = WindowedRollups::new(window);
-            for (i, r) in all.iter().enumerate() {
-                windowed.push(*r);
-                prop_assert!(windowed.resident_len() <= window);
-                // No point is ever lost or double-counted mid-stream.
-                prop_assert_eq!(
-                    windowed.folded().points + windowed.resident_len() as u64,
-                    i as u64 + 1
-                );
-            }
-            let (tail, evicted) = windowed.into_parts();
-            let mut reconstructed = evicted;
-            for r in &tail.0 {
-                reconstructed.absorb(*r);
-            }
-            let mut whole = RollupFold::default();
-            for r in &all {
-                whole.absorb(*r);
-            }
-            prop_assert_eq!(reconstructed, whole);
-        }
-
         /// RollupFold's merge is associative and commutative with the
         /// default as identity — shards may combine in any order.
         #[test]
@@ -316,7 +264,7 @@ mod streaming_fold_props {
 
         /// StreamSummary (the per-shard wire summary) merges as a
         /// commutative monoid too: drops and accepted add, the evicted
-        /// fold merges, the window annotation takes the max.
+        /// fold merges.
         #[test]
         fn stream_summary_merge_is_monoidal(
             a in any::<u64>(), b in any::<u64>(), c in any::<u64>(),

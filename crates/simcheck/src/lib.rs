@@ -35,9 +35,10 @@
 //!    byte (outcome, collection, per-shard reports, and serialized
 //!    JSON) at {1, 3} shards, over every generated class.
 //! 8. **Streaming equivalence** — re-running the same world with
-//!    bounded-memory analytics (count-min sketch + reservoir + windowed
-//!    fold-and-evict) leaves the simulation byte-identical and every
-//!    detector verdict unchanged at {1, 2} shards, and an uncensored
+//!    bounded-memory analytics (count-min sketch + reservoir + per-window
+//!    count matrices) leaves the simulation and its rollup series
+//!    byte-identical and every detector verdict unchanged at {1, 2}
+//!    shards, and an uncensored
 //!    world whose under-provisioned ingest queue sheds submissions
 //!    still yields zero false positives.
 //! 9. **Corpus soundness** — worlds measuring two sites of a seeded

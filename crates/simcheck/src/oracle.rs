@@ -517,8 +517,9 @@ impl<'a> CaseChecker<'a> {
 
     /// Oracle 9 — streaming equivalence: re-running the same generated
     /// world with bounded-memory analytics (sketch + reservoir +
-    /// windowed fold-and-evict) must neither perturb the simulation
-    /// (log and report byte-identical at each shard count) nor change a
+    /// per-window count matrices) must neither perturb the simulation
+    /// (log, report and rollup series byte-identical at each shard
+    /// count) nor change a
     /// single detector verdict: the window reports judged from the
     /// merged streaming matrices equal exact windowed detection over
     /// the full record log. A second, deliberately under-provisioned
@@ -538,10 +539,14 @@ impl<'a> CaseChecker<'a> {
             let streamed = self.sharded_with(&streaming_recipe, shards);
             if streamed.outcome.log != exact.outcome.log
                 || streamed.outcome.report != exact.outcome.report
+                || streamed.outcome.rollups != exact.outcome.rollups
             {
                 self.fail(
                     "streaming-lockstep",
-                    format!("{shards}-shard streaming run perturbed the visit stream or report"),
+                    format!(
+                        "{shards}-shard streaming run perturbed the visit stream, report or \
+                         rollup series"
+                    ),
                 );
             }
             if !streamed.collection.records.is_empty() {

@@ -167,6 +167,7 @@ fn main() {
         );
     }
     let geo = GeoDb::from_allocator(&net.allocator);
+    let records = sys.collection.records();
     let naive = FilteringDetector::new(DetectorConfig {
         max_per_ip: None,
         ..DetectorConfig::default()
@@ -178,12 +179,12 @@ fn main() {
     });
     println!(
         "  naive detector:    {} detection(s) — the attacker forged censorship in BR",
-        sys.detect(&geo, &naive).len()
+        naive.detect(&records, &geo).len()
     );
     println!(
         "  per-IP-capped:     {} detection(s) — flood from one address discounted",
-        sys.detect(&geo, &hardened).len()
+        hardened.detect(&records, &geo).len()
     );
-    assert!(sys.detect(&geo, &naive).len() > sys.detect(&geo, &hardened).len());
+    assert!(naive.detect(&records, &geo).len() > hardened.detect(&records, &geo).len());
     println!("\nadversary example OK");
 }

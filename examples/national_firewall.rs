@@ -88,7 +88,7 @@ fn main() {
     );
 
     let geo = GeoDb::from_allocator(&net.allocator);
-    let detections = sys.detect(&geo, &FilteringDetector::default());
+    let detections = FilteringDetector::default().detect(&sys.collection.records(), &geo);
 
     println!("\ndetections:");
     for d in &detections {

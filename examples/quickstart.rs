@@ -71,7 +71,7 @@ fn main() {
 
     // 5. Detect filtering from the collected measurements.
     let geo = GeoDb::from_allocator(&net.allocator);
-    let detections = sys.detect(&geo, &FilteringDetector::default());
+    let detections = FilteringDetector::default().detect(&sys.collection.records(), &geo);
 
     println!("collected {} submissions", sys.collection.len());
     for d in &detections {

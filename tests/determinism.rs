@@ -55,10 +55,11 @@ fn run(seed: u64) -> (String, Vec<String>) {
     WorldEngine::from_recipe(&mut net, &mut sys, &audience, &recipe, &mut rng).run();
 
     // Serialise everything observable.
-    let records = serde_json::to_string(&sys.collection.records()).unwrap();
+    let log = sys.collection.records();
+    let records = serde_json::to_string(&log).unwrap();
     let geo = GeoDb::from_allocator(&net.allocator);
-    let detections: Vec<String> = sys
-        .detect(&geo, &FilteringDetector::default())
+    let detections: Vec<String> = FilteringDetector::default()
+        .detect(&log, &geo)
         .into_iter()
         .map(|d| format!("{}:{}:{}:{}", d.domain, d.country, d.n, d.x))
         .collect();

@@ -109,7 +109,7 @@ fn pipeline_to_detection_end_to_end() {
         min_measurements: 5,
         ..DetectorConfig::default()
     });
-    let detections = sys.detect(&geo, &detector);
+    let detections = detector.detect(&sys.collection.records(), &geo);
 
     // Every detection must be a blocked domain in Iran; both blocked
     // domains should surface if they got enough measurements.
@@ -163,7 +163,7 @@ fn outage_is_not_reported_as_censorship_end_to_end() {
     assert!(visits > 100);
 
     let geo = GeoDb::from_allocator(&net.allocator);
-    let detections = sys.detect(&geo, &FilteringDetector::default());
+    let detections = FilteringDetector::default().detect(&sys.collection.records(), &geo);
     assert!(
         detections.is_empty(),
         "offline target misreported as filtered: {detections:?}"

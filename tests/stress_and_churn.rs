@@ -75,7 +75,7 @@ fn detection_survives_smoltcp_stress_conditions() {
         min_measurements: 10,
         ..DetectorConfig::default()
     });
-    let detections = sys.detect(&geo, &detector);
+    let detections = detector.detect(&sys.collection.records(), &geo);
     assert!(
         detections
             .iter()
@@ -134,7 +134,7 @@ fn mid_run_outage_never_flagged() {
     WorldEngine::from_recipe(&mut net, &mut sys, &audience, &recipe, &mut rng).run();
 
     let geo = GeoDb::from_allocator(&net.allocator);
-    let detections = sys.detect(&geo, &FilteringDetector::default());
+    let detections = FilteringDetector::default().detect(&sys.collection.records(), &geo);
     assert!(
         detections.is_empty(),
         "outage misattributed to censorship: {detections:?}"
