@@ -434,11 +434,6 @@ mod tests {
         assert!(err.contains("`timeline` does not read --cases"), "{err}");
         let err = try_args(&["simcheck", "--days", "3"]).unwrap_err();
         assert!(err.contains("`simcheck` does not read --days"), "{err}");
-        // The timeline always streams: there is no analytics switch.
-        for gone in ["--streaming", "--streaming=false"] {
-            let err = try_args(&["timeline", gone]).unwrap_err();
-            assert!(err.contains("unknown flag"), "{err}");
-        }
 
         // The usage text names every command and every flag.
         let text = usage(COMMANDS);
@@ -447,6 +442,25 @@ mod tests {
         }
         for (flag, ..) in FLAGS {
             assert!(text.contains(flag), "usage lacks {flag}: {text}");
+        }
+    }
+
+    #[test]
+    fn run_args_streaming_flag_parses_and_hard_rejects_garbage() {
+        // The timeline always streams: there is no analytics switch, so
+        // every spelling of the old flag is a hard error rather than a
+        // silently ignored word — bare, valued, or followed by a flag it
+        // must not swallow.
+        assert_eq!(try_args(&["timeline"]).unwrap().shards, 1);
+        for cli in [
+            &["timeline", "--streaming"][..],
+            &["timeline", "--streaming", "--shards", "4"],
+            &["timeline", "--streaming=false"],
+            &["timeline", "--streaming=1"],
+            &["timeline", "--streaming=maybe"],
+        ] {
+            let err = try_args(cli).unwrap_err();
+            assert!(err.contains("unknown flag \"--streaming"), "{cli:?}: {err}");
         }
     }
 

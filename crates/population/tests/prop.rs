@@ -210,8 +210,31 @@ proptest! {
 mod streaming_fold_props {
     use super::*;
     use encore::streaming::DropCounters;
-    use population::{Merge, Rollup, RollupFold, StreamSummary};
+    use population::{Merge, Rollup, RollupFold, StreamSummary, WindowedRollups};
     use sim_core::SimTime;
+
+    fn series_from(seed: u64, len: usize) -> Vec<Rollup> {
+        let mut rng = SimRng::new(seed);
+        let mut at = 0u64;
+        (0..len)
+            .map(|_| {
+                at += rng.range_u64(1, 10_000);
+                Rollup {
+                    at: SimTime::from_secs(at),
+                    visits: rng.range_u64(0, 1 << 30),
+                    collected: rng.range_u64(0, 1 << 30) as usize,
+                }
+            })
+            .collect()
+    }
+
+    fn windowed_from(window: usize, series: &[Rollup]) -> WindowedRollups {
+        let mut windowed = WindowedRollups::new(window);
+        for &r in series {
+            windowed.push(r);
+        }
+        windowed
+    }
 
     fn fold_from(seed: u64) -> RollupFold {
         let mut rng = SimRng::new(seed);
@@ -246,6 +269,46 @@ mod streaming_fold_props {
     }
 
     proptest! {
+        /// Folding-and-evicting as the stream advances keeps what the
+        /// end-of-run fold of the evicted prefix keeps — its point count
+        /// and its last point — next to the resident tail, for any window
+        /// size, and the resident set never outgrows the window.
+        #[test]
+        fn windowed_fold_and_evict_equals_end_of_run_fold(
+            seed in any::<u64>(),
+            len in 0usize..40,
+            window in 1usize..9,
+        ) {
+            let all = series_from(seed, len);
+            let mut windowed = WindowedRollups::new(window);
+            for (i, r) in all.iter().enumerate() {
+                windowed.push(*r);
+                prop_assert_eq!(windowed.resident_len(), (i + 1).min(window));
+            }
+            // A prefix with the same end-of-run fold (as many points, the
+            // same last one) leaves the same state: nothing else of an
+            // evicted point is kept.
+            let evicted = len.saturating_sub(window);
+            let mut same_fold = all.clone();
+            for r in &mut same_fold[..evicted.saturating_sub(1)] {
+                *r = all[evicted - 1];
+            }
+            prop_assert_eq!(&windowed_from(window, &same_fold), &windowed);
+            // One point fewer or more folded away is a different state,
+            // and so is any change to the last evicted or a resident point.
+            if evicted > 0 {
+                prop_assert!(windowed_from(window, &all[1..]) != windowed);
+                let mut last = all.clone();
+                last[evicted - 1].visits ^= 1;
+                prop_assert!(windowed_from(window, &last) != windowed);
+            }
+            if len > 0 {
+                let mut tail = all.clone();
+                tail[len - 1].collected ^= 1;
+                prop_assert!(windowed_from(window, &tail) != windowed);
+            }
+        }
+
         /// RollupFold's merge is associative and commutative with the
         /// default as identity — shards may combine in any order.
         #[test]
