@@ -398,7 +398,7 @@ pub mod corpus_fixture {
     use netsim::geo::{country, IspClass};
     use netsim::http::{ContentType, HttpResponse};
     use netsim::network::Network;
-    use netsim::scenario::{NetworkScenario, WorldScenario};
+    use netsim::scenario::NetworkScenario;
     use population::shard::ShardContext;
     use population::{Audience, DeploymentConfig, StreamingSpec, WorldChange, WorldRecipe};
     use serde::Serialize;
@@ -582,7 +582,7 @@ pub mod corpus_fixture {
     /// deployment.
     pub fn build(ctx: ShardContext) -> (Network, EncoreSystem) {
         let corpus = corpus();
-        let mut net = WorldScenario::new(scenario()).build_shard(ctx.index, ctx.shards);
+        let mut net = scenario().build_shard(ctx.index, ctx.shards);
         corpus.install(&mut net, &mut SimRng::new(CORPUS_SEED ^ 1));
         let ru = ru_adaptive_spec(&corpus).build(&net.dns);
         net.add_middlebox(Box::new(ru));

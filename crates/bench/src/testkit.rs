@@ -10,9 +10,7 @@ use censor::timeline::CensorSpec;
 use encore::system::EncoreSystem;
 use netsim::geo::country;
 use netsim::network::Network;
-use netsim::scenario::WorldScenario;
 use population::shard::ShardContext;
-use std::sync::Arc;
 
 use crate::world_fixture::TARGET;
 
@@ -38,15 +36,15 @@ pub fn verdict_keys(records: &[encore::StoredMeasurement], geo: &encore::GeoDb) 
 }
 
 /// Shard builder for [`crate::world_fixture`]'s world with a **standing** Chinese
-/// censor pre-installed through the scenario's middlebox-factory
-/// hook ([`netsim::scenario::WorldScenario`]) — censorship that is
-/// already in force when the run starts, alongside the scheduled
-/// Turkish block. Exercises the cross-layer path `CensorSpec as
-/// MiddleboxFactory` on every shard thread.
+/// censor installed by the builder itself — censorship that is already
+/// in force when the run starts, alongside the scheduled Turkish block.
+/// Every shard thread materialises the same [`CensorSpec`] against its
+/// own network.
 pub fn build_with_standing_censor(ctx: ShardContext) -> (Network, EncoreSystem) {
-    let spec = WorldScenario::new(crate::world_fixture::scenario())
-        .with_middlebox(Arc::new(standing_censor()));
-    crate::world_fixture::deploy(spec.build_shard(ctx.index, ctx.shards))
+    let mut net = crate::world_fixture::scenario().build_shard(ctx.index, ctx.shards);
+    let censor = standing_censor().build(&net);
+    net.add_middlebox(Box::new(censor));
+    crate::world_fixture::deploy(net)
 }
 
 /// The standing censor: China blocks the target for the whole run.
@@ -72,11 +70,9 @@ pub mod adaptive_fixture {
     use encore::system::EncoreSystem;
     use netsim::geo::{country, CountryCode};
     use netsim::network::Network;
-    use netsim::scenario::WorldScenario;
     use population::shard::ShardContext;
     use population::{DeploymentConfig, WorldRecipe};
     use sim_core::{SimDuration, SimTime};
-    use std::sync::Arc;
 
     /// The watched measurement target — the *same* domain the timeline
     /// fixture's deployment measures, re-exported so the censor's watch
@@ -146,12 +142,12 @@ pub mod adaptive_fixture {
     }
 
     /// Shard builder: the timeline fixture's world plus the standing
-    /// adaptive censor installed through the middlebox-factory hook on
-    /// every shard thread.
+    /// adaptive censor, built against each shard's own network.
     pub fn build(ctx: ShardContext) -> (Network, EncoreSystem) {
-        let spec = WorldScenario::new(crate::world_fixture::scenario())
-            .with_middlebox(Arc::new(adaptive_spec()));
-        crate::world_fixture::deploy(spec.build_shard(ctx.index, ctx.shards))
+        let mut net = crate::world_fixture::scenario().build_shard(ctx.index, ctx.shards);
+        let censor = adaptive_spec().build(&net.dns);
+        net.add_middlebox(Box::new(censor));
+        crate::world_fixture::deploy(net)
     }
 }
 

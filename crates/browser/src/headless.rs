@@ -191,7 +191,7 @@ mod tests {
                 });
                 if has {
                     let har = fetcher.render_har(&mut n, &site.url(path), SimTime::ZERO);
-                    assert!(har.cacheable_images().count() >= 1);
+                    assert!(har.entries.iter().any(|e| e.is_image() && e.cacheable));
                     found = true;
                     break 'outer;
                 }

@@ -86,8 +86,6 @@ impl BrowserClient {
         SimDuration,
     ) {
         let mut req = std::mem::replace(&mut self.scratch_req, HttpRequest::get(String::new()));
-        req.method = netsim::http::Method::Get;
-        req.body_bytes = 0;
         req.url.clear();
         req.url.push_str(url);
         req.referer = referer.map(|r| {

@@ -49,8 +49,6 @@ use netsim::geo::CountryCode;
 use netsim::host::Host;
 use netsim::http::{host_of, HttpRequest};
 use netsim::middlebox::{DnsAction, HttpAction, Middlebox, StageContext, TcpAction};
-use netsim::network::Network;
-use netsim::scenario::MiddleboxFactory;
 use netsim::tcp::TcpAttempt;
 use serde::{Deserialize, Serialize};
 use sim_core::{SimDuration, SimTime};
@@ -141,9 +139,10 @@ impl Stage {
 }
 
 /// Plain-data recipe for an [`AdaptiveCensor`] — `Send + Sync + Clone`,
-/// so adaptive adversaries ride inside shard-shared
-/// [`netsim::scenario::WorldScenario`]s the same way
-/// [`crate::timeline::CensorSpec`] does.
+/// so it crosses to every shard thread, whose world's `build` installs
+/// it with [`AdaptiveSpec::build`] against that shard's own network, as
+/// it does a [`crate::timeline::CensorSpec`]. Shared topology means
+/// every shard compiles the identical address blacklist.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AdaptiveSpec {
     /// Middlebox diagnostic name; also how [`ReactionPolicy`] and policy
@@ -254,15 +253,6 @@ impl AdaptiveSpec {
     }
 }
 
-/// Every shard thread materialises the adaptive censor against its own
-/// network; shared topology means every shard compiles the identical
-/// address blacklist.
-impl MiddleboxFactory for AdaptiveSpec {
-    fn build_middlebox(&self, net: &Network) -> Box<dyn Middlebox> {
-        Box::new(self.build(&net.dns))
-    }
-}
-
 /// The live stateful middlebox. See the module docs for the ladder.
 pub struct AdaptiveCensor {
     spec: AdaptiveSpec,
@@ -277,21 +267,6 @@ pub struct AdaptiveCensor {
 }
 
 impl AdaptiveCensor {
-    /// The current rung.
-    pub fn stage(&self) -> Stage {
-        self.stage.get()
-    }
-
-    /// Cross-origin fetches to watched targets detected so far.
-    pub fn observed(&self) -> u64 {
-        self.observed.get()
-    }
-
-    /// The spec this censor was built from.
-    pub fn spec(&self) -> &AdaptiveSpec {
-        &self.spec
-    }
-
     fn watches_host(&self, host: &str) -> bool {
         let hb = host.as_bytes();
         self.watched_suffixes.iter().any(|(domain, suffix)| {
@@ -546,11 +521,11 @@ mod tests {
         let req = HttpRequest::get(format!("http://{TARGET}/favicon.ico"));
         assert_eq!(censor.on_http_request(&req, &ctx), HttpAction::Pass);
         // …but the cross-origin fetch was detected and counted.
-        assert_eq!(censor.observed(), 1);
+        assert_eq!(censor.observed.get(), 1);
         // Requests to unwatched hosts are not counted.
         let other = HttpRequest::get("http://unrelated.example/x");
         assert_eq!(censor.on_http_request(&other, &ctx), HttpAction::Pass);
-        assert_eq!(censor.observed(), 1);
+        assert_eq!(censor.observed.get(), 1);
         // Unknown control signals are ignored.
         assert!(!censor.on_control("unknown-signal", SimTime::ZERO));
     }
@@ -558,7 +533,7 @@ mod tests {
     #[test]
     fn ladder_escalates_and_saturates() {
         let censor = spec().build(&world().dns);
-        assert_eq!(censor.stage(), Stage::Watch);
+        assert_eq!(censor.stage.get(), Stage::Watch);
         for expected in [
             Stage::RstInjection,
             Stage::Throttle,
@@ -567,17 +542,17 @@ mod tests {
             Stage::Retaliate,
         ] {
             assert!(censor.on_control("escalate", SimTime::ZERO));
-            assert_eq!(censor.stage(), expected);
+            assert_eq!(censor.stage.get(), expected);
         }
         // Saturation: escalate at the top is a no-op…
         assert!(!censor.on_control("escalate", SimTime::ZERO));
-        assert_eq!(censor.stage(), Stage::Retaliate);
+        assert_eq!(censor.stage.get(), Stage::Retaliate);
         // …and stand-down resets the ladder.
         assert!(censor.on_control("stand-down", SimTime::ZERO));
-        assert_eq!(censor.stage(), Stage::Watch);
+        assert_eq!(censor.stage.get(), Stage::Watch);
         // Explicit jumps parse slugs; garbage is ignored.
         assert!(censor.on_control("set-stage:dns-poison", SimTime::ZERO));
-        assert_eq!(censor.stage(), Stage::DnsPoison);
+        assert_eq!(censor.stage.get(), Stage::DnsPoison);
         assert!(!censor.on_control("set-stage:nonsense", SimTime::ZERO));
         assert!(!censor.on_control("set-stage:dns-poison", SimTime::ZERO));
     }
@@ -676,7 +651,7 @@ mod tests {
             let req = HttpRequest::get(format!("http://{TARGET}/r{i}.png"));
             let _ = censor.on_http_request(&req, &ctx);
         }
-        assert_eq!(censor.observed(), 500);
+        assert_eq!(censor.observed.get(), 500);
         let escalated = censor.throttle_probability();
         assert!(
             escalated > base + 0.4,

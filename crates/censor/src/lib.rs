@@ -9,16 +9,19 @@
 //!   prefixes, exact URLs, keywords, IPs) and *how* (DNS NXDOMAIN/redirect/
 //!   drop, IP drop, TCP RST, HTTP drop/reset/block-page/redirect, and
 //!   probabilistic throttling — the "subtle" filtering the paper says
-//!   Encore struggles to see).
-//! * [`national`] — [`national::NationalCensor`], a [`netsim::middlebox::Middlebox`]
-//!   that applies a policy to all clients in one country.
+//!   Encore struggles to see). A [`CensorPolicy`] is the one
+//!   implementation of filtering: a [`netsim::middlebox::Middlebox`] on
+//!   every client's path.
+//! * [`national`] — [`national::NationalCensor`], which scopes a policy
+//!   to the clients of one country and delegates every stage to it.
 //! * [`registry`] — ready-made policies reproducing the ground truth the
 //!   paper verifies against in §7.2: YouTube filtered in Pakistan, Iran and
 //!   China; Twitter and Facebook in China and Iran.
 //! * [`testbed`] — the §7.1 "Web censorship testbed, which has DNS,
 //!   firewall, and Web server configurations that emulate seven varieties
 //!   of DNS, IP, and HTTP filtering", used to validate measurement-task
-//!   soundness.
+//!   soundness: one [`CensorPolicy`] whose seven rules each pair a
+//!   variety's host (or address) with that variety's [`Mechanism`].
 //! * [`timeline`] — [`timeline::PolicyTimeline`], an ordered schedule of
 //!   install/lift/rewrite changes that makes censorship a function of
 //!   time on one continuously-running world (the paper's §1: filtering
@@ -30,12 +33,16 @@
 //!   TTLs → IP blocking → retaliation against the collection server)
 //!   driven by scheduled [`adaptive::ReactionPolicy`] events and/or a
 //!   detected-fetch threshold.
+//!
+//! A world's shard builder is the one place standing censors are
+//! installed: it builds its network, then adds the censor a
+//! [`timeline::CensorSpec`] or [`adaptive::AdaptiveSpec`] builds against
+//! it. Censors that switch on or off mid-run are [`timeline`] events.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod adaptive;
-pub mod fingerprint;
 pub mod national;
 pub mod policy;
 pub mod registry;

@@ -1,15 +1,16 @@
 //! National censors: a policy applied at a country's border.
 //!
-//! A [`NationalCensor`] is a [`Middlebox`] that enforces one
-//! [`CensorPolicy`] against every client located in its country —
+//! A [`NationalCensor`] is a [`Middlebox`] that scopes one
+//! [`CensorPolicy`] to every client located in its country —
 //! modelling both "centralized traffic filters on a national backbone" and
 //! the aggregate behaviour of per-ISP filtering (paper §3.1). Optionally
 //! the censor only covers a subset of access-network classes, modelling
 //! the paper's §2 observation that "residential and mobile broadband
 //! networks can face much different censorship practices than academic and
-//! research networks".
+//! research networks". What happens at each stage is the policy's own
+//! verdict; the censor only decides whose traffic it sees.
 
-use crate::policy::{BlockTarget, CensorPolicy, Mechanism, Rule};
+use crate::policy::{BlockTarget, CensorPolicy, Rule};
 use netsim::dns::DnsSystem;
 use netsim::geo::{CountryCode, IspClass};
 use netsim::host::Host;
@@ -24,12 +25,6 @@ pub struct NationalCensor {
     /// `None` = all access networks; `Some(classes)` = only those classes
     /// are filtered (e.g. residential+mobile but not academic).
     covered_isps: Option<Vec<IspClass>>,
-    /// Enforcement window: policies switch on (and off) over time —
-    /// censorship "varies over time in response to changing social or
-    /// political conditions (e.g., a national election)" (paper §1).
-    /// `None` bounds mean "always".
-    active_from: Option<sim_core::SimTime>,
-    active_until: Option<sim_core::SimTime>,
 }
 
 impl NationalCensor {
@@ -39,8 +34,6 @@ impl NationalCensor {
             country,
             policy,
             covered_isps: None,
-            active_from: None,
-            active_until: None,
         }
     }
 
@@ -48,34 +41,6 @@ impl NationalCensor {
     pub fn covering(mut self, isps: Vec<IspClass>) -> NationalCensor {
         self.covered_isps = Some(isps);
         self
-    }
-
-    /// Only enforce from `t` onward (an election-eve switch-on).
-    pub fn active_from(mut self, t: sim_core::SimTime) -> NationalCensor {
-        self.active_from = Some(t);
-        self
-    }
-
-    /// Stop enforcing at `t` (a block being lifted).
-    pub fn active_until(mut self, t: sim_core::SimTime) -> NationalCensor {
-        self.active_until = Some(t);
-        self
-    }
-
-    /// Whether the censor is enforcing at time `t`.
-    pub fn is_active_at(&self, t: sim_core::SimTime) -> bool {
-        self.active_from.is_none_or(|from| t >= from)
-            && self.active_until.is_none_or(|until| t < until)
-    }
-
-    /// The enforced policy.
-    pub fn policy(&self) -> &CensorPolicy {
-        &self.policy
-    }
-
-    /// The censor's country.
-    pub fn country(&self) -> CountryCode {
-        self.country
     }
 
     /// Expand `Domain` rules carrying TCP-stage mechanisms into concrete
@@ -107,40 +72,7 @@ impl NationalCensor {
     }
 }
 
-/// Deterministic pseudo-random unit value from a URL and a timestamp:
-/// used by [`Mechanism::Throttle`] so the censor's probabilistic drops are
-/// reproducible without threading an RNG through the middlebox trait.
-/// (The `adaptive` module has its own draw with a stronger finalizer —
-/// this one is only well-distributed when the URL varies per request.)
-fn throttle_draw(url: &str, now_micros: u64) -> f64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in url.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h ^= now_micros;
-    h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    // Map the top 53 bits to [0, 1).
-    (h >> 11) as f64 / (1u64 << 53) as f64
-}
-
-fn http_action_for(mechanism: &Mechanism, url: &str, now_micros: u64) -> HttpAction {
-    match mechanism {
-        Mechanism::HttpDrop => HttpAction::Drop,
-        Mechanism::HttpReset => HttpAction::Reset,
-        Mechanism::HttpBlockPage => HttpAction::BlockPage,
-        Mechanism::HttpRedirect(loc) => HttpAction::RedirectTo(loc.clone()),
-        Mechanism::Throttle { drop_probability } => {
-            if throttle_draw(url, now_micros) < *drop_probability {
-                HttpAction::Drop
-            } else {
-                HttpAction::Pass
-            }
-        }
-        _ => HttpAction::Pass,
-    }
-}
-
+/// Scoping only: every stage is the policy's own verdict.
 impl Middlebox for NationalCensor {
     fn name(&self) -> &str {
         &self.policy.name
@@ -155,43 +87,19 @@ impl Middlebox for NationalCensor {
     }
 
     fn on_dns(&self, name: &str, ctx: &StageContext<'_>) -> DnsAction {
-        if !self.is_active_at(ctx.now) {
-            return DnsAction::Pass;
-        }
-        match self.policy.match_dns(name).map(|r| &r.mechanism) {
-            Some(Mechanism::DnsNxDomain) => DnsAction::NxDomain,
-            Some(Mechanism::DnsRedirect(ip)) => DnsAction::Redirect(*ip),
-            Some(Mechanism::DnsDrop) => DnsAction::Drop,
-            _ => DnsAction::Pass,
-        }
+        self.policy.on_dns(name, ctx)
     }
 
     fn dns_verdict_is_pure(&self) -> bool {
-        // The DNS verdict is a pure function of the name unless an
-        // activation window makes it time-dependent. Policy rules are
-        // immutable and there is no control-signal state.
-        self.active_from.is_none() && self.active_until.is_none()
+        self.policy.dns_verdict_is_pure()
     }
 
     fn on_tcp(&self, attempt: &TcpAttempt, ctx: &StageContext<'_>) -> TcpAction {
-        if !self.is_active_at(ctx.now) {
-            return TcpAction::Pass;
-        }
-        match self.policy.match_tcp(attempt.dst).map(|r| &r.mechanism) {
-            Some(Mechanism::IpDrop) => TcpAction::Drop,
-            Some(Mechanism::TcpReset) => TcpAction::Reset,
-            _ => TcpAction::Pass,
-        }
+        self.policy.on_tcp(attempt, ctx)
     }
 
     fn on_http_request(&self, req: &HttpRequest, ctx: &StageContext<'_>) -> HttpAction {
-        if !self.is_active_at(ctx.now) {
-            return HttpAction::Pass;
-        }
-        match self.policy.match_http_request(req) {
-            Some(rule) => http_action_for(&rule.mechanism, &req.url, ctx.now.as_micros()),
-            None => HttpAction::Pass,
-        }
+        self.policy.on_http_request(req, ctx)
     }
 
     fn on_http_response(
@@ -200,19 +108,14 @@ impl Middlebox for NationalCensor {
         resp: &HttpResponse,
         ctx: &StageContext<'_>,
     ) -> HttpAction {
-        if !self.is_active_at(ctx.now) {
-            return HttpAction::Pass;
-        }
-        match self.policy.match_http_response(resp) {
-            Some(rule) => http_action_for(&rule.mechanism, &req.url, ctx.now.as_micros()),
-            None => HttpAction::Pass,
-        }
+        self.policy.on_http_response(req, resp, ctx)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::Mechanism;
     use netsim::geo::{country, World};
     use netsim::http::ContentType;
     use netsim::network::{ConstHandler, FetchError, Network};
@@ -344,48 +247,12 @@ mod tests {
 
     #[test]
     fn throttle_is_deterministic() {
+        use crate::policy::throttle_draw;
         let a = throttle_draw("http://x.com/a", 123);
         let b = throttle_draw("http://x.com/a", 123);
         assert_eq!(a, b);
         assert_ne!(a, throttle_draw("http://x.com/a", 124));
         assert!((0.0..1.0).contains(&a));
-    }
-
-    #[test]
-    fn activation_window_gates_enforcement() {
-        use sim_core::SimTime;
-        let mut n = Network::ideal(World::builtin());
-        img_server(&mut n, "social.example");
-        let policy = CensorPolicy::named("election-block")
-            .block_domain("social.example", Mechanism::DnsNxDomain);
-        let censor = NationalCensor::new(country("TR"), policy)
-            .active_from(SimTime::from_secs(1_000))
-            .active_until(SimTime::from_secs(2_000));
-        assert!(!censor.is_active_at(SimTime::from_secs(999)));
-        assert!(censor.is_active_at(SimTime::from_secs(1_000)));
-        assert!(!censor.is_active_at(SimTime::from_secs(2_000)));
-        n.add_middlebox(Box::new(censor));
-        let tr = n.add_client(country("TR"), IspClass::Residential);
-        let mut rng = SimRng::new(1);
-        let req = HttpRequest::get("http://social.example/favicon.ico");
-        // Before the election: reachable.
-        assert!(n
-            .fetch(&tr, &req, SimTime::from_secs(10), &mut rng)
-            .result
-            .is_ok());
-        // During the block: filtered. (DNS may be resolver-cached from
-        // the earlier fetch; wait past the TTL.)
-        n.dns.flush_caches();
-        assert!(n
-            .fetch(&tr, &req, SimTime::from_secs(1_500), &mut rng)
-            .result
-            .is_err());
-        // After it is lifted: reachable again.
-        n.dns.flush_caches();
-        assert!(n
-            .fetch(&tr, &req, SimTime::from_secs(3_000), &mut rng)
-            .result
-            .is_ok());
     }
 
     #[test]

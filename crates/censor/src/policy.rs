@@ -5,8 +5,16 @@
 //! IP) with a [`Mechanism`] (the *how*: which of §3.1's interference
 //! techniques to apply). The first matching rule wins, mirroring how real
 //! filtering appliances evaluate blacklists.
+//!
+//! A policy is also the one implementation of filtering: it is a
+//! [`Middlebox`] on every client's path, enforcing its rules at all four
+//! stages. [`crate::national::NationalCensor`] scopes one to a country,
+//! and the §7.1 testbed installs one for everybody.
 
+use netsim::host::Host;
 use netsim::http::{host_of, HttpRequest, HttpResponse};
+use netsim::middlebox::{DnsAction, HttpAction, Middlebox, StageContext, TcpAction};
+use netsim::tcp::TcpAttempt;
 use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
@@ -217,6 +225,93 @@ impl CensorPolicy {
         self.rules
             .iter()
             .find(|r| r.mechanism.is_http() && r.target.matches_content(resp))
+    }
+}
+
+/// Deterministic pseudo-random unit value from a URL and a timestamp:
+/// used by [`Mechanism::Throttle`] so the censor's probabilistic drops are
+/// reproducible without threading an RNG through the middlebox trait.
+/// (The `adaptive` module has its own draw with a stronger finalizer —
+/// this one is only well-distributed when the URL varies per request.)
+pub(crate) fn throttle_draw(url: &str, now_micros: u64) -> f64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in url.as_bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h ^= now_micros;
+    h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    // Map the top 53 bits to [0, 1).
+    (h >> 11) as f64 / (1u64 << 53) as f64
+}
+
+fn http_action_for(mechanism: &Mechanism, url: &str, now_micros: u64) -> HttpAction {
+    match mechanism {
+        Mechanism::HttpDrop => HttpAction::Drop,
+        Mechanism::HttpReset => HttpAction::Reset,
+        Mechanism::HttpBlockPage => HttpAction::BlockPage,
+        Mechanism::HttpRedirect(loc) => HttpAction::RedirectTo(loc.clone()),
+        Mechanism::Throttle { drop_probability } => {
+            if throttle_draw(url, now_micros) < *drop_probability {
+                HttpAction::Drop
+            } else {
+                HttpAction::Pass
+            }
+        }
+        _ => HttpAction::Pass,
+    }
+}
+
+/// A policy on its own filters every client; scope it with
+/// [`crate::national::NationalCensor`].
+impl Middlebox for CensorPolicy {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn applies_to(&self, _client: &Host) -> bool {
+        true
+    }
+
+    fn on_dns(&self, name: &str, _ctx: &StageContext<'_>) -> DnsAction {
+        match self.match_dns(name).map(|r| &r.mechanism) {
+            Some(Mechanism::DnsNxDomain) => DnsAction::NxDomain,
+            Some(Mechanism::DnsRedirect(ip)) => DnsAction::Redirect(*ip),
+            Some(Mechanism::DnsDrop) => DnsAction::Drop,
+            _ => DnsAction::Pass,
+        }
+    }
+
+    fn dns_verdict_is_pure(&self) -> bool {
+        // Rules are immutable and there is no control-signal state.
+        true
+    }
+
+    fn on_tcp(&self, attempt: &TcpAttempt, _ctx: &StageContext<'_>) -> TcpAction {
+        match self.match_tcp(attempt.dst).map(|r| &r.mechanism) {
+            Some(Mechanism::IpDrop) => TcpAction::Drop,
+            Some(Mechanism::TcpReset) => TcpAction::Reset,
+            _ => TcpAction::Pass,
+        }
+    }
+
+    fn on_http_request(&self, req: &HttpRequest, ctx: &StageContext<'_>) -> HttpAction {
+        match self.match_http_request(req) {
+            Some(rule) => http_action_for(&rule.mechanism, &req.url, ctx.now.as_micros()),
+            None => HttpAction::Pass,
+        }
+    }
+
+    fn on_http_response(
+        &self,
+        req: &HttpRequest,
+        resp: &HttpResponse,
+        ctx: &StageContext<'_>,
+    ) -> HttpAction {
+        match self.match_http_response(resp) {
+            Some(rule) => http_action_for(&rule.mechanism, &req.url, ctx.now.as_micros()),
+            None => HttpAction::Pass,
+        }
     }
 }
 

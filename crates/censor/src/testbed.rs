@@ -5,22 +5,20 @@
 //! > configurations that emulate seven varieties of DNS, IP, and HTTP
 //! > filtering."
 //!
-//! Each variety gets its own virtual host under [`TESTBED_DOMAIN`]; a
-//! middlebox installed for *all* clients enforces the variety named by the
-//! host being fetched. An eighth, unfiltered control host serves the same
-//! resources untouched, so a measurement task run against
+//! Each variety gets its own virtual host under [`TESTBED_DOMAIN`]; one
+//! [`CensorPolicy`] installed for *all* clients holds seven rules, each
+//! pairing a variety's host (or, for the IP-level varieties, its address)
+//! with that variety's [`Mechanism`]. An eighth, unfiltered control host
+//! serves the same resources untouched, so a measurement task run against
 //! `control.testbed…` validates the success path and the same task against
 //! `dns-nxdomain.testbed…` validates failure detection.
 
-use netsim::geo::{country, CountryCode};
-use netsim::host::Host;
+use crate::policy::{BlockTarget, CensorPolicy, Mechanism};
+use netsim::geo::country;
 use netsim::http::{ContentType, HttpRequest, HttpResponse};
-use netsim::middlebox::{DnsAction, HttpAction, Middlebox, StageContext, TcpAction};
 use netsim::network::{HttpHandler, Network};
-use netsim::tcp::TcpAttempt;
 use serde::{Deserialize, Serialize};
 use sim_core::SimTime;
-use std::net::Ipv4Addr;
 
 /// Parent domain of all testbed hosts.
 pub const TESTBED_DOMAIN: &str = "testbed.encore-repro.net";
@@ -58,13 +56,6 @@ impl FilterVariety {
         FilterVariety::HttpDrop,
         FilterVariety::HttpBlockPage,
     ];
-
-    /// The seven actual filtering varieties (everything but the control).
-    pub fn filtering() -> impl Iterator<Item = FilterVariety> {
-        Self::ALL
-            .into_iter()
-            .filter(|v| *v != FilterVariety::Control)
-    }
 
     /// Host-name label for this variety.
     pub fn slug(self) -> &'static str {
@@ -140,100 +131,16 @@ impl HttpHandler for TestbedHandler {
     }
 }
 
-/// The middlebox enforcing each variety against its virtual host. It
-/// covers *all* clients — the testbed is about task soundness, not
-/// geography.
-struct TestbedFilter {
-    sinkhole: Ipv4Addr,
-    server_ip: Ipv4Addr,
-}
-
-impl TestbedFilter {
-    fn variety_for_host(name: &str) -> Option<FilterVariety> {
-        FilterVariety::from_hostname(name)
-    }
-
-    fn variety_for_url(url: &str) -> Option<FilterVariety> {
-        netsim::http::host_of(url).and_then(|h| Self::variety_for_host(&h))
-    }
-}
-
-impl Middlebox for TestbedFilter {
-    fn name(&self) -> &str {
-        "testbed-filter"
-    }
-
-    fn applies_to(&self, _client: &Host) -> bool {
-        true
-    }
-
-    fn on_dns(&self, name: &str, _ctx: &StageContext<'_>) -> DnsAction {
-        match Self::variety_for_host(name) {
-            Some(FilterVariety::DnsNxDomain) => DnsAction::NxDomain,
-            Some(FilterVariety::DnsSinkhole) => DnsAction::Redirect(self.sinkhole),
-            Some(FilterVariety::DnsDrop) => DnsAction::Drop,
-            _ => DnsAction::Pass,
-        }
-    }
-
-    fn on_tcp(&self, attempt: &TcpAttempt, _ctx: &StageContext<'_>) -> TcpAction {
-        // IP-level varieties can't see host names; the testbed gives each
-        // variety its own address, so the filter keys on destination.
-        if attempt.dst == self.server_ip {
-            return TcpAction::Pass;
-        }
-        TcpAction::Pass
-    }
-
-    fn on_http_request(&self, req: &HttpRequest, _ctx: &StageContext<'_>) -> HttpAction {
-        match Self::variety_for_url(&req.url) {
-            Some(FilterVariety::HttpDrop) => HttpAction::Drop,
-            Some(FilterVariety::HttpBlockPage) => HttpAction::BlockPage,
-            _ => HttpAction::Pass,
-        }
-    }
-}
-
-/// Per-address middlebox for the IP-level varieties (each variety's
-/// virtual host resolves to its own address, so IP blocking is keyed on
-/// the address, exactly like a real null-route).
-struct IpLevelFilter {
-    drop_ip: Ipv4Addr,
-    reset_ip: Ipv4Addr,
-}
-
-impl Middlebox for IpLevelFilter {
-    fn name(&self) -> &str {
-        "testbed-ip-filter"
-    }
-    fn applies_to(&self, _client: &Host) -> bool {
-        true
-    }
-    fn on_tcp(&self, attempt: &TcpAttempt, _ctx: &StageContext<'_>) -> TcpAction {
-        if attempt.dst == self.drop_ip {
-            TcpAction::Drop
-        } else if attempt.dst == self.reset_ip {
-            TcpAction::Reset
-        } else {
-            TcpAction::Pass
-        }
-    }
-}
-
-/// Handle to an installed testbed.
+/// Handle to an installed testbed: the URLs of its resources.
 #[derive(Debug, Clone)]
-pub struct Testbed {
-    /// Country hosting the testbed servers (Georgia Tech in the paper, so
-    /// US).
-    pub server_country: CountryCode,
-    addresses: Vec<(FilterVariety, Ipv4Addr)>,
-}
+pub struct Testbed;
 
 impl Testbed {
     /// Install the testbed into a network: one virtual host per variety
     /// (each with its own address), the shared resource handler, and the
-    /// filtering middleboxes.
+    /// filtering policy.
     pub fn install(network: &mut Network) -> Testbed {
+        // Georgia Tech hosts the servers in the paper.
         let server_country = country("US");
         let mut addresses = Vec::new();
 
@@ -246,40 +153,29 @@ impl Testbed {
             addresses.push((variety, host.ip));
         }
 
-        let server_ip = addresses
-            .iter()
-            .find(|(v, _)| *v == FilterVariety::Control)
-            .map(|&(_, ip)| ip)
-            .expect("control host installed");
-        let drop_ip = addresses
-            .iter()
-            .find(|(v, _)| *v == FilterVariety::IpDrop)
-            .map(|&(_, ip)| ip)
-            .expect("ip-drop host installed");
-        let reset_ip = addresses
-            .iter()
-            .find(|(v, _)| *v == FilterVariety::TcpReset)
-            .map(|&(_, ip)| ip)
-            .expect("tcp-reset host installed");
-
         // Sinkhole: an address where nothing listens.
         let sinkhole = network.allocator.allocate(server_country);
 
-        network.add_middlebox(Box::new(TestbedFilter {
-            sinkhole,
-            server_ip,
-        }));
-        network.add_middlebox(Box::new(IpLevelFilter { drop_ip, reset_ip }));
-
-        Testbed {
-            server_country,
-            addresses,
+        // IP-level varieties can't see host names; each variety has its
+        // own address, so those rules key on it, exactly like a real
+        // null-route.
+        let mut policy = CensorPolicy::named("testbed-filter");
+        for &(variety, ip) in &addresses {
+            let host = BlockTarget::Domain(variety.hostname());
+            let (target, mechanism) = match variety {
+                FilterVariety::Control => continue,
+                FilterVariety::DnsNxDomain => (host, Mechanism::DnsNxDomain),
+                FilterVariety::DnsSinkhole => (host, Mechanism::DnsRedirect(sinkhole)),
+                FilterVariety::DnsDrop => (host, Mechanism::DnsDrop),
+                FilterVariety::IpDrop => (BlockTarget::Ip(ip), Mechanism::IpDrop),
+                FilterVariety::TcpReset => (BlockTarget::Ip(ip), Mechanism::TcpReset),
+                FilterVariety::HttpDrop => (host, Mechanism::HttpDrop),
+                FilterVariety::HttpBlockPage => (host, Mechanism::HttpBlockPage),
+            };
+            policy = policy.with_rule(target, mechanism);
         }
-    }
-
-    /// The variety hosts and their addresses.
-    pub fn addresses(&self) -> &[(FilterVariety, Ipv4Addr)] {
-        &self.addresses
+        network.add_middlebox(Box::new(policy));
+        Testbed
     }
 
     /// URL of the favicon resource on a variety's host.
@@ -330,7 +226,13 @@ mod tests {
 
     #[test]
     fn seven_filtering_varieties() {
-        assert_eq!(FilterVariety::filtering().count(), 7);
+        assert_eq!(
+            FilterVariety::ALL
+                .into_iter()
+                .filter(|v| v.expect_filtered())
+                .count(),
+            7
+        );
         assert!(!FilterVariety::Control.expect_filtered());
         assert!(FilterVariety::DnsDrop.expect_filtered());
     }
@@ -360,7 +262,10 @@ mod tests {
         let (mut n, tb) = testbed_network();
         let client = n.add_client(country("DE"), IspClass::Residential);
         let mut rng = SimRng::new(1);
-        for v in FilterVariety::filtering() {
+        for v in FilterVariety::ALL
+            .into_iter()
+            .filter(|v| v.expect_filtered())
+        {
             let url = tb.favicon_url(v);
             let out = n.fetch(&client, &HttpRequest::get(&url), SimTime::ZERO, &mut rng);
             let failed = match &out.result {

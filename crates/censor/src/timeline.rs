@@ -90,17 +90,6 @@ impl CensorSpec {
     }
 }
 
-/// A [`CensorSpec`] is the canonical middlebox factory for shard-shared
-/// world recipes: each shard thread materialises the censor against its
-/// own network, and because per-shard networks share topology (DNS,
-/// server placement), specs that resolve IP rules compile identical
-/// blacklists on every shard.
-impl netsim::scenario::MiddleboxFactory for CensorSpec {
-    fn build_middlebox(&self, net: &Network) -> Box<dyn netsim::middlebox::Middlebox> {
-        Box::new(self.build(net))
-    }
-}
-
 /// One scheduled mutation of the censorship regime.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum PolicyChange {
@@ -255,11 +244,11 @@ mod tests {
 
     #[test]
     fn censor_spec_acts_as_middlebox_factory() {
-        use netsim::scenario::MiddleboxFactory;
+        use netsim::middlebox::Middlebox;
         let mut net = blocked_world();
-        let mb = tr_block().build_middlebox(&net);
-        assert_eq!(mb.name(), "tr-election-block");
-        net.add_middlebox(mb);
+        let censor = tr_block().build(&net);
+        assert_eq!(censor.name(), "tr-election-block");
+        net.add_middlebox(Box::new(censor));
         assert!(!fetch_ok(&mut net, SimTime::ZERO));
     }
 

@@ -1351,11 +1351,6 @@ impl CollectionServer {
         self.len() == 0
     }
 
-    /// Count of malformed submissions dropped.
-    pub fn malformed(&self) -> u64 {
-        self.store.borrow().malformed
-    }
-
     /// Distinct client IPs seen (the paper reports "88,260 distinct
     /// IPs").
     pub fn distinct_ips(&self) -> usize {
@@ -1505,7 +1500,7 @@ mod tests {
             &mut rng,
         );
         assert_eq!(server.len(), 0);
-        assert_eq!(server.malformed(), 1);
+        assert_eq!(server.store.borrow().malformed, 1);
     }
 
     #[test]
@@ -1694,9 +1689,11 @@ mod tests {
         assert_eq!(stats.reservoir.len(), 5, "reservoir holds the sample");
         assert_eq!(stats.reservoir.seen, 5);
         assert_eq!(
-            stats
-                .sketch
-                .estimate_ns(CountMinSketch::NS_URL, b"http://youtube.com/favicon.ico"),
+            stats.sketch.estimate_at(
+                &stats
+                    .sketch
+                    .slots_ns(CountMinSketch::NS_URL, b"http://youtube.com/favicon.ico")
+            ),
             5
         );
         assert!(snap.records.is_empty(), "no record log in streaming mode");
@@ -2150,9 +2147,11 @@ mod tests {
         // Both spellings tallied under the one decoded URL.
         let stats = server.snapshot().streaming.expect("streaming mode");
         assert_eq!(
-            stats
-                .sketch
-                .estimate_ns(CountMinSketch::NS_URL, b"http://youtube.com/favicon.ico"),
+            stats.sketch.estimate_at(
+                &stats
+                    .sketch
+                    .slots_ns(CountMinSketch::NS_URL, b"http://youtube.com/favicon.ico")
+            ),
             3
         );
     }

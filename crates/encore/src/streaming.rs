@@ -14,8 +14,8 @@
 //!   that reads a key's bytes: one hash per row into a fixed-size
 //!   buffer) and *an update or estimate at given slots*
 //!   ([`CountMinSketch::add_at`], [`CountMinSketch::estimate_at`]:
-//!   counter reads and writes only). `add_ns` / `estimate_ns` are the
-//!   two composed; a caller whose keys repeat — the collection server
+//!   counter reads and writes only). `add_ns` is the two composed; a
+//!   caller whose keys repeat — the collection server
 //!   sees a few dozen URLs and origins millions of times — keeps each
 //!   key's slots and pays for hashing once per key, not per update.
 //! * [`ReservoirSample`] — a deterministic uniform sample of the
@@ -227,29 +227,9 @@ impl CountMinSketch {
         self.add_at(&self.slots_ns(ns, key), count);
     }
 
-    /// Point estimate for `key` in namespace `ns` (min over rows).
-    pub fn estimate_ns(&self, ns: u8, key: &[u8]) -> u64 {
-        self.estimate_at(&self.slots_ns(ns, key))
-    }
-
     /// Add in the default namespace.
     pub fn add(&mut self, key: &[u8], count: u64) {
         self.add_ns(0, key, count);
-    }
-
-    /// Estimate in the default namespace.
-    pub fn estimate(&self, key: &[u8]) -> u64 {
-        self.estimate_ns(0, key)
-    }
-
-    /// Total count added across all keys and namespaces.
-    pub fn items(&self) -> u64 {
-        self.items
-    }
-
-    /// Sketch width (counters per row).
-    pub fn width(&self) -> u32 {
-        self.width
     }
 
     /// Element-wise merge. Panics unless both sketches share dimensions
@@ -519,11 +499,6 @@ impl IngestQueue {
             true
         }
     }
-
-    /// Submissions currently queued.
-    pub fn pending(&self) -> u64 {
-        self.pending
-    }
 }
 
 /// The complete serialisable streaming state of one collection server
@@ -664,6 +639,11 @@ impl StreamingStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Point estimate for `key` in namespace `ns`.
+    fn estimate(s: &CountMinSketch, ns: u8, key: &[u8]) -> u64 {
+        s.estimate_at(&s.slots_ns(ns, key))
+    }
     use crate::collection::Submission;
     use crate::tasks::{MeasurementId, TaskOutcome, TaskType};
     use sim_core::SimRng;
@@ -693,17 +673,17 @@ mod tests {
             s.add(key.as_bytes(), (i as u64 + 1) * 3);
         }
         for (i, key) in ["a", "bb", "ccc", "dddd"].iter().enumerate() {
-            assert_eq!(s.estimate(key.as_bytes()), (i as u64 + 1) * 3);
+            assert_eq!(estimate(&s, 0, key.as_bytes()), (i as u64 + 1) * 3);
         }
-        assert_eq!(s.items(), 3 + 6 + 9 + 12);
+        assert_eq!(s.items, 3 + 6 + 9 + 12);
     }
 
     #[test]
     fn sketch_namespaces_are_independent() {
         let mut s = CountMinSketch::new(4, 256, 7);
         s.add_ns(CountMinSketch::NS_URL, b"example.com", 5);
-        assert_eq!(s.estimate_ns(CountMinSketch::NS_URL, b"example.com"), 5);
-        assert_eq!(s.estimate_ns(CountMinSketch::NS_ORIGIN, b"example.com"), 0);
+        assert_eq!(estimate(&s, CountMinSketch::NS_URL, b"example.com"), 5);
+        assert_eq!(estimate(&s, CountMinSketch::NS_ORIGIN, b"example.com"), 0);
     }
 
     #[test]
@@ -714,8 +694,8 @@ mod tests {
         b.add(b"k", 4);
         b.add(b"other", 1);
         a.merge(&b);
-        assert!(a.estimate(b"k") >= 7);
-        assert_eq!(a.items(), 8);
+        assert!(estimate(&a, 0, b"k") >= 7);
+        assert_eq!(a.items, 8);
     }
 
     #[test]
@@ -799,11 +779,11 @@ mod tests {
         // 2.5 simulated seconds drain two; fractional credit carries.
         let t1 = SimTime::from_micros(2_500_000);
         assert!(q.admit(t1));
-        assert_eq!(q.pending(), 2);
+        assert_eq!(q.pending, 2);
         // The carried 0.5s credit plus another 0.5s drains one more.
         let t2 = SimTime::from_micros(3_000_000);
         assert!(q.admit(t2));
-        assert_eq!(q.pending(), 2);
+        assert_eq!(q.pending, 2);
     }
 
     #[test]
@@ -882,8 +862,7 @@ mod tests {
         a.merge(b);
         assert_eq!(a.accepted, 9);
         assert_eq!(
-            a.sketch
-                .estimate_ns(CountMinSketch::NS_URL, b"http://t.co/x"),
+            estimate(&a.sketch, CountMinSketch::NS_URL, b"http://t.co/x"),
             9
         );
         assert!(a.resident_bytes() > 0);

@@ -1,7 +1,7 @@
 //! HTTP model.
 //!
 //! We model requests and responses at the granularity Encore cares about:
-//! method, URL, a small set of semantically meaningful headers
+//! GET requests (embedding always fetches), URL, a small set of semantically meaningful headers
 //! (`Content-Type`, `Cache-Control`, `X-Content-Type-Options`, `Referer`),
 //! status codes, and bodies described by size + content class rather than
 //! literal bytes. Keyword-based censorship (paper §1: "censorship typically
@@ -11,25 +11,6 @@
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::fmt;
-
-/// HTTP request method. Encore's measurement tasks only ever issue GETs
-/// (embedding always fetches); POST exists for result submission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Method {
-    /// GET — resource fetch.
-    Get,
-    /// POST — measurement result submission (AJAX per §5.5).
-    Post,
-}
-
-impl fmt::Display for Method {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Method::Get => "GET",
-            Method::Post => "POST",
-        })
-    }
-}
 
 /// HTTP status code (the subset the simulation produces).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -88,35 +69,19 @@ pub enum Cacheability {
 /// An HTTP request.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HttpRequest {
-    /// Method.
-    pub method: Method,
     /// Absolute URL string, e.g. `http://censored.com/favicon.ico`.
     pub url: String,
     /// `Referer` header, if the client sends one (origin sites may strip
     /// it — the paper notes ¾ of measurements arrived referrer-less).
     pub referer: Option<String>,
-    /// Body size in bytes (0 for GET).
-    pub body_bytes: u64,
 }
 
 impl HttpRequest {
     /// A GET for `url` with no referer.
     pub fn get(url: impl Into<String>) -> HttpRequest {
         HttpRequest {
-            method: Method::Get,
             url: url.into(),
             referer: None,
-            body_bytes: 0,
-        }
-    }
-
-    /// A POST to `url` carrying `bytes` of body.
-    pub fn post(url: impl Into<String>, bytes: u64) -> HttpRequest {
-        HttpRequest {
-            method: Method::Post,
-            url: url.into(),
-            referer: None,
-            body_bytes: bytes,
         }
     }
 
@@ -378,14 +343,6 @@ mod tests {
         assert_eq!(r.host().as_deref(), Some("censored.com"));
         assert_eq!(r.path(), "/favicon.ico");
         assert_eq!(r.referer.as_deref(), Some("http://example.com/"));
-        assert_eq!(r.method, Method::Get);
-    }
-
-    #[test]
-    fn post_carries_bytes() {
-        let r = HttpRequest::post("http://collector/submit", 180);
-        assert_eq!(r.method, Method::Post);
-        assert_eq!(r.body_bytes, 180);
     }
 
     #[test]

@@ -108,8 +108,9 @@ pub trait Middlebox {
     /// [`Middlebox::on_control`]. Sessions memoise the DNS verdict per
     /// host for pipelines made entirely of pure middleboxes, invalidating
     /// on middlebox-set and behaviour-generation bumps — so a middlebox
-    /// with a time-windowed or self-mutating DNS hook must keep the
-    /// conservative default (`false`).
+    /// whose DNS hook reads the clock or mutates itself (a censor that
+    /// escalates on what it observes) must keep the conservative default
+    /// (`false`).
     fn dns_verdict_is_pure(&self) -> bool {
         false
     }

@@ -44,17 +44,6 @@ impl HttpHandler for ConstHandler {
     }
 }
 
-/// Stage at which a fetch failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FailureStage {
-    /// During name resolution.
-    Dns,
-    /// During connection establishment.
-    Tcp,
-    /// After the connection, during the HTTP exchange.
-    Http,
-}
-
 /// Why a fetch failed, as observable by the client.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FetchError {
@@ -75,21 +64,6 @@ pub enum FetchError {
     /// during connection establishment — the signal is what lets
     /// measurement distinguish congestion collapse from censorship.
     Congested,
-}
-
-impl FetchError {
-    /// The stage this error belongs to.
-    pub fn stage(self) -> FailureStage {
-        match self {
-            FetchError::BadUrl | FetchError::DnsNxDomain | FetchError::DnsTimeout => {
-                FailureStage::Dns
-            }
-            FetchError::ConnectTimeout => FailureStage::Tcp,
-            FetchError::ConnectionReset => FailureStage::Tcp,
-            FetchError::Congested => FailureStage::Tcp,
-            FetchError::ResponseTimeout => FailureStage::Http,
-        }
-    }
 }
 
 /// Timing breakdown of a fetch (all durations are cumulative elapsed wall
@@ -626,7 +600,6 @@ mod tests {
             &mut rng,
         );
         assert_eq!(out.result, Err(FetchError::DnsNxDomain));
-        assert_eq!(out.result.unwrap_err().stage(), FailureStage::Dns);
     }
 
     #[test]
@@ -850,7 +823,6 @@ mod tests {
             &mut rng,
         );
         assert_eq!(out.result, Err(FetchError::ConnectionReset));
-        assert_eq!(out.result.unwrap_err().stage(), FailureStage::Tcp);
     }
 
     #[test]

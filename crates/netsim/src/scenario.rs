@@ -23,12 +23,10 @@
 use crate::geo::{CountryCode, World};
 use crate::http::HttpResponse;
 use crate::ip::IpAllocator;
-use crate::middlebox::Middlebox;
 use crate::network::{ConstHandler, Network};
 use crate::path::PathModel;
 use crate::topology::{AsTopology, TopologyConfig};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// A constant-response server to install (the scenario analogue of
 /// `net.add_server(..., ConstHandler(...))`).
@@ -91,7 +89,11 @@ impl TopologySpec {
 /// Richer deployments (stateful handlers, censor middleboxes, Encore
 /// infrastructure) are layered on top by the caller after
 /// [`build_shard`](NetworkScenario::build_shard) returns — those layers
-/// live in crates above `netsim` and take `&mut Network` as usual.
+/// live in crates above `netsim` and take `&mut Network` as usual. A
+/// standing censor is one of them: the shard builder materialises it
+/// from its plain-data spec against the freshly built network and calls
+/// [`Network::add_middlebox`], so every shard compiles the same rules
+/// against the same topology.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct NetworkScenario {
     /// Use the jitter-free ideal path model instead of the default.
@@ -169,80 +171,6 @@ impl NetworkScenario {
     }
 }
 
-/// A thread-shareable recipe for one middlebox — the missing piece that
-/// lets *censored* (and otherwise intercepted) worlds ride inside a
-/// shard-shared scenario. A boxed [`Middlebox`] itself can never cross a
-/// thread boundary, but a factory of plain data can: each shard thread
-/// calls [`MiddleboxFactory::build_middlebox`] against its own freshly built
-/// network (so factories that compile rules against the network's DNS —
-/// e.g. a firewall resolving its IP blacklist — see an identical
-/// topology on every shard and compile identical rules).
-///
-/// `censor::timeline::CensorSpec` implements this trait, so national
-/// censors drop straight into a [`WorldScenario`].
-pub trait MiddleboxFactory: Send + Sync {
-    /// Materialise the middlebox against a concrete network.
-    fn build_middlebox(&self, net: &Network) -> Box<dyn Middlebox>;
-}
-
-/// A [`NetworkScenario`] plus deferred middlebox installation — the full
-/// recipe for per-shard worlds whose middlebox set can also *mutate*
-/// mid-run (policy timelines install/lift/rewrite through the network's
-/// middlebox generation counter, and every shard replays the same
-/// control schedule against the same starting set).
-///
-/// Installation order is the factory insertion order on every shard, so
-/// the interception order — and therefore the middlebox generation
-/// counter sequence under later mutations — is identical across shards.
-#[derive(Clone)]
-pub struct WorldScenario {
-    /// The plain-data substrate recipe.
-    pub base: NetworkScenario,
-    factories: Vec<Arc<dyn MiddleboxFactory>>,
-}
-
-impl std::fmt::Debug for WorldScenario {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorldScenario")
-            .field("base", &self.base)
-            .field("middlebox_factories", &self.factories.len())
-            .finish()
-    }
-}
-
-impl WorldScenario {
-    /// Wrap a plain scenario with no middleboxes.
-    pub fn new(base: NetworkScenario) -> WorldScenario {
-        WorldScenario {
-            base,
-            factories: Vec::new(),
-        }
-    }
-
-    /// Builder: append a middlebox factory (installed after all servers,
-    /// in insertion order).
-    pub fn with_middlebox(mut self, factory: Arc<dyn MiddleboxFactory>) -> WorldScenario {
-        self.factories.push(factory);
-        self
-    }
-
-    /// Build the serial network: identical to shard 0 of a 1-shard run.
-    pub fn build(&self) -> Network {
-        self.build_shard(0, 1)
-    }
-
-    /// Build shard `index` of `shards`: the base scenario's striped
-    /// network with every middlebox installed on top, in order.
-    pub fn build_shard(&self, index: usize, shards: usize) -> Network {
-        let mut net = self.base.build_shard(index, shards);
-        for factory in &self.factories {
-            let mb = factory.build_middlebox(&net);
-            net.add_middlebox(mb);
-        }
-        net
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,52 +223,6 @@ mod tests {
         // Cross-shard ground truth never conflicts: a's allocator simply
         // doesn't know b's ranges.
         assert_eq!(a.allocator.country_of(cb.ip), None);
-    }
-
-    struct NxFactory;
-    impl MiddleboxFactory for NxFactory {
-        fn build_middlebox(&self, _net: &Network) -> Box<dyn crate::middlebox::Middlebox> {
-            struct Nx;
-            impl crate::middlebox::Middlebox for Nx {
-                fn name(&self) -> &str {
-                    "nx-all"
-                }
-                fn applies_to(&self, _client: &crate::host::Host) -> bool {
-                    true
-                }
-                fn on_dns(
-                    &self,
-                    _name: &str,
-                    _ctx: &crate::middlebox::StageContext<'_>,
-                ) -> crate::middlebox::DnsAction {
-                    crate::middlebox::DnsAction::NxDomain
-                }
-            }
-            Box::new(Nx)
-        }
-    }
-
-    #[test]
-    fn world_scenario_installs_middleboxes_on_every_shard() {
-        let spec = WorldScenario::new(scenario()).with_middlebox(Arc::new(NxFactory));
-        assert_eq!(spec.factories.len(), 1);
-        for (i, n) in [(0usize, 2usize), (1, 2)] {
-            let mut net = spec.build_shard(i, n);
-            assert_eq!(net.middleboxes().len(), 1);
-            assert_eq!(net.middleboxes()[0].name(), "nx-all");
-            let client = net.add_client(country("DE"), IspClass::Residential);
-            let mut rng = SimRng::new(1);
-            let out = net.fetch(
-                &client,
-                &HttpRequest::get("http://target.example/favicon.ico"),
-                SimTime::ZERO,
-                &mut rng,
-            );
-            assert!(out.result.is_err(), "factory censor must bite on shard {i}");
-        }
-        // The scenario itself stays thread-shareable.
-        fn check<T: Send + Sync + Clone>() {}
-        check::<WorldScenario>();
     }
 
     #[test]

@@ -383,21 +383,6 @@ impl AsTopology {
         &self.config
     }
 
-    /// Number of ASes.
-    pub fn ases(&self) -> usize {
-        self.degrees.len()
-    }
-
-    /// The links of the graph.
-    pub fn links(&self) -> &[Link] {
-        &self.links
-    }
-
-    /// Per-AS degrees.
-    pub fn degrees(&self) -> &[u32] {
-        &self.degrees
-    }
-
     /// Deterministic country → AS mapping: a splitmix mix of the graph
     /// seed and the two-byte code, reduced mod the AS count. Stable for
     /// the life of the topology.
@@ -461,11 +446,6 @@ impl AsTopology {
                 self.background[i] = level.max(0.0);
             }
         }
-    }
-
-    /// A link's background utilisation.
-    pub fn background(&self, link: usize) -> f64 {
-        self.background[link]
     }
 
     /// Divide hotspot capacities by the shard count, so N shards each
@@ -545,6 +525,7 @@ impl AsTopology {
 mod tests {
     use super::*;
     use crate::geo::country;
+    use proptest::prelude::*;
 
     fn topo(seed: u64) -> AsTopology {
         AsTopology::generate(TopologyConfig::with_seed(seed))
@@ -555,14 +536,14 @@ mod tests {
         for seed in [0u64, 7, 0xDEAD_BEEF] {
             assert_eq!(topo(seed), topo(seed));
         }
-        assert_ne!(topo(1).links(), topo(2).links());
+        assert_ne!(topo(1).links, topo(2).links);
     }
 
     #[test]
     fn graph_is_connected() {
         for seed in 0..8u64 {
             let t = topo(seed);
-            let n = t.ases();
+            let n = t.degrees.len();
             for dst in 1..n as u32 {
                 let r = t.routes[dst as usize];
                 assert!(r.hops > 0, "AS {dst} unreachable from AS 0 (seed {seed})");
@@ -584,8 +565,8 @@ mod tests {
                     degree_exponent: gamma,
                     ..TopologyConfig::default()
                 });
-                let max = *t.degrees().iter().max().unwrap() as f64;
-                let sum: u32 = t.degrees().iter().sum();
+                let max = *t.degrees.iter().max().unwrap() as f64;
+                let sum: u32 = t.degrees.iter().sum();
                 total += max / sum as f64;
             }
             total / 6.0
@@ -601,11 +582,11 @@ mod tests {
     #[test]
     fn hotspots_are_the_most_crossed_links() {
         let t = topo(5);
-        let hotspots: Vec<&Link> = t.links().iter().filter(|l| l.hotspot).collect();
+        let hotspots: Vec<&Link> = t.links.iter().filter(|l| l.hotspot).collect();
         assert_eq!(hotspots.len(), t.config().hotspots);
         let min_hot = hotspots.iter().map(|l| l.route_crossings).min().unwrap();
         let max_cold = t
-            .links()
+            .links
             .iter()
             .filter(|l| !l.hotspot)
             .map(|l| l.route_crossings)
@@ -726,7 +707,7 @@ mod tests {
             ..TopologyConfig::with_seed(1)
         });
         t.scale_capacity(16);
-        assert!(t.links().iter().all(|l| l.capacity >= 1));
+        assert!(t.links.iter().all(|l| l.capacity >= 1));
     }
 
     #[test]
@@ -734,6 +715,52 @@ mod tests {
         let t = topo(11);
         let a = t.as_of_country(country("CN"));
         assert_eq!(a, t.as_of_country(country("CN")));
-        assert!((a as usize) < t.ases());
+        assert!((a as usize) < t.degrees.len());
+    }
+
+    /// Share of all edge endpoints owned by the highest-degree AS,
+    /// averaged over `reps` seeds derived from `seed` — the
+    /// tail-heaviness statistic the generator's exponent knob must move.
+    fn max_degree_share(seed: u64, gamma: f64, reps: u64) -> f64 {
+        let mut total = 0.0;
+        for i in 0..reps {
+            let t = AsTopology::generate(TopologyConfig {
+                seed: sim_core::splitmix_mix(seed ^ i),
+                ases: 128,
+                degree_exponent: gamma,
+                ..TopologyConfig::default()
+            });
+            let max = t.degrees.iter().copied().max().unwrap_or(0) as f64;
+            let sum: u32 = t.degrees.iter().sum();
+            total += max / sum.max(1) as f64;
+        }
+        total / reps as f64
+    }
+
+    proptest! {
+        #[test]
+        fn degrees_are_a_valid_multigraph_free_cover(seed in 0u64..1u64 << 48) {
+            let t = AsTopology::generate(TopologyConfig::with_seed(seed));
+            // Every AS attached with at least one link, and the degree
+            // vector is exactly the links' endpoint multiset.
+            prop_assert!(t.degrees.iter().all(|&d| d >= 1));
+            let endpoint_sum: u32 = t.degrees.iter().sum();
+            prop_assert_eq!(endpoint_sum as usize, 2 * t.links.len());
+            // Links connect distinct ASes (no self-loops to hide in).
+            prop_assert!(t.links.iter().all(|l| l.a != l.b));
+        }
+
+        #[test]
+        fn smaller_exponent_means_heavier_degree_tail(seed in 0u64..1u64 << 40) {
+            // γ = 2.1 (heavy tail) must concentrate more endpoints on the
+            // top AS than γ = 3.0 (pure preferential attachment), averaged
+            // over derived seeds to wash out single-draw noise.
+            let heavy = max_degree_share(seed, 2.1, 6);
+            let light = max_degree_share(seed.wrapping_add(0x5EED), 3.0, 6);
+            prop_assert!(
+                heavy > light,
+                "tail heaviness did not increase: share(2.1)={heavy:.4} <= share(3.0)={light:.4}"
+            );
+        }
     }
 }

@@ -212,9 +212,8 @@ where
 /// `build` is called once per shard, *on its lane thread*, and must
 /// return a freshly built `Network` + deployed `EncoreSystem` for the
 /// given [`ShardContext`] — typically via
-/// [`netsim::scenario::NetworkScenario::build_shard`] (or
-/// [`netsim::scenario::WorldScenario::build_shard`] for worlds with
-/// pre-installed middleboxes) plus `EncoreSystem::deploy`. The builder
+/// [`netsim::scenario::NetworkScenario::build_shard`], then any standing
+/// censor through `Network::add_middlebox`, plus `EncoreSystem::deploy`. The builder
 /// must be deterministic in the context: building the same shard twice
 /// must yield identical deployments.
 ///

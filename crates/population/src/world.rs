@@ -327,11 +327,6 @@ impl WorldRecipe {
         self
     }
 
-    /// The scheduled censor reaction policies (control plane).
-    pub fn reactions(&self) -> &[ReactionPolicy] {
-        &self.reactions
-    }
-
     /// Every scheduled reaction step with the censor it addresses, in
     /// the order [`WorldEvent::CensorSignal`] indexes them.
     fn reaction_steps(&self) -> impl Iterator<Item = (&str, SimTime, &Reaction)> {

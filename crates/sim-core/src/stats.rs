@@ -105,25 +105,6 @@ impl Cdf {
         self.quantile(0.5)
     }
 
-    /// Emit `points` evenly spaced `(x, F(x))` pairs spanning the sample
-    /// range — the series a plotting tool would consume.
-    pub fn series(&self, points: usize) -> Vec<(f64, f64)> {
-        if self.sorted.is_empty() || points == 0 {
-            return Vec::new();
-        }
-        let lo = self.sorted[0];
-        let hi = *self.sorted.last().unwrap();
-        if points == 1 || hi == lo {
-            return vec![(hi, 1.0)];
-        }
-        (0..points)
-            .map(|i| {
-                let x = lo + (hi - lo) * i as f64 / (points - 1) as f64;
-                (x, self.fraction_at_most(x))
-            })
-            .collect()
-    }
-
     /// Emit `(x, F(x))` at caller-chosen x positions (used when the paper's
     /// axis is fixed, e.g. Figure 4's 0–2000 images range).
     pub fn series_at(&self, xs: &[f64]) -> Vec<(f64, f64)> {
@@ -338,7 +319,8 @@ mod tests {
     #[test]
     fn cdf_series_monotone() {
         let cdf = Cdf::new(vec![1.0, 5.0, 5.0, 9.0, 20.0]);
-        let series = cdf.series(10);
+        let xs: Vec<f64> = (0..10).map(|i| 1.0 + 19.0 * f64::from(i) / 9.0).collect();
+        let series = cdf.series_at(&xs);
         assert_eq!(series.len(), 10);
         for w in series.windows(2) {
             assert!(w[1].1 >= w[0].1, "CDF must be non-decreasing");
@@ -360,7 +342,7 @@ mod tests {
         assert!(cdf.is_empty());
         assert_eq!(cdf.fraction_at_most(1.0), 0.0);
         assert_eq!(cdf.quantile(0.5), None);
-        assert!(cdf.series(5).is_empty());
+        assert_eq!(cdf.series_at(&[0.0, 5.0]), vec![(0.0, 0.0), (5.0, 0.0)]);
     }
 
     #[test]

@@ -24,10 +24,10 @@
 //!   freedom), which are only guaranteed away from decision boundaries
 //!   — the generator's job is to stay away from them.
 //!
-//! Generation implements the vendored `proptest` [`Strategy`] trait, so
-//! cases compose with `proptest!` tests and the budgeted runner alike,
-//! and every case embeds the seed that produced it: `WorldCase::from_seed
-//! (class, seed)` is the whole reproduction recipe.
+//! Generation draws from the vendored `proptest` [`TestRng`], and every
+//! case embeds the seed that produced it: `WorldCase::from_seed(class,
+//! seed)` is the whole reproduction recipe, for the budgeted runner and
+//! for `proptest!` tests alike.
 
 use censor::adaptive::{AdaptiveSpec, Reaction, ReactionPolicy, Stage};
 use censor::policy::{CensorPolicy, Mechanism};
@@ -38,15 +38,14 @@ use encore::system::EncoreSystem;
 use netsim::geo::{country, CountryCode};
 use netsim::http::{ContentType, HttpResponse};
 use netsim::network::Network;
-use netsim::scenario::{NetworkScenario, WorldScenario};
+use netsim::scenario::NetworkScenario;
 use netsim::TopologyConfig;
 use population::shard::ShardContext;
 use population::{BatchConfig, DeploymentConfig, Retain, WorldChange, WorldRecipe};
-use proptest::{Strategy, TestRng};
+use proptest::TestRng;
 use serde::{Deserialize, Serialize};
 use sim_core::{SimDuration, SimRng, SimTime};
 use std::net::Ipv4Addr;
-use std::sync::Arc;
 
 /// The measurement-target domain every generated world installs.
 pub const TARGET: &str = "probe-target.example";
@@ -817,27 +816,20 @@ impl WorldCase {
                     .with_hotspot_between(self.country, country("US")),
             );
         }
-        let mut net = match (&self.corpus, self.standing_adaptive()) {
-            // Corpus worlds install the generated web *before* the
-            // adaptive censor, so the censor's watched domain resolves
-            // to real addresses for the address-matched stages (RST
-            // injection, IP block).
-            (Some(corpus_spec), standing) => {
-                let mut net = scenario.build_shard(ctx.index, ctx.shards);
-                corpus_spec
-                    .corpus()
-                    .install(&mut net, &mut SimRng::new(corpus_spec.corpus_seed ^ 1));
-                if let Some(spec) = standing {
-                    let censor = spec.build(&net.dns);
-                    net.add_middlebox(Box::new(censor));
-                }
-                net
-            }
-            (None, Some(spec)) => WorldScenario::new(scenario)
-                .with_middlebox(Arc::new(spec))
-                .build_shard(ctx.index, ctx.shards),
-            (None, None) => scenario.build_shard(ctx.index, ctx.shards),
-        };
+        let mut net = scenario.build_shard(ctx.index, ctx.shards);
+        // Corpus worlds install the generated web *before* the adaptive
+        // censor, so the censor's watched domain resolves to real
+        // addresses for the address-matched stages (RST injection, IP
+        // block).
+        if let Some(corpus_spec) = &self.corpus {
+            corpus_spec
+                .corpus()
+                .install(&mut net, &mut SimRng::new(corpus_spec.corpus_seed ^ 1));
+        }
+        if let Some(spec) = self.standing_adaptive() {
+            let censor = spec.build(&net.dns);
+            net.add_middlebox(Box::new(censor));
+        }
         let origins = (0..self.origins)
             .map(|i| OriginSite::academic(format!("origin-{i}.example")).with_popularity(5.0))
             .collect();
@@ -916,24 +908,22 @@ impl WorldCase {
     }
 }
 
-/// A proptest [`Strategy`] over [`WorldCase`]s of one class: each draw
-/// burns one `u64` of the test RNG as the case seed, so a failing case
-/// prints as a single reproducible number.
-pub struct CaseStrategy {
-    /// The class every generated case belongs to.
-    pub class: CaseClass,
-}
-
-impl Strategy for CaseStrategy {
-    type Value = WorldCase;
-    fn generate(&self, rng: &mut TestRng) -> WorldCase {
-        WorldCase::from_seed(self.class, rng.next_u64())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A recipe's censor reaction policies, read through serde (the
+    /// engine keeps them crate-private).
+    fn reactions(recipe: &WorldRecipe) -> Vec<ReactionPolicy> {
+        #[derive(Deserialize)]
+        struct Reactions {
+            reactions: Vec<ReactionPolicy>,
+        }
+        let json = serde_json::to_string(recipe).expect("serialize recipe");
+        serde_json::from_str::<Reactions>(&json)
+            .expect("a recipe lists its reactions")
+            .reactions
+    }
 
     #[test]
     fn case_generation_is_deterministic_in_the_seed() {
@@ -1200,16 +1190,16 @@ mod tests {
                 match case.censor {
                     CensorModel::Scheduled { .. } => {
                         assert_eq!(recipe.timeline().len(), 2);
-                        assert!(recipe.reactions().is_empty());
+                        assert!(reactions(&recipe).is_empty());
                     }
                     CensorModel::Adaptive { .. } => {
                         assert!(recipe.timeline().is_empty());
-                        assert_eq!(recipe.reactions().len(), 1);
-                        assert_eq!(recipe.reactions()[0].len(), 2);
+                        assert_eq!(reactions(&recipe).len(), 1);
+                        assert_eq!(reactions(&recipe)[0].len(), 2);
                     }
                     _ => {
                         assert!(recipe.timeline().is_empty());
-                        assert!(recipe.reactions().is_empty());
+                        assert!(reactions(&recipe).is_empty());
                     }
                 }
                 let (net, sys) = case.build(ShardContext {

@@ -378,7 +378,7 @@ impl<'a> CaseChecker<'a> {
         }
     }
 
-    /// Oracles 6–8 — congestion soundness, per [`CongestionShape`]:
+    /// Oracle 6 — congestion soundness, per [`CongestionShape`]:
     ///
     /// * `CongestedUncensored` — a transit brownout alone must never be
     ///   read as censorship, anywhere.
@@ -444,7 +444,7 @@ impl<'a> CaseChecker<'a> {
             }
         }
     }
-    /// Oracles 10–11 — generative-corpus soundness: verdict invariance
+    /// Oracle 9 — generative-corpus soundness: verdict invariance
     /// and (when censored) localisation against the corpus' rank-0
     /// site, plus the *benignity* oracle — the measured rank-1 site,
     /// which may suffer a globally visible benign origin outage, must
@@ -515,7 +515,7 @@ impl<'a> CaseChecker<'a> {
         }
     }
 
-    /// Oracle 9 — streaming equivalence: re-running the same generated
+    /// Oracle 8 — streaming equivalence: re-running the same generated
     /// world with bounded-memory analytics (sketch + reservoir +
     /// per-window count matrices) must neither perturb the simulation
     /// (log, report and rollup series byte-identical at each shard

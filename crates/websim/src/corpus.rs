@@ -109,7 +109,7 @@ pub struct Corpus {
     /// The underlying generated web (sites in rank order).
     pub web: SyntheticWeb,
     /// Per-rank popularity share (Zipf mass; sums to 1).
-    popularity: Vec<f64>,
+    pub popularity: Vec<f64>,
     /// Cross-site links as `(from_rank, to_rank)` pairs.
     pub links: Vec<(usize, usize)>,
 }
@@ -183,11 +183,6 @@ impl Corpus {
     /// All content-site domains, rank-ordered (deterministic).
     pub fn domains(&self) -> Vec<String> {
         self.web.domains()
-    }
-
-    /// Popularity share of `rank` (0.0 for out-of-range ranks).
-    pub fn popularity(&self, rank: usize) -> f64 {
-        self.popularity.get(rank).copied().unwrap_or(0.0)
     }
 
     /// The site at `rank` after a redesign: shared assets move under
@@ -358,9 +353,9 @@ mod tests {
         let total: f64 = c.popularity.iter().sum();
         assert!((total - 1.0).abs() < 1e-9, "total = {total}");
         for r in 1..c.len() {
-            assert!(c.popularity(r) <= c.popularity(r - 1));
+            assert!(c.popularity[r] <= c.popularity[r - 1]);
         }
-        assert_eq!(c.popularity(c.len()), 0.0);
+        assert_eq!(c.popularity.len(), c.len());
     }
 
     #[test]

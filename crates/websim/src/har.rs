@@ -41,12 +41,6 @@ impl HarEntry {
     pub fn is_image(&self) -> bool {
         self.ok && self.content_type == ContentType::Image
     }
-
-    /// Whether this entry is a cacheable, successfully fetched image —
-    /// the raw material of the iframe task (Figure 6).
-    pub fn is_cacheable_image(&self) -> bool {
-        self.is_image() && self.cacheable
-    }
 }
 
 /// An archive of one page load.
@@ -66,16 +60,6 @@ impl Har {
     /// sizes of all objects loaded by a page").
     pub fn total_bytes(&self) -> u64 {
         self.entries.iter().map(|e| e.body_bytes).sum()
-    }
-
-    /// Entries that are successfully fetched images.
-    pub fn images(&self) -> impl Iterator<Item = &HarEntry> {
-        self.entries.iter().filter(|e| e.is_image())
-    }
-
-    /// Entries that are cacheable images.
-    pub fn cacheable_images(&self) -> impl Iterator<Item = &HarEntry> {
-        self.entries.iter().filter(|e| e.is_cacheable_image())
     }
 
     /// Whether any fetched object exceeds `bytes` (the §5.2 "large
@@ -134,8 +118,9 @@ mod tests {
     #[test]
     fn image_filters() {
         let h = demo();
-        assert_eq!(h.images().count(), 3);
-        assert_eq!(h.cacheable_images().count(), 2);
+        let images = || h.entries.iter().filter(|e| e.is_image());
+        assert_eq!(images().count(), 3);
+        assert_eq!(images().filter(|e| e.cacheable).count(), 2);
     }
 
     #[test]
@@ -143,7 +128,6 @@ mod tests {
         let mut e = entry("http://x/y.png", ContentType::Image, 100, true);
         e.ok = false;
         assert!(!e.is_image());
-        assert!(!e.is_cacheable_image());
     }
 
     #[test]

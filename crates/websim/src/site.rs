@@ -134,11 +134,6 @@ impl SiteHandler {
     pub fn new(content: Arc<SiteContent>) -> SiteHandler {
         SiteHandler { content }
     }
-
-    /// The site this handler serves.
-    pub fn content(&self) -> &Arc<SiteContent> {
-        &self.content
-    }
 }
 
 impl HttpHandler for SiteHandler {

@@ -4,10 +4,15 @@
 //! inputs.
 
 use encore_repro::censor::policy::{BlockTarget, CensorPolicy, Mechanism};
+use encore_repro::censor::NationalCensor;
 use encore_repro::encore::collection::{Submission, SubmissionPhase};
 use encore_repro::encore::tasks::{MeasurementId, TaskOutcome, TaskType};
-use encore_repro::netsim::http::{host_of, path_of};
+use encore_repro::netsim::geo::{country, IspClass};
+use encore_repro::netsim::host::{Host, HostId};
+use encore_repro::netsim::http::{host_of, path_of, ContentType, HttpRequest, HttpResponse};
 use encore_repro::netsim::ip::Ipv4Net;
+use encore_repro::netsim::middlebox::{Middlebox, StageContext};
+use encore_repro::netsim::tcp::TcpAttempt;
 use encore_repro::sim_core::stats::binomial_cdf;
 use encore_repro::sim_core::{Cdf, EventQueue, OneSidedBinomialTest, SimTime};
 use encore_repro::websim::UrlPattern;
@@ -171,14 +176,54 @@ proptest! {
     fn policy_matching_never_panics(
         domain in "[a-z]{1,10}\\.(com|org)",
         url in ".{0,120}",
+        mechanism in 0usize..10,
+        ip in any::<u32>(),
+        micros in any::<u64>(),
     ) {
+        let ip = Ipv4Addr::from(ip);
+        let mechanism = [
+            Mechanism::DnsNxDomain,
+            Mechanism::DnsRedirect(ip),
+            Mechanism::DnsDrop,
+            Mechanism::IpDrop,
+            Mechanism::TcpReset,
+            Mechanism::HttpDrop,
+            Mechanism::HttpReset,
+            Mechanism::HttpBlockPage,
+            Mechanism::HttpRedirect("http://block.example/".into()),
+            Mechanism::Throttle { drop_probability: 0.5 },
+        ][mechanism]
+            .clone();
         let p = CensorPolicy::named("prop")
-            .block_domain(&domain, Mechanism::DnsNxDomain)
-            .with_rule(
-                BlockTarget::Keyword("kw".into()),
-                Mechanism::HttpReset,
-            );
+            .block_domain(&domain, mechanism.clone())
+            .with_rule(BlockTarget::Keyword("kw".into()), Mechanism::HttpReset)
+            .with_rule(BlockTarget::Ip(ip), mechanism);
         let _ = p.match_dns(&url);
+
+        // A national censor only scopes its policy: in its country every
+        // stage is the policy's own verdict, and outside it sits on no
+        // client's path.
+        let censor = NationalCensor::new(country("CN"), p.clone());
+        let client = |cc| Host::new(HostId(0), Ipv4Addr::new(100, 0, 0, 2), country(cc), IspClass::Residential);
+        let (inside, outside) = (client("CN"), client("US"));
+        prop_assert!(censor.applies_to(&inside));
+        prop_assert!(!censor.applies_to(&outside));
+        let ctx = StageContext { client: &inside, now: SimTime::from_micros(micros) };
+        for name in [domain.as_str(), url.as_str()] {
+            prop_assert_eq!(censor.on_dns(name, &ctx), p.on_dns(name, &ctx));
+        }
+        prop_assert_eq!(censor.dns_verdict_is_pure(), p.dns_verdict_is_pure());
+        let attempt = TcpAttempt::http(ip);
+        prop_assert_eq!(censor.on_tcp(&attempt, &ctx), p.on_tcp(&attempt, &ctx));
+        let mut resp = HttpResponse::ok(ContentType::Html, 100);
+        resp.keywords = vec!["kw".into()];
+        for req in [HttpRequest::get(&url), HttpRequest::get(format!("http://{domain}/p"))] {
+            prop_assert_eq!(censor.on_http_request(&req, &ctx), p.on_http_request(&req, &ctx));
+            prop_assert_eq!(
+                censor.on_http_response(&req, &resp, &ctx),
+                p.on_http_response(&req, &resp, &ctx)
+            );
+        }
     }
 
     #[test]
@@ -192,7 +237,7 @@ proptest! {
         prop_assert!(p.match_dns(&domain).is_some());
         prop_assert!(p.match_dns(&www).is_some());
         // DNS-stage rules never fire at the HTTP stage.
-        let req = encore_repro::netsim::http::HttpRequest::get(url);
+        let req = HttpRequest::get(url);
         prop_assert!(p.match_http_request(&req).is_none());
     }
 }

@@ -1,25 +1,35 @@
 //! The public surface is what production calls.
 //!
 //! Every `pub` item in `crates/*/src`, outside its file's trailing
-//! `#[cfg(test)] mod`, must be named as a whole word on a production line
-//! other than its definition line. Production lines are the lines above
-//! the test module in `crates/*/src`, `src/`, `examples/` and
-//! `benchmark/src`; `tests/` directories, `benchmark/tests` and test
-//! modules only exercise what production already reaches. The one
-//! exemption is `bench::testkit` (`crates/bench/src/testkit.rs`), the
-//! fixtures the root tests share: its lines are not production, and its
-//! items need only be named somewhere other than their definition and
-//! their own file's tests. A `pub mod` is judged by its items. Every root
-//! re-export (`pub use` at the top of a `lib.rs`) must be written through
-//! its crate root outside that `lib.rs`. Comment lines name nothing.
+//! `#[cfg(test)] mod`, must be named on a production line other than its
+//! definition line. A type or constant is named by a whole word. A
+//! function is named only where it is reached: called (`name(`,
+//! `name::<`), written as a path (`::name`) or inside a `#[serde(..)]`
+//! attribute. A bare word — a field, a local, an entry of a `use` list,
+//! a function passed by name as a value — does not reach a function, and
+//! neither does another `fn name(` definition. A type's own `impl T` and
+//! `impl Trait for T` headers do not name it.
+//!
+//! Production lines are the lines above the test module in
+//! `crates/*/src`, `src/`, `examples/` and `benchmark/src`; `tests/`
+//! directories, `benchmark/tests` and test modules only exercise what
+//! production already reaches. Two surfaces exist for tests and are
+//! exempt: `bench::testkit` (`crates/bench/src/testkit.rs`), the fixtures
+//! the root tests share, and `crates/alloc-count`, the counting allocator
+//! behind the allocation bounds. Their lines are not production, and their
+//! items need only be named (a function: reached) somewhere other than
+//! their definition and their own file's tests. A `pub mod` is judged by
+//! its items. Every root re-export (`pub use` at the top of a `lib.rs`)
+//! must be written through its crate root outside that `lib.rs`. Comment
+//! lines name nothing.
 //!
 //! The scan is by word, not by resolved path, so it misses what shares a
-//! word with something production does call: common names (`new`, `len`,
-//! `merge`) and types that only their own `impl` blocks and tests name
-//! (`censor::fingerprint::EncoreFingerprinter`: `impl
-//! EncoreFingerprinter` is a production line). Code under a
-//! `#[cfg(test)]` attribute above the test module also counts as
-//! production.
+//! name with something production does reach: a method whose name
+//! production calls on another type (`new`, `len`, `merge`) or writes as
+//! a free function or a module (`country(`, `censor::policy::`), a type
+//! that another item's production lines mention by word, and a `pub`
+//! field, which is not an item. Code under a `#[cfg(test)]` attribute
+//! above the test module also counts as production.
 //!
 //! `cargo test --test public_surface -- --nocapture` also prints the
 //! non-test line count of `crates/*/src`: the lines above each file's
@@ -52,9 +62,15 @@ impl Source {
         self.path == "crates/bench/src/testkit.rs"
     }
 
+    /// Whether this surface exists for tests: the testkit, or
+    /// `alloc-count`, the allocator the allocation bounds count with.
+    fn exempt(&self) -> bool {
+        self.testkit() || self.path.starts_with("crates/alloc-count/")
+    }
+
     /// Whether its lines above the test module are production code.
     fn production(&self) -> bool {
-        (self.checked() && !self.testkit())
+        (self.checked() && !self.exempt())
             || ["src/", "examples/", "benchmark/src/"]
                 .iter()
                 .any(|dir| self.path.starts_with(dir))
@@ -120,40 +136,104 @@ fn words(line: &str) -> impl Iterator<Item = &str> {
     line.split(|c: char| !is_ident(c)).filter(|w| !w.is_empty())
 }
 
+/// The type an `impl T` / `impl Trait for T` header implements for.
+fn impl_self_type(line: &str) -> Option<&str> {
+    let rest = line.trim_start().strip_prefix("impl")?;
+    let rest = match rest.strip_prefix('<') {
+        Some(generics) => {
+            let mut depth = 1;
+            let end = generics.find(|c| {
+                depth += match c {
+                    '<' => 1,
+                    '>' => -1,
+                    _ => 0,
+                };
+                depth == 0
+            })?;
+            &generics[end + 1..]
+        }
+        None => rest.strip_prefix(' ')?,
+    };
+    let ty = rest.rsplit_once(" for ").map_or(rest, |(_, ty)| ty);
+    words(ty.split(['<', '{']).next()?).last()
+}
+
+/// Each word a line writes, with whether it reaches a function there:
+/// called (`name(`, `name::<`), written as a path (`::name`) or inside a
+/// serde attribute — not defined (`fn name(`). A type's own `impl` header
+/// does not write its name.
+fn word_uses(line: &str) -> Vec<(&str, bool)> {
+    let serde = line.trim_start().starts_with("#[serde(");
+    let own = impl_self_type(line);
+    let mut out = Vec::new();
+    let mut prev = "";
+    let mut at = 0;
+    for w in words(line) {
+        let start = at + line[at..].find(w).expect("the word is on its line");
+        at = start + w.len();
+        let (before, after) = (&line[..start], &line[at..]);
+        let reaches = serde
+            || (prev != "fn" && (after.starts_with('(') || after.starts_with("::<")))
+            || before.ends_with("::");
+        prev = w;
+        if Some(w) != own {
+            out.push((w, reaches));
+        }
+    }
+    out
+}
+
 fn is_comment(line: &str) -> bool {
     line.trim_start().starts_with("//")
 }
 
-/// The name a `pub` item line declares: `pub fn f`, `pub const fn f`,
-/// `pub struct S`; `pub(crate)`, `pub use` and `pub mod` excluded.
-fn pub_item(line: &str) -> Option<&str> {
+/// The name a `pub` item line declares and whether it is a function:
+/// `pub fn f`, `pub const fn f`, `pub struct S`; `pub(crate)`, `pub use`
+/// and `pub mod` excluded.
+fn pub_item(line: &str) -> Option<(&str, bool)> {
     let mut w = words(line.trim_start().strip_prefix("pub ")?);
     match w.next()? {
-        "fn" | "struct" | "enum" | "trait" | "type" | "static" => w.next(),
+        "fn" => Some((w.next()?, true)),
+        "struct" | "enum" | "trait" | "type" | "static" => Some((w.next()?, false)),
         "const" => match w.next()? {
-            "fn" => w.next(),
-            name => Some(name),
+            "fn" => Some((w.next()?, true)),
+            name => Some((name, false)),
         },
         _ => None,
     }
 }
 
+/// Where a word is written.
+struct Use {
+    file: usize,
+    /// 0-based.
+    line: usize,
+    /// In the file's test module.
+    in_test: bool,
+    /// On a production line.
+    production: bool,
+    /// Reaching a function there (`word_uses`).
+    reaches: bool,
+}
+
 /// Every `pub` item of the checked files that no production line names
-/// (a `bench::testkit` item: that nothing else names), as `(path, 1-based
-/// line, name)`.
+/// (an exempt item: that nothing else names), as `(path, 1-based line,
+/// name)`. A function is named only where it is reached.
 fn uncalled(sources: &[Source]) -> Vec<(String, usize, String)> {
-    // Where each word is written: (file, 0-based line, in the file's test
-    // module, on a production line).
-    let mut seen: HashMap<&str, Vec<(usize, usize, bool, bool)>> = HashMap::new();
-    for (f, src) in sources.iter().enumerate() {
+    let mut seen: HashMap<&str, Vec<Use>> = HashMap::new();
+    for (file, src) in sources.iter().enumerate() {
         let lines: Vec<&str> = src.text.lines().collect();
         let tests = test_module_start(&lines).unwrap_or(lines.len());
-        for (n, line) in lines.iter().enumerate().filter(|(_, l)| !is_comment(l)) {
-            let in_test = n >= tests;
-            for w in words(line) {
-                seen.entry(w)
-                    .or_default()
-                    .push((f, n, in_test, src.production() && !in_test));
+        for (line, text) in lines.iter().enumerate().filter(|(_, l)| !is_comment(l)) {
+            let in_test = line >= tests;
+            for (w, reaches) in word_uses(text) {
+                seen.entry(w).or_default().push(Use {
+                    file,
+                    line,
+                    in_test,
+                    production: src.production() && !in_test,
+                    reaches,
+                });
             }
         }
     }
@@ -162,12 +242,18 @@ fn uncalled(sources: &[Source]) -> Vec<(String, usize, String)> {
         let lines: Vec<&str> = src.text.lines().collect();
         let tests = test_module_start(&lines).unwrap_or(lines.len());
         for (n, line) in lines[..tests].iter().enumerate() {
-            let Some(name) = pub_item(line) else { continue };
-            let named = seen[name].iter().any(|&(g, m, in_test, production)| {
-                if src.testkit() {
-                    g != f || (!in_test && m != n)
+            let Some((name, function)) = pub_item(line) else {
+                continue;
+            };
+            let uses = seen.get(name).map_or(&[][..], Vec::as_slice);
+            let named = uses.iter().any(|u| {
+                let elsewhere = u.file != f || u.line != n;
+                if function && !u.reaches {
+                    false
+                } else if src.exempt() {
+                    u.file != f || (!u.in_test && elsewhere)
                 } else {
-                    production && (g != f || m != n)
+                    u.production && elsewhere
                 }
             });
             if !named {
@@ -414,5 +500,84 @@ fn only_a_production_line_calls() {
     assert_eq!(
         uncalled(&sources),
         [("crates/a/src/lib.rs".to_string(), 1, "tested".to_string())]
+    );
+}
+
+/// `(line, name)` of each uncalled item, for the self-tests.
+fn uncalled_names(sources: &[Source]) -> Vec<(usize, String)> {
+    uncalled(sources)
+        .into_iter()
+        .map(|(_, line, name)| (line, name))
+        .collect()
+}
+
+#[test]
+fn a_function_is_reached_only_by_a_call_or_a_path() {
+    let src = |path: &str, text: &str| Source {
+        path: path.to_string(),
+        text: text.to_string(),
+    };
+    let sources = [
+        src(
+            "crates/a/src/lib.rs",
+            "pub fn called() {}\npub fn pathed() {}\npub fn turbofished() {}\n\
+             pub fn in_serde() {}\npub fn bare() {}\npub fn redefined() {}\npub struct Bare;\n",
+        ),
+        src(
+            "crates/b/src/lib.rs",
+            "fn f() { called(); let g = a::pathed; turbofished::<u8>() }\n\
+             #[serde(default = \"in_serde\")]\nstruct S { bare: u8, x: Bare }\nfn redefined() {}\n",
+        ),
+    ];
+    // A field, or another item's definition, shares the word but reaches
+    // nothing; a type is still named by a word.
+    assert_eq!(
+        uncalled_names(&sources),
+        [(5, "bare".to_string()), (6, "redefined".to_string())]
+    );
+}
+
+#[test]
+fn a_type_is_not_named_by_its_own_impl_headers() {
+    let src = |path: &str, text: &str| Source {
+        path: path.to_string(),
+        text: text.to_string(),
+    };
+    let sources = [
+        src(
+            "crates/a/src/lib.rs",
+            "pub struct Lonely;\npub struct Used;\npub trait Shown {}\n\
+             impl Lonely {\n    fn f() {}\n}\nimpl<T> Shown for Lonely {}\n\
+             impl std::fmt::Debug for Lonely {}\n",
+        ),
+        src("crates/b/src/lib.rs", "fn g(_: a::Used) {}\n"),
+    ];
+    // The trait an impl header implements is named there; the type it
+    // implements for is not.
+    assert_eq!(uncalled_names(&sources), [(1, "Lonely".to_string())]);
+}
+
+#[test]
+fn alloc_count_is_exempt_like_the_testkit() {
+    let src = |path: &str, text: &str| Source {
+        path: path.to_string(),
+        text: text.to_string(),
+    };
+    let sources = [
+        src(
+            "crates/alloc-count/src/lib.rs",
+            "pub fn measure() { a::helper() }\n",
+        ),
+        src("crates/a/src/lib.rs", "pub fn helper() {}\n"),
+        src(
+            "crates/a/tests/alloc.rs",
+            "fn t() { alloc_count::measure() }\n",
+        ),
+    ];
+    // Its items need only a test to reach them, and its own lines reach
+    // nothing for production.
+    assert_eq!(
+        uncalled(&sources),
+        [("crates/a/src/lib.rs".to_string(), 1, "helper".to_string())]
     );
 }

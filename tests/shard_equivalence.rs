@@ -23,7 +23,7 @@
 //! exactly the scenario this harness proves equivalent.
 
 use bench::shard_fixture::{batch, build_censored};
-use bench::testkit::{build_uncensored, verdict_keys};
+use bench::testkit::{self, verdict_keys};
 use encore_repro::censor::registry::ground_truth;
 use encore_repro::encore::system::EncoreSystem;
 use encore_repro::encore::FilteringDetector;
@@ -114,7 +114,7 @@ fn verdicts_identical_across_shard_counts() {
 #[test]
 fn uncensored_world_yields_no_verdicts_at_any_shard_count() {
     for shards in [1usize, 2, 8] {
-        let run = run_sharded(&build_uncensored, shards, 2_000, 0xC1EA);
+        let run = run_sharded(&testkit::build_uncensored, shards, 2_000, 0xC1EA);
         let detections = FilteringDetector::default().detect(&run.collection.records, &run.geo);
         assert!(
             detections.is_empty(),

@@ -18,8 +18,8 @@
 //! 2. **Verdict invariance** — the §7.2 windowed detector localises the
 //!    Turkey block's onset (day 10) and lift (day 20) identically at 1,
 //!    2, and 8 shards, and censorship verdicts match at every shard
-//!    count — including with a *standing* censor pre-installed through
-//!    the `netsim::scenario::WorldScenario` middlebox-factory hook.
+//!    count — including with a *standing* censor that each shard's
+//!    builder installs on its own network before the run starts.
 //! 3. **Reproducibility** — a fixed `(seed, shards)` pair yields
 //!    byte-identical merged output on every run, regardless of thread
 //!    scheduling.
@@ -121,9 +121,9 @@ fn turkey_verdict_is_invariant_across_shard_counts() {
 
 #[test]
 fn standing_censor_worlds_stay_equivalent_across_shards() {
-    // A censor already in force at t=0, installed through the
-    // WorldScenario middlebox-factory hook on every shard thread, plus
-    // the scheduled Turkish block on top.
+    // A censor already in force at t=0, which every shard thread's
+    // builder installs on its own network, plus the scheduled Turkish
+    // block on top.
     let seed = 0x57_AD;
     let recipe = world_fixture::recipe(30, 150.0);
     for shards in [1usize, 2] {
