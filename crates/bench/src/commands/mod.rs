@@ -1,7 +1,7 @@
 //! The `bench` commands: one module per experiment, the table the
 //! dispatcher and the usage text are built from, and the two pieces the
-//! world commands share — running a spec on the selected transport, and
-//! gating a run's verdict on the serial golden.
+//! world commands share — running a scenario on the selected transport,
+//! and gating a run's verdict on the serial golden.
 
 mod ablations;
 mod demographics;
@@ -19,9 +19,9 @@ mod timeline;
 mod world_report;
 
 use bench::fixtures::{Command, RunArgs};
-use bench::specs::{BenchWorldSpec, SHARD_ROLE};
+use bench::specs::SHARD_ROLE;
 use population::transport::TransportKind;
-use population::{ProcessTransport, ShardTransport, ShardedWorldRun, ThreadTransport};
+use population::{ProcessTransport, Scenario, ShardTransport, ShardedWorldRun, ThreadTransport};
 use std::fmt::Debug;
 
 /// Every command, in the order the usage text lists them.
@@ -112,22 +112,22 @@ pub const COMMANDS: &[Command] = &[
     },
 ];
 
-/// This executable as a process transport's worker, spawned in `role`
-/// (see `main`): no sibling binary is ever looked up.
-fn self_exec(role: &str) -> ProcessTransport {
+/// This executable as a process transport's worker, spawned in its
+/// worker role (see `main`): no sibling binary is ever looked up.
+fn self_exec() -> ProcessTransport {
     let exe = std::env::current_exe().unwrap_or_else(|err| {
         eprintln!("bench: cannot locate this executable to re-execute it: {err}");
         std::process::exit(1);
     });
-    ProcessTransport::new(exe).with_role(role)
+    ProcessTransport::new(exe).with_role(SHARD_ROLE)
 }
 
-/// Run `spec` on the shard count and backend `args` selects, or report
-/// the transport failure and exit 1.
-fn run_world(command: &str, spec: &BenchWorldSpec, args: &RunArgs) -> ShardedWorldRun {
+/// Run `scenario` on the shard count and backend `args` selects, or
+/// report the transport failure and exit 1.
+fn run_world(command: &str, scenario: &Scenario, args: &RunArgs) -> ShardedWorldRun {
     let result = match args.transport {
-        TransportKind::Threads => ThreadTransport.run(spec, args.shards, args.seed),
-        TransportKind::Process => self_exec(SHARD_ROLE).run(spec, args.shards, args.seed),
+        TransportKind::Threads => ThreadTransport.run(scenario, args.shards, args.seed),
+        TransportKind::Process => self_exec().run(scenario, args.shards, args.seed),
     };
     result.unwrap_or_else(|err| {
         eprintln!("{command}: {} transport failed: {err}", args.transport);

@@ -20,8 +20,8 @@
 //!   its oracles, instead of a budgeted sweep.
 //!
 //! Every 4th case is also differenced threads-vs-process, on workers
-//! that are this binary re-executed in its case-worker role — the
-//! process backend cannot drop out of the gate.
+//! that are this binary re-executed in its one worker role, sent each
+//! case's scenario — the process backend cannot drop out of the gate.
 //!
 //! Writes `results/simcheck.json` and, on failure, the regression seed
 //! file `results/simcheck-regressions.txt` (uploaded as a CI artifact),
@@ -29,11 +29,10 @@
 
 use super::self_exec;
 use bench::fixtures::RunArgs;
-use bench::specs::CASE_ROLE;
 use simcheck::{run_budget, SimCheckConfig};
 
 pub fn run(args: &RunArgs) {
-    let workers = self_exec(CASE_ROLE);
+    let workers = self_exec();
 
     if let Some((class, seed)) = args.replay {
         println!("=== simcheck: replaying {class:?} case {seed:#x} ===");

@@ -76,7 +76,7 @@ pub fn run(args: &RunArgs) {
         rate: 150.0,
         streaming: true,
     };
-    let run = run_world("timeline", &spec, args);
+    let run = run_world("timeline", &spec.scenario(), args);
 
     // No record log crosses the wire; the verdict is judged from the
     // merged per-window count matrices.

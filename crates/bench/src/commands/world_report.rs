@@ -3,7 +3,7 @@
 //!
 //! Encore's deployment (paper §7) observed real censorship from real
 //! vantage points over months; this command is the simulated analogue at
-//! full ambition: a Zipf-popularity synthetic web with scale-free
+//! full ambition: a rank-ordered synthetic web with scale-free
 //! cross-links, a ten-country demographic mix, the standing 2014
 //! registry regimes (CN/IR/PK), a scheduled Turkish block
 //! (onset day 30, lift day 60), a Russian *adaptive* censor escalating
@@ -35,7 +35,7 @@ pub fn run(args: &RunArgs) {
     let days = args.days(DAYS);
 
     let spec = BenchWorldSpec::Corpus { days, rate: RATE };
-    let run = run_world("world_report", &spec, args);
+    let run = run_world("world_report", &spec.scenario(), args);
     let report = corpus_fixture::report(&run, shards, days, args.seed);
 
     println!(

@@ -11,7 +11,7 @@ use encore::coordination::SchedulingStrategy;
 use encore::delivery::OriginSite;
 use encore::system::EncoreSystem;
 use encore::tasks::{MeasurementId, MeasurementTask, TaskSpec};
-use netsim::geo::{country, CountryCode};
+use netsim::geo::country;
 use netsim::http::{ContentType, HttpResponse};
 use netsim::network::{ConstHandler, Network};
 use population::transport::TransportKind;
@@ -234,16 +234,8 @@ fn usage(commands: &[Command]) -> String {
 /// image of `bytes` bytes — the standard measurement-target stand-in
 /// (favicons in the paper are small single-packet images).
 pub fn add_image_server(net: &mut Network, domain: &str, bytes: u64) {
-    add_image_server_in(net, domain, country("US"), bytes);
-}
-
-/// [`add_image_server`] with an explicit hosting country.
-pub fn add_image_server_in(net: &mut Network, domain: &str, cc: CountryCode, bytes: u64) {
-    net.add_server(
-        domain,
-        cc,
-        Box::new(ConstHandler(HttpResponse::ok(ContentType::Image, bytes))),
-    );
+    let image = ConstHandler(HttpResponse::ok(ContentType::Image, bytes));
+    net.add_server(domain, country("US"), Box::new(image));
 }
 
 /// Install favicon-serving image servers for every domain (the §7.2

@@ -126,8 +126,7 @@ impl PaperWorld {
 /// One definition serves both, so the scenario the benchmark measures is
 /// provably the scenario `tests/shard_equivalence.rs` proves equivalent.
 pub mod shard_fixture {
-    use censor::registry::{install_world_censors, SAFE_TARGETS};
-    use encore::coordination::SchedulingStrategy;
+    use censor::registry::{world_censors, SAFE_TARGETS};
     use encore::delivery::OriginSite;
     use encore::system::EncoreSystem;
     use netsim::geo::country;
@@ -135,36 +134,36 @@ pub mod shard_fixture {
     use netsim::network::Network;
     use netsim::scenario::NetworkScenario;
     use population::shard::ShardContext;
-    use population::BatchConfig;
+    use population::{BatchConfig, Domain, WorldBuild};
     use sim_core::SimDuration;
 
-    /// The §7.2 world: the three social-site targets over ideal paths.
-    pub fn scenario() -> NetworkScenario {
-        let mut spec = NetworkScenario::new().with_ideal_paths();
+    /// The §7.2 world: the three social-site targets over ideal paths,
+    /// the 2014 national censors, one favicon task per target and a
+    /// single academic origin.
+    pub fn censored() -> WorldBuild {
+        let mut network = NetworkScenario::new().with_ideal_paths();
         for d in SAFE_TARGETS {
-            spec = spec.with_server(d, country("US"), HttpResponse::ok(ContentType::Image, 500));
+            let favicon = HttpResponse::ok(ContentType::Image, 500);
+            network = network.with_server(d, country("US"), favicon);
         }
-        spec
+        WorldBuild {
+            network,
+            corpus: None,
+            adaptive: Vec::new(),
+            censors: world_censors().into(),
+            targets: SAFE_TARGETS.map(|d| Domain::Name(d.into())).into(),
+            origins: vec![OriginSite::academic("origin.example").with_popularity(3.0)],
+        }
     }
 
-    /// Shard builder with the 2014 national censors installed.
+    /// The network of [`censored`].
+    pub fn scenario() -> NetworkScenario {
+        censored().network
+    }
+
+    /// [`censored`], built for shard `ctx`.
     pub fn build_censored(ctx: ShardContext) -> (Network, EncoreSystem) {
-        let mut net = scenario().build_shard(ctx.index, ctx.shards);
-        install_world_censors(&mut net);
-        deploy(net)
-    }
-
-    /// Deploy Encore over the fixture world: one favicon task per safe
-    /// target, a single academic origin.
-    pub fn deploy(mut net: Network) -> (Network, EncoreSystem) {
-        let origins = vec![OriginSite::academic("origin.example").with_popularity(3.0)];
-        let sys = crate::fixtures::deploy_us(
-            &mut net,
-            crate::fixtures::favicon_tasks(&SAFE_TARGETS),
-            SchedulingStrategy::RoundRobin,
-            origins,
-        );
-        (net, sys)
+        censored().build(ctx)
     }
 
     /// The fixture batch: a busy aggregate arrival rate.
@@ -180,7 +179,7 @@ pub mod shard_fixture {
 /// The shared longitudinal-world fixture: the Turkey-2014-style Twitter
 /// block as one [`population::WorldRecipe`], runnable serially
 /// ([`population::WorldEngine::from_recipe`]) or across N cores
-/// ([`population::run_sharded_world`]).
+/// ([`population::ThreadTransport`]).
 ///
 /// One definition serves `bench timeline`, the `timeline_450k_*`
 /// workloads of `benchmark/`, and `tests/world_shard_equivalence.rs`, so
@@ -189,17 +188,13 @@ pub mod shard_fixture {
 pub mod world_fixture {
     use censor::policy::{CensorPolicy, Mechanism};
     use censor::timeline::{CensorSpec, PolicyChange, PolicyTimeline};
-    use encore::coordination::SchedulingStrategy;
     use encore::delivery::OriginSite;
     use encore::inference::WindowReport;
-    use encore::system::EncoreSystem;
     use encore::{FilteringDetector, GeoDb, StoredMeasurement};
     use netsim::geo::{country, CountryCode};
     use netsim::http::{ContentType, HttpResponse};
-    use netsim::network::Network;
     use netsim::scenario::NetworkScenario;
-    use population::shard::ShardContext;
-    use population::{DeploymentConfig, WorldRecipe};
+    use population::{DeploymentConfig, Domain, WorldBuild, WorldRecipe};
     use serde::Serialize;
     use sim_core::{SimDuration, SimTime};
 
@@ -211,36 +206,24 @@ pub mod world_fixture {
     /// The blocked domain.
     pub const TARGET: &str = "twitter.com";
 
-    /// The substrate scenario: the built-in world table (default path
-    /// model — latency jitter and loss are part of the longitudinal
-    /// story) with a favicon-serving twitter.com.
-    pub fn scenario() -> NetworkScenario {
-        NetworkScenario::new().with_server(
-            TARGET,
-            country("US"),
-            HttpResponse::ok(ContentType::Image, 500),
-        )
-    }
-
-    /// Deploy Encore over one shard of the fixture world: two equally
-    /// popular academic origins, one favicon task on the target.
-    pub fn deploy(mut net: Network) -> (Network, EncoreSystem) {
-        let origins = vec![
-            OriginSite::academic("origin-a.example").with_popularity(5.0),
-            OriginSite::academic("origin-b.example").with_popularity(5.0),
-        ];
-        let sys = crate::fixtures::deploy_us(
-            &mut net,
-            crate::fixtures::favicon_tasks(&[TARGET]),
-            SchedulingStrategy::RoundRobin,
-            origins,
-        );
-        (net, sys)
-    }
-
-    /// Shard builder for the plain fixture world.
-    pub fn build(ctx: ShardContext) -> (Network, EncoreSystem) {
-        deploy(scenario().build_shard(ctx.index, ctx.shards))
+    /// The fixture world: the built-in world table (default path model
+    /// — latency jitter and loss are part of the longitudinal story)
+    /// with a favicon-serving twitter.com, measured from two equally
+    /// popular academic origins. No censor stands: the block is the
+    /// recipe's.
+    pub fn world() -> WorldBuild {
+        let favicon = HttpResponse::ok(ContentType::Image, 500);
+        WorldBuild {
+            network: NetworkScenario::new().with_server(TARGET, country("US"), favicon),
+            corpus: None,
+            adaptive: Vec::new(),
+            censors: Vec::new(),
+            targets: vec![Domain::Name(TARGET.into())],
+            origins: vec![
+                OriginSite::academic("origin-a.example").with_popularity(5.0),
+                OriginSite::academic("origin-b.example").with_popularity(5.0),
+            ],
+        }
     }
 
     /// The March-2014-style block as a policy timeline: install at day
@@ -357,7 +340,7 @@ pub mod world_fixture {
 }
 
 /// The flagship generative-corpus fixture: a 90-day multi-country "world
-/// report" over a seeded [`websim::corpus::Corpus`] — Zipf-popularity
+/// report" over a seeded [`websim::corpus::Corpus`] — rank-ordered
 /// sites with scale-free cross-links installed on every shard — under
 /// four censor stories at once:
 ///
@@ -388,19 +371,15 @@ pub mod corpus_fixture {
     use browser::Engine;
     use censor::adaptive::{AdaptiveSpec, Reaction, ReactionPolicy, Stage};
     use censor::policy::{CensorPolicy, Mechanism};
-    use censor::registry::{install_world_censors, SAFE_TARGETS};
     use censor::timeline::{CensorSpec, PolicyChange, PolicyTimeline};
-    use encore::coordination::SchedulingStrategy;
     use encore::delivery::OriginSite;
     use encore::streaming::StreamingStats;
-    use encore::system::EncoreSystem;
     use encore::FilteringDetector;
     use netsim::geo::{country, IspClass};
-    use netsim::http::{ContentType, HttpResponse};
-    use netsim::network::Network;
     use netsim::scenario::NetworkScenario;
-    use population::shard::ShardContext;
-    use population::{Audience, DeploymentConfig, StreamingSpec, WorldChange, WorldRecipe};
+    use population::{
+        Audience, DeploymentConfig, Domain, StreamingSpec, WorldBuild, WorldChange, WorldRecipe,
+    };
     use serde::Serialize;
     use sim_core::{Empirical, SimDuration, SimRng, SimTime};
     use websim::corpus::{Corpus, CorpusConfig, CountryMix, Disruption, DisruptionKind};
@@ -440,7 +419,7 @@ pub mod corpus_fixture {
     /// The Russian adaptive censor's diagnostic name.
     pub const RU_CENSOR: &str = "ru-adaptive";
 
-    /// Corpus knobs: 12 Zipf-ranked sites, scale-free cross-links.
+    /// Corpus knobs: 12 rank-ordered sites, scale-free cross-links.
     pub fn corpus_config() -> CorpusConfig {
         CorpusConfig {
             web: WebConfig {
@@ -448,7 +427,6 @@ pub mod corpus_fixture {
                 median_pages_per_domain: 8.0,
                 ..WebConfig::default()
             },
-            zipf_exponent: 1.1,
             cross_links_per_site: 2,
         }
     }
@@ -503,23 +481,35 @@ pub mod corpus_fixture {
         }
     }
 
-    /// The substrate scenario: built-in world, ideal paths, favicon-
-    /// serving social targets (the corpus sites are installed per shard
-    /// in [`build`], since stateful [`websim::site::SiteHandler`]s cannot ride
-    /// a const-response [`NetworkScenario`]).
+    /// The network of [`world`].
     pub fn scenario() -> NetworkScenario {
-        let mut spec = NetworkScenario::new().with_ideal_paths();
-        for d in SAFE_TARGETS {
-            spec = spec.with_server(d, country("US"), HttpResponse::ok(ContentType::Image, 500));
-        }
-        spec
+        world().network
     }
 
-    /// The standing Russian adaptive censor (a middlebox factory, so it
-    /// is rebuilt identically on every shard thread).
-    pub fn ru_adaptive_spec(corpus: &Corpus) -> AdaptiveSpec {
-        AdaptiveSpec::new(RU_CENSOR, country("RU"), vec![adaptive_target(corpus)])
-            .with_poison_ttl(SimDuration::from_secs(3_600))
+    /// The flagship world: [`crate::shard_fixture::censored`]'s network
+    /// and standing 2014 registry regimes, plus the corpus (generated
+    /// from its own fixed seed, identical on every shard), the standing
+    /// RU adaptive censor watching the corpus' rank-0 site, and favicon
+    /// tasks on twitter.com, youtube.com and the rank-0 and rank-1
+    /// sites, measured from two academic origins.
+    pub fn world() -> WorldBuild {
+        let ru = AdaptiveSpec::new(RU_CENSOR, country("RU"), Vec::new())
+            .with_poison_ttl(SimDuration::from_secs(3_600));
+        WorldBuild {
+            corpus: Some((corpus_config(), CORPUS_SEED)),
+            adaptive: vec![(ru, vec![Domain::CorpusRank(0)])],
+            targets: vec![
+                Domain::Name("twitter.com".into()),
+                Domain::Name("youtube.com".into()),
+                Domain::CorpusRank(0),
+                Domain::CorpusRank(1),
+            ],
+            origins: vec![
+                OriginSite::academic("world-origin-a.example").with_popularity(5.0),
+                OriginSite::academic("world-origin-b.example").with_popularity(5.0),
+            ],
+            ..crate::shard_fixture::censored()
+        }
     }
 
     /// Russia's escalation schedule as broadcast control events.
@@ -572,35 +562,6 @@ pub mod corpus_fixture {
                 kind: DisruptionKind::Redesign,
             },
         ]
-    }
-
-    /// Shard builder: substrate scenario, then the corpus installed from
-    /// its own fixed seed (identical on every shard), then the standing
-    /// RU adaptive censor — built *after* the corpus so its watched
-    /// domain resolves to real addresses for the address-matched stages
-    /// (RST injection, IP block) — then the 2014 registry regimes, then
-    /// deployment.
-    pub fn build(ctx: ShardContext) -> (Network, EncoreSystem) {
-        let corpus = corpus();
-        let mut net = scenario().build_shard(ctx.index, ctx.shards);
-        corpus.install(&mut net, &mut SimRng::new(CORPUS_SEED ^ 1));
-        let ru = ru_adaptive_spec(&corpus).build(&net.dns);
-        net.add_middlebox(Box::new(ru));
-        install_world_censors(&mut net);
-
-        let tasks = crate::fixtures::favicon_tasks(&[
-            "twitter.com",
-            "youtube.com",
-            &adaptive_target(&corpus),
-            &disrupted_domain(&corpus),
-        ]);
-        let origins = vec![
-            OriginSite::academic("world-origin-a.example").with_popularity(5.0),
-            OriginSite::academic("world-origin-b.example").with_popularity(5.0),
-        ];
-        let sys =
-            crate::fixtures::deploy_us(&mut net, tasks, SchedulingStrategy::RoundRobin, origins);
-        (net, sys)
     }
 
     /// The full 90-day recipe: Poisson arrivals, the Turkish timeline,

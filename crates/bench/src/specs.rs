@@ -1,21 +1,16 @@
-//! Serializable world specs for the `bench` commands — the
-//! process-transport counterpart of the fixture modules.
+//! The `bench` fixture worlds by name, and the worker role.
 //!
-//! A [`population::transport::WorldSpec`] must cross a process boundary
-//! as bytes. A recipe is data, but a fixture's world build is code, so
-//! [`BenchWorldSpec`] names a fixture plus its parameters; the worker
-//! process (the `bench` binary re-executed in its [`SHARD_ROLE`])
-//! rebuilds exactly the world the coordinator described by calling the
-//! same deterministic fixture functions. Both transport backends
-//! therefore execute identical worlds — the byte-equivalence the
-//! transport suite and simcheck's transport oracle prove.
+//! [`BenchWorldSpec`] names a fixture world plus its parameters, and
+//! describes it as the [`population::Scenario`] that crosses a process
+//! boundary: the `bench` binary in its [`SHARD_ROLE`] rebuilds from the
+//! scenario's bytes exactly the world the coordinator described.
 
 use crate::{corpus_fixture, world_fixture};
 use encore::system::EncoreSystem;
 use netsim::geo::World;
 use netsim::network::Network;
 use population::transport::WorldSpec;
-use population::{Audience, ShardContext, WorldRecipe};
+use population::{Audience, Scenario, ShardContext, WorldBuild, WorldRecipe};
 use serde::{Deserialize, Serialize};
 
 /// Which fixture world a distributed run executes, with its parameters.
@@ -44,6 +39,25 @@ pub enum BenchWorldSpec {
         /// Visits per day per audience weight.
         rate: f64,
     },
+}
+
+impl BenchWorldSpec {
+    /// The fixture's world build.
+    fn world(&self) -> WorldBuild {
+        match self {
+            BenchWorldSpec::Timeline { .. } => world_fixture::world(),
+            BenchWorldSpec::Corpus { .. } => corpus_fixture::world(),
+        }
+    }
+
+    /// The whole run as a [`Scenario`].
+    pub fn scenario(&self) -> Scenario {
+        Scenario {
+            world: self.world(),
+            audience: self.audience(),
+            recipe: self.recipe(),
+        }
+    }
 }
 
 impl WorldSpec for BenchWorldSpec {
@@ -77,46 +91,42 @@ impl WorldSpec for BenchWorldSpec {
     }
 
     fn build(&self, ctx: ShardContext) -> (Network, EncoreSystem) {
-        match self {
-            BenchWorldSpec::Timeline { .. } => world_fixture::build(ctx),
-            BenchWorldSpec::Corpus { .. } => corpus_fixture::build(ctx),
-        }
+        self.world().build(ctx)
     }
 }
 
-/// The `bench` worker role that runs `worker_main::<BenchWorldSpec>()`:
+/// The `bench` worker role, which runs `worker_main::<Scenario>()`:
 /// `ProcessTransport::new(bench_exe).with_role(SHARD_ROLE)`.
 pub const SHARD_ROLE: &str = "shard-worker";
-/// The `bench` worker role that runs
-/// `worker_main::<simcheck::WorldCase>()` for simcheck's transport oracle.
-pub const CASE_ROLE: &str = "case-worker";
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn specs_round_trip_through_json() {
-        for spec in [
+    /// Every fixture world, by name.
+    fn specs() -> [BenchWorldSpec; 3] {
+        let (days, rate) = (30, 150.0);
+        [
             BenchWorldSpec::Timeline {
-                days: 30,
-                rate: 150.0,
+                days,
+                rate,
                 streaming: false,
             },
             BenchWorldSpec::Timeline {
-                days: 30,
-                rate: 150.0,
+                days,
+                rate,
                 streaming: true,
             },
             BenchWorldSpec::Corpus {
-                days: 90,
-                rate: 400.0,
+                days: corpus_fixture::DAYS,
+                rate: corpus_fixture::RATE,
             },
-        ] {
-            let json = serde_json::to_string(&spec).unwrap();
-            let back: BenchWorldSpec = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, spec, "spec drifted through the wire: {json}");
-        }
+        ]
+    }
+
+    #[test]
+    fn specs_round_trip_through_json() {
+        specs().iter().for_each(round_trips);
     }
 
     #[test]
@@ -153,31 +163,40 @@ mod tests {
         assert_eq!(corpus.recipe(), corpus_fixture::recipe(45, 20.0));
     }
 
+    /// `value` survives JSON and `serde::bin` unchanged.
+    fn round_trips<T: Serialize + Deserialize + PartialEq + std::fmt::Debug>(value: &T) {
+        let json = serde_json::to_string(value).unwrap();
+        let from_json: T = serde_json::from_str(&json).unwrap();
+        assert_eq!(&from_json, value, "drifted through JSON: {json}");
+        let from_bin: T = serde::bin::from_slice(&serde::bin::to_vec(value)).unwrap();
+        assert_eq!(&from_bin, value, "drifted through bytes: {json}");
+    }
+
     #[test]
     fn every_recipe_round_trips_through_both_codecs() {
-        use crate::testkit::{adaptive_fixture, congested_fixture};
+        use crate::shard_fixture;
+        use crate::testkit::{self, adaptive_fixture, congested_fixture};
         use simcheck::{CaseClass, WorldCase};
-        let mut recipes = vec![
+        let recipes = [
             world_fixture::recipe(30, 150.0),
             adaptive_fixture::recipe(30, 160.5),
             congested_fixture::recipe(18, 150.0),
             corpus_fixture::recipe(corpus_fixture::DAYS, corpus_fixture::RATE),
         ];
-        for class in [
-            CaseClass::Equivalence,
-            CaseClass::Detector,
-            CaseClass::Congestion,
-            CaseClass::Corpus,
-        ] {
-            recipes.push(WorldCase::from_seed(class, 0x5EED).recipe());
+        let batch = WorldRecipe::batch(shard_fixture::batch(1_000));
+        let mut scenarios = vec![
+            testkit::scenario(shard_fixture::censored(), batch.clone()),
+            testkit::scenario(testkit::uncensored(), batch),
+            testkit::scenario(testkit::with_standing_censor(), recipes[0].clone()),
+            testkit::scenario(adaptive_fixture::world(), recipes[1].clone()),
+            testkit::scenario(congested_fixture::world(), recipes[2].clone()),
+        ];
+        scenarios.extend(specs().map(|spec| spec.scenario()));
+        let classes = ["equivalence", "detector", "congestion", "corpus"];
+        for class in classes.map(|name| CaseClass::from_name(name).expect("a class")) {
+            scenarios.push(WorldCase::from_seed(class, 0x5EED).scenario());
         }
-        for recipe in recipes {
-            let json = serde_json::to_string(&recipe).unwrap();
-            let from_json: WorldRecipe = serde_json::from_str(&json).unwrap();
-            assert_eq!(from_json, recipe, "recipe drifted through JSON: {json}");
-            let from_bin: WorldRecipe =
-                serde::bin::from_slice(&serde::bin::to_vec(&recipe)).unwrap();
-            assert_eq!(from_bin, recipe, "recipe drifted through bytes: {json}");
-        }
+        recipes.iter().for_each(round_trips);
+        scenarios.iter().for_each(round_trips);
     }
 }

@@ -7,18 +7,28 @@
 
 use censor::policy::{CensorPolicy, Mechanism};
 use censor::timeline::CensorSpec;
-use encore::system::EncoreSystem;
-use netsim::geo::country;
-use netsim::network::Network;
-use population::shard::ShardContext;
+use netsim::geo::{country, World};
+use population::{Audience, Scenario, WorldBuild, WorldRecipe};
 
 use crate::world_fixture::TARGET;
 
-/// Shard builder for [`crate::shard_fixture`]'s uncensored control
-/// world.
-pub fn build_uncensored(ctx: ShardContext) -> (Network, EncoreSystem) {
-    let net = crate::shard_fixture::scenario().build_shard(ctx.index, ctx.shards);
-    crate::shard_fixture::deploy(net)
+/// `world` under `recipe`, visited by the world audience: how the root
+/// tests run a fixture world.
+pub fn scenario(world: WorldBuild, recipe: WorldRecipe) -> Scenario {
+    Scenario {
+        world,
+        audience: Audience::world(&World::builtin()),
+        recipe,
+    }
+}
+
+/// [`crate::shard_fixture::censored`] without its censors: the
+/// uncensored control world.
+pub fn uncensored() -> WorldBuild {
+    WorldBuild {
+        censors: Vec::new(),
+        ..crate::shard_fixture::censored()
+    }
 }
 
 /// Sorted, deduplicated `domain:country` verdict keys from the §7.2
@@ -35,16 +45,15 @@ pub fn verdict_keys(records: &[encore::StoredMeasurement], geo: &encore::GeoDb) 
     keys
 }
 
-/// Shard builder for [`crate::world_fixture`]'s world with a **standing** Chinese
-/// censor installed by the builder itself — censorship that is already
-/// in force when the run starts, alongside the scheduled Turkish block.
-/// Every shard thread materialises the same [`CensorSpec`] against its
-/// own network.
-pub fn build_with_standing_censor(ctx: ShardContext) -> (Network, EncoreSystem) {
-    let mut net = crate::world_fixture::scenario().build_shard(ctx.index, ctx.shards);
-    let censor = standing_censor().build(&net);
-    net.add_middlebox(Box::new(censor));
-    crate::world_fixture::deploy(net)
+/// [`crate::world_fixture`]'s world with a **standing** Chinese censor
+/// — censorship already in force when the run starts, alongside the
+/// scheduled Turkish block. Every shard materialises the same
+/// [`CensorSpec`] against its own network.
+pub fn with_standing_censor() -> WorldBuild {
+    WorldBuild {
+        censors: vec![standing_censor()],
+        ..crate::world_fixture::world()
+    }
 }
 
 /// The standing censor: China blocks the target for the whole run.
@@ -67,11 +76,8 @@ pub fn standing_censor() -> CensorSpec {
 /// the scenario the harness checks.
 pub mod adaptive_fixture {
     use censor::adaptive::{AdaptiveSpec, Reaction, ReactionPolicy, Stage};
-    use encore::system::EncoreSystem;
     use netsim::geo::{country, CountryCode};
-    use netsim::network::Network;
-    use population::shard::ShardContext;
-    use population::{DeploymentConfig, WorldRecipe};
+    use population::{DeploymentConfig, WorldBuild, WorldRecipe};
     use sim_core::{SimDuration, SimTime};
 
     /// The watched measurement target — the *same* domain the timeline
@@ -141,13 +147,13 @@ pub mod adaptive_fixture {
         .with_maintenance(SimDuration::from_secs(3_600))
     }
 
-    /// Shard builder: the timeline fixture's world plus the standing
-    /// adaptive censor, built against each shard's own network.
-    pub fn build(ctx: ShardContext) -> (Network, EncoreSystem) {
-        let mut net = crate::world_fixture::scenario().build_shard(ctx.index, ctx.shards);
-        let censor = adaptive_spec().build(&net.dns);
-        net.add_middlebox(Box::new(censor));
-        crate::world_fixture::deploy(net)
+    /// The timeline fixture's world plus the standing adaptive censor,
+    /// built against each shard's own network.
+    pub fn world() -> WorldBuild {
+        WorldBuild {
+            adaptive: vec![(adaptive_spec(), Vec::new())],
+            ..crate::world_fixture::world()
+        }
     }
 }
 
@@ -172,13 +178,9 @@ pub mod adaptive_fixture {
 pub mod congested_fixture {
     use censor::policy::{CensorPolicy, Mechanism};
     use censor::timeline::{CensorSpec, PolicyChange, PolicyTimeline};
-    use encore::system::EncoreSystem;
     use netsim::geo::{country, CountryCode};
-    use netsim::network::Network;
-    use netsim::scenario::NetworkScenario;
     use netsim::TopologySpec;
-    use population::shard::ShardContext;
-    use population::{DeploymentConfig, WorldChange, WorldRecipe};
+    use population::{DeploymentConfig, WorldBuild, WorldChange, WorldRecipe};
     use sim_core::{SimDuration, SimTime};
 
     /// The measured (and blocked) domain — shared with the timeline
@@ -206,14 +208,18 @@ pub mod congested_fixture {
         country("TR")
     }
 
-    /// The substrate scenario: the timeline fixture's world routed over
-    /// the seeded AS topology, with the censored country's path to the
-    /// target forced across a transit hotspot link.
-    pub fn scenario() -> NetworkScenario {
-        crate::world_fixture::scenario().with_topology(
+    /// The timeline fixture's world routed over the seeded AS topology,
+    /// with the censored country's path to the target forced across a
+    /// transit hotspot link. `build_shard` scales hotspot capacity by
+    /// the shard count, keeping utilisation — and thus verdicts —
+    /// invariant in how the offered load is split.
+    pub fn world() -> WorldBuild {
+        let mut world = crate::world_fixture::world();
+        world.network = world.network.with_topology(
             TopologySpec::with_seed(TOPOLOGY_SEED)
                 .with_hotspot_between(censor_country(), country("US")),
-        )
+        );
+        world
     }
 
     /// The day-10 block as a policy timeline (DNS NXDOMAIN, the
@@ -255,13 +261,6 @@ pub mod congested_fixture {
         .change_at(day(BROWNOUT_END), WorldChange::HotspotBackground(0.0))
         .with_rollups(SimDuration::from_days(1))
         .with_maintenance(SimDuration::from_secs(3_600))
-    }
-
-    /// Shard builder for the routed fixture world. `build_shard` scales
-    /// hotspot capacity by the shard count, keeping utilisation — and
-    /// thus verdicts — invariant in how the offered load is split.
-    pub fn build(ctx: ShardContext) -> (Network, EncoreSystem) {
-        crate::world_fixture::deploy(scenario().build_shard(ctx.index, ctx.shards))
     }
 
     /// Convert a day number to simulated time.

@@ -6,10 +6,10 @@
 //! plus proptest-driven spot properties over the generator/oracle pair.
 //!
 //! The transport oracle's workers are the `bench` binary itself
-//! (`CARGO_BIN_EXE_bench`, which `cargo test` always builds) in its
-//! case-worker role.
+//! (`CARGO_BIN_EXE_bench`, which `cargo test` always builds) in its one
+//! worker role, sent each case's scenario.
 
-use bench::specs::CASE_ROLE;
+use bench::specs::SHARD_ROLE;
 use population::ProcessTransport;
 use proptest::prelude::*;
 use simcheck::generator::{CaseClass, WorldCase};
@@ -49,7 +49,7 @@ fn small_budget_upholds_all_invariants() {
         root_seed: 0x7157_C0DE,
         regression_path: None,
     };
-    let workers = ProcessTransport::new(env!("CARGO_BIN_EXE_bench").into()).with_role(CASE_ROLE);
+    let workers = ProcessTransport::new(env!("CARGO_BIN_EXE_bench").into()).with_role(SHARD_ROLE);
     let report = run_budget(&config, &workers);
     assert_eq!(report.cases_run, 12);
     assert_eq!(report.detector_cases, 3);

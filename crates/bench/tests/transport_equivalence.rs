@@ -28,15 +28,16 @@
 //!    frame and exit 1.
 //!
 //! The worker is the `bench` binary itself (`CARGO_BIN_EXE_bench`, which
-//! `cargo test` always builds) re-executed in a worker role, exactly as
-//! `bench timeline --transport process` re-executes itself.
+//! `cargo test` always builds) re-executed in its worker role and sent
+//! the fixture's `Scenario`, exactly as `bench timeline --transport
+//! process` re-executes itself.
 
-use bench::specs::{BenchWorldSpec, CASE_ROLE, SHARD_ROLE};
+use bench::specs::{BenchWorldSpec, SHARD_ROLE};
 use population::transport::{
     ProcessTransport, ShardTransport, ThreadTransport, TransportError, WorldSpec, KIND_ERROR,
     KIND_SPEC,
 };
-use population::{ShardContext, WorldEngine};
+use population::{Scenario, ShardContext, WorldEngine};
 use sim_core::frame::{encode_frame, read_frame};
 use sim_core::SimRng;
 use std::io::Write;
@@ -45,12 +46,13 @@ use std::process::{Command, Stdio};
 const SEED: u64 = 0x7A_57;
 const DAYS: u64 = 6;
 
-fn spec() -> BenchWorldSpec {
+fn spec() -> Scenario {
     BenchWorldSpec::Timeline {
         days: DAYS,
         rate: 150.0,
         streaming: false,
     }
+    .scenario()
 }
 
 /// The `bench` binary cargo built for this test run.
@@ -65,14 +67,13 @@ fn one_shard_process_locksteps_the_serial_engine() {
     let spec = spec();
 
     // Serial: the engine replaying the recipe on the serial build.
-    let audience = spec.audience();
-    let recipe = spec.recipe();
     let (mut net, mut sys) = spec.build(ShardContext {
         index: 0,
         shards: 1,
     });
     let mut rng = SimRng::new(SEED);
-    let serial = WorldEngine::from_recipe(&mut net, &mut sys, &audience, &recipe, &mut rng).run();
+    let (audience, recipe) = (&spec.audience, &spec.recipe);
+    let serial = WorldEngine::from_recipe(&mut net, &mut sys, audience, recipe, &mut rng).run();
     let serial_snapshot = sys.collection.snapshot();
 
     // Distributed at N = 1: one worker process, full frame protocol.
@@ -159,8 +160,8 @@ fn process_backend_matches_threads_at_2_and_8_shards() {
 
 #[test]
 fn audience_is_transport_invariant() {
-    // The spec rebuilds its audience inside each worker process; the
-    // coordinator never ships it. Equal worlds require equal audiences.
+    // Each worker process decodes the scenario's audience from the
+    // bytes it was sent. Equal worlds require equal audiences.
     let spec = spec();
     let run = process_transport()
         .run(&spec, 2, SEED)
@@ -228,11 +229,12 @@ fn worker_that_writes_garbage_is_a_typed_error() {
     }
 }
 
-/// Spawn the real `bench` binary in `role`, feed it `stdin` and close
-/// the pipe, and return its exit code and everything it wrote to stdout.
-fn run_worker_role(role: &str, stdin: &[u8]) -> (Option<i32>, Vec<u8>) {
+/// Spawn the real `bench` binary in its worker role, feed it `stdin`
+/// and close the pipe, and return its exit code and everything it wrote
+/// to stdout.
+fn run_worker_role(stdin: &[u8]) -> (Option<i32>, Vec<u8>) {
     let mut child = Command::new(BENCH_EXE)
-        .arg(role)
+        .arg(SHARD_ROLE)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
@@ -250,26 +252,24 @@ fn run_worker_role(role: &str, stdin: &[u8]) -> (Option<i32>, Vec<u8>) {
 
 #[test]
 fn worker_roles_answer_bad_input_with_an_error_frame_and_exit_1() {
-    // `worker_main`'s error path through a real process, in both roles:
-    // a coordinator that closes the pipe at once, and one that dies
-    // mid-way through the spec frame.
+    // `worker_main`'s error path through a real process, in the one
+    // worker role: a coordinator that closes the pipe at once, and one
+    // that dies mid-way through the spec frame.
     let mut truncated = encode_frame(KIND_SPEC, &serde::bin::to_vec(&spec()));
     truncated.truncate(truncated.len() - 3);
-    for role in [SHARD_ROLE, CASE_ROLE] {
-        for (what, stdin) in [
-            ("closed stdin", &[][..]),
-            ("truncated spec", &truncated[..]),
-        ] {
-            let (code, stdout) = run_worker_role(role, stdin);
-            assert_eq!(code, Some(1), "{role} on {what}: exit code");
-            let mut stream: &[u8] = &stdout;
-            let frame = read_frame(&mut stream, 1 << 20)
-                .unwrap_or_else(|err| panic!("{role} on {what}: undecodable reply: {err}"))
-                .unwrap_or_else(|| panic!("{role} on {what}: empty stdout"));
-            assert_eq!(frame.kind, KIND_ERROR, "{role} on {what}: frame kind");
-            let detail = String::from_utf8(frame.payload).expect("UTF-8 error detail");
-            assert!(detail.contains("spec"), "{role} on {what}: {detail}");
-            assert!(stream.is_empty(), "{role} on {what}: bytes after ERROR");
-        }
+    for (what, stdin) in [
+        ("closed stdin", &[][..]),
+        ("truncated spec", &truncated[..]),
+    ] {
+        let (code, stdout) = run_worker_role(stdin);
+        assert_eq!(code, Some(1), "{what}: exit code");
+        let mut stream: &[u8] = &stdout;
+        let frame = read_frame(&mut stream, 1 << 20)
+            .unwrap_or_else(|err| panic!("{what}: undecodable reply: {err}"))
+            .unwrap_or_else(|| panic!("{what}: empty stdout"));
+        assert_eq!(frame.kind, KIND_ERROR, "{what}: frame kind");
+        let detail = String::from_utf8(frame.payload).expect("UTF-8 error detail");
+        assert!(detail.contains("spec"), "{what}: {detail}");
+        assert!(stream.is_empty(), "{what}: bytes after ERROR");
     }
 }

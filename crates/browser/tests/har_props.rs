@@ -14,14 +14,13 @@ use websim::Har;
 
 /// A small seeded corpus (3–6 sites, few pages) — cheap enough to build
 /// per proptest case.
-fn tiny_corpus(seed: u64, num_domains: usize, zipf_exponent: f64) -> Corpus {
+fn tiny_corpus(seed: u64, num_domains: usize) -> Corpus {
     let cfg = CorpusConfig {
         web: WebConfig {
             num_domains,
             median_pages_per_domain: 4.0,
             ..WebConfig::default()
         },
-        zipf_exponent,
         cross_links_per_site: 1,
     };
     let mut rng = SimRng::new(seed);
@@ -55,10 +54,9 @@ proptest! {
     fn har_round_trips_byte_identically(
         seed in any::<u64>(),
         n in 3usize..6,
-        s in 0.5f64..1.8,
         rank in 0usize..6,
     ) {
-        let corpus = tiny_corpus(seed, n, s);
+        let corpus = tiny_corpus(seed, n);
         for har in hars_of_rank(&corpus, rank) {
             let json = serde_json::to_string(&har).unwrap();
             let back: Har = serde_json::from_str(&json).unwrap();
@@ -77,7 +75,7 @@ proptest! {
     ) {
         // The entries on a foreign host are exactly the page's
         // cross-site embeds, in embed order.
-        let corpus = tiny_corpus(seed, n, 1.0);
+        let corpus = tiny_corpus(seed, n);
         let site = &corpus.web.sites[rank % corpus.len()];
         for (har, page) in hars_of_rank(&corpus, rank).iter().zip(site.pages.values()) {
             let page_host = netsim::http::host_of(&har.page_url);
@@ -105,7 +103,7 @@ proptest! {
         n in 3usize..6,
         rank in 0usize..6,
     ) {
-        let corpus = tiny_corpus(seed, n, 1.0);
+        let corpus = tiny_corpus(seed, n);
         for har in hars_of_rank(&corpus, rank) {
             let images: Vec<_> = har.entries.iter().filter(|e| e.is_image()).collect();
             let cacheable: Vec<_> = images.iter().filter(|e| e.cacheable).collect();

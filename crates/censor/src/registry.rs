@@ -2,14 +2,14 @@
 //!
 //! §7.2 of the paper verifies Encore against "well-known censorship of
 //! youtube.com in Pakistan, Iran, and China, and of twitter.com and
-//! facebook.com in China and Iran". [`install_world_censors`] builds
-//! national censors implementing exactly that ground truth (each with the
+//! facebook.com in China and Iran". [`world_censors`] describes national
+//! censors implementing exactly that ground truth (each with the
 //! mechanism that country actually used circa 2014), and [`ground_truth`]
 //! exposes the same facts to the experiment harness so detection output
 //! can be scored.
 
-use crate::national::NationalCensor;
 use crate::policy::{CensorPolicy, Mechanism};
+use crate::timeline::CensorSpec;
 use netsim::geo::{country, CountryCode};
 use netsim::network::Network;
 use serde::{Deserialize, Serialize};
@@ -84,19 +84,22 @@ pub fn pakistan_filter() -> CensorPolicy {
         .block_domain("youtube.com", Mechanism::DnsRedirect(PK_SINKHOLE))
 }
 
-/// Install the §7.2 world: the three national censors above, with IP rules
-/// resolved against the network's DNS (call *after* the target servers are
-/// registered).
+/// The §7.2 world: the three national censors above, the Great
+/// Firewall resolving its rules to IP rules at install.
+pub fn world_censors() -> [CensorSpec; 3] {
+    [
+        CensorSpec::new(country("CN"), great_firewall()).with_ip_resolution(),
+        CensorSpec::new(country("IR"), iran_filter()),
+        CensorSpec::new(country("PK"), pakistan_filter()),
+    ]
+}
+
+/// Install [`world_censors`] on `network` (call *after* the target
+/// servers are registered, so IP rules resolve).
 pub fn install_world_censors(network: &mut Network) {
-    let mut gfw = NationalCensor::new(country("CN"), great_firewall());
-    gfw.resolve_ip_rules(&network.dns);
-    network.add_middlebox(Box::new(gfw));
-
-    let iran = NationalCensor::new(country("IR"), iran_filter());
-    network.add_middlebox(Box::new(iran));
-
-    let pk = NationalCensor::new(country("PK"), pakistan_filter());
-    network.add_middlebox(Box::new(pk));
+    for spec in world_censors() {
+        network.add_middlebox(Box::new(spec.build(network)));
+    }
 }
 
 #[cfg(test)]

@@ -78,10 +78,10 @@ impl CensorSpec {
     }
 
     /// Materialise the censor against a concrete network's DNS.
-    pub fn build(&self, net: &Network) -> NationalCensor {
-        let mut censor = NationalCensor::new(self.country, self.policy.clone());
-        if let Some(isps) = &self.covered_isps {
-            censor = censor.covering(isps.clone());
+    pub fn build(self, net: &Network) -> NationalCensor {
+        let mut censor = NationalCensor::new(self.country, self.policy);
+        if let Some(isps) = self.covered_isps {
+            censor = censor.covering(isps);
         }
         if self.resolve_ip_rules {
             censor.resolve_ip_rules(&net.dns);
@@ -122,13 +122,13 @@ impl PolicyChange {
     pub fn apply(&self, net: &mut Network) -> bool {
         match self {
             PolicyChange::Install(spec) => {
-                let censor = spec.build(net);
+                let censor = spec.clone().build(net);
                 net.add_middlebox(Box::new(censor));
                 true
             }
             PolicyChange::Lift { name } => net.remove_middlebox(name),
             PolicyChange::Rewrite { name, with } => {
-                let censor = Box::new(with.build(net));
+                let censor = Box::new(with.clone().build(net));
                 if net.has_middlebox(name) {
                     net.replace_middlebox(name, censor);
                 } else {

@@ -70,7 +70,7 @@ proptest! {
     /// timeline to N shard-built worlds yields, on every shard, the same
     /// middlebox-generation-counter *sequence* (recorded change by
     /// change) as applying it to the serial world. This is the substrate
-    /// guarantee `population::run_sharded_world` leans on: since
+    /// guarantee `population::ThreadTransport` leans on: since
     /// per-shard topologies are identical and generation bumps are a
     /// pure function of the middlebox set's history, warm-session
     /// pipeline invalidation happens at the same points in the control

@@ -374,11 +374,6 @@ impl Network {
         self.topology_generation += 1;
     }
 
-    /// The attached topology, if any.
-    pub fn topology(&self) -> Option<&AsTopology> {
-        self.topology.as_ref()
-    }
-
     /// Mutable access to the attached topology (brownout control events
     /// flip link background load through this).
     pub fn topology_mut(&mut self) -> Option<&mut AsTopology> {

@@ -601,11 +601,11 @@ mod tests {
         // bumps the network's topology generation.
         let mut net = crate::network::Network::new(crate::geo::World::builtin());
         net.set_topology(topo(1));
-        let before = net.topology().unwrap().routes.clone();
+        let before = net.topology_mut().unwrap().routes.clone();
         net.set_topology(topo(2));
         assert_eq!(net.topology_generation(), 2);
         assert_ne!(
-            net.topology().unwrap().routes,
+            net.topology_mut().unwrap().routes,
             before,
             "a new seed must reroute"
         );

@@ -56,7 +56,7 @@ impl Visitor {
 }
 
 /// An origin site's audience.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Audience {
     /// Country mix.
     pub countries: Empirical<CountryCode>,

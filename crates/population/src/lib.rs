@@ -18,8 +18,11 @@
 //!   [`world::WorldEngine::from_recipe`]`(..).run()` executes serially;
 //!   sharded, [`transport::ShardTransport::run`] brings each shard's
 //!   output from the one shard body ([`shard`]) to the one coordinator,
-//!   run on a lane thread ([`shard::run_sharded_world`]) or folded from
-//!   a worker process's frame stream.
+//!   run on a lane thread ([`transport::ThreadTransport`]) or folded
+//!   from a worker process's frame stream.
+//! * [`scenario`] — a world as a value: the world build, audience and
+//!   recipe as plain data, which any shard — thread or worker process —
+//!   builds the same world from.
 //! * [`driver`] — the deployment arrival mode's config and visit record:
 //!   Poisson arrivals over a time span; each visit instantiates a
 //!   browser client and runs the full Figure 2 flow through
@@ -54,6 +57,7 @@ pub mod audience;
 pub mod batch;
 pub mod driver;
 mod record_wire;
+pub mod scenario;
 pub mod shard;
 pub mod transport;
 pub mod world;
@@ -65,7 +69,8 @@ pub use analytics::{
 pub use audience::Audience;
 pub use batch::{BatchConfig, BatchReport};
 pub use driver::{DeploymentConfig, VisitRecord};
-pub use shard::{run_sharded_world, shard_recipe, ShardContext, ShardedWorldRun};
+pub use scenario::{Domain, Scenario, WorldBuild};
+pub use shard::{shard_recipe, ShardContext, ShardedWorldRun};
 pub use transport::{
     worker_main, ProcessTransport, ShardTransport, ThreadTransport, TransportStats, WorldSpec,
 };

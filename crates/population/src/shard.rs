@@ -9,17 +9,17 @@
 //! events are partitioned** 1/N ([`shard_batch_config`] /
 //! [`shard_deployment_config`]), and per-shard outputs **merge
 //! deterministically** in shard order through the associative
-//! [`crate::analytics::Merge`] path. [`run_sharded_world`] is the entry
-//! point. Each shard — a lane thread here, a worker process in
-//! [`crate::transport`], drained by the same coordinator — is one call
+//! [`crate::analytics::Merge`] path. [`crate::transport::ShardTransport::run`]
+//! is the entry point. Each shard — a lane thread or a worker process,
+//! drained by the one coordinator in [`crate::transport`] — is one call
 //! to the same shard body, which runs its own private world engine with
 //!
 //! * an **independent deterministic RNG stream** ([`SimRng::split`]:
 //!   disjoint 2^192-draw blocks *and* a re-keyed fork namespace, with
 //!   shard 0 reproducing the serial stream exactly),
-//! * a **private `Network` + `EncoreSystem`** built from a shared,
-//!   `Send + Sync` scenario via the caller's builder (nothing
-//!   thread-unsafe ever crosses a thread boundary — each shard's striped
+//! * a **private `Network` + `EncoreSystem`** built from the run's
+//!   plain-data [`crate::scenario::Scenario`] (nothing thread-unsafe
+//!   ever crosses a thread boundary — each shard's striped
 //!   [`netsim::ip::IpAllocator`] keeps its address space disjoint from
 //!   every sibling's), and
 //! * a **thinned Poisson arrival process**: shard *i* of *N* runs 1/N of
@@ -38,12 +38,10 @@ use crate::analytics::Merge;
 use crate::audience::Audience;
 use crate::batch::{BatchConfig, BatchReport};
 use crate::driver::DeploymentConfig;
-use crate::transport::{drain, hardware_lanes, ThreadShard};
+use crate::transport::WorldSpec;
 use crate::world::{RunMode, WorldEngine, WorldOutcome, WorldRecipe};
 use encore::collection::CollectionSnapshot;
 use encore::geo::GeoDb;
-use encore::system::EncoreSystem;
-use netsim::network::Network;
 use serde::{Deserialize, Serialize};
 use sim_core::{SimDuration, SimRng};
 
@@ -174,23 +172,20 @@ impl Merge for ShardedWorldRun {
     }
 }
 
-/// The one shard body: build shard `ctx.index`'s private world, run
-/// [`shard_recipe`]\(recipe, ..\) on it under that shard's
+/// The one shard body: build shard `ctx.index`'s private world from
+/// `spec`, run [`shard_recipe`]\(recipe, ..\) on it under that shard's
 /// [`shard_rngs`] stream, and snapshot what the coordinator merges. A
-/// pure function of its arguments (given a deterministic `build`) —
-/// which is why a shard thread and a worker process running it agree
-/// byte for byte, and why re-running a lost shard reproduces it.
-pub(crate) fn run_shard<F>(
-    build: &F,
+/// pure function of its arguments (given a deterministic spec) — which
+/// is why a shard thread and a worker process running it agree byte for
+/// byte, and why re-running a lost shard reproduces it.
+pub(crate) fn run_shard<S: WorldSpec>(
+    spec: &S,
     audience: &Audience,
     recipe: &WorldRecipe,
     ctx: ShardContext,
     seed: u64,
-) -> ShardedWorldRun
-where
-    F: Fn(ShardContext) -> (Network, EncoreSystem),
-{
-    let (mut net, mut sys) = build(ctx);
+) -> ShardedWorldRun {
+    let (mut net, mut sys) = spec.build(ctx);
     let shard_cfg = shard_recipe(recipe, ctx.shards, ctx.index);
     let mut rng = shard_rngs(seed, ctx.shards)
         .into_iter()
@@ -206,67 +201,71 @@ where
     }
 }
 
-/// Execute one [`WorldRecipe`] across `shards` shards in this process,
-/// at most `available_parallelism()` at a time, each on a lane thread.
-///
-/// `build` is called once per shard, *on its lane thread*, and must
-/// return a freshly built `Network` + deployed `EncoreSystem` for the
-/// given [`ShardContext`] — typically via
-/// [`netsim::scenario::NetworkScenario::build_shard`], then any standing
-/// censor through `Network::add_middlebox`, plus `EncoreSystem::deploy`. The builder
-/// must be deterministic in the context: building the same shard twice
-/// must yield identical deployments.
-///
-/// Each shard runs the one shard body (`run_shard`, the same function a
-/// worker process runs): the world engine over
-/// [`shard_recipe`]\(recipe, shards, index\), so control events (policy
-/// changes, censor reactions, world changes, maintenance, rollups) are
-/// **broadcast** verbatim to every shard, arrival events are **thinned**
-/// 1/N, and the per-shard RNG streams come from [`shard_rngs`]
-/// (`SimRng::split` / `long_jump`, shard 0 reproducing the serial stream
-/// exactly). The shards drain through the process carrier's coordinator
-/// and merge **in shard-index order** through the associative
-/// [`crate::analytics::Merge`] path, so the result is deterministic in
-/// `(seed, recipe, shards, scenario)` no matter how the threads were
-/// scheduled — and at `shards == 1` it is byte-identical to the serial
-/// engine on the same recipe (`tests/world_shard_equivalence.rs`). A
-/// shard's panic is re-raised here.
-pub fn run_sharded_world<F>(
-    build: &F,
-    audience: &Audience,
-    recipe: &WorldRecipe,
-    shards: usize,
-    seed: u64,
-) -> ShardedWorldRun
-where
-    F: Fn(ShardContext) -> (Network, EncoreSystem) + Sync,
-{
-    assert!(shards >= 1, "shard count must be at least 1");
-    let mut lanes = ThreadShard::all(build, audience, recipe, shards, seed);
-    let drained = drain(&mut lanes, hardware_lanes());
-    drained.expect("in-process shard outputs merge").0
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::scenario::{Domain, Scenario, WorldBuild};
+    use crate::transport::{ShardTransport, ThreadTransport};
+    use crate::world::{Retain, StreamingSpec};
+    use encore::delivery::OriginSite;
     use netsim::geo::country;
     use netsim::http::{ContentType, HttpResponse};
     use netsim::scenario::NetworkScenario;
 
-    fn scenario() -> NetworkScenario {
-        NetworkScenario::new().with_ideal_paths().with_server(
-            "target.example",
-            country("US"),
-            HttpResponse::ok(ContentType::Image, 400),
-        )
-    }
-
     /// The crate's small test world: one image target, one academic
     /// origin, ideal paths.
-    pub(crate) fn build(ctx: ShardContext) -> (Network, EncoreSystem) {
-        let net = scenario().build_shard(ctx.index, ctx.shards);
-        crate::world::tests::deploy_measuring(net, "target.example")
+    pub(crate) fn world() -> WorldBuild {
+        WorldBuild {
+            network: NetworkScenario::new().with_ideal_paths().with_server(
+                "target.example",
+                country("US"),
+                HttpResponse::ok(ContentType::Image, 400),
+            ),
+            corpus: None,
+            adaptive: Vec::new(),
+            censors: Vec::new(),
+            targets: vec![Domain::Name("target.example".into())],
+            origins: vec![OriginSite::academic("prof.example")],
+        }
+    }
+
+    /// `recipe` over [`world`], visited by the academic audience.
+    fn scenario(recipe: WorldRecipe) -> Scenario {
+        Scenario {
+            world: world(),
+            audience: Audience::academic(),
+            recipe,
+        }
+    }
+
+    /// `visits` batch arrivals; the log is not kept.
+    pub(crate) fn exact(visits: u64) -> Scenario {
+        let batch = BatchConfig {
+            visits,
+            ..BatchConfig::default()
+        };
+        scenario(WorldRecipe::batch(batch))
+    }
+
+    /// [`exact`] on streaming analytics, one-minute windows.
+    pub(crate) fn streaming(visits: u64) -> Scenario {
+        let window = StreamingSpec::with_window(SimDuration::from_secs(60));
+        scenario(exact(visits).recipe.with_streaming(window))
+    }
+
+    /// A week of deployment arrivals, every visit logged: under
+    /// [`Retain::Full`], LOG_CHUNK frames.
+    pub(crate) fn logged() -> Scenario {
+        let week = DeploymentConfig {
+            duration: SimDuration::from_days(7),
+            ..DeploymentConfig::default()
+        };
+        scenario(WorldRecipe::deployment(week).retain_visits(Retain::Full))
+    }
+
+    /// [`logged`]'s world, keeping no visits.
+    pub(crate) fn unlogged() -> Scenario {
+        scenario(logged().recipe.retain_visits(Retain::None))
     }
 
     #[test]
@@ -309,11 +308,9 @@ pub(crate) mod tests {
 
     /// `visits` batch visits across `shards` shards of the test world.
     fn run_batch(shards: usize, visits: u64, seed: u64) -> ShardedWorldRun {
-        let recipe = WorldRecipe::batch(BatchConfig {
-            visits,
-            ..BatchConfig::default()
-        });
-        run_sharded_world(&build, &Audience::academic(), &recipe, shards, seed)
+        ThreadTransport
+            .run(&exact(visits), shards, seed)
+            .expect("in-process shards merge")
     }
 
     #[test]

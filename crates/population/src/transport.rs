@@ -10,7 +10,7 @@
 //! [`ShardTransport`] abstracts only what a lane runs:
 //!
 //! * [`ThreadTransport`] — the lane runs the shard body itself, in this
-//!   process ([`run_sharded_world`]).
+//!   process.
 //! * [`ProcessTransport`] — worker **processes** on OS pipes speaking
 //!   the length-prefixed, checksummed [`sim_core::frame`] protocol. The
 //!   coordinator serializes the [`WorldSpec`] **once** and broadcasts
@@ -21,11 +21,13 @@
 //!   `ProcessTransport` itself holds only what is about processes:
 //!   spawn, pipes, reap.
 //!
-//! Only descriptions cross the process boundary: a [`WorldSpec`] is a
-//! compact serializable *description* (fixture name + parameters, or a
-//! generator seed) from which the worker deterministically rebuilds the
-//! scenario, recipe, and audience — so both backends run the same shard
-//! body on identically built worlds, and agree byte for byte.
+//! Only descriptions cross the process boundary: a [`WorldSpec`] — in
+//! practice a [`crate::scenario::Scenario`], the world build, audience
+//! and recipe as plain data — is opaque bytes to the pipe, from which
+//! the worker deterministically rebuilds the world, recipe, and
+//! audience; only the two endpoints interpret it. Both backends
+//! therefore run the same shard body on identically built worlds, and
+//! agree byte for byte.
 //!
 //! ## Wire protocol (version [`sim_core::frame::FRAME_VERSION`])
 //!
@@ -72,7 +74,7 @@ use crate::audience::Audience;
 use crate::batch::BatchReport;
 use crate::driver::VisitRecord;
 use crate::record_wire;
-use crate::shard::{run_shard, run_sharded_world, ShardContext, ShardedWorldRun};
+use crate::shard::{run_shard, ShardContext, ShardedWorldRun};
 use crate::world::{Retain, WorldOutcome, WorldRecipe};
 use encore::collection::{in_canonical_order, CollectionSnapshot};
 use encore::geo::GeoDb;
@@ -122,8 +124,10 @@ pub const DEFAULT_WINDOW: usize = 8;
 /// Payload cap (bytes) enforced by both ends of the pipe.
 pub const DEFAULT_MAX_PAYLOAD: u32 = 64 << 20;
 
-/// A compact, serializable description of a sharded world run — the
-/// unit a worker process rebuilds its world from.
+/// A serializable description of a sharded world run — the unit a
+/// worker process rebuilds its world from: a
+/// [`crate::scenario::Scenario`], or any other plain-data description
+/// with a deterministic build.
 ///
 /// Implementations must be **deterministic**: the same spec value must
 /// build byte-identical worlds in every process, because cross-backend
@@ -288,10 +292,11 @@ pub trait ShardTransport {
     ) -> Result<ShardedWorldRun, TransportError>;
 }
 
-/// The in-process backend: shard bodies on lane threads
-/// ([`run_sharded_world`]).
-/// Never fails; the `Result` exists only to satisfy the shared trait
-/// signature.
+/// The in-process backend: each shard builds its world and runs the
+/// shard body on its own lane thread, drained by the one coordinator —
+/// at one shard byte-identical to the serial engine on the same recipe
+/// (`tests/world_shard_equivalence.rs`). A shard's panic is re-raised
+/// here.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ThreadTransport;
 
@@ -302,13 +307,10 @@ impl ShardTransport for ThreadTransport {
         shards: usize,
         seed: u64,
     ) -> Result<ShardedWorldRun, TransportError> {
-        Ok(run_sharded_world(
-            &|ctx| spec.build(ctx),
-            &spec.audience(),
-            &spec.recipe(),
-            shards,
-            seed,
-        ))
+        assert!(shards >= 1, "shard count must be at least 1");
+        let (audience, recipe) = (spec.audience(), spec.recipe());
+        let mut lanes = ThreadShard::all(spec, &audience, &recipe, shards, seed);
+        drain(&mut lanes, hardware_lanes()).map(|(run, _)| run)
     }
 }
 
@@ -457,7 +459,7 @@ impl ProcessTransport {
 
 /// How many lanes `drain` opens at a time, on either carrier: past one
 /// per hardware thread a lane only waits for a core, holding an output.
-pub(crate) fn hardware_lanes() -> usize {
+fn hardware_lanes() -> usize {
     thread::available_parallelism().map_or(1, usize::from)
 }
 
@@ -465,7 +467,7 @@ pub(crate) fn hardware_lanes() -> usize {
 /// way to learn how it ended, and a way to end it. A [`Spawned`]
 /// worker's lane folds its frame stream; a [`ThreadShard`]'s runs the
 /// shard body.
-pub(crate) trait Worker {
+trait Worker {
     /// What the lane thread takes over.
     type Lane: Lane;
     /// Hand the lane over (once).
@@ -480,7 +482,7 @@ pub(crate) trait Worker {
 }
 
 /// The body of one lane thread.
-pub(crate) trait Lane: Send {
+trait Lane: Send {
     /// Bring shard `shard`'s output home.
     fn bring_home(self, shard: usize) -> Result<Folded, TransportError>;
 }
@@ -529,28 +531,27 @@ impl Worker for Spawned {
 }
 
 /// One shard of an in-process run: its lane runs the shard body on the
-/// world `build` makes for `ctx`; there is nothing to reap or kill.
-#[derive(Clone, Copy)]
-pub(crate) struct ThreadShard<'a> {
-    build: &'a (dyn Fn(ShardContext) -> (Network, EncoreSystem) + Sync),
+/// world `spec` builds for `ctx`; there is nothing to reap or kill.
+struct ThreadShard<'a, S> {
+    spec: &'a S,
     audience: &'a Audience,
     recipe: &'a WorldRecipe,
     ctx: ShardContext,
     seed: u64,
 }
 
-impl<'a> ThreadShard<'a> {
+impl<'a, S: WorldSpec> ThreadShard<'a, S> {
     /// Every shard of a `shards`-shard run from root `seed`.
-    pub(crate) fn all(
-        build: &'a (dyn Fn(ShardContext) -> (Network, EncoreSystem) + Sync),
+    fn all(
+        spec: &'a S,
         audience: &'a Audience,
         recipe: &'a WorldRecipe,
         shards: usize,
         seed: u64,
-    ) -> Vec<ThreadShard<'a>> {
+    ) -> Vec<ThreadShard<'a, S>> {
         (0..shards)
             .map(|index| ThreadShard {
-                build,
+                spec,
                 audience,
                 recipe,
                 ctx: ShardContext { index, shards },
@@ -560,24 +561,24 @@ impl<'a> ThreadShard<'a> {
     }
 }
 
-impl Lane for ThreadShard<'_> {
+impl<S: WorldSpec> Lane for ThreadShard<'_, S> {
     fn bring_home(self, _: usize) -> Result<Folded, TransportError> {
-        let output = run_shard(&self.build, self.audience, self.recipe, self.ctx, self.seed);
+        let output = run_shard(self.spec, self.audience, self.recipe, self.ctx, self.seed);
         Ok((output, None, TransportStats::new(1)))
     }
 }
 
-impl Worker for ThreadShard<'_> {
+impl<S: WorldSpec> Worker for ThreadShard<'_, S> {
     type Lane = Self;
 
     fn open(&mut self) -> Self {
-        *self
+        ThreadShard { ..*self }
     }
 }
 
 /// One shard's output as its lane reports it: the output, the sketch
 /// shape its stream carried (if any), and what the fold counted.
-pub(crate) type Folded = (ShardedWorldRun, Option<MergeShape>, TransportStats);
+type Folded = (ShardedWorldRun, Option<MergeShape>, TransportStats);
 
 /// The coordinator's merge tail, with what the shards accepted into it
 /// so far agreed on.
@@ -657,7 +658,7 @@ fn agree<T: Copy + PartialEq + fmt::Debug>(
 /// *before* the remaining lane threads are joined: their reads then see
 /// EOF, so a dead worker beside a healthy sibling is its typed error
 /// and never a hang.
-pub(crate) fn drain<W: Worker>(
+fn drain<W: Worker>(
     workers: &mut [W],
     lanes: usize,
 ) -> Result<(ShardedWorldRun, TransportStats), TransportError> {
@@ -980,13 +981,7 @@ pub fn run_worker<S: WorldSpec, R: Read, W: Write>(
         mut collection,
         geo,
         ..
-    } = run_shard(
-        &|ctx| spec.build(ctx),
-        &spec.audience(),
-        &recipe,
-        ctx,
-        job.seed,
-    );
+    } = run_shard(&spec, &spec.audience(), &recipe, ctx, job.seed);
 
     let chunk = job.chunk.max(1);
     let mut sender = CreditedSender {
@@ -1083,94 +1078,14 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
 mod tests {
     use super::*;
     use crate::analytics::merge_in_order;
-    use crate::batch::BatchConfig;
     use crate::record_wire::RecordChunk;
+    use crate::scenario::Scenario;
+    use crate::shard::tests as tiny;
     use encore::collection::StoredMeasurement;
     use encore::streaming::{CellEntry, WindowCells};
     use sim_core::FRAME_HEADER_LEN;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
-
-    /// A minimal serializable spec over `shard.rs`'s test world.
-    #[derive(Debug, Clone, Serialize, Deserialize)]
-    struct TinySpec {
-        visits: u64,
-        #[serde(default)]
-        streaming: bool,
-        /// Deployment mode (a week of arrivals, `visits` unused).
-        #[serde(default)]
-        deployment: bool,
-        /// What the recipe keeps of each visit: under
-        /// [`Retain::Full`], LOG_CHUNK frames.
-        #[serde(default)]
-        retain: Retain,
-    }
-
-    impl TinySpec {
-        fn exact(visits: u64) -> TinySpec {
-            TinySpec {
-                visits,
-                streaming: false,
-                deployment: false,
-                retain: Retain::None,
-            }
-        }
-
-        fn streaming(visits: u64) -> TinySpec {
-            TinySpec {
-                streaming: true,
-                ..TinySpec::exact(visits)
-            }
-        }
-
-        /// A week of deployment arrivals, every visit logged.
-        fn logged() -> TinySpec {
-            TinySpec {
-                deployment: true,
-                retain: Retain::Full,
-                ..TinySpec::exact(0)
-            }
-        }
-
-        /// [`Self::logged`]'s world, keeping no visits.
-        fn unlogged() -> TinySpec {
-            TinySpec {
-                retain: Retain::None,
-                ..TinySpec::logged()
-            }
-        }
-    }
-
-    impl WorldSpec for TinySpec {
-        fn audience(&self) -> Audience {
-            Audience::academic()
-        }
-
-        fn recipe(&self) -> WorldRecipe {
-            let recipe = if self.deployment {
-                WorldRecipe::deployment(crate::driver::DeploymentConfig {
-                    duration: sim_core::SimDuration::from_days(7),
-                    ..Default::default()
-                })
-            } else {
-                WorldRecipe::batch(BatchConfig {
-                    visits: self.visits,
-                    ..BatchConfig::default()
-                })
-            }
-            .retain_visits(self.retain);
-            if self.streaming {
-                recipe.with_streaming(crate::world::StreamingSpec::with_window(
-                    sim_core::SimDuration::from_secs(60),
-                ))
-            } else {
-                recipe
-            }
-        }
-
-        fn build(&self, ctx: ShardContext) -> (Network, EncoreSystem) {
-            crate::shard::tests::build(ctx)
-        }
-    }
 
     #[test]
     fn transport_kind_parses_and_displays() {
@@ -1188,17 +1103,6 @@ mod tests {
         assert_eq!(TransportKind::Process.to_string(), "process");
     }
 
-    #[test]
-    fn thread_transport_matches_run_sharded_world() {
-        let spec = TinySpec::exact(300);
-        let via_trait = ThreadTransport.run(&spec, 2, 41).expect("threads run");
-        let (audience, recipe) = (spec.audience(), spec.recipe());
-        let direct = run_sharded_world(&|ctx| spec.build(ctx), &audience, &recipe, 2, 41);
-        assert_eq!(via_trait.outcome, direct.outcome);
-        assert_eq!(via_trait.collection, direct.collection);
-        assert_eq!(via_trait.per_shard, direct.per_shard);
-    }
-
     /// A coordinator's opening bytes: the spec frame, then the job frame.
     fn handshake<S: WorldSpec>(spec: &S, job: WorkerJob) -> Vec<u8> {
         let mut script = encode_frame(KIND_SPEC, &encode_payload(spec).unwrap());
@@ -1210,12 +1114,12 @@ mod tests {
     /// `script` (so: no credits).
     fn worker(script: &[u8]) -> Result<Vec<u8>, TransportError> {
         let mut wire = Vec::new();
-        run_worker::<TinySpec, _, _>(&mut &script[..], &mut wire).map(|()| wire)
+        run_worker::<Scenario, _, _>(&mut &script[..], &mut wire).map(|()| wire)
     }
 
     /// Shard `index`'s whole stream, in 7-record chunks under a window
     /// wide enough to need no credits.
-    fn transcript(spec: &TinySpec, index: usize, shards: usize, seed: u64) -> Vec<u8> {
+    fn transcript(spec: &Scenario, index: usize, shards: usize, seed: u64) -> Vec<u8> {
         let job = WorkerJob {
             index,
             shards,
@@ -1236,7 +1140,7 @@ mod tests {
     /// each through `fold_shard_stream`, then the merge tail. Also the
     /// frame kinds each worker sent.
     fn fold_transcripts(
-        spec: &TinySpec,
+        spec: &Scenario,
         shards: usize,
         seed: u64,
     ) -> (ShardedWorldRun, Vec<Vec<u8>>) {
@@ -1251,7 +1155,7 @@ mod tests {
             let credit = || credits += 1;
             let output = fold_shard_stream(
                 index,
-                spec.retain,
+                spec.recipe.retain,
                 &mut stream,
                 credit,
                 &mut shape,
@@ -1279,23 +1183,23 @@ mod tests {
 
     impl Scripted {
         /// A worker for `spec` that wrote `wire` and exited.
-        fn wrote(spec: &TinySpec, wire: Vec<u8>) -> Scripted {
+        fn wrote(spec: &Scenario, wire: Vec<u8>) -> Scripted {
             Scripted {
                 stdout: Some(Box::new(io::Cursor::new(wire))),
                 held_open: None,
-                retain: spec.retain,
+                retain: spec.recipe.retain,
             }
         }
 
         /// A worker for `spec` that wrote `wire` and then neither writes
         /// nor exits.
-        fn stalled_after(spec: &TinySpec, wire: &[u8]) -> Scripted {
+        fn stalled_after(spec: &Scenario, wire: &[u8]) -> Scripted {
             let (stdout, mut writer) = io::pipe().expect("an OS pipe");
             writer.write_all(wire).expect("fits the pipe buffer");
             Scripted {
                 stdout: Some(Box::new(stdout)),
                 held_open: Some(writer),
-                retain: spec.retain,
+                retain: spec.recipe.retain,
             }
         }
     }
@@ -1324,18 +1228,17 @@ mod tests {
     /// sliding case).
     #[test]
     fn concurrent_drain_is_the_one_after_another_fold_at_any_window() {
-        let (spec, shards, seed) = (TinySpec::logged(), 5, 97);
+        let (spec, shards, seed) = (tiny::logged(), 5, 97);
         let (expected, kinds) = fold_transcripts(&spec, shards, seed);
         let data_frames: usize = kinds.iter().map(|k| k.len() - 1).sum();
         let (audience, recipe) = (spec.audience(), spec.recipe());
-        let build = |ctx| spec.build(ctx);
         for lanes in [1, 2, 3, 5, 8] {
             let mut workers: Vec<Scripted> = (0..shards)
                 .map(|index| Scripted::wrote(&spec, transcript(&spec, index, shards, seed)))
                 .collect();
             let (run, stats) = drain(&mut workers, lanes).expect("transcripts drain");
             assert_eq!(stats.data_frames, data_frames as u64, "{lanes} lanes");
-            let mut in_process = ThreadShard::all(&build, &audience, &recipe, shards, seed);
+            let mut in_process = ThreadShard::all(&spec, &audience, &recipe, shards, seed);
             let (threads, thread_stats) = drain(&mut in_process, lanes).expect("shards drain");
             // The tail's run plus a full window — or, with every lane
             // open from the start, the lanes alone.
@@ -1400,12 +1303,12 @@ mod tests {
     /// `merge_in_order` of the per-shard outputs, whatever the order.
     #[test]
     fn drain_accepts_in_shard_order_whatever_order_shards_complete_in() {
-        let (spec, shards, seed) = (TinySpec::logged(), 5, 31);
+        let (spec, shards, seed) = (tiny::logged(), 5, 31);
         let (audience, recipe) = (spec.audience(), spec.recipe());
         let outputs: Vec<ShardedWorldRun> = (0..shards)
             .map(|index| {
                 let ctx = ShardContext { index, shards };
-                run_shard(&|ctx| spec.build(ctx), &audience, &recipe, ctx, seed)
+                run_shard(&spec, &audience, &recipe, ctx, seed)
             })
             .collect();
         let expected = merge_in_order(outputs.clone()).expect("five outputs");
@@ -1433,26 +1336,42 @@ mod tests {
         }
     }
 
+    /// Builds of [`Counted`] worlds in flight, and the most there were.
+    static IN_FLIGHT: AtomicUsize = AtomicUsize::new(0);
+    static HIGH_WATER: AtomicUsize = AtomicUsize::new(0);
+
+    /// [`tiny::exact`]\(40\)'s world, counting its builds in flight.
+    #[derive(Debug, Clone, Serialize, Deserialize)]
+    struct Counted;
+
+    impl WorldSpec for Counted {
+        fn audience(&self) -> Audience {
+            tiny::exact(40).audience()
+        }
+
+        fn recipe(&self) -> WorldRecipe {
+            tiny::exact(40).recipe()
+        }
+
+        fn build(&self, ctx: ShardContext) -> (Network, EncoreSystem) {
+            let now = IN_FLIGHT.fetch_add(1, Ordering::SeqCst) + 1;
+            HIGH_WATER.fetch_max(now, Ordering::SeqCst);
+            thread::sleep(std::time::Duration::from_millis(20));
+            let world = tiny::exact(40).build(ctx);
+            IN_FLIGHT.fetch_sub(1, Ordering::SeqCst);
+            world
+        }
+    }
+
     /// A thread run builds no more worlds at a time than it has lanes:
     /// 8 in-process shards on 2 lanes never have more than 2 builds in
     /// flight.
     #[test]
     fn a_thread_run_keeps_at_most_lanes_worlds_alive() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let (in_flight, high_water) = (AtomicUsize::new(0), AtomicUsize::new(0));
-        let build = |ctx| {
-            let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-            high_water.fetch_max(now, Ordering::SeqCst);
-            thread::sleep(std::time::Duration::from_millis(20));
-            let world = crate::shard::tests::build(ctx);
-            in_flight.fetch_sub(1, Ordering::SeqCst);
-            world
-        };
-        let spec = TinySpec::exact(40);
-        let (audience, recipe) = (spec.audience(), spec.recipe());
-        let mut shards = ThreadShard::all(&build, &audience, &recipe, 8, 3);
+        let (audience, recipe) = (Counted.audience(), Counted.recipe());
+        let mut shards = ThreadShard::all(&Counted, &audience, &recipe, 8, 3);
         drain(&mut shards, 2).expect("shards drain");
-        let mark = high_water.load(Ordering::SeqCst);
+        let mark = HIGH_WATER.load(Ordering::SeqCst);
         assert!(
             (1..=2).contains(&mark),
             "{mark} worlds built at once on 2 lanes"
@@ -1467,7 +1386,7 @@ mod tests {
     /// for it.
     #[test]
     fn a_dead_worker_beside_a_stalled_sibling_is_its_worker_exit_not_a_hang() {
-        let spec = TinySpec::logged();
+        let spec = tiny::logged();
         let wire = transcript(&spec, 0, 1, 5);
         let good = FRAME_HEADER_LEN + frames(&wire)[0].payload.len();
         for dead in [0, 1] {
@@ -1494,7 +1413,7 @@ mod tests {
     #[test]
     fn in_process_worker_stream_folds_to_thread_result() {
         // A batch recipe retains no visits; a logged deployment streams them.
-        for (spec, log_chunks) in [(TinySpec::exact(240), false), (TinySpec::logged(), true)] {
+        for (spec, log_chunks) in [(tiny::exact(240), false), (tiny::logged(), true)] {
             let expected = ThreadTransport.run(&spec, 2, 97).expect("threads");
             let (folded, kinds) = fold_transcripts(&spec, 2, 97);
             assert_eq!(folded.outcome, expected.outcome);
@@ -1515,7 +1434,7 @@ mod tests {
     /// workers send no LOG_CHUNK.
     #[test]
     fn a_run_that_retains_no_visits_is_the_full_run_without_its_log() {
-        let (full, none) = (TinySpec::logged(), TinySpec::unlogged());
+        let (full, none) = (tiny::logged(), tiny::unlogged());
         for shards in [1, 2] {
             let threads = ThreadTransport.run(&full, shards, 97).expect("threads");
             assert_eq!(
@@ -1571,13 +1490,13 @@ mod tests {
     /// most two.
     #[test]
     fn folded_records_share_one_allocation_per_string_per_shard() {
-        let (spec, shards, seed) = (TinySpec::logged(), 2, 97);
+        let (spec, shards, seed) = (tiny::logged(), 2, 97);
         for index in 0..shards {
             let wire = transcript(&spec, index, shards, seed);
             let (mut shape, mut stats) = (None, TransportStats::new(1));
             let folded = fold_shard_stream(
                 index,
-                spec.retain,
+                spec.recipe.retain,
                 &mut &wire[..],
                 || {},
                 &mut shape,
@@ -1598,7 +1517,7 @@ mod tests {
     /// full.
     #[test]
     fn a_record_chunk_is_at_most_half_its_records_spelled_out() {
-        let wire = transcript(&TinySpec::logged(), 0, 1, 5);
+        let wire = transcript(&tiny::logged(), 0, 1, 5);
         let mut checked = 0;
         for frame in frames(&wire) {
             if frame.kind != KIND_RECORD_CHUNK {
@@ -1624,10 +1543,10 @@ mod tests {
     fn sharded_streaming_verdicts_match_sharded_exact() {
         let window = sim_core::SimDuration::from_secs(60);
         let exact = ThreadTransport
-            .run(&TinySpec::exact(400), 2, 77)
+            .run(&tiny::exact(400), 2, 77)
             .expect("exact run");
         let streamed = ThreadTransport
-            .run(&TinySpec::streaming(400), 2, 77)
+            .run(&tiny::streaming(400), 2, 77)
             .expect("streaming run");
 
         // Enabling streaming never perturbs the traffic.
@@ -1657,7 +1576,7 @@ mod tests {
     /// reproduces the thread backend's merged run.
     #[test]
     fn in_process_streaming_worker_sends_one_bounded_sketch_frame() {
-        let spec = TinySpec::streaming(240);
+        let spec = tiny::streaming(240);
         let expected = ThreadTransport.run(&spec, 2, 97).expect("threads");
         let (folded, kinds) = fold_transcripts(&spec, 2, 97);
         for sent in kinds {
@@ -1711,7 +1630,7 @@ mod tests {
     #[test]
     fn hostile_streams_get_their_typed_error_and_no_credit() {
         let full = Retain::Full;
-        let wire = transcript(&TinySpec::logged(), 0, 1, 5);
+        let wire = transcript(&tiny::logged(), 0, 1, 5);
         let all = frames(&wire);
         assert!(all.len() >= 3 && all[0].kind == KIND_LOG_CHUNK);
         let good = FRAME_HEADER_LEN + all[0].payload.len();
@@ -1904,7 +1823,7 @@ mod tests {
 
         // A shard whose recipe retains nothing has no log to send: its
         // own first data frame folds, a LOG_CHUNK after it does not.
-        let unlogged = transcript(&TinySpec::unlogged(), 0, 1, 5);
+        let unlogged = transcript(&tiny::unlogged(), 0, 1, 5);
         let first = FRAME_HEADER_LEN + frames(&unlogged)[0].payload.len();
         let stray = [
             &unlogged[..first],
@@ -1922,7 +1841,7 @@ mod tests {
 
         // The run's shape is the sketch's own, so a refusal can be told
         // from a moved shape.
-        let wire = transcript(&TinySpec::streaming(60), 0, 1, 5);
+        let wire = transcript(&tiny::streaming(60), 0, 1, 5);
         let all = frames(&wire);
         let kinds: Vec<u8> = all.iter().map(|f| f.kind).collect();
         assert_eq!(kinds, [KIND_SKETCH, KIND_FINAL]);
@@ -1965,7 +1884,7 @@ mod tests {
     /// and panic the coordinator.
     #[test]
     fn ill_shaped_sketch_frames_are_payload_errors_not_panics() {
-        let sent = frames(&transcript(&TinySpec::streaming(60), 0, 2, 5));
+        let sent = frames(&transcript(&tiny::streaming(60), 0, 2, 5));
         let [.., sketch_frame, final_frame] = &sent[..] else {
             panic!("streaming transcript ends SKETCH, FINAL");
         };
@@ -2097,7 +2016,7 @@ mod tests {
     /// reach `GeoDb::merge`'s assert and panic the coordinator.
     #[test]
     fn hostile_final_geo_error_rates_are_payload_errors_not_panics() {
-        let spec = TinySpec::exact(60);
+        let spec = tiny::exact(60);
         // Shard `index`'s real transcript, its FINAL's GeoDb rewritten.
         type Rewrite<'a> = &'a dyn Fn(GeoDb) -> GeoDb;
         let transcript_with = |index: usize, rewrite: Rewrite| {
@@ -2192,7 +2111,7 @@ mod tests {
             chunk: 1,
             window: 1,
         };
-        let err = worker(&handshake(&TinySpec::exact(200), job)).expect_err("no credits");
+        let err = worker(&handshake(&tiny::exact(200), job)).expect_err("no credits");
         assert!(matches!(err, TransportError::Protocol(_)), "{err}");
     }
 
@@ -2205,7 +2124,7 @@ mod tests {
             chunk: 8,
             window: 8,
         };
-        let good = handshake(&TinySpec::exact(1), job);
+        let good = handshake(&tiny::exact(1), job);
         let spec_len = good.len() - encode_frame(KIND_JOB, &encode_payload(&job).unwrap()).len();
 
         // Job before spec.
@@ -2231,28 +2150,8 @@ mod tests {
             shards: 2,
             ..job
         };
-        let err = worker(&handshake(&TinySpec::exact(1), bad_job)).unwrap_err();
+        let err = worker(&handshake(&tiny::exact(1), bad_job)).unwrap_err();
         assert!(matches!(err, TransportError::Protocol(_)), "{err}");
-    }
-
-    /// A spec whose every shard panics building its world.
-    #[derive(Debug, Clone, Serialize, Deserialize)]
-    struct Doomed {
-        why: String,
-    }
-
-    impl WorldSpec for Doomed {
-        fn audience(&self) -> Audience {
-            Audience::academic()
-        }
-
-        fn recipe(&self) -> WorldRecipe {
-            TinySpec::exact(1).recipe()
-        }
-
-        fn build(&self, _: ShardContext) -> (Network, EncoreSystem) {
-            panic!("{}", self.why)
-        }
     }
 
     /// A worker whose shard panics sends the panic's message as its
@@ -2261,9 +2160,10 @@ mod tests {
     /// and not with a bare exit status.
     #[test]
     fn a_worker_that_panics_says_why() {
-        let spec = Doomed {
-            why: "no world today".into(),
-        };
+        // Every shard panics building this world: it measures a corpus
+        // site, and has no corpus.
+        let mut spec = tiny::exact(1);
+        spec.world.targets = vec![crate::scenario::Domain::CorpusRank(0)];
         let job = WorkerJob {
             index: 0,
             shards: 1,
@@ -2272,18 +2172,18 @@ mod tests {
             window: 8,
         };
         let mut wire = Vec::new();
-        let code = serve::<Doomed, _, _>(&mut &handshake(&spec, job)[..], &mut wire);
+        let code = serve::<Scenario, _, _>(&mut &handshake(&spec, job)[..], &mut wire);
         assert_eq!(code, 1, "a panicked worker exits 1");
-        let detail = match drain(&mut [Scripted::wrote(&TinySpec::exact(1), wire)], 1) {
+        let detail = match drain(&mut [Scripted::wrote(&tiny::exact(1), wire)], 1) {
             Err(TransportError::Worker { shard: 0, detail }) => detail,
             other => panic!("expected the worker's reason, got {other:?}"),
         };
-        assert_eq!(detail, "panicked: no world today");
+        let why = "a corpus rank names a site of the world's corpus";
+        assert_eq!(detail, format!("panicked: {why}"));
 
         let (audience, recipe) = (spec.audience(), spec.recipe());
-        let build = |ctx| spec.build(ctx);
         let in_process = catch_unwind(AssertUnwindSafe(|| {
-            drain(&mut ThreadShard::all(&build, &audience, &recipe, 1, 7), 1)
+            drain(&mut ThreadShard::all(&spec, &audience, &recipe, 1, 7), 1)
         }));
         let panic = in_process.expect_err("an in-process shard's panic is re-raised");
         assert_eq!(format!("panicked: {}", panic_message(&*panic)), detail);
@@ -2294,7 +2194,7 @@ mod tests {
         let transport = ProcessTransport::new(PathBuf::from(
             "/nonexistent/encore-shard-worker-for-this-test",
         ));
-        let spec = TinySpec::exact(10);
+        let spec = tiny::exact(10);
         match transport.run(&spec, 1, 1) {
             Err(TransportError::Spawn { .. }) => {}
             other => panic!("expected Spawn error, got {other:?}"),

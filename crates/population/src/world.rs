@@ -20,7 +20,7 @@
 //! timeline + reactions + world changes + housekeeping cadences).
 //! [`WorldEngine::from_recipe`] borrows it and executes it in place —
 //! events index into the recipe, the engine keeps no copy of any
-//! schedule — and [`crate::shard::run_sharded_world`] runs it across
+//! schedule — and [`crate::transport::ShardTransport::run`] runs it across
 //! all cores by broadcasting the recipe's control half to every shard
 //! and thinning its arrival half 1/N. One description, two execution paths, provably
 //! the same experiment (`tests/world_shard_equivalence.rs`).
@@ -273,7 +273,7 @@ impl StreamingSpec {
 /// world changes, maintenance ticks, and rollup cadence.
 ///
 /// One recipe drives both execution paths: [`WorldEngine::from_recipe`]
-/// executes it serially, and [`crate::shard::run_sharded_world`]
+/// executes it serially, and [`crate::transport::ThreadTransport`]
 /// executes it on N OS threads by broadcasting the *control* half
 /// verbatim to every shard while thinning the *arrival* half 1/N
 /// ([`crate::shard::shard_recipe`]). The firing order at a shared
@@ -534,7 +534,7 @@ impl<'a> WorldEngine<'a> {
     /// queues the traffic after them. The queue breaks same-instant ties
     /// by insertion order, so that order *is* the firing order at a
     /// shared instant, and `tests/world_shard_equivalence.rs` holds
-    /// `run_sharded_world` at one shard to exactly this serial run.
+    /// a one-shard `ThreadTransport` run to exactly this serial run.
     ///
     /// A control signal no middlebox understands is a counted-nowhere
     /// no-op, the reactive analogue of lifting an uninstalled censor.

@@ -15,6 +15,8 @@
 //!   market share).
 
 use crate::rng::SimRng;
+use serde::json::Error;
+use serde::{Deserialize, Serialize};
 
 /// A distribution over `f64` that can be sampled with a [`SimRng`].
 pub trait Sample {
@@ -195,7 +197,7 @@ impl Zipf {
 }
 
 /// An empirical (weighted discrete) distribution over `T`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Empirical<T> {
     items: Vec<T>,
     weights: Vec<f64>,
@@ -242,6 +244,36 @@ impl<T> Empirical<T> {
     /// Whether there are no items (never true by construction).
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
+    }
+
+    /// [`Empirical::new`] over decoded items and weights, refusing what
+    /// it would panic on.
+    fn decoded((items, weights): (Vec<T>, Vec<f64>)) -> Result<Self, Error> {
+        if items.len() != weights.len() || !weights.iter().any(|w| *w > 0.0) {
+            return Err(Error::new("need one weight per item, one of them positive"));
+        }
+        Ok(Empirical::new(items.into_iter().zip(weights).collect()))
+    }
+}
+
+// Both codecs carry the items and weights `new` was given: decoding sums
+// the total as `new` does, so a decoded distribution draws the same
+// stream.
+impl<T: Serialize> Serialize for Empirical<T> {
+    fn write_json(&self, out: &mut String) {
+        (&self.items, &self.weights).write_json(out);
+    }
+    fn write_bin(&self, out: &mut Vec<u8>) {
+        (&self.items, &self.weights).write_bin(out);
+    }
+}
+
+impl<T: Deserialize> Deserialize for Empirical<T> {
+    fn from_value(v: &serde::json::Value) -> Result<Self, Error> {
+        Empirical::decoded(Deserialize::from_value(v)?)
+    }
+    fn read_bin(input: &mut serde::bin::Reader<'_>) -> Result<Self, Error> {
+        Empirical::decoded(Deserialize::read_bin(input)?)
     }
 }
 
@@ -334,6 +366,18 @@ mod tests {
         let mut r = rng();
         let hits_b = (0..10_000).filter(|_| *d.sample(&mut r) == "b").count();
         assert!((7_600..8_400).contains(&hits_b), "hits_b = {hits_b}");
+    }
+
+    #[test]
+    fn empirical_round_trips_through_both_codecs_and_refuses_what_new_would() {
+        // Same items and weights, so the same total: the same draws.
+        let d = Empirical::new(vec![(3u8, 0.1), (5, 0.0), (7, 2.5)]);
+        let decoded: Empirical<u8> = serde::bin::from_slice(&serde::bin::to_vec(&d)).unwrap();
+        assert_eq!(decoded, d);
+        for refused in ["[[3],[0.0]]", "[[3,5],[1.0]]"] {
+            let value = serde::json::parse(refused).unwrap();
+            assert!(Empirical::<u8>::from_value(&value).is_err(), "{refused}");
+        }
     }
 
     #[test]

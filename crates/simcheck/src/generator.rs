@@ -32,16 +32,15 @@
 use censor::adaptive::{AdaptiveSpec, Reaction, ReactionPolicy, Stage};
 use censor::policy::{CensorPolicy, Mechanism};
 use censor::timeline::{CensorSpec, PolicyChange, PolicyTimeline};
-use encore::coordination::SchedulingStrategy;
 use encore::delivery::OriginSite;
-use encore::system::EncoreSystem;
-use netsim::geo::{country, CountryCode};
+use netsim::geo::{country, CountryCode, World};
 use netsim::http::{ContentType, HttpResponse};
-use netsim::network::Network;
 use netsim::scenario::NetworkScenario;
 use netsim::TopologyConfig;
-use population::shard::ShardContext;
-use population::{BatchConfig, DeploymentConfig, Retain, WorldChange, WorldRecipe};
+use population::{
+    Audience, BatchConfig, DeploymentConfig, Domain, Retain, Scenario, WorldBuild, WorldChange,
+    WorldRecipe,
+};
 use proptest::TestRng;
 use serde::{Deserialize, Serialize};
 use sim_core::{SimDuration, SimRng, SimTime};
@@ -100,8 +99,6 @@ impl CaseClass {
 pub struct CorpusCaseSpec {
     /// Sites in the generated corpus.
     pub num_domains: usize,
-    /// Zipf popularity exponent.
-    pub zipf_exponent: f64,
     /// The corpus' own seed (independent of the case seed, mirroring
     /// how a standing web outlives any one measurement campaign).
     pub corpus_seed: u64,
@@ -119,7 +116,6 @@ impl CorpusCaseSpec {
                 median_pages_per_domain: 4.0,
                 ..websim::generator::WebConfig::default()
             },
-            zipf_exponent: self.zipf_exponent,
             cross_links_per_site: 1,
         }
     }
@@ -403,7 +399,6 @@ impl WorldCase {
             congestion: None,
             corpus: Some(CorpusCaseSpec {
                 num_domains: 4 + rng.index(4), // 4..=7
-                zipf_exponent: 0.8 + rng.unit() * 0.6,
                 corpus_seed: rng.next_u64(),
                 disruption,
             }),
@@ -780,89 +775,61 @@ impl WorldCase {
         recipe
     }
 
-    /// The standing adaptive spec this case pre-installs, if any.
-    fn standing_adaptive(&self) -> Option<AdaptiveSpec> {
-        let base = AdaptiveSpec::new(CENSOR_NAME, self.country, vec![self.target_domain()]);
-        match self.censor {
-            CensorModel::Adaptive {
-                poison_ttl_secs, ..
-            } => Some(base.with_poison_ttl(SimDuration::from_secs(poison_ttl_secs))),
-            CensorModel::Reactive { k } => Some(base.ip_block_after(k)),
-            _ => None,
-        }
-    }
-
-    /// Build one shard's world: the case's scenario (ideal paths, the
+    /// The world every shard of this case builds: ideal paths, the
     /// measurement target — the constant probe server, or a generated
-    /// corpus for corpus cases — plus a standing adaptive censor when
-    /// the model calls for one) and an Encore deployment.
-    pub fn build(&self, ctx: ShardContext) -> (Network, EncoreSystem) {
-        let mut scenario = NetworkScenario::new().with_ideal_paths();
-        if self.corpus.is_none() {
-            scenario = scenario.with_server(
-                TARGET,
-                country("US"),
-                HttpResponse::ok(ContentType::Image, 500),
-            );
-        }
+    /// corpus whose rank-0 and rank-1 sites are measured for corpus
+    /// cases — a standing adaptive censor watching the target when the
+    /// model calls for one, and an Encore deployment on the case's
+    /// volunteer origins.
+    pub fn world(&self) -> WorldBuild {
+        let mut network = NetworkScenario::new().with_ideal_paths();
+        let targets = match &self.corpus {
+            Some(_) => vec![Domain::CorpusRank(0), Domain::CorpusRank(1)],
+            None => {
+                let favicon = HttpResponse::ok(ContentType::Image, 500);
+                network = network.with_server(TARGET, country("US"), favicon);
+                vec![Domain::Name(TARGET.into())]
+            }
+        };
         if let Some(cong) = self.congestion {
-            // Routed worlds: attach the AS topology with the censored
-            // country's path to the (US-hosted) target forced across a
-            // hotspot transit link. `build_shard` scales hotspot
-            // capacity by the shard count, keeping utilisation — and
-            // thus verdicts — invariant in how the load is split.
-            scenario = scenario.with_topology(
+            // The censored country's path to the (US-hosted) target
+            // crosses a hotspot transit link, whose capacity
+            // `build_shard` scales by the shard count: utilisation — and
+            // thus verdicts — stays invariant in how the load is split.
+            network = network.with_topology(
                 netsim::TopologySpec::with_seed(cong.topology_seed)
                     .with_hotspot_between(self.country, country("US")),
             );
         }
-        let mut net = scenario.build_shard(ctx.index, ctx.shards);
-        // Corpus worlds install the generated web *before* the adaptive
-        // censor, so the censor's watched domain resolves to real
-        // addresses for the address-matched stages (RST injection, IP
-        // block).
-        if let Some(corpus_spec) = &self.corpus {
-            corpus_spec
-                .corpus()
-                .install(&mut net, &mut SimRng::new(corpus_spec.corpus_seed ^ 1));
-        }
-        if let Some(spec) = self.standing_adaptive() {
-            let censor = spec.build(&net.dns);
-            net.add_middlebox(Box::new(censor));
-        }
-        let origins = (0..self.origins)
-            .map(|i| OriginSite::academic(format!("origin-{i}.example")).with_popularity(5.0))
-            .collect();
-        let tasks = match self.companion_domain() {
-            Some(companion) => vec![
-                encore::tasks::MeasurementTask {
-                    id: encore::tasks::MeasurementId(0),
-                    spec: encore::tasks::TaskSpec::Image {
-                        url: format!("http://{}/favicon.ico", self.target_domain()),
-                    },
-                },
-                encore::tasks::MeasurementTask {
-                    id: encore::tasks::MeasurementId(1),
-                    spec: encore::tasks::TaskSpec::Image {
-                        url: format!("http://{companion}/favicon.ico"),
-                    },
-                },
-            ],
-            None => vec![encore::tasks::MeasurementTask {
-                id: encore::tasks::MeasurementId(0),
-                spec: encore::tasks::TaskSpec::Image {
-                    url: format!("http://{TARGET}/favicon.ico"),
-                },
-            }],
+        let standing = AdaptiveSpec::new(CENSOR_NAME, self.country, Vec::new());
+        let standing = match self.censor {
+            CensorModel::Adaptive {
+                poison_ttl_secs, ..
+            } => Some(standing.with_poison_ttl(SimDuration::from_secs(poison_ttl_secs))),
+            CensorModel::Reactive { k } => Some(standing.ip_block_after(k)),
+            _ => None,
         };
-        let sys = EncoreSystem::deploy(
-            &mut net,
-            tasks,
-            SchedulingStrategy::RoundRobin,
-            origins,
-            country("US"),
-        );
-        (net, sys)
+        WorldBuild {
+            network,
+            corpus: self.corpus.map(|spec| (spec.config(), spec.corpus_seed)),
+            adaptive: Vec::from_iter(standing.map(|spec| (spec, vec![targets[0].clone()]))),
+            censors: Vec::new(),
+            targets,
+            origins: (0..self.origins)
+                .map(|i| OriginSite::academic(format!("origin-{i}.example")).with_popularity(5.0))
+                .collect(),
+        }
+    }
+
+    /// The whole case as a [`Scenario`]: its world, the builtin world's
+    /// audience, and its recipe — what every oracle runs and what crosses
+    /// the process transport's pipe.
+    pub fn scenario(&self) -> Scenario {
+        Scenario {
+            world: self.world(),
+            audience: Audience::world(&World::builtin()),
+            recipe: self.recipe(),
+        }
     }
 
     // ---------------------------------------------------- ground truth
@@ -1202,7 +1169,9 @@ mod tests {
                         assert!(reactions(&recipe).is_empty());
                     }
                 }
-                let (net, sys) = case.build(ShardContext {
+                let world = case.world();
+                let routed = world.network.topology.is_some();
+                let (net, sys) = world.build(population::ShardContext {
                     index: 0,
                     shards: 1,
                 });
@@ -1213,7 +1182,7 @@ mod tests {
                 );
                 assert_eq!(net.middleboxes().len(), usize::from(expects_standing));
                 assert_eq!(
-                    net.topology().is_some(),
+                    routed,
                     case.congestion.is_some(),
                     "routed worlds carry a topology, flat worlds none"
                 );

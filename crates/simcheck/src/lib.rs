@@ -10,8 +10,9 @@
 //! generated world against the contracts the engine claims:
 //!
 //! 1. **Lockstep** — serial `WorldEngine::from_recipe` output is
-//!    byte-identical to a 1-shard `run_sharded_world` (outcome,
-//!    collection store, and their serialized JSON).
+//!    byte-identical to a 1-shard `ThreadTransport` run of the case's
+//!    `Scenario` (outcome, collection store, and their serialized
+//!    JSON).
 //! 2. **Reproducibility** — a fixed `(seed, shards)` pair replays byte
 //!    for byte.
 //! 3. **Merge algebra** — hand-built per-shard outcomes merge
@@ -31,9 +32,10 @@
 //!    localise exactly, and a brownout opening before the block neither
 //!    advances nor masks the detected onset.
 //! 7. **Transport equivalence** ([`transport`]) — the frame-protocol
-//!    process backend reproduces the in-process thread backend byte for
-//!    byte (outcome, collection, per-shard reports, and serialized
-//!    JSON) at {1, 3} shards, over every generated class.
+//!    process backend, sent the case's `Scenario` as bytes, reproduces
+//!    the in-process thread backend byte for byte (outcome, collection,
+//!    per-shard reports, and serialized JSON) at {1, 3} shards, over
+//!    every generated class.
 //! 8. **Streaming equivalence** — re-running the same world with
 //!    bounded-memory analytics (count-min sketch + reservoir + per-window
 //!    count matrices) leaves the simulation and its rollup series

@@ -12,11 +12,11 @@ use crate::generator::{ArrivalMode, CaseClass, CongestionShape, WorldCase};
 use encore::geo::GeoDb;
 use encore::inference::{congestion_evidence, FilteringDetector};
 use encore::StoredMeasurement;
-use netsim::geo::{CountryCode, World};
+use netsim::geo::CountryCode;
 use population::shard::{shard_rngs, ShardContext};
 use population::{
-    merge_in_order, run_sharded_world, shard_recipe, Audience, Merge, ShardedWorldRun,
-    StreamingSpec, WorldEngine, WorldOutcome, WorldRecipe,
+    merge_in_order, shard_recipe, Merge, Scenario, ShardTransport, ShardedWorldRun, StreamingSpec,
+    ThreadTransport, WorldEngine, WorldOutcome, WorldRecipe, WorldSpec,
 };
 use serde::Serialize;
 use sim_core::{SimDuration, SimRng};
@@ -34,10 +34,6 @@ pub struct Violation {
     pub detail: String,
     /// The generated world, for the report.
     pub case: WorldCase,
-}
-
-fn audience() -> Audience {
-    Audience::world(&World::builtin())
 }
 
 /// The §7.2 windowed verdict for one `(country, domain)` pair:
@@ -119,8 +115,7 @@ pub(crate) fn byte_image(
 
 struct CaseChecker<'a> {
     case: &'a WorldCase,
-    recipe: WorldRecipe,
-    audience: Audience,
+    scenario: Scenario,
     violations: Vec<Violation>,
 }
 
@@ -136,30 +131,31 @@ impl<'a> CaseChecker<'a> {
     }
 
     fn sharded(&self, shards: usize) -> ShardedWorldRun {
-        self.sharded_with(&self.recipe, shards)
+        self.sharded_with(&self.scenario.recipe, shards)
     }
 
+    /// The case's scenario under `recipe`, on `shards` lane threads.
     fn sharded_with(&self, recipe: &WorldRecipe, shards: usize) -> ShardedWorldRun {
-        run_sharded_world(
-            &|ctx| self.case.build(ctx),
-            &self.audience,
-            recipe,
-            shards,
-            self.case.seed,
-        )
+        let scenario = Scenario {
+            recipe: recipe.clone(),
+            ..self.scenario.clone()
+        };
+        ThreadTransport
+            .run(&scenario, shards, self.case.seed)
+            .expect("in-process shards merge")
     }
 
-    /// Oracle 1 — lockstep: the serial engine and a 1-shard sharded run
-    /// are byte-identical (structural equality *and* serialized JSON).
+    /// Oracle 1 — lockstep: the serial engine and a 1-shard
+    /// `ThreadTransport` run of the case's scenario are byte-identical
+    /// (structural equality *and* serialized JSON).
     fn check_lockstep(&mut self) -> ShardedWorldRun {
-        let (mut net, mut sys) = self.case.build(ShardContext {
+        let (mut net, mut sys) = self.scenario.build(ShardContext {
             index: 0,
             shards: 1,
         });
         let mut rng = SimRng::new(self.case.seed);
-        let serial =
-            WorldEngine::from_recipe(&mut net, &mut sys, &self.audience, &self.recipe, &mut rng)
-                .run();
+        let (audience, recipe) = (&self.scenario.audience, &self.scenario.recipe);
+        let serial = WorldEngine::from_recipe(&mut net, &mut sys, audience, recipe, &mut rng).run();
         let serial_collection = sys.collection.snapshot();
 
         let one = self.sharded(1);
@@ -214,10 +210,10 @@ impl<'a> CaseChecker<'a> {
                     index,
                     shards: SHARDS,
                 };
-                let (mut net, mut sys) = self.case.build(ctx);
-                let sharded = shard_recipe(&self.recipe, SHARDS, index);
-                WorldEngine::from_recipe(&mut net, &mut sys, &self.audience, &sharded, &mut rng)
-                    .run()
+                let (mut net, mut sys) = self.scenario.build(ctx);
+                let sharded = shard_recipe(&self.scenario.recipe, SHARDS, index);
+                let audience = &self.scenario.audience;
+                WorldEngine::from_recipe(&mut net, &mut sys, audience, &sharded, &mut rng).run()
             })
             .collect();
         let [a, b, c] = <[WorldOutcome; 3]>::try_from(outcomes).expect("three shards");
@@ -530,6 +526,7 @@ impl<'a> CaseChecker<'a> {
     fn check_streaming(&mut self) -> bool {
         let window = SimDuration::from_secs(self.case.rollup_secs);
         let streaming_recipe = self
+            .scenario
             .recipe
             .clone()
             .with_streaming(StreamingSpec::with_window(window));
@@ -590,7 +587,7 @@ impl<'a> CaseChecker<'a> {
             let mut spec = StreamingSpec::with_window(window);
             spec.config.queue_capacity = 4;
             spec.config.drain_per_sec = 1;
-            let shed = self.sharded_with(&self.recipe.clone().with_streaming(spec), 2);
+            let shed = self.sharded_with(&self.scenario.recipe.clone().with_streaming(spec), 2);
             match shed.collection.streaming.as_ref() {
                 Some(stats) => {
                     drops_active = stats.drops.total() > 0;
@@ -624,8 +621,7 @@ impl<'a> CaseChecker<'a> {
 pub fn check_streaming_case(case: &WorldCase) -> (Vec<Violation>, bool) {
     let mut checker = CaseChecker {
         case,
-        recipe: case.recipe(),
-        audience: audience(),
+        scenario: case.scenario(),
         violations: Vec::new(),
     };
     let drops_active = checker.check_streaming();
@@ -637,8 +633,7 @@ pub fn check_streaming_case(case: &WorldCase) -> (Vec<Violation>, bool) {
 pub fn check_case(case: &WorldCase) -> Vec<Violation> {
     let mut checker = CaseChecker {
         case,
-        recipe: case.recipe(),
-        audience: audience(),
+        scenario: case.scenario(),
         violations: Vec::new(),
     };
     let one = checker.check_lockstep();

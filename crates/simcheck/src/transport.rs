@@ -11,36 +11,16 @@
 //! collection JSON), exactly the "byte-identical" the other oracles
 //! use.
 //!
-//! A [`WorldCase`] crosses the process boundary as itself: it is plain
-//! data, so it is its own [`WorldSpec`], and the worker rebuilds exactly
-//! the coordinator's world from its bytes. The worker is whatever
+//! A [`WorldCase`] crosses the process boundary as its
+//! [`WorldCase::scenario`]: plain data, from whose bytes the worker
+//! rebuilds exactly the coordinator's world. The worker is whatever
 //! [`ProcessTransport`] the caller hands the runner — in practice the
-//! `bench` binary re-executing itself in its case-worker role,
-//! `worker_main::<WorldCase>()`.
+//! `bench` binary re-executing itself in its one worker role,
+//! `worker_main::<Scenario>()`.
 
 use crate::generator::WorldCase;
 use crate::oracle::byte_image;
-use encore::system::EncoreSystem;
-use netsim::geo::World;
-use netsim::network::Network;
-use population::transport::{ProcessTransport, ShardTransport, ThreadTransport, WorldSpec};
-use population::{Audience, ShardContext, WorldRecipe};
-
-/// A generated world describes itself: the worker deserializes the case
-/// the coordinator generated and builds it with the same methods.
-impl WorldSpec for WorldCase {
-    fn audience(&self) -> Audience {
-        Audience::world(&World::builtin())
-    }
-
-    fn recipe(&self) -> WorldRecipe {
-        WorldCase::recipe(self)
-    }
-
-    fn build(&self, ctx: ShardContext) -> (Network, EncoreSystem) {
-        WorldCase::build(self, ctx)
-    }
-}
+use population::transport::{ProcessTransport, ShardTransport, ThreadTransport};
 
 /// Shard counts the transport oracle compares at: the degenerate single
 /// shard and an uneven multi-shard split.
@@ -51,7 +31,7 @@ const TRANSPORT_SHARDS: [usize; 2] = [1, 3];
 /// reproduce the thread transport byte-for-byte (structural outcome,
 /// collection, per-shard reports, and all three serialized byte-images).
 ///
-/// `process` must spawn workers that run `worker_main::<WorldCase>()`.
+/// `process` must spawn workers that run `worker_main::<Scenario>()`.
 pub fn check_transport(
     case: &WorldCase,
     process: &ProcessTransport,
@@ -66,8 +46,9 @@ pub fn check_transport(
             case: case.clone(),
         });
     };
+    let scenario = case.scenario();
     for shards in TRANSPORT_SHARDS {
-        let threads = ThreadTransport.run(case, shards, case.seed);
+        let threads = ThreadTransport.run(&scenario, shards, case.seed);
         let threads = match threads {
             Ok(run) => run,
             Err(err) => {
@@ -78,7 +59,7 @@ pub fn check_transport(
                 continue;
             }
         };
-        let process = match process.run(case, shards, case.seed) {
+        let process = match process.run(&scenario, shards, case.seed) {
             Ok(run) => run,
             Err(err) => {
                 fail(
@@ -141,24 +122,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_transport_agrees_with_direct_sharding_on_a_case_spec() {
-        // WorldCase's WorldSpec impl must describe the same world the
-        // oracle's direct run_sharded_world path executes.
-        let case = WorldCase::from_seed(CaseClass::Equivalence, 11);
-        let via_spec = ThreadTransport.run(&case, 2, case.seed).unwrap();
-        let direct = population::run_sharded_world(
-            &|ctx| case.build(ctx),
-            &Audience::world(&World::builtin()),
-            &case.recipe(),
-            2,
-            case.seed,
-        );
-        assert_eq!(via_spec.outcome, direct.outcome);
-        assert_eq!(via_spec.collection, direct.collection);
-        assert_eq!(via_spec.per_shard, direct.per_shard);
-    }
-
-    #[test]
     fn a_spec_with_a_zero_period_is_a_typed_error() {
         use population::transport::{run_worker, TransportError, WorkerJob, KIND_JOB, KIND_SPEC};
         use sim_core::frame::write_frame;
@@ -180,9 +143,10 @@ mod tests {
         };
         for (case, period) in [(zero_rollups, "rollup"), (zero_maintenance, "maintenance")] {
             let mut script = Vec::new();
-            write_frame(&mut script, KIND_SPEC, &serde::bin::to_vec(&case)).unwrap();
+            let spec = serde::bin::to_vec(&case.scenario());
+            write_frame(&mut script, KIND_SPEC, &spec).unwrap();
             write_frame(&mut script, KIND_JOB, &serde::bin::to_vec(&job)).unwrap();
-            match run_worker::<WorldCase, _, _>(&mut &script[..], &mut Vec::new()) {
+            match run_worker::<population::Scenario, _, _>(&mut &script[..], &mut Vec::new()) {
                 Err(TransportError::Payload(why)) => assert!(
                     why.contains(&format!("{period} period must be > 0")),
                     "{why}"

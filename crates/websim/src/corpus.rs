@@ -1,13 +1,11 @@
-//! Seeded generative corpus: a Zipf-popularity web with scale-free
+//! Seeded generative corpus: a rank-ordered web with scale-free
 //! cross-site links, plus benign-disruption events.
 //!
 //! Encore's real deployment rode heterogeneous third-party pages across
 //! many countries; this module grows [`SyntheticWeb`] into that substrate:
 //!
-//! * **Rank popularity** — site `i` (generation order) receives the Zipf
-//!   probability mass of rank `i` ([`sim_core::dist::Zipf`]), so a handful of
-//!   head sites dominate client attention while a long tail stays
-//!   measurable.
+//! * **Rank order** — site `i` (generation order) is the rank-`i` site;
+//!   worlds name the sites they measure by rank.
 //! * **Scale-free cross-site links** — preferential attachment (new sites
 //!   link to already well-linked ones, cf. *Communication Bottlenecks in
 //!   Scale-Free Networks*) materialised as real cross-origin image embeds,
@@ -43,9 +41,6 @@ use std::sync::Arc;
 pub struct CorpusConfig {
     /// Per-site content generation knobs.
     pub web: WebConfig,
-    /// Zipf exponent for site rank-popularity (1.0 ≈ classic web traffic;
-    /// 0.0 = uniform).
-    pub zipf_exponent: f64,
     /// Cross-site links added per site (preferential attachment); each
     /// becomes a cross-origin image embed on one of the site's pages.
     pub cross_links_per_site: usize,
@@ -55,7 +50,6 @@ impl Default for CorpusConfig {
     fn default() -> Self {
         CorpusConfig {
             web: WebConfig::default(),
-            zipf_exponent: 1.0,
             cross_links_per_site: 2,
         }
     }
@@ -76,15 +70,12 @@ impl CorpusConfig {
 pub enum CorpusError {
     /// The per-site generator config was degenerate.
     Web(WebConfigError),
-    /// The popularity distribution was degenerate (bad exponent).
-    Popularity(ZipfError),
 }
 
 impl std::fmt::Display for CorpusError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CorpusError::Web(e) => write!(f, "web config: {e}"),
-            CorpusError::Popularity(e) => write!(f, "popularity: {e}"),
         }
     }
 }
@@ -97,19 +88,11 @@ impl From<WebConfigError> for CorpusError {
     }
 }
 
-impl From<ZipfError> for CorpusError {
-    fn from(e: ZipfError) -> Self {
-        CorpusError::Popularity(e)
-    }
-}
-
-/// A generated web corpus with rank popularity and cross-site structure.
+/// A generated web corpus: sites in rank order and cross-site structure.
 #[derive(Debug, Clone)]
 pub struct Corpus {
     /// The underlying generated web (sites in rank order).
     pub web: SyntheticWeb,
-    /// Per-rank popularity share (Zipf mass; sums to 1).
-    pub popularity: Vec<f64>,
     /// Cross-site links as `(from_rank, to_rank)` pairs.
     pub links: Vec<(usize, usize)>,
 }
@@ -119,8 +102,6 @@ impl Corpus {
     pub fn generate(cfg: &CorpusConfig, rng: &mut SimRng) -> Result<Corpus, CorpusError> {
         let mut web = SyntheticWeb::try_generate(&cfg.web, rng)?;
         let n = web.sites.len();
-        let zipf = Zipf::try_new(n, cfg.zipf_exponent)?;
-        let popularity: Vec<f64> = (0..n).map(|r| zipf.mass(r)).collect();
 
         // Preferential attachment: site i links to an earlier site chosen
         // proportionally to (in-degree + 1), yielding a scale-free
@@ -152,11 +133,7 @@ impl Corpus {
             });
         }
 
-        Ok(Corpus {
-            web,
-            popularity,
-            links,
-        })
+        Ok(Corpus { web, links })
     }
 
     /// Install every site and CDN into the network (delegates to
@@ -344,18 +321,6 @@ mod tests {
         let b = corpus(0xC0FF);
         assert_eq!(a.domains(), b.domains());
         assert_eq!(a.links, b.links);
-        assert_eq!(a.popularity, b.popularity);
-    }
-
-    #[test]
-    fn popularity_is_normalised_and_rank_ordered() {
-        let c = corpus(7);
-        let total: f64 = c.popularity.iter().sum();
-        assert!((total - 1.0).abs() < 1e-9, "total = {total}");
-        for r in 1..c.len() {
-            assert!(c.popularity[r] <= c.popularity[r - 1]);
-        }
-        assert_eq!(c.popularity.len(), c.len());
     }
 
     #[test]
@@ -367,7 +332,6 @@ mod tests {
                 median_pages_per_domain: 5.0,
                 ..WebConfig::default()
             },
-            zipf_exponent: 1.0,
             cross_links_per_site: 2,
         };
         let c = Corpus::generate(&cfg, &mut rng).unwrap();
@@ -425,14 +389,6 @@ mod tests {
         assert!(matches!(
             Corpus::generate(&bad_web, &mut rng),
             Err(CorpusError::Web(WebConfigError::NoDomains))
-        ));
-        let bad_zipf = CorpusConfig {
-            zipf_exponent: f64::NAN,
-            ..CorpusConfig::small()
-        };
-        assert!(matches!(
-            Corpus::generate(&bad_zipf, &mut rng),
-            Err(CorpusError::Popularity(ZipfError::InvalidExponent(_)))
         ));
     }
 

@@ -11,8 +11,8 @@
 //! * [`generator`] — a synthetic web generator whose content-size and
 //!   cacheability distributions are calibrated so the pipeline reproduces
 //!   the shapes of Figures 4–6.
-//! * [`corpus`] — the generative corpus layer on top: Zipf rank
-//!   popularity, scale-free cross-site links, multi-country demographic
+//! * [`corpus`] — the generative corpus layer on top: rank-ordered
+//!   sites, scale-free cross-site links, multi-country demographic
 //!   mixes, and benign-disruption events for standing worlds.
 //! * [`search`] — the stand-in for "scraping site-specific results … from
 //!   a popular search engine" used by the Pattern Expander.

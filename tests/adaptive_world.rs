@@ -22,11 +22,12 @@
 //!    paper warns about.
 
 use bench::testkit::adaptive_fixture::{
-    self, build, censor_country, RETALIATE_DAY, RST_DAY, STAND_DOWN_DAY, TARGET,
+    self, censor_country, RETALIATE_DAY, RST_DAY, STAND_DOWN_DAY, TARGET,
 };
+use bench::testkit::scenario;
 use encore_repro::encore::{FilteringDetector, GeoDb, StoredMeasurement};
-use encore_repro::netsim::geo::{CountryCode, World};
-use encore_repro::population::{run_sharded_world, Audience, ShardedWorldRun};
+use encore_repro::netsim::geo::CountryCode;
+use encore_repro::population::{ShardTransport, ShardedWorldRun, ThreadTransport};
 use encore_repro::sim_core::SimDuration;
 use serde::Serialize;
 
@@ -86,9 +87,13 @@ struct AdaptiveTimelineVerdict {
 }
 
 fn run(shards: usize) -> (ShardedWorldRun, AdaptiveTimelineVerdict) {
-    let recipe = adaptive_fixture::recipe(DAYS, RATE);
-    let audience = Audience::world(&World::builtin());
-    let run = run_sharded_world(&build, &audience, &recipe, shards, SEED);
+    let scenario = scenario(
+        adaptive_fixture::world(),
+        adaptive_fixture::recipe(DAYS, RATE),
+    );
+    let run = ThreadTransport
+        .run(&scenario, shards, SEED)
+        .expect("in-process shards merge");
     let verdict = judge(&run.collection.records, &run.geo, censor_country());
     (run, verdict)
 }

@@ -21,11 +21,12 @@
 //!    to every shard.
 
 use bench::testkit::congested_fixture::{
-    self, build, censor_country, BLOCK_LIFT, BLOCK_ONSET, BROWNOUT_END, BROWNOUT_START, TARGET,
+    self, censor_country, BLOCK_LIFT, BLOCK_ONSET, BROWNOUT_END, BROWNOUT_START, TARGET,
 };
+use bench::testkit::scenario;
 use encore_repro::encore::{FilteringDetector, GeoDb, StoredMeasurement};
-use encore_repro::netsim::geo::{CountryCode, World};
-use encore_repro::population::{run_sharded_world, Audience, ShardedWorldRun};
+use encore_repro::netsim::geo::CountryCode;
+use encore_repro::population::{ShardTransport, ShardedWorldRun, ThreadTransport};
 use encore_repro::sim_core::SimDuration;
 use serde::Serialize;
 
@@ -86,9 +87,13 @@ fn judge(records: &[StoredMeasurement], geo: &GeoDb, cc: CountryCode) -> Congest
 }
 
 fn run(shards: usize) -> (ShardedWorldRun, CongestedVerdict) {
-    let recipe = congested_fixture::recipe(DAYS, RATE);
-    let audience = Audience::world(&World::builtin());
-    let run = run_sharded_world(&build, &audience, &recipe, shards, SEED);
+    let scenario = scenario(
+        congested_fixture::world(),
+        congested_fixture::recipe(DAYS, RATE),
+    );
+    let run = ThreadTransport
+        .run(&scenario, shards, SEED)
+        .expect("in-process shards merge");
     let verdict = judge(&run.collection.records, &run.geo, censor_country());
     (run, verdict)
 }

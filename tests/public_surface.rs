@@ -7,8 +7,12 @@
 //! `name::<`), written as a path (`::name`) or inside a `#[serde(..)]`
 //! attribute. A bare word — a field, a local, an entry of a `use` list,
 //! a function passed by name as a value — does not reach a function, and
-//! neither does another `fn name(` definition. A type's own `impl T` and
-//! `impl Trait for T` headers do not name it.
+//! neither does another `fn name(` definition. A method — a function
+//! taking `self` — is reached only as one: called on a value (`.name(`,
+//! `.name::<`) or written after a type (`Type::name`, `Self::name`); a
+//! module path (`crate::name`) or a free call (`name(`) does not reach
+//! it. A type's own `impl T` and `impl Trait for T` headers do not name
+//! it.
 //!
 //! Production lines are the lines above the test module in
 //! `crates/*/src`, `src/`, `examples/` and `benchmark/src`; `tests/`
@@ -25,8 +29,9 @@
 //!
 //! The scan is by word, not by resolved path, so it misses what shares a
 //! name with something production does reach: a method whose name
-//! production calls on another type (`new`, `len`, `merge`) or writes as
-//! a free function or a module (`country(`, `censor::policy::`), a type
+//! production calls on another type (`len`, `merge`), an associated
+//! function without `self` whose name production writes as a free
+//! function or a module (`new(`, `country(`, `censor::policy::`), a type
 //! that another item's production lines mention by word, and a `pub`
 //! field, which is not an item. Code under a `#[cfg(test)]` attribute
 //! above the test module also counts as production.
@@ -158,11 +163,13 @@ fn impl_self_type(line: &str) -> Option<&str> {
     words(ty.split(['<', '{']).next()?).last()
 }
 
-/// Each word a line writes, with whether it reaches a function there:
+/// Each word a line writes, with whether it reaches a function there —
 /// called (`name(`, `name::<`), written as a path (`::name`) or inside a
-/// serde attribute — not defined (`fn name(`). A type's own `impl` header
-/// does not write its name.
-fn word_uses(line: &str) -> Vec<(&str, bool)> {
+/// serde attribute, not defined (`fn name(`) — and whether it reaches a
+/// method: called on a value (`.name(`, `.name::<`) or written after a
+/// type (`Type::name`). A type's own `impl` header does not write its
+/// name.
+fn word_uses(line: &str) -> Vec<(&str, bool, bool)> {
     let serde = line.trim_start().starts_with("#[serde(");
     let own = impl_self_type(line);
     let mut out = Vec::new();
@@ -172,15 +179,35 @@ fn word_uses(line: &str) -> Vec<(&str, bool)> {
         let start = at + line[at..].find(w).expect("the word is on its line");
         at = start + w.len();
         let (before, after) = (&line[..start], &line[at..]);
-        let reaches = serde
-            || (prev != "fn" && (after.starts_with('(') || after.starts_with("::<")))
-            || before.ends_with("::");
+        let called = prev != "fn" && (after.starts_with('(') || after.starts_with("::<"));
+        let after_type = before.strip_suffix("::").is_some_and(|path| {
+            let segment = &path[path.trim_end_matches(is_ident).len()..];
+            segment.starts_with(|c: char| c.is_ascii_uppercase())
+        });
+        let reaches = serde || called || before.ends_with("::");
+        let reaches_method = (called && before.ends_with('.')) || after_type;
         prev = w;
         if Some(w) != own {
-            out.push((w, reaches));
+            out.push((w, reaches, reaches_method));
         }
     }
     out
+}
+
+/// Whether a function, its signature starting at `signature`, takes
+/// `self` (`self`, `&self`, `&mut self` or `self: T`): some parenthesis
+/// before its body opens on `self`. A free function that this misreads
+/// is held to the stricter method rule, so a misread fails loudly.
+fn takes_self(signature: &str) -> bool {
+    let sig = signature.split(['{', ';']).next().unwrap_or("");
+    let sig: String = sig.split_whitespace().collect();
+    sig.match_indices('(').any(|(at, _)| {
+        let param = sig[at + 1..].trim_start_matches('&');
+        let param = param.strip_prefix("mut").unwrap_or(param);
+        param
+            .strip_prefix("self")
+            .is_some_and(|rest| !rest.starts_with(is_ident))
+    })
 }
 
 fn is_comment(line: &str) -> bool {
@@ -214,6 +241,8 @@ struct Use {
     production: bool,
     /// Reaching a function there (`word_uses`).
     reaches: bool,
+    /// Reaching a method there (`word_uses`).
+    reaches_method: bool,
 }
 
 /// Every `pub` item of the checked files that no production line names
@@ -226,13 +255,14 @@ fn uncalled(sources: &[Source]) -> Vec<(String, usize, String)> {
         let tests = test_module_start(&lines).unwrap_or(lines.len());
         for (line, text) in lines.iter().enumerate().filter(|(_, l)| !is_comment(l)) {
             let in_test = line >= tests;
-            for (w, reaches) in word_uses(text) {
+            for (w, reaches, reaches_method) in word_uses(text) {
                 seen.entry(w).or_default().push(Use {
                     file,
                     line,
                     in_test,
                     production: src.production() && !in_test,
                     reaches,
+                    reaches_method,
                 });
             }
         }
@@ -245,10 +275,12 @@ fn uncalled(sources: &[Source]) -> Vec<(String, usize, String)> {
             let Some((name, function)) = pub_item(line) else {
                 continue;
             };
+            // A wrapped signature reaches its body within a few lines.
+            let method = function && takes_self(&lines[n..tests.min(n + 8)].join(" "));
             let uses = seen.get(name).map_or(&[][..], Vec::as_slice);
             let named = uses.iter().any(|u| {
                 let elsewhere = u.file != f || u.line != n;
-                if function && !u.reaches {
+                if (function && !u.reaches) || (method && !u.reaches_method) {
                     false
                 } else if src.exempt() {
                     u.file != f || (!u.in_test && elsewhere)
@@ -534,6 +566,35 @@ fn a_function_is_reached_only_by_a_call_or_a_path() {
     assert_eq!(
         uncalled_names(&sources),
         [(5, "bare".to_string()), (6, "redefined".to_string())]
+    );
+}
+
+#[test]
+fn a_method_is_reached_only_through_a_value_or_a_type() {
+    let src = |path: &str, text: &str| Source {
+        path: path.to_string(),
+        text: text.to_string(),
+    };
+    let sources = [
+        src(
+            "crates/a/src/lib.rs",
+            "pub struct T;\nimpl T {\n    pub fn dotted(&self) {}\n    pub fn typed(self) {}\n\
+             pub fn moduled(&mut self) {}\n    pub fn free(self: Box<Self>) {}\n\
+             pub fn wrapped<F: Fn(u8) -> u8>(\n        &self,\n        f: F,\n    ) {}\n\
+             pub fn assoc(x: u8) {}\n}\n",
+        ),
+        src(
+            "crates/b/src/lib.rs",
+            "fn f(t: a::T) {\n    t.dotted();\n    let g = Self::typed;\n    a::moduled::x();\n\
+             free();\n    wrapped(|x| x);\n    assoc(1);\n}\n",
+        ),
+    ];
+    // A method written as a module or a free call is not reached; an
+    // associated function without `self` still is.
+    let expected = [(5, "moduled"), (6, "free"), (7, "wrapped")];
+    assert_eq!(
+        uncalled_names(&sources),
+        expected.map(|(l, n)| (l, n.into()))
     );
 }
 

@@ -22,59 +22,49 @@
 //! `bench::shard_fixture`, so the scenario the benchmark measures is
 //! exactly the scenario this harness proves equivalent.
 
-use bench::shard_fixture::{batch, build_censored};
+use bench::shard_fixture::{batch, censored};
 use bench::testkit::{self, verdict_keys};
 use encore_repro::censor::registry::ground_truth;
-use encore_repro::encore::system::EncoreSystem;
 use encore_repro::encore::FilteringDetector;
-use encore_repro::netsim::geo::World;
-use encore_repro::netsim::network::Network;
 use encore_repro::population::shard::ShardContext;
 use encore_repro::population::{
-    run_sharded_world, Audience, ShardedWorldRun, WorldEngine, WorldRecipe,
+    ShardTransport, ShardedWorldRun, ThreadTransport, WorldBuild, WorldEngine, WorldRecipe,
 };
 use encore_repro::sim_core::SimRng;
 
-fn world_audience() -> Audience {
-    Audience::world(&World::builtin())
-}
-
-/// `visits` fixture-batch visits of `build`'s world across `shards`.
-fn run_sharded(
-    build: &(impl Fn(ShardContext) -> (Network, EncoreSystem) + Sync),
-    shards: usize,
-    visits: u64,
-    seed: u64,
-) -> ShardedWorldRun {
-    let recipe = WorldRecipe::batch(batch(visits));
-    run_sharded_world(build, &world_audience(), &recipe, shards, seed)
+/// `visits` fixture-batch visits of `world` across `shards`.
+fn run_sharded(world: WorldBuild, shards: usize, visits: u64, seed: u64) -> ShardedWorldRun {
+    let scenario = testkit::scenario(world, WorldRecipe::batch(batch(visits)));
+    ThreadTransport
+        .run(&scenario, shards, seed)
+        .expect("in-process shards merge")
 }
 
 /// Sorted `domain:country` verdict keys from a sharded run.
 fn verdicts(shards: usize, seed: u64, visits: u64) -> Vec<String> {
-    let run = run_sharded(&build_censored, shards, visits, seed);
+    let run = run_sharded(censored(), shards, visits, seed);
     verdict_keys(&run.collection.records, &run.geo)
 }
 
 #[test]
 fn one_shard_locksteps_the_serial_batch_driver() {
     let seed = 0xD00D;
-    let recipe = WorldRecipe::batch(batch(2_000));
-    let audience = world_audience();
+    let scenario = testkit::scenario(censored(), WorldRecipe::batch(batch(2_000)));
 
     // Serial: the engine over the serial (shard 0 of 1) build.
-    let (mut net, mut sys) = build_censored(ShardContext {
+    let (mut net, mut sys) = scenario.world.build(ShardContext {
         index: 0,
         shards: 1,
     });
     let mut rng = SimRng::new(seed);
-    let serial_report = WorldEngine::from_recipe(&mut net, &mut sys, &audience, &recipe, &mut rng)
+    let (audience, recipe) = (&scenario.audience, &scenario.recipe);
+    let serial_report = WorldEngine::from_recipe(&mut net, &mut sys, audience, recipe, &mut rng)
         .run()
         .report;
     let serial_snapshot = sys.collection.snapshot();
 
     // Sharded at N = 1.
-    let sharded = run_sharded(&build_censored, 1, 2_000, seed);
+    let sharded = run_sharded(censored(), 1, 2_000, seed);
 
     assert_eq!(
         sharded.outcome.report, serial_report,
@@ -114,7 +104,7 @@ fn verdicts_identical_across_shard_counts() {
 #[test]
 fn uncensored_world_yields_no_verdicts_at_any_shard_count() {
     for shards in [1usize, 2, 8] {
-        let run = run_sharded(&testkit::build_uncensored, shards, 2_000, 0xC1EA);
+        let run = run_sharded(testkit::uncensored(), shards, 2_000, 0xC1EA);
         let detections = FilteringDetector::default().detect(&run.collection.records, &run.geo);
         assert!(
             detections.is_empty(),
@@ -126,7 +116,7 @@ fn uncensored_world_yields_no_verdicts_at_any_shard_count() {
 #[test]
 fn fixed_seed_and_shard_count_reproduces_run_to_run() {
     let go = || {
-        let run = run_sharded(&build_censored, 4, 1_500, 0xBEEF);
+        let run = run_sharded(censored(), 4, 1_500, 0xBEEF);
         (
             serde_json::to_string(&run.outcome.report).unwrap(),
             serde_json::to_string(&run.collection).unwrap(),
@@ -144,8 +134,8 @@ fn different_seeds_diverge_in_detail_but_not_in_verdict() {
     let b = verdicts(2, 2, 4_000);
     assert_eq!(a, b, "the science must be seed-invariant");
 
-    let run_a = run_sharded(&build_censored, 2, 1_000, 1);
-    let run_b = run_sharded(&build_censored, 2, 1_000, 2);
+    let run_a = run_sharded(censored(), 2, 1_000, 1);
+    let run_b = run_sharded(censored(), 2, 1_000, 2);
     assert_ne!(
         run_a.outcome.report, run_b.outcome.report,
         "seeds should differ in detail"
@@ -158,7 +148,7 @@ fn different_seeds_diverge_in_detail_but_not_in_verdict() {
 /// loud diff instead of a silent drift.
 #[test]
 fn merged_report_json_matches_golden_snapshot() {
-    let run = run_sharded(&build_censored, 2, 1_000, 0x901D);
+    let run = run_sharded(censored(), 2, 1_000, 0x901D);
     let json = serde_json::to_string(&run.outcome.report).unwrap();
     let golden = include_str!("golden/merged_report.json").trim();
     assert_eq!(

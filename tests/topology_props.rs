@@ -95,8 +95,8 @@ proptest! {
         // path tables exactly — only the generation (the invalidation
         // key) differs.
         let fresh = topo(seed_a);
-        let t = net.topology().expect("attached");
-        prop_assert_eq!(t, &fresh);
+        let t = net.topology_mut().expect("attached");
+        prop_assert_eq!(&*t, &fresh);
         for a in PROBE_COUNTRIES {
             for b in PROBE_COUNTRIES {
                 prop_assert_eq!(
@@ -185,7 +185,8 @@ fn observe(net: &Network) -> ControlPlaneObservation {
 /// crosses a hotspot) with the timeline fixture's standing CN DNS
 /// censor, optionally browned out.
 fn routed_censored_net(brownout: Option<f64>) -> (Network, ControlPlaneObservation) {
-    let mut net = bench::testkit::congested_fixture::scenario().build_shard(0, 1);
+    let world = bench::testkit::congested_fixture::world();
+    let mut net = world.network.build_shard(0, 1);
     let censor = bench::testkit::standing_censor().build(&net);
     net.add_middlebox(Box::new(censor));
     if let Some(level) = brownout {

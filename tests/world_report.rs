@@ -1,7 +1,7 @@
 //! Golden snapshot of the flagship generative-corpus world report.
 //!
 //! `bench::corpus_fixture` runs 90 days over a seeded
-//! `websim::corpus::Corpus` — 12 Zipf-ranked sites with scale-free
+//! `websim::corpus::Corpus` — 12 rank-ordered sites with scale-free
 //! cross-links, installed identically on every shard because the
 //! generated web is `Send + Sync` (`Arc<SiteContent>` throughout) — under
 //! four simultaneous censor stories: the standing CN/IR/PK registry
@@ -40,17 +40,23 @@
 //! carries the delivery count at 1 shard; the 2-shard run keeps one too.
 
 use bench::corpus_fixture::{
-    self, build, CERT_ROTATION_DAY, DAYS, OUTAGE_END, OUTAGE_START, RATE, REDESIGN_DAY, RU_RST_DAY,
+    self, CERT_ROTATION_DAY, DAYS, OUTAGE_END, OUTAGE_START, RATE, REDESIGN_DAY, RU_RST_DAY,
     RU_STAND_DOWN_DAY, TR_BLOCK_LIFT, TR_BLOCK_ONSET,
 };
-use encore_repro::population::{run_sharded_world, Retain, ShardedWorldRun, WorldOutcome};
+use bench::specs::BenchWorldSpec;
+use encore_repro::population::{
+    Retain, ShardTransport, ShardedWorldRun, ThreadTransport, WorldOutcome,
+};
 
 const SEED: u64 = 0x0000_E7C0_2015; // bench::DEFAULT_SEED — the command's gate engages here.
 
 fn run(shards: usize, retain: Retain) -> (ShardedWorldRun, corpus_fixture::WorldReport) {
-    let recipe = corpus_fixture::recipe(DAYS, RATE).retain_visits(retain);
-    let audience = corpus_fixture::audience();
-    let run = run_sharded_world(&build, &audience, &recipe, shards, SEED);
+    let (days, rate) = (DAYS, RATE);
+    let mut scenario = BenchWorldSpec::Corpus { days, rate }.scenario();
+    scenario.recipe = scenario.recipe.retain_visits(retain);
+    let run = ThreadTransport
+        .run(&scenario, shards, SEED)
+        .expect("in-process shards merge");
     assert_keeps_no_records_and_sheds_nothing(&run, shards);
     if retain == Retain::Full {
         assert_accepted_every_delivery(&run, shards);

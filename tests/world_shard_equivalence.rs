@@ -1,7 +1,7 @@
 //! The sharded-world equivalence harness.
 //!
-//! `population::run_sharded_world` executes one longitudinal
-//! [`WorldRecipe`] — arrivals *plus* scheduled censorship dynamics — on
+//! `population::ThreadTransport` executes one longitudinal
+//! `WorldRecipe` — arrivals *plus* scheduled censorship dynamics — on
 //! N OS threads, the way large discrete-event simulators parallelise:
 //! control events replicate on every partition, workload events
 //! partition 1/N, outputs merge deterministically. That is only
@@ -10,7 +10,7 @@
 //! `bench::world_fixture` Turkey-timeline scenario (the same fixture
 //! `bench timeline` gates on in CI):
 //!
-//! 1. **Lockstep** — a 1-shard `run_sharded_world` is **byte-identical**
+//! 1. **Lockstep** — a 1-shard `ThreadTransport` run is **byte-identical**
 //!    to the serial `WorldEngine::from_recipe(..).run()` on the same
 //!    recipe: the merged `WorldOutcome` (visit log, report, rollup
 //!    series, policy count) and the collection snapshot, down to their
@@ -19,38 +19,47 @@
 //!    Turkey block's onset (day 10) and lift (day 20) identically at 1,
 //!    2, and 8 shards, and censorship verdicts match at every shard
 //!    count — including with a *standing* censor that each shard's
-//!    builder installs on its own network before the run starts.
+//!    world build installs on its own network before the run starts.
 //! 3. **Reproducibility** — a fixed `(seed, shards)` pair yields
 //!    byte-identical merged output on every run, regardless of thread
 //!    scheduling.
 
-use bench::testkit::build_with_standing_censor;
-use bench::world_fixture::{self, build, judge_timeline, LIFT_DAY, ONSET_DAY, TARGET};
-use encore_repro::netsim::geo::{country, World};
+use bench::testkit::{scenario, with_standing_censor};
+use bench::world_fixture::{self, judge_timeline, world, LIFT_DAY, ONSET_DAY, TARGET};
+use encore_repro::netsim::geo::country;
 use encore_repro::population::shard::ShardContext;
-use encore_repro::population::{run_sharded_world, Audience, Retain, WorldEngine};
+use encore_repro::population::{
+    Retain, ShardTransport, ShardedWorldRun, ThreadTransport, WorldBuild, WorldEngine, WorldRecipe,
+};
 use encore_repro::sim_core::SimRng;
 
-fn audience() -> Audience {
-    Audience::world(&World::builtin())
+/// `recipe` over `world` across `shards`, from `seed`.
+fn run(world: WorldBuild, recipe: WorldRecipe, shards: usize, seed: u64) -> ShardedWorldRun {
+    ThreadTransport
+        .run(&scenario(world, recipe), shards, seed)
+        .expect("in-process shards merge")
 }
 
 #[test]
 fn one_shard_locksteps_the_serial_world_engine() {
     let seed = 0x70_11;
-    let recipe = world_fixture::recipe(30, 150.0).retain_visits(Retain::Full);
+    let scenario = scenario(
+        world(),
+        world_fixture::recipe(30, 150.0).retain_visits(Retain::Full),
+    );
 
     // Serial: the engine replaying the recipe on the serial build.
-    let (mut net, mut sys) = build(ShardContext {
+    let (mut net, mut sys) = scenario.world.build(ShardContext {
         index: 0,
         shards: 1,
     });
     let mut rng = SimRng::new(seed);
-    let serial = WorldEngine::from_recipe(&mut net, &mut sys, &audience(), &recipe, &mut rng).run();
+    let (audience, recipe) = (&scenario.audience, &scenario.recipe);
+    let serial = WorldEngine::from_recipe(&mut net, &mut sys, audience, recipe, &mut rng).run();
     let serial_snapshot = sys.collection.snapshot();
 
     // Sharded at N = 1.
-    let sharded = run_sharded_world(&build, &audience(), &recipe, 1, seed);
+    let sharded = run(world(), recipe.clone(), 1, seed);
 
     assert_eq!(
         sharded.outcome, serial,
@@ -83,7 +92,7 @@ fn turkey_verdict_is_invariant_across_shard_counts() {
     let judgments: Vec<_> = [1usize, 2, 8]
         .into_iter()
         .map(|shards| {
-            let run = run_sharded_world(&build, &audience(), &recipe, shards, seed);
+            let run = run(world(), recipe.clone(), shards, seed);
             // Control events replicate: every shard applied both policy
             // changes, so the merged control-plane count is exactly 2.
             assert_eq!(
@@ -121,19 +130,13 @@ fn turkey_verdict_is_invariant_across_shard_counts() {
 
 #[test]
 fn standing_censor_worlds_stay_equivalent_across_shards() {
-    // A censor already in force at t=0, which every shard thread's
-    // builder installs on its own network, plus the scheduled Turkish
+    // A censor already in force at t=0, which every shard's world
+    // build installs on its own network, plus the scheduled Turkish
     // block on top.
     let seed = 0x57_AD;
     let recipe = world_fixture::recipe(30, 150.0);
     for shards in [1usize, 2] {
-        let run = run_sharded_world(
-            &build_with_standing_censor,
-            &audience(),
-            &recipe,
-            shards,
-            seed,
-        );
+        let run = run(with_standing_censor(), recipe.clone(), shards, seed);
         let cn = judge_timeline(&run.collection.records, &run.geo, country("CN"), TARGET);
         // China is blocked the whole run: flagged from the first window,
         // never lifted.
@@ -157,7 +160,7 @@ fn fixed_seed_and_shard_count_reproduces_byte_for_byte() {
     // does not depend on the horizon.
     let recipe = world_fixture::recipe(8, 150.0).retain_visits(Retain::Full);
     let go = || {
-        let run = run_sharded_world(&build, &audience(), &recipe, 4, 0xBEEF);
+        let run = run(world(), recipe.clone(), 4, 0xBEEF);
         (
             serde_json::to_string(&run.outcome.report).unwrap(),
             serde_json::to_string(&run.outcome.rollups).unwrap(),
@@ -176,7 +179,7 @@ fn fixed_seed_and_shard_count_reproduces_byte_for_byte() {
 #[test]
 fn merged_log_is_time_ordered_and_complete() {
     let recipe = world_fixture::recipe(6, 150.0).retain_visits(Retain::Full);
-    let run = run_sharded_world(&build, &audience(), &recipe, 3, 0x106);
+    let run = run(world(), recipe, 3, 0x106);
     assert_eq!(
         run.outcome.log.len() as u64,
         run.outcome.report.visits,
