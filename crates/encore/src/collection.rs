@@ -544,7 +544,10 @@ impl StoredMeasurement {
 /// and user agent and points every record holding that text at it, so a
 /// snapshot's string heap is its distinct strings, not its record count;
 /// merging moves the `Arc`s, so a merge of shard snapshots holds one
-/// allocation per distinct string per shard.
+/// allocation per distinct string per shard. A shard builds its snapshot
+/// with [`CollectionServer::take_snapshot`], which consumes the server's
+/// interned log as it goes, so a snapshot costs its own bytes and not
+/// those plus the log's.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CollectionSnapshot {
     /// Stored records, in canonical order. Empty in streaming mode —
@@ -609,6 +612,11 @@ pub fn in_canonical_order<'a>(records: impl IntoIterator<Item = &'a StoredMeasur
         .is_sorted_by(|a, b| canonical_cmp(a, b).is_le())
 }
 
+/// How many records a consuming pass moves between handing the consumed
+/// tail of its input back to the allocator ([`merge_runs`] and
+/// `Store::canonical_records`).
+const SHRINK_EVERY: usize = 1 << 14;
+
 /// Merge two canonical runs into one, back to front: each step moves the
 /// larger of the two last records to the output — `b`'s on a tie, so
 /// equal records keep the `a`-before-`b` order of a stable sort once the
@@ -618,7 +626,6 @@ fn merge_runs(
     mut a: Vec<StoredMeasurement>,
     mut b: Vec<StoredMeasurement>,
 ) -> Vec<StoredMeasurement> {
-    const SHRINK_EVERY: usize = 1 << 14;
     let mut out = Vec::with_capacity(a.len() + b.len());
     loop {
         let from = match (a.last(), b.last()) {
@@ -1103,16 +1110,36 @@ impl Store {
         })
     }
 
-    /// The record log rehydrated in [`canonical_cmp`]'s order, with the
-    /// order decided on the interned form: 16-byte `(received_at, index)`
-    /// keys are sorted — ties broken by the rest of the canonical key,
-    /// each string standing in as its rank among the interner's distinct
-    /// strings, which compares as the string does — and each record is
-    /// then built once, in place, its URL and user agent shared through
-    /// one `Arc<str>` per symbol. Sorting the public form instead moves
-    /// 96-byte records through the sort's scratch buffer, for a log
-    /// that arrives almost in order.
-    fn canonical_records(&self) -> Vec<StoredMeasurement> {
+    /// What a snapshot of this store holds, with `records` — the record
+    /// log or a copy of it — as its exact-mode log. In streaming mode the
+    /// log is empty and the bounded state stands in for it.
+    fn snapshot_of(&self, records: Vec<RawRecord>) -> CollectionSnapshot {
+        if let Some(stats) = self.streaming_stats() {
+            return CollectionSnapshot {
+                records: Vec::new(),
+                malformed: self.malformed,
+                streaming: Some(stats),
+            };
+        }
+        CollectionSnapshot {
+            records: self.canonical_records(records),
+            malformed: self.malformed,
+            streaming: None,
+        }
+    }
+
+    /// `records` rehydrated in [`canonical_cmp`]'s order, consuming them,
+    /// with the order decided on the interned form: the records are
+    /// sorted in place by `received_at`, ties broken by the rest of the
+    /// canonical key, each string standing in as its rank among the
+    /// interner's distinct strings, which compares as the string does.
+    /// Records equal on every key field resolve to equal records, so the
+    /// sort need not be stable. Each record is then built once, back to
+    /// front, into an output sized up front, its URL and user agent
+    /// shared through one `Arc<str>` per symbol, and every 2¹⁴ records
+    /// the interned log gives its consumed tail back to the allocator: the
+    /// interned log and the public one are never both whole.
+    fn canonical_records(&self, mut records: Vec<RawRecord>) -> Vec<StoredMeasurement> {
         let symbols = u32::try_from(self.strings.len()).expect("the interner issues u32 symbols");
         let mut by_string: Vec<u32> = (0..symbols).collect();
         by_string.sort_unstable_by_key(|&sym| self.strings.resolve(Sym(sym)));
@@ -1121,11 +1148,8 @@ impl Store {
             rank[sym as usize] = position;
         }
         let rank = |sym: Sym| rank[sym.index()];
-        // `canonical_cmp`'s key after `received_at`, field for field; the
-        // index last makes the order total, so equal records keep their
-        // arrival order whatever the sort.
-        let rest = |index: usize| {
-            let r = &self.records[index];
+        // `canonical_cmp`'s key after `received_at`, field for field.
+        let rest = |r: &RawRecord| {
             (
                 u32::from(r.client_ip),
                 r.measurement_id,
@@ -1137,21 +1161,23 @@ impl Store {
                 rank(r.user_agent),
                 r.referer.map(rank),
                 r.congested,
-                index,
             )
         };
-        let mut order: Vec<(SimTime, usize)> = self
-            .records
-            .iter()
-            .enumerate()
-            .map(|(index, r)| (r.received_at, index))
-            .collect();
-        order.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| rest(a.1).cmp(&rest(b.1))));
+        records.sort_unstable_by(|a, b| {
+            a.received_at
+                .cmp(&b.received_at)
+                .then_with(|| rest(a).cmp(&rest(b)))
+        });
         let mut shared = SymTable::default();
-        order
-            .iter()
-            .map(|&(_, index)| self.resolve(&self.records[index], &mut shared))
-            .collect()
+        let mut out = Vec::with_capacity(records.len());
+        while let Some(r) = records.pop() {
+            out.push(self.resolve(&r, &mut shared));
+            if out.len() % SHRINK_EVERY == 0 {
+                records.shrink_to_fit();
+            }
+        }
+        out.reverse();
+        out
     }
 
     /// Rehydrate an interned record into the public form. `shared`
@@ -1315,24 +1341,28 @@ impl CollectionServer {
     }
 
     /// Detach a canonical, thread-portable snapshot of the store (records
-    /// plus the malformed counter) for merging and analysis. In streaming
-    /// mode `records` is empty and `streaming` carries the bounded state;
-    /// only windows already closed are included, so callers close windows
-    /// (the engine's `finish` does) before snapshotting.
+    /// plus the malformed counter) for merging and analysis, leaving the
+    /// store as it was: the record log is copied, and the copy is what
+    /// [`take_snapshot`](Self::take_snapshot) consumes. In streaming mode
+    /// `records` is empty and `streaming` carries the bounded state; only
+    /// windows already closed are included, so callers close windows (the
+    /// engine's `finish` does) before snapshotting.
     pub fn snapshot(&self) -> CollectionSnapshot {
         let store = self.store.borrow();
-        if let Some(stats) = store.streaming_stats() {
-            return CollectionSnapshot {
-                records: Vec::new(),
-                malformed: store.malformed,
-                streaming: Some(stats),
-            };
-        }
-        CollectionSnapshot {
-            records: store.canonical_records(),
-            malformed: store.malformed,
-            streaming: None,
-        }
+        store.snapshot_of(store.records.clone())
+    }
+
+    /// [`snapshot`](Self::snapshot), with the record log handed over
+    /// instead of copied: the log moves out of the store and is released
+    /// as its records are resolved, so the snapshot's peak is about its
+    /// own size. The server is left with an empty log (`len() == 0`, no
+    /// [`records`](Self::records)) but keeps its counters, its interned
+    /// strings and — in streaming mode, where this is `snapshot` — its
+    /// bounded state. What a shard hands to the coordinator.
+    pub fn take_snapshot(&self) -> CollectionSnapshot {
+        let mut store = self.store.borrow_mut();
+        let records = std::mem::take(&mut store.records);
+        store.snapshot_of(records)
     }
 
     /// Number of stored records; in streaming mode, the number of

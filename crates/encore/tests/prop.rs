@@ -443,15 +443,16 @@ mod streaming_props {
     }
 }
 
-/// `CollectionServer::snapshot` decides the canonical order on the
-/// store's interned records (strings compared by rank, not by bytes)
-/// and only then builds the owned ones: it must still be exactly the
-/// owned records sorted by the canonical comparison.
+/// `CollectionServer::snapshot` and `take_snapshot` decide the canonical
+/// order on the store's interned records (strings compared by rank, not
+/// by bytes) and only then build the owned ones: each must still be
+/// exactly the owned records sorted by the canonical comparison.
 mod snapshot_props {
     use super::*;
     use encore::collection::{CollectionServer, CollectionSnapshot, StoredMeasurement, Submission};
     use netsim::http::HttpRequest;
     use netsim::network::HttpHandler;
+    use std::collections::HashSet;
     use std::net::Ipv4Addr;
 
     /// Stable-sort `snapshot` into the canonical order, restated from its
@@ -587,8 +588,33 @@ mod snapshot_props {
             };
             prop_assert_eq!(sorted.len(), submitted.len());
             canonicalize(&mut sorted);
-            prop_assert_eq!(server.snapshot(), sorted);
+            prop_assert_eq!(server.snapshot(), sorted.clone());
+
+            // The consuming snapshot of a second server fed the same wires
+            // is the same sorted log, holds one allocation per distinct
+            // text, and leaves its server without a log.
+            let drained = CollectionServer::new("collector.example");
+            for &w in &submitted {
+                submit(&drained, w);
+            }
+            let taken = drained.take_snapshot();
+            prop_assert!(shares_its_text(&taken), "a text is held twice");
+            prop_assert_eq!(taken, sorted);
+            prop_assert_eq!(drained.len(), 0);
+            prop_assert!(drained.records().is_empty());
         }
+    }
+
+    /// Whether `snapshot` points every record holding a URL or user-agent
+    /// text at one allocation of it: as many allocations as texts.
+    fn shares_its_text(snapshot: &CollectionSnapshot) -> bool {
+        let texts = |field: fn(&Submission) -> &str| {
+            let held = snapshot.records.iter().map(|r| field(&r.submission));
+            let allocations: HashSet<*const u8> = held.clone().map(str::as_ptr).collect();
+            let distinct: HashSet<&str> = held.collect();
+            allocations.len() == distinct.len()
+        };
+        texts(|s| &s.target_url) && texts(|s| &s.user_agent)
     }
 
     proptest! {

@@ -174,10 +174,15 @@ impl Merge for ShardedWorldRun {
 
 /// The one shard body: build shard `ctx.index`'s private world from
 /// `spec`, run [`shard_recipe`]\(recipe, ..\) on it under that shard's
-/// [`shard_rngs`] stream, and snapshot what the coordinator merges. A
-/// pure function of its arguments (given a deterministic spec) — which
-/// is why a shard thread and a worker process running it agree byte for
-/// byte, and why re-running a lost shard reproduces it.
+/// [`shard_rngs`] stream, and snapshot what the coordinator merges. The
+/// snapshot is taken with [`CollectionServer::take_snapshot`]: the
+/// shard's world is dropped right after, so its record log is handed
+/// over rather than copied. A pure function of its arguments (given a
+/// deterministic spec) — which is why a shard thread and a worker
+/// process running it agree byte for byte, and why re-running a lost
+/// shard reproduces it.
+///
+/// [`CollectionServer::take_snapshot`]: encore::CollectionServer::take_snapshot
 pub(crate) fn run_shard<S: WorldSpec>(
     spec: &S,
     audience: &Audience,
@@ -196,7 +201,7 @@ pub(crate) fn run_shard<S: WorldSpec>(
     ShardedWorldRun {
         per_shard: vec![outcome.report],
         outcome,
-        collection: sys.collection.snapshot(),
+        collection: sys.collection.take_snapshot(),
         geo: GeoDb::from_allocator(&net.allocator),
     }
 }

@@ -405,21 +405,23 @@ impl WorldCase {
         }
     }
 
-    /// The measured (and, when censored, blocked) domain: the corpus'
-    /// rank-0 site for corpus cases, [`TARGET`] for every other class.
-    pub fn target_domain(&self) -> String {
+    /// The domains this case measures: the target (and, when censored,
+    /// blocked) domain — the corpus' rank-0 site for corpus cases,
+    /// [`TARGET`] for every other class — and, for corpus cases only,
+    /// the benignly measured companion, the corpus' rank-1 site. Each call
+    /// generates a corpus case's corpus, so a caller asks once and keeps
+    /// both answers.
+    pub fn measured_domains(&self) -> (String, Option<String>) {
         match &self.corpus {
-            Some(spec) => spec.corpus().domain(0).to_string(),
-            None => TARGET.to_string(),
+            Some(spec) => {
+                let corpus = spec.corpus();
+                (
+                    corpus.domain(0).to_string(),
+                    Some(corpus.domain(1).to_string()),
+                )
+            }
+            None => (TARGET.to_string(), None),
         }
-    }
-
-    /// The benignly measured companion domain (the corpus' rank-1
-    /// site), for corpus cases only.
-    pub fn companion_domain(&self) -> Option<String> {
-        self.corpus
-            .as_ref()
-            .map(|spec| spec.corpus().domain(1).to_string())
     }
 
     /// A topology seed under which `cc` and the target country (US) map
@@ -707,7 +709,7 @@ impl WorldCase {
         if let Some(m) = self.maintenance_secs {
             recipe = recipe.with_maintenance(SimDuration::from_secs(m));
         }
-        let target = self.target_domain();
+        let (target, _) = self.measured_domains();
         recipe = match self.censor {
             CensorModel::None | CensorModel::Reactive { .. } => recipe,
             CensorModel::Scheduled { kind, onset, lift } => {
@@ -1053,8 +1055,9 @@ mod tests {
             assert!((4..=7).contains(&spec.num_domains));
             let corpus = spec.corpus();
             assert_eq!(corpus.len(), spec.num_domains);
-            assert_eq!(case.target_domain(), corpus.domain(0));
-            assert_eq!(case.companion_domain().as_deref(), Some(corpus.domain(1)));
+            let (target, companion) = case.measured_domains();
+            assert_eq!(target, corpus.domain(0));
+            assert_eq!(companion.as_deref(), Some(corpus.domain(1)));
             if let Some((onset, lift)) = case.hard_window_days() {
                 assert!(onset >= 1, "need a clear day before onset");
                 assert!(lift >= onset + 2, "window too short to flag");

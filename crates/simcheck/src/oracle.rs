@@ -262,10 +262,14 @@ impl<'a> CaseChecker<'a> {
     }
 
     /// Shared statistical oracle: verdict invariance across {1, 2, 4}
-    /// shards. Returns the 1-shard baseline judgment the shape checks
-    /// run against.
-    fn check_verdict_invariance(&mut self, one: &ShardedWorldRun, window: SimDuration) -> Judgment {
-        let domain = self.case.target_domain();
+    /// shards, judged on the case's measured target `domain`. Returns the
+    /// 1-shard baseline judgment the shape checks run against.
+    fn check_verdict_invariance(
+        &mut self,
+        one: &ShardedWorldRun,
+        window: SimDuration,
+        domain: &str,
+    ) -> Judgment {
         let judgments: Vec<(usize, Judgment, ShardedWorldRun)> = [2usize, 4]
             .into_iter()
             .map(|shards| {
@@ -274,7 +278,7 @@ impl<'a> CaseChecker<'a> {
                     &run.collection.records,
                     &run.geo,
                     self.case.country,
-                    &domain,
+                    domain,
                     window,
                 );
                 (shards, j, run)
@@ -284,7 +288,7 @@ impl<'a> CaseChecker<'a> {
             &one.collection.records,
             &one.geo,
             self.case.country,
-            &domain,
+            domain,
             window,
         );
 
@@ -366,7 +370,8 @@ impl<'a> CaseChecker<'a> {
     /// uncensored worlds.
     fn check_detector(&mut self, one: &ShardedWorldRun) {
         let window = SimDuration::from_secs(self.case.rollup_secs);
-        let baseline = self.check_verdict_invariance(one, window);
+        let (target, _) = self.case.measured_domains();
+        let baseline = self.check_verdict_invariance(one, window, &target);
         if self.case.is_uncensored() {
             self.check_fp_freedom(one, window);
         } else if let Some((onset_day, lift_day)) = self.case.hard_window_days() {
@@ -397,7 +402,8 @@ impl<'a> CaseChecker<'a> {
             return;
         };
         let window = SimDuration::from_secs(self.case.rollup_secs);
-        let baseline = self.check_verdict_invariance(one, window);
+        let (target, _) = self.case.measured_domains();
+        let baseline = self.check_verdict_invariance(one, window, &target);
         match cong.shape {
             CongestionShape::CongestedUncensored => self.check_fp_freedom(one, window),
             CongestionShape::CensoredOnCongestedPath | CongestionShape::MaskingOnset => {
@@ -463,7 +469,9 @@ impl<'a> CaseChecker<'a> {
             return;
         };
         let window = SimDuration::from_secs(self.case.rollup_secs);
-        let baseline = self.check_verdict_invariance(one, window);
+        // Naming a corpus case's sites generates its corpus: ask once.
+        let (target, companion) = self.case.measured_domains();
+        let baseline = self.check_verdict_invariance(one, window, &target);
         if self.case.is_uncensored() && spec.disruption.is_none() {
             self.check_fp_freedom(one, window);
         } else if let Some((onset_day, lift_day)) = self.case.hard_window_days() {
@@ -477,10 +485,7 @@ impl<'a> CaseChecker<'a> {
             );
             return;
         };
-        let companion = self
-            .case
-            .companion_domain()
-            .expect("corpus cases measure a companion domain");
+        let companion = companion.expect("corpus cases measure a companion domain");
         let windowed =
             FilteringDetector::default().detect_windows(&one.collection.records, &one.geo, window);
         // A trailing partial window past the horizon exists or not
