@@ -14,7 +14,7 @@
 //! "after excluding erroneously contributed measurements (e.g., from Web
 //! crawlers)").
 
-use crate::inference::{is_crawler_ua, DetectorConfig, WindowFold};
+use crate::inference::{hand_over, is_crawler_ua, DetectorConfig, WindowFold};
 use crate::streaming::{
     CountMinSketch, DropCounters, IngestQueue, ReservoirEntry, ReservoirSample, SketchSlots,
     StreamingConfig, StreamingStats,
@@ -30,7 +30,7 @@ use sim_core::{
 };
 use std::borrow::Cow;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -786,8 +786,13 @@ struct StreamingState {
     /// Windows below this index are closed and folded; late submissions
     /// for them are dropped as `expired`.
     watermark: u64,
-    /// Hashes of the exact wire tuples accepted, per open window.
-    dedup: BTreeMap<u64, HashSet<u64, FxBuildHasher>>,
+    /// Hashes of the exact wire tuples accepted, per open window,
+    /// ascending by window. A closing window's set is cleared and
+    /// [handed over](crate::inference::hand_over) like the fold's
+    /// address tables.
+    dedup: Vec<(u64, HashSet<u64, FxBuildHasher>)>,
+    /// An emptied dedup set, kept only while no window is open.
+    spare_dedup: Option<HashSet<u64, FxBuildHasher>>,
     /// The detector's window fold, under the [`DetectorConfig::default`]
     /// the verdicts are judged with.
     fold: WindowFold,
@@ -818,7 +823,8 @@ impl StreamingState {
             drops: DropCounters::default(),
             accepted: 0,
             watermark: 0,
-            dedup: BTreeMap::new(),
+            dedup: Vec::new(),
+            spare_dedup: None,
             fold: WindowFold::new(DetectorConfig::default()),
             domain_of: SymTable::default(),
             crawler_of: SymTable::default(),
@@ -868,14 +874,12 @@ fn dedup_key(
     splitmix_mix(h ^ tag)
 }
 
-/// The tiny CORS-permissive response every accepted submission gets
-/// (shared by the exact and streaming paths so opting into streaming
-/// cannot change response bytes or timing for accepted traffic).
+/// The tiny uncacheable response every accepted submission gets, built
+/// without allocating (shared by the exact and streaming paths so
+/// opting into streaming cannot change response bytes or timing for
+/// accepted traffic).
 fn accepted_response() -> HttpResponse {
-    let mut resp = HttpResponse::ok(ContentType::Other, 2).no_store();
-    resp.extra_headers
-        .push(("Access-Control-Allow-Origin".into(), "*".into()));
-    resp
+    HttpResponse::ok(ContentType::Other, 2).no_store()
 }
 
 /// 503 backpressure: the ingest queue is full and this submission is
@@ -1007,7 +1011,12 @@ impl Store {
         let target = raw_syms.peek(parsed.target_url_raw);
         let agent = raw_syms.peek(parsed.user_agent_raw);
         let key = dedup_key(&parsed, target.hash, agent.hash, client_ip, now);
-        if !st.dedup.entry(window).or_default().insert(key) {
+        let at = st.dedup.partition_point(|(w, _)| *w < window);
+        if st.dedup.get(at).is_none_or(|(w, _)| *w != window) {
+            let set = st.spare_dedup.take().unwrap_or_default();
+            st.dedup.insert(at, (window, set));
+        }
+        if !st.dedup[at].1.insert(key) {
             st.drops.duplicate += 1;
             return accepted_response();
         }
@@ -1061,7 +1070,8 @@ impl Store {
     }
 
     /// Close every open window below `boundary`, resolving client IPs
-    /// to countries with `resolve`, and forget those windows' dedup sets.
+    /// to countries with `resolve`, and empty those windows' dedup sets,
+    /// handing each on to the next window.
     fn close_windows_below(
         &mut self,
         boundary: u64,
@@ -1074,7 +1084,12 @@ impl Store {
             return;
         };
         st.watermark = st.watermark.max(boundary);
-        st.dedup = st.dedup.split_off(&boundary);
+        while st.dedup.first().is_some_and(|(w, _)| *w < boundary) {
+            let (_, mut set) = st.dedup.remove(0);
+            set.clear();
+            let next = st.dedup.first_mut().map(|(_, set)| set);
+            hand_over(set, next, &mut st.spare_dedup, HashSet::capacity);
+        }
         st.fold.close_below(boundary, strings, resolve);
     }
 
@@ -1235,7 +1250,6 @@ impl HttpHandler for CollectionServer {
                 let record =
                     RawRecord::new(&parsed, target_url, user_agent, client_ip, referer, now);
                 store.records.push(record);
-                // Tiny CORS-permissive 204-ish response.
                 accepted_response()
             }
             None => {
@@ -1979,7 +1993,7 @@ mod tests {
     fn resident_analytics_bytes(server: &CollectionServer) -> usize {
         let store = server.store.borrow();
         let st = store.streaming.as_deref().expect("streaming");
-        let dedup: usize = st.dedup.values().map(HashSet::len).sum();
+        let dedup: usize = st.dedup.iter().map(|(_, set)| set.len()).sum();
         st.sketch.resident_bytes()
             + st.reservoir.capacity() * std::mem::size_of::<(u64, RawRecord)>()
             + st.fold.resident_bytes()

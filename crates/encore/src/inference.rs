@@ -41,6 +41,13 @@ pub struct DetectorConfig {
     /// to alter the conclusions that Encore draws"): an attacker must
     /// control many addresses, not just flood from one. `None` disables
     /// the cap.
+    ///
+    /// The fold counts each address in 32 bits, so a cap above
+    /// `u32::MAX`, and `None`, count at most `u32::MAX` results from one
+    /// address in one window. Nothing reaches that: the exact detector
+    /// would need 4.3×10⁹ records resident (≈400 GB), and a streaming
+    /// collector 4.3×10⁹ accepted results from one address in one
+    /// window.
     pub max_per_ip: Option<u64>,
     /// Discount failures carrying a near-source congestion signal (the
     /// fetch was shed at an overloaded transit link, and the link said
@@ -82,8 +89,41 @@ pub(crate) fn is_crawler_ua(ua: &str) -> bool {
 }
 
 /// `(domain, client address) → (n, x)`: one open window's counts under
-/// the per-IP cap.
-type AddressCells = HashMap<(Sym, Ipv4Addr), (u64, u64), FxBuildHasher>;
+/// the per-IP cap. The counts are 32-bit — a 16-byte entry, not 24 —
+/// and saturate at `u32::MAX` (see [`DetectorConfig::max_per_ip`]);
+/// [`WindowFold::close_below`] widens them back to `u64`.
+type AddressCells = HashMap<(Sym, Ipv4Addr), (u32, u32), FxBuildHasher>;
+
+/// Pass a closed window's emptied hash table on, so that a run grows
+/// its open-window tables once instead of once per window. `next` is
+/// the lowest window still open, if any: when its own table is smaller,
+/// its entries move into the emptied one, which then becomes its table.
+/// With no window open, the table becomes the `spare` (the larger of the
+/// two is kept), and the next window to open takes it — so a spare never
+/// sits beside an open window.
+pub(crate) fn hand_over<T: IntoIterator + Extend<T::Item>>(
+    emptied: T,
+    next: Option<&mut T>,
+    spare: &mut Option<T>,
+    capacity: impl Fn(&T) -> usize,
+) {
+    match next {
+        Some(next) => {
+            if capacity(next) < capacity(&emptied) {
+                let small = std::mem::replace(next, emptied);
+                next.extend(small);
+            }
+        }
+        None => {
+            if spare
+                .as_ref()
+                .is_none_or(|s| capacity(s) < capacity(&emptied))
+            {
+                *spare = Some(emptied);
+            }
+        }
+    }
+}
 
 /// The per-window fold that turns submissions into detector input — the
 /// one place the record filters, the per-IP cap and geolocation run, for
@@ -94,12 +134,22 @@ type AddressCells = HashMap<(Sym, Ipv4Addr), (u64, u64), FxBuildHasher>;
 /// its window closes, and each `(domain, country)` cell gets its `String`
 /// name once, there. Country is a function of the address, so capping
 /// before locating counts exactly the records the other order would.
+///
+/// A closing window's address table is drained and [handed
+/// over](hand_over) to the next window, and the table that sums its
+/// addresses by country is one scratch for the whole run, so a run of
+/// windows of one shape grows each table once.
 #[derive(Debug)]
 pub(crate) struct WindowFold {
     config: DetectorConfig,
     /// Open windows, ascending: each one's header (index and
     /// measurement count; no cells yet) and its address cells.
     open: Vec<(WindowCells, AddressCells)>,
+    /// An emptied address table, kept only while no window is open.
+    spare: Option<AddressCells>,
+    /// Scratch of [`close_below`](Self::close_below): one closing
+    /// window's counts summed by `(domain, country)`. Empty between calls.
+    located: HashMap<(Sym, CountryCode), (u64, u64), FxBuildHasher>,
     /// Closed windows, ascending by index.
     pub(crate) closed: Vec<WindowCells>,
 }
@@ -109,12 +159,15 @@ impl WindowFold {
         WindowFold {
             config,
             open: Vec::new(),
+            spare: None,
+            located: HashMap::default(),
             closed: Vec::new(),
         }
     }
 
     /// Fold one submission from `client_ip` — its phase, outcome and
-    /// congestion flag — into `window`, opening the window on its first.
+    /// congestion flag — into `window`, opening the window on its first
+    /// (with the spare table, if there is one).
     /// `crawler` is asked only of result-phase records when crawlers are
     /// excluded, and `domain` only of records that pass the filters.
     pub(crate) fn push(
@@ -131,7 +184,8 @@ impl WindowFold {
                 window,
                 ..WindowCells::default()
             };
-            self.open.insert(at, (header, AddressCells::default()));
+            let cells = self.spare.take().unwrap_or_default();
+            self.open.insert(at, (header, cells));
         }
         let (header, cells) = &mut self.open[at];
         let config = &self.config;
@@ -151,37 +205,41 @@ impl WindowFold {
         let Some(domain) = domain() else {
             return;
         };
+        let cap = config
+            .max_per_ip
+            .map_or(u32::MAX, |c| c.min(u64::from(u32::MAX)) as u32);
         let (n, x) = cells.entry((domain, client_ip)).or_default();
-        if config.max_per_ip.is_some_and(|cap| *n >= cap) {
+        if *n >= cap {
             return; // poisoning mitigation: flooding one IP stops counting
         }
         *n += 1;
-        *x += u64::from(outcome == Some(TaskOutcome::Success));
+        *x += u32::from(outcome == Some(TaskOutcome::Success));
     }
 
     /// Close every open window below `boundary` into `closed`: each
     /// address is located with `country_of` (`None` drops its counts),
     /// and the `(domain, country)` cells come out named from `names` and
-    /// sorted by `(domain, country)`.
+    /// sorted by `(domain, country)` — a unique key, so neither a table's
+    /// capacity nor its iteration order can move the output. Each
+    /// window's drained address table is handed over.
     pub(crate) fn close_below(
         &mut self,
         boundary: u64,
         names: &Interner,
         country_of: &mut dyn FnMut(Ipv4Addr) -> Option<CountryCode>,
     ) {
-        let closing = self.open.partition_point(|(w, _)| w.window < boundary);
-        for (mut header, cells) in self.open.drain(..closing) {
-            let mut located: HashMap<(Sym, CountryCode), (u64, u64), FxBuildHasher> =
-                HashMap::default();
-            for ((domain, ip), (n, x)) in cells {
+        while self.open.first().is_some_and(|(w, _)| w.window < boundary) {
+            let (mut header, mut cells) = self.open.remove(0);
+            let located = &mut self.located;
+            for ((domain, ip), (n, x)) in cells.drain() {
                 if let Some(country) = (n > 0).then(|| country_of(ip)).flatten() {
                     let cell = located.entry((domain, country)).or_default();
-                    cell.0 += n;
-                    cell.1 += x;
+                    cell.0 += u64::from(n);
+                    cell.1 += u64::from(x);
                 }
             }
             header.cells = located
-                .into_iter()
+                .drain()
                 .map(|((domain, country), (n, x))| CellEntry {
                     domain: names.resolve(domain).to_owned(),
                     country,
@@ -194,6 +252,8 @@ impl WindowFold {
                 .sort_unstable_by(|a, b| (&a.domain, a.country).cmp(&(&b.domain, b.country)));
             debug_assert!(self.closed.last().is_none_or(|c| c.window < header.window));
             self.closed.push(header);
+            let next = self.open.first_mut().map(|(_, cells)| cells);
+            hand_over(cells, next, &mut self.spare, HashMap::capacity);
         }
     }
 }
@@ -590,7 +650,7 @@ mod tests {
                             .sum::<usize>()
                 })
                 .sum();
-            open * std::mem::size_of::<((Sym, Ipv4Addr), (u64, u64))>() + closed
+            open * std::mem::size_of::<<AddressCells as IntoIterator>::Item>() + closed
         }
     }
 

@@ -14,16 +14,34 @@ use netsim::ip::IpAllocator;
 use sim_core::{SimDuration, SimTime};
 use std::net::Ipv4Addr;
 
-const WINDOWS: u64 = 10;
+pub(crate) const WINDOWS: u64 = 10;
 const DOMAINS: [&str; 4] = ["a.example", "b.example", "c.example", "d.example"];
 const COUNTRIES: [&str; 5] = ["US", "DE", "TR", "CN", "BR"];
+/// `(domain, country)` cells in each window: every pair is measured.
+pub(crate) const CELLS: u64 = (DOMAINS.len() * COUNTRIES.len()) as u64;
 /// Client addresses per country. Fixed, so the per-IP counter map is
 /// the same size however many records are folded.
 const IPS_PER_COUNTRY: usize = 40;
 
-/// `per_window` records in each of the ten windows, cycling through
-/// every (domain, country, address); TR fails on `a.example`.
-fn records(ips: &[Vec<Ipv4Addr>], per_window: u64) -> Vec<StoredMeasurement> {
+/// [`IPS_PER_COUNTRY`] addresses in each country, and the geo database
+/// that locates them.
+pub(crate) fn addresses() -> (Vec<Vec<Ipv4Addr>>, GeoDb) {
+    let mut alloc = IpAllocator::new();
+    let ips = COUNTRIES
+        .iter()
+        .map(|cc| {
+            (0..IPS_PER_COUNTRY)
+                .map(|_| alloc.allocate(country(cc)))
+                .collect()
+        })
+        .collect();
+    (ips, GeoDb::from_allocator(&alloc))
+}
+
+/// `per_window` records in each of the ten 100-second windows, in
+/// window order, cycling through every (domain, country, address); TR
+/// fails on `a.example`, and nothing else fails.
+pub(crate) fn records(ips: &[Vec<Ipv4Addr>], per_window: u64) -> Vec<StoredMeasurement> {
     let mut out = Vec::new();
     for w in 0..WINDOWS {
         for i in 0..per_window {
@@ -55,16 +73,7 @@ fn records(ips: &[Vec<Ipv4Addr>], per_window: u64) -> Vec<StoredMeasurement> {
 
 #[test]
 fn windowed_detection_allocates_per_cell_not_per_record() {
-    let mut alloc = IpAllocator::new();
-    let ips: Vec<Vec<Ipv4Addr>> = COUNTRIES
-        .iter()
-        .map(|cc| {
-            (0..IPS_PER_COUNTRY)
-                .map(|_| alloc.allocate(country(cc)))
-                .collect()
-        })
-        .collect();
-    let geo = GeoDb::from_allocator(&alloc);
+    let (ips, geo) = addresses();
     let detector = FilteringDetector::default();
     let window = SimDuration::from_secs(100);
 

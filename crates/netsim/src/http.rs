@@ -9,7 +9,6 @@
 //! URL string and on a `keywords` summary of the body.
 
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use std::fmt;
 
 /// HTTP status code (the subset the simulation produces).
@@ -211,10 +210,6 @@ pub struct HttpResponse {
     /// For HTML bodies: the subresources the page embeds (what a browser
     /// would discover while parsing).
     pub embeds: Vec<Embedded>,
-    /// Free-form extra headers (kept sorted for deterministic equality).
-    /// Header names and values are usually literals, so `Cow` keeps the
-    /// per-response cost to at most one small vector allocation.
-    pub extra_headers: Vec<(Cow<'static, str>, Cow<'static, str>)>,
 }
 
 impl HttpResponse {
@@ -230,7 +225,6 @@ impl HttpResponse {
             valid_body: true,
             keywords: Vec::new(),
             embeds: Vec::new(),
-            extra_headers: Vec::new(),
         }
     }
 

@@ -8,7 +8,10 @@
 //! censors, over ideal paths), run serially for 4 and for 16 days at the
 //! same arrival rate. A structure that grows with clients ever seen —
 //! the network's path-quality memo once keyed on each client's own
-//! address — grows its largest single allocation with the days run.
+//! address — grows its largest single allocation with the days run. The
+//! run's peak bytes may grow with the days by what a run must keep for
+//! each of them and nothing more: each closed window's cells, which the
+//! verdicts are read from, and one rollup.
 //!
 //! A RECORD_CHUNK comes from another process, so what its decode
 //! reserves must be bounded by the bytes that arrived, not by the counts
@@ -19,16 +22,18 @@ use censor::registry::{install_world_censors, SAFE_TARGETS};
 use encore::collection::SubmissionPhase;
 use encore::coordination::SchedulingStrategy;
 use encore::delivery::OriginSite;
+use encore::streaming::{CellEntry, WindowCells};
 use encore::system::EncoreSystem;
 use encore::tasks::{MeasurementId, MeasurementTask, TaskOutcome, TaskSpec, TaskType};
 use netsim::geo::{country, World};
 use netsim::http::{ContentType, HttpResponse};
 use netsim::scenario::NetworkScenario;
 use population::transport::{DEFAULT_MAX_PAYLOAD, KIND_RECORD_CHUNK};
-use population::{Audience, BatchConfig, StreamingSpec, WorldEngine, WorldRecipe};
+use population::{Audience, BatchConfig, Rollup, StreamingSpec, WorldEngine, WorldRecipe};
 use serde::Deserialize;
 use sim_core::frame::{encode_frame, read_frame};
 use sim_core::{SimDuration, SimRng, SimTime};
+use std::mem::size_of;
 use std::net::Ipv4Addr;
 
 #[global_allocator]
@@ -38,8 +43,10 @@ const DAY: SimDuration = SimDuration::from_days(1);
 const VISITS_PER_DAY: u64 = 2_000;
 
 /// Run the streaming batch world for `days` at [`VISITS_PER_DAY`],
-/// returning what the run (not the world's construction) allocated.
-fn streaming_run(days: u64) -> Allocs {
+/// returning what the run (not the world's construction) allocated and
+/// the heap bytes of what it keeps per day: its closed windows' cells
+/// and its rollups.
+fn streaming_run(days: u64) -> (Allocs, usize) {
     let mut spec = NetworkScenario::new().with_ideal_paths();
     for d in SAFE_TARGETS {
         spec = spec.with_server(d, country("US"), HttpResponse::ok(ContentType::Image, 500));
@@ -76,16 +83,48 @@ fn streaming_run(days: u64) -> Allocs {
         WorldEngine::from_recipe(&mut net, &mut sys, &audience, &recipe, &mut rng).run()
     });
     assert_eq!(outcome.report.visits, days * VISITS_PER_DAY);
-    allocs
+    let stats = sys.collection.snapshot().streaming.expect("streaming run");
+    let windows: usize = stats
+        .windows
+        .iter()
+        .map(|w| {
+            size_of::<WindowCells>()
+                + w.cells.capacity() * size_of::<CellEntry>()
+                + w.cells.iter().map(|c| c.domain.capacity()).sum::<usize>()
+        })
+        .sum();
+    (
+        allocs,
+        windows + outcome.rollups.len() * size_of::<Rollup>(),
+    )
 }
 
 #[test]
 fn streaming_world_memory_is_flat_in_days() {
-    let short = streaming_run(4);
-    let long = streaming_run(16);
+    /// What the peak may grow by beyond the kept bytes: the doubling
+    /// slack of the two growing lists (closed windows, rollups), which
+    /// reads ≈3.4 KiB at 16 days, with room to spare. A structure
+    /// growing by a kilobyte a day would exceed it within 12 days.
+    const ALLOWANCE: i64 = 8 << 10;
+    let (short, short_kept) = streaming_run(4);
+    let (long, long_kept) = streaming_run(16);
+    let kept = (long_kept - short_kept) as i64;
     println!(
-        "largest allocation: 4 days {} B, 16 days {} B",
-        short.largest, long.largest
+        "largest allocation: 4 days {} B, 16 days {} B; peak bytes: 4 days {}, 16 days {} \
+         ({:.0} B a day more, of which closed windows and rollups keep {:.0})",
+        short.largest,
+        long.largest,
+        short.peak,
+        long.peak,
+        (long.peak - short.peak) as f64 / 12.0,
+        kept as f64 / 12.0,
+    );
+    assert!(
+        long.peak <= short.peak + kept + ALLOWANCE,
+        "16 days peak at {} B, 4 days at {} B: more than the {kept} B the 12 extra days' \
+         closed windows and rollups keep, plus {ALLOWANCE} B",
+        long.peak,
+        short.peak
     );
     assert!(
         long.largest < 2 * short.largest,
